@@ -34,6 +34,7 @@ from .errors import (
     SpandistError,
 )
 from .gram import (
+    GramAggregates,
     GramHadamardVerdict,
     GramMatrix,
     GramSplitVerdict,
@@ -67,6 +68,7 @@ from .distance import (
 )
 from .combination import (
     CombinationBoundResult,
+    CombinationInputs,
     CombinationKind,
     CombinationMethod,
     LagrangeParts,

@@ -21,6 +21,7 @@ with three coarser closed forms.
 from __future__ import annotations
 
 import math
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -62,7 +63,9 @@ __all__ = [
     "require_condition",
     "bound_cond_half_width",
     "bound_cond_relaxed",
+    "conditional_values",
     "reverse_bessel_gap",
+    "reverse_bessel_verdict",
     "full_bound_report",
     "UNCONDITIONAL_METHODS",
     "CONDITIONAL_METHODS",
@@ -105,6 +108,7 @@ class IntervalData:
 
     gammas: tuple[Scalar, ...]
     Gammas: tuple[Scalar, ...]
+    _arrays: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.gammas) != len(self.Gammas):
@@ -123,9 +127,15 @@ class IntervalData:
         return len(self.gammas)
 
     def arrays(self, field: Field) -> tuple[np.ndarray, np.ndarray]:
-        lo = _validated_coeffs(self.gammas, field, self.n)
-        hi = _validated_coeffs(self.Gammas, field, self.n)
-        return lo, hi
+        """Validated read-only (gamma, Gamma) arrays, memoised per field."""
+        pair = self._arrays.get(field)
+        if pair is None:
+            lo = _validated_coeffs(self.gammas, field, self.n)
+            hi = _validated_coeffs(self.Gammas, field, self.n)
+            lo.setflags(write=False)
+            hi.setflags(write=False)
+            pair = self._arrays[field] = (lo, hi)
+        return pair
 
     def widths(self, field: Field) -> np.ndarray:
         lo, hi = self.arrays(field)
@@ -153,22 +163,24 @@ def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> tu
 
 
 def _denominators(system: VectorSystem) -> dict[BoundMethod, float]:
-    norms = system.gram.norms_sq()
-    off = system.gram.abs_offdiag()
-    abs_g = np.abs(system.gram.entries)
+    g = system.aggregates
     return {
-        BoundMethod.TOTAL_NORM: float(np.sum(norms)),
-        BoundMethod.OFFDIAG_FROBENIUS: float(np.max(norms)) + math.sqrt(float(np.sum(off**2))),
-        BoundMethod.OFFDIAG_MAX: float(np.max(norms)) + (system.n - 1) * float(np.max(off, initial=0.0)),
-        BoundMethod.ROW_SUMS: float(np.max(np.sum(abs_g, axis=1))),
-        BoundMethod.FROBENIUS: math.sqrt(float(np.sum(abs_g**2))),
+        BoundMethod.TOTAL_NORM: float(g.norm_sum),
+        BoundMethod.OFFDIAG_FROBENIUS: float(g.norm_max) + math.sqrt(float(g.offdiag_sum_sq)),
+        BoundMethod.OFFDIAG_MAX: float(g.norm_max) + (system.n - 1) * float(g.offdiag_max),
+        BoundMethod.ROW_SUMS: float(g.row_max),
+        BoundMethod.FROBENIUS: math.sqrt(float(g.abs_sum_sq)),
     }
+
+
+def _ratio_value(xx: float, s: float, d: float) -> float:
+    """The common shape ||x||^2 - S / D, clamped at zero."""
+    return max(xx - s / d, 0.0)
 
 
 def _ratio_bound(system: VectorSystem, x: Vector, method: BoundMethod, tol: ToleranceConfig | None) -> float:
     _, _, s = _prepare(system, x, tol)
-    d = _denominators(system)[method]
-    return max(norm_sq(x) - s / d, 0.0)
+    return _ratio_value(norm_sq(x), s, _denominators(system)[method])
 
 
 def bound_total_norm(system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None) -> float:
@@ -278,14 +290,37 @@ def require_condition(
     return verdict
 
 
+def _cond_half_width(system: VectorSystem, widths: np.ndarray) -> float:
+    width_comb = widths @ system.rows
+    return 0.25 * float(np.real(np.vdot(width_comb, width_comb)))
+
+
+def _cond_relaxed(system: VectorSystem, widths: np.ndarray, method: BoundMethod) -> float:
+    width_sq = float(np.real(np.vdot(widths, widths)))
+    return 0.25 * width_sq * _denominators(system)[_COND_FACTORS[method]]
+
+
+def conditional_values(system: VectorSystem, intervals: IntervalData) -> dict[BoundMethod, float]:
+    """The four conditional bounds, in :data:`CONDITIONAL_METHODS` order.
+
+    Checks nothing: the caller has established independence, that x is not
+    orthogonal to the span, and the two-sided condition (as
+    :func:`full_bound_report` does), so that the condition is evaluated once.
+    """
+    widths = intervals.widths(system.field)
+    values = {BoundMethod.COND_HALF_WIDTH: _cond_half_width(system, widths)}
+    for method in _COND_FACTORS:
+        values[method] = _cond_relaxed(system, widths, method)
+    return values
+
+
 def bound_cond_half_width(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
 ) -> float:
     """d^2 <= (1/4) ||sum_i (Gamma_i - gamma_i) x_i||^2 under the condition."""
     tol, _, _ = _prepare(system, x, tol)
     require_condition(system, x, intervals, tol)
-    width_comb = intervals.widths(system.field) @ system.rows
-    return 0.25 * float(np.real(np.vdot(width_comb, width_comb)))
+    return _cond_half_width(system, intervals.widths(system.field))
 
 
 _COND_FACTORS = {
@@ -311,9 +346,7 @@ def bound_cond_relaxed(
         raise ValueError(f"not a conditional relaxation method: {method}")
     tol, _, _ = _prepare(system, x, tol)
     require_condition(system, x, intervals, tol)
-    widths = intervals.widths(system.field)
-    width_sq = float(np.real(np.vdot(widths, widths)))
-    return 0.25 * width_sq * _denominators(system)[_COND_FACTORS[method]]
+    return _cond_relaxed(system, intervals.widths(system.field), method)
 
 
 @dataclass(frozen=True)
@@ -333,6 +366,14 @@ def reverse_bessel_gap(
     if not is_orthonormal(system, tol):
         raise NotOrthonormalError("reverse Bessel bound requires an orthonormal system")
     require_condition(system, x, intervals, tol)
+    return reverse_bessel_verdict(system, x, intervals, tol)
+
+
+def reverse_bessel_verdict(
+    system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig
+) -> ReverseBesselVerdict:
+    """:func:`reverse_bessel_gap` without its checks: the caller has
+    established orthonormality and the two-sided condition."""
     beta = coefficients(system, x)
     gap = norm_sq(x) - float(np.real(np.vdot(beta, beta)))
     widths = intervals.widths(system.field)
@@ -386,17 +427,14 @@ def full_bound_report(
     condition holds (a failing condition raises, rather than reporting
     vacuous numbers).
     """
-    tol2, _, _ = _prepare(system, x, tol)
+    tol2, _, s = _prepare(system, x, tol)
     exact = distance_sq_quadratic(system, x)
-    values: list[tuple[BoundMethod, float]] = [
-        (m, _ratio_bound(system, x, m, tol2)) for m in UNCONDITIONAL_METHODS
-    ]
+    xx = norm_sq(x)
+    denominators = _denominators(system)
+    values = {m: _ratio_value(xx, s, denominators[m]) for m in UNCONDITIONAL_METHODS}
     if intervals is not None:
-        values.append((BoundMethod.COND_HALF_WIDTH, bound_cond_half_width(system, x, intervals, tol2)))
-        for m in _COND_FACTORS:
-            values.append((m, bound_cond_relaxed(system, x, intervals, m, tol2)))
-    order = {m: i for i, m in enumerate(BoundMethod)}
-    values.sort(key=lambda mv: order[mv[0]])
+        require_condition(system, x, intervals, tol2)
+        values.update(conditional_values(system, intervals))
     entries = tuple(
         BoundEntry(
             method=m,
@@ -405,6 +443,6 @@ def full_bound_report(
             tightness=(v - exact) / (1.0 + exact),
             strict_expected=(m is BoundMethod.TOTAL_NORM and system.n >= 2),
         )
-        for m, v in values
+        for m, v in values.items()
     )
     return BoundReport(exact_d2=exact, entries=entries)

@@ -24,14 +24,15 @@ from . import combination as comb
 from .distance import (
     coefficients,
     distance_sq_oracle,
+    distance_sq_quadratic,
     exact_distance,
     in_orthogonal_complement,
     is_orthonormal,
 )
 from .generator import Instance, child_rng
-from .gram import check_gram_hadamard, check_gram_product_split, check_gram_triangle
-from .hadamard import ChainVariant, check_hadamard_strict, hadamard_chain
-from .space import Field, ToleranceConfig, Vector, norm_sq
+from .gram import check_gram_hadamard, check_gram_product_split, gram_triangle_of_rows
+from .hadamard import ChainVariant, hadamard_chain
+from .space import Field, ToleranceConfig, norm_sq
 
 __all__ = ["CheckOutcome", "CheckFn", "REGISTRY", "applicable_checks", "run_checks"]
 
@@ -222,6 +223,36 @@ _SWEEP_EXPONENTS = (1.5, 2.0, 3.0)
 _HOLDER_GRAM_EXPONENTS = (1.25, 2.0, 4.0)
 
 
+def _sweep() -> tuple[tuple[str, comb.CombinationMethod], ...]:
+    """Every (label, method) of the combination sweep, in reporting order."""
+    kind = comb.CombinationKind
+    out = [("cauchy_schwarz", comb.CombinationMethod(kind=kind.CAUCHY_SCHWARZ))]
+    for db, ob in product(comb.DIAG_BRANCHES, comb.OFFDIAG_BRANCHES):
+        exponents = _SWEEP_EXPONENTS if "holder" in (db, ob) else (None,)
+        for e in exponents:
+            method = comb.CombinationMethod(
+                kind=kind.DIAG_OFFDIAG,
+                diag_branch=db,
+                offdiag_branch=ob,
+                diag_exp=e if db == "holder" else None,
+                offdiag_exp=e if ob == "holder" else None,
+            )
+            out.append((f"diag_offdiag[{db},{ob}]" + (f"(p={e:g})" if e is not None else ""), method))
+    out.append(("selection_max", comb.CombinationMethod(kind=kind.SELECTION_MAX)))
+    out.append(("selection_frobenius", comb.CombinationMethod(kind=kind.SELECTION_FROBENIUS)))
+    for branch in comb.ROW_SUM_BRANCHES:
+        for p in _SWEEP_EXPONENTS if branch == "holder" else (None,):
+            method = comb.CombinationMethod(kind=kind.ROW_SUM, branch=branch, p=p)
+            out.append((f"row_sum[{branch}]" + (f"(p={p:g})" if p is not None else ""), method))
+    for p in _HOLDER_GRAM_EXPONENTS:
+        out.append((f"holder_gram(p={p:g})", comb.CombinationMethod(kind=kind.HOLDER_GRAM, p=p)))
+    out.append(("holder_gram_p2", comb.CombinationMethod(kind=kind.HOLDER_GRAM_P2, p=2.0)))
+    return tuple(out)
+
+
+COMBINATION_SWEEP = _sweep()
+
+
 def _combination_outcomes(
     label: str, result: comb.CombinationBoundResult, tol: ToleranceConfig
 ) -> list[CheckOutcome]:
@@ -249,40 +280,10 @@ def _combination_outcomes(
 
 def check_combination_sweep(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
     """Exercise every combination bound family on one coefficient draw."""
-    zs = instance.system
-    alphas = _draw_coeffs(instance, _SALT_COMBINATION)
-    out = _combination_outcomes("cauchy_schwarz", comb.cauchy_schwarz_bound(alphas, zs, tol), tol)
-    for db, ob in product(comb.DIAG_BRANCHES, comb.OFFDIAG_BRANCHES):
-        exponents = _SWEEP_EXPONENTS if "holder" in (db, ob) else (None,)
-        for e in exponents:
-            result = comb.diag_offdiag_bound(
-                alphas,
-                zs,
-                db,
-                ob,
-                diag_exp=e if db == "holder" else None,
-                offdiag_exp=e if ob == "holder" else None,
-                tol=tol,
-            )
-            tag = f"diag_offdiag[{db},{ob}]" + (f"(p={e:g})" if e is not None else "")
-            out.extend(_combination_outcomes(tag, result, tol))
-    out.extend(_combination_outcomes("selection_max", comb.selection_max_bound(alphas, zs, tol), tol))
-    out.extend(
-        _combination_outcomes(
-            "selection_frobenius", comb.selection_frobenius_bound(alphas, zs, tol), tol
-        )
-    )
-    for branch in comb.ROW_SUM_BRANCHES:
-        ps = _SWEEP_EXPONENTS if branch == "holder" else (None,)
-        for p in ps:
-            result = comb.row_sum_bound(alphas, zs, branch, p, tol)
-            tag = f"row_sum[{branch}]" + (f"(p={p:g})" if p is not None else "")
-            out.extend(_combination_outcomes(tag, result, tol))
-    for p in _HOLDER_GRAM_EXPONENTS:
-        out.extend(
-            _combination_outcomes(f"holder_gram(p={p:g})", comb.holder_gram_bound(alphas, zs, p, tol), tol)
-        )
-    out.extend(_combination_outcomes("holder_gram_p2", comb.holder_gram_p2_bound(alphas, zs, tol), tol))
+    inputs = comb.CombinationInputs.build(_draw_coeffs(instance, _SALT_COMBINATION), instance.system)
+    out: list[CheckOutcome] = []
+    for label, method in COMBINATION_SWEEP:
+        out.extend(_combination_outcomes(label, inputs.bound(method, tol), tol))
     return out
 
 
@@ -352,8 +353,8 @@ def check_gram_inequalities(instance: Instance, tol: ToleranceConfig) -> list[Ch
                 right=split.gram_right,
             )
         )
-        y1 = Vector(_draw_coeffs(instance, _SALT_TRIANGLE, system.dim), system.field)
-        tri = check_gram_triangle(system.vectors[0], y1, system.subsystem(range(1, system.n)), tol)
+        y1 = _draw_coeffs(instance, _SALT_TRIANGLE, system.dim)
+        tri = gram_triangle_of_rows(system.rows[0], y1, system.rows[1:], system.field, tol)
         out.append(
             _outcome(
                 "gram_inequalities/triangle",
@@ -390,8 +391,9 @@ def check_conditional_bounds(instance: Instance, tol: ToleranceConfig) -> list[C
     ]
     if not verdict.holds:
         return out
-    d2 = exact_distance(system, x, tol).d2_quadratic
-    half_width = bnd.bound_cond_half_width(system, x, iv, tol)
+    d2 = distance_sq_quadratic(system, x)
+    values = bnd.conditional_values(system, iv)
+    half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
     out.append(
         _outcome(
             "conditional_bounds/half_width_dominates",
@@ -401,7 +403,7 @@ def check_conditional_bounds(instance: Instance, tol: ToleranceConfig) -> list[C
         )
     )
     for method in bnd.CONDITIONAL_METHODS[1:]:
-        relaxed = bnd.bound_cond_relaxed(system, x, iv, method, tol)
+        relaxed = values[method]
         out.append(
             _outcome(
                 f"conditional_bounds/{method.value}_coarser",
@@ -411,7 +413,7 @@ def check_conditional_bounds(instance: Instance, tol: ToleranceConfig) -> list[C
             )
         )
     if is_orthonormal(system, tol):
-        rb = bnd.reverse_bessel_gap(system, x, iv, tol)
+        rb = bnd.reverse_bessel_verdict(system, x, iv, tol)
         out.append(
             _outcome(
                 "conditional_bounds/reverse_bessel",

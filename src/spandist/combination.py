@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "CombinationKind",
     "CombinationMethod",
     "CombinationBoundResult",
+    "CombinationInputs",
     "LagrangeParts",
     "combination_norm_sq",
     "lagrange_identity_parts",
@@ -139,15 +141,77 @@ class CombinationBoundResult:
     chain_ok: bool
 
 
-def _alpha_array(alphas: Sequence[Scalar] | np.ndarray, zs: VectorSystem) -> np.ndarray:
-    return _validated_coeffs(alphas, zs.field, zs.n)
+class CombinationInputs:
+    """One validated coefficient draw against one system.
+
+    Holds everything the bounds read from the coefficients — |a|, its
+    maximum and sum, the power sums sum |a_i|^e (memoised per exponent) and
+    the lhs ||sum a_i z_i||^2 — each computed at most once, so any number
+    of bounds on the same draw validate and reduce the coefficients once.
+    The Gram side comes from ``zs.aggregates``. Build with :meth:`build`.
+    """
+
+    def __init__(self, alphas: np.ndarray, zs: VectorSystem) -> None:
+        self.alphas = alphas
+        self.zs = zs
+        self._powers: dict[float, np.floating] = {}
+
+    @classmethod
+    def build(cls, alphas: Sequence[Scalar] | np.ndarray, zs: VectorSystem) -> "CombinationInputs":
+        """Validate ``alphas`` against ``zs`` (one finite scalar per vector)."""
+        a = _validated_coeffs(alphas, zs.field, zs.n)
+        a.setflags(write=False)
+        return cls(a, zs)
+
+    @cached_property
+    def lhs(self) -> float:
+        """||sum_i alphas[i] * z_i||^2 computed in coordinates."""
+        combo = self.alphas @ self.zs.rows
+        return float(np.real(np.vdot(combo, combo)))
+
+    @cached_property
+    def coeff_norm_sq(self) -> float:
+        """sum_i |alphas[i]|^2 as the inner product <a, a>."""
+        return float(np.real(np.vdot(self.alphas, self.alphas)))
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """|alphas|."""
+        return np.abs(self.alphas)
+
+    @cached_property
+    def a_max(self) -> np.floating:
+        return np.max(self.a)
+
+    @cached_property
+    def a_sum(self) -> np.floating:
+        return np.sum(self.a)
+
+    @cached_property
+    def top_pair_product(self) -> float:
+        """max_{i != j} |a_i||a_j| — product of the two largest magnitudes."""
+        a = self.a
+        if a.shape[0] < 2:
+            return 0.0
+        top = np.partition(a, -2)[-2:]
+        return float(top[0] * top[1])
+
+    def power_sum(self, e: float) -> np.floating:
+        """sum_i |a_i|^e, memoised per exponent."""
+        value = self._powers.get(e)
+        if value is None:
+            value = self._powers[e] = np.sum(self.a**e)
+        return value
+
+    def bound(self, method: CombinationMethod, tol: ToleranceConfig | None = None) -> CombinationBoundResult:
+        """Evaluate one combination bound on this draw."""
+        chain = _CHAINS[method.kind](self, method)
+        return _make_result(self.lhs, chain, method, tol or self.zs.tol)
 
 
 def combination_norm_sq(alphas: Sequence[Scalar], zs: VectorSystem) -> float:
     """||sum_i alphas[i] * z_i||^2 computed in coordinates."""
-    a = _alpha_array(alphas, zs)
-    combo = a @ zs.rows
-    return float(np.real(np.vdot(combo, combo)))
+    return CombinationInputs.build(alphas, zs).lhs
 
 
 @dataclass(frozen=True)
@@ -176,16 +240,16 @@ class LagrangeParts:
 
 
 def lagrange_identity_parts(alphas: Sequence[Scalar], zs: VectorSystem) -> LagrangeParts:
-    a = _alpha_array(alphas, zs)
+    c = CombinationInputs.build(alphas, zs)
     rows = zs.rows
-    ac = a.conj()
+    ac = c.alphas.conj()
     # pairwise differences conj(a_i) z_j - conj(a_j) z_i, shape (n, n, dim)
     diff = ac[:, None, None] * rows[None, :, :] - ac[None, :, None] * rows[:, None, :]
     pair = 0.5 * float(np.sum(np.abs(diff) ** 2))
     return LagrangeParts(
-        coeff_sum=float(np.real(np.vdot(a, a))),
-        norm_sum=float(np.sum(zs.gram.norms_sq())),
-        combo_norm_sq=combination_norm_sq(a, zs),
+        coeff_sum=c.coeff_norm_sq,
+        norm_sum=float(zs.aggregates.norm_sum),
+        combo_norm_sq=c.lhs,
         pair_sum=pair,
     )
 
@@ -210,48 +274,93 @@ def _make_result(
     )
 
 
+# -- the bound families: one chain formula each, over CombinationInputs -----
+
+
+def _cauchy_schwarz_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
+    return (c.coeff_norm_sq * float(c.zs.aggregates.norm_sum),)
+
+
+def _diag_term(branch: DiagBranch, exp: float | None, c: CombinationInputs) -> float:
+    g = c.zs.aggregates
+    if branch == "max_coeff":
+        return float(c.a_max**2 * g.norm_sum)
+    if branch == "holder":
+        q = conjugate_exponent(exp)
+        return float(c.power_sum(2 * exp) ** (1 / exp) * g.power_sum("norms_sq", q) ** (1 / q))
+    return float(c.power_sum(2) * g.norm_max)
+
+
+def _offdiag_term(branch: OffdiagBranch, exp: float | None, c: CombinationInputs) -> float:
+    g = c.zs.aggregates
+    if branch == "max_coeff":
+        return c.top_pair_product * float(g.offdiag_sum)
+    if branch == "holder":
+        q = conjugate_exponent(exp)
+        coeff = max(float(c.power_sum(exp) ** 2 - c.power_sum(2 * exp)), 0.0)
+        return coeff ** (1 / exp) * float(g.power_sum("abs_offdiag", q)) ** (1 / q)
+    coeff = max(float(c.a_sum**2 - c.power_sum(2)), 0.0)
+    return coeff * float(g.offdiag_max)
+
+
+def _diag_offdiag_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
+    return (_diag_term(m.diag_branch, m.diag_exp, c) + _offdiag_term(m.offdiag_branch, m.offdiag_exp, c),)
+
+
+def _selection_max_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
+    g = c.zs.aggregates
+    sum_sq = float(c.power_sum(2))
+    max_off = float(g.offdiag_max)
+    tight = float(g.norm_max) * sum_sq + max_off * max(float(c.a_sum**2) - sum_sq, 0.0)
+    coarse = sum_sq * (float(g.norm_max) + (c.zs.n - 1) * max_off)
+    return (tight, coarse)
+
+
+def _selection_frobenius_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
+    g = c.zs.aggregates
+    sum_sq = float(c.power_sum(2))
+    off_frob = math.sqrt(float(g.offdiag_sum_sq))
+    coeff = math.sqrt(max(sum_sq**2 - float(c.power_sum(4)), 0.0))
+    tight = float(g.norm_max) * sum_sq + off_frob * coeff
+    coarse = sum_sq * (float(g.norm_max) + off_frob)
+    return (tight, coarse)
+
+
+def _row_sum_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
+    g = c.zs.aggregates
+    base = float(np.sum(c.a**2 * g.row_sums))
+    if m.branch == "max_coeff":
+        relaxed = float(c.a_max**2 * g.row_sum_total)
+    elif m.branch == "holder":
+        q = conjugate_exponent(m.p)
+        relaxed = float(c.power_sum(2 * m.p) ** (1 / m.p) * g.power_sum("row_sums", q) ** (1 / q))
+    else:
+        relaxed = float(c.power_sum(2) * g.row_max)
+    return (base, relaxed)
+
+
+def _holder_gram_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
+    q = conjugate_exponent(m.p)
+    return (float(c.power_sum(m.p) ** (2 / m.p) * c.zs.aggregates.power_sum("abs_gram", q) ** (1 / q)),)
+
+
+_CHAINS = {
+    CombinationKind.CAUCHY_SCHWARZ: _cauchy_schwarz_chain,
+    CombinationKind.DIAG_OFFDIAG: _diag_offdiag_chain,
+    CombinationKind.SELECTION_MAX: _selection_max_chain,
+    CombinationKind.SELECTION_FROBENIUS: _selection_frobenius_chain,
+    CombinationKind.ROW_SUM: _row_sum_chain,
+    CombinationKind.HOLDER_GRAM: _holder_gram_chain,
+    CombinationKind.HOLDER_GRAM_P2: _holder_gram_chain,
+}
+
+
 def cauchy_schwarz_bound(
     alphas: Sequence[Scalar], zs: VectorSystem, tol: ToleranceConfig | None = None
 ) -> CombinationBoundResult:
     """||sum a_i z_i||^2 <= (sum |a_i|^2)(sum ||z_i||^2)."""
-    a = _alpha_array(alphas, zs)
-    lhs = combination_norm_sq(a, zs)
-    bound = float(np.real(np.vdot(a, a))) * float(np.sum(zs.gram.norms_sq()))
-    method = CombinationMethod(kind=CombinationKind.CAUCHY_SCHWARZ)
-    return _make_result(lhs, (bound,), method, tol or zs.tol)
-
-
-def _abs_parts(alphas: np.ndarray, zs: VectorSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(|alpha|, squared norms, |offdiag|) with the diagonal zeroed."""
-    return np.abs(alphas), zs.gram.norms_sq(), zs.gram.abs_offdiag()
-
-
-def _top_pair_product(a: np.ndarray) -> float:
-    """max_{i != j} |a_i||a_j| — product of the two largest magnitudes."""
-    if a.shape[0] < 2:
-        return 0.0
-    top = np.partition(a, -2)[-2:]
-    return float(top[0] * top[1])
-
-
-def _diag_term(branch: DiagBranch, exp: float | None, a: np.ndarray, norms: np.ndarray) -> float:
-    if branch == "max_coeff":
-        return float(np.max(a) ** 2 * np.sum(norms))
-    if branch == "holder":
-        q = conjugate_exponent(exp)
-        return float(np.sum(a ** (2 * exp)) ** (1 / exp) * np.sum(norms**q) ** (1 / q))
-    return float(np.sum(a**2) * np.max(norms))
-
-
-def _offdiag_term(branch: OffdiagBranch, exp: float | None, a: np.ndarray, off: np.ndarray) -> float:
-    if branch == "max_coeff":
-        return _top_pair_product(a) * float(np.sum(off))
-    if branch == "holder":
-        q = conjugate_exponent(exp)
-        coeff = max(float(np.sum(a**exp) ** 2 - np.sum(a ** (2 * exp))), 0.0)
-        return coeff ** (1 / exp) * float(np.sum(off**q)) ** (1 / q)
-    coeff = max(float(np.sum(a) ** 2 - np.sum(a**2)), 0.0)
-    return coeff * float(np.max(off, initial=0.0))
+    inputs = CombinationInputs.build(alphas, zs)
+    return inputs.bound(CombinationMethod(kind=CombinationKind.CAUCHY_SCHWARZ), tol)
 
 
 def diag_offdiag_bound(
@@ -276,13 +385,7 @@ def diag_offdiag_bound(
         diag_exp=diag_exp,
         offdiag_exp=offdiag_exp,
     )
-    a_arr = _alpha_array(alphas, zs)
-    lhs = combination_norm_sq(a_arr, zs)
-    a, norms, off = _abs_parts(a_arr, zs)
-    bound = _diag_term(diag_branch, diag_exp, a, norms) + _offdiag_term(
-        offdiag_branch, offdiag_exp, a, off
-    )
-    return _make_result(lhs, (bound,), method, tol or zs.tol)
+    return CombinationInputs.build(alphas, zs).bound(method, tol)
 
 
 def selection_max_bound(
@@ -293,15 +396,8 @@ def selection_max_bound(
     tight  = max||z||^2 * sum|a|^2 + max|<z_i,z_j>| * ((sum|a|)^2 - sum|a|^2)
     coarse = sum|a|^2 * (max||z||^2 + (n-1) * max|<z_i,z_j>|)
     """
-    a_arr = _alpha_array(alphas, zs)
-    lhs = combination_norm_sq(a_arr, zs)
-    a, norms, off = _abs_parts(a_arr, zs)
-    sum_sq = float(np.sum(a**2))
-    max_off = float(np.max(off, initial=0.0))
-    tight = float(np.max(norms)) * sum_sq + max_off * max(float(np.sum(a) ** 2) - sum_sq, 0.0)
-    coarse = sum_sq * (float(np.max(norms)) + (zs.n - 1) * max_off)
-    method = CombinationMethod(kind=CombinationKind.SELECTION_MAX)
-    return _make_result(lhs, (tight, coarse), method, tol or zs.tol)
+    inputs = CombinationInputs.build(alphas, zs)
+    return inputs.bound(CombinationMethod(kind=CombinationKind.SELECTION_MAX), tol)
 
 
 def selection_frobenius_bound(
@@ -313,16 +409,8 @@ def selection_frobenius_bound(
              + (sum_{i!=j} |<z_i,z_j>|^2)^(1/2) * ((sum|a|^2)^2 - sum|a|^4)^(1/2)
     coarse = sum|a|^2 * (max||z||^2 + (sum_{i!=j} |<z_i,z_j>|^2)^(1/2))
     """
-    a_arr = _alpha_array(alphas, zs)
-    lhs = combination_norm_sq(a_arr, zs)
-    a, norms, off = _abs_parts(a_arr, zs)
-    sum_sq = float(np.sum(a**2))
-    off_frob = math.sqrt(float(np.sum(off**2)))
-    coeff = math.sqrt(max(sum_sq**2 - float(np.sum(a**4)), 0.0))
-    tight = float(np.max(norms)) * sum_sq + off_frob * coeff
-    coarse = sum_sq * (float(np.max(norms)) + off_frob)
-    method = CombinationMethod(kind=CombinationKind.SELECTION_FROBENIUS)
-    return _make_result(lhs, (tight, coarse), method, tol or zs.tol)
+    inputs = CombinationInputs.build(alphas, zs)
+    return inputs.bound(CombinationMethod(kind=CombinationKind.SELECTION_FROBENIUS), tol)
 
 
 def row_sum_bound(
@@ -342,19 +430,7 @@ def row_sum_bound(
     * max_row:   sum|a|^2 * max_i r_i
     """
     method = CombinationMethod(kind=CombinationKind.ROW_SUM, branch=branch, p=p)
-    a_arr = _alpha_array(alphas, zs)
-    lhs = combination_norm_sq(a_arr, zs)
-    a = np.abs(a_arr)
-    r = np.sum(np.abs(zs.gram.entries), axis=1)
-    base = float(np.sum(a**2 * r))
-    if branch == "max_coeff":
-        relaxed = float(np.max(a) ** 2 * np.sum(r))
-    elif branch == "holder":
-        q = conjugate_exponent(p)
-        relaxed = float(np.sum(a ** (2 * p)) ** (1 / p) * np.sum(r**q) ** (1 / q))
-    else:
-        relaxed = float(np.sum(a**2) * np.max(r))
-    return _make_result(lhs, (base, relaxed), method, tol or zs.tol)
+    return CombinationInputs.build(alphas, zs).bound(method, tol)
 
 
 def holder_gram_bound(
@@ -368,28 +444,15 @@ def holder_gram_bound(
     to the double sum over |a_i| |a_j|, which factorises.
     """
     method = CombinationMethod(kind=CombinationKind.HOLDER_GRAM, p=p)
-    a_arr = _alpha_array(alphas, zs)
-    lhs = combination_norm_sq(a_arr, zs)
-    a = np.abs(a_arr)
-    q = conjugate_exponent(p)
-    bound = float(np.sum(a**p) ** (2 / p) * np.sum(np.abs(zs.gram.entries) ** q) ** (1 / q))
-    return _make_result(lhs, (bound,), method, tol or zs.tol)
+    return CombinationInputs.build(alphas, zs).bound(method, tol)
 
 
 def holder_gram_p2_bound(
     alphas: Sequence[Scalar], zs: VectorSystem, tol: ToleranceConfig | None = None
 ) -> CombinationBoundResult:
     """The symmetric p = q = 2 case: sum|a|^2 * (sum|G_ij|^2)^(1/2)."""
-    base = holder_gram_bound(alphas, zs, 2.0, tol)
     method = CombinationMethod(kind=CombinationKind.HOLDER_GRAM_P2, p=2.0)
-    return CombinationBoundResult(
-        lhs=base.lhs,
-        bound=base.bound,
-        chain=base.chain,
-        method=method,
-        holds=base.holds,
-        chain_ok=base.chain_ok,
-    )
+    return CombinationInputs.build(alphas, zs).bound(method, tol)
 
 
 def evaluate_combination(
@@ -398,20 +461,5 @@ def evaluate_combination(
     method: CombinationMethod,
     tol: ToleranceConfig | None = None,
 ) -> CombinationBoundResult:
-    """Dispatch a :class:`CombinationMethod` to its implementation."""
-    k = method.kind
-    if k is CombinationKind.CAUCHY_SCHWARZ:
-        return cauchy_schwarz_bound(alphas, zs, tol)
-    if k is CombinationKind.DIAG_OFFDIAG:
-        return diag_offdiag_bound(
-            alphas, zs, method.diag_branch, method.offdiag_branch, method.diag_exp, method.offdiag_exp, tol
-        )
-    if k is CombinationKind.SELECTION_MAX:
-        return selection_max_bound(alphas, zs, tol)
-    if k is CombinationKind.SELECTION_FROBENIUS:
-        return selection_frobenius_bound(alphas, zs, tol)
-    if k is CombinationKind.ROW_SUM:
-        return row_sum_bound(alphas, zs, method.branch, method.p, tol)
-    if k is CombinationKind.HOLDER_GRAM:
-        return holder_gram_bound(alphas, zs, method.p, tol)
-    return holder_gram_p2_bound(alphas, zs, tol)
+    """Evaluate the bound a :class:`CombinationMethod` names."""
+    return CombinationInputs.build(alphas, zs).bound(method, tol)

@@ -58,15 +58,14 @@ def in_orthogonal_complement(
     """True when every <x, x_i> is negligible at the scale of x and the system."""
     tol = tol or system.tol
     beta = coefficients(system, x)
-    scale = math.sqrt(norm_sq(x)) * math.sqrt(float(np.max(system.gram.norms_sq())))
+    scale = math.sqrt(norm_sq(x)) * math.sqrt(float(system.aggregates.norm_max))
     return bool(np.max(np.abs(beta), initial=0.0) <= tol.orth_rel_tol * scale)
 
 
 def is_orthonormal(system: VectorSystem, tol: ToleranceConfig | None = None) -> bool:
     """True when the Gram matrix is the identity to orthogonality tolerance."""
     tol = tol or system.tol
-    g = system.gram.entries
-    return bool(np.max(np.abs(g - np.eye(system.n, dtype=g.dtype))) <= tol.orth_rel_tol)
+    return bool(system.aggregates.identity_deviation <= tol.orth_rel_tol)
 
 
 def _solve_spd(chol: PivotedCholesky, b: np.ndarray) -> np.ndarray:
@@ -101,21 +100,19 @@ def distance_sq_gram_ratio(system: VectorSystem, x: Vector) -> float:
     xx = norm_sq(x)
     if xx == 0.0:
         return 0.0
-    norms = np.sqrt(system.gram.norms_sq())
-    g_hat = system.gram.entries / np.outer(norms, norms)
-    beta_hat = coefficients(system, x) / (norms * math.sqrt(xx))
-    n = system.n
-    aug = np.empty((n + 1, n + 1), dtype=g_hat.dtype)
-    aug[:n, :n] = g_hat
-    aug[:n, n] = beta_hat.conj()
-    aug[n, :n] = beta_hat
-    aug[n, n] = 1.0
-    det_base = gram_det_of_matrix(g_hat, system.tol.rank_rel_tol)
-    if det_base <= 0.0:
+    base = system.normalized_gram()
+    if base.det <= 0.0:
         raise NumericalInstabilityError(
             "normalised Gram determinant vanished for a system that passed the rank test"
         )
-    return xx * gram_det_of_matrix(aug, system.tol.rank_rel_tol) / det_base
+    beta_hat = coefficients(system, x) / (base.norms * math.sqrt(xx))
+    n = system.n
+    aug = np.empty((n + 1, n + 1), dtype=base.entries.dtype)
+    aug[:n, :n] = base.entries
+    aug[:n, n] = beta_hat.conj()
+    aug[n, :n] = beta_hat
+    aug[n, n] = 1.0
+    return xx * gram_det_of_matrix(aug, system.tol.rank_rel_tol) / base.det
 
 
 def distance_sq_quadratic(system: VectorSystem, x: Vector) -> float:

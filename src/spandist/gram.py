@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector
 
 __all__ = [
     "GramMatrix",
+    "GramAggregates",
+    "NormalizedGram",
     "PivotedCholesky",
     "RankDiagnostics",
     "VectorSystem",
@@ -41,6 +44,7 @@ __all__ = [
     "check_gram_hadamard",
     "check_gram_product_split",
     "check_gram_triangle",
+    "gram_triangle_of_rows",
 ]
 
 
@@ -63,6 +67,116 @@ class GramMatrix:
         a = np.abs(self.entries)
         np.fill_diagonal(a, 0.0)
         return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class GramAggregates:
+    """Every Gram-matrix aggregate the bounds and checks read, each computed
+    once, on first access, and then kept.
+
+    Scalars are numpy float64 values exactly as numpy's reductions return
+    them, so a formula reads the same bits whether it takes an aggregate
+    from here or reduces the Gram matrix itself; arrays are read-only.
+    :meth:`power_sum` memoises the Hölder sums sum(array ** q) per exponent.
+    Attributes cannot be assigned.
+    """
+
+    def __init__(self, gram: GramMatrix) -> None:
+        self.__dict__["gram"] = gram
+        self.__dict__["_powers"] = {}
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GramAggregates is read-only")
+
+    @cached_property
+    def norms_sq(self) -> np.ndarray:
+        """||x_i||^2, the real diagonal."""
+        return _frozen(self.gram.norms_sq())
+
+    @cached_property
+    def norm_sum(self) -> np.floating:
+        return np.sum(self.norms_sq)
+
+    @cached_property
+    def norm_max(self) -> np.floating:
+        return np.max(self.norms_sq)
+
+    @cached_property
+    def norm_product(self) -> np.floating:
+        return np.prod(self.norms_sq)
+
+    @cached_property
+    def abs_gram(self) -> np.ndarray:
+        """|G[i, j]|."""
+        return _frozen(np.abs(self.gram.entries))
+
+    @cached_property
+    def abs_offdiag(self) -> np.ndarray:
+        """|G[i, j]| with the diagonal zeroed."""
+        return _frozen(self.gram.abs_offdiag())
+
+    @cached_property
+    def offdiag_max(self) -> np.floating:
+        """max_{i != j} |G[i, j]|; 0 for a single vector."""
+        return np.max(self.abs_offdiag, initial=0.0)
+
+    @cached_property
+    def offdiag_sum(self) -> np.floating:
+        return np.sum(self.abs_offdiag)
+
+    @cached_property
+    def offdiag_sum_sq(self) -> np.floating:
+        return np.sum(self.abs_offdiag**2)
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """r_i = sum_j |G[i, j]|, diagonal included."""
+        return _frozen(np.sum(self.abs_gram, axis=1))
+
+    @cached_property
+    def row_sum_total(self) -> np.floating:
+        return np.sum(self.row_sums)
+
+    @cached_property
+    def row_max(self) -> np.floating:
+        return np.max(self.row_sums)
+
+    @cached_property
+    def abs_sum_sq(self) -> np.floating:
+        """sum_{i, j} |G[i, j]|^2, the squared Frobenius norm."""
+        return np.sum(self.abs_gram**2)
+
+    @cached_property
+    def identity_deviation(self) -> np.floating:
+        """max_{i, j} |G - I|: zero exactly for an orthonormal system."""
+        g = self.gram.entries
+        return np.max(np.abs(g - np.eye(self.gram.n, dtype=g.dtype)))
+
+    def power_sum(self, name: str, q: float) -> np.floating:
+        """sum(array ** q) for the array aggregate ``name`` ("norms_sq",
+        "abs_gram", "abs_offdiag" or "row_sums"), memoised per exponent."""
+        key = (name, q)
+        value = self._powers.get(key)
+        if value is None:
+            value = self._powers[key] = np.sum(getattr(self, name) ** q)
+        return value
+
+
+class NormalizedGram(NamedTuple):
+    """Gram matrix of the unit-normalised system and its determinant.
+
+    ``entries`` is G[i, j] / (||x_i|| ||x_j||); ``norms`` holds the ||x_i||
+    it was divided by. The unit diagonal keeps every factorisation pivot on
+    one scale, which is what the determinant-ratio distance relies on.
+    """
+
+    norms: np.ndarray
+    entries: np.ndarray
+    det: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,16 +272,33 @@ class RankDiagnostics:
     independent: bool
 
 
+def _gram_of_rows(rows: np.ndarray) -> np.ndarray:
+    """Read-only Gram matrix rows @ rows^H, conjugate symmetry exact in floats."""
+    g = rows @ rows.conj().T
+    g = (g + g.conj().T) / 2.0
+    g.setflags(write=False)
+    return g
+
+
 class VectorSystem:
     """An ordered finite system of vectors sharing field and dimension.
 
     The Gram matrix and its pivoted factorization are computed eagerly at
-    construction and never mutated, so instances are safe to share. Prefer
-    :meth:`from_rows` on hot paths; the :class:`Vector`-based constructor
-    validates each vector individually.
+    construction. Everything else derived from them is computed lazily, on
+    first use, and then kept for the life of the system: the Gram aggregates
+    (:attr:`aggregates`), the eigenvalue condition number
+    (:meth:`gram_condition`), the unit-normalised Gram matrix with its
+    determinant (:meth:`normalized_gram`) and the :class:`Vector` views of
+    the rows (:attr:`vectors`). Nothing is ever mutated once computed, so
+    instances are safe to share; two threads racing on a cold cache compute
+    the same value twice. Prefer :meth:`from_rows` on hot paths; the
+    :class:`Vector`-based constructor validates each vector individually.
     """
 
-    __slots__ = ("_rows", "_field", "_tol", "_gram", "_chol", "_vectors")
+    __slots__ = (
+        "_rows", "_field", "_tol", "_gram", "_chol", "_vectors",
+        "_aggregates", "_condition", "_normalized",
+    )
 
     def __init__(self, vectors: Sequence[Vector], tol: ToleranceConfig = DEFAULT_TOL) -> None:
         if len(vectors) == 0:
@@ -219,12 +350,13 @@ class VectorSystem:
         self._rows = rows
         self._field = field
         self._tol = tol
-        g = rows @ rows.conj().T
-        g = (g + g.conj().T) / 2.0  # make conjugate symmetry exact in floats
-        g.setflags(write=False)
+        g = _gram_of_rows(rows)
         self._gram = GramMatrix(entries=g)
         self._chol = pivoted_cholesky(g, tol.rank_rel_tol)
         self._vectors = vectors
+        self._aggregates: GramAggregates | None = None
+        self._condition: float | None = None
+        self._normalized: NormalizedGram | None = None
 
     # -- basic shape ---------------------------------------------------
     @property
@@ -270,13 +402,32 @@ class VectorSystem:
     def independent(self) -> bool:
         return self._chol.complete
 
+    @property
+    def aggregates(self) -> GramAggregates:
+        """The Gram aggregates, built on first access."""
+        if self._aggregates is None:
+            self._aggregates = GramAggregates(self._gram)
+        return self._aggregates
+
     def gram_condition(self) -> float:
         """Eigenvalue condition number of the Gram matrix (inf if singular)."""
-        eigs = np.linalg.eigvalsh(self._gram.entries)
-        lo, hi = float(eigs[0]), float(eigs[-1])
-        if lo <= 0.0:
-            return math.inf
-        return hi / lo
+        if self._condition is None:
+            eigs = np.linalg.eigvalsh(self._gram.entries)
+            lo, hi = float(eigs[0]), float(eigs[-1])
+            self._condition = math.inf if lo <= 0.0 else hi / lo
+        return self._condition
+
+    def normalized_gram(self) -> NormalizedGram:
+        """The unit-normalised Gram matrix and its determinant.
+
+        Needs nonzero vectors; callers establish independence first.
+        """
+        if self._normalized is None:
+            norms = _frozen(np.sqrt(self.aggregates.norms_sq))
+            g_hat = _frozen(self._gram.entries / np.outer(norms, norms))
+            det = gram_det_of_matrix(g_hat, self._tol.rank_rel_tol)
+            self._normalized = NormalizedGram(norms=norms, entries=g_hat, det=det)
+        return self._normalized
 
     # -- derived systems -----------------------------------------------
     def subsystem(self, indices: Sequence[int]) -> "VectorSystem":
@@ -367,8 +518,7 @@ def check_gram_hadamard(system: VectorSystem, tol: ToleranceConfig | None = None
     """
     tol = tol or system.tol
     det = gram_determinant(system)
-    norms = system.gram.norms_sq()
-    product = float(np.prod(norms))
+    product = float(system.aggregates.norm_product)
     rel = tol.compare_rel_tol
     return GramHadamardVerdict(
         gram_det=det,
@@ -438,14 +588,30 @@ def check_gram_triangle(
             raise DimensionMismatchError(
                 f"leading vector dimension {lead.dim} != system dimension {rest_rows.shape[1]}"
             )
+    return gram_triangle_of_rows(x1.coords, y1.coords, rest_rows, field, tol)
+
+
+def gram_triangle_of_rows(
+    x1: np.ndarray,
+    y1: np.ndarray,
+    rest_rows: np.ndarray,
+    field: Field,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> GramTriangleVerdict:
+    """:func:`check_gram_triangle` on validated coordinates.
+
+    ``x1`` and ``y1`` are coordinate vectors and ``rest_rows`` an
+    ``(m, dim)`` array, all finite and of the field's dtype; nothing is
+    checked, and only the three augmented Gram matrices are factored.
+    """
 
     def det_with(lead: np.ndarray) -> float:
         rows = np.vstack([lead[np.newaxis, :], rest_rows]).astype(field.dtype)
-        return gram_determinant(VectorSystem.from_rows(rows, field, tol))
+        return pivoted_cholesky(_gram_of_rows(rows), tol.rank_rel_tol).determinant()
 
-    combined = math.sqrt(max(det_with(x1.coords + y1.coords), 0.0))
-    first = math.sqrt(max(det_with(x1.coords), 0.0))
-    second = math.sqrt(max(det_with(y1.coords), 0.0))
+    combined = math.sqrt(max(det_with(x1 + y1), 0.0))
+    first = math.sqrt(max(det_with(x1), 0.0))
+    second = math.sqrt(max(det_with(y1), 0.0))
     return GramTriangleVerdict(
         combined=combined,
         first=first,

@@ -88,7 +88,8 @@ def hadamard_chain(
         raise ValueError("chain refinements need at least two vectors")
     tol = tol or system.tol
     g = system.gram.entries
-    norms = system.gram.norms_sq()
+    agg = system.aggregates
+    norms = agg.norms_sq
     factors = [float(norms[0])]
     clamped = False
     for k in range(1, system.n):
@@ -108,7 +109,7 @@ def hadamard_chain(
         factors.append(factor)
     refined = float(np.prod(factors))
     det = gram_determinant(system)
-    product = float(np.prod(norms))
+    product = float(agg.norm_product)
     rel = tol.compare_rel_tol
     return HadamardChainResult(
         variant=variant,
@@ -142,11 +143,10 @@ def check_hadamard_strict(system: VectorSystem, tol: ToleranceConfig | None = No
     require_independent(system)
     tol = tol or system.tol
     det = gram_determinant(system)
-    norms = system.gram.norms_sq()
-    product = float(np.prod(norms))
+    agg = system.aggregates
+    product = float(agg.norm_product)
     margin = product - det
-    off = system.gram.abs_offdiag()
-    pair_scale = np.sqrt(np.outer(norms, norms))
-    orthogonal = bool(np.all(off <= tol.orth_rel_tol * pair_scale))
+    pair_scale = np.sqrt(np.outer(agg.norms_sq, agg.norms_sq))
+    orthogonal = bool(np.all(agg.abs_offdiag <= tol.orth_rel_tol * pair_scale))
     strict = margin > tol.compare_rel_tol * (1.0 + abs(product)) and not orthogonal
     return HadamardStrictVerdict(gram_det=det, norm_product=product, margin=margin, strict=strict)

@@ -1,0 +1,242 @@
+"""The per-system Gram aggregates and the per-draw combination inputs.
+
+Every value read from a cache must be the very number the direct
+expression gives, so the comparisons here are exact (==), never approx.
+"""
+
+import numpy as np
+import pytest
+
+import spandist as sd
+from spandist import BoundMethod, CombinationKind, Field, GeneratorConfig
+from spandist import gram as sd_gram
+from spandist.checks import COMBINATION_SWEEP, applicable_checks, run_checks
+
+from conftest import random_rows
+
+EXPONENTS = (1.25, 1.5, 2, 2.0, 3.0, 4 / 3)
+
+
+def _systems():
+    rng = np.random.default_rng(20260814)
+    out = {}
+    for field in (Field.REAL, Field.COMPLEX):
+        out[f"{field.value}-n5"] = sd.VectorSystem.from_rows(random_rows(rng, 5, 7, field), field)
+        out[f"{field.value}-n1"] = sd.VectorSystem.from_rows(random_rows(rng, 1, 4, field), field)
+        rows = random_rows(rng, 4, 6, field)
+        rows[2] = 0.5 * rows[0] - 2.0 * rows[3]
+        out[f"{field.value}-dependent"] = sd.VectorSystem.from_rows(rows, field)
+    return out
+
+
+SYSTEMS = _systems()
+
+
+@pytest.fixture(params=sorted(SYSTEMS))
+def system(request):
+    return SYSTEMS[request.param]
+
+
+def test_fixture_systems_cover_dependence():
+    assert not SYSTEMS["real-dependent"].independent
+    assert not SYSTEMS["complex-dependent"].independent
+    assert SYSTEMS["complex-n5"].independent and SYSTEMS["real-n1"].n == 1
+
+
+# -- GramAggregates ------------------------------------------------------------
+
+
+def test_aggregate_fields_equal_direct_expressions(system):
+    g = system.gram.entries
+    n = system.n
+    agg = system.aggregates
+    norms = g.diagonal().real
+    abs_g = np.abs(g)
+    off = np.where(np.eye(n, dtype=bool), 0.0, abs_g)
+    rows = np.sum(abs_g, axis=1)
+
+    assert np.array_equal(agg.norms_sq, norms)
+    assert agg.norm_sum == np.sum(norms)
+    assert agg.norm_max == np.max(norms)
+    assert agg.norm_product == np.prod(norms)
+    assert np.array_equal(agg.abs_gram, abs_g)
+    assert np.array_equal(agg.abs_offdiag, off)
+    assert agg.offdiag_max == np.max(off, initial=0.0)
+    assert agg.offdiag_sum == np.sum(off)
+    assert agg.offdiag_sum_sq == np.sum(off**2)
+    assert np.array_equal(agg.row_sums, rows)
+    assert agg.row_sum_total == np.sum(rows)
+    assert agg.row_max == np.max(rows)
+    assert agg.abs_sum_sq == np.sum(abs_g**2)
+    assert agg.identity_deviation == np.max(np.abs(g - np.eye(n)))
+    for name, array in (("norms_sq", norms), ("abs_gram", abs_g), ("abs_offdiag", off), ("row_sums", rows)):
+        for q in EXPONENTS:
+            assert agg.power_sum(name, q) == np.sum(array**q)
+
+
+def test_aggregate_arrays_are_read_only(system):
+    agg = system.aggregates
+    for array in (agg.norms_sq, agg.abs_gram, agg.abs_offdiag, agg.row_sums):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_caches_return_the_first_value(system):
+    agg = system.aggregates
+    assert system.aggregates is agg
+    assert agg.power_sum("abs_gram", 1.5) is agg.power_sum("abs_gram", 1.5)
+    first = system.gram_condition()
+    assert system.gram_condition() == first
+    assert system.gram_condition() == first
+    if system.independent:
+        base = system.normalized_gram()
+        assert system.normalized_gram() is base
+
+
+def test_gram_condition_equals_eigenvalue_ratio(system):
+    eigs = np.linalg.eigvalsh(system.gram.entries)
+    expected = np.inf if eigs[0] <= 0.0 else float(eigs[-1]) / float(eigs[0])
+    assert system.gram_condition() == expected
+
+
+# -- full_bound_report against the individual bound functions ---------------------
+
+
+_UNCONDITIONAL = {
+    BoundMethod.TOTAL_NORM: sd.bound_total_norm,
+    BoundMethod.OFFDIAG_FROBENIUS: sd.bound_offdiag_frobenius,
+    BoundMethod.OFFDIAG_MAX: sd.bound_offdiag_max,
+    BoundMethod.ROW_SUMS: sd.bound_row_sums,
+    BoundMethod.FROBENIUS: sd.bound_frobenius,
+}
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("dim,n", [(7, 5), (3, 1)])
+def test_report_entries_equal_bound_functions(field, dim, n):
+    cfg = GeneratorConfig(seed=11, trials=4, dim=dim, n=n, field=field, conditioning=1e2 if n > 1 else 1.0,
+                          intervals=True)
+    for trial in range(cfg.trials):
+        inst = sd.generate_instance(cfg, trial)
+        s, x, iv = inst.system, inst.x, inst.intervals
+        report = sd.full_bound_report(s, x, iv)
+        assert report.exact_d2 == sd.distance_sq_quadratic(s, x)
+        assert [e.method for e in report.entries] == list(BoundMethod)
+        for method, fn in _UNCONDITIONAL.items():
+            assert report.entry(method).value == fn(s, x)
+        assert report.entry(BoundMethod.COND_HALF_WIDTH).value == sd.bound_cond_half_width(s, x, iv)
+        for method in sd.bounds.CONDITIONAL_METHODS[1:]:
+            assert report.entry(method).value == sd.bound_cond_relaxed(s, x, iv, method)
+        plain = sd.full_bound_report(s, x)
+        assert plain.entries == report.entries[: len(_UNCONDITIONAL)]
+
+
+def test_report_rejects_dependent_system():
+    s = SYSTEMS["complex-dependent"]
+    x = sd.Vector(np.ones(s.dim), Field.COMPLEX)
+    with pytest.raises(sd.LinearDependenceError):
+        sd.full_bound_report(s, x)
+
+
+def test_bessel_right_hand_sides_read_the_aggregates(system):
+    x = sd.Vector(np.arange(1.0, system.dim + 1.0), system.field)
+    xx = sd.norm_sq(x)
+    agg = system.aggregates
+    assert sd.bessel_rhs_offdiag_max(system, x) == xx * (
+        float(agg.norm_max) + (system.n - 1) * float(agg.offdiag_max))
+    assert sd.bessel_rhs_row_sums(system, x) == xx * float(agg.row_max)
+
+
+# -- the combination sweep through CombinationInputs ---------------------------
+
+
+def _public_bound(alphas, zs, method):
+    """The named public function for ``method``, called on raw coefficients."""
+    k = method.kind
+    if k is CombinationKind.CAUCHY_SCHWARZ:
+        return sd.cauchy_schwarz_bound(alphas, zs)
+    if k is CombinationKind.DIAG_OFFDIAG:
+        return sd.diag_offdiag_bound(alphas, zs, method.diag_branch, method.offdiag_branch,
+                                     method.diag_exp, method.offdiag_exp)
+    if k is CombinationKind.SELECTION_MAX:
+        return sd.selection_max_bound(alphas, zs)
+    if k is CombinationKind.SELECTION_FROBENIUS:
+        return sd.selection_frobenius_bound(alphas, zs)
+    if k is CombinationKind.ROW_SUM:
+        return sd.row_sum_bound(alphas, zs, method.branch, method.p)
+    if k is CombinationKind.HOLDER_GRAM:
+        return sd.holder_gram_bound(alphas, zs, method.p)
+    return sd.holder_gram_p2_bound(alphas, zs)
+
+
+def test_sweep_has_31_bounds_and_38_outcomes():
+    assert len(COMBINATION_SWEEP) == 31
+    cfg = GeneratorConfig(seed=3, trials=1, dim=5, n=3)
+    outcomes = run_checks(sd.generate_instance(cfg, 0), ("combination_sweep",), sd.DEFAULT_TOL)
+    assert len(outcomes) == 38
+
+
+def test_sweep_bounds_equal_public_functions(system):
+    rng = np.random.default_rng(system.n)
+    raw = [complex(v) if system.field is Field.COMPLEX else float(v)
+           for v in random_rows(rng, 1, system.n, system.field)[0]]
+    inputs = sd.CombinationInputs.build(raw, system)
+    assert inputs.lhs == sd.combination_norm_sq(raw, system)
+    for _, method in COMBINATION_SWEEP:
+        got = inputs.bound(method)
+        want = _public_bound(raw, system, method)
+        assert (got.lhs, got.bound, got.chain, got.holds, got.chain_ok) == (
+            want.lhs, want.bound, want.chain, want.holds, want.chain_ok), method.label
+        assert got.method == want.method
+        assert sd.evaluate_combination(raw, system, method) == want
+
+
+def test_combination_inputs_power_sums_are_memoised(system):
+    inputs = sd.CombinationInputs.build(np.linspace(-2.0, 3.0, system.n), system)
+    for e in EXPONENTS:
+        assert inputs.power_sum(e) == np.sum(np.abs(inputs.alphas) ** e)
+        assert inputs.power_sum(e) is inputs.power_sum(e)
+    assert inputs.a_max == np.max(inputs.a)
+    assert inputs.a_sum == np.sum(inputs.a)
+
+
+# -- work per instance -------------------------------------------------------------
+
+
+_STREAM = GeneratorConfig(seed=5, trials=4, dim=7, n=5, field=Field.COMPLEX, conditioning=1e2, intervals=True)
+
+
+def test_one_trial_factors_at_most_eight_gram_matrices(monkeypatch):
+    instance = sd.generate_instance(_STREAM, 0)
+    calls = []
+    original = sd_gram.pivoted_cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sd_gram, "pivoted_cholesky", counted)
+    outcomes = run_checks(instance, applicable_checks(_STREAM), sd.DEFAULT_TOL)
+    assert outcomes and all(o.ok for o in outcomes)
+    assert len(calls) <= 8, len(calls)
+
+
+def test_aggregates_are_built_once_per_system(monkeypatch):
+    built = []
+    original = sd_gram.GramAggregates.__init__
+
+    def counted(self, gram):
+        built.append(gram)
+        original(self, gram)
+
+    monkeypatch.setattr(sd_gram.GramAggregates, "__init__", counted)
+    result = sd.run_campaign(_STREAM)
+    assert result.passed
+    assert len(built) == _STREAM.trials
+    assert len({id(g) for g in built}) == _STREAM.trials
+
+
+def test_aggregates_are_read_only():
+    agg = SYSTEMS["real-n5"].aggregates
+    with pytest.raises(AttributeError):
+        agg.norm_sum = 0.0

@@ -1,0 +1,59 @@
+"""Fingerprint the campaign reports of a fixed, seeded grid of streams.
+
+    python tools/campaign_digest.py
+
+Runs ``run_campaign`` serially on each stream below and prints the sha256
+of ``render_campaign(result, "json")`` and ``render_campaign(result, "csv")``
+per stream, then one combined digest over all of them. A refactor that must
+not change any result is checked by running this on the commit before it
+and on the change: the printed lines must be identical.
+
+spandist is imported from ``src/`` of the checkout this script sits in.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import spandist as sd  # noqa: E402
+from spandist import Field, GeneratorConfig  # noqa: E402
+
+SEED = 7
+
+# name -> (trials, GeneratorConfig keyword arguments)
+STREAMS = {
+    # the three streams of the campaign_small benchmark workload: between
+    # them they run all nine check families and every not-applicable skip
+    "complex_d7_n5_k1e2_intervals": (200, dict(dim=7, n=5, field=Field.COMPLEX, conditioning=1e2, intervals=True)),
+    "real_d4_n3_orthonormal_intervals": (200, dict(dim=4, n=3, field=Field.REAL, orthonormal=True, intervals=True)),
+    "real_d6_n4_k1e3_dependent": (200, dict(dim=6, n=4, field=Field.REAL, conditioning=1e3, dependent_fraction=0.2)),
+    "real_d40_n20_k1e4_intervals": (16, dict(dim=40, n=20, field=Field.REAL, conditioning=1e4, intervals=True)),
+    "real_d3_n1_intervals": (64, dict(dim=3, n=1, field=Field.REAL, intervals=True)),
+    "complex_d4_n1": (64, dict(dim=4, n=1, field=Field.COMPLEX)),
+    "complex_d8_n7_k1e6": (64, dict(dim=8, n=7, field=Field.COMPLEX, conditioning=1e6)),
+    "complex_d5_n4_k1e2_dependent": (64, dict(dim=5, n=4, field=Field.COMPLEX, conditioning=1e2, dependent_fraction=0.5)),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main() -> int:
+    combined = hashlib.sha256()
+    for name, (trials, kwargs) in STREAMS.items():
+        result = sd.run_campaign(GeneratorConfig(seed=SEED, trials=trials, **kwargs))
+        for fmt in ("json", "csv"):
+            digest = _sha(sd.render_campaign(result, fmt))
+            combined.update(f"{name} {fmt} {digest}\n".encode("ascii"))
+            print(f"{name:<34} {fmt:<4} {digest}")
+    print(f"{'combined':<39} {combined.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
