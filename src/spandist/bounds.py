@@ -34,12 +34,7 @@ from .errors import (
     NotOrthonormalError,
     OrthogonalComplementError,
 )
-from .distance import (
-    coefficients,
-    distance_sq_quadratic,
-    in_orthogonal_complement,
-    is_orthonormal,
-)
+from .distance import _in_orth_complement, _quadratic, coefficients, is_orthonormal
 from .gram import VectorSystem, require_independent
 from .space import Field, Scalar, ToleranceConfig, Vector, norm_sq
 from .space import _coeff_array as _validated_coeffs
@@ -153,11 +148,11 @@ def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> tu
     """Common preconditions: independence and x not orthogonal to the span."""
     require_independent(system)
     tol = tol or system.tol
-    if in_orthogonal_complement(system, x, tol):
+    beta = coefficients(system, x)
+    if _in_orth_complement(system, norm_sq(x), beta, tol):
         raise OrthogonalComplementError(
             "x is orthogonal to every system vector; these bounds degenerate there"
         )
-    beta = coefficients(system, x)
     s = float(np.real(np.vdot(beta, beta)))
     return tol, beta, s
 
@@ -427,9 +422,9 @@ def full_bound_report(
     condition holds (a failing condition raises, rather than reporting
     vacuous numbers).
     """
-    tol2, _, s = _prepare(system, x, tol)
-    exact = distance_sq_quadratic(system, x)
+    tol2, beta, s = _prepare(system, x, tol)
     xx = norm_sq(x)
+    exact = _quadratic(system, xx, beta)
     denominators = _denominators(system)
     values = {m: _ratio_value(xx, s, denominators[m]) for m in UNCONDITIONAL_METHODS}
     if intervals is not None:

@@ -239,18 +239,40 @@ class LagrangeParts:
         return abs(self.coeff_sum * self.norm_sum) + abs(self.combo_norm_sq) + abs(self.pair_sum)
 
 
+# Entries of one block of pairwise differences in the Lagrange sum: bounds
+# the working memory (a few such arrays live at once) whatever n and dim.
+_PAIR_BLOCK_ENTRIES = 1 << 16
+
+
+def _pair_sum(ac: np.ndarray, rows: np.ndarray) -> float:
+    """sum_{i<j} ||ac_i z_j - ac_j z_i||^2, summed in coordinates.
+
+    One block of rows i at a time, against the partners j > i: the block's
+    differences form a (block rows, partners, dim) array in which the pairs
+    with j <= i get zero coefficients, so the (n, n, dim) tensor is never
+    built.
+    """
+    n, dim = rows.shape
+    step = max(1, _PAIR_BLOCK_ENTRIES // (n * dim))
+    total = 0.0
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n - 1)
+        upper = np.arange(start + 1, n) > np.arange(start, stop)[:, np.newaxis]
+        left = np.where(upper, ac[start:stop, np.newaxis], 0.0)
+        right = np.where(upper, ac[start + 1 :], 0.0)
+        diff = (left[:, :, np.newaxis] * rows[start + 1 :]
+                - right[:, :, np.newaxis] * rows[start:stop, np.newaxis, :])
+        total += float(np.real(np.vdot(diff, diff)))
+    return total
+
+
 def lagrange_identity_parts(alphas: Sequence[Scalar], zs: VectorSystem) -> LagrangeParts:
     c = CombinationInputs.build(alphas, zs)
-    rows = zs.rows
-    ac = c.alphas.conj()
-    # pairwise differences conj(a_i) z_j - conj(a_j) z_i, shape (n, n, dim)
-    diff = ac[:, None, None] * rows[None, :, :] - ac[None, :, None] * rows[:, None, :]
-    pair = 0.5 * float(np.sum(np.abs(diff) ** 2))
     return LagrangeParts(
         coeff_sum=c.coeff_norm_sq,
         norm_sum=float(zs.aggregates.norm_sum),
         combo_norm_sq=c.lhs,
-        pair_sum=pair,
+        pair_sum=_pair_sum(c.alphas.conj(), zs.rows),
     )
 
 

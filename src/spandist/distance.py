@@ -56,9 +56,12 @@ def in_orthogonal_complement(
     system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None
 ) -> bool:
     """True when every <x, x_i> is negligible at the scale of x and the system."""
-    tol = tol or system.tol
-    beta = coefficients(system, x)
-    scale = math.sqrt(norm_sq(x)) * math.sqrt(float(system.aggregates.norm_max))
+    return _in_orth_complement(system, norm_sq(x), coefficients(system, x), tol or system.tol)
+
+
+def _in_orth_complement(system: VectorSystem, xx: float, beta: np.ndarray, tol: ToleranceConfig) -> bool:
+    """:func:`in_orthogonal_complement` given ||x||^2 and beta."""
+    scale = math.sqrt(xx) * math.sqrt(float(system.aggregates.norm_max))
     return bool(np.max(np.abs(beta), initial=0.0) <= tol.orth_rel_tol * scale)
 
 
@@ -69,19 +72,11 @@ def is_orthonormal(system: VectorSystem, tol: ToleranceConfig | None = None) -> 
 
 
 def _solve_spd(chol: PivotedCholesky, b: np.ndarray) -> np.ndarray:
-    """Solve G a = b given the complete pivoted factorization P G P^T = L L^H."""
-    perm = chol.perm
+    """Solve G a = b given the complete factorization P G P^T = L L^H."""
     lower = chol.lower
-    n = b.shape[0]
-    y = np.zeros(n, dtype=np.result_type(lower.dtype, b.dtype))
-    pb = b[perm]
-    for i in range(n):
-        y[i] = (pb[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    z = np.zeros_like(y)
-    for i in range(n - 1, -1, -1):
-        z[i] = (y[i] - lower[i + 1 :, i].conj() @ z[i + 1 :]) / lower[i, i]
+    z = np.linalg.solve(lower.conj().T, np.linalg.solve(lower, b[chol.perm]))
     a = np.empty_like(z)
-    a[perm] = z
+    a[chol.perm] = z
     return a
 
 
@@ -96,8 +91,11 @@ def distance_sq_gram_ratio(system: VectorSystem, x: Vector) -> float:
     relative precision.
     """
     require_independent(system)
-    system._check_member(x)
-    xx = norm_sq(x)
+    return _gram_ratio(system, norm_sq(x), coefficients(system, x))
+
+
+def _gram_ratio(system: VectorSystem, xx: float, beta: np.ndarray) -> float:
+    """:func:`distance_sq_gram_ratio` given ||x||^2 and beta."""
     if xx == 0.0:
         return 0.0
     base = system.normalized_gram()
@@ -105,7 +103,7 @@ def distance_sq_gram_ratio(system: VectorSystem, x: Vector) -> float:
         raise NumericalInstabilityError(
             "normalised Gram determinant vanished for a system that passed the rank test"
         )
-    beta_hat = coefficients(system, x) / (base.norms * math.sqrt(xx))
+    beta_hat = beta / (base.norms * math.sqrt(xx))
     n = system.n
     aug = np.empty((n + 1, n + 1), dtype=base.entries.dtype)
     aug[:n, :n] = base.entries
@@ -123,19 +121,23 @@ def distance_sq_quadratic(system: VectorSystem, x: Vector) -> float:
     emits a NumericalWarning before clamping.
     """
     require_independent(system)
-    beta = coefficients(system, x)
+    return _quadratic(system, norm_sq(x), coefficients(system, x))
+
+
+def _quadratic(system: VectorSystem, xx: float, beta: np.ndarray) -> float:
+    """:func:`distance_sq_quadratic` given ||x||^2 and beta; warns at the
+    caller of the public function that called it."""
     # The projection coefficients c satisfy conj(G) c = beta under our
     # entry convention G[i, j] = <x_i, x_j>, and ||Px||^2 = Re sum conj(beta) c.
     # Solving G w = conj(beta) and conjugating is the same thing.
     a = np.conj(_solve_spd(system.cholesky, np.conj(beta)))
-    xx = norm_sq(x)
     value = xx - float(np.real(np.vdot(beta, a)))
     if value < 0.0:
         if value < -system.tol.compare_rel_tol * (1.0 + xx):
             warnings.warn(
                 f"quadratic-form distance {value:.3e} is negative beyond tolerance",
                 NumericalWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         value = 0.0
     return value
@@ -148,12 +150,16 @@ def distance_sq_projection(system: VectorSystem, x: Vector) -> float:
     x = 0, which yields 0).
     """
     require_independent(system)
-    if in_orthogonal_complement(system, x):
-        return norm_sq(x)
-    beta = coefficients(system, x)
+    return _projection(system, norm_sq(x), coefficients(system, x))
+
+
+def _projection(system: VectorSystem, xx: float, beta: np.ndarray) -> float:
+    """:func:`distance_sq_projection` given ||x||^2 and beta."""
+    if _in_orth_complement(system, xx, beta, system.tol):
+        return xx
     combo = beta @ system.rows
     s = float(np.real(np.vdot(beta, beta)))
-    value = norm_sq(x) - s * s / float(np.real(np.vdot(combo, combo)))
+    value = xx - s * s / float(np.real(np.vdot(combo, combo)))
     return max(value, 0.0)
 
 
@@ -201,10 +207,10 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
     require_independent(system)
     tol = tol or system.tol
     beta = coefficients(system, x)
-    d2_ratio = distance_sq_gram_ratio(system, x)
-    d2_quad = distance_sq_quadratic(system, x)
-    d2_proj = distance_sq_projection(system, x)
     xx = norm_sq(x)
+    d2_ratio = _gram_ratio(system, xx, beta)
+    d2_quad = _quadratic(system, xx, beta)
+    d2_proj = _projection(system, xx, beta)
     agree = abs(d2_ratio - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
     proj_match = abs(d2_proj - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
     condition = system.gram_condition()
@@ -214,7 +220,7 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
         d2_quadratic=d2_quad,
         d2_projection=d2_proj,
         beta=tuple(float(b.real) if field is Field.REAL else complex(b) for b in beta),
-        in_orth_complement=in_orthogonal_complement(system, x, tol),
+        in_orth_complement=_in_orth_complement(system, xx, beta, tol),
         in_subspace=d2_quad <= tol.compare_rel_tol * xx,
         agreement_ok=agree,
         projection_matches=proj_match,

@@ -2,11 +2,17 @@
 
 The Gram matrix G of vectors x_1..x_n has entries G[i, j] = <x_i, x_j>; it
 is Hermitian positive semidefinite, and its determinant is zero exactly when
-the system is linearly dependent. All determinant work goes through a
-diagonally pivoted Cholesky factorization, which keeps the semidefinite
-structure explicit: the determinant is the product of the pivots, rank
-deficiency shows up as a pivot collapsing relative to the largest one, and a
+the system is linearly dependent. All determinant work goes through
+:func:`factor_gram`. It first runs LAPACK Cholesky on the equilibrated
+matrix (G[i, j] divided by powers of two near sqrt(G[i, i] G[j, j])) and
+keeps that factor only when a certificate on the size of its inverse proves
+that the reference factorization, :func:`pivoted_cholesky`, would find full
+rank; otherwise it runs the reference itself. The reference is a diagonally
+pivoted Cholesky factorization, which keeps the semidefinite structure
+explicit: the determinant is the product of the pivots, rank deficiency
+shows up as a pivot collapsing relative to the largest one, and a
 significantly negative pivot is proof that the input was not a Gram matrix.
+Either way the rank decision is the reference's.
 """
 
 from __future__ import annotations
@@ -156,6 +162,27 @@ class GramAggregates:
         g = self.gram.entries
         return np.max(np.abs(g - np.eye(self.gram.n, dtype=g.dtype)))
 
+    @cached_property
+    def chain_prefixes(self) -> "ChainPrefixes":
+        """Numerators and denominators of the Hadamard refinement chains for
+        every prefix at once (see :class:`ChainPrefixes`)."""
+        d = self.norms_sq
+        abs_g = self.abs_gram
+        numerators = np.sum(np.tril(abs_g**2, -1), axis=1)
+        norm_max = np.maximum.accumulate(d)
+        # max_{j<i} |G[i, j]| per row, then its running max over rows
+        offdiag_max = np.maximum.accumulate(np.max(np.tril(abs_g, -1), axis=1))
+        # column m of the row-wise cumsum holds sum_{j<=m} |G[i, j]|; the
+        # block of size m + 1 takes its max over rows i <= m
+        row_sums = np.max(np.triu(np.cumsum(abs_g, axis=1)), axis=0)
+        return ChainPrefixes(
+            numerators=_frozen(numerators),
+            total_norm=_frozen(np.cumsum(d)),
+            offdiag_frobenius=_frozen(norm_max + np.sqrt(2.0 * np.cumsum(numerators))),
+            offdiag_max=_frozen(norm_max + np.arange(d.shape[0]) * offdiag_max),
+            row_sums=_frozen(row_sums),
+        )
+
     def power_sum(self, name: str, q: float) -> np.floating:
         """sum(array ** q) for the array aggregate ``name`` ("norms_sq",
         "abs_gram", "abs_offdiag" or "row_sums"), memoised per exponent."""
@@ -164,6 +191,27 @@ class GramAggregates:
         if value is None:
             value = self._powers[key] = np.sum(getattr(self, name) ** q)
         return value
+
+
+class ChainPrefixes(NamedTuple):
+    """Prefix aggregates of the Hadamard refinement chains, read-only arrays
+    of length n.
+
+    ``numerators[k]`` is sum_{j<k} |G[k, j]|^2. Entry m of each other field
+    aggregates the leading (m + 1) x (m + 1) Gram block B, the denominator
+    for position k = m + 1 of the chain of the same name:
+
+    * ``total_norm``: sum_i B[i, i]
+    * ``offdiag_frobenius``: max_i B[i, i] + (sum_{i != j} |B[i, j]|^2)^(1/2)
+    * ``offdiag_max``: max_i B[i, i] + m * max_{i != j} |B[i, j]|
+    * ``row_sums``: max_i sum_j |B[i, j]|
+    """
+
+    numerators: np.ndarray
+    total_norm: np.ndarray
+    offdiag_frobenius: np.ndarray
+    offdiag_max: np.ndarray
+    row_sums: np.ndarray
 
 
 class NormalizedGram(NamedTuple):
@@ -181,11 +229,14 @@ class NormalizedGram(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PivotedCholesky:
-    """Result of the diagonally pivoted factorization P G P^T = L L^H.
+    """A Cholesky factorization P G P^T = L L^H with its rank decision.
 
-    ``pivots`` holds the squared diagonal of L in factorization order
-    (nonincreasing); entries past ``rank`` are zero. ``perm`` maps
-    factorization position -> original index.
+    ``perm`` maps factorization position -> original index. ``pivots``
+    holds the squared diagonal of L in factorization order; entries past
+    ``rank`` are zero. From :func:`pivoted_cholesky` the pivots are
+    nonincreasing; from the certified fast path of :func:`factor_gram` the
+    order is the natural one (``perm`` is the identity) and the pivots come
+    in no particular order.
     """
 
     lower: np.ndarray
@@ -254,12 +305,50 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
     return PivotedCholesky(lower=lower, perm=perm, pivots=pivots, rank=rank)
 
 
+def factor_gram(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> PivotedCholesky:
+    """Factor a Hermitian PSD matrix with the rank decision of
+    :func:`pivoted_cholesky`, by LAPACK where that decision is certain.
+
+    LAPACK Cholesky factors the equilibrated matrix S^-1 G S^-1 = L_e L_e^H,
+    where S holds the powers of two nearest sqrt(G[i, i]): dividing by them
+    is exact, so L = S L_e is the unpivoted factor of G itself, computed
+    with entries near unit size. Every pivot of the pivoted factorization
+    is at least lambda_min(G) >= 1 / tr(G^-1) = 1 / ||L^-1||_F^2, and its
+    first pivot is max_i G[i, i]. So when ||L^-1||_F^2 * max_i G[i, i] is
+    below 1 / (4 * rank_rel_tol) (the factor 4 absorbs rounding) the pivoted
+    factorization would find full rank, and L is returned in natural order.
+    Otherwise, and for a nonpositive or nonfinite diagonal or a LAPACK
+    failure, this returns :func:`pivoted_cholesky` itself, so reduced rank
+    and negative-pivot errors are decided by the reference.
+    """
+    a = np.asarray(matrix)
+    if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] > 0:
+        d = a.diagonal().real
+        d_max = float(np.max(d))
+        if float(np.min(d)) > 0.0 and math.isfinite(d_max):
+            scale = np.exp2(np.round(0.5 * np.log2(d)))
+            try:
+                lower_e = np.linalg.cholesky(a / scale[:, np.newaxis] / scale)
+                inv_e = np.linalg.inv(lower_e)
+            except np.linalg.LinAlgError:
+                inv_e = None
+            # L^-1 = L_e^-1 S^-1; weigh its columns by sqrt(d_max) to keep range
+            if inv_e is not None and 4.0 * rank_rel_tol * float(
+                np.sum(np.abs(inv_e * (math.sqrt(d_max) / scale)) ** 2)
+            ) < 1.0:
+                lower = _frozen(scale[:, np.newaxis] * lower_e)
+                pivots = _frozen(np.abs(lower.diagonal()) ** 2)
+                perm = _frozen(np.arange(a.shape[0]))
+                return PivotedCholesky(lower=lower, perm=perm, pivots=pivots, rank=a.shape[0])
+    return pivoted_cholesky(matrix, rank_rel_tol)
+
+
 def gram_det_of_matrix(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> float:
-    """Determinant of a Hermitian PSD matrix via pivoted Cholesky.
+    """Determinant of a Hermitian PSD matrix via :func:`factor_gram`.
 
     Returns exactly 0.0 when the pivot ratio certifies rank deficiency.
     """
-    return pivoted_cholesky(matrix, rank_rel_tol).determinant()
+    return factor_gram(matrix, rank_rel_tol).determinant()
 
 
 @dataclass(frozen=True)
@@ -352,7 +441,7 @@ class VectorSystem:
         self._tol = tol
         g = _gram_of_rows(rows)
         self._gram = GramMatrix(entries=g)
-        self._chol = pivoted_cholesky(g, tol.rank_rel_tol)
+        self._chol = factor_gram(g, tol.rank_rel_tol)
         self._vectors = vectors
         self._aggregates: GramAggregates | None = None
         self._condition: float | None = None
@@ -467,13 +556,18 @@ def gram_determinant(system: VectorSystem) -> float:
 
 
 def rank_diagnostics(system: VectorSystem, tol: ToleranceConfig | None = None) -> RankDiagnostics:
-    """Pivot-based rank evidence, refactoring only if ``tol`` differs."""
-    chol = system.cholesky
-    if tol is not None and tol.rank_rel_tol != system.tol.rank_rel_tol:
-        chol = pivoted_cholesky(system.gram.entries, tol.rank_rel_tol)
-    pivots = chol.pivots
-    max_pivot = float(pivots[0]) if pivots.size else 0.0
-    min_pivot = float(pivots[chol.rank - 1]) if chol.complete and pivots.size else 0.0
+    """Pivot-based rank evidence from :func:`pivoted_cholesky`.
+
+    The figures are those of the diagonally pivoted sequence the rank test
+    reads, so the system is refactored with it: the certified factor of
+    :func:`factor_gram` keeps natural order, and its pivots are other
+    Schur complements (only their product, the determinant, is the same).
+    """
+    tol = tol or system.tol
+    chol = pivoted_cholesky(system.gram.entries, tol.rank_rel_tol)
+    pivots = chol.pivots[: chol.rank]
+    max_pivot = float(np.max(pivots, initial=0.0))
+    min_pivot = float(np.min(pivots)) if chol.complete and pivots.size else 0.0
     return RankDiagnostics(
         gram_det=chol.determinant(),
         min_pivot=min_pivot,
@@ -607,7 +701,7 @@ def gram_triangle_of_rows(
 
     def det_with(lead: np.ndarray) -> float:
         rows = np.vstack([lead[np.newaxis, :], rest_rows]).astype(field.dtype)
-        return pivoted_cholesky(_gram_of_rows(rows), tol.rank_rel_tol).determinant()
+        return factor_gram(_gram_of_rows(rows), tol.rank_rel_tol).determinant()
 
     combined = math.sqrt(max(det_with(x1 + y1), 0.0))
     first = math.sqrt(max(det_with(x1), 0.0))

@@ -14,7 +14,6 @@ norm product; for an orthonormal system every factor is exactly 1.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -64,49 +63,37 @@ class HadamardChainResult:
     clamped: bool
 
 
-def _prefix_denominator(variant: ChainVariant, block: np.ndarray) -> float:
-    """Aggregate of the leading Gram block, matching the bound denominators."""
-    norms = np.ascontiguousarray(block.diagonal().real)
-    if variant is ChainVariant.TOTAL_NORM:
-        return float(np.sum(norms))
-    off = np.abs(block)
-    np.fill_diagonal(off, 0.0)
-    k = block.shape[0]
-    if variant is ChainVariant.OFFDIAG_FROBENIUS:
-        return float(np.max(norms)) + math.sqrt(float(np.sum(off**2)))
-    if variant is ChainVariant.OFFDIAG_MAX:
-        return float(np.max(norms)) + (k - 1) * float(np.max(off, initial=0.0))
-    return float(np.max(np.sum(np.abs(block), axis=1)))
-
-
 def hadamard_chain(
     system: VectorSystem, variant: ChainVariant, tol: ToleranceConfig | None = None
 ) -> HadamardChainResult:
-    """Evaluate one corrected-product refinement for an independent system (n >= 2)."""
+    """Evaluate one corrected-product refinement for an independent system (n >= 2).
+
+    The prefix numerators and denominators come from
+    ``system.aggregates.chain_prefixes``, computed once per system for every
+    position and every variant.
+    """
     require_independent(system)
     if system.n < 2:
         raise ValueError("chain refinements need at least two vectors")
     tol = tol or system.tol
-    g = system.gram.entries
     agg = system.aggregates
     norms = agg.norms_sq
-    factors = [float(norms[0])]
+    prefixes = agg.chain_prefixes
+    denominators = getattr(prefixes, variant.value)
+    factors = np.empty(system.n)
+    factors[0] = norms[0]
+    factors[1:] = norms[1:] - prefixes.numerators[1:] / denominators[:-1]
     clamped = False
-    for k in range(1, system.n):
-        num = float(np.sum(np.abs(g[k, :k]) ** 2))
-        den = _prefix_denominator(variant, g[:k, :k])
-        factor = float(norms[k]) - num / den
-        if factor < 0.0:
-            if factor < -tol.compare_rel_tol * (1.0 + float(norms[k])):
-                warnings.warn(
-                    f"chain factor {factor:.3e} at position {k} is negative beyond "
-                    "tolerance; clamping to zero",
-                    NumericalWarning,
-                    stacklevel=2,
-                )
-                clamped = True
-            factor = 0.0
-        factors.append(factor)
+    for k in np.flatnonzero(factors < 0.0).tolist():
+        if factors[k] < -tol.compare_rel_tol * (1.0 + float(norms[k])):
+            warnings.warn(
+                f"chain factor {factors[k]:.3e} at position {k} is negative beyond "
+                "tolerance; clamping to zero",
+                NumericalWarning,
+                stacklevel=2,
+            )
+            clamped = True
+        factors[k] = 0.0
     refined = float(np.prod(factors))
     det = gram_determinant(system)
     product = float(agg.norm_product)
@@ -116,7 +103,7 @@ def hadamard_chain(
         gram_det=det,
         refined=refined,
         norm_product=product,
-        factors=tuple(factors),
+        factors=tuple(factors.tolist()),
         lower_ok=det <= refined + rel * (1.0 + abs(det) + abs(refined)),
         upper_ok=refined <= product + rel * (1.0 + abs(refined) + abs(product)),
         clamped=clamped,

@@ -1,8 +1,12 @@
-"""Modified Gram–Schmidt with re-orthogonalization.
+"""Gram–Schmidt orthonormalization, classical and applied twice (CGS2).
 
 Deliberately independent of the Gram/determinant machinery: it only uses
 coordinate arithmetic, which makes it a useful cross-check ("compute the
-distance a completely different way") as well as a library routine.
+distance a completely different way") as well as a library routine. Each
+projection is two block passes r -= (conj(B) r) B against the basis rows B
+found so far; the second pass removes what rounding left after the first,
+which keeps the basis orthogonal to working precision ("twice is enough":
+Giraud, Langou and Rozložník, 2005).
 """
 
 from __future__ import annotations
@@ -18,14 +22,14 @@ __all__ = ["orthonormal_rows", "residual_after_projection", "distance_sq_by_orth
 def _project_out(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Subtract from v its components along the orthonormal rows of basis.
 
-    Two passes of modified Gram–Schmidt; the second pass mops up the
+    Two block passes of classical Gram–Schmidt; the second pass mops up the
     rounding left by the first, keeping the residual orthogonal to the
     basis to near machine precision even for ill-conditioned inputs.
     """
     r = v.astype(np.result_type(basis.dtype, v.dtype), copy=True)
     for _ in range(2):
-        for q in basis:
-            r -= np.vdot(q, r) * q
+        # conj(B) @ r, conjugating the vectors rather than the basis
+        r -= np.conj(basis @ np.conj(r)) @ basis
     return r
 
 
@@ -37,16 +41,16 @@ def orthonormal_rows(rows: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np
     numerically dependent.
     """
     rows = np.asarray(rows)
-    basis = np.zeros((0, rows.shape[1]), dtype=rows.dtype)
+    basis = np.empty(rows.shape, dtype=np.result_type(rows.dtype, np.float64))
     for i, v in enumerate(rows):
-        r = _project_out(basis, v)
+        r = _project_out(basis[:i], v)
         scale = np.linalg.norm(v)
         rnorm = np.linalg.norm(r)
         if rnorm <= np.sqrt(tol.rank_rel_tol) * scale or rnorm == 0.0:
             raise LinearDependenceError(
                 f"vector {i} is numerically in the span of its predecessors"
             )
-        basis = np.vstack([basis, r / rnorm])
+        basis[i] = r / rnorm
     return basis
 
 

@@ -221,6 +221,31 @@ def test_one_trial_factors_at_most_eight_gram_matrices(monkeypatch):
     assert len(calls) <= 8, len(calls)
 
 
+def test_beta_is_computed_once_per_call(monkeypatch):
+    from spandist import bounds as sd_bounds
+    from spandist import distance as sd_distance
+
+    instance = sd.generate_instance(_STREAM, 0)
+    calls = []
+
+    def counted(module):
+        original = module.coefficients
+
+        def wrapper(*args, **kwargs):
+            calls.append(module.__name__)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "coefficients", wrapper)
+
+    counted(sd_distance)
+    counted(sd_bounds)
+    sd.exact_distance(instance.system, instance.x)
+    assert calls == ["spandist.distance"]
+    calls.clear()
+    sd.full_bound_report(instance.system, instance.x, instance.intervals)
+    assert calls == ["spandist.bounds"]
+
+
 def test_aggregates_are_built_once_per_system(monkeypatch):
     built = []
     original = sd_gram.GramAggregates.__init__

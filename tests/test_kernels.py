@@ -1,0 +1,331 @@
+"""Each array kernel against the loop it replaced, or against a reference.
+
+* ``factor_gram`` (LAPACK Cholesky with a rank certificate) must reach the
+  same rank decision, completeness and exception as ``pivoted_cholesky``,
+  and the same determinant up to rounding where the matrix is not too
+  ill-conditioned.
+* The block CGS2 oracle must leave the residual of a least-squares solve.
+* The one-pass chain prefixes must give the factors of a per-position loop.
+* The blocked Lagrange pair sum must give the dense (n, n, dim) formula.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+import spandist as sd
+from spandist import Field, GeneratorConfig
+from spandist import combination as sd_comb
+from spandist import gram as sd_gram
+from spandist.checks import applicable_checks, run_checks
+from spandist.errors import NumericalInstabilityError
+
+from conftest import random_rows
+
+TOL = sd.DEFAULT_TOL.rank_rel_tol
+CONDITIONS = (1.0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e16)
+DET_REL = 1e-10
+
+
+def _conditioned_rows(rng, n, field, kappa):
+    """n rows whose Gram matrix has condition kappa before the rows are
+    rescaled by factors in [e^-3, e^3]."""
+    dim = n + 2
+    left = np.linalg.qr(random_rows(rng, n, n, field))[0]
+    right = np.linalg.qr(random_rows(rng, dim, n, field))[0]
+    singular = np.geomspace(1.0, 1.0 / math.sqrt(kappa), n)
+    rows = (left * singular) @ right.conj().T
+    return rows * np.exp(rng.uniform(-3.0, 3.0, n))[:, np.newaxis]
+
+
+def _gram(rows):
+    g = rows @ rows.conj().T
+    return (g + g.conj().T) / 2.0
+
+
+def _decision(factor, matrix):
+    """What a caller can observe of a factorisation, or the exception type."""
+    try:
+        chol = factor(matrix, TOL)
+    except (NumericalInstabilityError, ValueError) as exc:
+        return type(exc), None
+    return (chol.rank, chol.complete), chol.determinant()
+
+
+def _assert_same_decision(matrix, det_rel=None):
+    fast, fast_det = _decision(sd_gram.factor_gram, matrix)
+    ref, ref_det = _decision(sd_gram.pivoted_cholesky, matrix)
+    assert fast == ref
+    if det_rel is not None and ref_det is not None:
+        assert fast_det == pytest.approx(ref_det, rel=det_rel, abs=0.0)
+
+
+# -- factor_gram against pivoted_cholesky -------------------------------------------
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("kappa", CONDITIONS)
+def test_factor_gram_decides_like_pivoted_cholesky(field, kappa):
+    rng = np.random.default_rng([20261018, int(math.log10(kappa)), field is Field.COMPLEX])
+    for n in range(1, 13):
+        for _ in range(3):
+            g = _gram(_conditioned_rows(rng, n, field, kappa))
+            # determinants are compared where the condition of the matrix
+            # actually factored (row scaling included) is at most 1e6
+            _assert_same_decision(g, DET_REL if np.linalg.cond(g) <= 1e6 else None)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_factor_gram_on_dependent_and_degenerate_rows(field):
+    rng = np.random.default_rng(77)
+    for n in range(2, 13):
+        rows = random_rows(rng, n, n + 3, field)
+        rows[-1] = 0.5 * rows[0] - 1.5 * rows[(n - 1) // 2]
+        _assert_same_decision(_gram(rows))
+        assert sd_gram.factor_gram(_gram(rows), TOL).rank < n
+        rows = random_rows(rng, n, n + 3, field)
+        rows[-1] = 0.0
+        _assert_same_decision(_gram(rows))
+        assert not sd_gram.factor_gram(_gram(rows), TOL).complete
+    # more vectors than dimensions
+    _assert_same_decision(_gram(random_rows(rng, 6, 4, field)))
+
+
+def test_factor_gram_raises_like_pivoted_cholesky():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert _decision(sd_gram.factor_gram, indefinite)[0] is NumericalInstabilityError
+    _assert_same_decision(indefinite)
+    _assert_same_decision(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    assert _decision(sd_gram.factor_gram, np.ones((2, 3)))[0] is ValueError
+    _assert_same_decision(np.ones((2, 3)))
+
+
+def test_factor_gram_on_an_overflowing_gram():
+    rows = np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 1e199]])
+    with np.errstate(over="ignore"):
+        g = _gram(rows)
+    assert np.isinf(g).any()
+    _assert_same_decision(g)
+
+
+def test_factor_gram_fast_result_has_the_contract():
+    rng = np.random.default_rng(3)
+    g = _gram(random_rows(rng, 5, 7, Field.COMPLEX))
+    chol = sd_gram.factor_gram(g, TOL)
+    assert chol.complete and chol.rank == 5
+    assert np.array_equal(chol.perm, np.arange(5))
+    assert np.allclose(chol.lower @ chol.lower.conj().T, g, rtol=0.0, atol=1e-12 * np.max(np.abs(g)))
+    assert np.allclose(chol.pivots, np.abs(chol.lower.diagonal()) ** 2, rtol=1e-15, atol=0.0)
+    for a in (chol.lower, chol.pivots, chol.perm):
+        assert not a.flags.writeable
+
+
+# -- the certificate and how often it falls back --------------------------------------
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    original = sd_gram.pivoted_cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sd_gram, "pivoted_cholesky", counted)
+    return calls
+
+
+def test_certificate_boundary(monkeypatch):
+    # diag(1, t): tr(G^-1) * max(d) = 1 + 1/t against 1 / (4 * TOL), so the
+    # certificate holds when t > 4 * TOL / (1 - 4 * TOL), just above 4 * TOL
+    calls = _count_fallbacks(monkeypatch)
+    just_under = sd_gram.factor_gram(np.diag([1.0, 3.99 * TOL]), TOL)
+    assert len(calls) == 1
+    # the certificate is conservative: the reference still finds full rank
+    assert just_under.complete
+    for t in (4.01 * TOL, 1e-3, 1.0):
+        assert sd_gram.factor_gram(np.diag([1.0, t]), TOL).complete
+    assert len(calls) == 1
+    # through off-diagonal mass: tr(G^-1) = 2 / (1 - c^2), so 1 - c^2 against 8 * TOL
+    c = math.sqrt(1.0 - 8.0 * TOL * 0.99)
+    sd_gram.factor_gram(np.array([[1.0, c], [c, 1.0]]), TOL)
+    assert len(calls) == 2
+    sd_gram.factor_gram(np.array([[1.0, 0.5], [0.5, 1.0]]), TOL)
+    assert len(calls) == 2
+
+
+def test_certificate_keeps_the_raw_scale_rank_decision(monkeypatch):
+    # equilibration helps the factor, not the decision: as in the reference,
+    # the smallest diagonal entry is judged against the largest
+    calls = _count_fallbacks(monkeypatch)
+    g = np.array([[1.0, 0.5], [0.5, 1.0]])
+    mild = np.diag([math.exp(3.0), math.exp(-3.0)])
+    assert sd_gram.factor_gram(mild @ g @ mild, TOL).complete
+    assert not calls
+    extreme = np.diag([1e8, 1e-8])
+    _assert_same_decision(extreme @ g @ extreme)
+    assert sd_gram.factor_gram(extreme @ g @ extreme, TOL).rank == 1
+    assert calls
+
+
+_WELL_CONDITIONED = GeneratorConfig(
+    seed=5, trials=4, dim=7, n=5, field=Field.COMPLEX, conditioning=1e2, intervals=True
+)
+_DEPENDENT = GeneratorConfig(seed=5, trials=8, dim=6, n=4, field=Field.REAL, dependent_fraction=1.0)
+
+
+def test_no_fallback_on_a_well_conditioned_trial(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    instance = sd.generate_instance(_WELL_CONDITIONED, 0)
+    outcomes = run_checks(instance, applicable_checks(_WELL_CONDITIONED), sd.DEFAULT_TOL)
+    assert outcomes and all(o.ok for o in outcomes)
+    assert not calls
+
+
+def test_a_dependent_trial_falls_back(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    instance = sd.generate_instance(_DEPENDENT, 0)
+    assert not instance.system.independent
+    assert len(calls) == 1
+    outcomes = run_checks(instance, applicable_checks(_DEPENDENT), sd.DEFAULT_TOL)
+    assert outcomes and all(o.ok for o in outcomes)
+    assert len(calls) >= 1
+
+
+# -- rank diagnostics report the reference's pivots ---------------------------------
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_rank_diagnostics_match_the_pivoted_reference(field):
+    rng = np.random.default_rng(11)
+    rows = _conditioned_rows(rng, 6, field, 1e4)
+    system = sd.VectorSystem.from_rows(rows, field)
+    assert np.array_equal(system.cholesky.perm, np.arange(6))  # the fast path
+    ref = sd_gram.pivoted_cholesky(system.gram.entries, TOL)
+    diag = sd.rank_diagnostics(system)
+    assert diag.independent is ref.complete is system.independent is True
+    assert diag.max_pivot == float(ref.pivots[0])
+    assert diag.min_pivot == float(ref.pivots[ref.rank - 1])
+    assert diag.gram_det == ref.determinant()
+    assert diag.gram_det == pytest.approx(sd.gram_determinant(system), rel=1e-10)
+
+
+def test_rank_diagnostics_of_a_dependent_system():
+    system = sd.VectorSystem.from_rows([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
+    diag = sd.rank_diagnostics(system)
+    assert not diag.independent
+    assert diag.min_pivot == 0.0 and diag.gram_det == 0.0
+    assert diag.max_pivot == 9.0
+
+
+# -- the CGS2 oracle against least squares --------------------------------------------
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("n,dim", [(1, 3), (4, 7), (12, 12), (20, 64)])
+def test_cgs2_residual_matches_least_squares(field, n, dim):
+    rng = np.random.default_rng([n, dim])
+    rows = random_rows(rng, n, dim, field)
+    x = random_rows(rng, 1, dim, field)[0]
+    coeffs = np.linalg.lstsq(rows.T, x, rcond=None)[0]
+    expected = x - rows.T @ coeffs
+    residual = sd.residual_after_projection(rows, x)
+    assert np.allclose(residual, expected, rtol=0.0, atol=1e-12 * np.linalg.norm(x))
+    d2 = sd.distance_sq_by_orthonormalization(rows, x)
+    assert d2 == pytest.approx(float(np.real(np.vdot(expected, expected))), rel=1e-10, abs=1e-14)
+    basis = sd.orthonormal_rows(rows)
+    assert np.allclose(basis @ basis.conj().T, np.eye(n), rtol=0.0, atol=1e-13)
+
+
+def test_cgs2_keeps_orthogonality_when_ill_conditioned():
+    rng = np.random.default_rng(8)
+    rows = _conditioned_rows(rng, 8, Field.REAL, 1e10)
+    basis = sd.orthonormal_rows(rows)
+    assert np.max(np.abs(basis @ basis.T - np.eye(8))) < 1e-14
+
+
+# -- Hadamard chain factors against a per-position loop ------------------------------
+
+
+def _reference_factors(g, variant):
+    """The chain factors position by position, as the loop used to compute them."""
+    norms = g.diagonal().real
+    factors = [float(norms[0])]
+    for k in range(1, g.shape[0]):
+        block = g[:k, :k]
+        num = float(np.sum(np.abs(g[k, :k]) ** 2))
+        diag = block.diagonal().real
+        off = np.abs(block)
+        np.fill_diagonal(off, 0.0)
+        if variant is sd.ChainVariant.TOTAL_NORM:
+            den = float(np.sum(diag))
+        elif variant is sd.ChainVariant.OFFDIAG_FROBENIUS:
+            den = float(np.max(diag)) + math.sqrt(float(np.sum(off**2)))
+        elif variant is sd.ChainVariant.OFFDIAG_MAX:
+            den = float(np.max(diag)) + (k - 1) * float(np.max(off, initial=0.0))
+        else:
+            den = float(np.max(np.sum(np.abs(block), axis=1)))
+        factors.append(max(float(norms[k]) - num / den, 0.0))
+    return factors
+
+
+@pytest.mark.parametrize("variant", list(sd.ChainVariant))
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_chain_factors_match_the_per_position_loop(variant, field):
+    rng = np.random.default_rng(99)
+    for n in (2, 3, 6, 12):
+        system = sd.VectorSystem.from_rows(_conditioned_rows(rng, n, field, 1e3), field)
+        result = sd.hadamard_chain(system, variant)
+        expected = _reference_factors(system.gram.entries, variant)
+        assert result.factors == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert result.refined == pytest.approx(float(np.prod(expected)), rel=1e-12)
+        assert not result.clamped
+
+
+def test_chain_clamps_a_planted_negative_factor_with_a_warning():
+    system = sd.VectorSystem.from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    # not a Gram matrix: |G[2, 0]|^2 = 4 exceeds ||x_2||^2 * ||x_0||^2 = 1
+    planted = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+    system._aggregates = sd_gram.GramAggregates(sd_gram.GramMatrix(entries=planted))
+    variant = sd.ChainVariant.TOTAL_NORM
+    with pytest.warns(sd.NumericalWarning, match="position 2"):
+        result = sd.hadamard_chain(system, variant)
+    assert result.clamped
+    assert list(result.factors) == _reference_factors(planted, variant) == [1.0, 1.0, 0.0]
+    assert result.refined == 0.0
+
+
+def test_chain_clamps_a_tiny_negative_factor_silently():
+    system = sd.VectorSystem.from_rows([[1.0, 0.0], [0.0, 1.0]])
+    c = math.sqrt(1.0 + 1e-13)  # factor 1 - c^2 is just below zero, inside tolerance
+    planted = np.array([[1.0, c], [c, 1.0]])
+    system._aggregates = sd_gram.GramAggregates(sd_gram.GramMatrix(entries=planted))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sd.hadamard_chain(system, sd.ChainVariant.OFFDIAG_MAX)
+    assert result.factors == (1.0, 0.0) and not result.clamped
+
+
+# -- the blocked Lagrange pair sum against the dense tensor ---------------------------
+
+
+def _dense_pair_sum(alphas, rows):
+    ac = np.conj(alphas)
+    diff = ac[:, None, None] * rows[None, :, :] - ac[None, :, None] * rows[:, None, :]
+    return 0.5 * float(np.sum(np.abs(diff) ** 2))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("block", [None, 1, 50, 200])
+def test_blocked_pair_sum_matches_the_dense_tensor(field, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(sd_comb, "_PAIR_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(2026)
+    for n, dim in ((1, 3), (2, 2), (5, 7), (13, 9), (64, 40)):
+        system = sd.VectorSystem.from_rows(random_rows(rng, n, dim, field), field)
+        alphas = random_rows(rng, 1, n, field)[0]
+        parts = sd.lagrange_identity_parts(alphas, system)
+        assert parts.pair_sum == pytest.approx(_dense_pair_sum(alphas, system.rows), rel=1e-13, abs=0.0)
+        assert parts.residual <= 1e-12 * parts.magnitude

@@ -2,11 +2,17 @@
 
     python tools/campaign_digest.py
 
-Runs ``run_campaign`` serially on each stream below and prints the sha256
-of ``render_campaign(result, "json")`` and ``render_campaign(result, "csv")``
-per stream, then one combined digest over all of them. A refactor that must
-not change any result is checked by running this on the commit before it
-and on the change: the printed lines must be identical.
+Runs ``run_campaign`` serially on each stream below and prints, per
+stream, the sha256 of ``render_campaign(result, "json")`` and of
+``render_campaign(result, "csv")``, and a structure digest: the sha256 of
+the check ids, the outcome count per id and the (trial, check_id) pair of
+every failure, leaving out margins and recorded values. Then it prints one
+combined digest over the json and csv lines and one over the structure
+lines. A refactor that must not change any result is checked by running
+this on the commit before it and on the change: the printed lines must be
+identical. A change that may move only float rounding (a new kernel for
+the same arithmetic) must leave every structure line identical: the same
+checks ran, as often, and failed on the same trials.
 
 spandist is imported from ``src/`` of the checkout this script sits in.
 """
@@ -43,15 +49,28 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _structure(result: sd.CampaignResult) -> str:
+    """What ran and what failed, without any margin or value."""
+    lines = ["checks " + " ".join(result.checks)]
+    lines += [f"count {check_id} {count}" for check_id, count in result.counts.items()]
+    lines += [f"failure {f.trial} {f.check_id}" for f in result.failures]
+    return "\n".join(lines) + "\n"
+
+
 def main() -> int:
     combined = hashlib.sha256()
+    structure = hashlib.sha256()
     for name, (trials, kwargs) in STREAMS.items():
         result = sd.run_campaign(GeneratorConfig(seed=SEED, trials=trials, **kwargs))
         for fmt in ("json", "csv"):
             digest = _sha(sd.render_campaign(result, fmt))
             combined.update(f"{name} {fmt} {digest}\n".encode("ascii"))
-            print(f"{name:<34} {fmt:<4} {digest}")
-    print(f"{'combined':<39} {combined.hexdigest()}")
+            print(f"{name:<34} {fmt:<6} {digest}")
+        digest = _sha(_structure(result))
+        structure.update(f"{name} struct {digest}\n".encode("ascii"))
+        print(f"{name:<34} {'struct':<6} {digest}")
+    print(f"{'combined':<41} {combined.hexdigest()}")
+    print(f"{'combined struct':<41} {structure.hexdigest()}")
     return 0
 
 
