@@ -35,8 +35,8 @@ from .errors import (
     OrthogonalComplementError,
 )
 from .distance import _in_orth_complement, _quadratic, coefficients, is_orthonormal
-from .gram import VectorSystem, require_independent
-from .space import Field, Scalar, ToleranceConfig, Vector, norm_sq
+from .gram import AggregateStack, VectorSystem, require_independent
+from .space import Field, Scalar, ToleranceConfig, Vector, norm_sq, re_inner_rows, sq_norms
 from .space import _coeff_array as _validated_coeffs
 
 __all__ = [
@@ -141,11 +141,82 @@ class IntervalData:
         return (hi + lo) / 2.0
 
 
-# -- shared plumbing -----------------------------------------------------
+# -- stacked kernels: one value per system of a stack ---------------------
 
 
-def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> tuple[ToleranceConfig, np.ndarray, float]:
-    """Common preconditions: independence and x not orthogonal to the span."""
+def denominators(agg: AggregateStack, n: int) -> dict[BoundMethod, np.ndarray]:
+    """The aggregate D of each unconditional bound, per system of a stack."""
+    return {
+        BoundMethod.TOTAL_NORM: agg.norm_sum,
+        BoundMethod.OFFDIAG_FROBENIUS: agg.norm_max + np.sqrt(agg.offdiag_sum_sq),
+        BoundMethod.OFFDIAG_MAX: agg.norm_max + (n - 1) * agg.offdiag_max,
+        BoundMethod.ROW_SUMS: agg.row_max,
+        BoundMethod.FROBENIUS: np.sqrt(agg.abs_sum_sq),
+    }
+
+
+def bound_values(
+    xx: np.ndarray, s: np.ndarray, dens: dict[BoundMethod, np.ndarray]
+) -> dict[BoundMethod, np.ndarray]:
+    """The five unconditional bounds ||x||^2 - S / D, clamped at zero."""
+    return {m: np.maximum(xx - s / d, 0.0) for m, d in dens.items()}
+
+
+BESSEL_METHODS = (BoundMethod.OFFDIAG_FROBENIUS, BoundMethod.OFFDIAG_MAX, BoundMethod.ROW_SUMS)
+
+
+def bessel_values(xx: np.ndarray, dens: dict[BoundMethod, np.ndarray]) -> dict[BoundMethod, np.ndarray]:
+    """Bessel right-hand sides ||x||^2 * D, each dominating S."""
+    return {m: xx * dens[m] for m in BESSEL_METHODS}
+
+
+def condition_stack(
+    rows: np.ndarray, x: np.ndarray, xx: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(re_inner, ball_margin, holds, forms_agree) of :class:`ConditionVerdict`
+    per system, for (T, n) interval data."""
+    upper_comb = (hi[:, np.newaxis, :] @ rows)[:, 0, :]
+    lower_comb = (lo[:, np.newaxis, :] @ rows)[:, 0, :]
+    re_inner = re_inner_rows(x - lower_comb, upper_comb - x)
+    mid_resid = x - (upper_comb + lower_comb) / 2.0
+    half_width = (upper_comb - lower_comb) / 2.0
+    ball_margin = sq_norms(half_width) - sq_norms(mid_resid)
+    slack = tol.compare_rel_tol * (1.0 + xx + sq_norms(upper_comb))
+    holds = re_inner >= -slack
+    return re_inner, ball_margin, holds, holds == (ball_margin >= -slack)
+
+
+def conditional_stack(
+    rows: np.ndarray, widths: np.ndarray, dens: dict[BoundMethod, np.ndarray]
+) -> dict[BoundMethod, np.ndarray]:
+    """The four conditional bounds per system, in :data:`CONDITIONAL_METHODS`
+    order, for (T, n) interval widths."""
+    width_comb = (widths[:, np.newaxis, :] @ rows)[:, 0, :]
+    values = {BoundMethod.COND_HALF_WIDTH: 0.25 * sq_norms(width_comb)}
+    width_sq = sq_norms(widths)
+    for method, factor in _COND_FACTORS.items():
+        values[method] = 0.25 * width_sq * dens[factor]
+    return values
+
+
+def reverse_bessel_stack(xx: np.ndarray, s: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||x||^2 - S, (1/4) sum_i |Gamma_i - gamma_i|^2) per system."""
+    return xx - s, 0.25 * sq_norms(widths)
+
+
+_COND_FACTORS = {
+    BoundMethod.COND_OFFDIAG_MAX: BoundMethod.OFFDIAG_MAX,
+    BoundMethod.COND_OFFDIAG_FROBENIUS: BoundMethod.OFFDIAG_FROBENIUS,
+    BoundMethod.COND_ROW_SUMS: BoundMethod.ROW_SUMS,
+}
+
+
+# -- one system: the kernels on a stack of one --------------------------------
+
+
+def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> tuple[ToleranceConfig, np.ndarray, np.ndarray]:
+    """Common preconditions: independence and x not orthogonal to the span.
+    Returns the tolerance, beta and S = sum_i |beta_i|^2 (a stack of one)."""
     require_independent(system)
     tol = tol or system.tol
     beta = coefficients(system, x)
@@ -153,29 +224,16 @@ def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> tu
         raise OrthogonalComplementError(
             "x is orthogonal to every system vector; these bounds degenerate there"
         )
-    s = float(np.real(np.vdot(beta, beta)))
-    return tol, beta, s
+    return tol, beta, sq_norms(beta[np.newaxis])
 
 
-def _denominators(system: VectorSystem) -> dict[BoundMethod, float]:
-    g = system.aggregates
-    return {
-        BoundMethod.TOTAL_NORM: float(g.norm_sum),
-        BoundMethod.OFFDIAG_FROBENIUS: float(g.norm_max) + math.sqrt(float(g.offdiag_sum_sq)),
-        BoundMethod.OFFDIAG_MAX: float(g.norm_max) + (system.n - 1) * float(g.offdiag_max),
-        BoundMethod.ROW_SUMS: float(g.row_max),
-        BoundMethod.FROBENIUS: math.sqrt(float(g.abs_sum_sq)),
-    }
-
-
-def _ratio_value(xx: float, s: float, d: float) -> float:
-    """The common shape ||x||^2 - S / D, clamped at zero."""
-    return max(xx - s / d, 0.0)
+def _denominators(system: VectorSystem) -> dict[BoundMethod, np.ndarray]:
+    return denominators(system.as_stack().aggregates, system.n)
 
 
 def _ratio_bound(system: VectorSystem, x: Vector, method: BoundMethod, tol: ToleranceConfig | None) -> float:
     _, _, s = _prepare(system, x, tol)
-    return _ratio_value(norm_sq(x), s, _denominators(system)[method])
+    return float(bound_values(np.array([norm_sq(x)]), s, _denominators(system))[method][0])
 
 
 def bound_total_norm(system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None) -> float:
@@ -208,7 +266,7 @@ def bound_frobenius(system: VectorSystem, x: Vector, tol: ToleranceConfig | None
 
 def _bessel_rhs(system: VectorSystem, x: Vector, method: BoundMethod) -> float:
     system._check_member(x)
-    return norm_sq(x) * _denominators(system)[method]
+    return float(bessel_values(np.array([norm_sq(x)]), _denominators(system))[method][0])
 
 
 def bessel_rhs_offdiag_frobenius(system: VectorSystem, x: Vector) -> float:
@@ -255,22 +313,15 @@ def condition_verdict(
             f"interval data for {intervals.n} vectors, system has {system.n}"
         )
     lo, hi = intervals.arrays(system.field)
-    rows = system.rows
     xc = x.coords.astype(system.field.dtype)
-    upper_comb = hi @ rows
-    lower_comb = lo @ rows
-    re_inner = float(np.real(np.vdot(xc - lower_comb, upper_comb - xc)))
-    mid_resid = xc - (upper_comb + lower_comb) / 2.0
-    half_width = (upper_comb - lower_comb) / 2.0
-    ball_margin = float(np.real(np.vdot(half_width, half_width))) - float(
-        np.real(np.vdot(mid_resid, mid_resid))
+    re_inner, ball_margin, holds, forms_agree = condition_stack(
+        system.rows[np.newaxis], xc[np.newaxis], np.array([norm_sq(x)]), lo[np.newaxis], hi[np.newaxis], tol
     )
-    scale = 1.0 + norm_sq(x) + float(np.real(np.vdot(upper_comb, upper_comb)))
-    slack = tol.compare_rel_tol * scale
-    holds = re_inner >= -slack
-    forms_agree = (re_inner >= -slack) == (ball_margin >= -slack)
     return ConditionVerdict(
-        re_inner=re_inner, ball_margin=ball_margin, holds=holds, forms_agree=forms_agree
+        re_inner=float(re_inner[0]),
+        ball_margin=float(ball_margin[0]),
+        holds=bool(holds[0]),
+        forms_agree=bool(forms_agree[0]),
     )
 
 
@@ -285,16 +336,6 @@ def require_condition(
     return verdict
 
 
-def _cond_half_width(system: VectorSystem, widths: np.ndarray) -> float:
-    width_comb = widths @ system.rows
-    return 0.25 * float(np.real(np.vdot(width_comb, width_comb)))
-
-
-def _cond_relaxed(system: VectorSystem, widths: np.ndarray, method: BoundMethod) -> float:
-    width_sq = float(np.real(np.vdot(widths, widths)))
-    return 0.25 * width_sq * _denominators(system)[_COND_FACTORS[method]]
-
-
 def conditional_values(system: VectorSystem, intervals: IntervalData) -> dict[BoundMethod, float]:
     """The four conditional bounds, in :data:`CONDITIONAL_METHODS` order.
 
@@ -302,11 +343,9 @@ def conditional_values(system: VectorSystem, intervals: IntervalData) -> dict[Bo
     orthogonal to the span, and the two-sided condition (as
     :func:`full_bound_report` does), so that the condition is evaluated once.
     """
-    widths = intervals.widths(system.field)
-    values = {BoundMethod.COND_HALF_WIDTH: _cond_half_width(system, widths)}
-    for method in _COND_FACTORS:
-        values[method] = _cond_relaxed(system, widths, method)
-    return values
+    widths = intervals.widths(system.field)[np.newaxis]
+    values = conditional_stack(system.rows[np.newaxis], widths, _denominators(system))
+    return {m: float(v[0]) for m, v in values.items()}
 
 
 def bound_cond_half_width(
@@ -315,14 +354,7 @@ def bound_cond_half_width(
     """d^2 <= (1/4) ||sum_i (Gamma_i - gamma_i) x_i||^2 under the condition."""
     tol, _, _ = _prepare(system, x, tol)
     require_condition(system, x, intervals, tol)
-    return _cond_half_width(system, intervals.widths(system.field))
-
-
-_COND_FACTORS = {
-    BoundMethod.COND_OFFDIAG_MAX: BoundMethod.OFFDIAG_MAX,
-    BoundMethod.COND_OFFDIAG_FROBENIUS: BoundMethod.OFFDIAG_FROBENIUS,
-    BoundMethod.COND_ROW_SUMS: BoundMethod.ROW_SUMS,
-}
+    return conditional_values(system, intervals)[BoundMethod.COND_HALF_WIDTH]
 
 
 def bound_cond_relaxed(
@@ -341,7 +373,7 @@ def bound_cond_relaxed(
         raise ValueError(f"not a conditional relaxation method: {method}")
     tol, _, _ = _prepare(system, x, tol)
     require_condition(system, x, intervals, tol)
-    return _cond_relaxed(system, intervals.widths(system.field), method)
+    return conditional_values(system, intervals)[method]
 
 
 @dataclass(frozen=True)
@@ -369,10 +401,11 @@ def reverse_bessel_verdict(
 ) -> ReverseBesselVerdict:
     """:func:`reverse_bessel_gap` without its checks: the caller has
     established orthonormality and the two-sided condition."""
-    beta = coefficients(system, x)
-    gap = norm_sq(x) - float(np.real(np.vdot(beta, beta)))
-    widths = intervals.widths(system.field)
-    quarter = 0.25 * float(np.real(np.vdot(widths, widths)))
+    beta = coefficients(system, x)[np.newaxis]
+    gap, quarter = reverse_bessel_stack(
+        np.array([norm_sq(x)]), sq_norms(beta), intervals.widths(system.field)[np.newaxis]
+    )
+    gap, quarter = float(gap[0]), float(quarter[0])
     rel = tol.compare_rel_tol
     holds = gap >= -rel * (1.0 + abs(gap)) and gap <= quarter + rel * (1.0 + quarter)
     return ReverseBesselVerdict(bessel_gap=gap, quarter_width_sq=quarter, holds=holds)
@@ -425,8 +458,7 @@ def full_bound_report(
     tol2, beta, s = _prepare(system, x, tol)
     xx = norm_sq(x)
     exact = _quadratic(system, xx, beta)
-    denominators = _denominators(system)
-    values = {m: _ratio_value(xx, s, denominators[m]) for m in UNCONDITIONAL_METHODS}
+    values = {m: float(v[0]) for m, v in bound_values(np.array([xx]), s, _denominators(system)).items()}
     if intervals is not None:
         require_condition(system, x, intervals, tol2)
         values.update(conditional_values(system, intervals))

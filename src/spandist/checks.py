@@ -6,6 +6,13 @@ the instance (wrong shape, dependent system where independence is needed,
 missing interval data) returns no outcomes rather than failing — campaigns
 mix instance shapes freely.
 
+The built-in checks are written once, over a chunk of trials
+(:class:`TrialStack`): each returns one :class:`Column` per check id, its
+margins and recorded values as arrays with one entry per trial and a mask
+of the trials it applies to. The per-instance check is that run on a chunk
+of one; the campaign merges columns directly and builds a record only for a
+failure.
+
 Margins are normalised so that ok == (margin >= 0) and more positive means
 more comfortable; the campaign keeps the worst margin per check id.
 """
@@ -14,27 +21,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bounds as bnd
 from . import combination as comb
 from .distance import (
-    coefficients,
-    distance_sq_oracle,
-    distance_sq_quadratic,
-    exact_distance,
-    in_orthogonal_complement,
-    is_orthonormal,
+    beta_stack,
+    gram_ratio_stack,
+    orth_complement_stack,
+    projection_stack,
+    quadratic_stack,
 )
-from .generator import Instance, child_rng
-from .gram import check_gram_hadamard, check_gram_product_split, gram_triangle_of_rows
-from .hadamard import ChainVariant, hadamard_chain
-from .space import Field, ToleranceConfig, norm_sq
+from .generator import Instance, InstanceChunk, _child_rng, _per_trial
+from .gram import split_determinants, triangle_roots
+from .hadamard import ChainVariant, chain_stack
+from .orthonormalize import distance_sq_stack
+from .space import Field, ToleranceConfig, sq_norms
 
-__all__ = ["CheckOutcome", "CheckFn", "REGISTRY", "applicable_checks", "run_checks"]
+__all__ = [
+    "CheckOutcome",
+    "CheckFn",
+    "Column",
+    "REGISTRY",
+    "STACKED",
+    "TrialStack",
+    "applicable_checks",
+    "outcomes_of",
+    "resolve_check",
+    "run_checks",
+    "run_stacked",
+]
 
 # Dominance assertions get a fixed absolute-relative cushion independent of
 # the comparison tolerance (they are exact-arithmetic theorems and the
@@ -61,161 +81,198 @@ class CheckOutcome:
 CheckFn = Callable[[Instance, ToleranceConfig], list[CheckOutcome]]
 
 
-def _outcome(check_id: str, margin: float, **values: float) -> CheckOutcome:
-    return CheckOutcome(
-        check_id=check_id,
-        ok=margin >= 0.0,
-        margin=float(margin),
-        values=tuple(sorted((k, float(v)) for k, v in values.items())),
-    )
+class Column(NamedTuple):
+    """One check id's outcomes over a chunk of T trials.
+
+    ``margin`` and each recorded value (sorted by name) hold one entry per
+    trial; ``mask`` marks the trials the outcome exists for (None: all).
+    """
+
+    check_id: str
+    margin: np.ndarray
+    values: tuple[tuple[str, np.ndarray], ...]
+    mask: np.ndarray | None = None
 
 
-def _dominance_margin(bound: float, floor: float) -> float:
-    """Margin for 'bound >= floor' with the dominance cushion."""
-    return (bound - floor) / (1.0 + abs(floor)) + DOMINANCE_REL
+def _column(check_id: str, margin: np.ndarray, mask: np.ndarray | None = None, **values: np.ndarray) -> Column:
+    return Column(check_id, margin, tuple(sorted(values.items())), mask)
 
 
-def _closeness_margin(value: float, expected: float, rel: float) -> float:
-    """Margin for '|value - expected| <= rel * (1 + |expected|)'."""
-    return rel - abs(value - expected) / (1.0 + abs(expected))
-
-
-# -- individual checks -----------------------------------------------------
-
-
-def check_representation_agreement(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """The determinant-ratio and quadratic-form distances agree with each
-    other and with a Gram–Schmidt oracle; the projection quotient sits above."""
-    system, x = instance.system, instance.x
-    if not system.independent:
-        return []
-    result = exact_distance(system, x, tol)
-    oracle = distance_sq_oracle(system, x)
-    d2 = result.d2_quadratic
+def outcomes_of(columns: Sequence[Column], k: int) -> list[CheckOutcome]:
+    """The outcomes of trial k of a chunk, in column order."""
     return [
-        _outcome(
-            "representation_agreement/ratio_vs_quadratic",
-            _closeness_margin(result.d2_gram_ratio, d2, tol.compare_rel_tol),
-            ratio=result.d2_gram_ratio,
-            quadratic=d2,
-        ),
-        _outcome(
-            "representation_agreement/oracle_vs_quadratic",
-            _closeness_margin(oracle, d2, tol.compare_rel_tol),
-            oracle=oracle,
-            quadratic=d2,
-        ),
-        _outcome(
-            "representation_agreement/projection_is_upper",
-            _dominance_margin(result.d2_projection, d2),
-            projection=result.d2_projection,
-            quadratic=d2,
-        ),
+        CheckOutcome(
+            check_id=c.check_id,
+            ok=bool(c.margin[k] >= 0.0),
+            margin=float(c.margin[k]),
+            values=tuple((name, float(v[k])) for name, v in c.values),
+        )
+        for c in columns
+        if c.mask is None or c.mask[k]
     ]
 
 
-def check_bound_dominance(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """Every unconditional bound dominates the exact squared distance; the
-    total-norm bound is strictly above it away from degeneracies."""
-    system, x = instance.system, instance.x
-    if not system.independent or in_orthogonal_complement(system, x, tol):
-        return []
-    report = bnd.full_bound_report(system, x, tol=tol)
-    d2 = report.exact_d2
-    out = [
-        _outcome(
-            f"bound_dominance/{entry.method.value}",
-            _dominance_margin(entry.value, d2),
-            bound=entry.value,
-            exact=d2,
-        )
-        for entry in report.entries
-    ]
-    if system.n >= 2 and system.gram_condition() <= STRICT_CONDITION_LIMIT:
-        total = report.entry(bnd.BoundMethod.TOTAL_NORM).value
-        out.append(
-            _outcome(
-                "bound_dominance/total_norm_strict",
-                (total - d2 - STRICTNESS_GAP) / (1.0 + abs(d2)),
-                bound=total,
-                exact=d2,
-                condition=system.gram_condition(),
-            )
-        )
+def _dominance_margin(bound: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Margin for 'bound >= floor' with the dominance cushion."""
+    return (bound - floor) / (1.0 + np.abs(floor)) + DOMINANCE_REL
+
+
+def _closeness_margin(value: np.ndarray, expected: np.ndarray, rel: float) -> np.ndarray:
+    """Margin for '|value - expected| <= rel * (1 + |expected|)'."""
+    return rel - np.abs(value - expected) / (1.0 + np.abs(expected))
+
+
+def _spread(idx: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """Values of the trials ``idx`` placed in a length-``size`` array, NaN elsewhere."""
+    out = np.full(size, np.nan)
+    out[idx] = values
     return out
 
 
-def check_orthonormal_collapse(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """For orthonormal systems three bounds collapse to the Bessel distance
-    and the other two exceed it by closed-form amounts."""
-    system, x = instance.system, instance.x
-    if not is_orthonormal(system, tol) or in_orthogonal_complement(system, x, tol):
+class TrialStack:
+    """A chunk of trials as the stacked checks see it: the chunk's arrays
+    plus what several check families share, each computed once, on first
+    use, for every trial of the chunk."""
+
+    def __init__(self, chunk: InstanceChunk, tol: ToleranceConfig) -> None:
+        self.chunk = chunk
+        self.tol = tol
+        self.systems = chunk.systems
+        self.agg = chunk.systems.aggregates
+        self.size = chunk.size
+        self.n = chunk.systems.n
+
+    @cached_property
+    def xx(self) -> np.ndarray:
+        return sq_norms(self.chunk.x)
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        return beta_stack(self.systems.rows, self.chunk.x)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """sum_i |beta_i|^2."""
+        return sq_norms(self.beta)
+
+    @property
+    def independent(self) -> np.ndarray:
+        return self.systems.factor.complete
+
+    @cached_property
+    def in_orth(self) -> np.ndarray:
+        return orth_complement_stack(self.xx, self.beta, self.agg.norm_max, self.tol)
+
+    @cached_property
+    def orthonormal(self) -> np.ndarray:
+        return self.agg.identity_deviation <= self.tol.orth_rel_tol
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        """The quadratic-form distance, NaN for dependent systems."""
+        return quadratic_stack(self.systems.factor, self.xx, self.beta, self.tol)
+
+    @cached_property
+    def denominators(self) -> dict[bnd.BoundMethod, np.ndarray]:
+        return bnd.denominators(self.agg, self.n)
+
+    @cached_property
+    def unconditional(self) -> dict[bnd.BoundMethod, np.ndarray]:
+        return bnd.bound_values(self.xx, self.s, self.denominators)
+
+    def coeffs(self, salt: int, count: int | None = None) -> np.ndarray:
+        """(T, count) coefficients, each trial's from its own auxiliary stream."""
+        count = self.n if count is None else count
+        complex_field = self.systems.field is Field.COMPLEX
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            if not complex_field:
+                return rng.standard_normal(count)
+            return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
+
+        return _per_trial([_child_rng(self.chunk.seed, trial, salt) for trial in self.chunk.trials], draw)
+
+
+# -- the check families, each over a whole chunk ----------------------------
+
+
+def _representation_agreement(t: TrialStack) -> list[Column]:
+    ok = t.independent
+    idx = np.flatnonzero(ok)
+    if not idx.size:
         return []
-    beta = coefficients(system, x)
-    s = float(np.real(np.vdot(beta, beta)))
-    bessel = norm_sq(x) - s
-    n = system.n
-    report = bnd.full_bound_report(system, x, tol=tol)
+    rows, x, d2, rel = t.systems.rows, t.chunk.x, t.d2, t.tol.compare_rel_tol
+    ratio = gram_ratio_stack(t.systems.normalized, ok, t.xx, t.beta, t.tol)
+    oracle = _spread(idx, t.size, distance_sq_stack(rows[idx], x[idx], t.tol))
+    projection = projection_stack(rows, t.xx, t.beta, t.in_orth)
+    return [
+        _column("representation_agreement/ratio_vs_quadratic", _closeness_margin(ratio, d2, rel), ok,
+                ratio=ratio, quadratic=d2),
+        _column("representation_agreement/oracle_vs_quadratic", _closeness_margin(oracle, d2, rel), ok,
+                oracle=oracle, quadratic=d2),
+        _column("representation_agreement/projection_is_upper", _dominance_margin(projection, d2), ok,
+                projection=projection, quadratic=d2),
+    ]
+
+
+def _bound_dominance(t: TrialStack) -> list[Column]:
+    ok = t.independent & ~t.in_orth
+    d2 = t.d2
+    out = [
+        _column(f"bound_dominance/{method.value}", _dominance_margin(value, d2), ok, bound=value, exact=d2)
+        for method, value in t.unconditional.items()
+    ]
+    if t.n >= 2:
+        condition = t.systems.condition
+        total = t.unconditional[bnd.BoundMethod.TOTAL_NORM]
+        out.append(_column(
+            "bound_dominance/total_norm_strict",
+            (total - d2 - STRICTNESS_GAP) / (1.0 + np.abs(d2)),
+            ok & (condition <= STRICT_CONDITION_LIMIT),
+            bound=total,
+            exact=d2,
+            condition=condition,
+        ))
+    return out
+
+
+def _orthonormal_collapse(t: TrialStack) -> list[Column]:
+    ok = t.orthonormal & ~t.in_orth
+    s, n = t.s, t.n
+    bessel = t.xx - s
+    method = bnd.BoundMethod
     expectations = {
-        bnd.BoundMethod.OFFDIAG_FROBENIUS: bessel,
-        bnd.BoundMethod.OFFDIAG_MAX: bessel,
-        bnd.BoundMethod.ROW_SUMS: bessel,
-        bnd.BoundMethod.TOTAL_NORM: bessel + s * (1.0 - 1.0 / n),
-        bnd.BoundMethod.FROBENIUS: bessel + s * (1.0 - 1.0 / math.sqrt(n)),
+        method.OFFDIAG_FROBENIUS: bessel,
+        method.OFFDIAG_MAX: bessel,
+        method.ROW_SUMS: bessel,
+        method.TOTAL_NORM: bessel + s * (1.0 - 1.0 / n),
+        method.FROBENIUS: bessel + s * (1.0 - 1.0 / math.sqrt(n)),
     }
     return [
-        _outcome(
-            f"orthonormal_collapse/{method.value}",
-            _closeness_margin(report.entry(method).value, expected, DOMINANCE_REL),
-            value=report.entry(method).value,
+        _column(
+            f"orthonormal_collapse/{m.value}",
+            _closeness_margin(t.unconditional[m], expected, DOMINANCE_REL),
+            ok,
+            value=t.unconditional[m],
             expected=expected,
         )
-        for method, expected in expectations.items()
+        for m, expected in expectations.items()
     ]
 
 
-def check_bessel_refinements(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """Refined Bessel right-hand sides dominate the coefficient power sum
-    for arbitrary systems, dependent ones included."""
-    system, x = instance.system, instance.x
-    beta = coefficients(system, x)
-    s = float(np.real(np.vdot(beta, beta)))
-    rhs = {
-        "offdiag_frobenius": bnd.bessel_rhs_offdiag_frobenius(system, x),
-        "offdiag_max": bnd.bessel_rhs_offdiag_max(system, x),
-        "row_sums": bnd.bessel_rhs_row_sums(system, x),
-    }
+def _bessel_refinements(t: TrialStack) -> list[Column]:
     return [
-        _outcome(
-            f"bessel_refinements/{name}",
-            _dominance_margin(value, s),
-            rhs=value,
-            power_sum=s,
-        )
-        for name, value in rhs.items()
+        _column(f"bessel_refinements/{m.value}", _dominance_margin(value, t.s), rhs=value, power_sum=t.s)
+        for m, value in bnd.bessel_values(t.xx, t.denominators).items()
     ]
 
 
-def _draw_coeffs(instance: Instance, salt: int, count: int | None = None) -> np.ndarray:
-    rng = child_rng(instance, salt)
-    count = instance.system.n if count is None else count
-    if instance.system.field is Field.REAL:
-        return rng.standard_normal(count)
-    return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
-
-
-def check_lagrange_identity(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """The norm-of-combination identity balances to near machine precision."""
-    alphas = _draw_coeffs(instance, _SALT_LAGRANGE)
-    parts = comb.lagrange_identity_parts(alphas, instance.system)
-    margin = IDENTITY_REL - parts.residual / (1.0 + parts.magnitude)
+def _lagrange_identity(t: TrialStack) -> list[Column]:
+    parts = comb.CombinationStack(t.coeffs(_SALT_LAGRANGE), t.systems.rows, t.agg).lagrange
+    residual, magnitude = parts.residual, parts.magnitude
     return [
-        _outcome(
-            "lagrange_identity/residual",
-            margin,
-            residual=parts.residual,
-            magnitude=parts.magnitude,
-        )
+        _column("lagrange_identity/residual", IDENTITY_REL - residual / (1.0 + magnitude),
+                residual=residual, magnitude=magnitude)
     ]
 
 
@@ -253,179 +310,155 @@ def _sweep() -> tuple[tuple[str, comb.CombinationMethod], ...]:
 COMBINATION_SWEEP = _sweep()
 
 
-def _combination_outcomes(
-    label: str, result: comb.CombinationBoundResult, tol: ToleranceConfig
-) -> list[CheckOutcome]:
-    rel = tol.compare_rel_tol
-    out = [
-        _outcome(
-            f"combination_sweep/{label}/holds",
-            (result.bound * (1.0 + rel) + rel - result.lhs) / (1.0 + abs(result.lhs)),
-            lhs=result.lhs,
-            bound=result.bound,
-        )
-    ]
-    if len(result.chain) > 1:
-        tight, coarse = result.chain[0], result.chain[-1]
-        out.append(
-            _outcome(
-                f"combination_sweep/{label}/chain",
-                (coarse * (1.0 + rel) + rel - tight) / (1.0 + abs(tight)),
-                tight=tight,
-                coarse=coarse,
-            )
-        )
+
+def _combination_sweep(t: TrialStack) -> list[Column]:
+    inputs = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.agg)
+    rel = t.tol.compare_rel_tol
+    lhs = inputs.lhs
+    out: list[Column] = []
+    for label, method in COMBINATION_SWEEP:
+        chain = inputs.chain(method)
+        bound = chain[0]
+        out.append(_column(f"combination_sweep/{label}/holds",
+                           (bound * (1.0 + rel) + rel - lhs) / (1.0 + np.abs(lhs)), lhs=lhs, bound=bound))
+        if len(chain) > 1:
+            tight, coarse = chain[0], chain[-1]
+            out.append(_column(f"combination_sweep/{label}/chain",
+                               (coarse * (1.0 + rel) + rel - tight) / (1.0 + np.abs(tight)),
+                               tight=tight, coarse=coarse))
     return out
+
+
+def _hadamard_chains(t: TrialStack) -> list[Column]:
+    ok = t.independent
+    idx = np.flatnonzero(ok)
+    if t.n < 2 or not idx.size:
+        return []
+    det, product = t.systems.factor.det, t.agg.norm_product
+    fixed_point = ok & t.orthonormal
+    norms = t.agg.norms_sq[idx]
+    prefixes = t.agg.chain_prefixes
+    numerators = prefixes.numerators[idx]
+    out: list[Column] = []
+    for variant in ChainVariant:
+        denominators = getattr(prefixes, variant.value)[idx]
+        refined = _spread(idx, t.size, chain_stack(norms, numerators, denominators, t.tol)[1])
+        out.append(_column(f"hadamard_chains/{variant.value}/lower", _dominance_margin(refined, det), ok,
+                           refined=refined, gram_det=det))
+        out.append(_column(f"hadamard_chains/{variant.value}/upper", _dominance_margin(product, refined), ok,
+                           refined=refined, norm_product=product))
+        out.append(_column(f"hadamard_chains/{variant.value}/orthonormal_fixed_point",
+                           _closeness_margin(refined, 1.0, FIXED_POINT_REL), fixed_point, refined=refined))
+    return out
+
+
+def _gram_inequalities(t: TrialStack) -> list[Column]:
+    det, product = t.systems.factor.det, t.agg.norm_product
+    out = [
+        _column("gram_inequalities/nonnegative", det / (1.0 + np.abs(det)) + DOMINANCE_REL, gram_det=det),
+        _column("gram_inequalities/norm_product", _dominance_margin(product, det),
+                gram_det=det, norm_product=product),
+    ]
+    if t.n >= 2:
+        rows = t.systems.rows
+        left, right = split_determinants(t.systems.gram, t.n // 2, t.tol.rank_rel_tol)
+        out.append(_column("gram_inequalities/product_split", _dominance_margin(left * right, det),
+                           full=det, left=left, right=right))
+        y1 = t.coeffs(_SALT_TRIANGLE, t.systems.dim)
+        combined, first, second = triangle_roots(rows[:, 0], y1, rows[:, 1:], t.systems.field, t.tol)
+        out.append(_column("gram_inequalities/triangle", _dominance_margin(first + second, combined),
+                           combined=combined, first=first, second=second))
+    return out
+
+
+def _conditional_bounds(t: TrialStack) -> list[Column]:
+    chunk = t.chunk
+    if chunk.lo is None:
+        return []
+    ok = t.independent & ~t.in_orth
+    rel = t.tol.compare_rel_tol
+    rows = t.systems.rows
+    re_inner, ball_margin, holds, forms_agree = bnd.condition_stack(rows, chunk.x, t.xx, chunk.lo, chunk.hi, t.tol)
+    out = [
+        _column("conditional_bounds/condition_holds", re_inner / (1.0 + t.xx) + rel, ok, re_inner=re_inner),
+        _column("conditional_bounds/forms_agree", np.where(forms_agree, rel, -1.0), ok,
+                re_inner=re_inner, ball_margin=ball_margin),
+    ]
+    held = ok & holds
+    d2 = t.d2
+    values = bnd.conditional_stack(rows, chunk.widths, t.denominators)
+    half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
+    out.append(_column("conditional_bounds/half_width_dominates", _dominance_margin(half_width, d2), held,
+                       bound=half_width, exact=d2))
+    for method in bnd.CONDITIONAL_METHODS[1:]:
+        relaxed = values[method]
+        out.append(_column(f"conditional_bounds/{method.value}_coarser", _dominance_margin(relaxed, half_width),
+                           held, relaxed=relaxed, half_width=half_width))
+    gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, chunk.widths)
+    above, below = _dominance_margin(gap, 0.0), _dominance_margin(quarter, gap)
+    out.append(_column("conditional_bounds/reverse_bessel", np.where(below < above, below, above),
+                       held & t.orthonormal, gap=gap, quarter_width_sq=quarter))
+    return out
+
+
+# -- one instance: the families on a chunk of one -----------------------------
+
+
+def _one(stacked: Callable[[TrialStack], list[Column]], instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
+    return outcomes_of(_evaluate(stacked, TrialStack(InstanceChunk.of(instance), tol)), 0)
+
+
+def check_representation_agreement(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
+    """The determinant-ratio and quadratic-form distances agree with each
+    other and with a Gram–Schmidt oracle; the projection quotient sits above."""
+    return _one(_representation_agreement, instance, tol)
+
+
+def check_bound_dominance(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
+    """Every unconditional bound dominates the exact squared distance; the
+    total-norm bound is strictly above it away from degeneracies."""
+    return _one(_bound_dominance, instance, tol)
+
+
+def check_orthonormal_collapse(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
+    """For orthonormal systems three bounds collapse to the Bessel distance
+    and the other two exceed it by closed-form amounts."""
+    return _one(_orthonormal_collapse, instance, tol)
+
+
+def check_bessel_refinements(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
+    """Refined Bessel right-hand sides dominate the coefficient power sum
+    for arbitrary systems, dependent ones included."""
+    return _one(_bessel_refinements, instance, tol)
+
+
+def check_lagrange_identity(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
+    """The norm-of-combination identity balances to near machine precision."""
+    return _one(_lagrange_identity, instance, tol)
 
 
 def check_combination_sweep(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
     """Exercise every combination bound family on one coefficient draw."""
-    inputs = comb.CombinationInputs.build(_draw_coeffs(instance, _SALT_COMBINATION), instance.system)
-    out: list[CheckOutcome] = []
-    for label, method in COMBINATION_SWEEP:
-        out.extend(_combination_outcomes(label, inputs.bound(method, tol), tol))
-    return out
+    return _one(_combination_sweep, instance, tol)
 
 
 def check_hadamard_chains(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
     """All chain refinements are sandwiched between the determinant and the
     norm product; orthonormal systems sit exactly at 1."""
-    system = instance.system
-    if system.n < 2 or not system.independent:
-        return []
-    out: list[CheckOutcome] = []
-    orthonormal = is_orthonormal(system, tol)
-    for variant in ChainVariant:
-        chain = hadamard_chain(system, variant, tol)
-        out.append(
-            _outcome(
-                f"hadamard_chains/{variant.value}/lower",
-                _dominance_margin(chain.refined, chain.gram_det),
-                refined=chain.refined,
-                gram_det=chain.gram_det,
-            )
-        )
-        out.append(
-            _outcome(
-                f"hadamard_chains/{variant.value}/upper",
-                _dominance_margin(chain.norm_product, chain.refined),
-                refined=chain.refined,
-                norm_product=chain.norm_product,
-            )
-        )
-        if orthonormal:
-            out.append(
-                _outcome(
-                    f"hadamard_chains/{variant.value}/orthonormal_fixed_point",
-                    _closeness_margin(chain.refined, 1.0, FIXED_POINT_REL),
-                    refined=chain.refined,
-                )
-            )
-    return out
+    return _one(_hadamard_chains, instance, tol)
 
 
 def check_gram_inequalities(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
     """Determinant nonnegativity/product bound, block splits, and the
     sqrt-determinant triangle inequality on a random companion vector."""
-    system = instance.system
-    verdict = check_gram_hadamard(system, tol)
-    out = [
-        _outcome(
-            "gram_inequalities/nonnegative",
-            verdict.gram_det / (1.0 + abs(verdict.gram_det)) + DOMINANCE_REL,
-            gram_det=verdict.gram_det,
-        ),
-        _outcome(
-            "gram_inequalities/norm_product",
-            _dominance_margin(verdict.norm_product, verdict.gram_det),
-            gram_det=verdict.gram_det,
-            norm_product=verdict.norm_product,
-        ),
-    ]
-    if system.n >= 2:
-        split = check_gram_product_split(system, system.n // 2, tol)
-        out.append(
-            _outcome(
-                "gram_inequalities/product_split",
-                _dominance_margin(split.gram_left * split.gram_right, split.gram_full),
-                full=split.gram_full,
-                left=split.gram_left,
-                right=split.gram_right,
-            )
-        )
-        y1 = _draw_coeffs(instance, _SALT_TRIANGLE, system.dim)
-        tri = gram_triangle_of_rows(system.rows[0], y1, system.rows[1:], system.field, tol)
-        out.append(
-            _outcome(
-                "gram_inequalities/triangle",
-                _dominance_margin(tri.first + tri.second, tri.combined),
-                combined=tri.combined,
-                first=tri.first,
-                second=tri.second,
-            )
-        )
-    return out
+    return _one(_gram_inequalities, instance, tol)
 
 
 def check_conditional_bounds(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
     """Constructively sampled two-sided data: the condition holds in both
     formulations, the half-width bound dominates d^2, and each relaxation
     dominates the half-width bound."""
-    system, x, iv = instance.system, instance.x, instance.intervals
-    if iv is None or not system.independent or in_orthogonal_complement(system, x, tol):
-        return []
-    verdict = bnd.condition_verdict(system, x, iv, tol)
-    scale = 1.0 + norm_sq(x)
-    out = [
-        _outcome(
-            "conditional_bounds/condition_holds",
-            verdict.re_inner / scale + tol.compare_rel_tol,
-            re_inner=verdict.re_inner,
-        ),
-        _outcome(
-            "conditional_bounds/forms_agree",
-            tol.compare_rel_tol if verdict.forms_agree else -1.0,
-            re_inner=verdict.re_inner,
-            ball_margin=verdict.ball_margin,
-        ),
-    ]
-    if not verdict.holds:
-        return out
-    d2 = distance_sq_quadratic(system, x)
-    values = bnd.conditional_values(system, iv)
-    half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
-    out.append(
-        _outcome(
-            "conditional_bounds/half_width_dominates",
-            _dominance_margin(half_width, d2),
-            bound=half_width,
-            exact=d2,
-        )
-    )
-    for method in bnd.CONDITIONAL_METHODS[1:]:
-        relaxed = values[method]
-        out.append(
-            _outcome(
-                f"conditional_bounds/{method.value}_coarser",
-                _dominance_margin(relaxed, half_width),
-                relaxed=relaxed,
-                half_width=half_width,
-            )
-        )
-    if is_orthonormal(system, tol):
-        rb = bnd.reverse_bessel_verdict(system, x, iv, tol)
-        out.append(
-            _outcome(
-                "conditional_bounds/reverse_bessel",
-                min(
-                    _dominance_margin(rb.bessel_gap, 0.0),
-                    _dominance_margin(rb.quarter_width_sq, rb.bessel_gap),
-                ),
-                gap=rb.bessel_gap,
-                quarter_width_sq=rb.quarter_width_sq,
-            )
-        )
-    return out
+    return _one(_conditional_bounds, instance, tol)
 
 
 REGISTRY: dict[str, CheckFn] = {
@@ -438,6 +471,21 @@ REGISTRY: dict[str, CheckFn] = {
     "hadamard_chains": check_hadamard_chains,
     "gram_inequalities": check_gram_inequalities,
     "conditional_bounds": check_conditional_bounds,
+}
+
+# The stacked form of each built-in check. A REGISTRY entry found here runs
+# over whole chunks; any other entry (a check registered at runtime, or a
+# built-in wrapped in another function) runs once per instance.
+STACKED: dict[CheckFn, Callable[[TrialStack], list[Column]]] = {
+    check_representation_agreement: _representation_agreement,
+    check_bound_dominance: _bound_dominance,
+    check_orthonormal_collapse: _orthonormal_collapse,
+    check_bessel_refinements: _bessel_refinements,
+    check_lagrange_identity: _lagrange_identity,
+    check_combination_sweep: _combination_sweep,
+    check_hadamard_chains: _hadamard_chains,
+    check_gram_inequalities: _gram_inequalities,
+    check_conditional_bounds: _conditional_bounds,
 }
 
 
@@ -460,14 +508,38 @@ def applicable_checks(config) -> tuple[str, ...]:
     return tuple(names)
 
 
+def resolve_check(name: str) -> CheckFn:
+    """The REGISTRY entry for ``name``."""
+    try:
+        return REGISTRY[name]
+    except KeyError:
+        raise ValueError(f"unknown check name: {name!r}") from None
+
+
+def _evaluate(stacked: Callable[[TrialStack], list[Column]], trials: TrialStack) -> list[Column]:
+    # entries of trials a column does not apply to may hold inf or NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return stacked(trials)
+
+
+def run_stacked(checks: Sequence[CheckFn], chunk: InstanceChunk, tol: ToleranceConfig) -> list[Column]:
+    """The columns of the built-in ``checks`` (keys of :data:`STACKED`) over one chunk."""
+    trials = TrialStack(chunk, tol)
+    return [column for fn in checks for column in _evaluate(STACKED[fn], trials)]
+
+
 def run_checks(
     instance: Instance, names: Sequence[str], tol: ToleranceConfig
 ) -> list[CheckOutcome]:
+    trials = None
     out: list[CheckOutcome] = []
     for name in names:
-        try:
-            fn = REGISTRY[name]
-        except KeyError:
-            raise ValueError(f"unknown check name: {name!r}") from None
-        out.extend(fn(instance, tol))
+        fn = resolve_check(name)
+        stacked = STACKED.get(fn)
+        if stacked is None:
+            out.extend(fn(instance, tol))
+            continue
+        if trials is None:
+            trials = TrialStack(InstanceChunk.of(instance), tol)
+        out.extend(outcomes_of(_evaluate(stacked, trials), 0))
     return out

@@ -13,16 +13,15 @@ systems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .gram import VectorSystem
-from .space import Scalar, ToleranceConfig, conjugate_exponent
+from .gram import AggregateStack, VectorSystem
+from .space import Scalar, ToleranceConfig, conjugate_exponent, sq_norms
 from .space import _coeff_array as _validated_coeffs
 
 __all__ = [
@@ -30,6 +29,7 @@ __all__ = [
     "CombinationMethod",
     "CombinationBoundResult",
     "CombinationInputs",
+    "CombinationStack",
     "LagrangeParts",
     "combination_norm_sq",
     "lagrange_identity_parts",
@@ -141,19 +141,91 @@ class CombinationBoundResult:
     chain_ok: bool
 
 
-class CombinationInputs:
-    """One validated coefficient draw against one system.
+class CombinationStack:
+    """Coefficient draws against the systems of a stack, one row per system.
 
-    Holds everything the bounds read from the coefficients — |a|, its
-    maximum and sum, the power sums sum |a_i|^e (memoised per exponent) and
-    the lhs ||sum a_i z_i||^2 — each computed at most once, so any number
-    of bounds on the same draw validate and reduce the coefficients once.
-    The Gram side comes from ``zs.aggregates``. Build with :meth:`build`.
+    ``alphas`` is (T, n), ``rows`` the (T, n, dim) coordinates and ``agg``
+    the systems' :class:`~spandist.gram.AggregateStack`. Holds everything the
+    bounds read from the coefficients, per system — |a|, its maximum and
+    sum, the power sums sum |a_i|^e (memoised per exponent), the lhs
+    ||sum a_i z_i||^2 and the Lagrange identity parts — each computed at
+    most once, so any number of bounds on the same draws reduce the
+    coefficients once. :meth:`chain` evaluates one bound family.
+    """
+
+    def __init__(self, alphas: np.ndarray, rows: np.ndarray, agg: AggregateStack) -> None:
+        self.alphas = alphas
+        self.rows = rows
+        self.agg = agg
+        self.n = alphas.shape[-1]
+        self._powers: dict[float, np.ndarray] = {}
+
+    @cached_property
+    def lhs(self) -> np.ndarray:
+        """||sum_i alphas[i] * z_i||^2 computed in coordinates."""
+        return sq_norms((self.alphas[:, np.newaxis, :] @ self.rows)[:, 0, :])
+
+    @cached_property
+    def coeff_norm_sq(self) -> np.ndarray:
+        """sum_i |alphas[i]|^2 as the inner product <a, a>."""
+        return sq_norms(self.alphas)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """|alphas|."""
+        return np.abs(self.alphas)
+
+    @cached_property
+    def a_max(self) -> np.ndarray:
+        return np.max(self.a, axis=-1)
+
+    @cached_property
+    def a_sum(self) -> np.ndarray:
+        return np.sum(self.a, axis=-1)
+
+    @cached_property
+    def top_pair_product(self) -> np.ndarray:
+        """max_{i != j} |a_i||a_j| — product of the two largest magnitudes."""
+        if self.n < 2:
+            return np.zeros(self.a.shape[0])
+        top = np.partition(self.a, -2, axis=-1)[:, -2:]
+        return top[:, 0] * top[:, 1]
+
+    def power_sum(self, e: float) -> np.ndarray:
+        """sum_i |a_i|^e, memoised per exponent."""
+        value = self._powers.get(e)
+        if value is None:
+            value = self._powers[e] = np.sum(self.a**e, axis=-1)
+        return value
+
+    @cached_property
+    def lagrange(self) -> "LagrangeParts":
+        """The parts of the norm-of-combination identity, per system."""
+        return LagrangeParts(
+            coeff_sum=self.coeff_norm_sq,
+            norm_sum=self.agg.norm_sum,
+            combo_norm_sq=self.lhs,
+            pair_sum=_pair_sum(self.alphas.conj(), self.rows),
+        )
+
+    def chain(self, method: CombinationMethod) -> tuple[np.ndarray, ...]:
+        """The chain of one bound family, tightest first, per system."""
+        return _CHAINS[method.kind](self, method)
+
+
+class CombinationInputs:
+    """One validated coefficient draw against one system: a
+    :class:`CombinationStack` of one.
+
+    Every value is read from the stack of one and kept, so any number of
+    bounds on the same draw validate and reduce the coefficients once. The
+    Gram side comes from the system's aggregates. Build with :meth:`build`.
     """
 
     def __init__(self, alphas: np.ndarray, zs: VectorSystem) -> None:
         self.alphas = alphas
         self.zs = zs
+        self.stack = CombinationStack(alphas[np.newaxis], zs.rows[np.newaxis], zs.as_stack().aggregates)
         self._powers: dict[float, np.floating] = {}
 
     @classmethod
@@ -166,46 +238,41 @@ class CombinationInputs:
     @cached_property
     def lhs(self) -> float:
         """||sum_i alphas[i] * z_i||^2 computed in coordinates."""
-        combo = self.alphas @ self.zs.rows
-        return float(np.real(np.vdot(combo, combo)))
+        return float(self.stack.lhs[0])
 
     @cached_property
     def coeff_norm_sq(self) -> float:
         """sum_i |alphas[i]|^2 as the inner product <a, a>."""
-        return float(np.real(np.vdot(self.alphas, self.alphas)))
+        return float(self.stack.coeff_norm_sq[0])
 
     @cached_property
     def a(self) -> np.ndarray:
         """|alphas|."""
-        return np.abs(self.alphas)
+        return self.stack.a[0]
 
     @cached_property
     def a_max(self) -> np.floating:
-        return np.max(self.a)
+        return self.stack.a_max[0]
 
     @cached_property
     def a_sum(self) -> np.floating:
-        return np.sum(self.a)
+        return self.stack.a_sum[0]
 
     @cached_property
     def top_pair_product(self) -> float:
         """max_{i != j} |a_i||a_j| — product of the two largest magnitudes."""
-        a = self.a
-        if a.shape[0] < 2:
-            return 0.0
-        top = np.partition(a, -2)[-2:]
-        return float(top[0] * top[1])
+        return float(self.stack.top_pair_product[0])
 
     def power_sum(self, e: float) -> np.floating:
         """sum_i |a_i|^e, memoised per exponent."""
         value = self._powers.get(e)
         if value is None:
-            value = self._powers[e] = np.sum(self.a**e)
+            value = self._powers[e] = self.stack.power_sum(e)[0]
         return value
 
     def bound(self, method: CombinationMethod, tol: ToleranceConfig | None = None) -> CombinationBoundResult:
         """Evaluate one combination bound on this draw."""
-        chain = _CHAINS[method.kind](self, method)
+        chain = tuple(float(c[0]) for c in self.stack.chain(method))
         return _make_result(self.lhs, chain, method, tol or self.zs.tol)
 
 
@@ -216,7 +283,8 @@ def combination_norm_sq(alphas: Sequence[Scalar], zs: VectorSystem) -> float:
 
 @dataclass(frozen=True)
 class LagrangeParts:
-    """Terms of the norm-of-combination identity.
+    """Terms of the norm-of-combination identity: floats for one system,
+    (T,) arrays for a stack.
 
     (sum |a_i|^2)(sum ||z_i||^2) - ||sum a_i z_i||^2
         = 1/2 * sum_{i,j} ||conj(a_i) z_j - conj(a_j) z_i||^2
@@ -225,55 +293,75 @@ class LagrangeParts:
     is the natural scale to judge it against.
     """
 
-    coeff_sum: float
-    norm_sum: float
-    combo_norm_sq: float
-    pair_sum: float
+    coeff_sum: float | np.ndarray
+    norm_sum: float | np.ndarray
+    combo_norm_sq: float | np.ndarray
+    pair_sum: float | np.ndarray
 
     @property
-    def residual(self) -> float:
+    def residual(self) -> float | np.ndarray:
         return abs(self.coeff_sum * self.norm_sum - self.combo_norm_sq - self.pair_sum)
 
     @property
-    def magnitude(self) -> float:
+    def magnitude(self) -> float | np.ndarray:
         return abs(self.coeff_sum * self.norm_sum) + abs(self.combo_norm_sq) + abs(self.pair_sum)
 
 
-# Entries of one block of pairwise differences in the Lagrange sum: bounds
+# Entries of one pass of pairwise differences in the Lagrange sum: bounds
 # the working memory (a few such arrays live at once) whatever n and dim.
 _PAIR_BLOCK_ENTRIES = 1 << 16
 
 
-def _pair_sum(ac: np.ndarray, rows: np.ndarray) -> float:
-    """sum_{i<j} ||ac_i z_j - ac_j z_i||^2, summed in coordinates.
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n vectors, read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
-    One block of rows i at a time, against the partners j > i: the block's
-    differences form a (block rows, partners, dim) array in which the pairs
-    with j <= i get zero coefficients, so the (n, n, dim) tensor is never
-    built.
+
+def _pair_sum(ac: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_{i<j} ||ac_i z_j - ac_j z_i||^2 per system, summed in coordinates,
+    for (T, n) coefficients and (T, n, dim) rows.
+
+    When one system's pairs fit the entry budget, each pass takes all pairs
+    of as many systems as fit, as one (systems, pairs, dim) array. Larger
+    systems go one at a time and one block of rows i at a time, against the
+    partners j > i: the block's differences form a (block rows, partners,
+    dim) array in which the pairs with j <= i get zero coefficients, so the
+    (n, n, dim) tensor is never built, and each block's squares are summed
+    by one BLAS dot. Either way a system's sum is taken over the same
+    entries in the same order in any stack.
     """
-    n, dim = rows.shape
+    count, n, dim = rows.shape
+    i, j = _pairs(n)
+    per_system = i.size * dim
+    total = np.zeros(count)
+    if per_system <= _PAIR_BLOCK_ENTRIES:
+        step = max(1, _PAIR_BLOCK_ENTRIES // max(per_system, 1))
+        for lo in range(0, count, step):
+            a, z = ac[lo : lo + step], rows[lo : lo + step]
+            diff = a[:, i, np.newaxis] * z[:, j] - a[:, j, np.newaxis] * z[:, i]
+            total[lo : lo + step] = sq_norms(diff.reshape(diff.shape[0], -1))
+        return total
     step = max(1, _PAIR_BLOCK_ENTRIES // (n * dim))
-    total = 0.0
-    for start in range(0, n - 1, step):
-        stop = min(start + step, n - 1)
-        upper = np.arange(start + 1, n) > np.arange(start, stop)[:, np.newaxis]
-        left = np.where(upper, ac[start:stop, np.newaxis], 0.0)
-        right = np.where(upper, ac[start + 1 :], 0.0)
-        diff = (left[:, :, np.newaxis] * rows[start + 1 :]
-                - right[:, :, np.newaxis] * rows[start:stop, np.newaxis, :])
-        total += float(np.real(np.vdot(diff, diff)))
+    for t in range(count):
+        a, z = ac[t : t + 1], rows[t : t + 1]
+        for start in range(0, n - 1, step):
+            stop = min(start + step, n - 1)
+            upper = np.arange(start + 1, n) > np.arange(start, stop)[:, np.newaxis]
+            left = np.where(upper, a[:, start:stop, np.newaxis], 0.0)
+            right = np.where(upper, a[:, np.newaxis, start + 1 :], 0.0)
+            diff = (left[:, :, :, np.newaxis] * z[:, np.newaxis, start + 1 :]
+                    - right[:, :, :, np.newaxis] * z[:, start:stop, np.newaxis, :])
+            total[t] += np.real(np.vdot(diff, diff))
     return total
 
 
 def lagrange_identity_parts(alphas: Sequence[Scalar], zs: VectorSystem) -> LagrangeParts:
-    c = CombinationInputs.build(alphas, zs)
-    return LagrangeParts(
-        coeff_sum=c.coeff_norm_sq,
-        norm_sum=float(zs.aggregates.norm_sum),
-        combo_norm_sq=c.lhs,
-        pair_sum=_pair_sum(c.alphas.conj(), zs.rows),
-    )
+    p = CombinationInputs.build(alphas, zs).stack.lagrange
+    return LagrangeParts(float(p.coeff_sum[0]), float(p.norm_sum[0]), float(p.combo_norm_sq[0]), float(p.pair_sum[0]))
 
 
 def lagrange_identity_residual(alphas: Sequence[Scalar], zs: VectorSystem) -> float:
@@ -296,74 +384,74 @@ def _make_result(
     )
 
 
-# -- the bound families: one chain formula each, over CombinationInputs -----
+# -- the bound families: one chain formula each, over a CombinationStack -----
 
 
-def _cauchy_schwarz_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
-    return (c.coeff_norm_sq * float(c.zs.aggregates.norm_sum),)
+def _cauchy_schwarz_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
+    return (c.coeff_norm_sq * c.agg.norm_sum,)
 
 
-def _diag_term(branch: DiagBranch, exp: float | None, c: CombinationInputs) -> float:
-    g = c.zs.aggregates
+def _diag_term(branch: DiagBranch, exp: float | None, c: CombinationStack) -> np.ndarray:
+    g = c.agg
     if branch == "max_coeff":
-        return float(c.a_max**2 * g.norm_sum)
+        return c.a_max**2 * g.norm_sum
     if branch == "holder":
         q = conjugate_exponent(exp)
-        return float(c.power_sum(2 * exp) ** (1 / exp) * g.power_sum("norms_sq", q) ** (1 / q))
-    return float(c.power_sum(2) * g.norm_max)
+        return c.power_sum(2 * exp) ** (1 / exp) * g.power_sum("norms_sq", q) ** (1 / q)
+    return c.power_sum(2) * g.norm_max
 
 
-def _offdiag_term(branch: OffdiagBranch, exp: float | None, c: CombinationInputs) -> float:
-    g = c.zs.aggregates
+def _offdiag_term(branch: OffdiagBranch, exp: float | None, c: CombinationStack) -> np.ndarray:
+    g = c.agg
     if branch == "max_coeff":
-        return c.top_pair_product * float(g.offdiag_sum)
+        return c.top_pair_product * g.offdiag_sum
     if branch == "holder":
         q = conjugate_exponent(exp)
-        coeff = max(float(c.power_sum(exp) ** 2 - c.power_sum(2 * exp)), 0.0)
-        return coeff ** (1 / exp) * float(g.power_sum("abs_offdiag", q)) ** (1 / q)
-    coeff = max(float(c.a_sum**2 - c.power_sum(2)), 0.0)
-    return coeff * float(g.offdiag_max)
+        coeff = np.maximum(c.power_sum(exp) ** 2 - c.power_sum(2 * exp), 0.0)
+        return coeff ** (1 / exp) * g.power_sum("abs_offdiag", q) ** (1 / q)
+    coeff = np.maximum(c.a_sum**2 - c.power_sum(2), 0.0)
+    return coeff * g.offdiag_max
 
 
-def _diag_offdiag_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
+def _diag_offdiag_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
     return (_diag_term(m.diag_branch, m.diag_exp, c) + _offdiag_term(m.offdiag_branch, m.offdiag_exp, c),)
 
 
-def _selection_max_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
-    g = c.zs.aggregates
-    sum_sq = float(c.power_sum(2))
-    max_off = float(g.offdiag_max)
-    tight = float(g.norm_max) * sum_sq + max_off * max(float(c.a_sum**2) - sum_sq, 0.0)
-    coarse = sum_sq * (float(g.norm_max) + (c.zs.n - 1) * max_off)
+def _selection_max_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
+    g = c.agg
+    sum_sq = c.power_sum(2)
+    max_off = g.offdiag_max
+    tight = g.norm_max * sum_sq + max_off * np.maximum(c.a_sum**2 - sum_sq, 0.0)
+    coarse = sum_sq * (g.norm_max + (c.n - 1) * max_off)
     return (tight, coarse)
 
 
-def _selection_frobenius_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
-    g = c.zs.aggregates
-    sum_sq = float(c.power_sum(2))
-    off_frob = math.sqrt(float(g.offdiag_sum_sq))
-    coeff = math.sqrt(max(sum_sq**2 - float(c.power_sum(4)), 0.0))
-    tight = float(g.norm_max) * sum_sq + off_frob * coeff
-    coarse = sum_sq * (float(g.norm_max) + off_frob)
+def _selection_frobenius_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
+    g = c.agg
+    sum_sq = c.power_sum(2)
+    off_frob = np.sqrt(g.offdiag_sum_sq)
+    coeff = np.sqrt(np.maximum(sum_sq**2 - c.power_sum(4), 0.0))
+    tight = g.norm_max * sum_sq + off_frob * coeff
+    coarse = sum_sq * (g.norm_max + off_frob)
     return (tight, coarse)
 
 
-def _row_sum_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
-    g = c.zs.aggregates
-    base = float(np.sum(c.a**2 * g.row_sums))
+def _row_sum_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
+    g = c.agg
+    base = np.sum(c.a**2 * g.row_sums, axis=-1)
     if m.branch == "max_coeff":
-        relaxed = float(c.a_max**2 * g.row_sum_total)
+        relaxed = c.a_max**2 * g.row_sum_total
     elif m.branch == "holder":
         q = conjugate_exponent(m.p)
-        relaxed = float(c.power_sum(2 * m.p) ** (1 / m.p) * g.power_sum("row_sums", q) ** (1 / q))
+        relaxed = c.power_sum(2 * m.p) ** (1 / m.p) * g.power_sum("row_sums", q) ** (1 / q)
     else:
-        relaxed = float(c.power_sum(2) * g.row_max)
+        relaxed = c.power_sum(2) * g.row_max
     return (base, relaxed)
 
 
-def _holder_gram_chain(c: CombinationInputs, m: CombinationMethod) -> tuple[float, ...]:
+def _holder_gram_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
     q = conjugate_exponent(m.p)
-    return (float(c.power_sum(m.p) ** (2 / m.p) * c.zs.aggregates.power_sum("abs_gram", q) ** (1 / q)),)
+    return (c.power_sum(m.p) ** (2 / m.p) * c.agg.power_sum("abs_gram", q) ** (1 / q),)
 
 
 _CHAINS = {

@@ -17,16 +17,15 @@ flags instead of silently reconciling the difference.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotOrthonormalError, NumericalInstabilityError, NumericalWarning
-from .gram import PivotedCholesky, VectorSystem, gram_det_of_matrix, require_independent
+from .gram import FactorStack, NormalizedGram, VectorSystem, factor_stack, require_independent
 from .orthonormalize import distance_sq_by_orthonormalization
-from .space import DEFAULT_TOL, Field, Scalar, ToleranceConfig, Vector, norm_sq
+from .space import Field, Scalar, ToleranceConfig, Vector, norm_sq, re_inner_rows, sq_norms
 
 __all__ = [
     "DistanceResult",
@@ -46,10 +45,119 @@ __all__ = [
 WELL_CONDITIONED_LIMIT = 1e6
 
 
+# -- stacked kernels: T systems (T, n, dim), vectors (T, dim), one value each --
+
+
+def beta_stack(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(T, n) inner products beta[t, i] = <x[t], rows[t, i]>."""
+    return (rows.conj() @ x[:, :, np.newaxis])[:, :, 0]
+
+
+def orth_complement_stack(
+    xx: np.ndarray, beta: np.ndarray, norm_max: np.ndarray, tol: ToleranceConfig
+) -> np.ndarray:
+    """Whether every <x, x_i> is negligible at the scale of x and the system."""
+    scale = np.sqrt(xx) * np.sqrt(norm_max)
+    return np.abs(beta).max(axis=-1, initial=0.0) <= tol.orth_rel_tol * scale
+
+
+def _solve_spd(factor: FactorStack, b: np.ndarray) -> np.ndarray:
+    """Solve G a = b for each complete factorization P G P^T = L L^H."""
+    lower, perm = factor.lower, factor.perm
+    natural = bool((perm == np.arange(perm.shape[-1])).all())
+    if not natural:
+        b = np.take_along_axis(b, perm, axis=-1)
+    z = np.linalg.solve(np.swapaxes(lower.conj(), -1, -2), np.linalg.solve(lower, b[:, :, np.newaxis]))[:, :, 0]
+    if natural:
+        return z
+    a = np.empty_like(z)
+    np.put_along_axis(a, perm, z, axis=-1)
+    return a
+
+
+def quadratic_stack(
+    factor: FactorStack, xx: np.ndarray, beta: np.ndarray, tol: ToleranceConfig
+) -> np.ndarray:
+    """d^2 = ||x||^2 - beta* G^{-1} beta, clamped at zero, for the systems
+    whose factorization is complete (NaN for the others).
+
+    A tiny negative value from cancellation is clamped silently; a negative
+    value beyond comparison tolerance (relative to ||x||^2) additionally
+    emits a NumericalWarning before clamping.
+    """
+    everywhere = factor.complete.all()
+    if everywhere:
+        part, b, x2 = factor, beta, xx
+    else:
+        idx = np.flatnonzero(factor.complete)
+        part = FactorStack._make(field[idx] for field in factor)
+        b, x2 = beta[idx], xx[idx]
+    # The projection coefficients c satisfy conj(G) c = beta under our
+    # entry convention G[i, j] = <x_i, x_j>, and ||Px||^2 = Re sum conj(beta) c.
+    # Solving G w = conj(beta) and conjugating is the same thing.
+    value = x2 - re_inner_rows(b, np.conj(_solve_spd(part, np.conj(b))))
+    if value.size and value.min() < 0.0:
+        for v in value[value < -tol.compare_rel_tol * (1.0 + x2)].tolist():
+            warnings.warn(
+                f"quadratic-form distance {v:.3e} is negative beyond tolerance",
+                NumericalWarning,
+                stacklevel=3,
+            )
+    if everywhere:
+        return np.maximum(value, 0.0)
+    out = np.full(xx.shape, np.nan)
+    out[idx] = np.maximum(value, 0.0)
+    return out
+
+
+def gram_ratio_stack(
+    normalized: NormalizedGram, complete: np.ndarray, xx: np.ndarray, beta: np.ndarray, tol: ToleranceConfig
+) -> np.ndarray:
+    """d^2 via the ratio of the augmented to the base Gram determinant, for
+    the independent systems (NaN for the others).
+
+    Both determinants are taken over unit-normalised copies of the vectors:
+    the ratio is invariant under per-vector scaling and x contributes
+    exactly ||x||^2. The normalised Gram matrices have unit diagonal, so
+    the factorisation pivots all live on one scale — mismatched vector
+    norms can neither trip the rank test nor wash out the quotient's
+    relative precision.
+    """
+    live = complete & (xx != 0.0)
+    if np.any((normalized.det <= 0.0) & live):
+        raise NumericalInstabilityError(
+            "normalised Gram determinant vanished for a system that passed the rank test"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta_hat = beta / (normalized.norms * np.sqrt(xx)[:, np.newaxis])
+    if not live.all():
+        beta_hat = np.where(live[:, np.newaxis], beta_hat, 0.0)
+    count, n = beta.shape
+    aug = np.empty((count, n + 1, n + 1), dtype=normalized.entries.dtype)
+    aug[:, :n, :n] = normalized.entries
+    aug[:, :n, n] = beta_hat.conj()
+    aug[:, n, :n] = beta_hat
+    aug[:, n, n] = 1.0
+    value = xx * factor_stack(aug, tol.rank_rel_tol).det / normalized.det
+    return value if live.all() else np.where(complete, np.where(xx == 0.0, 0.0, value), np.nan)
+
+
+def projection_stack(rows: np.ndarray, xx: np.ndarray, beta: np.ndarray, in_orth: np.ndarray) -> np.ndarray:
+    """The projection quotient ||x||^2 - S^2 / ||sum_i beta_i x_i||^2, clamped
+    at zero; ||x||^2 where x is orthogonal to the whole system."""
+    combo = (beta[:, np.newaxis, :] @ rows)[:, 0, :]
+    s = sq_norms(beta)
+    value = np.maximum(xx - s * s / np.where(in_orth, 1.0, sq_norms(combo)), 0.0)
+    return np.where(in_orth, xx, value)
+
+
+# -- one system: the kernels on a stack of one ---------------------------------
+
+
 def coefficients(system: VectorSystem, x: Vector) -> np.ndarray:
     """Inner products beta_i = <x, x_i> as an ndarray."""
     system._check_member(x)
-    return system.rows.conj() @ x.coords.astype(system.field.dtype)
+    return beta_stack(system.rows[np.newaxis], x.coords.astype(system.field.dtype)[np.newaxis])[0]
 
 
 def in_orthogonal_complement(
@@ -61,8 +169,8 @@ def in_orthogonal_complement(
 
 def _in_orth_complement(system: VectorSystem, xx: float, beta: np.ndarray, tol: ToleranceConfig) -> bool:
     """:func:`in_orthogonal_complement` given ||x||^2 and beta."""
-    scale = math.sqrt(xx) * math.sqrt(float(system.aggregates.norm_max))
-    return bool(np.max(np.abs(beta), initial=0.0) <= tol.orth_rel_tol * scale)
+    norm_max = system.as_stack().aggregates.norm_max
+    return bool(orth_complement_stack(np.array([xx]), beta[np.newaxis], norm_max, tol)[0])
 
 
 def is_orthonormal(system: VectorSystem, tol: ToleranceConfig | None = None) -> bool:
@@ -71,46 +179,19 @@ def is_orthonormal(system: VectorSystem, tol: ToleranceConfig | None = None) -> 
     return bool(system.aggregates.identity_deviation <= tol.orth_rel_tol)
 
 
-def _solve_spd(chol: PivotedCholesky, b: np.ndarray) -> np.ndarray:
-    """Solve G a = b given the complete factorization P G P^T = L L^H."""
-    lower = chol.lower
-    z = np.linalg.solve(lower.conj().T, np.linalg.solve(lower, b[chol.perm]))
-    a = np.empty_like(z)
-    a[chol.perm] = z
-    return a
-
-
 def distance_sq_gram_ratio(system: VectorSystem, x: Vector) -> float:
-    """d^2 via the ratio of the augmented to the base Gram determinant.
-
-    Both determinants are taken over unit-normalised copies of the vectors:
-    the ratio is invariant under per-vector scaling and x contributes
-    exactly ||x||^2. The normalised Gram matrices have unit diagonal, so
-    the factorisation pivots all live on one scale — mismatched vector
-    norms can neither trip the rank test nor wash out the quotient's
-    relative precision.
-    """
+    """d^2 via the ratio of the augmented to the base Gram determinant
+    (see :func:`gram_ratio_stack`)."""
     require_independent(system)
     return _gram_ratio(system, norm_sq(x), coefficients(system, x))
 
 
 def _gram_ratio(system: VectorSystem, xx: float, beta: np.ndarray) -> float:
     """:func:`distance_sq_gram_ratio` given ||x||^2 and beta."""
-    if xx == 0.0:
-        return 0.0
-    base = system.normalized_gram()
-    if base.det <= 0.0:
-        raise NumericalInstabilityError(
-            "normalised Gram determinant vanished for a system that passed the rank test"
-        )
-    beta_hat = beta / (base.norms * math.sqrt(xx))
-    n = system.n
-    aug = np.empty((n + 1, n + 1), dtype=base.entries.dtype)
-    aug[:n, :n] = base.entries
-    aug[:n, n] = beta_hat.conj()
-    aug[n, :n] = beta_hat
-    aug[n, n] = 1.0
-    return xx * gram_det_of_matrix(aug, system.tol.rank_rel_tol) / base.det
+    stack = system.as_stack()
+    return float(
+        gram_ratio_stack(stack.normalized, stack.factor.complete, np.array([xx]), beta[np.newaxis], stack.tol)[0]
+    )
 
 
 def distance_sq_quadratic(system: VectorSystem, x: Vector) -> float:
@@ -125,22 +206,9 @@ def distance_sq_quadratic(system: VectorSystem, x: Vector) -> float:
 
 
 def _quadratic(system: VectorSystem, xx: float, beta: np.ndarray) -> float:
-    """:func:`distance_sq_quadratic` given ||x||^2 and beta; warns at the
-    caller of the public function that called it."""
-    # The projection coefficients c satisfy conj(G) c = beta under our
-    # entry convention G[i, j] = <x_i, x_j>, and ||Px||^2 = Re sum conj(beta) c.
-    # Solving G w = conj(beta) and conjugating is the same thing.
-    a = np.conj(_solve_spd(system.cholesky, np.conj(beta)))
-    value = xx - float(np.real(np.vdot(beta, a)))
-    if value < 0.0:
-        if value < -system.tol.compare_rel_tol * (1.0 + xx):
-            warnings.warn(
-                f"quadratic-form distance {value:.3e} is negative beyond tolerance",
-                NumericalWarning,
-                stacklevel=3,
-            )
-        value = 0.0
-    return value
+    """:func:`distance_sq_quadratic` given ||x||^2 and beta."""
+    stack = system.as_stack()
+    return float(quadratic_stack(stack.factor, np.array([xx]), beta[np.newaxis], stack.tol)[0])
 
 
 def distance_sq_projection(system: VectorSystem, x: Vector) -> float:
@@ -153,14 +221,12 @@ def distance_sq_projection(system: VectorSystem, x: Vector) -> float:
     return _projection(system, norm_sq(x), coefficients(system, x))
 
 
-def _projection(system: VectorSystem, xx: float, beta: np.ndarray) -> float:
-    """:func:`distance_sq_projection` given ||x||^2 and beta."""
-    if _in_orth_complement(system, xx, beta, system.tol):
-        return xx
-    combo = beta @ system.rows
-    s = float(np.real(np.vdot(beta, beta)))
-    value = xx - s * s / float(np.real(np.vdot(combo, combo)))
-    return max(value, 0.0)
+def _projection(system: VectorSystem, xx: float, beta: np.ndarray, in_orth: bool | None = None) -> float:
+    """:func:`distance_sq_projection` given ||x||^2 and beta (and whether x
+    is orthogonal to the system at the system's tolerance, if known)."""
+    if in_orth is None:
+        in_orth = _in_orth_complement(system, xx, beta, system.tol)
+    return float(projection_stack(system.rows[np.newaxis], np.array([xx]), beta[np.newaxis], np.array([in_orth]))[0])
 
 
 def distance_sq_orthonormal(system: VectorSystem, x: Vector) -> float:
@@ -168,7 +234,7 @@ def distance_sq_orthonormal(system: VectorSystem, x: Vector) -> float:
     if not is_orthonormal(system):
         raise NotOrthonormalError("system is not orthonormal to tolerance")
     beta = coefficients(system, x)
-    return max(norm_sq(x) - float(np.real(np.vdot(beta, beta))), 0.0)
+    return max(norm_sq(x) - float(sq_norms(beta)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -210,7 +276,8 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
     xx = norm_sq(x)
     d2_ratio = _gram_ratio(system, xx, beta)
     d2_quad = _quadratic(system, xx, beta)
-    d2_proj = _projection(system, xx, beta)
+    in_orth = _in_orth_complement(system, xx, beta, tol)
+    d2_proj = _projection(system, xx, beta, in_orth if tol is system.tol else None)
     agree = abs(d2_ratio - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
     proj_match = abs(d2_proj - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
     condition = system.gram_condition()
@@ -220,7 +287,7 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
         d2_quadratic=d2_quad,
         d2_projection=d2_proj,
         beta=tuple(float(b.real) if field is Field.REAL else complex(b) for b in beta),
-        in_orth_complement=_in_orth_complement(system, xx, beta, tol),
+        in_orth_complement=in_orth,
         in_subspace=d2_quad <= tol.compare_rel_tol * xx,
         agreement_ok=agree,
         projection_matches=proj_match,

@@ -12,20 +12,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import IntervalData
-from .distance import in_orthogonal_complement
-from .errors import NumericalInstabilityError
-from .gram import VectorSystem
-from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector
+from .distance import beta_stack, orth_complement_stack
+from .errors import DimensionMismatchError, NumericalInstabilityError
+from .gram import SystemStack, VectorSystem
+from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, sq_norms
 
 __all__ = [
     "GeneratorConfig",
     "Instance",
+    "InstanceChunk",
     "trial_rng",
     "child_rng",
+    "generate_chunk",
     "generate_instance",
 ]
 
@@ -92,6 +95,71 @@ class Instance:
     trial: int | None = None
 
 
+class InstanceChunk:
+    """Consecutive instances of one stream as stacked arrays: a chunk of T
+    trials.
+
+    ``systems`` holds the T systems and ``views`` one
+    :class:`~spandist.gram.VectorSystem` view of each, ``x`` the (T, dim)
+    vectors, ``lo`` and ``hi`` the (T, n) interval data (None without it;
+    ``widths`` is hi - lo), and ``trials`` the trial index of each entry.
+    Each trial's numbers are the same bits in a chunk of one as in any
+    larger chunk, so :meth:`instance` gives exactly what
+    :func:`generate_instance` does, and :meth:`of` turns any instance into a
+    chunk of one.
+    """
+
+    def __init__(
+        self,
+        systems: SystemStack,
+        views: tuple[VectorSystem, ...],
+        x: np.ndarray,
+        lo: np.ndarray | None,
+        hi: np.ndarray | None,
+        seed: int | None,
+        trials: tuple[int | None, ...],
+    ) -> None:
+        self.systems = systems
+        self.views = views
+        self.x = x
+        self.lo = lo
+        self.hi = hi
+        self.widths = None if lo is None else hi - lo
+        self.seed = seed
+        self.trials = trials
+        self.size = len(trials)
+
+    def instance(self, k: int) -> Instance:
+        """The k-th instance of the chunk, its system a view into the stack."""
+        field = self.systems.field
+        intervals = None
+        if self.lo is not None:
+            scalar = float if field is Field.REAL else complex
+            intervals = IntervalData(gammas=tuple(map(scalar, self.lo[k])), Gammas=tuple(map(scalar, self.hi[k])))
+        return Instance(
+            system=self.views[k],
+            x=Vector(self.x[k], field),
+            intervals=intervals,
+            seed=self.seed,
+            trial=self.trials[k],
+        )
+
+    @classmethod
+    def of(cls, instance: Instance) -> "InstanceChunk":
+        """One instance as a chunk of one."""
+        system, x, iv = instance.system, instance.x, instance.intervals
+        system._check_member(x)
+        lo = hi = None
+        if iv is not None:
+            if iv.n != system.n:
+                raise DimensionMismatchError(f"interval data for {iv.n} vectors, system has {system.n}")
+            lo, hi = (a[np.newaxis] for a in iv.arrays(system.field))
+        xc = x.coords.astype(system.field.dtype)[np.newaxis]
+        stack = system.as_stack()
+        view = system if stack is system._stack else stack.view(0)
+        return cls(stack, (view,), xc, lo, hi, instance.seed, (instance.trial,))
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Primary stream for one trial: Philox keyed by (seed, trial)."""
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
@@ -103,10 +171,12 @@ def child_rng(instance: Instance, salt: int) -> np.random.Generator:
     Uses the same (seed, trial) key with the counter advanced into a
     disjoint block selected by ``salt``.
     """
-    seed = instance.seed if instance.seed is not None else 0
-    trial = instance.trial if instance.trial is not None else 0
-    bg = np.random.Philox(key=[seed, trial], counter=[0, 0, int(salt), 0])
-    return np.random.Generator(bg)
+    return _child_rng(instance.seed, instance.trial, salt)
+
+
+def _child_rng(seed: int | None, trial: int | None, salt: int) -> np.random.Generator:
+    key = [seed if seed is not None else 0, trial if trial is not None else 0]
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, int(salt), 0]))
 
 
 def _standard(rng: np.random.Generator, shape: tuple[int, ...], field: Field) -> np.ndarray:
@@ -115,98 +185,169 @@ def _standard(rng: np.random.Generator, shape: tuple[int, ...], field: Field) ->
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def _orthonormal_frame(rng: np.random.Generator, rows: int, dim: int, field: Field) -> np.ndarray:
-    """rows x dim matrix with orthonormal rows (Haar-ish via QR)."""
-    q, r = np.linalg.qr(_standard(rng, (dim, rows), field))
+def _per_trial(rngs: Sequence[np.random.Generator], draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
+    """A (T, ...) array of one ``draw`` from each trial's generator."""
+    if len(rngs) == 1:
+        return draw(rngs[0])[np.newaxis]
+    return np.stack([draw(rng) for rng in rngs])
+
+
+def _orthonormal_frames(
+    rngs: Sequence[np.random.Generator], rows: int, dim: int, field: Field
+) -> np.ndarray:
+    """(T, rows, dim) stack of matrices with orthonormal rows (Haar-ish via
+    QR), one from each generator."""
+    q, r = np.linalg.qr(_per_trial(rngs, lambda rng: _standard(rng, (dim, rows), field)))
     # fix the QR sign/phase ambiguity so the draw is a pure function of the data
-    d = r.diagonal()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
     safe = np.where(mags == 0.0, 1.0, mags)
     phases = np.where(mags == 0.0, 1.0, (d / safe).conj())
-    return (q * phases).T
+    return np.swapaxes(q * phases[:, np.newaxis, :], -1, -2)
 
 
-def _conditioned_rows(rng: np.random.Generator, cfg: GeneratorConfig) -> np.ndarray:
-    """Rows whose Gram matrix has condition number exactly cfg.conditioning."""
+def _conditioned_rows(rngs: Sequence[np.random.Generator], cfg: GeneratorConfig) -> np.ndarray:
+    """(T, n, dim) rows whose Gram matrices have condition number exactly
+    cfg.conditioning."""
     n, dim, field = cfg.n, cfg.dim, cfg.field
     if cfg.orthonormal:
-        return _orthonormal_frame(rng, n, dim, field)
-    left = _orthonormal_frame(rng, n, n, field).T  # n x n unitary
-    right = _orthonormal_frame(rng, n, dim, field)  # n x dim, orthonormal rows
+        return _orthonormal_frames(rngs, n, dim, field)
+    left = np.swapaxes(_orthonormal_frames(rngs, n, n, field), -1, -2)  # n x n unitaries
+    right = _orthonormal_frames(rngs, n, dim, field)  # n x dim, orthonormal rows
     if n == 1:
         sigmas = np.ones(1)
     else:
         sigmas = np.geomspace(1.0, 1.0 / math.sqrt(cfg.conditioning), n)
-    scale = math.exp(rng.uniform(-0.5, 0.5))
-    return scale * ((left * sigmas) @ right)
+    scale = np.array([math.exp(rng.uniform(-0.5, 0.5)) for rng in rngs])
+    return scale[:, np.newaxis, np.newaxis] * ((left * sigmas) @ right)
 
 
-def _draw_x(
-    rng: np.random.Generator, system: VectorSystem, tol: ToleranceConfig
-) -> Vector:
-    for _ in range(_MAX_REDRAWS):
-        x = Vector(_standard(rng, (system.dim,), system.field), system.field)
-        if not in_orthogonal_complement(system, x, tol):
-            return x
-    raise NumericalInstabilityError("could not draw x outside the orthogonal complement")
+def _off_complement(
+    points: np.ndarray,
+    systems: SystemStack,
+    tol: ToleranceConfig,
+    redraw: Callable[[int], np.ndarray | None],
+    what: str,
+    failed: np.ndarray | None = None,
+) -> np.ndarray:
+    """Keep each point outside the orthogonal complement of its system.
+
+    ``points`` holds each trial's first attempt; ``failed`` marks the
+    trials whose first attempt failed already. A trial whose point is
+    orthogonal to its system draws again from its own generator,
+    ``redraw(k)`` giving one attempt (None for a failed one), up to
+    _MAX_REDRAWS attempts in all.
+    """
+    norm_max = systems.aggregates.norm_max
+
+    def orthogonal(p: np.ndarray, k: slice) -> np.ndarray:
+        return orth_complement_stack(sq_norms(p), beta_stack(systems.rows[k], p), norm_max[k], tol)
+
+    bad = orthogonal(points, slice(None))
+    if failed is not None:
+        bad |= failed
+    for k in np.flatnonzero(bad).tolist():
+        for _ in range(_MAX_REDRAWS - 1):
+            p = redraw(k)
+            if p is not None and not orthogonal(p[np.newaxis], slice(k, k + 1))[0]:
+                points[k] = p
+                break
+        else:
+            raise NumericalInstabilityError(f"could not draw {what} outside the orthogonal complement")
+    return points
 
 
-def _draw_ball_instance(
-    rng: np.random.Generator, system: VectorSystem, tol: ToleranceConfig
-) -> tuple[Vector, IntervalData]:
+def _draw_points(
+    rngs: Sequence[np.random.Generator], systems: SystemStack, tol: ToleranceConfig
+) -> np.ndarray:
+    field, dim = systems.field, systems.dim
+    points = _per_trial(rngs, lambda rng: _standard(rng, (dim,), field))
+    return _off_complement(points, systems, tol, lambda k: _standard(rngs[k], (dim,), field), "x")
+
+
+def _ball_attempt(
+    rng: np.random.Generator, center: np.ndarray, radius: np.ndarray, field: Field
+) -> np.ndarray | None:
+    """One draw of a point of the ball: center + rho * radius * unit direction
+    for (1, dim) center and (1,) radius; None when the direction is zero."""
+    direction = _standard(rng, (center.shape[-1],), field)[np.newaxis]
+    if not np.any(direction):
+        return None
+    rho = np.array([rng.uniform(0.0, 0.9)])
+    return _ball_points(center, radius, direction, rho)[0]
+
+
+def _ball_points(center: np.ndarray, radius: np.ndarray, direction: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return center + (rho * radius)[:, np.newaxis] * direction / np.sqrt(sq_norms(direction))[:, np.newaxis]
+
+
+def _draw_ball_points(
+    rngs: Sequence[np.random.Generator], systems: SystemStack, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interval data plus an x inside the ball the condition describes.
 
     gamma/Gamma are midpoint +- half-width; x = (midpoint combination)
     + rho * radius * unit, rho <= 0.9, which satisfies the two-sided
-    condition by construction.
+    condition by construction. Returns (x, gamma, Gamma) stacks.
     """
-    field = system.field
-    n = system.n
-    mids = _standard(rng, (n,), field)
-    mags = 0.25 + rng.uniform(0.0, 1.0, n)
+    field, n, rows = systems.field, systems.n, systems.rows
+    mids = _per_trial(rngs, lambda rng: _standard(rng, (n,), field))
+    mags = _per_trial(rngs, lambda rng: 0.25 + rng.uniform(0.0, 1.0, n))
     if field is Field.COMPLEX:
-        phases = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n))
-        widths = mags * phases
+        widths = mags * _per_trial(rngs, lambda rng: np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n)))
     else:
         widths = mags
-    lo = mids - widths
-    hi = mids + widths
-    center = mids @ system.rows
-    radius = float(np.linalg.norm(widths @ system.rows))
-    for _ in range(_MAX_REDRAWS):
-        direction = _standard(rng, (system.dim,), field)
-        dn = float(np.linalg.norm(direction))
-        if dn == 0.0:
-            continue
-        rho = rng.uniform(0.0, 0.9)
-        x = Vector(center + rho * radius * direction / dn, field)
-        if not in_orthogonal_complement(system, x, tol):
-            if field is Field.REAL:
-                iv = IntervalData(gammas=tuple(map(float, lo)), Gammas=tuple(map(float, hi)))
-            else:
-                iv = IntervalData(gammas=tuple(map(complex, lo)), Gammas=tuple(map(complex, hi)))
-            return x, iv
-    raise NumericalInstabilityError("could not draw a ball point outside the orthogonal complement")
+    center = (mids[:, np.newaxis, :] @ rows)[:, 0, :]
+    radius = np.sqrt(sq_norms((widths[:, np.newaxis, :] @ rows)[:, 0, :]))
+    directions = _per_trial(rngs, lambda rng: _standard(rng, (systems.dim,), field))
+    live = np.any(directions != 0.0, axis=-1)
+    rho = np.array([rng.uniform(0.0, 0.9) if ok else 0.0 for rng, ok in zip(rngs, live.tolist())])
+    failed = None
+    if not live.all():
+        failed = ~live
+        directions[failed] = 1.0  # a placeholder point, replaced by the redraws
+    points = _ball_points(center, radius, directions, rho)
+
+    def redraw(k: int) -> np.ndarray | None:
+        return _ball_attempt(rngs[k], center[k : k + 1], radius[k : k + 1], field)
+
+    points = _off_complement(points, systems, tol, redraw, "a ball point", failed)
+    return points, mids - widths, mids + widths
+
+
+def generate_chunk(
+    config: GeneratorConfig, trials: range, tol: ToleranceConfig = DEFAULT_TOL
+) -> InstanceChunk:
+    """Build the instances of consecutive trials as one chunk. Each trial
+    draws from its own Philox stream and its numbers do not depend on the
+    other trials of the chunk, so this is pure and replayable per trial."""
+    for trial in (trials.start, trials.stop - 1):
+        if not 0 <= trial < config.trials:
+            raise ValueError(f"trial index {trial} outside the configured range [0, {config.trials})")
+    rngs = [trial_rng(config.seed, t) for t in trials]
+    rows = _conditioned_rows(rngs, config)
+    if config.dependent_fraction > 0.0:
+        for k, rng in enumerate(rngs):
+            if rng.uniform() < config.dependent_fraction:
+                victim = int(rng.integers(config.n))
+                coeffs = _standard(rng, (config.n,), config.field)
+                coeffs[victim] = 0.0
+                rows[k, victim] = (coeffs[np.newaxis] @ rows[k])[0]
+    systems = SystemStack(rows, config.field, tol)
+    if config.intervals:
+        x, lo, hi = _draw_ball_points(rngs, systems, tol)
+    else:
+        x, lo, hi = _draw_points(rngs, systems, tol), None, None
+    for a in (x, lo, hi):
+        if a is not None:
+            a.setflags(write=False)
+    views = tuple(systems.view(k) for k in range(len(trials)))
+    return InstanceChunk(systems, views, x, lo, hi, config.seed, tuple(trials))
 
 
 def generate_instance(
     config: GeneratorConfig, trial: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Instance:
-    """Build the instance for one (config, trial) pair. Pure and replayable."""
-    if not 0 <= trial < config.trials:
-        raise ValueError(f"trial index {trial} outside the configured range [0, {config.trials})")
-    rng = trial_rng(config.seed, trial)
-    rows = _conditioned_rows(rng, config)
-    make_dependent = config.dependent_fraction > 0.0 and rng.uniform() < config.dependent_fraction
-    if make_dependent:
-        victim = int(rng.integers(config.n))
-        coeffs = _standard(rng, (config.n,), config.field)
-        coeffs[victim] = 0.0
-        rows = rows.copy()
-        rows[victim] = coeffs @ rows
-    system = VectorSystem.from_rows(rows, config.field, tol)
-    if config.intervals:
-        x, iv = _draw_ball_instance(rng, system, tol)
-        return Instance(system=system, x=x, intervals=iv, seed=config.seed, trial=trial)
-    x = _draw_x(rng, system, tol)
-    return Instance(system=system, x=x, intervals=None, seed=config.seed, trial=trial)
+    """Build the instance for one (config, trial) pair: a chunk of one.
+    Pure and replayable."""
+    return generate_chunk(config, range(trial, trial + 1), tol).instance(0)

@@ -2,12 +2,18 @@
 
 The Gram matrix G of vectors x_1..x_n has entries G[i, j] = <x_i, x_j>; it
 is Hermitian positive semidefinite, and its determinant is zero exactly when
-the system is linearly dependent. All determinant work goes through
-:func:`factor_gram`. It first runs LAPACK Cholesky on the equilibrated
-matrix (G[i, j] divided by powers of two near sqrt(G[i, i] G[j, j])) and
-keeps that factor only when a certificate on the size of its inverse proves
-that the reference factorization, :func:`pivoted_cholesky`, would find full
-rank; otherwise it runs the reference itself. The reference is a diagonally
+the system is linearly dependent. Systems are held in stacks: a
+:class:`SystemStack` keeps T systems of one shape as (T, n, dim) arrays and
+computes their Gram matrices, factorizations and aggregates over the whole
+stack at once, reducing only over each system's own axes; a
+:class:`VectorSystem` is one entry of a stack, and a standalone system is a
+stack of one. All determinant work goes through :func:`factor_stack`
+(:func:`factor_gram` for one matrix). It first runs LAPACK Cholesky on the
+equilibrated matrix (G[i, j] divided by powers of two near
+sqrt(G[i, i] G[j, j])) and keeps that factor only when a certificate on the
+size of its inverse proves that the reference factorization,
+:func:`pivoted_cholesky`, would find full rank; otherwise it runs the
+reference itself. The reference is a diagonally
 pivoted Cholesky factorization, which keeps the semidefinite structure
 explicit: the determinant is the product of the pivots, rank deficiency
 shows up as a pivot collapsing relative to the largest one, and a
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -34,12 +40,17 @@ from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector
 
 __all__ = [
     "GramMatrix",
+    "AggregateStack",
     "GramAggregates",
+    "FactorStack",
+    "SystemStack",
     "NormalizedGram",
     "PivotedCholesky",
     "RankDiagnostics",
     "VectorSystem",
     "pivoted_cholesky",
+    "factor_stack",
+    "factor_gram",
     "gram_det_of_matrix",
     "gram_matrix",
     "gram_determinant",
@@ -64,138 +75,22 @@ class GramMatrix:
     def n(self) -> int:
         return int(self.entries.shape[0])
 
-    def norms_sq(self) -> np.ndarray:
-        """Diagonal as a real array: ||x_i||^2."""
-        return np.ascontiguousarray(self.entries.diagonal().real)
-
-    def abs_offdiag(self) -> np.ndarray:
-        """|G[i, j]| with the diagonal zeroed out."""
-        a = np.abs(self.entries)
-        np.fill_diagonal(a, 0.0)
-        return a
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-class GramAggregates:
-    """Every Gram-matrix aggregate the bounds and checks read, each computed
-    once, on first access, and then kept.
-
-    Scalars are numpy float64 values exactly as numpy's reductions return
-    them, so a formula reads the same bits whether it takes an aggregate
-    from here or reduces the Gram matrix itself; arrays are read-only.
-    :meth:`power_sum` memoises the Hölder sums sum(array ** q) per exponent.
-    Attributes cannot be assigned.
-    """
-
-    def __init__(self, gram: GramMatrix) -> None:
-        self.__dict__["gram"] = gram
-        self.__dict__["_powers"] = {}
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GramAggregates is read-only")
-
-    @cached_property
-    def norms_sq(self) -> np.ndarray:
-        """||x_i||^2, the real diagonal."""
-        return _frozen(self.gram.norms_sq())
-
-    @cached_property
-    def norm_sum(self) -> np.floating:
-        return np.sum(self.norms_sq)
-
-    @cached_property
-    def norm_max(self) -> np.floating:
-        return np.max(self.norms_sq)
-
-    @cached_property
-    def norm_product(self) -> np.floating:
-        return np.prod(self.norms_sq)
-
-    @cached_property
-    def abs_gram(self) -> np.ndarray:
-        """|G[i, j]|."""
-        return _frozen(np.abs(self.gram.entries))
-
-    @cached_property
-    def abs_offdiag(self) -> np.ndarray:
-        """|G[i, j]| with the diagonal zeroed."""
-        return _frozen(self.gram.abs_offdiag())
-
-    @cached_property
-    def offdiag_max(self) -> np.floating:
-        """max_{i != j} |G[i, j]|; 0 for a single vector."""
-        return np.max(self.abs_offdiag, initial=0.0)
-
-    @cached_property
-    def offdiag_sum(self) -> np.floating:
-        return np.sum(self.abs_offdiag)
-
-    @cached_property
-    def offdiag_sum_sq(self) -> np.floating:
-        return np.sum(self.abs_offdiag**2)
-
-    @cached_property
-    def row_sums(self) -> np.ndarray:
-        """r_i = sum_j |G[i, j]|, diagonal included."""
-        return _frozen(np.sum(self.abs_gram, axis=1))
-
-    @cached_property
-    def row_sum_total(self) -> np.floating:
-        return np.sum(self.row_sums)
-
-    @cached_property
-    def row_max(self) -> np.floating:
-        return np.max(self.row_sums)
-
-    @cached_property
-    def abs_sum_sq(self) -> np.floating:
-        """sum_{i, j} |G[i, j]|^2, the squared Frobenius norm."""
-        return np.sum(self.abs_gram**2)
-
-    @cached_property
-    def identity_deviation(self) -> np.floating:
-        """max_{i, j} |G - I|: zero exactly for an orthonormal system."""
-        g = self.gram.entries
-        return np.max(np.abs(g - np.eye(self.gram.n, dtype=g.dtype)))
-
-    @cached_property
-    def chain_prefixes(self) -> "ChainPrefixes":
-        """Numerators and denominators of the Hadamard refinement chains for
-        every prefix at once (see :class:`ChainPrefixes`)."""
-        d = self.norms_sq
-        abs_g = self.abs_gram
-        numerators = np.sum(np.tril(abs_g**2, -1), axis=1)
-        norm_max = np.maximum.accumulate(d)
-        # max_{j<i} |G[i, j]| per row, then its running max over rows
-        offdiag_max = np.maximum.accumulate(np.max(np.tril(abs_g, -1), axis=1))
-        # column m of the row-wise cumsum holds sum_{j<=m} |G[i, j]|; the
-        # block of size m + 1 takes its max over rows i <= m
-        row_sums = np.max(np.triu(np.cumsum(abs_g, axis=1)), axis=0)
-        return ChainPrefixes(
-            numerators=_frozen(numerators),
-            total_norm=_frozen(np.cumsum(d)),
-            offdiag_frobenius=_frozen(norm_max + np.sqrt(2.0 * np.cumsum(numerators))),
-            offdiag_max=_frozen(norm_max + np.arange(d.shape[0]) * offdiag_max),
-            row_sums=_frozen(row_sums),
-        )
-
-    def power_sum(self, name: str, q: float) -> np.floating:
-        """sum(array ** q) for the array aggregate ``name`` ("norms_sq",
-        "abs_gram", "abs_offdiag" or "row_sums"), memoised per exponent."""
-        key = (name, q)
-        value = self._powers.get(key)
-        if value is None:
-            value = self._powers[key] = np.sum(getattr(self, name) ** q)
-        return value
+def gram_stack(rows: np.ndarray) -> np.ndarray:
+    """Read-only Gram matrices rows @ rows^H of a (T, n, dim) stack of
+    coordinate rows, conjugate symmetry exact in floats."""
+    g = rows @ np.swapaxes(rows.conj(), -1, -2)
+    return _frozen((g + np.swapaxes(g.conj(), -1, -2)) / 2.0)
 
 
 class ChainPrefixes(NamedTuple):
-    """Prefix aggregates of the Hadamard refinement chains, read-only arrays
-    of length n.
+    """Prefix aggregates of the Hadamard refinement chains: read-only arrays
+    of length n for one system, (T, n) for a stack.
 
     ``numerators[k]`` is sum_{j<k} |G[k, j]|^2. Entry m of each other field
     aggregates the leading (m + 1) x (m + 1) Gram block B, the denominator
@@ -214,8 +109,196 @@ class ChainPrefixes(NamedTuple):
     row_sums: np.ndarray
 
 
+class AggregateStack:
+    """Every Gram-matrix aggregate the bounds and checks read, for a (T, n, n)
+    stack of Gram matrices at once.
+
+    Each field holds one value (or row) per system along the leading axis,
+    is computed on first access and then kept. Every reduction runs over one
+    system's own trailing axes, so a system's values are the same bits in a
+    stack of one as in any larger stack. :meth:`power_sum` memoises the
+    Hölder sums sum(array ** q) per exponent. Arrays are read-only.
+    """
+
+    def __init__(self, gram: np.ndarray) -> None:
+        self.gram = gram
+        self._powers: dict[tuple[str, float], np.ndarray] = {}
+
+    @cached_property
+    def norms_sq(self) -> np.ndarray:
+        """||x_i||^2, the real diagonal."""
+        return _frozen(np.ascontiguousarray(np.diagonal(self.gram, axis1=-2, axis2=-1).real))
+
+    @cached_property
+    def norm_sum(self) -> np.ndarray:
+        return np.sum(self.norms_sq, axis=-1)
+
+    @cached_property
+    def norm_max(self) -> np.ndarray:
+        return np.max(self.norms_sq, axis=-1)
+
+    @cached_property
+    def norm_product(self) -> np.ndarray:
+        return np.prod(self.norms_sq, axis=-1)
+
+    @cached_property
+    def abs_gram(self) -> np.ndarray:
+        """|G[i, j]|."""
+        return _frozen(np.abs(self.gram))
+
+    @cached_property
+    def abs_offdiag(self) -> np.ndarray:
+        """|G[i, j]| with the diagonal zeroed."""
+        return _frozen(np.where(np.eye(self.gram.shape[-1], dtype=bool), 0.0, self.abs_gram))
+
+    @cached_property
+    def offdiag_max(self) -> np.ndarray:
+        """max_{i != j} |G[i, j]|; 0 for a single vector."""
+        return np.max(self.abs_offdiag, axis=(-2, -1), initial=0.0)
+
+    @cached_property
+    def offdiag_sum(self) -> np.ndarray:
+        return np.sum(self.abs_offdiag, axis=(-2, -1))
+
+    @cached_property
+    def offdiag_sum_sq(self) -> np.ndarray:
+        return np.sum(self.abs_offdiag**2, axis=(-2, -1))
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """r_i = sum_j |G[i, j]|, diagonal included."""
+        return _frozen(np.sum(self.abs_gram, axis=-1))
+
+    @cached_property
+    def row_sum_total(self) -> np.ndarray:
+        return np.sum(self.row_sums, axis=-1)
+
+    @cached_property
+    def row_max(self) -> np.ndarray:
+        return np.max(self.row_sums, axis=-1)
+
+    @cached_property
+    def abs_sum_sq(self) -> np.ndarray:
+        """sum_{i, j} |G[i, j]|^2, the squared Frobenius norm."""
+        return np.sum(self.abs_gram**2, axis=(-2, -1))
+
+    @cached_property
+    def identity_deviation(self) -> np.ndarray:
+        """max_{i, j} |G - I|: zero exactly for an orthonormal system."""
+        g = self.gram
+        return np.max(np.abs(g - np.eye(g.shape[-1], dtype=g.dtype)), axis=(-2, -1))
+
+    @cached_property
+    def chain_prefixes(self) -> ChainPrefixes:
+        """Numerators and denominators of the Hadamard refinement chains for
+        every prefix at once (see :class:`ChainPrefixes`)."""
+        d = self.norms_sq
+        abs_g = self.abs_gram
+        numerators = np.sum(np.tril(abs_g**2, -1), axis=-1)
+        norm_max = np.maximum.accumulate(d, axis=-1)
+        # max_{j<i} |G[i, j]| per row, then its running max over rows
+        offdiag_max = np.maximum.accumulate(np.max(np.tril(abs_g, -1), axis=-1), axis=-1)
+        # column m of the row-wise cumsum holds sum_{j<=m} |G[i, j]|; the
+        # block of size m + 1 takes its max over rows i <= m
+        row_sums = np.max(np.triu(np.cumsum(abs_g, axis=-1)), axis=-2)
+        return ChainPrefixes(
+            numerators=_frozen(numerators),
+            total_norm=_frozen(np.cumsum(d, axis=-1)),
+            offdiag_frobenius=_frozen(norm_max + np.sqrt(2.0 * np.cumsum(numerators, axis=-1))),
+            offdiag_max=_frozen(norm_max + np.arange(d.shape[-1]) * offdiag_max),
+            row_sums=_frozen(row_sums),
+        )
+
+    def power_sum(self, name: str, q: float) -> np.ndarray:
+        """sum(array ** q) per system for the array aggregate ``name``
+        ("norms_sq", "abs_gram", "abs_offdiag" or "row_sums"), memoised per
+        exponent."""
+        key = (name, q)
+        value = self._powers.get(key)
+        if value is None:
+            array = getattr(self, name)
+            axes = (-2, -1) if array.ndim == self.gram.ndim else -1
+            value = self._powers[key] = np.sum(array**q, axis=axes)
+        return value
+
+
+class _Entry:
+    """A :class:`GramAggregates` field: the viewed stack's field of the same
+    name at the view's index, kept once read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, agg: "GramAggregates | None", owner: type | None = None):
+        if agg is None:
+            return self
+        value = getattr(agg.stack, self.name)
+        if isinstance(value, ChainPrefixes):
+            value = ChainPrefixes._make(field[agg.index] for field in value)
+        else:
+            value = value[agg.index]
+        agg.__dict__[self.name] = value
+        return value
+
+
+class GramAggregates:
+    """One system's Gram aggregates: its entry of an :class:`AggregateStack`.
+
+    Built over a lone Gram matrix it views a stack of one of it; the system
+    of a :class:`SystemStack` views its own entry of the stack's aggregates,
+    so the per-system API reads the very numbers the stacked checks use.
+    Fields are those of :class:`AggregateStack`, each read on first access
+    and then kept; scalars are numpy float64 values and arrays are
+    read-only. Attributes cannot be assigned.
+    """
+
+    def __init__(self, gram: GramMatrix) -> None:
+        self.__dict__.update(gram=gram, _stack=None, index=0, _powers={})
+
+    @classmethod
+    def _entry(cls, gram: GramMatrix, stack: AggregateStack, index: int) -> "GramAggregates":
+        agg = cls(gram)
+        agg.__dict__.update(_stack=stack, index=index)
+        return agg
+
+    @property
+    def stack(self) -> AggregateStack:
+        """The viewed stack: a stack of one of the Gram matrix unless set."""
+        if self._stack is None:
+            self.__dict__["_stack"] = AggregateStack(self.gram.entries[np.newaxis])
+        return self._stack
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GramAggregates is read-only")
+
+    norms_sq = _Entry()
+    norm_sum = _Entry()
+    norm_max = _Entry()
+    norm_product = _Entry()
+    abs_gram = _Entry()
+    abs_offdiag = _Entry()
+    offdiag_max = _Entry()
+    offdiag_sum = _Entry()
+    offdiag_sum_sq = _Entry()
+    row_sums = _Entry()
+    row_sum_total = _Entry()
+    row_max = _Entry()
+    abs_sum_sq = _Entry()
+    identity_deviation = _Entry()
+    chain_prefixes = _Entry()
+
+    def power_sum(self, name: str, q: float) -> np.floating:
+        """This system's entry of :meth:`AggregateStack.power_sum`, memoised."""
+        key = (name, q)
+        value = self._powers.get(key)
+        if value is None:
+            value = self._powers[key] = self.stack.power_sum(name, q)[self.index]
+        return value
+
+
 class NormalizedGram(NamedTuple):
-    """Gram matrix of the unit-normalised system and its determinant.
+    """Gram matrix of the unit-normalised system and its determinant, or
+    the (T, n), (T, n, n) and (T,) arrays of a stack of them.
 
     ``entries`` is G[i, j] / (||x_i|| ||x_j||); ``norms`` holds the ||x_i||
     it was divided by. The unit diagonal keeps every factorisation pivot on
@@ -224,7 +307,7 @@ class NormalizedGram(NamedTuple):
 
     norms: np.ndarray
     entries: np.ndarray
-    det: float
+    det: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,41 +388,117 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
     return PivotedCholesky(lower=lower, perm=perm, pivots=pivots, rank=rank)
 
 
-def factor_gram(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> PivotedCholesky:
-    """Factor a Hermitian PSD matrix with the rank decision of
-    :func:`pivoted_cholesky`, by LAPACK where that decision is certain.
+class FactorStack(NamedTuple):
+    """The factorizations of a (T, m, m) stack, as (T, ...) arrays:
+    ``lower``, ``perm``, ``pivots`` (read-only) and ``rank`` stack the fields
+    of :class:`PivotedCholesky`; ``complete`` is rank == m and ``det`` the
+    determinant (exactly 0.0 where the rank test failed)."""
 
-    LAPACK Cholesky factors the equilibrated matrix S^-1 G S^-1 = L_e L_e^H,
+    lower: np.ndarray
+    perm: np.ndarray
+    pivots: np.ndarray
+    rank: np.ndarray
+    complete: np.ndarray
+    det: np.ndarray
+
+    def trial(self, k: int) -> PivotedCholesky:
+        return PivotedCholesky(
+            lower=self.lower[k], perm=self.perm[k], pivots=self.pivots[k], rank=int(self.rank[k])
+        )
+
+
+def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A numpy.linalg routine over a stack, and which matrices it succeeded
+    on (None: all of them).
+
+    numpy raises for the whole stack when one matrix fails, so then each
+    matrix is retried alone: LAPACK treats the matrices of a stack one by
+    one, and a failure stays with its own matrix.
+    """
+    try:
+        return fn(stack), None
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(stack)
+    ok = np.zeros(stack.shape[0], dtype=bool)
+    for k in range(stack.shape[0]):
+        try:
+            out[k] = fn(stack[k : k + 1])[0]
+            ok[k] = True
+        except np.linalg.LinAlgError:
+            pass
+    return out, ok
+
+
+def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> FactorStack:
+    """Factor a (T, m, m) stack of Hermitian PSD matrices with the rank
+    decision of :func:`pivoted_cholesky`, by LAPACK where that decision is
+    certain.
+
+    LAPACK Cholesky factors each equilibrated matrix S^-1 G S^-1 = L_e L_e^H,
     where S holds the powers of two nearest sqrt(G[i, i]): dividing by them
     is exact, so L = S L_e is the unpivoted factor of G itself, computed
     with entries near unit size. Every pivot of the pivoted factorization
     is at least lambda_min(G) >= 1 / tr(G^-1) = 1 / ||L^-1||_F^2, and its
     first pivot is max_i G[i, i]. So when ||L^-1||_F^2 * max_i G[i, i] is
     below 1 / (4 * rank_rel_tol) (the factor 4 absorbs rounding) the pivoted
-    factorization would find full rank, and L is returned in natural order.
+    factorization would find full rank, and L is kept in natural order.
     Otherwise, and for a nonpositive or nonfinite diagonal or a LAPACK
-    failure, this returns :func:`pivoted_cholesky` itself, so reduced rank
-    and negative-pivot errors are decided by the reference.
+    failure, that matrix alone is factored by :func:`pivoted_cholesky`, so
+    reduced rank and negative-pivot errors are decided by the reference.
+    """
+    a = np.asarray(mats)
+    if a.dtype != np.float64 and a.dtype != np.complex128:
+        a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    count, m = a.shape[0], a.shape[-1]
+    d = a.diagonal(0, -2, -1).real
+    d_max = np.maximum.reduce(d, axis=-1)
+    fast = (np.minimum.reduce(d, axis=-1) > 0.0) & np.isfinite(d_max)
+    src = a
+    if not fast.all():  # those matrices are replaced by the identity here, and not kept
+        src = np.where(fast[:, np.newaxis, np.newaxis], a, np.eye(m))
+        d, d_max = src.diagonal(0, -2, -1).real, np.where(fast, d_max, 1.0)
+    scale = np.exp2(np.rint(0.5 * np.log2(d)))
+    lower_e, ok = _each(np.linalg.cholesky, src / scale[:, :, np.newaxis] / scale[:, np.newaxis, :])
+    if ok is not None:
+        fast &= ok
+        lower_e[~ok] = np.eye(m)
+    inv_e, ok = _each(np.linalg.inv, lower_e)
+    if ok is not None:
+        fast &= ok
+    # L^-1 = L_e^-1 S^-1; weigh its columns by sqrt(d_max) to keep range
+    weighted = np.abs(inv_e * (np.sqrt(d_max)[:, np.newaxis] / scale)[:, np.newaxis, :]) ** 2
+    fast &= 4.0 * rank_rel_tol * np.add.reduce(weighted.reshape(count, -1), axis=-1) < 1.0
+    lower = scale[:, :, np.newaxis] * lower_e
+    pivots = np.abs(lower.diagonal(0, -2, -1)) ** 2
+    det = np.multiply.reduce(pivots, axis=-1)
+    perm, rank, complete = _full_rank(count, m)
+    if not fast.all():
+        perm, rank = perm.copy(), rank.copy()
+        for k in np.flatnonzero(~fast).tolist():
+            ref = pivoted_cholesky(a[k], rank_rel_tol)
+            lower[k], perm[k], pivots[k], rank[k] = ref.lower, ref.perm, ref.pivots, ref.rank
+            det[k] = ref.determinant()
+        perm, complete = _frozen(perm), rank == m
+    return FactorStack(_frozen(lower), perm, _frozen(pivots), rank, complete, det)
+
+
+@lru_cache(maxsize=64)
+def _full_rank(count: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only perm, rank and complete of ``count`` full-rank factors in natural order."""
+    perm = np.tile(np.arange(m), (count, 1))
+    return _frozen(perm), _frozen(np.full(count, m)), _frozen(np.ones(count, dtype=bool))
+
+
+def factor_gram(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> PivotedCholesky:
+    """:func:`factor_stack` on one matrix: a stack of one.
+
+    Anything but a nonempty square matrix goes to :func:`pivoted_cholesky`,
+    which raises for it.
     """
     a = np.asarray(matrix)
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] > 0:
-        d = a.diagonal().real
-        d_max = float(np.max(d))
-        if float(np.min(d)) > 0.0 and math.isfinite(d_max):
-            scale = np.exp2(np.round(0.5 * np.log2(d)))
-            try:
-                lower_e = np.linalg.cholesky(a / scale[:, np.newaxis] / scale)
-                inv_e = np.linalg.inv(lower_e)
-            except np.linalg.LinAlgError:
-                inv_e = None
-            # L^-1 = L_e^-1 S^-1; weigh its columns by sqrt(d_max) to keep range
-            if inv_e is not None and 4.0 * rank_rel_tol * float(
-                np.sum(np.abs(inv_e * (math.sqrt(d_max) / scale)) ** 2)
-            ) < 1.0:
-                lower = _frozen(scale[:, np.newaxis] * lower_e)
-                pivots = _frozen(np.abs(lower.diagonal()) ** 2)
-                perm = _frozen(np.arange(a.shape[0]))
-                return PivotedCholesky(lower=lower, perm=perm, pivots=pivots, rank=a.shape[0])
+        return factor_stack(a[np.newaxis], rank_rel_tol).trial(0)
     return pivoted_cholesky(matrix, rank_rel_tol)
 
 
@@ -361,20 +520,78 @@ class RankDiagnostics:
     independent: bool
 
 
-def _gram_of_rows(rows: np.ndarray) -> np.ndarray:
-    """Read-only Gram matrix rows @ rows^H, conjugate symmetry exact in floats."""
-    g = rows @ rows.conj().T
-    g = (g + g.conj().T) / 2.0
-    g.setflags(write=False)
-    return g
+class SystemStack:
+    """T systems of n vectors in dim coordinates, held as stacked arrays.
+
+    ``rows`` is the (T, n, dim) coordinate stack. The Gram matrices and
+    their factorizations (:func:`factor_stack`) are computed eagerly, the
+    rest on first use and then kept: the aggregates (an
+    :class:`AggregateStack`, whose fields are lazy themselves), the
+    eigenvalue condition numbers and the unit-normalised Gram matrices with
+    their determinants. :meth:`view` gives one entry as a
+    :class:`VectorSystem`, a view of its slice of these arrays; the stack
+    keeps no reference to its views. Every computation reduces over one
+    system's own axes only, so an entry's numbers are the same bits in a
+    stack of one as in any larger stack.
+    """
+
+    def __init__(self, rows: np.ndarray, field: Field, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+        self.rows = _frozen(np.ascontiguousarray(rows, dtype=field.dtype))
+        self.field = field
+        self.tol = tol
+        self.gram = gram_stack(self.rows)
+        self.factor = factor_stack(self.gram, tol.rank_rel_tol)
+        self.aggregates = AggregateStack(self.gram)
+
+    def view(self, k: int) -> "VectorSystem":
+        """Entry k as a :class:`VectorSystem`."""
+        system = VectorSystem.__new__(VectorSystem)
+        system._bind(self, k)
+        return system
+
+    @property
+    def size(self) -> int:
+        return int(self.rows.shape[0])
+
+    @property
+    def n(self) -> int:
+        return int(self.rows.shape[1])
+
+    @property
+    def dim(self) -> int:
+        return int(self.rows.shape[2])
+
+    @cached_property
+    def condition(self) -> np.ndarray:
+        """Eigenvalue condition number of each Gram matrix (inf if singular)."""
+        eigs = np.linalg.eigvalsh(self.gram)
+        lo, hi = eigs[:, 0], eigs[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _frozen(np.where(lo <= 0.0, np.inf, hi / lo))
+
+    @cached_property
+    def normalized(self) -> NormalizedGram:
+        """The unit-normalised Gram matrices and their determinants, for the
+        independent systems; a dependent entry holds the identity."""
+        norms = _frozen(np.sqrt(self.aggregates.norms_sq))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g_hat = self.gram / (norms[:, :, np.newaxis] * norms[:, np.newaxis, :])
+        complete = self.factor.complete
+        if not complete.all():
+            g_hat = np.where(complete[:, np.newaxis, np.newaxis], g_hat, np.eye(self.n))
+        g_hat = _frozen(g_hat)
+        det = factor_stack(g_hat, self.tol.rank_rel_tol).det
+        return NormalizedGram(norms=norms, entries=g_hat, det=det)
 
 
 class VectorSystem:
     """An ordered finite system of vectors sharing field and dimension.
 
-    The Gram matrix and its pivoted factorization are computed eagerly at
-    construction. Everything else derived from them is computed lazily, on
-    first use, and then kept for the life of the system: the Gram aggregates
+    A system is one entry of a :class:`SystemStack`: a standalone system is
+    a stack of one, and the systems of a generated chunk of trials share
+    one stack. The Gram matrix and its factorization are computed at
+    construction; everything else derived from them on first use, and then
+    kept for the life of the system: the Gram aggregates
     (:attr:`aggregates`), the eigenvalue condition number
     (:meth:`gram_condition`), the unit-normalised Gram matrix with its
     determinant (:meth:`normalized_gram`) and the :class:`Vector` views of
@@ -385,8 +602,7 @@ class VectorSystem:
     """
 
     __slots__ = (
-        "_rows", "_field", "_tol", "_gram", "_chol", "_vectors",
-        "_aggregates", "_condition", "_normalized",
+        "_stack", "_index", "_gram", "_aggregates", "_vectors", "_chol", "_normalized", "_alone",
     )
 
     def __init__(self, vectors: Sequence[Vector], tol: ToleranceConfig = DEFAULT_TOL) -> None:
@@ -401,7 +617,8 @@ class VectorSystem:
                     f"system vectors must share one dimension ({head.dim} vs {v.dim})"
                 )
         rows = np.stack([v.coords for v in vectors]).astype(head.field.dtype)
-        self._init_from(rows, head.field, tol, tuple(vectors))
+        self._bind(SystemStack(rows[np.newaxis], head.field, tol), 0)
+        self._vectors = tuple(vectors)
 
     @classmethod
     def from_rows(
@@ -423,56 +640,52 @@ class VectorSystem:
         flat = arr.view(np.float64) if arr.dtype == np.complex128 else arr
         if not np.all(np.isfinite(flat)):
             raise ValueError("system coordinates must be finite")
-        self = cls.__new__(cls)
-        self._init_from(arr, field, tol, None)
-        return self
+        return SystemStack(arr[np.newaxis], field, tol).view(0)
 
-    def _init_from(
-        self,
-        rows: np.ndarray,
-        field: Field,
-        tol: ToleranceConfig,
-        vectors: tuple[Vector, ...] | None,
-    ) -> None:
-        rows = np.ascontiguousarray(rows)
-        rows.setflags(write=False)
-        self._rows = rows
-        self._field = field
-        self._tol = tol
-        g = _gram_of_rows(rows)
-        self._gram = GramMatrix(entries=g)
-        self._chol = factor_gram(g, tol.rank_rel_tol)
-        self._vectors = vectors
-        self._aggregates: GramAggregates | None = None
-        self._condition: float | None = None
+    def _bind(self, stack: SystemStack, index: int) -> None:
+        self._stack = stack
+        self._index = index
+        self._gram = GramMatrix(entries=stack.gram[index])
+        self._aggregates = GramAggregates._entry(self._gram, stack.aggregates, index)
+        self._vectors: tuple[Vector, ...] | None = None
+        self._chol: PivotedCholesky | None = None
         self._normalized: NormalizedGram | None = None
+        self._alone: SystemStack | None = stack if stack.size == 1 else None
 
     # -- basic shape ---------------------------------------------------
     @property
     def n(self) -> int:
-        return int(self._rows.shape[0])
+        return self._stack.n
 
     @property
     def dim(self) -> int:
-        return int(self._rows.shape[1])
+        return self._stack.dim
 
     @property
     def field(self) -> Field:
-        return self._field
+        return self._stack.field
 
     @property
     def tol(self) -> ToleranceConfig:
-        return self._tol
+        return self._stack.tol
 
     @property
     def rows(self) -> np.ndarray:
-        return self._rows
+        return self._stack.rows[self._index]
 
     @property
     def vectors(self) -> tuple[Vector, ...]:
         if self._vectors is None:
-            self._vectors = tuple(Vector(row, self._field) for row in self._rows)
+            self._vectors = tuple(Vector(row, self.field) for row in self.rows)
         return self._vectors
+
+    def as_stack(self) -> SystemStack:
+        """This system as a stack of one: its own stack when it is alone in
+        it, otherwise a new stack over its rows, which holds the same
+        numbers. The per-system functions run their stacked kernels on it."""
+        if self._alone is None:
+            self._alone = SystemStack(self.rows[np.newaxis], self.field, self.tol)
+        return self._alone
 
     # -- gram data -----------------------------------------------------
     @property
@@ -481,30 +694,26 @@ class VectorSystem:
 
     @property
     def cholesky(self) -> PivotedCholesky:
+        if self._chol is None:
+            self._chol = self._stack.factor.trial(self._index)
         return self._chol
 
     @property
     def rank(self) -> int:
-        return self._chol.rank
+        return int(self._stack.factor.rank[self._index])
 
     @property
     def independent(self) -> bool:
-        return self._chol.complete
+        return bool(self._stack.factor.complete[self._index])
 
     @property
     def aggregates(self) -> GramAggregates:
-        """The Gram aggregates, built on first access."""
-        if self._aggregates is None:
-            self._aggregates = GramAggregates(self._gram)
+        """The Gram aggregates: this system's entry of its stack's."""
         return self._aggregates
 
     def gram_condition(self) -> float:
         """Eigenvalue condition number of the Gram matrix (inf if singular)."""
-        if self._condition is None:
-            eigs = np.linalg.eigvalsh(self._gram.entries)
-            lo, hi = float(eigs[0]), float(eigs[-1])
-            self._condition = math.inf if lo <= 0.0 else hi / lo
-        return self._condition
+        return float(self._stack.condition[self._index])
 
     def normalized_gram(self) -> NormalizedGram:
         """The unit-normalised Gram matrix and its determinant.
@@ -512,10 +721,10 @@ class VectorSystem:
         Needs nonzero vectors; callers establish independence first.
         """
         if self._normalized is None:
-            norms = _frozen(np.sqrt(self.aggregates.norms_sq))
-            g_hat = _frozen(self._gram.entries / np.outer(norms, norms))
-            det = gram_det_of_matrix(g_hat, self._tol.rank_rel_tol)
-            self._normalized = NormalizedGram(norms=norms, entries=g_hat, det=det)
+            stacked, k = self._stack.normalized, self._index
+            self._normalized = NormalizedGram(
+                norms=stacked.norms[k], entries=stacked.entries[k], det=float(stacked.det[k])
+            )
         return self._normalized
 
     # -- derived systems -----------------------------------------------
@@ -523,24 +732,24 @@ class VectorSystem:
         idx = list(indices)
         if not idx:
             raise ValueError("a subsystem needs at least one index")
-        return VectorSystem.from_rows(self._rows[idx], self._field, self._tol)
+        return VectorSystem.from_rows(self.rows[idx], self.field, self.tol)
 
     def augmented(self, x: Vector) -> "VectorSystem":
         """System with ``x`` appended after the existing vectors."""
         self._check_member(x)
-        rows = np.vstack([self._rows, x.coords.astype(self._field.dtype)])
-        return VectorSystem.from_rows(rows, self._field, self._tol)
+        rows = np.vstack([self.rows, x.coords.astype(self.field.dtype)])
+        return VectorSystem.from_rows(rows, self.field, self.tol)
 
     def _check_member(self, x: Vector) -> None:
-        if x.field is not self._field:
+        if x.field is not self.field:
             raise FieldMismatchError(
-                f"vector field {x.field.value} does not match system field {self._field.value}"
+                f"vector field {x.field.value} does not match system field {self.field.value}"
             )
         if x.dim != self.dim:
             raise DimensionMismatchError(f"vector dimension {x.dim} != system dimension {self.dim}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VectorSystem(n={self.n}, dim={self.dim}, field={self._field.value})"
+        return f"VectorSystem(n={self.n}, dim={self.dim}, field={self.field.value})"
 
 
 # -- module-level operation surface -------------------------------------
@@ -552,7 +761,7 @@ def gram_matrix(system: VectorSystem) -> GramMatrix:
 
 def gram_determinant(system: VectorSystem) -> float:
     """Gram determinant; exactly 0.0 for (numerically) dependent systems."""
-    return system.cholesky.determinant()
+    return float(system._stack.factor.det[system._index])
 
 
 def rank_diagnostics(system: VectorSystem, tol: ToleranceConfig | None = None) -> RankDiagnostics:
@@ -642,9 +851,8 @@ def check_gram_product_split(
     if not (1 <= k < system.n):
         raise ValueError(f"split position must satisfy 1 <= k < n={system.n}, got {k}")
     full = gram_determinant(system)
-    g = system.gram.entries
-    left = gram_det_of_matrix(g[:k, :k], tol.rank_rel_tol)
-    right = gram_det_of_matrix(g[k:, k:], tol.rank_rel_tol)
+    left, right = split_determinants(system.gram.entries[np.newaxis], k, tol.rank_rel_tol)
+    left, right = float(left[0]), float(right[0])
     return GramSplitVerdict(
         gram_full=full,
         gram_left=left,
@@ -699,16 +907,34 @@ def gram_triangle_of_rows(
     checked, and only the three augmented Gram matrices are factored.
     """
 
-    def det_with(lead: np.ndarray) -> float:
-        rows = np.vstack([lead[np.newaxis, :], rest_rows]).astype(field.dtype)
-        return factor_gram(_gram_of_rows(rows), tol.rank_rel_tol).determinant()
-
-    combined = math.sqrt(max(det_with(x1 + y1), 0.0))
-    first = math.sqrt(max(det_with(x1), 0.0))
-    second = math.sqrt(max(det_with(y1), 0.0))
+    combined, first, second = (
+        float(v[0]) for v in triangle_roots(x1[np.newaxis], y1[np.newaxis], rest_rows[np.newaxis], field, tol)
+    )
     return GramTriangleVerdict(
         combined=combined,
         first=first,
         second=second,
         ok=_leq(combined, first + second, tol.compare_rel_tol),
     )
+
+
+def split_determinants(gram: np.ndarray, k: int, rank_rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants of the leading k x k and trailing blocks of each Gram
+    matrix of a (T, n, n) stack."""
+    return (
+        factor_stack(gram[:, :k, :k], rank_rel_tol).det,
+        factor_stack(gram[:, k:, k:], rank_rel_tol).det,
+    )
+
+
+def triangle_roots(
+    x1: np.ndarray, y1: np.ndarray, rest_rows: np.ndarray, field: Field, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """det^(1/2) of the Gram matrices of (x1 + y1, rest), (x1, rest) and
+    (y1, rest) for (T, dim) leading rows and a (T, m, dim) rest."""
+
+    def root_det(lead: np.ndarray) -> np.ndarray:
+        rows = np.concatenate([lead[:, np.newaxis, :], rest_rows], axis=1).astype(field.dtype)
+        return np.sqrt(np.maximum(factor_stack(gram_stack(rows), tol.rank_rel_tol).det, 0.0))
+
+    return root_det(x1 + y1), root_det(x1), root_det(y1)

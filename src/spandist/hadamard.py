@@ -29,6 +29,7 @@ __all__ = [
     "HadamardChainResult",
     "HadamardStrictVerdict",
     "hadamard_chain",
+    "chain_stack",
     "check_hadamard_strict",
 ]
 
@@ -63,6 +64,34 @@ class HadamardChainResult:
     clamped: bool
 
 
+def chain_stack(
+    norms: np.ndarray, numerators: np.ndarray, denominators: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(factors, refined, clamped) of one refinement chain for each system of
+    a stack, n >= 2: (T, n) squared norms, and the chain's prefix numerators
+    and denominators (the fields of :class:`~spandist.gram.ChainPrefixes`).
+
+    A factor below zero is clamped to zero; one below zero beyond tolerance
+    also emits a NumericalWarning and sets ``clamped``.
+    """
+    factors = np.empty(norms.shape)
+    factors[:, 0] = norms[:, 0]
+    factors[:, 1:] = norms[:, 1:] - numerators[:, 1:] / denominators[:, :-1]
+    negative = factors < 0.0
+    if not negative.any():
+        return factors, np.prod(factors, axis=-1), negative[:, 0]
+    loud = negative & (factors < -tol.compare_rel_tol * (1.0 + norms))
+    for t, k in zip(*np.nonzero(loud)):
+        warnings.warn(
+            f"chain factor {factors[t, k]:.3e} at position {k} is negative beyond "
+            "tolerance; clamping to zero",
+            NumericalWarning,
+            stacklevel=3,
+        )
+    factors[negative] = 0.0
+    return factors, np.prod(factors, axis=-1), np.any(loud, axis=-1)
+
+
 def hadamard_chain(
     system: VectorSystem, variant: ChainVariant, tol: ToleranceConfig | None = None
 ) -> HadamardChainResult:
@@ -70,31 +99,22 @@ def hadamard_chain(
 
     The prefix numerators and denominators come from
     ``system.aggregates.chain_prefixes``, computed once per system for every
-    position and every variant.
+    position and every variant; :func:`chain_stack` runs on them as a
+    stack of one.
     """
     require_independent(system)
     if system.n < 2:
         raise ValueError("chain refinements need at least two vectors")
     tol = tol or system.tol
     agg = system.aggregates
-    norms = agg.norms_sq
     prefixes = agg.chain_prefixes
-    denominators = getattr(prefixes, variant.value)
-    factors = np.empty(system.n)
-    factors[0] = norms[0]
-    factors[1:] = norms[1:] - prefixes.numerators[1:] / denominators[:-1]
-    clamped = False
-    for k in np.flatnonzero(factors < 0.0).tolist():
-        if factors[k] < -tol.compare_rel_tol * (1.0 + float(norms[k])):
-            warnings.warn(
-                f"chain factor {factors[k]:.3e} at position {k} is negative beyond "
-                "tolerance; clamping to zero",
-                NumericalWarning,
-                stacklevel=2,
-            )
-            clamped = True
-        factors[k] = 0.0
-    refined = float(np.prod(factors))
+    factors, refined, clamped = chain_stack(
+        agg.norms_sq[np.newaxis],
+        prefixes.numerators[np.newaxis],
+        getattr(prefixes, variant.value)[np.newaxis],
+        tol,
+    )
+    refined = float(refined[0])
     det = gram_determinant(system)
     product = float(agg.norm_product)
     rel = tol.compare_rel_tol
@@ -103,10 +123,10 @@ def hadamard_chain(
         gram_det=det,
         refined=refined,
         norm_product=product,
-        factors=tuple(factors.tolist()),
+        factors=tuple(factors[0].tolist()),
         lower_ok=det <= refined + rel * (1.0 + abs(det) + abs(refined)),
         upper_ok=refined <= product + rel * (1.0 + abs(refined) + abs(product)),
-        clamped=clamped,
+        clamped=bool(clamped[0]),
     )
 
 

@@ -19,6 +19,7 @@ exactly.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -33,6 +34,7 @@ from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector
 __all__ = ["load_instance", "save_instance", "instance_to_obj", "instance_from_obj"]
 
 _KNOWN_KEYS = {"field", "vectors", "x", "gammas", "Gammas"}
+_NUMBERS = {float, int}
 
 
 def _encode_scalar(value: complex | float, field: Field) -> Any:
@@ -56,10 +58,29 @@ def _decode_scalar(raw: Any, field: Field, where: str) -> complex | float:
     return complex(float(re), float(im))
 
 
-def _decode_vector(raw: Any, field: Field, where: str) -> list[complex | float]:
+def _check_vector(raw: Any, field: Field, where: str) -> None:
+    """Raise unless ``raw`` is a nonempty array of the field's scalars.
+
+    The entry types are screened at C speed; only when the screen fails are
+    the entries walked one by one, to name the first bad one.
+    """
     if not isinstance(raw, list) or not raw:
         raise InstanceFormatError(f"{where}: expected a nonempty array of scalars")
-    return [_decode_scalar(entry, field, f"{where}[{i}]") for i, entry in enumerate(raw)]
+    if field is Field.REAL:
+        screened = set(map(type, raw)) <= _NUMBERS
+    else:
+        screened = (set(map(type, raw)) == {list} and set(map(len, raw)) == {2}
+                    and set(map(type, chain.from_iterable(raw))) <= _NUMBERS)
+    if not screened:
+        for i, entry in enumerate(raw):
+            _decode_scalar(entry, field, f"{where}[{i}]")
+
+
+def _to_array(raw: list, field: Field) -> np.ndarray:
+    """Checked scalars (or rows of them) as one array of the field's dtype;
+    a complex [re, im] pair becomes re + im*j bit for bit."""
+    arr = np.array(raw, dtype=np.float64)
+    return arr if field is Field.REAL else arr.view(np.complex128)[..., 0]
 
 
 def instance_to_obj(instance: Instance) -> dict[str, Any]:
@@ -93,29 +114,33 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
     raw_vectors = obj["vectors"]
     if not isinstance(raw_vectors, list) or not raw_vectors:
         raise InstanceFormatError("vectors: expected a nonempty array of rows")
-    rows = [_decode_vector(raw, field, f"vectors[{i}]") for i, raw in enumerate(raw_vectors)]
-    dim = len(rows[0])
-    for i, row in enumerate(rows):
+    for i, raw in enumerate(raw_vectors):
+        _check_vector(raw, field, f"vectors[{i}]")
+    dim = len(raw_vectors[0])
+    for i, row in enumerate(raw_vectors):
         if len(row) != dim:
             raise InstanceFormatError(f"vectors[{i}] has length {len(row)}, expected {dim}")
-    x_row = _decode_vector(obj["x"], field, "x")
-    if len(x_row) != dim:
-        raise InstanceFormatError(f"x has length {len(x_row)}, expected {dim}")
+    _check_vector(obj["x"], field, "x")
+    if len(obj["x"]) != dim:
+        raise InstanceFormatError(f"x has length {len(obj['x'])}, expected {dim}")
     if ("gammas" in obj) != ("Gammas" in obj):
         raise InstanceFormatError("gammas and Gammas must be given together")
     intervals = None
     if "gammas" in obj:
-        gammas = _decode_vector(obj["gammas"], field, "gammas")
-        Gammas = _decode_vector(obj["Gammas"], field, "Gammas")
-        for name, values in (("gammas", gammas), ("Gammas", Gammas)):
-            if len(values) != len(rows):
+        for name in ("gammas", "Gammas"):
+            _check_vector(obj[name], field, name)
+        for name in ("gammas", "Gammas"):
+            if len(obj[name]) != len(raw_vectors):
                 raise InstanceFormatError(
-                    f"{name} has length {len(values)}, expected n={len(rows)}"
+                    f"{name} has length {len(obj[name])}, expected n={len(raw_vectors)}"
                 )
-        intervals = IntervalData(gammas=tuple(gammas), Gammas=tuple(Gammas))
+        intervals = IntervalData(
+            gammas=tuple(_to_array(obj["gammas"], field).tolist()),
+            Gammas=tuple(_to_array(obj["Gammas"], field).tolist()),
+        )
     try:
-        system = VectorSystem.from_rows(np.array(rows, dtype=field.dtype), field, tol)
-        x = Vector(np.array(x_row, dtype=field.dtype), field)
+        system = VectorSystem.from_rows(_to_array(raw_vectors, field), field, tol)
+        x = Vector(_to_array(obj["x"], field), field)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
     return Instance(system=system, x=x, intervals=intervals)

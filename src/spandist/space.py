@@ -146,10 +146,22 @@ def inner_product(u: Vector, v: Vector) -> Scalar:
     return float(value.real) if u.field is Field.REAL else complex(value)
 
 
+def re_inner_rows(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re <w, u> = Re sum_k conj(u_k) w_k over the last axis of two arrays
+    of coordinates, one value per leading index (a scalar for vectors)."""
+    if u.dtype.kind == "c" or w.dtype.kind == "c":
+        return np.add.reduce((np.conj(u) * w).real, axis=-1)
+    return np.add.reduce(u * w, axis=-1)
+
+
+def sq_norms(u: np.ndarray) -> np.ndarray:
+    """||u||^2 over the last axis, one value per leading index."""
+    return re_inner_rows(u, u)
+
+
 def norm_sq(v: Vector) -> float:
     """``<v, v>`` as a nonnegative float."""
-    c = v.coords
-    return float(np.real(np.vdot(c, c)))
+    return float(sq_norms(v.coords))
 
 
 def norm(v: Vector) -> float:

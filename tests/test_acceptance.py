@@ -1,8 +1,8 @@
 """Acceptance gate: ten criteria, one pass/fail line apiece.
 
 Every campaign below is seeded, so reruns are bit-for-bit identical. The
-whole module takes 50-85 s on one core of a shared 2-vCPU Intel Xeon
-virtual machine at 2.0 GHz (Python 3.11, numpy 2.4), most of the 55-80 s
+whole module takes 14-15 s on one core of a shared 2-vCPU Intel Xeon
+virtual machine at 2.0 GHz (Python 3.11, numpy 2.4), most of the 20-23 s
 the full test suite takes there; the spread is that machine's speed
 drifting with other load.
 """

@@ -1,0 +1,195 @@
+"""Chunked campaign evaluation against one trial at a time.
+
+A campaign generates and checks its trials in chunks of stacked arrays.
+Each trial's numbers must be the same bits whichever chunk evaluates it, so
+the comparisons here are exact (==): a chunk against ``run_checks`` on each
+trial alone, serial against split runs, and a stacked factorization
+against one matrix at a time.
+"""
+
+import numpy as np
+import pytest
+
+import spandist as sd
+from spandist import Field, GeneratorConfig
+from spandist import campaign as sd_campaign
+from spandist import gram as sd_gram
+from spandist.checks import REGISTRY, applicable_checks, resolve_check, run_checks, run_stacked
+from spandist.generator import generate_chunk
+
+TOL = sd.DEFAULT_TOL
+
+STREAMS = {
+    "complex_d7_n5_k1e2_intervals": dict(dim=7, n=5, field=Field.COMPLEX, conditioning=1e2, intervals=True),
+    "real_d4_n3_orthonormal_intervals": dict(dim=4, n=3, field=Field.REAL, orthonormal=True, intervals=True),
+    "real_d6_n4_k1e3_dependent": dict(dim=6, n=4, field=Field.REAL, conditioning=1e3, dependent_fraction=0.2),
+    "real_d40_n20_k1e4_intervals": dict(dim=40, n=20, field=Field.REAL, conditioning=1e4, intervals=True),
+}
+TRIALS = 37  # not a multiple of the chunk size
+
+
+def _config(name, trials=TRIALS, seed=41):
+    return GeneratorConfig(seed=seed, trials=trials, **STREAMS[name])
+
+
+@pytest.fixture(params=sorted(STREAMS))
+def config(request):
+    return _config(request.param)
+
+
+def test_the_streams_fill_whole_chunks(config):
+    assert sd_campaign._chunk_trials(config) == sd_campaign.CHUNK_TRIALS < TRIALS
+
+
+def test_chunk_outcomes_equal_run_checks_on_each_trial(config):
+    names = applicable_checks(config)
+    checks = [resolve_check(name) for name in names]
+    # chunks that start off the campaign's own boundaries
+    for trials in (range(3, 19), range(30, 37), range(11, 12)):
+        chunk = generate_chunk(config, trials, TOL)
+        columns = run_stacked(checks, chunk, TOL)
+        for k, trial in enumerate(trials):
+            alone = run_checks(sd.generate_instance(config, trial, TOL), names, TOL)
+            assert alone, trial
+            assert sd.checks.outcomes_of(columns, k) == alone, trial
+
+
+def test_campaign_aggregates_equal_run_checks_on_each_trial(config):
+    result = sd.run_campaign(config)
+    counts, worst, failures = {}, {}, []
+    for trial in range(config.trials):
+        for oc in sd.replay_trial(config, trial):
+            counts[oc.check_id] = counts.get(oc.check_id, 0) + 1
+            worst[oc.check_id] = min(worst.get(oc.check_id, oc.margin), oc.margin)
+            if not oc.ok:
+                failures.append((trial, oc.check_id, oc.margin, oc.values))
+    assert result.counts == dict(sorted(counts.items()))
+    assert result.worst_margin == dict(sorted(worst.items()))
+    assert [(f.trial, f.check_id, f.margin, f.values) for f in result.failures] == sorted(failures)
+
+
+def test_serial_and_split_reports_are_identical(config):
+    serial = sd.run_campaign(config)
+    for jobs in (2, 3):
+        split = sd.run_campaign(config, jobs=jobs)
+        for fmt in ("json", "csv"):
+            assert sd.render_campaign(split, fmt) == sd.render_campaign(serial, fmt), (jobs, fmt)
+
+
+def test_runtime_check_runs_per_instance_beside_stacked_ones(monkeypatch):
+    config = _config("complex_d7_n5_k1e2_intervals")
+    seen = []
+
+    def planted(instance, tol):
+        seen.append((instance.seed, instance.trial))
+        assert instance.system.n == config.n and instance.intervals is not None
+        margin = -1.0 if instance.trial == 20 else float(instance.trial)
+        return [sd.CheckOutcome("planted/twenty", margin >= 0.0, margin, (("n", float(instance.system.n)),))]
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    builtin = applicable_checks(config)
+    plain = sd.run_campaign(config, checks=builtin)
+    mixed = sd.run_campaign(config, checks=("planted", *builtin))
+    assert seen == [(config.seed, t) for t in range(config.trials)]
+    split = sd.run_campaign(config, checks=("planted", *builtin), jobs=2)
+    assert sd.render_campaign(split, "json") == sd.render_campaign(mixed, "json")
+    assert mixed.counts == {**plain.counts, "planted/twenty": config.trials}
+    assert {k: v for k, v in mixed.worst_margin.items() if k != "planted/twenty"} == plain.worst_margin
+    assert [(f.trial, f.check_id) for f in mixed.failures] == [(20, "planted/twenty")]
+    replayed = sd.replay_trial(config, 20, checks=("planted", "lagrange_identity"))
+    assert [o.check_id for o in replayed] == ["planted/twenty", "lagrange_identity/residual"]
+    assert replayed[0].values == mixed.failures[0].values
+
+
+def test_a_wrapped_builtin_runs_per_instance_with_the_same_numbers(monkeypatch):
+    config = _config("real_d6_n4_k1e3_dependent")
+    calls = []
+    original = REGISTRY["gram_inequalities"]
+
+    def wrapped(instance, tol):
+        calls.append(instance.trial)
+        return original(instance, tol)
+
+    stacked = sd.run_campaign(config, checks=("gram_inequalities",))
+    monkeypatch.setitem(REGISTRY, "gram_inequalities", wrapped)
+    per_instance = sd.run_campaign(config, checks=("gram_inequalities",))
+    assert calls == list(range(config.trials))
+    assert sd.render_campaign(per_instance, "json") == sd.render_campaign(stacked, "json")
+
+
+def _gram(rows):
+    g = rows @ rows.conj().T
+    return (g + g.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
+    rng = np.random.default_rng(5)
+    mats = []
+    for k in range(9):
+        rows = rng.standard_normal((4, 6)) + (1j * rng.standard_normal((4, 6)) if field is Field.COMPLEX else 0.0)
+        if k == 4:
+            rows[3] = rows[1]  # exactly singular: LAPACK meets a zero pivot
+        mats.append(_gram(rows))
+    stack = np.stack(mats)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    calls = []
+    original = sd_gram.pivoted_cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sd_gram, "pivoted_cholesky", counted)
+    factor = sd_gram.factor_stack(stack)
+    assert len(calls) == 1  # only the dependent matrix takes the reference path
+    alone = [sd_gram.factor_gram(g) for g in mats]
+    assert factor.rank.tolist() == [f.rank for f in alone] == [4] * 4 + [3] + [4] * 4
+    assert factor.complete.tolist() == [f.complete for f in alone]
+    assert factor.det.tolist() == [f.determinant() for f in alone]
+    for k, f in enumerate(alone):
+        assert np.array_equal(factor.lower[k], f.lower) and np.array_equal(factor.perm[k], f.perm)
+
+
+def test_the_dependent_stream_has_dependent_trials_in_its_chunks():
+    config = _config("real_d6_n4_k1e3_dependent")
+    chunk = generate_chunk(config, range(0, 16), TOL)
+    complete = chunk.systems.factor.complete
+    assert 0 < np.count_nonzero(~complete) < chunk.size
+    for k in range(chunk.size):
+        system = sd.generate_instance(config, k, TOL).system
+        assert system.rank == chunk.views[k].rank
+        assert np.array_equal(system.rows, chunk.systems.rows[k])
+
+
+@pytest.mark.parametrize("name", ["complex_d7_n5_k1e2_intervals", "real_d6_n4_k1e3_dependent"])
+def test_redrawn_points_do_not_depend_on_the_chunk(name, monkeypatch):
+    # also count as orthogonal to its system about every other point (by the
+    # digits of ||x||^2), so that many trials redraw x from their own streams
+    from spandist import generator as sd_gen
+
+    config = _config(name, trials=20)
+    first = [sd.generate_instance(config, t, TOL).x.coords for t in range(config.trials)]
+    original = sd_gen.orth_complement_stack
+
+    def rejected(xx):
+        return np.modf(xx * 1e3)[0] < 0.5
+
+    def strict(xx, beta, norm_max, tol):
+        return original(xx, beta, norm_max, tol) | rejected(xx)
+
+    monkeypatch.setattr(sd_gen, "orth_complement_stack", strict)
+    chunk = generate_chunk(config, range(0, config.trials), TOL)
+    assert not rejected(sd.space.sq_norms(chunk.x)).any()
+    redrawn = 0
+    for k in range(config.trials):
+        alone = sd.generate_instance(config, k, TOL)
+        assert np.array_equal(alone.x.coords, chunk.x[k])
+        assert alone.intervals == chunk.instance(k).intervals
+        redrawn += not np.array_equal(first[k], chunk.x[k])
+    assert redrawn > 0
+
+    monkeypatch.setattr(sd_gen, "orth_complement_stack", lambda xx, beta, norm_max, tol: np.ones(len(xx), bool))
+    with pytest.raises(sd.NumericalInstabilityError):
+        generate_chunk(config, range(0, 4), TOL)

@@ -114,3 +114,47 @@ def test_loaded_instance_is_usable(tmp_path):
     inst = sd.load_instance(path)
     assert inst.seed is None and inst.trial is None
     assert sd.exact_distance(inst.system, inst.x).d2 == pytest.approx(0.0, abs=1e-12)
+
+
+_REAL = {"field": "real", "vectors": [[1.0, 0.0, 2], [0.5, 1.0, 0.0]], "x": [1.0, 2.0, 3.0],
+         "gammas": [0.0, 1], "Gammas": [1.0, 2.0]}
+_COMPLEX = {"field": "complex", "vectors": [[[1.0, 0.0], [0, 1]], [[0.5, 0.5], [1.0, -0.0]]],
+            "x": [[1.0, 2.0], [3.0, 0]]}
+
+
+@pytest.mark.parametrize("obj,message", [
+    (dict(_REAL, vectors=[[1.0, True, 0.0], [0.0, 1.0, 0.0]]), "vectors[0][1]: expected a real number, got True"),
+    (dict(_REAL, vectors=[[1.0, 0.0, 0.0], [0.0, "1.5", 0.0]]), "vectors[1][1]: expected a real number, got '1.5'"),
+    (dict(_REAL, vectors=[[1.0, 0.0, 0.0], [0.0, None, 0.0]]), "vectors[1][1]: expected a real number, got None"),
+    (dict(_REAL, vectors=[[1.0, 0.0, 0.0], []]), "vectors[1]: expected a nonempty array of scalars"),
+    (dict(_REAL, vectors=[[1.0, 0.0, 0.0], [0.0, 1.0]]), "vectors[1] has length 2, expected 3"),
+    (dict(_REAL, vectors=[[1.0, [0.0, 1.0], 0.0]]), "vectors[0][1]: expected a real number, got [0.0, 1.0]"),
+    (dict(_REAL, x=[1.0, 2.0, False]), "x[2]: expected a real number, got False"),
+    (dict(_REAL, gammas=[0.0, "a"]), "gammas[1]: expected a real number, got 'a'"),
+    (dict(_REAL, Gammas=[0.0]), "Gammas has length 1, expected n=2"),
+    (dict(_COMPLEX, vectors=[[[1.0, 0.0], [0.0, 1.0, 2.0]], [[0.5, 0.5], [1.0, 0.0]]]),
+     "vectors[0][1]: complex scalars are [re, im] pairs, got [0.0, 1.0, 2.0]"),
+    (dict(_COMPLEX, vectors=[[[1.0, 0.0], [0.0, True]], [[0.5, 0.5], [1.0, 0.0]]]),
+     "vectors[0][1]: complex parts must be numbers, got True"),
+    (dict(_COMPLEX, vectors=[[[1.0, 0.0], 1.0], [[0.5, 0.5], [1.0, 0.0]]]),
+     "vectors[0][1]: complex scalars are [re, im] pairs, got 1.0"),
+    (dict(_COMPLEX, x=[[1.0, 2.0], ["3", 0]]), "x[1]: complex parts must be numbers, got '3'"),
+    (dict(_REAL, vectors=[[1.0, float("nan"), 0.0], [0.0, 1.0, 0.0]]), "system coordinates must be finite"),
+])
+def test_screened_loading_names_the_bad_entry(obj, message):
+    # the entry types are screened in bulk; a failed screen walks the entries
+    # so that the message names the first bad one, as a per-entry decode did
+    with pytest.raises(InstanceFormatError) as err:
+        sd.instance_from_obj(json.loads(json.dumps(obj)))
+    assert str(err.value) == message
+
+
+def test_screened_loading_keeps_every_bit():
+    real = sd.instance_from_obj(_REAL)
+    assert real.system.rows.tolist() == [[1.0, 0.0, 2.0], [0.5, 1.0, 0.0]]
+    assert real.intervals == sd.IntervalData(gammas=(0.0, 1.0), Gammas=(1.0, 2.0))
+    assert all(type(v) is float for v in real.intervals.gammas)
+    cplx = sd.instance_from_obj(_COMPLEX)
+    assert cplx.system.rows.tolist() == [[1 + 0j, 1j], [0.5 + 0.5j, 1 - 0j]]
+    assert np.signbit(cplx.system.rows[1, 1].imag)
+    assert cplx.x.coords.tolist() == [1 + 2j, 3 + 0j]

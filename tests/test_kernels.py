@@ -329,3 +329,20 @@ def test_blocked_pair_sum_matches_the_dense_tensor(field, block, monkeypatch):
         parts = sd.lagrange_identity_parts(alphas, system)
         assert parts.pair_sum == pytest.approx(_dense_pair_sum(alphas, system.rows), rel=1e-13, abs=0.0)
         assert parts.residual <= 1e-12 * parts.magnitude
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("block", [None, 1, 50, 200, 400])
+def test_pair_sum_over_a_chunk_of_small_systems(field, block, monkeypatch):
+    # a campaign chunk: 16 systems summed in one pass when they fit the
+    # budget, in groups of systems or row blocks when they do not; each
+    # system's sum is the same bits as its own stack of one
+    if block is not None:
+        monkeypatch.setattr(sd_comb, "_PAIR_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng([16, 5, 7])
+    rows = np.stack([random_rows(rng, 5, 7, field) for _ in range(16)])
+    alphas = random_rows(rng, 16, 5, field)
+    chunk = sd_comb._pair_sum(alphas.conj(), rows)
+    for k in range(16):
+        assert chunk[k] == pytest.approx(_dense_pair_sum(alphas[k], rows[k]), rel=1e-13, abs=0.0)
+        assert chunk[k] == sd_comb._pair_sum(alphas[k : k + 1].conj(), rows[k : k + 1])[0]

@@ -14,6 +14,12 @@ identical. A change that may move only float rounding (a new kernel for
 the same arithmetic) must leave every structure line identical: the same
 checks ran, as often, and failed on the same trials.
 
+Each stream is also run with ``jobs=2`` and ``jobs=3``, which split its
+trials across worker processes off the boundaries of the serial run's
+chunks. Their json and csv digests must equal the serial ones: a line
+``MISMATCH <stream> jobs=<k> <fmt>`` is printed for each that differs, and
+the script exits with status 1 if any does, 0 otherwise.
+
 spandist is imported from ``src/`` of the checkout this script sits in.
 """
 
@@ -57,21 +63,33 @@ def _structure(result: sd.CampaignResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+SPLITS = (2, 3)
+
+
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
+    mismatches = 0
     for name, (trials, kwargs) in STREAMS.items():
-        result = sd.run_campaign(GeneratorConfig(seed=SEED, trials=trials, **kwargs))
+        config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
+        result = sd.run_campaign(config)
+        serial = {}
         for fmt in ("json", "csv"):
-            digest = _sha(sd.render_campaign(result, fmt))
+            digest = serial[fmt] = _sha(sd.render_campaign(result, fmt))
             combined.update(f"{name} {fmt} {digest}\n".encode("ascii"))
             print(f"{name:<34} {fmt:<6} {digest}")
         digest = _sha(_structure(result))
         structure.update(f"{name} struct {digest}\n".encode("ascii"))
         print(f"{name:<34} {'struct':<6} {digest}")
+        for jobs in SPLITS:
+            split = sd.run_campaign(config, jobs=jobs)
+            for fmt in ("json", "csv"):
+                if _sha(sd.render_campaign(split, fmt)) != serial[fmt]:
+                    mismatches += 1
+                    print(f"MISMATCH {name} jobs={jobs} {fmt}")
     print(f"{'combined':<41} {combined.hexdigest()}")
     print(f"{'combined struct':<41} {structure.hexdigest()}")
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
