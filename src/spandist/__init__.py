@@ -39,15 +39,12 @@ from .gram import (
     GramMatrix,
     GramSplitVerdict,
     GramTriangleVerdict,
-    RankDiagnostics,
     VectorSystem,
     check_gram_hadamard,
     check_gram_product_split,
     check_gram_triangle,
     gram_determinant,
-    gram_matrix,
     pivoted_cholesky,
-    rank_diagnostics,
 )
 from .orthonormalize import (
     distance_sq_by_orthonormalization,

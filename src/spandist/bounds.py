@@ -24,7 +24,6 @@ import math
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +59,6 @@ __all__ = [
     "bound_cond_relaxed",
     "conditional_values",
     "reverse_bessel_gap",
-    "reverse_bessel_verdict",
     "full_bound_report",
     "UNCONDITIONAL_METHODS",
     "CONDITIONAL_METHODS",
@@ -135,10 +133,6 @@ class IntervalData:
     def widths(self, field: Field) -> np.ndarray:
         lo, hi = self.arrays(field)
         return hi - lo
-
-    def midpoints(self, field: Field) -> np.ndarray:
-        lo, hi = self.arrays(field)
-        return (hi + lo) / 2.0
 
 
 # -- stacked kernels: one value per system of a stack ---------------------
@@ -393,14 +387,6 @@ def reverse_bessel_gap(
     if not is_orthonormal(system, tol):
         raise NotOrthonormalError("reverse Bessel bound requires an orthonormal system")
     require_condition(system, x, intervals, tol)
-    return reverse_bessel_verdict(system, x, intervals, tol)
-
-
-def reverse_bessel_verdict(
-    system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig
-) -> ReverseBesselVerdict:
-    """:func:`reverse_bessel_gap` without its checks: the caller has
-    established orthonormality and the two-sided condition."""
     beta = coefficients(system, x)[np.newaxis]
     gap, quarter = reverse_bessel_stack(
         np.array([norm_sq(x)]), sq_norms(beta), intervals.widths(system.field)[np.newaxis]

@@ -17,6 +17,7 @@ machine-readable reports are byte-identical across repeats.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,11 @@ __all__ = ["FailureRecord", "CampaignResult", "run_campaign", "replay_trial"]
 # large systems (a few arrays of that many entries live at once).
 CHUNK_TRIALS = 16
 _CHUNK_ENTRIES = 1 << 15
+
+# Pool workers are forked where the platform can fork: a forked worker
+# inherits the checks registered at runtime, which a worker that starts a
+# fresh interpreter (spawn, forkserver) would not find in its REGISTRY.
+_MP_CONTEXT = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ def run_campaign(
     else:
         jobs = min(jobs, trials)
         edges = [trials * i // jobs for i in range(jobs + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=_MP_CONTEXT) as pool:
             parts = list(
                 pool.map(
                     _run_range,

@@ -197,6 +197,8 @@ class TrialStack:
 
 
 def _representation_agreement(t: TrialStack) -> list[Column]:
+    """The determinant-ratio and quadratic-form distances agree with each
+    other and with a Gram–Schmidt oracle; the projection quotient sits above."""
     ok = t.independent
     idx = np.flatnonzero(ok)
     if not idx.size:
@@ -216,6 +218,8 @@ def _representation_agreement(t: TrialStack) -> list[Column]:
 
 
 def _bound_dominance(t: TrialStack) -> list[Column]:
+    """Every unconditional bound dominates the exact squared distance; the
+    total-norm bound is strictly above it away from degeneracies."""
     ok = t.independent & ~t.in_orth
     d2 = t.d2
     out = [
@@ -237,6 +241,8 @@ def _bound_dominance(t: TrialStack) -> list[Column]:
 
 
 def _orthonormal_collapse(t: TrialStack) -> list[Column]:
+    """For orthonormal systems three bounds collapse to the Bessel distance
+    and the other two exceed it by closed-form amounts."""
     ok = t.orthonormal & ~t.in_orth
     s, n = t.s, t.n
     bessel = t.xx - s
@@ -261,6 +267,8 @@ def _orthonormal_collapse(t: TrialStack) -> list[Column]:
 
 
 def _bessel_refinements(t: TrialStack) -> list[Column]:
+    """Refined Bessel right-hand sides dominate the coefficient power sum
+    for arbitrary systems, dependent ones included."""
     return [
         _column(f"bessel_refinements/{m.value}", _dominance_margin(value, t.s), rhs=value, power_sum=t.s)
         for m, value in bnd.bessel_values(t.xx, t.denominators).items()
@@ -268,6 +276,7 @@ def _bessel_refinements(t: TrialStack) -> list[Column]:
 
 
 def _lagrange_identity(t: TrialStack) -> list[Column]:
+    """The norm-of-combination identity balances to near machine precision."""
     parts = comb.CombinationStack(t.coeffs(_SALT_LAGRANGE), t.systems.rows, t.agg).lagrange
     residual, magnitude = parts.residual, parts.magnitude
     return [
@@ -312,6 +321,7 @@ COMBINATION_SWEEP = _sweep()
 
 
 def _combination_sweep(t: TrialStack) -> list[Column]:
+    """Exercise every combination bound family on one coefficient draw."""
     inputs = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.agg)
     rel = t.tol.compare_rel_tol
     lhs = inputs.lhs
@@ -330,6 +340,8 @@ def _combination_sweep(t: TrialStack) -> list[Column]:
 
 
 def _hadamard_chains(t: TrialStack) -> list[Column]:
+    """All chain refinements are sandwiched between the determinant and the
+    norm product; orthonormal systems sit exactly at 1."""
     ok = t.independent
     idx = np.flatnonzero(ok)
     if t.n < 2 or not idx.size:
@@ -353,6 +365,8 @@ def _hadamard_chains(t: TrialStack) -> list[Column]:
 
 
 def _gram_inequalities(t: TrialStack) -> list[Column]:
+    """Determinant nonnegativity/product bound, block splits, and the
+    sqrt-determinant triangle inequality on a random companion vector."""
     det, product = t.systems.factor.det, t.agg.norm_product
     out = [
         _column("gram_inequalities/nonnegative", det / (1.0 + np.abs(det)) + DOMINANCE_REL, gram_det=det),
@@ -372,6 +386,9 @@ def _gram_inequalities(t: TrialStack) -> list[Column]:
 
 
 def _conditional_bounds(t: TrialStack) -> list[Column]:
+    """Constructively sampled two-sided data: the condition holds in both
+    formulations, the half-width bound dominates d^2, and each relaxation
+    dominates the half-width bound."""
     chunk = t.chunk
     if chunk.lo is None:
         return []
@@ -401,91 +418,41 @@ def _conditional_bounds(t: TrialStack) -> list[Column]:
     return out
 
 
-# -- one instance: the families on a chunk of one -----------------------------
+# -- the registry: each family by name, and on one instance -------------------
 
 
-def _one(stacked: Callable[[TrialStack], list[Column]], instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    return outcomes_of(_evaluate(stacked, TrialStack(InstanceChunk.of(instance), tol)), 0)
-
-
-def check_representation_agreement(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """The determinant-ratio and quadratic-form distances agree with each
-    other and with a Gram–Schmidt oracle; the projection quotient sits above."""
-    return _one(_representation_agreement, instance, tol)
-
-
-def check_bound_dominance(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """Every unconditional bound dominates the exact squared distance; the
-    total-norm bound is strictly above it away from degeneracies."""
-    return _one(_bound_dominance, instance, tol)
-
-
-def check_orthonormal_collapse(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """For orthonormal systems three bounds collapse to the Bessel distance
-    and the other two exceed it by closed-form amounts."""
-    return _one(_orthonormal_collapse, instance, tol)
-
-
-def check_bessel_refinements(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """Refined Bessel right-hand sides dominate the coefficient power sum
-    for arbitrary systems, dependent ones included."""
-    return _one(_bessel_refinements, instance, tol)
-
-
-def check_lagrange_identity(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """The norm-of-combination identity balances to near machine precision."""
-    return _one(_lagrange_identity, instance, tol)
-
-
-def check_combination_sweep(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """Exercise every combination bound family on one coefficient draw."""
-    return _one(_combination_sweep, instance, tol)
-
-
-def check_hadamard_chains(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """All chain refinements are sandwiched between the determinant and the
-    norm product; orthonormal systems sit exactly at 1."""
-    return _one(_hadamard_chains, instance, tol)
-
-
-def check_gram_inequalities(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """Determinant nonnegativity/product bound, block splits, and the
-    sqrt-determinant triangle inequality on a random companion vector."""
-    return _one(_gram_inequalities, instance, tol)
-
-
-def check_conditional_bounds(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-    """Constructively sampled two-sided data: the condition holds in both
-    formulations, the half-width bound dominates d^2, and each relaxation
-    dominates the half-width bound."""
-    return _one(_conditional_bounds, instance, tol)
-
-
-REGISTRY: dict[str, CheckFn] = {
-    "representation_agreement": check_representation_agreement,
-    "bound_dominance": check_bound_dominance,
-    "orthonormal_collapse": check_orthonormal_collapse,
-    "bessel_refinements": check_bessel_refinements,
-    "lagrange_identity": check_lagrange_identity,
-    "combination_sweep": check_combination_sweep,
-    "hadamard_chains": check_hadamard_chains,
-    "gram_inequalities": check_gram_inequalities,
-    "conditional_bounds": check_conditional_bounds,
+_FAMILIES: dict[str, Callable[[TrialStack], list[Column]]] = {
+    "representation_agreement": _representation_agreement,
+    "bound_dominance": _bound_dominance,
+    "orthonormal_collapse": _orthonormal_collapse,
+    "bessel_refinements": _bessel_refinements,
+    "lagrange_identity": _lagrange_identity,
+    "combination_sweep": _combination_sweep,
+    "hadamard_chains": _hadamard_chains,
+    "gram_inequalities": _gram_inequalities,
+    "conditional_bounds": _conditional_bounds,
 }
+
+
+def _per_instance(stacked: Callable[[TrialStack], list[Column]]) -> CheckFn:
+    """The check ``stacked`` on one instance: the family run on a chunk of
+    one, named ``check_<family>`` and documented by the family's docstring."""
+
+    def check(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
+        return outcomes_of(_evaluate(stacked, TrialStack(InstanceChunk.of(instance), tol)), 0)
+
+    check.__name__ = check.__qualname__ = "check" + stacked.__name__
+    check.__doc__ = stacked.__doc__
+    return check
+
+
+REGISTRY: dict[str, CheckFn] = {name: _per_instance(stacked) for name, stacked in _FAMILIES.items()}
 
 # The stacked form of each built-in check. A REGISTRY entry found here runs
 # over whole chunks; any other entry (a check registered at runtime, or a
 # built-in wrapped in another function) runs once per instance.
 STACKED: dict[CheckFn, Callable[[TrialStack], list[Column]]] = {
-    check_representation_agreement: _representation_agreement,
-    check_bound_dominance: _bound_dominance,
-    check_orthonormal_collapse: _orthonormal_collapse,
-    check_bessel_refinements: _bessel_refinements,
-    check_lagrange_identity: _lagrange_identity,
-    check_combination_sweep: _combination_sweep,
-    check_hadamard_chains: _hadamard_chains,
-    check_gram_inequalities: _gram_inequalities,
-    check_conditional_bounds: _conditional_bounds,
+    REGISTRY[name]: stacked for name, stacked in _FAMILIES.items()
 }
 
 

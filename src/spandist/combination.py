@@ -217,10 +217,17 @@ class CombinationInputs:
     """One validated coefficient draw against one system: a
     :class:`CombinationStack` of one.
 
-    Every value is read from the stack of one and kept, so any number of
-    bounds on the same draw validate and reduce the coefficients once. The
-    Gram side comes from the system's aggregates. Build with :meth:`build`.
+    ``lhs``, ``coeff_norm_sq``, ``a``, ``a_max``, ``a_sum`` and
+    ``top_pair_product`` read entry 0 of the stack's field of the same name
+    on first access, and are then kept, so any number of bounds on the same
+    draw validate and reduce the coefficients once. The Gram side comes from
+    the system's aggregates. Build with :meth:`build`.
     """
+
+    # the stack fields read as entry 0, with the type each is returned as
+    # (None: the numpy entry itself)
+    _FIELDS = {"lhs": float, "coeff_norm_sq": float, "a": None, "a_max": None, "a_sum": None,
+               "top_pair_product": float}
 
     def __init__(self, alphas: np.ndarray, zs: VectorSystem) -> None:
         self.alphas = alphas
@@ -235,33 +242,17 @@ class CombinationInputs:
         a.setflags(write=False)
         return cls(a, zs)
 
-    @cached_property
-    def lhs(self) -> float:
-        """||sum_i alphas[i] * z_i||^2 computed in coordinates."""
-        return float(self.stack.lhs[0])
-
-    @cached_property
-    def coeff_norm_sq(self) -> float:
-        """sum_i |alphas[i]|^2 as the inner product <a, a>."""
-        return float(self.stack.coeff_norm_sq[0])
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        """|alphas|."""
-        return self.stack.a[0]
-
-    @cached_property
-    def a_max(self) -> np.floating:
-        return self.stack.a_max[0]
-
-    @cached_property
-    def a_sum(self) -> np.floating:
-        return self.stack.a_sum[0]
-
-    @cached_property
-    def top_pair_product(self) -> float:
-        """max_{i != j} |a_i||a_j| — product of the two largest magnitudes."""
-        return float(self.stack.top_pair_product[0])
+    def __getattr__(self, name: str):
+        # only a forwarded field gets here; copy and pickle probe other
+        # names (__setstate__, ...) on an instance whose __dict__ is empty
+        if name not in self._FIELDS:
+            raise AttributeError(f"'CombinationInputs' object has no attribute {name!r}")
+        value = getattr(self.stack, name)[0]
+        convert = self._FIELDS[name]
+        if convert is not None:
+            value = convert(value)
+        self.__dict__[name] = value
+        return value
 
     def power_sum(self, e: float) -> np.floating:
         """sum_i |a_i|^e, memoised per exponent."""

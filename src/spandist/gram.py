@@ -46,22 +46,17 @@ __all__ = [
     "SystemStack",
     "NormalizedGram",
     "PivotedCholesky",
-    "RankDiagnostics",
     "VectorSystem",
     "pivoted_cholesky",
     "factor_stack",
     "factor_gram",
-    "gram_det_of_matrix",
-    "gram_matrix",
     "gram_determinant",
-    "rank_diagnostics",
     "GramHadamardVerdict",
     "GramSplitVerdict",
     "GramTriangleVerdict",
     "check_gram_hadamard",
     "check_gram_product_split",
     "check_gram_triangle",
-    "gram_triangle_of_rows",
 ]
 
 
@@ -222,25 +217,6 @@ class AggregateStack:
         return value
 
 
-class _Entry:
-    """A :class:`GramAggregates` field: the viewed stack's field of the same
-    name at the view's index, kept once read."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, agg: "GramAggregates | None", owner: type | None = None):
-        if agg is None:
-            return self
-        value = getattr(agg.stack, self.name)
-        if isinstance(value, ChainPrefixes):
-            value = ChainPrefixes._make(field[agg.index] for field in value)
-        else:
-            value = value[agg.index]
-        agg.__dict__[self.name] = value
-        return value
-
-
 class GramAggregates:
     """One system's Gram aggregates: its entry of an :class:`AggregateStack`.
 
@@ -271,21 +247,21 @@ class GramAggregates:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GramAggregates is read-only")
 
-    norms_sq = _Entry()
-    norm_sum = _Entry()
-    norm_max = _Entry()
-    norm_product = _Entry()
-    abs_gram = _Entry()
-    abs_offdiag = _Entry()
-    offdiag_max = _Entry()
-    offdiag_sum = _Entry()
-    offdiag_sum_sq = _Entry()
-    row_sums = _Entry()
-    row_sum_total = _Entry()
-    row_max = _Entry()
-    abs_sum_sq = _Entry()
-    identity_deviation = _Entry()
-    chain_prefixes = _Entry()
+    # the cached fields of AggregateStack, the only names read through
+    _FIELDS = frozenset(name for name, v in vars(AggregateStack).items() if isinstance(v, cached_property))
+
+    def __getattr__(self, name: str):
+        # only a stack field gets here; copy and pickle probe other names
+        # (__setstate__, ...) on an instance whose __dict__ is still empty
+        if name not in self._FIELDS:
+            raise AttributeError(f"'GramAggregates' object has no attribute {name!r}")
+        value = getattr(self.stack, name)
+        if isinstance(value, ChainPrefixes):
+            value = ChainPrefixes._make(field[self.index] for field in value)
+        else:
+            value = value[self.index]
+        self.__dict__[name] = value
+        return value
 
     def power_sum(self, name: str, q: float) -> np.floating:
         """This system's entry of :meth:`AggregateStack.power_sum`, memoised."""
@@ -500,24 +476,6 @@ def factor_gram(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_t
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] > 0:
         return factor_stack(a[np.newaxis], rank_rel_tol).trial(0)
     return pivoted_cholesky(matrix, rank_rel_tol)
-
-
-def gram_det_of_matrix(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> float:
-    """Determinant of a Hermitian PSD matrix via :func:`factor_gram`.
-
-    Returns exactly 0.0 when the pivot ratio certifies rank deficiency.
-    """
-    return factor_gram(matrix, rank_rel_tol).determinant()
-
-
-@dataclass(frozen=True)
-class RankDiagnostics:
-    """Numerical-rank evidence extracted from the pivot sequence."""
-
-    gram_det: float
-    min_pivot: float
-    max_pivot: float
-    independent: bool
 
 
 class SystemStack:
@@ -755,34 +713,9 @@ class VectorSystem:
 # -- module-level operation surface -------------------------------------
 
 
-def gram_matrix(system: VectorSystem) -> GramMatrix:
-    return system.gram
-
-
 def gram_determinant(system: VectorSystem) -> float:
     """Gram determinant; exactly 0.0 for (numerically) dependent systems."""
     return float(system._stack.factor.det[system._index])
-
-
-def rank_diagnostics(system: VectorSystem, tol: ToleranceConfig | None = None) -> RankDiagnostics:
-    """Pivot-based rank evidence from :func:`pivoted_cholesky`.
-
-    The figures are those of the diagonally pivoted sequence the rank test
-    reads, so the system is refactored with it: the certified factor of
-    :func:`factor_gram` keeps natural order, and its pivots are other
-    Schur complements (only their product, the determinant, is the same).
-    """
-    tol = tol or system.tol
-    chol = pivoted_cholesky(system.gram.entries, tol.rank_rel_tol)
-    pivots = chol.pivots[: chol.rank]
-    max_pivot = float(np.max(pivots, initial=0.0))
-    min_pivot = float(np.min(pivots)) if chol.complete and pivots.size else 0.0
-    return RankDiagnostics(
-        gram_det=chol.determinant(),
-        min_pivot=min_pivot,
-        max_pivot=max_pivot,
-        independent=chol.complete,
-    )
 
 
 def require_independent(system: VectorSystem) -> None:
@@ -890,25 +823,9 @@ def check_gram_triangle(
             raise DimensionMismatchError(
                 f"leading vector dimension {lead.dim} != system dimension {rest_rows.shape[1]}"
             )
-    return gram_triangle_of_rows(x1.coords, y1.coords, rest_rows, field, tol)
-
-
-def gram_triangle_of_rows(
-    x1: np.ndarray,
-    y1: np.ndarray,
-    rest_rows: np.ndarray,
-    field: Field,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> GramTriangleVerdict:
-    """:func:`check_gram_triangle` on validated coordinates.
-
-    ``x1`` and ``y1`` are coordinate vectors and ``rest_rows`` an
-    ``(m, dim)`` array, all finite and of the field's dtype; nothing is
-    checked, and only the three augmented Gram matrices are factored.
-    """
-
     combined, first, second = (
-        float(v[0]) for v in triangle_roots(x1[np.newaxis], y1[np.newaxis], rest_rows[np.newaxis], field, tol)
+        float(v[0])
+        for v in triangle_roots(x1.coords[np.newaxis], y1.coords[np.newaxis], rest_rows[np.newaxis], field, tol)
     )
     return GramTriangleVerdict(
         combined=combined,

@@ -4,11 +4,16 @@ Every value read from a cache must be the very number the direct
 expression gives, so the comparisons here are exact (==), never approx.
 """
 
+import copy
+import pickle
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 import spandist as sd
 from spandist import BoundMethod, CombinationKind, Field, GeneratorConfig
+from spandist import combination as sd_comb
 from spandist import gram as sd_gram
 from spandist.checks import COMBINATION_SWEEP, applicable_checks, run_checks
 
@@ -265,3 +270,87 @@ def test_aggregates_are_read_only():
     agg = SYSTEMS["real-n5"].aggregates
     with pytest.raises(AttributeError):
         agg.norm_sum = 0.0
+
+
+# -- the thin views: GramAggregates and CombinationInputs --------------------------
+
+
+_STACK_FIELDS = sorted(name for name, v in vars(sd_gram.AggregateStack).items() if isinstance(v, cached_property))
+
+# each CombinationInputs accessor and the type it returns
+_INPUT_TYPES = {
+    "lhs": float,
+    "coeff_norm_sq": float,
+    "a": np.ndarray,
+    "a_max": np.float64,
+    "a_sum": np.float64,
+    "top_pair_product": float,
+}
+
+
+def _assert_entry(got, stacked, k):
+    if isinstance(stacked, sd_gram.ChainPrefixes):
+        assert type(got) is sd_gram.ChainPrefixes
+        for field, whole in zip(got, stacked):
+            assert np.array_equal(field, whole[k])
+    elif stacked.ndim > 1:
+        assert type(got) is np.ndarray and np.array_equal(got, stacked[k])
+    else:
+        assert type(got) is np.float64 and got == stacked[k]
+
+
+def test_every_stack_field_reads_through_the_view():
+    assert len(_STACK_FIELDS) == 15
+    rng = np.random.default_rng(5)
+    stack = sd_gram.SystemStack(random_rows(rng, 12, 6, Field.COMPLEX).reshape(3, 4, 6), Field.COMPLEX)
+    for k in range(stack.size):
+        view = stack.view(k).aggregates
+        assert view.stack is stack.aggregates and view.index == k
+        for name in _STACK_FIELDS:
+            _assert_entry(getattr(view, name), getattr(stack.aggregates, name), k)
+            assert getattr(view, name) is getattr(view, name)
+    # a view built over a lone Gram matrix reads its own stack of one
+    lone = sd_gram.GramAggregates(stack.view(1).gram)
+    for name in _STACK_FIELDS:
+        _assert_entry(getattr(lone, name), getattr(lone.stack, name), 0)
+        _assert_entry(getattr(lone, name), getattr(stack.aggregates, name), 1)
+
+
+def test_combination_inputs_read_entry_zero(system):
+    inputs = sd.CombinationInputs.build(np.linspace(-2.0, 3.0, system.n), system)
+    for name, kind in _INPUT_TYPES.items():
+        got = getattr(inputs, name)
+        assert type(got) is kind, name
+        assert np.array_equal(got, getattr(inputs.stack, name)[0])
+        assert getattr(inputs, name) is got
+    result = inputs.bound(sd.CombinationMethod(kind=CombinationKind.CAUCHY_SCHWARZ))
+    assert type(result.lhs) is float and type(result.holds) is bool
+    assert type(sd.combination_norm_sq([1.0] * system.n, system)) is float
+
+
+def test_views_forward_no_other_name(system):
+    agg = system.aggregates
+    inputs = sd.CombinationInputs.build(np.ones(system.n), system)
+    for obj, names in (
+        (agg, ("norm", "gram_", "power", "_stack_", "_norms_sq", "__setstate__")),
+        (inputs, ("agg", "n", "lagrange", "alphas_", "_lhs", "_a", "__setstate__")),
+    ):
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(obj, name)
+    assert isinstance(inputs.stack, sd_comb.CombinationStack)
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_views_copy_and_pickle(system, read):
+    agg = sd_gram.GramAggregates(system.gram) if not read else system.aggregates
+    inputs = sd.CombinationInputs.build(np.linspace(1.0, 2.0, system.n), system)
+    if read:
+        _ = (agg.chain_prefixes, inputs.lhs, inputs.a_max)
+    for clone in (copy.copy(agg), pickle.loads(pickle.dumps(agg))):
+        for name in _STACK_FIELDS:
+            _assert_entry(getattr(clone, name), getattr(agg.stack, name), agg.index)
+    for clone in (copy.copy(inputs), pickle.loads(pickle.dumps(inputs))):
+        for name in _INPUT_TYPES:
+            assert np.array_equal(getattr(clone, name), getattr(inputs, name))
+        assert clone.power_sum(3.0) == inputs.power_sum(3.0)

@@ -1,5 +1,14 @@
 """Campaign determinism: serial == parallel, replay reproduces failures."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,3 +115,56 @@ def test_failures_sorted_by_trial_then_check(monkeypatch):
     keys = [(f.trial, f.check_id) for f in res.failures]
     assert keys == sorted(keys)
     assert res.counts["zzz/b"] == 2
+
+
+_START_METHOD_SCRIPT = textwrap.dedent("""
+    import multiprocessing as mp
+    import sys
+
+    import spandist as sd
+    from spandist.checks import REGISTRY
+
+
+    def planted(instance, tol):
+        return [sd.CheckOutcome("planted/ok", True, 1.0)]
+
+
+    if __name__ == "__main__":
+        mp.set_start_method(sys.argv[1])
+        REGISTRY["planted"] = planted
+        config = sd.GeneratorConfig(seed=1, trials=4, dim=3, n=2)
+        print(sd.run_campaign(config, checks=("planted",), jobs=2).counts["planted/ok"])
+""")
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_a_runtime_check_runs_in_the_pool_under_any_start_method(tmp_path, method):
+    # in a child interpreter with its own start method and process group, so
+    # this session's start method stays as it is and every helper process
+    # the child leaves (pool workers, fork server) can be found and reaped
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    script = tmp_path / "repro.py"
+    script.write_text(_START_METHOD_SCRIPT)
+    src = str(Path(sd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, str(script), method], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the campaign left a process running"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert out.split() == ["4"]

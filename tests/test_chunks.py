@@ -76,6 +76,37 @@ def test_serial_and_split_reports_are_identical(config):
             assert sd.render_campaign(split, fmt) == sd.render_campaign(serial, fmt), (jobs, fmt)
 
 
+# the streams of the campaign_small benchmark workload
+SMALL_STREAMS = ("complex_d7_n5_k1e2_intervals", "real_d4_n3_orthonormal_intervals", "real_d6_n4_k1e3_dependent")
+
+
+@pytest.mark.parametrize("name", SMALL_STREAMS)
+def test_the_library_reads_the_campaigns_numbers(name):
+    config = _config(name, trials=sd_campaign.CHUNK_TRIALS)
+    chunk = generate_chunk(config, range(config.trials), TOL)
+    checks = [resolve_check(family) for family in ("representation_agreement", "bound_dominance")]
+    columns = {c.check_id: c for c in run_stacked(checks, chunk, TOL)}
+
+    def value(check_id, key, k):
+        return float(dict(columns[check_id].values)[key][k])
+
+    compared = 0
+    for k in np.flatnonzero(chunk.systems.factor.complete).tolist():
+        instance = chunk.instance(k)
+        result = sd.exact_distance(instance.system, instance.x)
+        assert result.d2_quadratic == value("representation_agreement/ratio_vs_quadratic", "quadratic", k)
+        assert result.d2_gram_ratio == value("representation_agreement/ratio_vs_quadratic", "ratio", k)
+        assert result.d2_projection == value("representation_agreement/projection_is_upper", "projection", k)
+        if not columns["bound_dominance/total_norm"].mask[k]:
+            continue  # x orthogonal to the span: the report raises
+        report = sd.full_bound_report(instance.system, instance.x)
+        assert len(report.entries) == 5
+        for entry in report.entries:
+            assert entry.value == value(f"bound_dominance/{entry.method.value}", "bound", k), entry.method
+        compared += 1
+    assert compared >= config.trials // 2
+
+
 def test_runtime_check_runs_per_instance_beside_stacked_ones(monkeypatch):
     config = _config("complex_d7_n5_k1e2_intervals")
     seen = []

@@ -194,30 +194,27 @@ def test_a_dependent_trial_falls_back(monkeypatch):
     assert len(calls) >= 1
 
 
-# -- rank diagnostics report the reference's pivots ---------------------------------
+# -- a system's factor against the pivoted reference ---------------------------------
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-def test_rank_diagnostics_match_the_pivoted_reference(field):
+def test_a_system_on_the_fast_path_has_the_reference_determinant(field):
     rng = np.random.default_rng(11)
     rows = _conditioned_rows(rng, 6, field, 1e4)
     system = sd.VectorSystem.from_rows(rows, field)
     assert np.array_equal(system.cholesky.perm, np.arange(6))  # the fast path
     ref = sd_gram.pivoted_cholesky(system.gram.entries, TOL)
-    diag = sd.rank_diagnostics(system)
-    assert diag.independent is ref.complete is system.independent is True
-    assert diag.max_pivot == float(ref.pivots[0])
-    assert diag.min_pivot == float(ref.pivots[ref.rank - 1])
-    assert diag.gram_det == ref.determinant()
-    assert diag.gram_det == pytest.approx(sd.gram_determinant(system), rel=1e-10)
+    assert ref.complete is system.independent is True
+    assert ref.determinant() == pytest.approx(sd.gram_determinant(system), rel=1e-10)
 
 
-def test_rank_diagnostics_of_a_dependent_system():
+def test_a_dependent_system_has_the_reference_rank_and_a_zero_determinant():
     system = sd.VectorSystem.from_rows([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-    diag = sd.rank_diagnostics(system)
-    assert not diag.independent
-    assert diag.min_pivot == 0.0 and diag.gram_det == 0.0
-    assert diag.max_pivot == 9.0
+    ref = sd_gram.pivoted_cholesky(system.gram.entries, TOL)
+    assert not system.independent and not ref.complete
+    assert system.rank == ref.rank == 2
+    assert sd.gram_determinant(system) == ref.determinant() == 0.0
+    assert float(ref.pivots[0]) == 9.0
 
 
 # -- the CGS2 oracle against least squares --------------------------------------------

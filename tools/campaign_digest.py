@@ -20,6 +20,15 @@ chunks. Their json and csv digests must equal the serial ones: a line
 ``MISMATCH <stream> jobs=<k> <fmt>`` is printed for each that differs, and
 the script exits with status 1 if any does, 0 otherwise.
 
+The per-instance API is fingerprinted too. For the first
+:data:`LIBRARY_TRIALS` trials of each stream, the ``library`` line hashes
+``render_distance(exact_distance(...), full_bound_report(...), "json")``
+and ``render_hadamard`` of the four ``hadamard_chain`` variants with
+``check_hadamard_strict``, in json, or the type of the exception a call
+raises instead (``LinearDependenceError`` for a dependent system,
+``ValueError`` for the chains of a single vector, ...). A ``combined
+library`` digest over these lines closes the output.
+
 spandist is imported from ``src/`` of the checkout this script sits in.
 """
 
@@ -64,11 +73,34 @@ def _structure(result: sd.CampaignResult) -> str:
 
 
 SPLITS = (2, 3)
+LIBRARY_TRIALS = 16
+
+
+def _or_error(call) -> str:
+    """The document ``call()`` renders, or the type of what it raises."""
+    try:
+        return call()
+    except (sd.SpandistError, ValueError) as exc:
+        return type(exc).__name__ + "\n"
+
+
+def _library(config: GeneratorConfig) -> str:
+    """What the per-instance API reports on the first trials of a stream."""
+    out = []
+    for trial in range(min(LIBRARY_TRIALS, config.trials)):
+        inst = sd.generate_instance(config, trial)
+        s, x = inst.system, inst.x
+        out.append(f"trial {trial} distance\n" + _or_error(lambda: sd.render_distance(
+            sd.exact_distance(s, x), sd.full_bound_report(s, x, inst.intervals), "json")))
+        out.append(f"trial {trial} hadamard\n" + _or_error(lambda: sd.render_hadamard(
+            [sd.hadamard_chain(s, variant) for variant in sd.ChainVariant], sd.check_hadamard_strict(s), "json")))
+    return "".join(out)
 
 
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
+    library = hashlib.sha256()
     mismatches = 0
     for name, (trials, kwargs) in STREAMS.items():
         config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
@@ -81,6 +113,9 @@ def main() -> int:
         digest = _sha(_structure(result))
         structure.update(f"{name} struct {digest}\n".encode("ascii"))
         print(f"{name:<34} {'struct':<6} {digest}")
+        digest = _sha(_library(config))
+        library.update(f"{name} library {digest}\n".encode("ascii"))
+        print(f"{name:<34} library {digest}")
         for jobs in SPLITS:
             split = sd.run_campaign(config, jobs=jobs)
             for fmt in ("json", "csv"):
@@ -89,6 +124,7 @@ def main() -> int:
                     print(f"MISMATCH {name} jobs={jobs} {fmt}")
     print(f"{'combined':<41} {combined.hexdigest()}")
     print(f"{'combined struct':<41} {structure.hexdigest()}")
+    print(f"{'combined library':<41} {library.hexdigest()}")
     return 1 if mismatches else 0
 
 
