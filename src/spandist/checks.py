@@ -198,7 +198,7 @@ class TrialStack:
 
 def _representation_agreement(t: TrialStack) -> list[Column]:
     """The determinant-ratio and quadratic-form distances agree with each
-    other and with a Gram–Schmidt oracle; the projection quotient sits above."""
+    other and with a Householder QR oracle; the projection quotient sits above."""
     ok = t.independent
     idx = np.flatnonzero(ok)
     if not idx.size:

@@ -298,8 +298,9 @@ class LagrangeParts:
         return abs(self.coeff_sum * self.norm_sum) + abs(self.combo_norm_sq) + abs(self.pair_sum)
 
 
-# Entries of one pass of pairwise differences in the Lagrange sum: bounds
-# the working memory (a few such arrays live at once) whatever n and dim.
+# Entries of one pass of pairwise differences in the Lagrange sum: systems
+# whose pairs fit are summed together in one pass; a larger system takes
+# one pass per row, so its working memory stays at two (n - 1, dim) buffers.
 _PAIR_BLOCK_ENTRIES = 1 << 16
 
 
@@ -318,11 +319,10 @@ def _pair_sum(ac: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     When one system's pairs fit the entry budget, each pass takes all pairs
     of as many systems as fit, as one (systems, pairs, dim) array. Larger
-    systems go one at a time and one block of rows i at a time, against the
-    partners j > i: the block's differences form a (block rows, partners,
-    dim) array in which the pairs with j <= i get zero coefficients, so the
-    (n, n, dim) tensor is never built, and each block's squares are summed
-    by one BLAS dot. Either way a system's sum is taken over the same
+    systems go one at a time and one row i at a time: the differences
+    ac_i z_j - ac_j z_i against the partners j > i are formed in place in a
+    (partners, dim) buffer and summed by one BLAS dot, so the (n, n, dim)
+    tensor is never built. Either way a system's sum is taken over the same
     entries in the same order in any stack.
     """
     count, n, dim = rows.shape
@@ -336,16 +336,16 @@ def _pair_sum(ac: np.ndarray, rows: np.ndarray) -> np.ndarray:
             diff = a[:, i, np.newaxis] * z[:, j] - a[:, j, np.newaxis] * z[:, i]
             total[lo : lo + step] = sq_norms(diff.reshape(diff.shape[0], -1))
         return total
-    step = max(1, _PAIR_BLOCK_ENTRIES // (n * dim))
+    dtype = np.result_type(ac, rows)
+    left, right = np.empty((n - 1) * dim, dtype), np.empty((n - 1) * dim, dtype)
     for t in range(count):
-        a, z = ac[t : t + 1], rows[t : t + 1]
-        for start in range(0, n - 1, step):
-            stop = min(start + step, n - 1)
-            upper = np.arange(start + 1, n) > np.arange(start, stop)[:, np.newaxis]
-            left = np.where(upper, a[:, start:stop, np.newaxis], 0.0)
-            right = np.where(upper, a[:, np.newaxis, start + 1 :], 0.0)
-            diff = (left[:, :, :, np.newaxis] * z[:, np.newaxis, start + 1 :]
-                    - right[:, :, :, np.newaxis] * z[:, start:stop, np.newaxis, :])
+        a, z = ac[t], rows[t]
+        for row in range(n - 1):
+            size = (n - 1 - row) * dim
+            diff, sub = left[:size].reshape(-1, dim), right[:size].reshape(-1, dim)
+            np.multiply(a[row], z[row + 1 :], out=diff)
+            np.multiply(a[row + 1 :, np.newaxis], z[row], out=sub)
+            diff -= sub
             total[t] += np.real(np.vdot(diff, diff))
     return total
 

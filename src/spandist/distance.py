@@ -297,5 +297,5 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
 
 
 def distance_sq_oracle(system: VectorSystem, x: Vector) -> float:
-    """Reference distance via Gram–Schmidt only (no determinants, no solves)."""
+    """Reference distance via Householder QR only (no Gram matrix, no determinants, no solves)."""
     return distance_sq_by_orthonormalization(system.rows, x.coords, system.tol)

@@ -36,7 +36,7 @@ from .errors import (
     LinearDependenceError,
     NumericalInstabilityError,
 )
-from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector
+from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, sq_norms
 
 __all__ = [
     "GramMatrix",
@@ -848,10 +848,15 @@ def triangle_roots(
     x1: np.ndarray, y1: np.ndarray, rest_rows: np.ndarray, field: Field, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """det^(1/2) of the Gram matrices of (x1 + y1, rest), (x1, rest) and
-    (y1, rest) for (T, dim) leading rows and a (T, m, dim) rest."""
-
-    def root_det(lead: np.ndarray) -> np.ndarray:
-        rows = np.concatenate([lead[:, np.newaxis, :], rest_rows], axis=1).astype(field.dtype)
-        return np.sqrt(np.maximum(factor_stack(gram_stack(rows), tol.rank_rel_tol).det, 0.0))
-
-    return root_det(x1 + y1), root_det(x1), root_det(y1)
+    (y1, rest) for (T, dim) leading rows and a (T, m, dim) rest: the Gram
+    block of the rest, bordered by each leading row's inner products."""
+    rest = rest_rows.astype(field.dtype)
+    leads = np.stack([x1 + y1, x1, y1], axis=1).astype(field.dtype)
+    cross = rest.conj() @ np.swapaxes(leads, -1, -2)  # cross[:, j, k] = <lead_k, rest_j>
+    gram = np.empty((rest.shape[0], rest.shape[1] + 1, rest.shape[1] + 1), field.dtype)
+    gram[:, 1:, 1:] = gram_stack(rest)
+    roots = []
+    for k in range(3):
+        gram[:, 0, 0], gram[:, 0, 1:], gram[:, 1:, 0] = sq_norms(leads[:, k]), cross[:, :, k], cross[:, :, k].conj()
+        roots.append(np.sqrt(np.maximum(factor_stack(gram, tol.rank_rel_tol).det, 0.0)))
+    return tuple(roots)

@@ -15,6 +15,7 @@ import pytest
 import spandist as sd
 from spandist import CheckOutcome, Field, GeneratorConfig
 from spandist.checks import REGISTRY
+from spandist.errors import NumericalInstabilityError
 
 
 CFG = GeneratorConfig(seed=2024, trials=30, dim=5, n=3, field=Field.COMPLEX,
@@ -115,6 +116,18 @@ def test_failures_sorted_by_trial_then_check(monkeypatch):
     keys = [(f.trial, f.check_id) for f in res.failures]
     assert keys == sorted(keys)
     assert res.counts["zzz/b"] == 2
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalInstabilityError,
+                   reason="at Gram condition 1e13 trial 49 passes the rank test, but its normalised "
+                          "Gram determinant vanishes")
+def test_a_campaign_at_gram_condition_1e13_completes():
+    # the expected-failure boundary of conditioning: one trial aborts the
+    # whole campaign, and replaying it alone raises the same way
+    config = GeneratorConfig(seed=11, trials=64, dim=7, n=5, conditioning=1e13)
+    with pytest.raises(NumericalInstabilityError):
+        sd.replay_trial(config, 49)
+    sd.run_campaign(config)
 
 
 _START_METHOD_SCRIPT = textwrap.dedent("""

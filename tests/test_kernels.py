@@ -4,13 +4,19 @@
   same rank decision, completeness and exception as ``pivoted_cholesky``,
   and the same determinant up to rounding where the matrix is not too
   ill-conditioned.
-* The block CGS2 oracle must leave the residual of a least-squares solve.
+* The Householder QR oracle must leave the residual of a least-squares
+  solve, and its squared distance must lie within its backward-error bound
+  of the exact rational Gram determinant ratio.
 * The one-pass chain prefixes must give the factors of a per-position loop.
-* The blocked Lagrange pair sum must give the dense (n, n, dim) formula.
+* The Lagrange pair sum, in one pass or one row at a time, must give the
+  dense (n, n, dim) formula.
+* The QR oracle and the row-pass pair sum give each system the same bits
+  in any stack.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ import spandist as sd
 from spandist import Field, GeneratorConfig
 from spandist import combination as sd_comb
 from spandist import gram as sd_gram
+from spandist import orthonormalize as sd_orth
 from spandist.checks import applicable_checks, run_checks
 from spandist.errors import NumericalInstabilityError
 
@@ -217,12 +224,12 @@ def test_a_dependent_system_has_the_reference_rank_and_a_zero_determinant():
     assert float(ref.pivots[0]) == 9.0
 
 
-# -- the CGS2 oracle against least squares --------------------------------------------
+# -- the QR oracle against least squares and an exact value -------------------------
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 @pytest.mark.parametrize("n,dim", [(1, 3), (4, 7), (12, 12), (20, 64)])
-def test_cgs2_residual_matches_least_squares(field, n, dim):
+def test_qr_residual_matches_least_squares(field, n, dim):
     rng = np.random.default_rng([n, dim])
     rows = random_rows(rng, n, dim, field)
     x = random_rows(rng, 1, dim, field)[0]
@@ -236,11 +243,83 @@ def test_cgs2_residual_matches_least_squares(field, n, dim):
     assert np.allclose(basis @ basis.conj().T, np.eye(n), rtol=0.0, atol=1e-13)
 
 
-def test_cgs2_keeps_orthogonality_when_ill_conditioned():
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_qr_basis_has_the_gram_schmidt_phase(field):
+    # row k = sum_{i<=k} c_ki basis_i with c_kk > 0, as Gram–Schmidt gives it
+    rng = np.random.default_rng(21)
+    for n, dim in ((1, 3), (4, 7), (12, 12)):
+        rows = random_rows(rng, n, dim, field)
+        c = rows @ sd.orthonormal_rows(rows).conj().T
+        atol = 1e-12 * np.max(np.abs(c))
+        assert np.allclose(np.triu(c, 1), 0.0, rtol=0.0, atol=atol)
+        assert np.all(c.diagonal().real > 0.0)
+        assert np.allclose(c.diagonal().imag, 0.0, rtol=0.0, atol=atol)
+
+
+def test_qr_keeps_orthogonality_when_ill_conditioned():
     rng = np.random.default_rng(8)
     rows = _conditioned_rows(rng, 8, Field.REAL, 1e10)
     basis = sd.orthonormal_rows(rows)
     assert np.max(np.abs(basis @ basis.T - np.eye(8))) < 1e-14
+
+
+def _exact_gram_det(vectors):
+    """Gram determinant of real vectors of Fractions, by exact elimination."""
+    g = [[sum(a * b for a, b in zip(u, v)) for v in vectors] for u in vectors]
+    det = Fraction(1)
+    for k in range(len(g)):
+        pivot = next(r for r in range(k, len(g)) if g[r][k] != 0)
+        if pivot != k:
+            g[k], g[pivot] = g[pivot], g[k]
+            det = -det
+        det *= g[k][k]
+        for r in range(k + 1, len(g)):
+            f = g[r][k] / g[k][k]
+            for c in range(k, len(g)):
+                g[r][c] -= f * g[k][c]
+    return det
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e6, 1e10, 1e12])
+def test_qr_oracle_against_the_exact_gram_ratio(kappa):
+    # Householder QR is normwise backward stable, so its error in d^2 scales
+    # with eps * ||[A; x]||_F^2, not with d^2: the bound is absolute, and
+    # allows sqrt(kappa) growth. The largest measured constant is about 1.8
+    eps = np.finfo(float).eps
+    for n, dim in ((1, 3), (3, 4), (5, 7), (7, 8)):
+        config = GeneratorConfig(seed=2027, trials=8, dim=dim, n=n, conditioning=kappa)
+        for trial in range(config.trials):
+            instance = sd.generate_instance(config, trial)
+            rows, x = instance.system.rows, instance.x.coords
+            exact_rows = [[Fraction(float(v)) for v in row] for row in rows]
+            exact_x = [Fraction(float(v)) for v in x]
+            exact = _exact_gram_det(exact_rows + [exact_x]) / _exact_gram_det(exact_rows)
+            oracle = sd.distance_sq_by_orthonormalization(rows, x)
+            scale = float(np.sum(rows**2) + np.sum(x**2))
+            assert abs(Fraction(oracle) - exact) <= Fraction(8.0 * math.sqrt(kappa) * eps * scale)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_qr_oracle_gives_each_system_its_bits_in_any_stack(field):
+    rng = np.random.default_rng([64, 256, field is Field.COMPLEX])
+    for count, n, dim in ((2, 64, 256), (16, 5, 7), (3, 1, 4)):
+        rows = np.stack([random_rows(rng, n, dim, field) for _ in range(count)])
+        x = random_rows(rng, count, dim, field)
+        stacked = sd_orth.distance_sq_stack(rows, x)
+        for k in range(count):
+            assert stacked[k] == sd_orth.distance_sq_stack(rows[k : k + 1], x[k : k + 1])[0]
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_qr_oracle_is_zero_when_the_rows_span_the_space(field):
+    rng = np.random.default_rng(12)
+    for n in (1, 4, 9):
+        system = sd.VectorSystem.from_rows(random_rows(rng, n, n, field), field)
+        x = sd.vector(random_rows(rng, 1, n, field)[0], field)
+        oracle = sd.distance_sq_by_orthonormalization(system.rows, x.coords)
+        assert oracle == 0.0
+        quadratic = sd.distance_sq_quadratic(system, x)
+        assert abs(oracle - quadratic) <= sd.DEFAULT_TOL.compare_rel_tol * (1.0 + abs(quadratic))
 
 
 # -- Hadamard chain factors against a per-position loop ------------------------------
@@ -305,7 +384,7 @@ def test_chain_clamps_a_tiny_negative_factor_silently():
     assert result.factors == (1.0, 0.0) and not result.clamped
 
 
-# -- the blocked Lagrange pair sum against the dense tensor ---------------------------
+# -- the Lagrange pair sum against the dense tensor ----------------------------------
 
 
 def _dense_pair_sum(alphas, rows):
@@ -341,5 +420,18 @@ def test_pair_sum_over_a_chunk_of_small_systems(field, block, monkeypatch):
     alphas = random_rows(rng, 16, 5, field)
     chunk = sd_comb._pair_sum(alphas.conj(), rows)
     for k in range(16):
+        assert chunk[k] == pytest.approx(_dense_pair_sum(alphas[k], rows[k]), rel=1e-13, abs=0.0)
+        assert chunk[k] == sd_comb._pair_sum(alphas[k : k + 1].conj(), rows[k : k + 1])[0]
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_row_pass_pair_sum_at_the_wide_shape(field):
+    # a campaign_wide chunk: too large for one pass, so one pass per row
+    rng = np.random.default_rng([2, 64, 256, field is Field.COMPLEX])
+    rows = np.stack([random_rows(rng, 64, 256, field) for _ in range(2)])
+    alphas = random_rows(rng, 2, 64, field)
+    assert 64 * 63 // 2 * 256 > sd_comb._PAIR_BLOCK_ENTRIES
+    chunk = sd_comb._pair_sum(alphas.conj(), rows)
+    for k in range(2):
         assert chunk[k] == pytest.approx(_dense_pair_sum(alphas[k], rows[k]), rel=1e-13, abs=0.0)
         assert chunk[k] == sd_comb._pair_sum(alphas[k : k + 1].conj(), rows[k : k + 1])[0]

@@ -57,6 +57,10 @@ STREAMS = {
     "complex_d4_n1": (64, dict(dim=4, n=1, field=Field.COMPLEX)),
     "complex_d8_n7_k1e6": (64, dict(dim=8, n=7, field=Field.COMPLEX, conditioning=1e6)),
     "complex_d5_n4_k1e2_dependent": (64, dict(dim=5, n=4, field=Field.COMPLEX, conditioning=1e2, dependent_fraction=0.5)),
+    # the shape of the campaign_wide benchmark workload, in chunks of 2: the
+    # row passes of the Lagrange pair sum and a dim 256 QR; jobs=2 splits
+    # it at trial 3, inside a serial chunk
+    "real_d256_n64_k1e4": (6, dict(dim=256, n=64, field=Field.REAL, conditioning=1e4)),
 }
 
 
