@@ -9,6 +9,10 @@ range is split into chunks, or across workers, changes nothing. A check
 registered at runtime (a plain per-instance function) is called once per
 trial with that trial's :func:`generate_instance`.
 
+With ``jobs > 1`` each trial range runs in its own forked worker, which
+sends its tally, or its exception and traceback, back through a pipe. All
+replies are read before any worker is joined: a large one blocks its exit.
+
 Aggregation is order-independent by construction — counts are sums, worst
 margins are minima, and failures are sorted by (trial, check_id) — so a
 parallel run merges to exactly the same result as a serial one, and the
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,9 +40,8 @@ __all__ = ["FailureRecord", "CampaignResult", "run_campaign", "replay_trial"]
 CHUNK_TRIALS = 16
 _CHUNK_ENTRIES = 1 << 15
 
-# Pool workers are forked where the platform can fork: a forked worker
-# inherits the checks registered at runtime, which a worker that starts a
-# fresh interpreter (spawn, forkserver) would not find in its REGISTRY.
+# Workers are forked where the platform can fork: a forked worker inherits the
+# checks registered at runtime, which a spawn or forkserver worker would lack.
 _MP_CONTEXT = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
@@ -143,6 +146,17 @@ def _run_range(
     return tally.counts, tally.worst, tally.failures
 
 
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker."""
+
+
+def _worker(send, config: GeneratorConfig, names: tuple[str, ...], start: int, stop: int, tol: ToleranceConfig) -> None:
+    try:
+        send.send((True, _run_range(config, names, start, stop, tol)))
+    except BaseException as exc:
+        send.send((False, (exc, "".join(traceback.format_exception(exc)))))
+
+
 def run_campaign(
     config: GeneratorConfig,
     checks: tuple[str, ...] | list[str] | None = None,
@@ -155,6 +169,8 @@ def run_campaign(
     ``jobs > 1`` the trial range is split across worker processes; results
     are identical to a serial run.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = tuple(checks) if checks is not None else applicable_checks(config)
     started = time.perf_counter()
     counts: dict[str, int] = {}
@@ -166,17 +182,31 @@ def run_campaign(
     else:
         jobs = min(jobs, trials)
         edges = [trials * i // jobs for i in range(jobs + 1)]
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=_MP_CONTEXT) as pool:
-            parts = list(
-                pool.map(
-                    _run_range,
-                    [config] * jobs,
-                    [names] * jobs,
-                    edges[:-1],
-                    edges[1:],
-                    [tol] * jobs,
-                )
-            )
+        procs, conns, parts = [], [], []
+        try:
+            for lo, hi in zip(edges, edges[1:]):
+                recv, send = _MP_CONTEXT.Pipe(duplex=False)
+                conns.append(recv)
+                with send:  # closed before the next fork, so that this worker's exit ends the pipe
+                    proc = _MP_CONTEXT.Process(target=_worker, args=(send, config, names, lo, hi, tol))
+                    proc.start()
+                procs.append(proc)
+            for proc, recv, lo, hi in zip(procs, conns, edges, edges[1:]):
+                try:
+                    ok, reply = recv.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"worker for trials {lo}-{hi - 1} exited with code {proc.exitcode}") from None
+                if not ok:
+                    raise reply[0] from _WorkerTraceback(reply[1])
+                parts.append(reply)
+        finally:
+            for proc in procs:
+                if len(parts) < len(procs):  # a share has no reply: stop the rest
+                    proc.terminate()
+                proc.join()
+            for conn in conns:
+                conn.close()
         for part_counts, part_worst, part_failures in parts:
             for key, value in part_counts.items():
                 counts[key] = counts.get(key, 0) + value

@@ -56,6 +56,12 @@ def test_more_jobs_than_trials():
     assert res.total_outcomes > 0
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_a_nonpositive_jobs_is_rejected(jobs):
+    with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+        sd.run_campaign(GeneratorConfig(seed=0, trials=4, dim=3, n=2), jobs=jobs)
+
+
 def test_zero_trials():
     empty = GeneratorConfig(seed=1, trials=0, dim=4, n=2)
     res = sd.run_campaign(empty)
@@ -116,6 +122,86 @@ def test_failures_sorted_by_trial_then_check(monkeypatch):
     keys = [(f.trial, f.check_id) for f in res.failures]
     assert keys == sorted(keys)
     assert res.counts["zzz/b"] == 2
+
+
+SHARED = GeneratorConfig(seed=5, trials=6, dim=3, n=2)  # jobs=2 splits it into trials 0-2 and 3-5
+
+
+def test_a_worker_exception_reaches_the_caller_with_its_traceback(monkeypatch):
+    def planted(instance, tol):
+        if instance.trial == 3:
+            raise NumericalInstabilityError("planted at trial 3")
+        return []
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    with pytest.raises(NumericalInstabilityError) as info:
+        sd.run_campaign(SHARED, checks=("planted",), jobs=2)
+    assert str(info.value) == "planted at trial 3"
+    remote = str(info.value.__cause__)
+    assert "Traceback (most recent call last)" in remote
+    assert "in planted" in remote
+    assert "NumericalInstabilityError: planted at trial 3" in remote
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_exits_without_a_reply_raises_runtime_error(monkeypatch):
+    def planted(instance, tol):
+        if instance.trial == 4:
+            os._exit(3)
+        return []
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    with pytest.raises(RuntimeError, match="worker for trials 3-5 exited with code 3"):
+        sd.run_campaign(SHARED, checks=("planted",), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dying_worker_is_seen_while_its_sibling_still_runs(monkeypatch):
+    # the second share sleeps for a minute: the first share's exit must end
+    # its pipe at once, and the second must be terminated
+    def planted(instance, tol):
+        if instance.trial == 1:
+            os._exit(3)
+        deadline = time.monotonic() + 60.0
+        while instance.trial == 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return []
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="worker for trials 0-2 exited with code 3"):
+        sd.run_campaign(SHARED, checks=("planted",), jobs=2)
+    assert time.monotonic() - started < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_both_workers_are_joined_when_both_raise(monkeypatch, tmp_path):
+    # the second share raises first, and the first waits for it, so both
+    # workers have raised by the time the first reply is read
+    second_raised = tmp_path / "second_raised"
+
+    def planted(instance, tol):
+        (tmp_path / f"pid_{os.getpid()}").touch()
+        if instance.trial == 4:
+            second_raised.touch()
+            raise ValueError("planted at trial 4")
+        if instance.trial == 1:
+            deadline = time.monotonic() + 60.0
+            while not second_raised.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise ValueError("planted at trial 1")
+        return []
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    with pytest.raises(ValueError, match="^planted at trial 1$"):
+        sd.run_campaign(SHARED, checks=("planted",), jobs=2)
+    pids = [int(path.name.split("_")[1]) for path in tmp_path.glob("pid_*")]
+    assert len(pids) == 2
+    for pid in pids:
+        # a worker that was joined is no child left to wait for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.xfail(strict=True, raises=NumericalInstabilityError,
@@ -181,3 +267,12 @@ def test_a_runtime_check_runs_in_the_pool_under_any_start_method(tmp_path, metho
         proc.wait()
     assert proc.returncode == 0, err
     assert out.split() == ["4"]
+
+
+def test_importing_spandist_leaves_the_executor_machinery_out():
+    # in a fresh interpreter, since this session may have imported it already
+    src = str(Path(sd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", "import sys, spandist; print('concurrent.futures' in sys.modules)"],
+                         capture_output=True, text=True, env=env, timeout=120, check=True).stdout
+    assert out.split() == ["False"]

@@ -118,6 +118,15 @@ def test_bad_config_flags(capsys):
     assert main(["verify", "--trials", "5", "--dim", "3", "--n", "7"]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_a_nonpositive_jobs(capsys, jobs):
+    code = main(["verify", "--seed", "0", "--trials", "4", "--dim", "3", "--n", "2", "--jobs", jobs])
+    assert code == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 def test_argparse_rejects_unknown_flag():
     with pytest.raises(SystemExit) as exc:
         main(["distance", "x.json", "--format", "yaml"])

@@ -17,8 +17,11 @@ checks ran, as often, and failed on the same trials.
 Each stream is also run with ``jobs=2`` and ``jobs=3``, which split its
 trials across worker processes off the boundaries of the serial run's
 chunks. Their json and csv digests must equal the serial ones: a line
-``MISMATCH <stream> jobs=<k> <fmt>`` is printed for each that differs, and
-the script exits with status 1 if any does, 0 otherwise.
+``MISMATCH <stream> jobs=<k> <fmt>`` is printed for each that differs.
+After each of these runs every worker must be gone: a line ``LEFTOVER
+<stream> jobs=<k> <count>`` is printed when ``multiprocessing.active_children()``
+still lists any. The script exits with status 1 if any ``MISMATCH`` or
+``LEFTOVER`` line was printed, 0 otherwise.
 
 The per-instance API is fingerprinted too. For the first
 :data:`LIBRARY_TRIALS` trials of each stream, the ``library`` line hashes
@@ -35,6 +38,7 @@ spandist is imported from ``src/`` of the checkout this script sits in.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -105,7 +109,7 @@ def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
     library = hashlib.sha256()
-    mismatches = 0
+    problems = 0
     for name, (trials, kwargs) in STREAMS.items():
         config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
         result = sd.run_campaign(config)
@@ -124,12 +128,16 @@ def main() -> int:
             split = sd.run_campaign(config, jobs=jobs)
             for fmt in ("json", "csv"):
                 if _sha(sd.render_campaign(split, fmt)) != serial[fmt]:
-                    mismatches += 1
+                    problems += 1
                     print(f"MISMATCH {name} jobs={jobs} {fmt}")
+            leftover = len(multiprocessing.active_children())
+            if leftover:
+                problems += 1
+                print(f"LEFTOVER {name} jobs={jobs} {leftover}")
     print(f"{'combined':<41} {combined.hexdigest()}")
     print(f"{'combined struct':<41} {structure.hexdigest()}")
     print(f"{'combined library':<41} {library.hexdigest()}")
-    return 1 if mismatches else 0
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
