@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import STACKED, CheckOutcome, Column, applicable_checks, resolve_check, run_checks, run_stacked
+from .checks import STACKED, CheckFn, CheckOutcome, Column, applicable_checks, resolve_check, run_checks, run_stacked
 from .generator import GeneratorConfig, generate_chunk, generate_instance
 from .space import DEFAULT_TOL, ToleranceConfig
 
@@ -124,13 +124,12 @@ class _Tally:
 
 def _run_range(
     config: GeneratorConfig,
-    names: tuple[str, ...],
+    checks: Sequence[CheckFn],
     start: int,
     stop: int,
     tol: ToleranceConfig,
 ) -> tuple[dict[str, int], dict[str, float], list[FailureRecord]]:
     tally = _Tally()
-    checks = [resolve_check(name) for name in names] if start < stop else []
     stacked = [fn for fn in checks if fn in STACKED]
     plain = [fn for fn in checks if fn not in STACKED]
     step = _chunk_trials(config)
@@ -151,8 +150,10 @@ class _WorkerTraceback(Exception):
 
 
 def _worker(send, config: GeneratorConfig, names: tuple[str, ...], start: int, stop: int, tol: ToleranceConfig) -> None:
+    # names, not functions, cross to the worker: where it is spawned they
+    # are pickled, and the built-in checks do not pickle
     try:
-        send.send((True, _run_range(config, names, start, stop, tol)))
+        send.send((True, _run_range(config, [resolve_check(name) for name in names], start, stop, tol)))
     except BaseException as exc:
         send.send((False, (exc, "".join(traceback.format_exception(exc)))))
 
@@ -172,13 +173,14 @@ def run_campaign(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = tuple(checks) if checks is not None else applicable_checks(config)
+    resolved = [resolve_check(name) for name in names]  # an unknown name raises before any trial or fork
     started = time.perf_counter()
     counts: dict[str, int] = {}
     worst: dict[str, float] = {}
     failures: list[FailureRecord] = []
     trials = config.trials
     if jobs <= 1 or trials < 2:
-        counts, worst, failures = _run_range(config, names, 0, trials, tol)
+        counts, worst, failures = _run_range(config, resolved, 0, trials, tol)
     else:
         jobs = min(jobs, trials)
         edges = [trials * i // jobs for i in range(jobs + 1)]

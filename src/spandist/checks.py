@@ -36,11 +36,11 @@ from .distance import (
     projection_stack,
     quadratic_stack,
 )
-from .generator import Instance, InstanceChunk, _child_rng, _per_trial
+from .generator import Instance, InstanceChunk, _child_rng, _per_trial, _standard
 from .gram import split_determinants, triangle_roots
 from .hadamard import ChainVariant, chain_stack
 from .orthonormalize import distance_sq_stack
-from .space import Field, ToleranceConfig, sq_norms
+from .space import ToleranceConfig, sq_norms
 
 __all__ = [
     "CheckOutcome",
@@ -183,14 +183,9 @@ class TrialStack:
     def coeffs(self, salt: int, count: int | None = None) -> np.ndarray:
         """(T, count) coefficients, each trial's from its own auxiliary stream."""
         count = self.n if count is None else count
-        complex_field = self.systems.field is Field.COMPLEX
-
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            if not complex_field:
-                return rng.standard_normal(count)
-            return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / math.sqrt(2.0)
-
-        return _per_trial([_child_rng(self.chunk.seed, trial, salt) for trial in self.chunk.trials], draw)
+        field = self.systems.field
+        rngs = [_child_rng(self.chunk.seed, trial, salt) for trial in self.chunk.trials]
+        return _per_trial(rngs, lambda rng: _standard(rng, (count,), field))
 
 
 # -- the check families, each over a whole chunk ----------------------------

@@ -27,7 +27,7 @@ from .generator import GeneratorConfig, generate_instance
 from .hadamard import ChainVariant, check_hadamard_strict, hadamard_chain
 from .instances import load_instance, save_instance
 from .reports import FORMATS, render_campaign, render_distance, render_hadamard
-from .space import Field, ToleranceConfig
+from .space import DEFAULT_TOL, Field, ToleranceConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -38,28 +38,30 @@ EXIT_PRECONDITION = 3
 
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-compare", type=float, default=1e-8, metavar="REL",
-                        help="relative comparison tolerance (default 1e-8)")
-    parser.add_argument("--tol-rank", type=float, default=1e-12, metavar="REL",
-                        help="relative rank/pivot tolerance (default 1e-12)")
-    parser.add_argument("--tol-orth", type=float, default=1e-10, metavar="REL",
-                        help="relative orthogonality tolerance (default 1e-10)")
+    parser.add_argument("--tol-compare", type=float, default=DEFAULT_TOL.compare_rel_tol, metavar="REL",
+                        help="relative comparison tolerance (default %(default)s)")
+    parser.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel_tol, metavar="REL",
+                        help="relative rank/pivot tolerance (default %(default)s)")
+    parser.add_argument("--tol-orth", type=float, default=DEFAULT_TOL.orth_rel_tol, metavar="REL",
+                        help="relative orthogonality tolerance (default %(default)s)")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_trials: bool) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
+    parser.add_argument("--seed", type=int, default=GeneratorConfig.seed, help="campaign seed (default %(default)s)")
     if with_trials:
-        parser.add_argument("--trials", type=int, default=100, help="number of trials (default 100)")
-    parser.add_argument("--dim", type=int, default=4, help="ambient dimension (default 4)")
-    parser.add_argument("--n", type=int, default=2, help="number of system vectors (default 2)")
-    parser.add_argument("--field", choices=[f.value for f in Field], default="real")
-    parser.add_argument("--conditioning", type=float, default=1.0,
-                        help="target Gram condition number (default 1)")
+        parser.add_argument("--trials", type=int, default=GeneratorConfig.trials,
+                            help="number of trials (default %(default)s)")
+    parser.add_argument("--dim", type=int, default=GeneratorConfig.dim, help="ambient dimension (default %(default)s)")
+    parser.add_argument("--n", type=int, default=GeneratorConfig.n,
+                        help="number of system vectors (default %(default)s)")
+    parser.add_argument("--field", choices=[f.value for f in Field], default=GeneratorConfig.field.value)
+    parser.add_argument("--conditioning", type=float, default=GeneratorConfig.conditioning,
+                        help="target Gram condition number (default %(default)s)")
     parser.add_argument("--orthonormal", action="store_true", help="generate orthonormal systems")
     parser.add_argument("--intervals", action="store_true",
                         help="attach two-sided coefficient data satisfying the ball condition")
-    parser.add_argument("--dependent-fraction", type=float, default=0.0, metavar="P",
-                        help="probability of degrading a trial to a dependent system")
+    parser.add_argument("--dependent-fraction", type=float, default=GeneratorConfig.dependent_fraction, metavar="P",
+                        help="probability of degrading a trial to a dependent system (default %(default)s)")
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:

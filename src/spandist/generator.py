@@ -99,20 +99,17 @@ class InstanceChunk:
     """Consecutive instances of one stream as stacked arrays: a chunk of T
     trials.
 
-    ``systems`` holds the T systems and ``views`` one
-    :class:`~spandist.gram.VectorSystem` view of each, ``x`` the (T, dim)
-    vectors, ``lo`` and ``hi`` the (T, n) interval data (None without it;
-    ``widths`` is hi - lo), and ``trials`` the trial index of each entry.
-    Each trial's numbers are the same bits in a chunk of one as in any
-    larger chunk, so :meth:`instance` gives exactly what
-    :func:`generate_instance` does, and :meth:`of` turns any instance into a
-    chunk of one.
+    ``systems`` holds the T systems, ``x`` the (T, dim) vectors, ``lo`` and
+    ``hi`` the (T, n) interval data (None without it; ``widths`` is
+    hi - lo), and ``trials`` the trial index of each entry. Each trial's
+    numbers are the same bits in a chunk of one as in any larger chunk, so
+    :func:`generate_instance` (a chunk of one) gives trial k exactly as any
+    chunk holds it, and :meth:`of` turns any instance into a chunk of one.
     """
 
     def __init__(
         self,
         systems: SystemStack,
-        views: tuple[VectorSystem, ...],
         x: np.ndarray,
         lo: np.ndarray | None,
         hi: np.ndarray | None,
@@ -120,7 +117,6 @@ class InstanceChunk:
         trials: tuple[int | None, ...],
     ) -> None:
         self.systems = systems
-        self.views = views
         self.x = x
         self.lo = lo
         self.hi = hi
@@ -128,21 +124,6 @@ class InstanceChunk:
         self.seed = seed
         self.trials = trials
         self.size = len(trials)
-
-    def instance(self, k: int) -> Instance:
-        """The k-th instance of the chunk, its system a view into the stack."""
-        field = self.systems.field
-        intervals = None
-        if self.lo is not None:
-            scalar = float if field is Field.REAL else complex
-            intervals = IntervalData(gammas=tuple(map(scalar, self.lo[k])), Gammas=tuple(map(scalar, self.hi[k])))
-        return Instance(
-            system=self.views[k],
-            x=Vector(self.x[k], field),
-            intervals=intervals,
-            seed=self.seed,
-            trial=self.trials[k],
-        )
 
     @classmethod
     def of(cls, instance: Instance) -> "InstanceChunk":
@@ -155,9 +136,7 @@ class InstanceChunk:
                 raise DimensionMismatchError(f"interval data for {iv.n} vectors, system has {system.n}")
             lo, hi = (a[np.newaxis] for a in iv.arrays(system.field))
         xc = x.coords.astype(system.field.dtype)[np.newaxis]
-        stack = system.as_stack()
-        view = system if stack is system._stack else stack.view(0)
-        return cls(stack, (view,), xc, lo, hi, instance.seed, (instance.trial,))
+        return cls(system.as_stack(), xc, lo, hi, instance.seed, (instance.trial,))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -341,13 +320,23 @@ def generate_chunk(
     for a in (x, lo, hi):
         if a is not None:
             a.setflags(write=False)
-    views = tuple(systems.view(k) for k in range(len(trials)))
-    return InstanceChunk(systems, views, x, lo, hi, config.seed, tuple(trials))
+    return InstanceChunk(systems, x, lo, hi, config.seed, tuple(trials))
 
 
 def generate_instance(
     config: GeneratorConfig, trial: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Instance:
-    """Build the instance for one (config, trial) pair: a chunk of one.
-    Pure and replayable."""
-    return generate_chunk(config, range(trial, trial + 1), tol).instance(0)
+    """Build the instance for one (config, trial) pair: a chunk of one,
+    whose stack becomes the instance's system. Pure and replayable, and the
+    same bits as trial ``trial`` of any chunk."""
+    chunk = generate_chunk(config, range(trial, trial + 1), tol)
+    intervals = None
+    if chunk.lo is not None:
+        intervals = IntervalData(gammas=tuple(chunk.lo[0].tolist()), Gammas=tuple(chunk.hi[0].tolist()))
+    return Instance(
+        system=VectorSystem._of(chunk.systems),
+        x=Vector(chunk.x[0], config.field),
+        intervals=intervals,
+        seed=config.seed,
+        trial=trial,
+    )

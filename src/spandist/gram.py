@@ -6,18 +6,18 @@ the system is linearly dependent. Systems are held in stacks: a
 :class:`SystemStack` keeps T systems of one shape as (T, n, dim) arrays and
 computes their Gram matrices, factorizations and aggregates over the whole
 stack at once, reducing only over each system's own axes; a
-:class:`VectorSystem` is one entry of a stack, and a standalone system is a
-stack of one. All determinant work goes through :func:`factor_stack`
-(:func:`factor_gram` for one matrix). It first runs LAPACK Cholesky on the
-equilibrated matrix (G[i, j] divided by powers of two near
-sqrt(G[i, i] G[j, j])) and keeps that factor only when a certificate on the
-size of its inverse proves that the reference factorization,
-:func:`pivoted_cholesky`, would find full rank; otherwise it runs the
-reference itself. The reference is a diagonally
-pivoted Cholesky factorization, which keeps the semidefinite structure
-explicit: the determinant is the product of the pivots, rank deficiency
-shows up as a pivot collapsing relative to the largest one, and a
-significantly negative pivot is proof that the input was not a Gram matrix.
+:class:`VectorSystem` is a stack of one, whose numbers are the same bits as
+its entry in any larger stack. All determinant work goes through
+:func:`factor_stack` (:func:`factor_gram` for one matrix). It first runs
+LAPACK Cholesky on the equilibrated matrix (G[i, j] divided by powers of
+two near sqrt(G[i, i] G[j, j])) and keeps that factor only when a
+certificate on the size of its inverse proves that the reference
+factorization, :func:`pivoted_cholesky`, would find full rank; otherwise it
+runs the reference itself. The reference is a diagonally pivoted Cholesky
+factorization, which keeps the semidefinite structure explicit: the
+determinant is the product of the pivots, rank deficiency shows up as a
+pivot collapsing relative to the largest one, and a significantly negative
+pivot is proof that the input was not a Gram matrix.
 Either way the rank decision is the reference's.
 """
 
@@ -218,23 +218,24 @@ class AggregateStack:
 
 
 class GramAggregates:
-    """One system's Gram aggregates: its entry of an :class:`AggregateStack`.
+    """One system's Gram aggregates: entry 0 of an :class:`AggregateStack`
+    of one.
 
-    Built over a lone Gram matrix it views a stack of one of it; the system
-    of a :class:`SystemStack` views its own entry of the stack's aggregates,
-    so the per-system API reads the very numbers the stacked checks use.
-    Fields are those of :class:`AggregateStack`, each read on first access
-    and then kept; scalars are numpy float64 values and arrays are
-    read-only. Attributes cannot be assigned.
+    Built over a lone Gram matrix it views a stack of one of it; a
+    :class:`VectorSystem` views the aggregates of its own stack, so the
+    per-system API reads the very numbers the stacked checks use. Fields are
+    those of :class:`AggregateStack`, each read on first access and then
+    kept; scalars are numpy float64 values and arrays are read-only.
+    Attributes cannot be assigned.
     """
 
     def __init__(self, gram: GramMatrix) -> None:
-        self.__dict__.update(gram=gram, _stack=None, index=0, _powers={})
+        self.__dict__.update(gram=gram, _stack=None, _powers={})
 
     @classmethod
-    def _entry(cls, gram: GramMatrix, stack: AggregateStack, index: int) -> "GramAggregates":
+    def _entry(cls, gram: GramMatrix, stack: AggregateStack) -> "GramAggregates":
         agg = cls(gram)
-        agg.__dict__.update(_stack=stack, index=index)
+        agg.__dict__["_stack"] = stack
         return agg
 
     @property
@@ -257,9 +258,9 @@ class GramAggregates:
             raise AttributeError(f"'GramAggregates' object has no attribute {name!r}")
         value = getattr(self.stack, name)
         if isinstance(value, ChainPrefixes):
-            value = ChainPrefixes._make(field[self.index] for field in value)
+            value = ChainPrefixes._make(field[0] for field in value)
         else:
-            value = value[self.index]
+            value = value[0]
         self.__dict__[name] = value
         return value
 
@@ -268,7 +269,7 @@ class GramAggregates:
         key = (name, q)
         value = self._powers.get(key)
         if value is None:
-            value = self._powers[key] = self.stack.power_sum(name, q)[self.index]
+            value = self._powers[key] = self.stack.power_sum(name, q)[0]
         return value
 
 
@@ -486,11 +487,10 @@ class SystemStack:
     rest on first use and then kept: the aggregates (an
     :class:`AggregateStack`, whose fields are lazy themselves), the
     eigenvalue condition numbers and the unit-normalised Gram matrices with
-    their determinants. :meth:`view` gives one entry as a
-    :class:`VectorSystem`, a view of its slice of these arrays; the stack
-    keeps no reference to its views. Every computation reduces over one
-    system's own axes only, so an entry's numbers are the same bits in a
-    stack of one as in any larger stack.
+    their determinants. Every computation reduces over one system's own
+    axes only, so an entry's numbers are the same bits in a stack of one as
+    in any larger stack. A stack keeps no reference to the
+    :class:`VectorSystem` built over it.
     """
 
     def __init__(self, rows: np.ndarray, field: Field, tol: ToleranceConfig = DEFAULT_TOL) -> None:
@@ -500,12 +500,6 @@ class SystemStack:
         self.gram = gram_stack(self.rows)
         self.factor = factor_stack(self.gram, tol.rank_rel_tol)
         self.aggregates = AggregateStack(self.gram)
-
-    def view(self, k: int) -> "VectorSystem":
-        """Entry k as a :class:`VectorSystem`."""
-        system = VectorSystem.__new__(VectorSystem)
-        system._bind(self, k)
-        return system
 
     @property
     def size(self) -> int:
@@ -545,12 +539,12 @@ class SystemStack:
 class VectorSystem:
     """An ordered finite system of vectors sharing field and dimension.
 
-    A system is one entry of a :class:`SystemStack`: a standalone system is
-    a stack of one, and the systems of a generated chunk of trials share
-    one stack. The Gram matrix and its factorization are computed at
-    construction; everything else derived from them on first use, and then
-    kept for the life of the system: the Gram aggregates
-    (:attr:`aggregates`), the eigenvalue condition number
+    A system is a :class:`SystemStack` of one (:meth:`as_stack`), so the
+    per-system functions run the stacked kernels on it, and its numbers are
+    the same bits as its entry of any larger stack. The Gram matrix and its
+    factorization are computed at construction; everything else derived
+    from them on first use, and then kept for the life of the system: the
+    Gram aggregates (:attr:`aggregates`), the eigenvalue condition number
     (:meth:`gram_condition`), the unit-normalised Gram matrix with its
     determinant (:meth:`normalized_gram`) and the :class:`Vector` views of
     the rows (:attr:`vectors`). Nothing is ever mutated once computed, so
@@ -559,9 +553,7 @@ class VectorSystem:
     :class:`Vector`-based constructor validates each vector individually.
     """
 
-    __slots__ = (
-        "_stack", "_index", "_gram", "_aggregates", "_vectors", "_chol", "_normalized", "_alone",
-    )
+    __slots__ = ("_stack", "_gram", "_aggregates", "_vectors", "_chol", "_normalized")
 
     def __init__(self, vectors: Sequence[Vector], tol: ToleranceConfig = DEFAULT_TOL) -> None:
         if len(vectors) == 0:
@@ -575,7 +567,7 @@ class VectorSystem:
                     f"system vectors must share one dimension ({head.dim} vs {v.dim})"
                 )
         rows = np.stack([v.coords for v in vectors]).astype(head.field.dtype)
-        self._bind(SystemStack(rows[np.newaxis], head.field, tol), 0)
+        self._bind(SystemStack(rows[np.newaxis], head.field, tol))
         self._vectors = tuple(vectors)
 
     @classmethod
@@ -598,17 +590,22 @@ class VectorSystem:
         flat = arr.view(np.float64) if arr.dtype == np.complex128 else arr
         if not np.all(np.isfinite(flat)):
             raise ValueError("system coordinates must be finite")
-        return SystemStack(arr[np.newaxis], field, tol).view(0)
+        return cls._of(SystemStack(arr[np.newaxis], field, tol))
 
-    def _bind(self, stack: SystemStack, index: int) -> None:
+    @classmethod
+    def _of(cls, stack: SystemStack) -> "VectorSystem":
+        """The system of ``stack``, a stack of one."""
+        system = cls.__new__(cls)
+        system._bind(stack)
+        return system
+
+    def _bind(self, stack: SystemStack) -> None:
         self._stack = stack
-        self._index = index
-        self._gram = GramMatrix(entries=stack.gram[index])
-        self._aggregates = GramAggregates._entry(self._gram, stack.aggregates, index)
+        self._gram = GramMatrix(entries=stack.gram[0])
+        self._aggregates = GramAggregates._entry(self._gram, stack.aggregates)
         self._vectors: tuple[Vector, ...] | None = None
         self._chol: PivotedCholesky | None = None
         self._normalized: NormalizedGram | None = None
-        self._alone: SystemStack | None = stack if stack.size == 1 else None
 
     # -- basic shape ---------------------------------------------------
     @property
@@ -629,7 +626,7 @@ class VectorSystem:
 
     @property
     def rows(self) -> np.ndarray:
-        return self._stack.rows[self._index]
+        return self._stack.rows[0]
 
     @property
     def vectors(self) -> tuple[Vector, ...]:
@@ -638,12 +635,9 @@ class VectorSystem:
         return self._vectors
 
     def as_stack(self) -> SystemStack:
-        """This system as a stack of one: its own stack when it is alone in
-        it, otherwise a new stack over its rows, which holds the same
-        numbers. The per-system functions run their stacked kernels on it."""
-        if self._alone is None:
-            self._alone = SystemStack(self.rows[np.newaxis], self.field, self.tol)
-        return self._alone
+        """This system as the stack of one it is. The per-system functions
+        run their stacked kernels on it."""
+        return self._stack
 
     # -- gram data -----------------------------------------------------
     @property
@@ -653,25 +647,25 @@ class VectorSystem:
     @property
     def cholesky(self) -> PivotedCholesky:
         if self._chol is None:
-            self._chol = self._stack.factor.trial(self._index)
+            self._chol = self._stack.factor.trial(0)
         return self._chol
 
     @property
     def rank(self) -> int:
-        return int(self._stack.factor.rank[self._index])
+        return int(self._stack.factor.rank[0])
 
     @property
     def independent(self) -> bool:
-        return bool(self._stack.factor.complete[self._index])
+        return bool(self._stack.factor.complete[0])
 
     @property
     def aggregates(self) -> GramAggregates:
-        """The Gram aggregates: this system's entry of its stack's."""
+        """The Gram aggregates: entry 0 of its stack's."""
         return self._aggregates
 
     def gram_condition(self) -> float:
         """Eigenvalue condition number of the Gram matrix (inf if singular)."""
-        return float(self._stack.condition[self._index])
+        return float(self._stack.condition[0])
 
     def normalized_gram(self) -> NormalizedGram:
         """The unit-normalised Gram matrix and its determinant.
@@ -679,9 +673,9 @@ class VectorSystem:
         Needs nonzero vectors; callers establish independence first.
         """
         if self._normalized is None:
-            stacked, k = self._stack.normalized, self._index
+            stacked = self._stack.normalized
             self._normalized = NormalizedGram(
-                norms=stacked.norms[k], entries=stacked.entries[k], det=float(stacked.det[k])
+                norms=stacked.norms[0], entries=stacked.entries[0], det=float(stacked.det[0])
             )
         return self._normalized
 
@@ -715,7 +709,7 @@ class VectorSystem:
 
 def gram_determinant(system: VectorSystem) -> float:
     """Gram determinant; exactly 0.0 for (numerically) dependent systems."""
-    return float(system._stack.factor.det[system._index])
+    return float(system._stack.factor.det[0])
 
 
 def require_independent(system: VectorSystem) -> None:

@@ -125,7 +125,6 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
         raise InstanceFormatError(f"x has length {len(obj['x'])}, expected {dim}")
     if ("gammas" in obj) != ("Gammas" in obj):
         raise InstanceFormatError("gammas and Gammas must be given together")
-    intervals = None
     if "gammas" in obj:
         for name in ("gammas", "Gammas"):
             _check_vector(obj[name], field, name)
@@ -134,11 +133,13 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
                 raise InstanceFormatError(
                     f"{name} has length {len(obj[name])}, expected n={len(raw_vectors)}"
                 )
-        intervals = IntervalData(
-            gammas=tuple(_to_array(obj["gammas"], field).tolist()),
-            Gammas=tuple(_to_array(obj["Gammas"], field).tolist()),
-        )
     try:
+        intervals = None
+        if "gammas" in obj:
+            intervals = IntervalData(
+                gammas=tuple(_to_array(obj["gammas"], field).tolist()),
+                Gammas=tuple(_to_array(obj["Gammas"], field).tolist()),
+            )
         system = VectorSystem.from_rows(_to_array(raw_vectors, field), field, tol)
         x = Vector(_to_array(obj["x"], field), field)
     except ValueError as exc:

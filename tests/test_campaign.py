@@ -14,6 +14,7 @@ import pytest
 
 import spandist as sd
 from spandist import CheckOutcome, Field, GeneratorConfig
+from spandist import campaign as sd_campaign
 from spandist.checks import REGISTRY
 from spandist.errors import NumericalInstabilityError
 
@@ -125,6 +126,15 @@ def test_failures_sorted_by_trial_then_check(monkeypatch):
 
 
 SHARED = GeneratorConfig(seed=5, trials=6, dim=3, n=2)  # jobs=2 splits it into trials 0-2 and 3-5
+
+
+@pytest.mark.parametrize("config,jobs", [(GeneratorConfig(trials=0), 1), (SHARED, 2)])
+def test_an_unknown_check_name_raises_before_any_trial_or_worker(config, jobs):
+    with pytest.raises(ValueError) as info:
+        sd.run_campaign(config, checks=("nope",), jobs=jobs)
+    assert str(info.value) == "unknown check name: 'nope'"
+    assert not isinstance(info.value.__cause__, sd_campaign._WorkerTraceback)
+    assert multiprocessing.active_children() == []
 
 
 def test_a_worker_exception_reaches_the_caller_with_its_traceback(monkeypatch):

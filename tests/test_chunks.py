@@ -92,7 +92,7 @@ def test_the_library_reads_the_campaigns_numbers(name):
 
     compared = 0
     for k in np.flatnonzero(chunk.systems.factor.complete).tolist():
-        instance = chunk.instance(k)
+        instance = sd.generate_instance(config, k, TOL)
         result = sd.exact_distance(instance.system, instance.x)
         assert result.d2_quadratic == value("representation_agreement/ratio_vs_quadratic", "quadratic", k)
         assert result.d2_gram_ratio == value("representation_agreement/ratio_vs_quadratic", "ratio", k)
@@ -190,7 +190,7 @@ def test_the_dependent_stream_has_dependent_trials_in_its_chunks():
     assert 0 < np.count_nonzero(~complete) < chunk.size
     for k in range(chunk.size):
         system = sd.generate_instance(config, k, TOL).system
-        assert system.rank == chunk.views[k].rank
+        assert system.rank == chunk.systems.factor.rank[k]
         assert np.array_equal(system.rows, chunk.systems.rows[k])
 
 
@@ -217,10 +217,56 @@ def test_redrawn_points_do_not_depend_on_the_chunk(name, monkeypatch):
     for k in range(config.trials):
         alone = sd.generate_instance(config, k, TOL)
         assert np.array_equal(alone.x.coords, chunk.x[k])
-        assert alone.intervals == chunk.instance(k).intervals
+        if chunk.lo is None:
+            assert alone.intervals is None
+        else:
+            lo, hi = chunk.lo[k].tolist(), chunk.hi[k].tolist()
+            assert alone.intervals == sd.IntervalData(gammas=tuple(lo), Gammas=tuple(hi))
         redrawn += not np.array_equal(first[k], chunk.x[k])
     assert redrawn > 0
 
     monkeypatch.setattr(sd_gen, "orth_complement_stack", lambda xx, beta, norm_max, tol: np.ones(len(xx), bool))
     with pytest.raises(sd.NumericalInstabilityError):
         generate_chunk(config, range(0, 4), TOL)
+
+
+def test_a_zero_direction_is_redrawn_from_the_trials_own_stream(monkeypatch):
+    # the first direction drawn for x in the ball of chosen trials comes out
+    # zero; the draw still consumes its random numbers. Each trial is told
+    # apart by the trial half of its Philox key.
+    from spandist import generator as sd_gen
+
+    config = _config("complex_d7_n5_k1e2_intervals", trials=20)
+    first = [sd.generate_instance(config, t, TOL).x.coords for t in range(config.trials)]
+    original = sd_gen._standard
+    zeroed = {1, 6, 17}
+    hit = {}  # id -> generator, kept alive so that no id is reused
+
+    def standard(rng, shape, field):
+        out = original(rng, shape, field)
+        if shape == (config.dim,) and rng.bit_generator.state["state"]["key"][1] in zeroed and id(rng) not in hit:
+            hit[id(rng)] = rng
+            return np.zeros_like(out)
+        return out
+
+    monkeypatch.setattr(sd_gen, "_standard", standard)
+    chunk = generate_chunk(config, range(0, config.trials), TOL)
+    assert len(hit) == len(zeroed)
+    for k in range(config.trials):
+        alone = sd.generate_instance(config, k, TOL)
+        assert np.array_equal(alone.x.coords, chunk.x[k])
+        lo, hi = chunk.lo[k].tolist(), chunk.hi[k].tolist()
+        assert alone.intervals == sd.IntervalData(gammas=tuple(lo), Gammas=tuple(hi))
+        assert np.array_equal(alone.x.coords, first[k]) == (k not in zeroed), k
+        assert sd.condition_verdict(alone.system, alone.x, alone.intervals).holds, k
+    assert len(hit) == 2 * len(zeroed)
+
+    def always_zero(rng, shape, field):
+        out = original(rng, shape, field)
+        return np.zeros_like(out) if shape == (config.dim,) else out
+
+    monkeypatch.setattr(sd_gen, "_standard", always_zero)
+    with pytest.raises(sd.NumericalInstabilityError):
+        generate_chunk(config, range(0, 4), TOL)
+    with pytest.raises(sd.NumericalInstabilityError):
+        sd.generate_instance(config, 0, TOL)

@@ -6,7 +6,8 @@ import pytest
 
 import spandist as sd
 from spandist.checks import REGISTRY
-from spandist.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PRECONDITION, main
+from spandist.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, EXIT_PRECONDITION, build_parser, main
+from spandist.cli import _config_from_args, _tol_from_args
 
 
 def test_gen_then_distance(tmp_path, capsys):
@@ -138,3 +139,9 @@ def test_custom_tolerances_accepted(tmp_path, capsys):
     main(["gen", "--seed", "9", "--out", str(out)])
     capsys.readouterr()
     assert main(["distance", str(out), "--tol-compare", "1e-6"]) == EXIT_OK
+
+
+def test_the_flags_default_to_the_library_defaults():
+    args = build_parser().parse_args(["verify"])
+    assert _tol_from_args(args) == sd.DEFAULT_TOL
+    assert _config_from_args(args) == sd.GeneratorConfig()

@@ -140,6 +140,9 @@ _COMPLEX = {"field": "complex", "vectors": [[[1.0, 0.0], [0, 1]], [[0.5, 0.5], [
      "vectors[0][1]: complex scalars are [re, im] pairs, got 1.0"),
     (dict(_COMPLEX, x=[[1.0, 2.0], ["3", 0]]), "x[1]: complex parts must be numbers, got '3'"),
     (dict(_REAL, vectors=[[1.0, float("nan"), 0.0], [0.0, 1.0, 0.0]]), "system coordinates must be finite"),
+    (dict(_REAL, gammas=[0.0, float("nan")]), "interval scalars must be finite"),
+    (dict(_COMPLEX, gammas=[[0.0, 0.0], [1.0, 0.0]], Gammas=[[1.0, float("inf")], [2.0, 0.0]]),
+     "interval scalars must be finite"),
 ])
 def test_screened_loading_names_the_bad_entry(obj, message):
     # the entry types are screened in bulk; a failed screen walks the entries

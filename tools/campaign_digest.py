@@ -29,8 +29,13 @@ The per-instance API is fingerprinted too. For the first
 and ``render_hadamard`` of the four ``hadamard_chain`` variants with
 ``check_hadamard_strict``, in json, or the type of the exception a call
 raises instead (``LinearDependenceError`` for a dependent system,
-``ValueError`` for the chains of a single vector, ...). A ``combined
-library`` digest over these lines closes the output.
+``ValueError`` for the chains of a single vector, ...). The ``replay`` line
+hashes, for the same trials, every outcome of ``replay_trial(config, t)``
+(check id, ``ok``, ``repr`` of the margin and the recorded values), or the
+type of what it raises: the per-instance check path of
+``generate_instance``, ``InstanceChunk.of`` and ``run_checks``. A
+``combined library`` and a ``combined replay`` digest over these lines
+close the output.
 
 spandist is imported from ``src/`` of the checkout this script sits in.
 """
@@ -105,10 +110,20 @@ def _library(config: GeneratorConfig) -> str:
     return "".join(out)
 
 
+def _replay(config: GeneratorConfig) -> str:
+    """What the per-instance check path reports on the first trials of a stream."""
+    out = []
+    for trial in range(min(LIBRARY_TRIALS, config.trials)):
+        out.append(f"trial {trial} replay\n" + _or_error(lambda: "".join(
+            f"{o.check_id} {o.ok} {o.margin!r} {o.values!r}\n" for o in sd.replay_trial(config, trial))))
+    return "".join(out)
+
+
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
     library = hashlib.sha256()
+    replay = hashlib.sha256()
     problems = 0
     for name, (trials, kwargs) in STREAMS.items():
         config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
@@ -124,6 +139,9 @@ def main() -> int:
         digest = _sha(_library(config))
         library.update(f"{name} library {digest}\n".encode("ascii"))
         print(f"{name:<34} library {digest}")
+        digest = _sha(_replay(config))
+        replay.update(f"{name} replay {digest}\n".encode("ascii"))
+        print(f"{name:<34} replay {digest}")
         for jobs in SPLITS:
             split = sd.run_campaign(config, jobs=jobs)
             for fmt in ("json", "csv"):
@@ -137,6 +155,7 @@ def main() -> int:
     print(f"{'combined':<41} {combined.hexdigest()}")
     print(f"{'combined struct':<41} {structure.hexdigest()}")
     print(f"{'combined library':<41} {library.hexdigest()}")
+    print(f"{'combined replay':<41} {replay.hexdigest()}")
     return 1 if problems else 0
 
 
