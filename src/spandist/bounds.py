@@ -21,6 +21,7 @@ with three coarser closed forms.
 from __future__ import annotations
 
 import math
+import numbers
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
@@ -33,9 +34,9 @@ from .errors import (
     NotOrthonormalError,
     OrthogonalComplementError,
 )
-from .distance import _in_orth_complement, _quadratic, coefficients, is_orthonormal
+from .distance import PointStack, is_orthonormal
 from .gram import AggregateStack, VectorSystem, require_independent
-from .space import Field, Scalar, ToleranceConfig, Vector, norm_sq, re_inner_rows, sq_norms
+from .space import Field, Scalar, ToleranceConfig, Vector, re_inner_rows, sq_norms
 from .space import _coeff_array as _validated_coeffs
 
 __all__ = [
@@ -111,6 +112,8 @@ class IntervalData:
         if len(self.gammas) == 0:
             raise ValueError("interval data must be nonempty")
         for value in (*self.gammas, *self.Gammas):
+            if not isinstance(value, numbers.Number):
+                raise ValueError(f"interval scalars must be numbers, got {value!r}")
             z = complex(value)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError("interval scalars must be finite")
@@ -205,20 +208,18 @@ _COND_FACTORS = {
 }
 
 
-# -- one system: the kernels on a stack of one --------------------------------
+# -- one system: entry 0 of a point stack of one -------------------------------
 
 
-def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> tuple[ToleranceConfig, np.ndarray, np.ndarray]:
-    """Common preconditions: independence and x not orthogonal to the span.
-    Returns the tolerance, beta and S = sum_i |beta_i|^2 (a stack of one)."""
+def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> PointStack:
+    """x against the system, once independence and x not orthogonal to the span hold."""
     require_independent(system)
-    tol = tol or system.tol
-    beta = coefficients(system, x)
-    if _in_orth_complement(system, norm_sq(x), beta, tol):
+    p = PointStack.of(system, x, tol)
+    if p.in_orth[0]:
         raise OrthogonalComplementError(
             "x is orthogonal to every system vector; these bounds degenerate there"
         )
-    return tol, beta, sq_norms(beta[np.newaxis])
+    return p
 
 
 def _denominators(system: VectorSystem) -> dict[BoundMethod, np.ndarray]:
@@ -226,8 +227,8 @@ def _denominators(system: VectorSystem) -> dict[BoundMethod, np.ndarray]:
 
 
 def _ratio_bound(system: VectorSystem, x: Vector, method: BoundMethod, tol: ToleranceConfig | None) -> float:
-    _, _, s = _prepare(system, x, tol)
-    return float(bound_values(np.array([norm_sq(x)]), s, _denominators(system))[method][0])
+    p = _prepare(system, x, tol)
+    return float(bound_values(p.xx, p.s, _denominators(system))[method][0])
 
 
 def bound_total_norm(system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None) -> float:
@@ -259,8 +260,7 @@ def bound_frobenius(system: VectorSystem, x: Vector, tol: ToleranceConfig | None
 
 
 def _bessel_rhs(system: VectorSystem, x: Vector, method: BoundMethod) -> float:
-    system._check_member(x)
-    return float(bessel_values(np.array([norm_sq(x)]), _denominators(system))[method][0])
+    return float(bessel_values(PointStack.of(system, x).xx, _denominators(system))[method][0])
 
 
 def bessel_rhs_offdiag_frobenius(system: VectorSystem, x: Vector) -> float:
@@ -300,16 +300,25 @@ class ConditionVerdict:
 def condition_verdict(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
 ) -> ConditionVerdict:
-    tol = tol or system.tol
-    system._check_member(x)
-    if intervals.n != system.n:
+    return _verdict(PointStack.of(system, x, tol), intervals)
+
+
+def require_condition(
+    system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
+) -> ConditionVerdict:
+    return _require(PointStack.of(system, x, tol), intervals)
+
+
+def _verdict(p: PointStack, intervals: IntervalData) -> ConditionVerdict:
+    """:func:`condition_verdict` of x against a system (a point stack of one)."""
+    systems = p.systems
+    if intervals.n != systems.n:
         raise DimensionMismatchError(
-            f"interval data for {intervals.n} vectors, system has {system.n}"
+            f"interval data for {intervals.n} vectors, system has {systems.n}"
         )
-    lo, hi = intervals.arrays(system.field)
-    xc = x.coords.astype(system.field.dtype)
+    lo, hi = intervals.arrays(systems.field)
     re_inner, ball_margin, holds, forms_agree = condition_stack(
-        system.rows[np.newaxis], xc[np.newaxis], np.array([norm_sq(x)]), lo[np.newaxis], hi[np.newaxis], tol
+        systems.rows, p.x, p.xx, lo[np.newaxis], hi[np.newaxis], p.tol
     )
     return ConditionVerdict(
         re_inner=float(re_inner[0]),
@@ -319,10 +328,9 @@ def condition_verdict(
     )
 
 
-def require_condition(
-    system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
-) -> ConditionVerdict:
-    verdict = condition_verdict(system, x, intervals, tol)
+def _require(p: PointStack, intervals: IntervalData) -> ConditionVerdict:
+    """:func:`require_condition` of x against a system (a point stack of one)."""
+    verdict = _verdict(p, intervals)
     if not verdict.holds:
         raise ConditionNotSatisfiedError(
             f"two-sided condition fails: Re-inner term {verdict.re_inner:.6e} < 0"
@@ -346,8 +354,7 @@ def bound_cond_half_width(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
 ) -> float:
     """d^2 <= (1/4) ||sum_i (Gamma_i - gamma_i) x_i||^2 under the condition."""
-    tol, _, _ = _prepare(system, x, tol)
-    require_condition(system, x, intervals, tol)
+    _require(_prepare(system, x, tol), intervals)
     return conditional_values(system, intervals)[BoundMethod.COND_HALF_WIDTH]
 
 
@@ -365,8 +372,7 @@ def bound_cond_relaxed(
     """
     if method not in _COND_FACTORS:
         raise ValueError(f"not a conditional relaxation method: {method}")
-    tol, _, _ = _prepare(system, x, tol)
-    require_condition(system, x, intervals, tol)
+    _require(_prepare(system, x, tol), intervals)
     return conditional_values(system, intervals)[method]
 
 
@@ -383,16 +389,13 @@ def reverse_bessel_gap(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
 ) -> ReverseBesselVerdict:
     """Reverse Bessel inequality for orthonormal systems under the condition."""
-    tol = tol or system.tol
     if not is_orthonormal(system, tol):
         raise NotOrthonormalError("reverse Bessel bound requires an orthonormal system")
-    require_condition(system, x, intervals, tol)
-    beta = coefficients(system, x)[np.newaxis]
-    gap, quarter = reverse_bessel_stack(
-        np.array([norm_sq(x)]), sq_norms(beta), intervals.widths(system.field)[np.newaxis]
-    )
+    p = PointStack.of(system, x, tol)
+    _require(p, intervals)
+    gap, quarter = reverse_bessel_stack(p.xx, p.s, intervals.widths(system.field)[np.newaxis])
     gap, quarter = float(gap[0]), float(quarter[0])
-    rel = tol.compare_rel_tol
+    rel = p.tol.compare_rel_tol
     holds = gap >= -rel * (1.0 + abs(gap)) and gap <= quarter + rel * (1.0 + quarter)
     return ReverseBesselVerdict(bessel_gap=gap, quarter_width_sq=quarter, holds=holds)
 
@@ -441,12 +444,11 @@ def full_bound_report(
     condition holds (a failing condition raises, rather than reporting
     vacuous numbers).
     """
-    tol2, beta, s = _prepare(system, x, tol)
-    xx = norm_sq(x)
-    exact = _quadratic(system, xx, beta)
-    values = {m: float(v[0]) for m, v in bound_values(np.array([xx]), s, _denominators(system)).items()}
+    p = _prepare(system, x, tol)
+    exact = float(p.d2[0])
+    values = {m: float(v[0]) for m, v in bound_values(p.xx, p.s, _denominators(system)).items()}
     if intervals is not None:
-        require_condition(system, x, intervals, tol2)
+        _require(p, intervals)
         values.update(conditional_values(system, intervals))
     entries = tuple(
         BoundEntry(

@@ -29,18 +29,12 @@ import numpy as np
 
 from . import bounds as bnd
 from . import combination as comb
-from .distance import (
-    beta_stack,
-    gram_ratio_stack,
-    orth_complement_stack,
-    projection_stack,
-    quadratic_stack,
-)
+from .distance import PointStack
 from .generator import Instance, InstanceChunk, _child_rng, _per_trial, _standard
 from .gram import split_determinants, triangle_roots
 from .hadamard import ChainVariant, chain_stack
 from .orthonormalize import distance_sq_stack
-from .space import ToleranceConfig, sq_norms
+from .space import ToleranceConfig
 
 __all__ = [
     "CheckOutcome",
@@ -129,48 +123,18 @@ def _spread(idx: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
     return out
 
 
-class TrialStack:
-    """A chunk of trials as the stacked checks see it: the chunk's arrays
-    plus what several check families share, each computed once, on first
-    use, for every trial of the chunk."""
+class TrialStack(PointStack):
+    """A chunk of trials as the stacked checks see it: the chunk's vectors
+    against its systems (a :class:`PointStack` over the chunk), plus what
+    only the checks share, each computed once, on first use, for every
+    trial of the chunk."""
 
     def __init__(self, chunk: InstanceChunk, tol: ToleranceConfig) -> None:
+        super().__init__(chunk.systems, chunk.x, tol)
         self.chunk = chunk
-        self.tol = tol
-        self.systems = chunk.systems
         self.agg = chunk.systems.aggregates
         self.size = chunk.size
         self.n = chunk.systems.n
-
-    @cached_property
-    def xx(self) -> np.ndarray:
-        return sq_norms(self.chunk.x)
-
-    @cached_property
-    def beta(self) -> np.ndarray:
-        return beta_stack(self.systems.rows, self.chunk.x)
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        """sum_i |beta_i|^2."""
-        return sq_norms(self.beta)
-
-    @property
-    def independent(self) -> np.ndarray:
-        return self.systems.factor.complete
-
-    @cached_property
-    def in_orth(self) -> np.ndarray:
-        return orth_complement_stack(self.xx, self.beta, self.agg.norm_max, self.tol)
-
-    @cached_property
-    def orthonormal(self) -> np.ndarray:
-        return self.agg.identity_deviation <= self.tol.orth_rel_tol
-
-    @cached_property
-    def d2(self) -> np.ndarray:
-        """The quadratic-form distance, NaN for dependent systems."""
-        return quadratic_stack(self.systems.factor, self.xx, self.beta, self.tol)
 
     @cached_property
     def denominators(self) -> dict[bnd.BoundMethod, np.ndarray]:
@@ -194,14 +158,12 @@ class TrialStack:
 def _representation_agreement(t: TrialStack) -> list[Column]:
     """The determinant-ratio and quadratic-form distances agree with each
     other and with a Householder QR oracle; the projection quotient sits above."""
-    ok = t.independent
+    ok = t.systems.factor.complete
     idx = np.flatnonzero(ok)
     if not idx.size:
         return []
-    rows, x, d2, rel = t.systems.rows, t.chunk.x, t.d2, t.tol.compare_rel_tol
-    ratio = gram_ratio_stack(t.systems.normalized, ok, t.xx, t.beta, t.tol)
-    oracle = _spread(idx, t.size, distance_sq_stack(rows[idx], x[idx], t.tol))
-    projection = projection_stack(rows, t.xx, t.beta, t.in_orth)
+    d2, ratio, projection, rel = t.d2, t.ratio, t.projection, t.tol.compare_rel_tol
+    oracle = _spread(idx, t.size, distance_sq_stack(t.systems.rows[idx], t.x[idx], t.tol))
     return [
         _column("representation_agreement/ratio_vs_quadratic", _closeness_margin(ratio, d2, rel), ok,
                 ratio=ratio, quadratic=d2),
@@ -215,7 +177,7 @@ def _representation_agreement(t: TrialStack) -> list[Column]:
 def _bound_dominance(t: TrialStack) -> list[Column]:
     """Every unconditional bound dominates the exact squared distance; the
     total-norm bound is strictly above it away from degeneracies."""
-    ok = t.independent & ~t.in_orth
+    ok = t.systems.factor.complete & ~t.in_orth
     d2 = t.d2
     out = [
         _column(f"bound_dominance/{method.value}", _dominance_margin(value, d2), ok, bound=value, exact=d2)
@@ -337,7 +299,7 @@ def _combination_sweep(t: TrialStack) -> list[Column]:
 def _hadamard_chains(t: TrialStack) -> list[Column]:
     """All chain refinements are sandwiched between the determinant and the
     norm product; orthonormal systems sit exactly at 1."""
-    ok = t.independent
+    ok = t.systems.factor.complete
     idx = np.flatnonzero(ok)
     if t.n < 2 or not idx.size:
         return []
@@ -387,7 +349,7 @@ def _conditional_bounds(t: TrialStack) -> list[Column]:
     chunk = t.chunk
     if chunk.lo is None:
         return []
-    ok = t.independent & ~t.in_orth
+    ok = t.systems.factor.complete & ~t.in_orth
     rel = t.tol.compare_rel_tol
     rows = t.systems.rows
     re_inner, ball_margin, holds, forms_agree = bnd.condition_stack(rows, chunk.x, t.xx, chunk.lo, chunk.hi, t.tol)

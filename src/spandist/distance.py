@@ -13,22 +13,28 @@ subspace of the full span, so it is an upper estimate in general; it
 collapses to the true distance for orthonormal systems, for n = 1, and
 (with value ||x||^2) when x is orthogonal to every x_i. Results carry
 flags instead of silently reconciling the difference.
+
+Each number is computed once, in :class:`PointStack`: the per-instance
+functions here and in :mod:`spandist.bounds` read a stack of one, the
+campaign's checks a chunk of trials.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotOrthonormalError, NumericalInstabilityError, NumericalWarning
-from .gram import FactorStack, NormalizedGram, VectorSystem, factor_stack, require_independent
+from .gram import FactorStack, NormalizedGram, SystemStack, VectorSystem, factor_stack, require_independent
 from .orthonormalize import distance_sq_by_orthonormalization
-from .space import Field, Scalar, ToleranceConfig, Vector, norm_sq, re_inner_rows, sq_norms
+from .space import Field, Scalar, ToleranceConfig, Vector, re_inner_rows, sq_norms
 
 __all__ = [
     "DistanceResult",
+    "PointStack",
     "coefficients",
     "in_orthogonal_complement",
     "is_orthonormal",
@@ -151,26 +157,79 @@ def projection_stack(rows: np.ndarray, xx: np.ndarray, beta: np.ndarray, in_orth
     return np.where(in_orth, xx, value)
 
 
-# -- one system: the kernels on a stack of one ---------------------------------
+class PointStack:
+    """T vectors x (a (T, dim) array) against the T systems of a
+    :class:`SystemStack`: what the paper computes from x and a system, each
+    once, on first use, for every entry. Everything here reads ``tol``;
+    what depends on a system alone (its factorization, rank and normalised
+    Gram matrix) keeps the stack's own tolerance.
+    """
+
+    def __init__(self, systems: SystemStack, x: np.ndarray, tol: ToleranceConfig) -> None:
+        self.systems = systems
+        self.x = x
+        self.tol = tol
+
+    @classmethod
+    def of(cls, system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None) -> "PointStack":
+        """``x`` against ``system``, validated once, at ``tol`` or else the system's."""
+        system._check_member(x)
+        return cls(system.as_stack(), x.coords.astype(system.field.dtype)[np.newaxis], tol or system.tol)
+
+    @cached_property
+    def xx(self) -> np.ndarray:
+        """||x||^2."""
+        return sq_norms(self.x)
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """(T, n) inner products beta_i = <x, x_i>."""
+        return beta_stack(self.systems.rows, self.x)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """S = sum_i |beta_i|^2."""
+        return sq_norms(self.beta)
+
+    @cached_property
+    def in_orth(self) -> np.ndarray:
+        """Whether x is orthogonal to the whole system (:func:`orth_complement_stack`)."""
+        return orth_complement_stack(self.xx, self.beta, self.systems.aggregates.norm_max, self.tol)
+
+    @cached_property
+    def orthonormal(self) -> np.ndarray:
+        """Whether the Gram matrix is the identity to orthogonality tolerance."""
+        return self.systems.aggregates.identity_deviation <= self.tol.orth_rel_tol
+
+    @cached_property
+    def d2(self) -> np.ndarray:
+        """The quadratic-form distance (:func:`quadratic_stack`), NaN for dependent systems."""
+        return quadratic_stack(self.systems.factor, self.xx, self.beta, self.tol)
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        """The determinant-ratio distance (:func:`gram_ratio_stack`), NaN for dependent systems."""
+        return gram_ratio_stack(self.systems.normalized, self.systems.factor.complete, self.xx, self.beta, self.tol)
+
+    @cached_property
+    def projection(self) -> np.ndarray:
+        """The projection quotient (:func:`projection_stack`)."""
+        return projection_stack(self.systems.rows, self.xx, self.beta, self.in_orth)
+
+
+# -- one system: entry 0 of a point stack of one -------------------------------
 
 
 def coefficients(system: VectorSystem, x: Vector) -> np.ndarray:
     """Inner products beta_i = <x, x_i> as an ndarray."""
-    system._check_member(x)
-    return beta_stack(system.rows[np.newaxis], x.coords.astype(system.field.dtype)[np.newaxis])[0]
+    return PointStack.of(system, x).beta[0]
 
 
 def in_orthogonal_complement(
     system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None
 ) -> bool:
     """True when every <x, x_i> is negligible at the scale of x and the system."""
-    return _in_orth_complement(system, norm_sq(x), coefficients(system, x), tol or system.tol)
-
-
-def _in_orth_complement(system: VectorSystem, xx: float, beta: np.ndarray, tol: ToleranceConfig) -> bool:
-    """:func:`in_orthogonal_complement` given ||x||^2 and beta."""
-    norm_max = system.as_stack().aggregates.norm_max
-    return bool(orth_complement_stack(np.array([xx]), beta[np.newaxis], norm_max, tol)[0])
+    return bool(PointStack.of(system, x, tol).in_orth[0])
 
 
 def is_orthonormal(system: VectorSystem, tol: ToleranceConfig | None = None) -> bool:
@@ -183,15 +242,7 @@ def distance_sq_gram_ratio(system: VectorSystem, x: Vector) -> float:
     """d^2 via the ratio of the augmented to the base Gram determinant
     (see :func:`gram_ratio_stack`)."""
     require_independent(system)
-    return _gram_ratio(system, norm_sq(x), coefficients(system, x))
-
-
-def _gram_ratio(system: VectorSystem, xx: float, beta: np.ndarray) -> float:
-    """:func:`distance_sq_gram_ratio` given ||x||^2 and beta."""
-    stack = system.as_stack()
-    return float(
-        gram_ratio_stack(stack.normalized, stack.factor.complete, np.array([xx]), beta[np.newaxis], stack.tol)[0]
-    )
+    return float(PointStack.of(system, x).ratio[0])
 
 
 def distance_sq_quadratic(system: VectorSystem, x: Vector) -> float:
@@ -202,13 +253,7 @@ def distance_sq_quadratic(system: VectorSystem, x: Vector) -> float:
     emits a NumericalWarning before clamping.
     """
     require_independent(system)
-    return _quadratic(system, norm_sq(x), coefficients(system, x))
-
-
-def _quadratic(system: VectorSystem, xx: float, beta: np.ndarray) -> float:
-    """:func:`distance_sq_quadratic` given ||x||^2 and beta."""
-    stack = system.as_stack()
-    return float(quadratic_stack(stack.factor, np.array([xx]), beta[np.newaxis], stack.tol)[0])
+    return float(PointStack.of(system, x).d2[0])
 
 
 def distance_sq_projection(system: VectorSystem, x: Vector) -> float:
@@ -218,23 +263,15 @@ def distance_sq_projection(system: VectorSystem, x: Vector) -> float:
     x = 0, which yields 0).
     """
     require_independent(system)
-    return _projection(system, norm_sq(x), coefficients(system, x))
-
-
-def _projection(system: VectorSystem, xx: float, beta: np.ndarray, in_orth: bool | None = None) -> float:
-    """:func:`distance_sq_projection` given ||x||^2 and beta (and whether x
-    is orthogonal to the system at the system's tolerance, if known)."""
-    if in_orth is None:
-        in_orth = _in_orth_complement(system, xx, beta, system.tol)
-    return float(projection_stack(system.rows[np.newaxis], np.array([xx]), beta[np.newaxis], np.array([in_orth]))[0])
+    return float(PointStack.of(system, x).projection[0])
 
 
 def distance_sq_orthonormal(system: VectorSystem, x: Vector) -> float:
     """Bessel form ||x||^2 - sum |<x, e_i>|^2 for an orthonormal system."""
     if not is_orthonormal(system):
         raise NotOrthonormalError("system is not orthonormal to tolerance")
-    beta = coefficients(system, x)
-    return max(norm_sq(x) - float(sq_norms(beta)), 0.0)
+    p = PointStack.of(system, x)
+    return max(float(p.xx[0] - p.s[0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -271,13 +308,11 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
     complement or in the span; those are reported as flags.
     """
     require_independent(system)
-    tol = tol or system.tol
-    beta = coefficients(system, x)
-    xx = norm_sq(x)
-    d2_ratio = _gram_ratio(system, xx, beta)
-    d2_quad = _quadratic(system, xx, beta)
-    in_orth = _in_orth_complement(system, xx, beta, tol)
-    d2_proj = _projection(system, xx, beta, in_orth if tol is system.tol else None)
+    p = PointStack.of(system, x, tol)
+    tol, xx, beta = p.tol, float(p.xx[0]), p.beta[0]
+    d2_ratio = float(p.ratio[0])  # before the quadratic form, so that warnings keep their order
+    d2_quad = float(p.d2[0])
+    d2_proj = float(p.projection[0])
     agree = abs(d2_ratio - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
     proj_match = abs(d2_proj - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
     condition = system.gram_condition()
@@ -287,7 +322,7 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
         d2_quadratic=d2_quad,
         d2_projection=d2_proj,
         beta=tuple(float(b.real) if field is Field.REAL else complex(b) for b in beta),
-        in_orth_complement=in_orth,
+        in_orth_complement=bool(p.in_orth[0]),
         in_subspace=d2_quad <= tol.compare_rel_tol * xx,
         agreement_ok=agree,
         projection_matches=proj_match,

@@ -11,6 +11,7 @@ randomness inside checks uses the same key with a distinct counter block
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,6 +60,13 @@ class GeneratorConfig:
     dependent_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("seed", "trials", "dim", "n"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.field, Field):
+            raise ValueError(f"field must be a Field, got {self.field!r}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.trials < 0:

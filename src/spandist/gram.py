@@ -502,10 +502,6 @@ class SystemStack:
         self.aggregates = AggregateStack(self.gram)
 
     @property
-    def size(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
     def n(self) -> int:
         return int(self.rows.shape[1])
 
@@ -541,19 +537,20 @@ class VectorSystem:
 
     A system is a :class:`SystemStack` of one (:meth:`as_stack`), so the
     per-system functions run the stacked kernels on it, and its numbers are
-    the same bits as its entry of any larger stack. The Gram matrix and its
+    the same bits as its entry of any larger stack; a vector against it is
+    a :class:`~spandist.distance.PointStack` of one. The Gram matrix and its
     factorization are computed at construction; everything else derived
     from them on first use, and then kept for the life of the system: the
     Gram aggregates (:attr:`aggregates`), the eigenvalue condition number
     (:meth:`gram_condition`), the unit-normalised Gram matrix with its
-    determinant (:meth:`normalized_gram`) and the :class:`Vector` views of
-    the rows (:attr:`vectors`). Nothing is ever mutated once computed, so
+    determinant (the stack's :attr:`~SystemStack.normalized`) and the
+    :class:`Vector` views of the rows (:attr:`vectors`). Nothing is ever mutated once computed, so
     instances are safe to share; two threads racing on a cold cache compute
     the same value twice. Prefer :meth:`from_rows` on hot paths; the
     :class:`Vector`-based constructor validates each vector individually.
     """
 
-    __slots__ = ("_stack", "_gram", "_aggregates", "_vectors", "_chol", "_normalized")
+    __slots__ = ("_stack", "_gram", "_aggregates", "_vectors", "_chol")
 
     def __init__(self, vectors: Sequence[Vector], tol: ToleranceConfig = DEFAULT_TOL) -> None:
         if len(vectors) == 0:
@@ -605,7 +602,6 @@ class VectorSystem:
         self._aggregates = GramAggregates._entry(self._gram, stack.aggregates)
         self._vectors: tuple[Vector, ...] | None = None
         self._chol: PivotedCholesky | None = None
-        self._normalized: NormalizedGram | None = None
 
     # -- basic shape ---------------------------------------------------
     @property
@@ -666,18 +662,6 @@ class VectorSystem:
     def gram_condition(self) -> float:
         """Eigenvalue condition number of the Gram matrix (inf if singular)."""
         return float(self._stack.condition[0])
-
-    def normalized_gram(self) -> NormalizedGram:
-        """The unit-normalised Gram matrix and its determinant.
-
-        Needs nonzero vectors; callers establish independence first.
-        """
-        if self._normalized is None:
-            stacked = self._stack.normalized
-            self._normalized = NormalizedGram(
-                norms=stacked.norms[0], entries=stacked.entries[0], det=float(stacked.det[0])
-            )
-        return self._normalized
 
     # -- derived systems -----------------------------------------------
     def subsystem(self, indices: Sequence[int]) -> "VectorSystem":

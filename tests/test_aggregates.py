@@ -94,8 +94,8 @@ def test_caches_return_the_first_value(system):
     assert system.gram_condition() == first
     assert system.gram_condition() == first
     if system.independent:
-        base = system.normalized_gram()
-        assert system.normalized_gram() is base
+        base = system.as_stack().normalized
+        assert system.as_stack().normalized is base
 
 
 def test_gram_condition_equals_eigenvalue_ratio(system):
@@ -227,28 +227,31 @@ def test_one_trial_factors_at_most_eight_gram_matrices(monkeypatch):
 
 
 def test_beta_is_computed_once_per_call(monkeypatch):
-    from spandist import bounds as sd_bounds
     from spandist import distance as sd_distance
 
     instance = sd.generate_instance(_STREAM, 0)
+    s, x, intervals = instance.system, instance.x, instance.intervals
     calls = []
 
-    def counted(module):
-        original = module.coefficients
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(module.__name__)
+            calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "coefficients", wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted(sd_distance)
-    counted(sd_bounds)
-    sd.exact_distance(instance.system, instance.x)
-    assert calls == ["spandist.distance"]
+    counted(sd_distance, "beta_stack")
+    counted(sd.VectorSystem, "_check_member")
+    sd.exact_distance(s, x)
+    assert calls == ["_check_member", "beta_stack"]
     calls.clear()
-    sd.full_bound_report(instance.system, instance.x, instance.intervals)
-    assert calls == ["spandist.bounds"]
+    sd.full_bound_report(s, x, intervals)
+    assert calls == ["_check_member", "beta_stack"]
+    calls.clear()
+    sd.bound_cond_half_width(s, x, intervals)
+    assert calls == ["_check_member", "beta_stack"]
 
 
 def test_aggregates_are_built_once_per_system(monkeypatch):
@@ -305,7 +308,7 @@ def test_every_stack_field_reads_through_the_view():
     assert len(_STACK_FIELDS) == 15
     rng = np.random.default_rng(5)
     stack = sd_gram.SystemStack(random_rows(rng, 12, 6, Field.COMPLEX).reshape(3, 4, 6), Field.COMPLEX)
-    for k in range(stack.size):
+    for k in range(len(stack.rows)):
         system = sd.VectorSystem.from_rows(stack.rows[k], Field.COMPLEX)
         view = system.aggregates
         assert view.stack is system.as_stack().aggregates

@@ -179,6 +179,13 @@ def test_interval_data_validation():
         IntervalData(gammas=(), Gammas=())
     with pytest.raises(ValueError):
         IntervalData(gammas=(math.nan,), Gammas=(1.0,))
+    for bad in ("1", "2e0", None, b"1"):
+        with pytest.raises(ValueError):
+            IntervalData(gammas=(bad,), Gammas=(1.0,))
+        with pytest.raises(ValueError):
+            IntervalData(gammas=(0.0,), Gammas=(bad,))
+    # numpy scalars are numbers
+    IntervalData(gammas=(np.float64(0.5), np.int64(1)), Gammas=(np.complex128(2.0), 3))
     # reversed endpoints are legal data (scalars may be complex, so there is
     # no ordering to enforce); the condition check is what rejects them
     IntervalData(gammas=(3.0,), Gammas=(1.0,))

@@ -14,7 +14,8 @@ import spandist as sd
 from spandist import Field, GeneratorConfig
 from spandist import campaign as sd_campaign
 from spandist import gram as sd_gram
-from spandist.checks import REGISTRY, applicable_checks, resolve_check, run_checks, run_stacked
+from spandist.checks import REGISTRY, TrialStack, applicable_checks, resolve_check, run_checks, run_stacked
+from spandist.distance import PointStack
 from spandist.generator import generate_chunk
 
 TOL = sd.DEFAULT_TOL
@@ -90,9 +91,13 @@ def test_the_library_reads_the_campaigns_numbers(name):
     def value(check_id, key, k):
         return float(dict(columns[check_id].values)[key][k])
 
+    trials = TrialStack(chunk, TOL)
     compared = 0
     for k in np.flatnonzero(chunk.systems.factor.complete).tolist():
         instance = sd.generate_instance(config, k, TOL)
+        alone = PointStack.of(instance.system, instance.x)
+        for name in ("xx", "beta", "s", "in_orth", "orthonormal", "d2", "ratio", "projection"):
+            assert np.array_equal(getattr(alone, name)[0], getattr(trials, name)[k]), name
         result = sd.exact_distance(instance.system, instance.x)
         assert result.d2_quadratic == value("representation_agreement/ratio_vs_quadratic", "quadratic", k)
         assert result.d2_gram_ratio == value("representation_agreement/ratio_vs_quadratic", "ratio", k)

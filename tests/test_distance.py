@@ -71,6 +71,17 @@ def test_x_orthogonal_to_system(system_b):
     assert sd.distance_sq_gram_ratio(system_b, x) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_exact_distance_reads_one_tolerance():
+    # beta_1 = 1e-7 is negligible at orth_rel_tol 1e-6: every field of the
+    # result treats x as orthogonal to the system, the projection included
+    s = VectorSystem.from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    x = vector([1e-7, 0.0, 1.0])
+    tol = sd.ToleranceConfig(orth_rel_tol=1e-6)
+    result = sd.exact_distance(s, x, tol)
+    assert result.in_orth_complement == sd.in_orthogonal_complement(s, x, tol)
+    assert result.d2_projection == sd.norm_sq(x)
+
+
 def test_dependent_system_is_rejected():
     system = VectorSystem.from_rows([[1.0, 0.0], [2.0, 0.0]])
     x = vector([0.0, 1.0])

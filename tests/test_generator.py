@@ -18,12 +18,25 @@ from spandist import Field, GeneratorConfig
     {"orthonormal": True, "conditioning": 100.0},
     {"orthonormal": True, "dependent_fraction": 0.5},
     {"dependent_fraction": 0.5, "n": 1, "dim": 3},
+    {"seed": 0.9},
+    {"trials": 2.5},
+    {"n": 1.0},
+    {"dim": 4.0},
+    {"seed": True},
+    {"field": "real"},
 ])
 def test_config_validation(kwargs):
     base = dict(seed=1, trials=10, dim=4, n=2)
     base.update(kwargs)
     with pytest.raises(ValueError):
         GeneratorConfig(**base)
+
+
+def test_config_stores_numpy_integers_as_int():
+    cfg = GeneratorConfig(seed=np.int64(3), trials=np.int32(4), dim=4, n=2)
+    plain = GeneratorConfig(seed=3, trials=4, dim=4, n=2)
+    assert cfg == plain and type(cfg.seed) is int and type(cfg.trials) is int
+    assert sd.render_campaign(sd.run_campaign(cfg), "json") == sd.render_campaign(sd.run_campaign(plain), "json")
 
 
 def test_same_seed_and_trial_reproduce_exactly():

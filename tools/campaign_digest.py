@@ -37,6 +37,17 @@ type of what it raises: the per-instance check path of
 ``combined library`` and a ``combined replay`` digest over these lines
 close the output.
 
+Each function of the per-instance API that reads a (system, x) pair is
+fingerprinted on its own as well. For the same trials, the ``point`` line
+hashes, in this order and at the default tolerance, the ``repr`` of what
+each call returns (arrays through ``.tolist()``) or the type of what it
+raises: ``coefficients``, ``in_orthogonal_complement``, the five
+``distance_sq_*`` functions, the five ``bound_*`` functions, the three
+``bessel_rhs_*`` functions and, on streams with interval data,
+``condition_verdict``, ``bound_cond_half_width``, ``bound_cond_relaxed``
+for each of the three relaxations and ``reverse_bessel_gap``. A
+``combined point`` digest over these lines is printed last.
+
 spandist is imported from ``src/`` of the checkout this script sits in.
 """
 
@@ -48,6 +59,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 import spandist as sd  # noqa: E402
 from spandist import Field, GeneratorConfig  # noqa: E402
@@ -119,11 +132,58 @@ def _replay(config: GeneratorConfig) -> str:
     return "".join(out)
 
 
+POINT_FUNCTIONS = (
+    sd.coefficients,
+    sd.in_orthogonal_complement,
+    sd.distance_sq_gram_ratio,
+    sd.distance_sq_quadratic,
+    sd.distance_sq_projection,
+    sd.distance_sq_orthonormal,
+    sd.distance_sq_oracle,
+    sd.bound_total_norm,
+    sd.bound_offdiag_frobenius,
+    sd.bound_offdiag_max,
+    sd.bound_row_sums,
+    sd.bound_frobenius,
+    sd.bessel_rhs_offdiag_frobenius,
+    sd.bessel_rhs_offdiag_max,
+    sd.bessel_rhs_row_sums,
+)
+RELAXATIONS = sd.bounds.CONDITIONAL_METHODS[1:]  # every conditional method but the half-width bound
+
+
+def _repr_or_error(call) -> str:
+    """The ``repr`` of what ``call()`` returns, or the type of what it raises."""
+    try:
+        value = call()
+    except (sd.SpandistError, ValueError) as exc:
+        return type(exc).__name__ + "\n"
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value) + "\n"
+
+
+def _point(config: GeneratorConfig) -> str:
+    """What each per-instance function of a (system, x) pair returns on the
+    first trials of a stream."""
+    out = []
+    for trial in range(min(LIBRARY_TRIALS, config.trials)):
+        inst = sd.generate_instance(config, trial)
+        s, x, iv = inst.system, inst.x, inst.intervals
+        calls = [lambda fn=fn: fn(s, x) for fn in POINT_FUNCTIONS]
+        if iv is not None:
+            calls.append(lambda: sd.condition_verdict(s, x, iv))
+            calls.append(lambda: sd.bound_cond_half_width(s, x, iv))
+            calls += [lambda m=m: sd.bound_cond_relaxed(s, x, iv, m) for m in RELAXATIONS]
+            calls.append(lambda: sd.reverse_bessel_gap(s, x, iv))
+        out.append(f"trial {trial} point\n" + "".join(_repr_or_error(call) for call in calls))
+    return "".join(out)
+
+
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
     library = hashlib.sha256()
     replay = hashlib.sha256()
+    point = hashlib.sha256()
     problems = 0
     for name, (trials, kwargs) in STREAMS.items():
         config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
@@ -142,6 +202,9 @@ def main() -> int:
         digest = _sha(_replay(config))
         replay.update(f"{name} replay {digest}\n".encode("ascii"))
         print(f"{name:<34} replay {digest}")
+        digest = _sha(_point(config))
+        point.update(f"{name} point {digest}\n".encode("ascii"))
+        print(f"{name:<34} point  {digest}")
         for jobs in SPLITS:
             split = sd.run_campaign(config, jobs=jobs)
             for fmt in ("json", "csv"):
@@ -156,6 +219,7 @@ def main() -> int:
     print(f"{'combined struct':<41} {structure.hexdigest()}")
     print(f"{'combined library':<41} {library.hexdigest()}")
     print(f"{'combined replay':<41} {replay.hexdigest()}")
+    print(f"{'combined point':<41} {point.hexdigest()}")
     return 1 if problems else 0
 
 
