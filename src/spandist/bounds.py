@@ -114,7 +114,10 @@ class IntervalData:
         for value in (*self.gammas, *self.Gammas):
             if not isinstance(value, numbers.Number):
                 raise ValueError(f"interval scalars must be numbers, got {value!r}")
-            z = complex(value)
+            try:
+                z = complex(value)
+            except OverflowError:  # an integer beyond the float range
+                z = complex(math.inf)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError("interval scalars must be finite")
 

@@ -33,7 +33,6 @@ from .distance import PointStack
 from .generator import Instance, InstanceChunk, _child_rng, _per_trial, _standard
 from .gram import split_determinants, triangle_roots
 from .hadamard import ChainVariant, chain_stack
-from .orthonormalize import distance_sq_stack
 from .space import ToleranceConfig
 
 __all__ = [
@@ -157,13 +156,13 @@ class TrialStack(PointStack):
 
 def _representation_agreement(t: TrialStack) -> list[Column]:
     """The determinant-ratio and quadratic-form distances agree with each
-    other and with a Householder QR oracle; the projection quotient sits above."""
+    other and with the Householder QR oracle; the projection quotient sits
+    above. All four are read from the trial stack, on the systems whose
+    factorization is complete: the oracle makes no rank decision of its own."""
     ok = t.systems.factor.complete
-    idx = np.flatnonzero(ok)
-    if not idx.size:
+    if not ok.any():
         return []
-    d2, ratio, projection, rel = t.d2, t.ratio, t.projection, t.tol.compare_rel_tol
-    oracle = _spread(idx, t.size, distance_sq_stack(t.systems.rows[idx], t.x[idx], t.tol))
+    d2, ratio, projection, oracle, rel = t.d2, t.ratio, t.projection, t.oracle, t.tol.compare_rel_tol
     return [
         _column("representation_agreement/ratio_vs_quadratic", _closeness_margin(ratio, d2, rel), ok,
                 ratio=ratio, quadratic=d2),

@@ -14,9 +14,15 @@ collapses to the true distance for orthonormal systems, for n = 1, and
 (with value ||x||^2) when x is orthogonal to every x_i. Results carry
 flags instead of silently reconciling the difference.
 
+A fourth route, the Householder QR of :mod:`spandist.orthonormalize`, never
+forms the Gram matrix; it is the reference the checks hold the other three
+against.
+
 Each number is computed once, in :class:`PointStack`: the per-instance
 functions here and in :mod:`spandist.bounds` read a stack of one, the
-campaign's checks a chunk of trials.
+campaign's checks a chunk of trials. Whether a system is independent is
+decided once too, by its Gram factorization; the QR oracle reads that
+decision rather than making its own.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .errors import NotOrthonormalError, NumericalInstabilityError, NumericalWarning
 from .gram import FactorStack, NormalizedGram, SystemStack, VectorSystem, factor_stack, require_independent
-from .orthonormalize import distance_sq_by_orthonormalization
+from .orthonormalize import distance_sq_stack
 from .space import Field, Scalar, ToleranceConfig, Vector, re_inner_rows, sq_norms
 
 __all__ = [
@@ -216,6 +222,16 @@ class PointStack:
         """The projection quotient (:func:`projection_stack`)."""
         return projection_stack(self.systems.rows, self.xx, self.beta, self.in_orth)
 
+    @cached_property
+    def oracle(self) -> np.ndarray:
+        """The Householder QR distance (:func:`distance_sq_stack`), NaN for
+        dependent systems: the rank decision is the system's factorization."""
+        complete = self.systems.factor.complete
+        out = np.full(complete.shape, np.nan)
+        if complete.any():
+            out[complete] = distance_sq_stack(self.systems.rows[complete], self.x[complete])
+        return out
+
 
 # -- one system: entry 0 of a point stack of one -------------------------------
 
@@ -332,5 +348,8 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
 
 
 def distance_sq_oracle(system: VectorSystem, x: Vector) -> float:
-    """Reference distance via Householder QR only (no Gram matrix, no determinants, no solves)."""
-    return distance_sq_by_orthonormalization(system.rows, x.coords, system.tol)
+    """Reference distance via Householder QR only (no Gram matrix, no
+    determinants, no solves); the system's rank decision is the one every
+    other function here reads."""
+    require_independent(system)
+    return float(PointStack.of(system, x).oracle[0])

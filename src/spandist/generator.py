@@ -11,7 +11,6 @@ randomness inside checks uses the same key with a distinct counter block
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,7 +20,7 @@ from .bounds import IntervalData
 from .distance import beta_stack, orth_complement_stack
 from .errors import DimensionMismatchError, NumericalInstabilityError
 from .gram import SystemStack, VectorSystem
-from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, sq_norms
+from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, sq_norms
 
 __all__ = [
     "GeneratorConfig",
@@ -61,10 +60,7 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         for name in ("seed", "trials", "dim", "n"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         if not isinstance(self.field, Field):
             raise ValueError(f"field must be a Field, got {self.field!r}")
         if not (0 <= self.seed < 2**64):
@@ -337,6 +333,7 @@ def generate_instance(
     """Build the instance for one (config, trial) pair: a chunk of one,
     whose stack becomes the instance's system. Pure and replayable, and the
     same bits as trial ``trial`` of any chunk."""
+    trial = checked_int("trial index", trial)
     chunk = generate_chunk(config, range(trial, trial + 1), tol)
     intervals = None
     if chunk.lo is not None:

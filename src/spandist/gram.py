@@ -36,7 +36,7 @@ from .errors import (
     LinearDependenceError,
     NumericalInstabilityError,
 )
-from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, sq_norms
+from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, sq_norms
 
 __all__ = [
     "GramMatrix",
@@ -759,6 +759,7 @@ def check_gram_product_split(
 ) -> GramSplitVerdict:
     """Verify the determinant product split at position ``k`` (1 <= k < n)."""
     tol = tol or system.tol
+    k = checked_int("split position", k)
     if not (1 <= k < system.n):
         raise ValueError(f"split position must satisfy 1 <= k < n={system.n}, got {k}")
     full = gram_determinant(system)

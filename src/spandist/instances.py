@@ -44,18 +44,16 @@ def _encode_scalar(value: complex | float, field: Field) -> Any:
     return [z.real, z.imag]
 
 
-def _decode_scalar(raw: Any, field: Field, where: str) -> complex | float:
+def _check_scalar(raw: Any, field: Field, where: str) -> None:
     if field is Field.REAL:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise InstanceFormatError(f"{where}: expected a real number, got {raw!r}")
-        return float(raw)
+        return
     if not isinstance(raw, list) or len(raw) != 2:
         raise InstanceFormatError(f"{where}: complex scalars are [re, im] pairs, got {raw!r}")
-    re, im = raw
-    for part in (re, im):
+    for part in raw:
         if isinstance(part, bool) or not isinstance(part, (int, float)):
             raise InstanceFormatError(f"{where}: complex parts must be numbers, got {part!r}")
-    return complex(float(re), float(im))
 
 
 def _check_vector(raw: Any, field: Field, where: str) -> None:
@@ -73,7 +71,7 @@ def _check_vector(raw: Any, field: Field, where: str) -> None:
                     and set(map(type, chain.from_iterable(raw))) <= _NUMBERS)
     if not screened:
         for i, entry in enumerate(raw):
-            _decode_scalar(entry, field, f"{where}[{i}]")
+            _check_scalar(entry, field, f"{where}[{i}]")
 
 
 def _to_array(raw: list, field: Field) -> np.ndarray:
@@ -142,7 +140,7 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
             )
         system = VectorSystem.from_rows(_to_array(raw_vectors, field), field, tol)
         x = Vector(_to_array(obj["x"], field), field)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond the float range
         raise InstanceFormatError(str(exc)) from exc
     return Instance(system=system, x=x, intervals=intervals)
 

@@ -8,6 +8,13 @@ d^2 = Gamma(x_1..x_n, x) / Gamma(x_1..x_n) reads d^2 = |R[n, n]|^2, for R
 of the QR factorisation of the columns x_1, ..., x_n, x. Householder QR is
 normwise backward stable (Golub and Van Loan, section 5.2; Higham, Accuracy
 and Stability of Numerical Algorithms, ch. 19).
+
+:func:`distance_sq_stack` is the stacked kernel and trusts its caller's
+rank decision: :class:`spandist.distance.PointStack` calls it on the
+systems whose Gram factorization is complete. The functions over bare rows
+(:func:`orthonormal_rows`, :func:`residual_after_projection`,
+:func:`distance_sq_by_orthonormalization`) have no system to ask, so they
+test the diagonal of R themselves and raise LinearDependenceError.
 """
 
 from __future__ import annotations
@@ -37,14 +44,22 @@ def _checked_diagonal(r: np.ndarray, rows: np.ndarray, tol: ToleranceConfig) -> 
     return diag
 
 
-def distance_sq_stack(rows: np.ndarray, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def _augmented_r(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R of one stacked QR of the (T, dim, n + 1) augmented columns x_1..x_n, x."""
+    return np.linalg.qr(np.swapaxes(np.concatenate([rows, x[:, np.newaxis]], axis=1), -1, -2), mode="r")
+
+
+def _distance_sq(r: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """|R[n, n]|^2 of each augmented R, or exactly 0 when dim == n."""
+    return np.zeros(r.shape[0]) if dim == n else np.abs(r[:, n, n]) ** 2
+
+
+def distance_sq_stack(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared distance from each x[t] to the row span of rows[t]: |R[n, n]|^2
     of one stacked QR of the (T, dim, n + 1) augmented columns, or exactly 0
-    when dim == n."""
-    n, dim = rows.shape[1:]
-    r = np.linalg.qr(np.swapaxes(np.concatenate([rows, x[:, np.newaxis]], axis=1), -1, -2), mode="r")
-    _checked_diagonal(r, rows, tol)
-    return np.zeros(rows.shape[0]) if dim == n else np.abs(r[:, n, n]) ** 2
+    when dim == n. No dependence test: the caller has decided that every
+    system is independent (so n <= dim)."""
+    return _distance_sq(_augmented_r(rows, x), *rows.shape[1:])
 
 
 def orthonormal_rows(rows: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -69,5 +84,12 @@ def residual_after_projection(rows: np.ndarray, x: np.ndarray, tol: ToleranceCon
 
 
 def distance_sq_by_orthonormalization(rows: np.ndarray, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Squared distance from x to the row span, via Householder QR."""
-    return float(distance_sq_stack(np.asarray(rows)[np.newaxis], np.asarray(x)[np.newaxis], tol)[0])
+    """Squared distance from x to the row span, via Householder QR.
+
+    Raises LinearDependenceError, as :func:`orthonormal_rows` does, if the
+    rows are numerically dependent.
+    """
+    rows, x = np.asarray(rows)[np.newaxis], np.asarray(x)[np.newaxis]
+    r = _augmented_r(rows, x)
+    _checked_diagonal(r, rows, tol)
+    return float(_distance_sq(r, *rows.shape[1:])[0])

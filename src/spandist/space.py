@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -72,6 +73,14 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def checked_int(name: str, value: object) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer (``numbers.Integral``, numpy integers included, but not bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_coords(values: Iterable[Scalar] | np.ndarray, field: Field) -> np.ndarray:

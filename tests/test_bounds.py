@@ -1,6 +1,7 @@
 """Unconditional and two-sided-coefficient bounds on the squared distance."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +180,11 @@ def test_interval_data_validation():
         IntervalData(gammas=(), Gammas=())
     with pytest.raises(ValueError):
         IntervalData(gammas=(math.nan,), Gammas=(1.0,))
+    for big in (10**400, -(10**400), Fraction(10**401, 7)):  # numbers beyond the float range
+        with pytest.raises(ValueError, match="^interval scalars must be finite$"):
+            IntervalData(gammas=(big,), Gammas=(1,))
+        with pytest.raises(ValueError, match="^interval scalars must be finite$"):
+            IntervalData(gammas=(0,), Gammas=(big,))
     for bad in ("1", "2e0", None, b"1"):
         with pytest.raises(ValueError):
             IntervalData(gammas=(bad,), Gammas=(1.0,))

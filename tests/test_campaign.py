@@ -84,6 +84,18 @@ def test_replay_matches_campaign_outcomes():
     assert all(o.ok for o in outcomes)
 
 
+def test_replay_validates_the_trial_index():
+    with pytest.raises(ValueError, match="^trial index must be >= 0$"):
+        sd.replay_trial(CFG, -1)
+    for trial in (True, 1.0, 2.5):
+        with pytest.raises(ValueError, match="^trial index must be an integer"):
+            sd.replay_trial(CFG, trial)
+        with pytest.raises(ValueError, match="^trial index must be an integer"):
+            sd.generate_instance(CFG, trial)
+    assert sd.replay_trial(CFG, np.int64(7)) == sd.replay_trial(CFG, 7)
+    assert type(sd.generate_instance(CFG, np.int64(7)).trial) is int
+
+
 def _failing_check(instance, tol):
     # fail exactly on trial 11 with a recognizable margin
     margin = -0.5 if instance.trial == 11 else 1.0

@@ -3,6 +3,7 @@ import pytest
 
 import spandist as sd
 from spandist import Field, GeneratorConfig
+from spandist import orthonormalize as sd_orth
 
 
 def test_registry_names():
@@ -93,3 +94,23 @@ def test_outcome_values_are_sorted_pairs():
     (outcome,) = outcomes
     keys = [k for k, _ in outcome.values]
     assert keys == sorted(keys)
+
+
+def test_the_checks_oracle_makes_no_rank_decision_of_its_own(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("the QR oracle's own dependence test ran")
+
+    monkeypatch.setattr(sd_orth, "_checked_diagonal", refuse)
+    config = GeneratorConfig(seed=5, trials=40, dim=6, n=4, conditioning=1e3, dependent_fraction=0.2)
+    checks = ("representation_agreement",)
+    result = sd.run_campaign(config, checks=checks, jobs=1)
+    independent = [t for t in range(config.trials) if sd.generate_instance(config, t).system.independent]
+    assert 0 < len(independent) < config.trials
+    assert result.counts["representation_agreement/oracle_vs_quadratic"] == len(independent)
+    assert not result.failures
+    for trial in range(8):
+        assert all(o.ok for o in sd.replay_trial(config, trial, checks=checks))
+    instance = sd.generate_instance(config, independent[0])
+    assert sd.distance_sq_oracle(instance.system, instance.x) >= 0.0
+    with pytest.raises(RuntimeError):
+        sd_orth.distance_sq_by_orthonormalization(instance.system.rows, instance.x.coords)

@@ -96,12 +96,14 @@ def test_the_library_reads_the_campaigns_numbers(name):
     for k in np.flatnonzero(chunk.systems.factor.complete).tolist():
         instance = sd.generate_instance(config, k, TOL)
         alone = PointStack.of(instance.system, instance.x)
-        for name in ("xx", "beta", "s", "in_orth", "orthonormal", "d2", "ratio", "projection"):
+        for name in ("xx", "beta", "s", "in_orth", "orthonormal", "d2", "ratio", "projection", "oracle"):
             assert np.array_equal(getattr(alone, name)[0], getattr(trials, name)[k]), name
         result = sd.exact_distance(instance.system, instance.x)
         assert result.d2_quadratic == value("representation_agreement/ratio_vs_quadratic", "quadratic", k)
         assert result.d2_gram_ratio == value("representation_agreement/ratio_vs_quadratic", "ratio", k)
         assert result.d2_projection == value("representation_agreement/projection_is_upper", "projection", k)
+        oracle = sd.distance_sq_oracle(instance.system, instance.x)
+        assert oracle == value("representation_agreement/oracle_vs_quadratic", "oracle", k)
         if not columns["bound_dominance/total_norm"].mask[k]:
             continue  # x orthogonal to the span: the report raises
         report = sd.full_bound_report(instance.system, instance.x)

@@ -91,6 +91,24 @@ def test_dependent_system_is_rejected():
             fn(system, x)
 
 
+def test_oracle_validates_x_like_the_rest(system_b):
+    with pytest.raises(sd.FieldMismatchError):
+        sd.distance_sq_oracle(system_b, vector([1j, 0.0, 0.0]))
+    with pytest.raises(sd.DimensionMismatchError):
+        sd.distance_sq_oracle(system_b, vector([1.0, 2.0]))
+
+
+def test_oracle_reads_the_systems_rank_decision():
+    # orthogonal, but the raw Gram's pivots are 1e16 and 1e-16 apart: the
+    # system's factorization calls it rank 1, and every route says so
+    system = VectorSystem.from_rows([[1e8, 0.0, 0.0], [0.0, 1e-8, 0.0]])
+    x = vector([0.0, 0.0, 1.0])
+    assert not system.independent
+    for fn in (sd.exact_distance, sd.distance_sq_oracle):
+        with pytest.raises(sd.LinearDependenceError, match="^system of 2 vectors has numerical rank 1$"):
+            fn(system, x)
+
+
 def test_orthonormal_shortcut_matches_and_validates(system_b, x_b):
     onb = VectorSystem.from_rows(np.eye(3)[:2])
     x = vector([1.0, 2.0, 2.0])

@@ -158,6 +158,10 @@ def test_product_split_validates_cut():
         sd.check_gram_product_split(system, 0)
     with pytest.raises(ValueError):
         sd.check_gram_product_split(system, 3)
+    for k in (True, 1.0, 1.5):
+        with pytest.raises(ValueError, match="^split position must be an integer"):
+            sd.check_gram_product_split(system, k)
+    assert sd.check_gram_product_split(system, np.int64(1)).ok
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

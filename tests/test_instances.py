@@ -83,6 +83,25 @@ def test_malformed_objects_are_rejected(obj, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+_BIG = 10**400  # JSON integers have no size limit
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("key", ["vectors", "x", "gammas", "Gammas"])
+def test_integers_beyond_the_float_range_are_rejected(field, key):
+    one = 1 if field is Field.REAL else [1, 0]
+    bigs = [_BIG] if field is Field.REAL else [[_BIG, 0], [0, _BIG]]
+    for big in bigs:
+        obj = {"field": field.value, "vectors": [[one, one]], "x": [one, one], "gammas": [one], "Gammas": [one]}
+        obj[key] = [[big, one]] if key == "vectors" else [big, one][: len(obj[key])]
+        with pytest.raises(InstanceFormatError, match="too large"):
+            sd.instance_from_obj(obj)
+    # an entry the type screen rejects is named, past the big integer before it
+    obj = {"field": field.value, "vectors": [[one, one]], "x": [bigs[0], True]}
+    with pytest.raises(InstanceFormatError, match=r"x\[1\]"):
+        sd.instance_from_obj(obj)
+
+
 def test_complex_pair_of_wrong_length_rejected():
     obj = {"field": "complex", "vectors": [[[1.0, 0.0, 0.0]]], "x": [[0.0, 1.0]]}
     with pytest.raises(InstanceFormatError):

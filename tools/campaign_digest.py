@@ -46,7 +46,17 @@ raises: ``coefficients``, ``in_orthogonal_complement``, the five
 ``bessel_rhs_*`` functions and, on streams with interval data,
 ``condition_verdict``, ``bound_cond_half_width``, ``bound_cond_relaxed``
 for each of the three relaxations and ``reverse_bessel_gap``. A
-``combined point`` digest over these lines is printed last.
+``combined point`` digest over these lines follows.
+
+The ill-conditioned end of the generator is fingerprinted by a second grid
+(:data:`GRID`): both fields, dim/n 7/5, 8/7 and 12/6, Gram condition 1e8,
+1e10, 1e11, 1e12, 1e13 and 1e14, seed 404, 200 trials, each run serially.
+Its ``grid`` line per stream hashes the structure text only (what ran and
+which trials failed), or the type of the exception the campaign raises
+(the 1e13 streams abort with ``NumericalInstabilityError``). Rounding moves
+nothing there unless it moves a decision: a rank, a clamp, an abort or a
+check's verdict. A ``combined grid`` digest over these lines is printed
+last.
 
 spandist is imported from ``src/`` of the checkout this script sits in.
 """
@@ -97,6 +107,15 @@ def _structure(result: sd.CampaignResult) -> str:
     lines += [f"failure {f.trial} {f.check_id}" for f in result.failures]
     return "\n".join(lines) + "\n"
 
+
+# the ill-conditioned grid: name -> GeneratorConfig, each run serially
+GRID = {
+    f"grid_{field.value}_d{dim}_n{n}_k1e{e}": GeneratorConfig(
+        seed=404, trials=200, dim=dim, n=n, field=field, conditioning=10.0**e)
+    for field in Field
+    for dim, n in ((7, 5), (8, 7), (12, 6))
+    for e in (8, 10, 11, 12, 13, 14)
+}
 
 SPLITS = (2, 3)
 LIBRARY_TRIALS = 16
@@ -215,11 +234,17 @@ def main() -> int:
             if leftover:
                 problems += 1
                 print(f"LEFTOVER {name} jobs={jobs} {leftover}")
+    grid = hashlib.sha256()
+    for name, config in GRID.items():
+        digest = _sha(_or_error(lambda: _structure(sd.run_campaign(config))))
+        grid.update(f"{name} grid {digest}\n".encode("ascii"))
+        print(f"{name:<34} grid   {digest}")
     print(f"{'combined':<41} {combined.hexdigest()}")
     print(f"{'combined struct':<41} {structure.hexdigest()}")
     print(f"{'combined library':<41} {library.hexdigest()}")
     print(f"{'combined replay':<41} {replay.hexdigest()}")
     print(f"{'combined point':<41} {point.hexdigest()}")
+    print(f"{'combined grid':<41} {grid.hexdigest()}")
     return 1 if problems else 0
 
 
