@@ -20,8 +20,6 @@ with three coarser closed forms.
 
 from __future__ import annotations
 
-import math
-import numbers
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
@@ -36,8 +34,7 @@ from .errors import (
 )
 from .distance import PointStack, is_orthonormal
 from .gram import AggregateStack, VectorSystem, require_independent
-from .space import Field, Scalar, ToleranceConfig, Vector, re_inner_rows, sq_norms
-from .space import _coeff_array as _validated_coeffs
+from .space import Field, Scalar, ToleranceConfig, Vector, field_array, re_inner_rows, sq_norms
 
 __all__ = [
     "BoundMethod",
@@ -98,7 +95,8 @@ CONDITIONAL_METHODS = (
 
 @dataclass(frozen=True)
 class IntervalData:
-    """Two-sided scalar data (gamma_i, Gamma_i) for the conditional bounds."""
+    """Two-sided scalar data (gamma_i, Gamma_i) for the conditional bounds,
+    checked by :func:`~spandist.space.field_array` (its field inferred)."""
 
     gammas: tuple[Scalar, ...]
     Gammas: tuple[Scalar, ...]
@@ -111,63 +109,47 @@ class IntervalData:
             )
         if len(self.gammas) == 0:
             raise ValueError("interval data must be nonempty")
-        for value in (*self.gammas, *self.Gammas):
-            if not isinstance(value, numbers.Number):
-                raise ValueError(f"interval scalars must be numbers, got {value!r}")
-            try:
-                z = complex(value)
-            except OverflowError:  # an integer beyond the float range
-                z = complex(math.inf)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError("interval scalars must be finite")
+        if field_array((self.gammas, self.Gammas), None, "interval scalars").ndim != 2:
+            raise ValueError("interval scalars must be numbers")
 
     @property
     def n(self) -> int:
         return len(self.gammas)
 
-    def arrays(self, field: Field) -> tuple[np.ndarray, np.ndarray]:
-        """Validated read-only (gamma, Gamma) arrays, memoised per field."""
+    def arrays(self, field: Field, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (gamma, Gamma) arrays for a system of ``n`` vectors over
+        ``field``, memoised per field."""
+        if self.n != n:
+            raise DimensionMismatchError(f"interval data for {self.n} vectors, system has {n}")
         pair = self._arrays.get(field)
         if pair is None:
-            lo = _validated_coeffs(self.gammas, field, self.n)
-            hi = _validated_coeffs(self.Gammas, field, self.n)
-            lo.setflags(write=False)
-            hi.setflags(write=False)
-            pair = self._arrays[field] = (lo, hi)
+            pair = self._arrays[field] = tuple(field_array((self.gammas, self.Gammas), field, "interval scalars"))
         return pair
-
-    def widths(self, field: Field) -> np.ndarray:
-        lo, hi = self.arrays(field)
-        return hi - lo
 
 
 # -- stacked kernels: one value per system of a stack ---------------------
 
 
-def denominators(agg: AggregateStack, n: int) -> dict[BoundMethod, np.ndarray]:
-    """The aggregate D of each unconditional bound, per system of a stack."""
-    return {
-        BoundMethod.TOTAL_NORM: agg.norm_sum,
-        BoundMethod.OFFDIAG_FROBENIUS: agg.norm_max + np.sqrt(agg.offdiag_sum_sq),
-        BoundMethod.OFFDIAG_MAX: agg.norm_max + (n - 1) * agg.offdiag_max,
-        BoundMethod.ROW_SUMS: agg.row_max,
-        BoundMethod.FROBENIUS: np.sqrt(agg.abs_sum_sq),
-    }
+_DENOMINATOR_FIELDS = {  # the AggregateStack field of each unconditional bound's D
+    BoundMethod.TOTAL_NORM: "norm_sum",
+    BoundMethod.OFFDIAG_FROBENIUS: "diag_offdiag_frobenius",
+    BoundMethod.OFFDIAG_MAX: "diag_offdiag_max",
+    BoundMethod.ROW_SUMS: "row_max",
+    BoundMethod.FROBENIUS: "frobenius",
+}
 
 
-def bound_values(
-    xx: np.ndarray, s: np.ndarray, dens: dict[BoundMethod, np.ndarray]
-) -> dict[BoundMethod, np.ndarray]:
+def bound_values(xx: np.ndarray, s: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.ndarray]:
     """The five unconditional bounds ||x||^2 - S / D, clamped at zero."""
-    return {m: np.maximum(xx - s / d, 0.0) for m, d in dens.items()}
+    return {m: np.maximum(xx - s / getattr(agg, d), 0.0) for m, d in _DENOMINATOR_FIELDS.items()}
 
 
 BESSEL_METHODS = (BoundMethod.OFFDIAG_FROBENIUS, BoundMethod.OFFDIAG_MAX, BoundMethod.ROW_SUMS)
 
 
-def bessel_values(xx: np.ndarray, dens: dict[BoundMethod, np.ndarray]) -> dict[BoundMethod, np.ndarray]:
+def bessel_values(xx: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.ndarray]:
     """Bessel right-hand sides ||x||^2 * D, each dominating S."""
-    return {m: xx * dens[m] for m in BESSEL_METHODS}
+    return {m: xx * getattr(agg, _DENOMINATOR_FIELDS[m]) for m in BESSEL_METHODS}
 
 
 def condition_stack(
@@ -186,16 +168,14 @@ def condition_stack(
     return re_inner, ball_margin, holds, holds == (ball_margin >= -slack)
 
 
-def conditional_stack(
-    rows: np.ndarray, widths: np.ndarray, dens: dict[BoundMethod, np.ndarray]
-) -> dict[BoundMethod, np.ndarray]:
+def conditional_stack(rows: np.ndarray, widths: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.ndarray]:
     """The four conditional bounds per system, in :data:`CONDITIONAL_METHODS`
     order, for (T, n) interval widths."""
     width_comb = (widths[:, np.newaxis, :] @ rows)[:, 0, :]
     values = {BoundMethod.COND_HALF_WIDTH: 0.25 * sq_norms(width_comb)}
     width_sq = sq_norms(widths)
     for method, factor in _COND_FACTORS.items():
-        values[method] = 0.25 * width_sq * dens[factor]
+        values[method] = 0.25 * width_sq * getattr(agg, _DENOMINATOR_FIELDS[factor])
     return values
 
 
@@ -225,13 +205,9 @@ def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> Po
     return p
 
 
-def _denominators(system: VectorSystem) -> dict[BoundMethod, np.ndarray]:
-    return denominators(system.as_stack().aggregates, system.n)
-
-
 def _ratio_bound(system: VectorSystem, x: Vector, method: BoundMethod, tol: ToleranceConfig | None) -> float:
     p = _prepare(system, x, tol)
-    return float(bound_values(p.xx, p.s, _denominators(system))[method][0])
+    return float(bound_values(p.xx, p.s, system.as_stack().aggregates)[method][0])
 
 
 def bound_total_norm(system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None) -> float:
@@ -263,7 +239,7 @@ def bound_frobenius(system: VectorSystem, x: Vector, tol: ToleranceConfig | None
 
 
 def _bessel_rhs(system: VectorSystem, x: Vector, method: BoundMethod) -> float:
-    return float(bessel_values(PointStack.of(system, x).xx, _denominators(system))[method][0])
+    return float(bessel_values(PointStack.of(system, x).xx, system.as_stack().aggregates)[method][0])
 
 
 def bessel_rhs_offdiag_frobenius(system: VectorSystem, x: Vector) -> float:
@@ -315,11 +291,7 @@ def require_condition(
 def _verdict(p: PointStack, intervals: IntervalData) -> ConditionVerdict:
     """:func:`condition_verdict` of x against a system (a point stack of one)."""
     systems = p.systems
-    if intervals.n != systems.n:
-        raise DimensionMismatchError(
-            f"interval data for {intervals.n} vectors, system has {systems.n}"
-        )
-    lo, hi = intervals.arrays(systems.field)
+    lo, hi = intervals.arrays(systems.field, systems.n)
     re_inner, ball_margin, holds, forms_agree = condition_stack(
         systems.rows, p.x, p.xx, lo[np.newaxis], hi[np.newaxis], p.tol
     )
@@ -348,8 +320,8 @@ def conditional_values(system: VectorSystem, intervals: IntervalData) -> dict[Bo
     orthogonal to the span, and the two-sided condition (as
     :func:`full_bound_report` does), so that the condition is evaluated once.
     """
-    widths = intervals.widths(system.field)[np.newaxis]
-    values = conditional_stack(system.rows[np.newaxis], widths, _denominators(system))
+    lo, hi = intervals.arrays(system.field, system.n)
+    values = conditional_stack(system.rows[np.newaxis], (hi - lo)[np.newaxis], system.as_stack().aggregates)
     return {m: float(v[0]) for m, v in values.items()}
 
 
@@ -396,7 +368,8 @@ def reverse_bessel_gap(
         raise NotOrthonormalError("reverse Bessel bound requires an orthonormal system")
     p = PointStack.of(system, x, tol)
     _require(p, intervals)
-    gap, quarter = reverse_bessel_stack(p.xx, p.s, intervals.widths(system.field)[np.newaxis])
+    lo, hi = intervals.arrays(system.field, system.n)
+    gap, quarter = reverse_bessel_stack(p.xx, p.s, (hi - lo)[np.newaxis])
     gap, quarter = float(gap[0]), float(quarter[0])
     rel = p.tol.compare_rel_tol
     holds = gap >= -rel * (1.0 + abs(gap)) and gap <= quarter + rel * (1.0 + quarter)
@@ -449,7 +422,7 @@ def full_bound_report(
     """
     p = _prepare(system, x, tol)
     exact = float(p.d2[0])
-    values = {m: float(v[0]) for m, v in bound_values(p.xx, p.s, _denominators(system)).items()}
+    values = {m: float(v[0]) for m, v in bound_values(p.xx, p.s, system.as_stack().aggregates).items()}
     if intervals is not None:
         _require(p, intervals)
         values.update(conditional_values(system, intervals))

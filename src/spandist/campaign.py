@@ -31,7 +31,7 @@ import numpy as np
 
 from .checks import STACKED, CheckFn, CheckOutcome, Column, applicable_checks, resolve_check, run_checks, run_stacked
 from .generator import GeneratorConfig, generate_chunk, generate_instance
-from .space import DEFAULT_TOL, ToleranceConfig
+from .space import DEFAULT_TOL, ToleranceConfig, checked_int
 
 __all__ = ["FailureRecord", "CampaignResult", "run_campaign", "replay_trial"]
 
@@ -170,6 +170,7 @@ def run_campaign(
     ``jobs > 1`` the trial range is split across worker processes; results
     are identical to a serial run.
     """
+    jobs = checked_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = tuple(checks) if checks is not None else applicable_checks(config)

@@ -136,12 +136,8 @@ class TrialStack(PointStack):
         self.n = chunk.systems.n
 
     @cached_property
-    def denominators(self) -> dict[bnd.BoundMethod, np.ndarray]:
-        return bnd.denominators(self.agg, self.n)
-
-    @cached_property
     def unconditional(self) -> dict[bnd.BoundMethod, np.ndarray]:
-        return bnd.bound_values(self.xx, self.s, self.denominators)
+        return bnd.bound_values(self.xx, self.s, self.agg)
 
     def coeffs(self, salt: int, count: int | None = None) -> np.ndarray:
         """(T, count) coefficients, each trial's from its own auxiliary stream."""
@@ -227,7 +223,7 @@ def _bessel_refinements(t: TrialStack) -> list[Column]:
     for arbitrary systems, dependent ones included."""
     return [
         _column(f"bessel_refinements/{m.value}", _dominance_margin(value, t.s), rhs=value, power_sum=t.s)
-        for m, value in bnd.bessel_values(t.xx, t.denominators).items()
+        for m, value in bnd.bessel_values(t.xx, t.agg).items()
     ]
 
 
@@ -359,7 +355,7 @@ def _conditional_bounds(t: TrialStack) -> list[Column]:
     ]
     held = ok & holds
     d2 = t.d2
-    values = bnd.conditional_stack(rows, chunk.widths, t.denominators)
+    values = bnd.conditional_stack(rows, chunk.widths, t.agg)
     half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
     out.append(_column("conditional_bounds/half_width_dominates", _dominance_margin(half_width, d2), held,
                        bound=half_width, exact=d2))

@@ -238,9 +238,7 @@ class CombinationInputs:
     @classmethod
     def build(cls, alphas: Sequence[Scalar] | np.ndarray, zs: VectorSystem) -> "CombinationInputs":
         """Validate ``alphas`` against ``zs`` (one finite scalar per vector)."""
-        a = _validated_coeffs(alphas, zs.field, zs.n)
-        a.setflags(write=False)
-        return cls(a, zs)
+        return cls(_validated_coeffs(alphas, zs.field, zs.n), zs)
 
     def __getattr__(self, name: str):
         # only a forwarded field gets here; copy and pickle probe other
@@ -411,20 +409,16 @@ def _diag_offdiag_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.n
 def _selection_max_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
     g = c.agg
     sum_sq = c.power_sum(2)
-    max_off = g.offdiag_max
-    tight = g.norm_max * sum_sq + max_off * np.maximum(c.a_sum**2 - sum_sq, 0.0)
-    coarse = sum_sq * (g.norm_max + (c.n - 1) * max_off)
-    return (tight, coarse)
+    tight = g.norm_max * sum_sq + g.offdiag_max * np.maximum(c.a_sum**2 - sum_sq, 0.0)
+    return (tight, sum_sq * g.diag_offdiag_max)
 
 
 def _selection_frobenius_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
     g = c.agg
     sum_sq = c.power_sum(2)
-    off_frob = np.sqrt(g.offdiag_sum_sq)
     coeff = np.sqrt(np.maximum(sum_sq**2 - c.power_sum(4), 0.0))
-    tight = g.norm_max * sum_sq + off_frob * coeff
-    coarse = sum_sq * (g.norm_max + off_frob)
-    return (tight, coarse)
+    tight = g.norm_max * sum_sq + g.offdiag_frobenius * coeff
+    return (tight, sum_sq * g.diag_offdiag_frobenius)
 
 
 def _row_sum_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:

@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import IntervalData
-from .distance import beta_stack, orth_complement_stack
-from .errors import DimensionMismatchError, NumericalInstabilityError
+from .distance import PointStack, beta_stack, orth_complement_stack
+from .errors import NumericalInstabilityError
 from .gram import SystemStack, VectorSystem
-from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, sq_norms
+from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, checked_real, sq_norms
 
 __all__ = [
     "GeneratorConfig",
@@ -45,7 +45,7 @@ class GeneratorConfig:
     singular-value ratio sqrt(conditioning) to achieve it exactly.
     ``dependent_fraction`` makes that share of trials linearly dependent by
     replacing one vector with a combination of the others (for exercising
-    bounds that do not need independence).
+    bounds that do not need independence). Both are stored as given.
     """
 
     seed: int = 0
@@ -61,6 +61,11 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         for name in ("seed", "trials", "dim", "n"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        for name in ("conditioning", "dependent_fraction"):
+            checked_real(name, getattr(self, name))
+        for name in ("orthonormal", "intervals"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not isinstance(self.field, Field):
             raise ValueError(f"field must be a Field, got {self.field!r}")
         if not (0 <= self.seed < 2**64):
@@ -71,7 +76,7 @@ class GeneratorConfig:
             raise ValueError(f"dim must be in 1..{MAX_DIM}, got {self.dim}")
         if not (1 <= self.n <= self.dim):
             raise ValueError(f"n must be in 1..dim={self.dim}, got {self.n}")
-        if not (math.isfinite(self.conditioning) and self.conditioning >= 1.0):
+        if not self.conditioning >= 1.0:
             raise ValueError("conditioning must be finite and >= 1")
         if not (0.0 <= self.dependent_fraction <= 1.0):
             raise ValueError("dependent_fraction must lie in [0, 1]")
@@ -132,15 +137,12 @@ class InstanceChunk:
     @classmethod
     def of(cls, instance: Instance) -> "InstanceChunk":
         """One instance as a chunk of one."""
-        system, x, iv = instance.system, instance.x, instance.intervals
-        system._check_member(x)
+        system, iv = instance.system, instance.intervals
+        p = PointStack.of(system, instance.x)
         lo = hi = None
         if iv is not None:
-            if iv.n != system.n:
-                raise DimensionMismatchError(f"interval data for {iv.n} vectors, system has {system.n}")
-            lo, hi = (a[np.newaxis] for a in iv.arrays(system.field))
-        xc = x.coords.astype(system.field.dtype)[np.newaxis]
-        return cls(system.as_stack(), xc, lo, hi, instance.seed, (instance.trial,))
+            lo, hi = (a[np.newaxis] for a in iv.arrays(system.field, system.n))
+        return cls(p.systems, p.x, lo, hi, instance.seed, (instance.trial,))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -30,13 +30,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    FieldMismatchError,
-    LinearDependenceError,
-    NumericalInstabilityError,
-)
-from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, sq_norms
+from .errors import LinearDependenceError, NumericalInstabilityError
+from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, check_member, checked_int, field_array, sq_norms
 
 __all__ = [
     "GramMatrix",
@@ -176,6 +171,26 @@ class AggregateStack:
     def abs_sum_sq(self) -> np.ndarray:
         """sum_{i, j} |G[i, j]|^2, the squared Frobenius norm."""
         return np.sum(self.abs_gram**2, axis=(-2, -1))
+
+    @cached_property
+    def offdiag_frobenius(self) -> np.ndarray:
+        """(sum_{i != j} |G[i, j]|^2)^(1/2)."""
+        return np.sqrt(self.offdiag_sum_sq)
+
+    @cached_property
+    def frobenius(self) -> np.ndarray:
+        """(sum_{i, j} |G[i, j]|^2)^(1/2), the Frobenius norm."""
+        return np.sqrt(self.abs_sum_sq)
+
+    @cached_property
+    def diag_offdiag_frobenius(self) -> np.ndarray:
+        """max_i ||x_i||^2 + (sum_{i != j} |G[i, j]|^2)^(1/2)."""
+        return self.norm_max + self.offdiag_frobenius
+
+    @cached_property
+    def diag_offdiag_max(self) -> np.ndarray:
+        """max_i ||x_i||^2 + (n - 1) max_{i != j} |G[i, j]|."""
+        return self.norm_max + (self.gram.shape[-1] - 1) * self.offdiag_max
 
     @cached_property
     def identity_deviation(self) -> np.ndarray:
@@ -557,12 +572,7 @@ class VectorSystem:
             raise ValueError("a vector system needs at least one vector")
         head = vectors[0]
         for v in vectors[1:]:
-            if v.field is not head.field:
-                raise FieldMismatchError("all system vectors must share one scalar field")
-            if v.dim != head.dim:
-                raise DimensionMismatchError(
-                    f"system vectors must share one dimension ({head.dim} vs {v.dim})"
-                )
+            check_member(v, head.field, head.dim)
         rows = np.stack([v.coords for v in vectors]).astype(head.field.dtype)
         self._bind(SystemStack(rows[np.newaxis], head.field, tol))
         self._vectors = tuple(vectors)
@@ -574,20 +584,13 @@ class VectorSystem:
         field: Field | None = None,
         tol: ToleranceConfig = DEFAULT_TOL,
     ) -> "VectorSystem":
-        """Build a system from an (n, dim) coordinate array, one vector per row."""
-        arr = np.asarray(rows)
+        """Build a system from an (n, dim) coordinate array, one vector per
+        row, checked by :func:`~spandist.space.field_array` (``field=None``
+        infers the field)."""
+        arr = field_array(rows, field, "system coordinates")
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError(f"expected a nonempty (n, dim) array, got shape {arr.shape}")
-        if field is None:
-            field = Field.COMPLEX if np.iscomplexobj(arr) and np.any(arr.imag != 0.0) else Field.REAL
-        if field is Field.REAL and np.iscomplexobj(arr) and np.any(arr.imag != 0.0):
-            raise FieldMismatchError("real-field system given complex coordinates")
-        arr = (arr.real if field is Field.REAL and np.iscomplexobj(arr) else arr).astype(
-            field.dtype, order="C")
-        flat = arr.view(np.float64) if arr.dtype == np.complex128 else arr
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("system coordinates must be finite")
-        return cls._of(SystemStack(arr[np.newaxis], field, tol))
+        return cls._of(SystemStack(arr[np.newaxis], Field.of(arr), tol))
 
     @classmethod
     def _of(cls, stack: SystemStack) -> "VectorSystem":
@@ -665,10 +668,8 @@ class VectorSystem:
 
     # -- derived systems -----------------------------------------------
     def subsystem(self, indices: Sequence[int]) -> "VectorSystem":
-        idx = list(indices)
-        if not idx:
-            raise ValueError("a subsystem needs at least one index")
-        return VectorSystem.from_rows(self.rows[idx], self.field, self.tol)
+        """The vectors at ``indices`` (at least one) as a system."""
+        return VectorSystem.from_rows(self.rows[list(indices)], self.field, self.tol)
 
     def augmented(self, x: Vector) -> "VectorSystem":
         """System with ``x`` appended after the existing vectors."""
@@ -677,12 +678,7 @@ class VectorSystem:
         return VectorSystem.from_rows(rows, self.field, self.tol)
 
     def _check_member(self, x: Vector) -> None:
-        if x.field is not self.field:
-            raise FieldMismatchError(
-                f"vector field {x.field.value} does not match system field {self.field.value}"
-            )
-        if x.dim != self.dim:
-            raise DimensionMismatchError(f"vector dimension {x.dim} != system dimension {self.dim}")
+        check_member(x, self.field, self.dim)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VectorSystem(n={self.n}, dim={self.dim}, field={self.field.value})"
@@ -790,21 +786,12 @@ def check_gram_triangle(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> GramTriangleVerdict:
     """Verify det^(1/2)(x1+y1, rest) <= det^(1/2)(x1, rest) + det^(1/2)(y1, rest)."""
-    if isinstance(rest, VectorSystem):
-        rest_rows, field = rest.rows, rest.field
-    else:
-        rest_sys = VectorSystem(list(rest), tol)
-        rest_rows, field = rest_sys.rows, rest_sys.field
+    rest = rest if isinstance(rest, VectorSystem) else VectorSystem(list(rest), tol)
     for lead in (x1, y1):
-        if lead.field is not field:
-            raise FieldMismatchError("leading vectors must share the system's scalar field")
-        if lead.dim != rest_rows.shape[1]:
-            raise DimensionMismatchError(
-                f"leading vector dimension {lead.dim} != system dimension {rest_rows.shape[1]}"
-            )
+        rest._check_member(lead)
     combined, first, second = (
         float(v[0])
-        for v in triangle_roots(x1.coords[np.newaxis], y1.coords[np.newaxis], rest_rows[np.newaxis], field, tol)
+        for v in triangle_roots(x1.coords[np.newaxis], y1.coords[np.newaxis], rest.rows[np.newaxis], rest.field, tol)
     )
     return GramTriangleVerdict(
         combined=combined,

@@ -29,7 +29,7 @@ from .bounds import IntervalData
 from .errors import InstanceFormatError
 from .generator import Instance
 from .gram import VectorSystem
-from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector
+from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, field_array
 
 __all__ = ["load_instance", "save_instance", "instance_to_obj", "instance_from_obj"]
 
@@ -56,8 +56,9 @@ def _check_scalar(raw: Any, field: Field, where: str) -> None:
             raise InstanceFormatError(f"{where}: complex parts must be numbers, got {part!r}")
 
 
-def _check_vector(raw: Any, field: Field, where: str) -> None:
-    """Raise unless ``raw`` is a nonempty array of the field's scalars.
+def _check_vector(raw: Any, field: Field, where: str, length: int | None = None, expected: str = "") -> None:
+    """Raise unless ``raw`` is a nonempty array of the field's scalars, of
+    ``length`` entries when that is given (named ``expected`` + length).
 
     The entry types are screened at C speed; only when the screen fails are
     the entries walked one by one, to name the first bad one.
@@ -72,12 +73,14 @@ def _check_vector(raw: Any, field: Field, where: str) -> None:
     if not screened:
         for i, entry in enumerate(raw):
             _check_scalar(entry, field, f"{where}[{i}]")
+    if length is not None and len(raw) != length:
+        raise InstanceFormatError(f"{where} has length {len(raw)}, expected {expected}{length}")
 
 
-def _to_array(raw: list, field: Field) -> np.ndarray:
-    """Checked scalars (or rows of them) as one array of the field's dtype;
-    a complex [re, im] pair becomes re + im*j bit for bit."""
-    arr = np.array(raw, dtype=np.float64)
+def _to_array(raw: list, field: Field, what: str) -> np.ndarray:
+    """Screened scalars (or rows of them) as one checked array of the field's
+    dtype; a complex [re, im] pair becomes re + im*j bit for bit."""
+    arr = field_array(raw, Field.REAL, what)
     return arr if field is Field.REAL else arr.view(np.complex128)[..., 0]
 
 
@@ -112,35 +115,26 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
     raw_vectors = obj["vectors"]
     if not isinstance(raw_vectors, list) or not raw_vectors:
         raise InstanceFormatError("vectors: expected a nonempty array of rows")
+    dim = None  # the length of the first row, once it is checked
     for i, raw in enumerate(raw_vectors):
-        _check_vector(raw, field, f"vectors[{i}]")
-    dim = len(raw_vectors[0])
-    for i, row in enumerate(raw_vectors):
-        if len(row) != dim:
-            raise InstanceFormatError(f"vectors[{i}] has length {len(row)}, expected {dim}")
-    _check_vector(obj["x"], field, "x")
-    if len(obj["x"]) != dim:
-        raise InstanceFormatError(f"x has length {len(obj['x'])}, expected {dim}")
+        _check_vector(raw, field, f"vectors[{i}]", dim)
+        dim = len(raw)
+    _check_vector(obj["x"], field, "x", dim)
     if ("gammas" in obj) != ("Gammas" in obj):
         raise InstanceFormatError("gammas and Gammas must be given together")
     if "gammas" in obj:
         for name in ("gammas", "Gammas"):
-            _check_vector(obj[name], field, name)
-        for name in ("gammas", "Gammas"):
-            if len(obj[name]) != len(raw_vectors):
-                raise InstanceFormatError(
-                    f"{name} has length {len(obj[name])}, expected n={len(raw_vectors)}"
-                )
+            _check_vector(obj[name], field, name, len(raw_vectors), "n=")
     try:
         intervals = None
         if "gammas" in obj:
             intervals = IntervalData(
-                gammas=tuple(_to_array(obj["gammas"], field).tolist()),
-                Gammas=tuple(_to_array(obj["Gammas"], field).tolist()),
+                gammas=tuple(_to_array(obj["gammas"], field, "interval scalars").tolist()),
+                Gammas=tuple(_to_array(obj["Gammas"], field, "interval scalars").tolist()),
             )
-        system = VectorSystem.from_rows(_to_array(raw_vectors, field), field, tol)
-        x = Vector(_to_array(obj["x"], field), field)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond the float range
+        system = VectorSystem.from_rows(_to_array(raw_vectors, field, "system coordinates"), field, tol)
+        x = Vector(_to_array(obj["x"], field, "vector coordinates"), field)
+    except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
     return Instance(system=system, x=x, intervals=intervals)
 

@@ -14,15 +14,16 @@ rank decision: :class:`spandist.distance.PointStack` calls it on the
 systems whose Gram factorization is complete. The functions over bare rows
 (:func:`orthonormal_rows`, :func:`residual_after_projection`,
 :func:`distance_sq_by_orthonormalization`) have no system to ask, so they
-test the diagonal of R themselves and raise LinearDependenceError.
+check their arrays by :func:`spandist.space.field_array` and test the
+diagonal of R themselves, raising LinearDependenceError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import LinearDependenceError
-from .space import DEFAULT_TOL, ToleranceConfig, sq_norms
+from .errors import DimensionMismatchError, LinearDependenceError
+from .space import DEFAULT_TOL, ToleranceConfig, field_array, sq_norms
 
 __all__ = ["orthonormal_rows", "residual_after_projection", "distance_sq_by_orthonormalization"]
 
@@ -42,6 +43,26 @@ def _checked_diagonal(r: np.ndarray, rows: np.ndarray, tol: ToleranceConfig) -> 
             f"vector {int(np.argmax(dependent.any(axis=0)))} is numerically in the span of its predecessors"
         )
     return diag
+
+
+def _checked(rows: object, x: object = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Caller rows, a nonempty (n, dim) array, and x, dim coordinates (if
+    given), each checked by field_array with its own field inferred."""
+    rows = field_array(rows, None, "rows")
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError(f"expected a nonempty (n, dim) array of rows, got shape {rows.shape}")
+    if x is not None:
+        x = field_array(x, None, "x")
+        if x.shape != rows.shape[1:]:
+            raise DimensionMismatchError(f"x of shape {x.shape} against rows of dimension {rows.shape[1]}")
+    return rows, x
+
+
+def _basis(rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """:func:`orthonormal_rows` of checked rows."""
+    q, r = np.linalg.qr(rows.T)
+    diag = _checked_diagonal(r[np.newaxis], rows[np.newaxis], tol)[0]
+    return (q * (diag / np.abs(diag))).T
 
 
 def _augmented_r(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -71,15 +92,13 @@ def orthonormal_rows(rows: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np
     ``rank_rel_tol`` (relative to the vector's own norm), i.e. the rows are
     numerically dependent.
     """
-    rows = np.asarray(rows)
-    q, r = np.linalg.qr(rows.T)
-    diag = _checked_diagonal(r[np.newaxis], rows[np.newaxis], tol)[0]
-    return (q * (diag / np.abs(diag))).T
+    return _basis(_checked(rows)[0], tol)
 
 
 def residual_after_projection(rows: np.ndarray, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Component of x orthogonal to the row span of ``rows``."""
-    basis, x = orthonormal_rows(rows, tol), np.asarray(x)
+    rows, x = _checked(rows, x)
+    basis = _basis(rows, tol)
     return x - (basis.conj() @ x) @ basis
 
 
@@ -89,7 +108,8 @@ def distance_sq_by_orthonormalization(rows: np.ndarray, x: np.ndarray, tol: Tole
     Raises LinearDependenceError, as :func:`orthonormal_rows` does, if the
     rows are numerically dependent.
     """
-    rows, x = np.asarray(rows)[np.newaxis], np.asarray(x)[np.newaxis]
+    rows, x = _checked(rows, x)
+    rows, x = rows[np.newaxis], x[np.newaxis]
     r = _augmented_r(rows, x)
     _checked_diagonal(r, rows, tol)
     return float(_distance_sq(r, *rows.shape[1:])[0])

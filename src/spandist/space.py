@@ -4,6 +4,12 @@ Everything downstream reduces to the Hermitian inner product implemented
 here: ``<u, v> = sum_k u_k * conj(v_k)``, linear in the first slot and
 conjugate-linear in the second. Over the reals the conjugation is a no-op
 and all scalars returned are plain floats.
+
+The rule for caller-supplied numbers lives here too, and only here:
+:func:`field_array` checks every coordinate, coefficient and interval
+array, :func:`checked_int` and :func:`checked_real` every scalar argument.
+Each raises ValueError (FieldMismatchError for an imaginary part in a real
+field) naming what it checked; shapes are checked by the callers.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -19,6 +26,7 @@ import numpy as np
 from .errors import DimensionMismatchError, FieldMismatchError
 
 Scalar = Union[float, complex]
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "Field",
@@ -27,6 +35,7 @@ __all__ = [
     "DEFAULT_TOL",
     "Vector",
     "vector",
+    "field_array",
     "inner_product",
     "norm",
     "norm_sq",
@@ -44,6 +53,58 @@ class Field(enum.Enum):
     @property
     def dtype(self) -> np.dtype:
         return np.dtype(np.float64 if self is Field.REAL else np.complex128)
+
+    @staticmethod
+    def of(array: np.ndarray) -> "Field":
+        """The field of a float64 or complex128 array."""
+        return Field.COMPLEX if array.dtype.kind == "c" else Field.REAL
+
+
+def checked_int(name: str, value: object) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is an
+    integer (``numbers.Integral``, numpy integers included, but not bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def checked_real(name: str, value: object) -> object:
+    """``value`` itself; ValueError naming ``name`` unless it is a finite real
+    number (``numbers.Real``, numpy floats and integers included, but not
+    bool): one within the float range, so NaN, inf and 10**400 are not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
+def field_array(values: object, field: Field | None, what: str) -> np.ndarray:
+    """``values`` as a read-only float64 (real) or complex128 (complex) array
+    of the same shape. ValueError naming ``what`` unless every entry is a
+    number (of a numeric dtype, or a ``numbers.Number``) and finite (an
+    integer beyond the float range is not); FieldMismatchError for a nonzero
+    imaginary part in a real field. ``field=None`` infers it: complex exactly
+    when some imaginary part is nonzero (:meth:`Field.of` reads it back)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "O":
+        if not all(isinstance(v, numbers.Number) for v in arr.flat):
+            raise ValueError(f"{what} must be numbers")
+        try:
+            arr = arr.astype(np.float64 if all(isinstance(v, numbers.Real) for v in arr.flat) else np.complex128)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{what} must be finite") from None
+    elif arr.dtype.kind not in "biufc":
+        raise ValueError(f"{what} must be numbers")
+    if arr.dtype.kind == "c" and np.any(arr.imag != 0.0):
+        if field is Field.REAL:
+            raise FieldMismatchError(f"{what} have a nonzero imaginary part in a real field")
+        field = Field.COMPLEX
+    elif field is None:
+        field = Field.REAL
+    out = (arr.real if arr.dtype.kind == "c" and field is Field.REAL else arr).astype(field.dtype, order="C")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,53 +128,34 @@ class ToleranceConfig:
 
     def __post_init__(self) -> None:
         for name in ("rank_rel_tol", "orth_rel_tol", "compare_rel_tol"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0) or not math.isfinite(value):
+            value = checked_real(name, getattr(self, name))
+            if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
 
 
-def checked_int(name: str, value: object) -> int:
-    """``value`` as a Python int; ValueError naming ``name`` unless it is an
-    integer (``numbers.Integral``, numpy integers included, but not bool)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _as_coords(values: Iterable[Scalar] | np.ndarray, field: Field) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"vector coordinates must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("vectors must have at least one coordinate")
-    if field is Field.REAL:
-        if np.iscomplexobj(arr) and np.any(arr.imag != 0.0):
-            raise FieldMismatchError("real vector has coordinates with nonzero imaginary part")
-        out = arr.real.astype(np.float64) if np.iscomplexobj(arr) else arr.astype(np.float64)
-    else:
-        out = arr.astype(np.complex128)
-    if not np.all(np.isfinite(out.view(np.float64) if out.dtype == np.complex128 else out)):
-        raise ValueError("vector coordinates must be finite")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Vector:
     """Immutable dense vector over a fixed scalar field.
 
-    The coordinate array is normalized to float64/complex128 and frozen
-    (``writeable=False``) at construction; share freely across threads.
+    The coordinates are checked by :func:`field_array`, normalized to
+    float64/complex128 and frozen (``writeable=False``) at construction;
+    share freely across threads. ``field=None`` infers the field.
     """
 
     coords: np.ndarray
-    field: Field = Field.REAL
+    field: Field | None = Field.REAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _as_coords(self.coords, self.field))
+        coords = field_array(self.coords, self.field, "vector coordinates")
+        if coords.ndim != 1:
+            raise ValueError(f"vector coordinates must be one-dimensional, got shape {coords.shape}")
+        if coords.size == 0:
+            raise ValueError("vectors must have at least one coordinate")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "field", Field.of(coords))
 
     @property
     def dim(self) -> int:
@@ -126,22 +168,20 @@ class Vector:
 def vector(values: Iterable[Scalar], field: Field | None = None) -> Vector:
     """Build a :class:`Vector`, inferring the field when not given.
 
-    Inference: any nonzero imaginary part means complex, otherwise real.
-    Passing ``field`` explicitly is the way to build a complex-field vector
-    with all-real coordinates.
+    Inference (:func:`field_array`): any nonzero imaginary part means
+    complex, otherwise real. Passing ``field`` explicitly is the way to
+    build a complex-field vector with all-real coordinates.
     """
-    if field is None:
-        arr = np.asarray(values)
-        field = Field.COMPLEX if np.iscomplexobj(arr) and np.any(arr.imag != 0.0) else Field.REAL
-        return Vector(arr, field)
-    return Vector(np.asarray(values), field)
+    return Vector(values, field)
 
 
-def _check_pair(u: Vector, v: Vector) -> None:
-    if u.field is not v.field:
-        raise FieldMismatchError(f"mixed scalar fields: {u.field.value} vs {v.field.value}")
-    if u.dim != v.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {u.dim} vs {v.dim}")
+def check_member(v: Vector, field: Field, dim: int) -> None:
+    """FieldMismatchError or DimensionMismatchError unless ``v`` is a vector
+    of this field and dimension."""
+    if v.field is not field:
+        raise FieldMismatchError(f"mixed scalar fields: {field.value} vs {v.field.value}")
+    if v.dim != dim:
+        raise DimensionMismatchError(f"dimension mismatch: {dim} vs {v.dim}")
 
 
 def inner_product(u: Vector, v: Vector) -> Scalar:
@@ -150,7 +190,7 @@ def inner_product(u: Vector, v: Vector) -> Scalar:
     Returns a plain float over the reals and a complex over the complexes,
     so ``inner_product(v, u) == conj(inner_product(u, v))`` holds exactly.
     """
-    _check_pair(u, v)
+    check_member(v, u.field, u.dim)
     value = np.vdot(v.coords, u.coords)  # vdot conjugates its first argument
     return float(value.real) if u.field is Field.REAL else complex(value)
 
@@ -178,17 +218,10 @@ def norm(v: Vector) -> float:
 
 
 def _coeff_array(coeffs: Sequence[Scalar] | np.ndarray, field: Field, n: int) -> np.ndarray:
-    arr = np.asarray(coeffs)
-    if arr.ndim != 1 or arr.shape[0] != n:
-        raise DimensionMismatchError(
-            f"expected {n} coefficients, got array of shape {arr.shape}"
-        )
-    if field is Field.REAL and np.iscomplexobj(arr) and np.any(arr.imag != 0.0):
-        raise FieldMismatchError("complex coefficients with real-field vectors")
-    out = arr.astype(field.dtype)
-    finite = np.isfinite(out) if field is Field.REAL else np.isfinite(out.real) & np.isfinite(out.imag)
-    if not np.all(finite):
-        raise ValueError("coefficients must be finite")
+    """One checked scalar of ``field`` per vector, read-only."""
+    out = field_array(coeffs, field, "coefficients")
+    if out.shape != (n,):
+        raise DimensionMismatchError(f"expected {n} coefficients, got array of shape {out.shape}")
     return out
 
 
@@ -198,7 +231,7 @@ def linear_combination(coeffs: Sequence[Scalar], vectors: Sequence[Vector]) -> V
         raise ValueError("need at least one vector")
     head = vectors[0]
     for v in vectors[1:]:
-        _check_pair(head, v)
+        check_member(v, head.field, head.dim)
     alphas = _coeff_array(coeffs, head.field, len(vectors))
     rows = np.stack([v.coords for v in vectors])
     return Vector(alphas @ rows, head.field)
@@ -211,6 +244,6 @@ def conjugate_exponent(p: float) -> float:
     operations; the partner is always derived here so the pair cannot drift
     out of conjugacy.
     """
-    if not (math.isfinite(p) and p > 1.0):
+    if not checked_real("Hölder exponent", p) > 1.0:
         raise ValueError(f"Hölder exponent must be finite and > 1, got {p!r}")
     return p / (p - 1.0)

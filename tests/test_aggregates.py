@@ -305,7 +305,7 @@ def _assert_entry(got, stacked, k):
 
 
 def test_every_stack_field_reads_through_the_view():
-    assert len(_STACK_FIELDS) == 15
+    assert len(_STACK_FIELDS) == 19
     rng = np.random.default_rng(5)
     stack = sd_gram.SystemStack(random_rows(rng, 12, 6, Field.COMPLEX).reshape(3, 4, 6), Field.COMPLEX)
     for k in range(len(stack.rows)):

@@ -63,6 +63,12 @@ def test_a_nonpositive_jobs_is_rejected(jobs):
         sd.run_campaign(GeneratorConfig(seed=0, trials=4, dim=3, n=2), jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [2.5, "2", None])
+def test_a_non_integer_jobs_is_rejected(jobs):
+    with pytest.raises(ValueError, match="^jobs must be an integer"):
+        sd.run_campaign(GeneratorConfig(seed=0, trials=4, dim=3, n=2), jobs=jobs)
+
+
 def test_zero_trials():
     empty = GeneratorConfig(seed=1, trials=0, dim=4, n=2)
     res = sd.run_campaign(empty)

@@ -24,6 +24,11 @@ from spandist import Field, GeneratorConfig
     {"dim": 4.0},
     {"seed": True},
     {"field": "real"},
+    {"orthonormal": "no"},
+    {"orthonormal": 1},
+    {"intervals": "yes"},
+    {"intervals": None},
+    {"conditioning": True},
 ])
 def test_config_validation(kwargs):
     base = dict(seed=1, trials=10, dim=4, n=2)
@@ -36,6 +41,9 @@ def test_config_stores_numpy_integers_as_int():
     cfg = GeneratorConfig(seed=np.int64(3), trials=np.int32(4), dim=4, n=2)
     plain = GeneratorConfig(seed=3, trials=4, dim=4, n=2)
     assert cfg == plain and type(cfg.seed) is int and type(cfg.trials) is int
+    # a valid real keeps its type: an int conditioning still renders as an int
+    assert type(GeneratorConfig(conditioning=10).conditioning) is int
+    assert '"conditioning": 10,' in sd.render_campaign(sd.run_campaign(GeneratorConfig(trials=1, conditioning=10)), "json")
     assert sd.render_campaign(sd.run_campaign(cfg), "json") == sd.render_campaign(sd.run_campaign(plain), "json")
 
 

@@ -84,6 +84,8 @@ def test_malformed_objects_are_rejected(obj, fragment):
 
 
 _BIG = 10**400  # JSON integers have no size limit
+_WHAT = {"vectors": "system coordinates", "x": "vector coordinates", "gammas": "interval scalars",
+         "Gammas": "interval scalars"}
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
@@ -94,7 +96,7 @@ def test_integers_beyond_the_float_range_are_rejected(field, key):
     for big in bigs:
         obj = {"field": field.value, "vectors": [[one, one]], "x": [one, one], "gammas": [one], "Gammas": [one]}
         obj[key] = [[big, one]] if key == "vectors" else [big, one][: len(obj[key])]
-        with pytest.raises(InstanceFormatError, match="too large"):
+        with pytest.raises(InstanceFormatError, match=f"^{_WHAT[key]} must be finite$"):
             sd.instance_from_obj(obj)
     # an entry the type screen rejects is named, past the big integer before it
     obj = {"field": field.value, "vectors": [[one, one]], "x": [bigs[0], True]}

@@ -116,3 +116,102 @@ def test_conjugate_exponent_requires_p_above_one(p):
 def test_tolerance_config_validates_open_unit_interval(kwargs):
     with pytest.raises(ValueError):
         sd.ToleranceConfig(**kwargs)
+
+
+# --- one rule for caller-supplied numbers ----------------------------------------
+# Each bad input goes, in place of one number, to each public entry point that
+# takes caller numbers; every one must raise a ValueError subclass (never a
+# bare OverflowError or TypeError). "wrong length" replaces the whole array.
+
+_BAD = {
+    "numeric string": "2.5",
+    "None": None,
+    "integer beyond the float range": 10**400,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "complex in a real field": 1 + 1j,
+}
+_SYS = sd.VectorSystem.from_rows([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+_X = vector([1.0, 1.0, 1.0])
+_ROWS = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]
+_E = [vector([1.0, 0.0]), vector([0.0, 1.0])]
+
+
+def _coeffs(fn):
+    """A combination bound of the two-vector real system with coefficients (1, bad)."""
+    return lambda bad, short: fn([1.0] if short else [1.0, bad], _SYS)
+
+
+# name -> (call(bad, short), takes a complex value as valid, has a length)
+_ENTRIES = {
+    "vector": (lambda bad, short: vector([] if short else [1.0, bad], Field.REAL), False, True),
+    "Vector": (lambda bad, short: sd.Vector([] if short else [bad, 0.0]), False, True),
+    "from_rows": (lambda bad, short: sd.VectorSystem.from_rows(
+        [[1.0, 0.0], [1.0]] if short else [[1.0, bad], [0.0, 1.0]], Field.REAL), False, True),
+    "linear_combination": (lambda bad, short: sd.linear_combination([1.0] if short else [1.0, bad], _E), False, True),
+    "combination_norm_sq": (_coeffs(sd.combination_norm_sq), False, True),
+    "cauchy_schwarz_bound": (_coeffs(sd.cauchy_schwarz_bound), False, True),
+    "diag_offdiag_bound": (_coeffs(lambda a, s: sd.diag_offdiag_bound(a, s, "holder", "max_entry", diag_exp=2.0)),
+                           False, True),
+    "selection_max_bound": (_coeffs(sd.selection_max_bound), False, True),
+    "selection_frobenius_bound": (_coeffs(sd.selection_frobenius_bound), False, True),
+    "row_sum_bound": (_coeffs(lambda a, s: sd.row_sum_bound(a, s, "max_row")), False, True),
+    "holder_gram_bound": (_coeffs(lambda a, s: sd.holder_gram_bound(a, s, 3.0)), False, True),
+    "holder_gram_p2_bound": (_coeffs(sd.holder_gram_p2_bound), False, True),
+    "lagrange_identity_parts": (_coeffs(sd.lagrange_identity_parts), False, True),
+    "IntervalData": (lambda bad, short: sd.condition_verdict(
+        _SYS, _X, sd.IntervalData((0.0,) if short else (0.0, bad), (1.0, 1.0))), False, True),
+    "orthonormal_rows": (lambda bad, short: sd.orthonormal_rows(
+        [[]] if short else [[1.0, bad, 0.0], [0.0, 1.0, 0.0]]), True, True),
+    "residual_after_projection": (lambda bad, short: sd.residual_after_projection(
+        _ROWS, [1.0, 1.0] if short else [1.0, bad, 1.0]), True, True),
+    "distance_sq_by_orthonormalization": (lambda bad, short: sd.distance_sq_by_orthonormalization(
+        _ROWS, [1.0, 1.0] if short else [bad, 1.0, 1.0]), True, True),
+    "GeneratorConfig.conditioning": (lambda bad, short: sd.GeneratorConfig(conditioning=bad), False, False),
+    "GeneratorConfig.dependent_fraction": (lambda bad, short: sd.GeneratorConfig(dependent_fraction=bad), False, False),
+    "ToleranceConfig.rank_rel_tol": (lambda bad, short: sd.ToleranceConfig(rank_rel_tol=bad), False, False),
+    "ToleranceConfig.orth_rel_tol": (lambda bad, short: sd.ToleranceConfig(orth_rel_tol=bad), False, False),
+    "ToleranceConfig.compare_rel_tol": (lambda bad, short: sd.ToleranceConfig(compare_rel_tol=bad), False, False),
+    "conjugate_exponent": (lambda bad, short: conjugate_exponent(bad), False, False),
+}
+_CASES = [
+    pytest.param(entry, bad, id=f"{entry}-{bad}")
+    for entry, (_, complex_ok, has_length) in _ENTRIES.items()
+    for bad in (*_BAD, "wrong length")
+    if not (bad == "complex in a real field" and complex_ok) and not (bad == "wrong length" and not has_length)
+]
+
+
+@pytest.mark.parametrize("entry, bad", _CASES)
+def test_bad_caller_numbers_raise_value_error(entry, bad):
+    call = _ENTRIES[entry][0]
+    with pytest.raises(ValueError):
+        if bad == "wrong length":
+            call(None, True)
+        else:
+            call(_BAD[bad], False)
+
+
+@pytest.mark.parametrize("values, field, error, message", [
+    ([1.0, None], None, ValueError, "must be numbers"),
+    (["1", "2"], None, ValueError, "must be numbers"),
+    ([1.0, 10**400], None, ValueError, "must be finite"),
+    ([1j, 10**400], Field.COMPLEX, ValueError, "must be finite"),
+    ([1.0, float("nan")], Field.COMPLEX, ValueError, "must be finite"),
+    ([1.0, 2j], Field.REAL, sd.FieldMismatchError, "have a nonzero imaginary part in a real field"),
+])
+def test_field_array_names_what_it_checks(values, field, error, message):
+    with pytest.raises(error, match=f"^coordinates {message}$"):
+        sd.space.field_array(values, field, "coordinates")
+
+
+def test_field_array_keeps_every_bit_of_valid_input():
+    from fractions import Fraction
+    big = 2**64 + 1  # an object array: beyond int64 and uint64
+    real = sd.space.field_array([1, 2.5, big, Fraction(1, 3), np.float32(0.1)], None, "coordinates")
+    assert real.dtype == np.float64 and not real.flags.writeable
+    assert real.tolist() == [1.0, 2.5, float(big), 1 / 3, float(np.float32(0.1))]
+    assert sd.space.field_array(np.array([1 + 0j, -0.0 + 0j]), None, "c").dtype == np.float64
+    cplx = sd.space.field_array([1, 2j], None, "c")
+    assert cplx.dtype == np.complex128 and cplx.tolist() == [1 + 0j, 2j]
+    assert sd.space.field_array([True, 3], Field.COMPLEX, "c").tolist() == [1 + 0j, 3 + 0j]

@@ -43,10 +43,13 @@ hashes, in this order and at the default tolerance, the ``repr`` of what
 each call returns (arrays through ``.tolist()``) or the type of what it
 raises: ``coefficients``, ``in_orthogonal_complement``, the five
 ``distance_sq_*`` functions, the five ``bound_*`` functions, the three
-``bessel_rhs_*`` functions and, on streams with interval data,
-``condition_verdict``, ``bound_cond_half_width``, ``bound_cond_relaxed``
-for each of the three relaxations and ``reverse_bessel_gap``. A
-``combined point`` digest over these lines follows.
+``bessel_rhs_*`` functions, the three functions over bare rows
+(``orthonormal_rows`` of the system's rows, ``residual_after_projection``
+and ``distance_sq_by_orthonormalization`` of its rows and x's
+coordinates) and, on streams with interval data, ``condition_verdict``,
+``bound_cond_half_width``, ``bound_cond_relaxed`` for each of the three
+relaxations and ``reverse_bessel_gap``. A ``combined point`` digest over
+these lines follows.
 
 The ill-conditioned end of the generator is fingerprinted by a second grid
 (:data:`GRID`): both fields, dim/n 7/5, 8/7 and 12/6, Gram condition 1e8,
@@ -168,6 +171,7 @@ POINT_FUNCTIONS = (
     sd.bessel_rhs_offdiag_max,
     sd.bessel_rhs_row_sums,
 )
+ROW_FUNCTIONS = (sd.residual_after_projection, sd.distance_sq_by_orthonormalization)
 RELAXATIONS = sd.bounds.CONDITIONAL_METHODS[1:]  # every conditional method but the half-width bound
 
 
@@ -188,6 +192,8 @@ def _point(config: GeneratorConfig) -> str:
         inst = sd.generate_instance(config, trial)
         s, x, iv = inst.system, inst.x, inst.intervals
         calls = [lambda fn=fn: fn(s, x) for fn in POINT_FUNCTIONS]
+        calls.append(lambda: sd.orthonormal_rows(s.rows))
+        calls += [lambda fn=fn: fn(s.rows, x.coords) for fn in ROW_FUNCTIONS]
         if iv is not None:
             calls.append(lambda: sd.condition_verdict(s, x, iv))
             calls.append(lambda: sd.bound_cond_half_width(s, x, iv))
