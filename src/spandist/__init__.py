@@ -65,9 +65,9 @@ from .distance import (
 )
 from .combination import (
     CombinationBoundResult,
-    CombinationInputs,
     CombinationKind,
     CombinationMethod,
+    CombinationStack,
     LagrangeParts,
     cauchy_schwarz_bound,
     combination_norm_sq,

@@ -78,7 +78,7 @@ def _chunk_trials(config: GeneratorConfig) -> int:
 
 
 class _Tally:
-    """Outcome counts, worst margins and failures of one trial range."""
+    """Outcome counts, worst margins and failures of trial ranges (:meth:`merge` adds one)."""
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}
@@ -113,6 +113,11 @@ class _Tally:
                     values=tuple((name, float(v[k])) for name, v in col.values),
                 ))
 
+    def merge(self, other: "_Tally") -> None:
+        for check_id, count in other.counts.items():
+            self._count(check_id, count, other.worst[check_id])
+        self.failures.extend(other.failures)
+
     def outcomes(self, trial: int, outcomes: list[CheckOutcome]) -> None:
         for oc in outcomes:
             self._count(oc.check_id, 1, oc.margin)
@@ -128,7 +133,7 @@ def _run_range(
     start: int,
     stop: int,
     tol: ToleranceConfig,
-) -> tuple[dict[str, int], dict[str, float], list[FailureRecord]]:
+) -> _Tally:
     tally = _Tally()
     stacked = [fn for fn in checks if fn in STACKED]
     plain = [fn for fn in checks if fn not in STACKED]
@@ -136,13 +141,13 @@ def _run_range(
     for lo in range(start, stop, step):
         trials = range(lo, min(lo + step, stop))
         if stacked:
-            tally.columns(trials, run_stacked(stacked, generate_chunk(config, trials, tol), tol))
+            tally.columns(trials, run_stacked(stacked, generate_chunk(config, trials, tol)))
         if plain:
             for trial in trials:
                 instance = generate_instance(config, trial, tol)
                 for fn in plain:
                     tally.outcomes(trial, fn(instance, tol))
-    return tally.counts, tally.worst, tally.failures
+    return tally
 
 
 class _WorkerTraceback(Exception):
@@ -176,12 +181,9 @@ def run_campaign(
     names = tuple(checks) if checks is not None else applicable_checks(config)
     resolved = [resolve_check(name) for name in names]  # an unknown name raises before any trial or fork
     started = time.perf_counter()
-    counts: dict[str, int] = {}
-    worst: dict[str, float] = {}
-    failures: list[FailureRecord] = []
     trials = config.trials
     if jobs <= 1 or trials < 2:
-        counts, worst, failures = _run_range(config, resolved, 0, trials, tol)
+        tally = _run_range(config, resolved, 0, trials, tol)
     else:
         jobs = min(jobs, trials)
         edges = [trials * i // jobs for i in range(jobs + 1)]
@@ -210,21 +212,16 @@ def run_campaign(
                 proc.join()
             for conn in conns:
                 conn.close()
-        for part_counts, part_worst, part_failures in parts:
-            for key, value in part_counts.items():
-                counts[key] = counts.get(key, 0) + value
-            for key, value in part_worst.items():
-                if key not in worst or value < worst[key]:
-                    worst[key] = value
-            failures.extend(part_failures)
-    failures.sort(key=lambda f: (f.trial, f.check_id))
+        tally = _Tally()
+        for part in parts:
+            tally.merge(part)
     runtime = time.perf_counter() - started
     return CampaignResult(
         config=config,
         checks=names,
-        counts=dict(sorted(counts.items())),
-        worst_margin=dict(sorted(worst.items())),
-        failures=tuple(failures),
+        counts=dict(sorted(tally.counts.items())),
+        worst_margin=dict(sorted(tally.worst.items())),
+        failures=tuple(sorted(tally.failures, key=lambda f: (f.trial, f.check_id))),
         runtime=runtime,
     )
 

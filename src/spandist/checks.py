@@ -6,12 +6,14 @@ the instance (wrong shape, dependent system where independence is needed,
 missing interval data) returns no outcomes rather than failing — campaigns
 mix instance shapes freely.
 
-The built-in checks are written once, over a chunk of trials
-(:class:`TrialStack`): each returns one :class:`Column` per check id, its
-margins and recorded values as arrays with one entry per trial and a mask
-of the trials it applies to. The per-instance check is that run on a chunk
-of one; the campaign merges columns directly and builds a record only for a
-failure.
+The built-in checks are written once, over a chunk of trials (an
+:class:`~spandist.generator.InstanceChunk`, the point stack of its trials,
+which carries its tolerance and draws their auxiliary coefficients): each
+returns one :class:`Column` per check id, its margins and recorded values
+as arrays with one entry per trial and a mask of the trials it applies
+to. The per-instance check is that run on ``InstanceChunk.of(instance,
+tol)``, a chunk of one; the campaign merges columns directly and builds a
+record only for a failure.
 
 Margins are normalised so that ok == (margin >= 0) and more positive means
 more comfortable; the campaign keeps the worst margin per check id.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -29,8 +30,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import combination as comb
-from .distance import PointStack
-from .generator import Instance, InstanceChunk, _child_rng, _per_trial, _standard
+from .generator import Instance, InstanceChunk
 from .gram import split_determinants, triangle_roots
 from .hadamard import ChainVariant, chain_stack
 from .space import ToleranceConfig
@@ -41,7 +41,6 @@ __all__ = [
     "Column",
     "REGISTRY",
     "STACKED",
-    "TrialStack",
     "applicable_checks",
     "outcomes_of",
     "resolve_check",
@@ -122,38 +121,13 @@ def _spread(idx: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
     return out
 
 
-class TrialStack(PointStack):
-    """A chunk of trials as the stacked checks see it: the chunk's vectors
-    against its systems (a :class:`PointStack` over the chunk), plus what
-    only the checks share, each computed once, on first use, for every
-    trial of the chunk."""
-
-    def __init__(self, chunk: InstanceChunk, tol: ToleranceConfig) -> None:
-        super().__init__(chunk.systems, chunk.x, tol)
-        self.chunk = chunk
-        self.agg = chunk.systems.aggregates
-        self.size = chunk.size
-        self.n = chunk.systems.n
-
-    @cached_property
-    def unconditional(self) -> dict[bnd.BoundMethod, np.ndarray]:
-        return bnd.bound_values(self.xx, self.s, self.agg)
-
-    def coeffs(self, salt: int, count: int | None = None) -> np.ndarray:
-        """(T, count) coefficients, each trial's from its own auxiliary stream."""
-        count = self.n if count is None else count
-        field = self.systems.field
-        rngs = [_child_rng(self.chunk.seed, trial, salt) for trial in self.chunk.trials]
-        return _per_trial(rngs, lambda rng: _standard(rng, (count,), field))
-
-
 # -- the check families, each over a whole chunk ----------------------------
 
 
-def _representation_agreement(t: TrialStack) -> list[Column]:
+def _representation_agreement(t: InstanceChunk) -> list[Column]:
     """The determinant-ratio and quadratic-form distances agree with each
     other and with the Householder QR oracle; the projection quotient sits
-    above. All four are read from the trial stack, on the systems whose
+    above. All four are read from the chunk, on the systems whose
     factorization is complete: the oracle makes no rank decision of its own."""
     ok = t.systems.factor.complete
     if not ok.any():
@@ -169,7 +143,7 @@ def _representation_agreement(t: TrialStack) -> list[Column]:
     ]
 
 
-def _bound_dominance(t: TrialStack) -> list[Column]:
+def _bound_dominance(t: InstanceChunk) -> list[Column]:
     """Every unconditional bound dominates the exact squared distance; the
     total-norm bound is strictly above it away from degeneracies."""
     ok = t.systems.factor.complete & ~t.in_orth
@@ -178,7 +152,7 @@ def _bound_dominance(t: TrialStack) -> list[Column]:
         _column(f"bound_dominance/{method.value}", _dominance_margin(value, d2), ok, bound=value, exact=d2)
         for method, value in t.unconditional.items()
     ]
-    if t.n >= 2:
+    if t.systems.n >= 2:
         condition = t.systems.condition
         total = t.unconditional[bnd.BoundMethod.TOTAL_NORM]
         out.append(_column(
@@ -192,11 +166,11 @@ def _bound_dominance(t: TrialStack) -> list[Column]:
     return out
 
 
-def _orthonormal_collapse(t: TrialStack) -> list[Column]:
+def _orthonormal_collapse(t: InstanceChunk) -> list[Column]:
     """For orthonormal systems three bounds collapse to the Bessel distance
     and the other two exceed it by closed-form amounts."""
     ok = t.orthonormal & ~t.in_orth
-    s, n = t.s, t.n
+    s, n = t.s, t.systems.n
     bessel = t.xx - s
     method = bnd.BoundMethod
     expectations = {
@@ -218,18 +192,18 @@ def _orthonormal_collapse(t: TrialStack) -> list[Column]:
     ]
 
 
-def _bessel_refinements(t: TrialStack) -> list[Column]:
+def _bessel_refinements(t: InstanceChunk) -> list[Column]:
     """Refined Bessel right-hand sides dominate the coefficient power sum
     for arbitrary systems, dependent ones included."""
     return [
         _column(f"bessel_refinements/{m.value}", _dominance_margin(value, t.s), rhs=value, power_sum=t.s)
-        for m, value in bnd.bessel_values(t.xx, t.agg).items()
+        for m, value in bnd.bessel_values(t.xx, t.systems.aggregates).items()
     ]
 
 
-def _lagrange_identity(t: TrialStack) -> list[Column]:
+def _lagrange_identity(t: InstanceChunk) -> list[Column]:
     """The norm-of-combination identity balances to near machine precision."""
-    parts = comb.CombinationStack(t.coeffs(_SALT_LAGRANGE), t.systems.rows, t.agg).lagrange
+    parts = comb.CombinationStack(t.coeffs(_SALT_LAGRANGE), t.systems.rows, t.systems.aggregates).lagrange
     residual, magnitude = parts.residual, parts.magnitude
     return [
         _column("lagrange_identity/residual", IDENTITY_REL - residual / (1.0 + magnitude),
@@ -271,15 +245,14 @@ def _sweep() -> tuple[tuple[str, comb.CombinationMethod], ...]:
 COMBINATION_SWEEP = _sweep()
 
 
-
-def _combination_sweep(t: TrialStack) -> list[Column]:
+def _combination_sweep(t: InstanceChunk) -> list[Column]:
     """Exercise every combination bound family on one coefficient draw."""
-    inputs = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.agg)
+    draws = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.systems.aggregates)
     rel = t.tol.compare_rel_tol
-    lhs = inputs.lhs
+    lhs = draws.lhs
     out: list[Column] = []
     for label, method in COMBINATION_SWEEP:
-        chain = inputs.chain(method)
+        chain = draws.chain(method)
         bound = chain[0]
         out.append(_column(f"combination_sweep/{label}/holds",
                            (bound * (1.0 + rel) + rel - lhs) / (1.0 + np.abs(lhs)), lhs=lhs, bound=bound))
@@ -291,17 +264,17 @@ def _combination_sweep(t: TrialStack) -> list[Column]:
     return out
 
 
-def _hadamard_chains(t: TrialStack) -> list[Column]:
+def _hadamard_chains(t: InstanceChunk) -> list[Column]:
     """All chain refinements are sandwiched between the determinant and the
     norm product; orthonormal systems sit exactly at 1."""
     ok = t.systems.factor.complete
     idx = np.flatnonzero(ok)
-    if t.n < 2 or not idx.size:
+    if t.systems.n < 2 or not idx.size:
         return []
-    det, product = t.systems.factor.det, t.agg.norm_product
+    det, product = t.systems.factor.det, t.systems.aggregates.norm_product
     fixed_point = ok & t.orthonormal
-    norms = t.agg.norms_sq[idx]
-    prefixes = t.agg.chain_prefixes
+    norms = t.systems.aggregates.norms_sq[idx]
+    prefixes = t.systems.aggregates.chain_prefixes
     numerators = prefixes.numerators[idx]
     out: list[Column] = []
     for variant in ChainVariant:
@@ -316,18 +289,18 @@ def _hadamard_chains(t: TrialStack) -> list[Column]:
     return out
 
 
-def _gram_inequalities(t: TrialStack) -> list[Column]:
+def _gram_inequalities(t: InstanceChunk) -> list[Column]:
     """Determinant nonnegativity/product bound, block splits, and the
     sqrt-determinant triangle inequality on a random companion vector."""
-    det, product = t.systems.factor.det, t.agg.norm_product
+    det, product = t.systems.factor.det, t.systems.aggregates.norm_product
     out = [
         _column("gram_inequalities/nonnegative", det / (1.0 + np.abs(det)) + DOMINANCE_REL, gram_det=det),
         _column("gram_inequalities/norm_product", _dominance_margin(product, det),
                 gram_det=det, norm_product=product),
     ]
-    if t.n >= 2:
+    if t.systems.n >= 2:
         rows = t.systems.rows
-        left, right = split_determinants(t.systems.gram, t.n // 2, t.tol.rank_rel_tol)
+        left, right = split_determinants(t.systems.gram, t.systems.n // 2, t.tol.rank_rel_tol)
         out.append(_column("gram_inequalities/product_split", _dominance_margin(left * right, det),
                            full=det, left=left, right=right))
         y1 = t.coeffs(_SALT_TRIANGLE, t.systems.dim)
@@ -337,17 +310,16 @@ def _gram_inequalities(t: TrialStack) -> list[Column]:
     return out
 
 
-def _conditional_bounds(t: TrialStack) -> list[Column]:
+def _conditional_bounds(t: InstanceChunk) -> list[Column]:
     """Constructively sampled two-sided data: the condition holds in both
     formulations, the half-width bound dominates d^2, and each relaxation
     dominates the half-width bound."""
-    chunk = t.chunk
-    if chunk.lo is None:
+    if t.lo is None:
         return []
     ok = t.systems.factor.complete & ~t.in_orth
     rel = t.tol.compare_rel_tol
     rows = t.systems.rows
-    re_inner, ball_margin, holds, forms_agree = bnd.condition_stack(rows, chunk.x, t.xx, chunk.lo, chunk.hi, t.tol)
+    re_inner, ball_margin, holds, forms_agree = bnd.condition_stack(rows, t.x, t.xx, t.lo, t.hi, t.tol)
     out = [
         _column("conditional_bounds/condition_holds", re_inner / (1.0 + t.xx) + rel, ok, re_inner=re_inner),
         _column("conditional_bounds/forms_agree", np.where(forms_agree, rel, -1.0), ok,
@@ -355,7 +327,7 @@ def _conditional_bounds(t: TrialStack) -> list[Column]:
     ]
     held = ok & holds
     d2 = t.d2
-    values = bnd.conditional_stack(rows, chunk.widths, t.agg)
+    values = bnd.conditional_stack(rows, t.widths, t.systems.aggregates)
     half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
     out.append(_column("conditional_bounds/half_width_dominates", _dominance_margin(half_width, d2), held,
                        bound=half_width, exact=d2))
@@ -363,7 +335,7 @@ def _conditional_bounds(t: TrialStack) -> list[Column]:
         relaxed = values[method]
         out.append(_column(f"conditional_bounds/{method.value}_coarser", _dominance_margin(relaxed, half_width),
                            held, relaxed=relaxed, half_width=half_width))
-    gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, chunk.widths)
+    gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, t.widths)
     above, below = _dominance_margin(gap, 0.0), _dominance_margin(quarter, gap)
     out.append(_column("conditional_bounds/reverse_bessel", np.where(below < above, below, above),
                        held & t.orthonormal, gap=gap, quarter_width_sq=quarter))
@@ -373,7 +345,7 @@ def _conditional_bounds(t: TrialStack) -> list[Column]:
 # -- the registry: each family by name, and on one instance -------------------
 
 
-_FAMILIES: dict[str, Callable[[TrialStack], list[Column]]] = {
+_FAMILIES: dict[str, Callable[[InstanceChunk], list[Column]]] = {
     "representation_agreement": _representation_agreement,
     "bound_dominance": _bound_dominance,
     "orthonormal_collapse": _orthonormal_collapse,
@@ -386,12 +358,12 @@ _FAMILIES: dict[str, Callable[[TrialStack], list[Column]]] = {
 }
 
 
-def _per_instance(stacked: Callable[[TrialStack], list[Column]]) -> CheckFn:
+def _per_instance(stacked: Callable[[InstanceChunk], list[Column]]) -> CheckFn:
     """The check ``stacked`` on one instance: the family run on a chunk of
     one, named ``check_<family>`` and documented by the family's docstring."""
 
     def check(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-        return outcomes_of(_evaluate(stacked, TrialStack(InstanceChunk.of(instance), tol)), 0)
+        return outcomes_of(_evaluate(stacked, InstanceChunk.of(instance, tol)), 0)
 
     check.__name__ = check.__qualname__ = "check" + stacked.__name__
     check.__doc__ = stacked.__doc__
@@ -403,7 +375,7 @@ REGISTRY: dict[str, CheckFn] = {name: _per_instance(stacked) for name, stacked i
 # The stacked form of each built-in check. A REGISTRY entry found here runs
 # over whole chunks; any other entry (a check registered at runtime, or a
 # built-in wrapped in another function) runs once per instance.
-STACKED: dict[CheckFn, Callable[[TrialStack], list[Column]]] = {
+STACKED: dict[CheckFn, Callable[[InstanceChunk], list[Column]]] = {
     REGISTRY[name]: stacked for name, stacked in _FAMILIES.items()
 }
 
@@ -435,22 +407,21 @@ def resolve_check(name: str) -> CheckFn:
         raise ValueError(f"unknown check name: {name!r}") from None
 
 
-def _evaluate(stacked: Callable[[TrialStack], list[Column]], trials: TrialStack) -> list[Column]:
+def _evaluate(stacked: Callable[[InstanceChunk], list[Column]], chunk: InstanceChunk) -> list[Column]:
     # entries of trials a column does not apply to may hold inf or NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return stacked(trials)
+        return stacked(chunk)
 
 
-def run_stacked(checks: Sequence[CheckFn], chunk: InstanceChunk, tol: ToleranceConfig) -> list[Column]:
+def run_stacked(checks: Sequence[CheckFn], chunk: InstanceChunk) -> list[Column]:
     """The columns of the built-in ``checks`` (keys of :data:`STACKED`) over one chunk."""
-    trials = TrialStack(chunk, tol)
-    return [column for fn in checks for column in _evaluate(STACKED[fn], trials)]
+    return [column for fn in checks for column in _evaluate(STACKED[fn], chunk)]
 
 
 def run_checks(
     instance: Instance, names: Sequence[str], tol: ToleranceConfig
 ) -> list[CheckOutcome]:
-    trials = None
+    chunk = None
     out: list[CheckOutcome] = []
     for name in names:
         fn = resolve_check(name)
@@ -458,7 +429,7 @@ def run_checks(
         if stacked is None:
             out.extend(fn(instance, tol))
             continue
-        if trials is None:
-            trials = TrialStack(InstanceChunk.of(instance), tol)
-        out.extend(outcomes_of(_evaluate(stacked, trials), 0))
+        if chunk is None:
+            chunk = InstanceChunk.of(instance, tol)
+        out.extend(outcomes_of(_evaluate(stacked, chunk), 0))
     return out

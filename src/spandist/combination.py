@@ -28,7 +28,6 @@ __all__ = [
     "CombinationKind",
     "CombinationMethod",
     "CombinationBoundResult",
-    "CombinationInputs",
     "CombinationStack",
     "LagrangeParts",
     "combination_norm_sq",
@@ -150,7 +149,8 @@ class CombinationStack:
     sum, the power sums sum |a_i|^e (memoised per exponent), the lhs
     ||sum a_i z_i||^2 and the Lagrange identity parts — each computed at
     most once, so any number of bounds on the same draws reduce the
-    coefficients once. :meth:`chain` evaluates one bound family.
+    coefficients once. :meth:`chain` evaluates one bound family; :meth:`of`
+    builds the stack of one draw against one system.
     """
 
     def __init__(self, alphas: np.ndarray, rows: np.ndarray, agg: AggregateStack) -> None:
@@ -159,6 +159,13 @@ class CombinationStack:
         self.agg = agg
         self.n = alphas.shape[-1]
         self._powers: dict[float, np.ndarray] = {}
+
+    @classmethod
+    def of(cls, alphas: Sequence[Scalar] | np.ndarray, zs: VectorSystem) -> "CombinationStack":
+        """``alphas`` against ``zs``, validated once (one finite scalar per
+        vector): a stack of one."""
+        stack = zs.as_stack()
+        return cls(_validated_coeffs(alphas, zs.field, zs.n)[np.newaxis], stack.rows, stack.aggregates)
 
     @cached_property
     def lhs(self) -> np.ndarray:
@@ -213,61 +220,9 @@ class CombinationStack:
         return _CHAINS[method.kind](self, method)
 
 
-class CombinationInputs:
-    """One validated coefficient draw against one system: a
-    :class:`CombinationStack` of one.
-
-    ``lhs``, ``coeff_norm_sq``, ``a``, ``a_max``, ``a_sum`` and
-    ``top_pair_product`` read entry 0 of the stack's field of the same name
-    on first access, and are then kept, so any number of bounds on the same
-    draw validate and reduce the coefficients once. The Gram side comes from
-    the system's aggregates. Build with :meth:`build`.
-    """
-
-    # the stack fields read as entry 0, with the type each is returned as
-    # (None: the numpy entry itself)
-    _FIELDS = {"lhs": float, "coeff_norm_sq": float, "a": None, "a_max": None, "a_sum": None,
-               "top_pair_product": float}
-
-    def __init__(self, alphas: np.ndarray, zs: VectorSystem) -> None:
-        self.alphas = alphas
-        self.zs = zs
-        self.stack = CombinationStack(alphas[np.newaxis], zs.rows[np.newaxis], zs.as_stack().aggregates)
-        self._powers: dict[float, np.floating] = {}
-
-    @classmethod
-    def build(cls, alphas: Sequence[Scalar] | np.ndarray, zs: VectorSystem) -> "CombinationInputs":
-        """Validate ``alphas`` against ``zs`` (one finite scalar per vector)."""
-        return cls(_validated_coeffs(alphas, zs.field, zs.n), zs)
-
-    def __getattr__(self, name: str):
-        # only a forwarded field gets here; copy and pickle probe other
-        # names (__setstate__, ...) on an instance whose __dict__ is empty
-        if name not in self._FIELDS:
-            raise AttributeError(f"'CombinationInputs' object has no attribute {name!r}")
-        value = getattr(self.stack, name)[0]
-        convert = self._FIELDS[name]
-        if convert is not None:
-            value = convert(value)
-        self.__dict__[name] = value
-        return value
-
-    def power_sum(self, e: float) -> np.floating:
-        """sum_i |a_i|^e, memoised per exponent."""
-        value = self._powers.get(e)
-        if value is None:
-            value = self._powers[e] = self.stack.power_sum(e)[0]
-        return value
-
-    def bound(self, method: CombinationMethod, tol: ToleranceConfig | None = None) -> CombinationBoundResult:
-        """Evaluate one combination bound on this draw."""
-        chain = tuple(float(c[0]) for c in self.stack.chain(method))
-        return _make_result(self.lhs, chain, method, tol or self.zs.tol)
-
-
 def combination_norm_sq(alphas: Sequence[Scalar], zs: VectorSystem) -> float:
     """||sum_i alphas[i] * z_i||^2 computed in coordinates."""
-    return CombinationInputs.build(alphas, zs).lhs
+    return float(CombinationStack.of(alphas, zs).lhs[0])
 
 
 @dataclass(frozen=True)
@@ -349,7 +304,7 @@ def _pair_sum(ac: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def lagrange_identity_parts(alphas: Sequence[Scalar], zs: VectorSystem) -> LagrangeParts:
-    p = CombinationInputs.build(alphas, zs).stack.lagrange
+    p = CombinationStack.of(alphas, zs).lagrange
     return LagrangeParts(float(p.coeff_sum[0]), float(p.norm_sum[0]), float(p.combo_norm_sq[0]), float(p.pair_sum[0]))
 
 
@@ -454,8 +409,7 @@ def cauchy_schwarz_bound(
     alphas: Sequence[Scalar], zs: VectorSystem, tol: ToleranceConfig | None = None
 ) -> CombinationBoundResult:
     """||sum a_i z_i||^2 <= (sum |a_i|^2)(sum ||z_i||^2)."""
-    inputs = CombinationInputs.build(alphas, zs)
-    return inputs.bound(CombinationMethod(kind=CombinationKind.CAUCHY_SCHWARZ), tol)
+    return evaluate_combination(alphas, zs, CombinationMethod(kind=CombinationKind.CAUCHY_SCHWARZ), tol)
 
 
 def diag_offdiag_bound(
@@ -480,7 +434,7 @@ def diag_offdiag_bound(
         diag_exp=diag_exp,
         offdiag_exp=offdiag_exp,
     )
-    return CombinationInputs.build(alphas, zs).bound(method, tol)
+    return evaluate_combination(alphas, zs, method, tol)
 
 
 def selection_max_bound(
@@ -491,8 +445,7 @@ def selection_max_bound(
     tight  = max||z||^2 * sum|a|^2 + max|<z_i,z_j>| * ((sum|a|)^2 - sum|a|^2)
     coarse = sum|a|^2 * (max||z||^2 + (n-1) * max|<z_i,z_j>|)
     """
-    inputs = CombinationInputs.build(alphas, zs)
-    return inputs.bound(CombinationMethod(kind=CombinationKind.SELECTION_MAX), tol)
+    return evaluate_combination(alphas, zs, CombinationMethod(kind=CombinationKind.SELECTION_MAX), tol)
 
 
 def selection_frobenius_bound(
@@ -504,8 +457,7 @@ def selection_frobenius_bound(
              + (sum_{i!=j} |<z_i,z_j>|^2)^(1/2) * ((sum|a|^2)^2 - sum|a|^4)^(1/2)
     coarse = sum|a|^2 * (max||z||^2 + (sum_{i!=j} |<z_i,z_j>|^2)^(1/2))
     """
-    inputs = CombinationInputs.build(alphas, zs)
-    return inputs.bound(CombinationMethod(kind=CombinationKind.SELECTION_FROBENIUS), tol)
+    return evaluate_combination(alphas, zs, CombinationMethod(kind=CombinationKind.SELECTION_FROBENIUS), tol)
 
 
 def row_sum_bound(
@@ -525,7 +477,7 @@ def row_sum_bound(
     * max_row:   sum|a|^2 * max_i r_i
     """
     method = CombinationMethod(kind=CombinationKind.ROW_SUM, branch=branch, p=p)
-    return CombinationInputs.build(alphas, zs).bound(method, tol)
+    return evaluate_combination(alphas, zs, method, tol)
 
 
 def holder_gram_bound(
@@ -539,7 +491,7 @@ def holder_gram_bound(
     to the double sum over |a_i| |a_j|, which factorises.
     """
     method = CombinationMethod(kind=CombinationKind.HOLDER_GRAM, p=p)
-    return CombinationInputs.build(alphas, zs).bound(method, tol)
+    return evaluate_combination(alphas, zs, method, tol)
 
 
 def holder_gram_p2_bound(
@@ -547,7 +499,7 @@ def holder_gram_p2_bound(
 ) -> CombinationBoundResult:
     """The symmetric p = q = 2 case: sum|a|^2 * (sum|G_ij|^2)^(1/2)."""
     method = CombinationMethod(kind=CombinationKind.HOLDER_GRAM_P2, p=2.0)
-    return CombinationInputs.build(alphas, zs).bound(method, tol)
+    return evaluate_combination(alphas, zs, method, tol)
 
 
 def evaluate_combination(
@@ -556,5 +508,7 @@ def evaluate_combination(
     method: CombinationMethod,
     tol: ToleranceConfig | None = None,
 ) -> CombinationBoundResult:
-    """Evaluate the bound a :class:`CombinationMethod` names."""
-    return CombinationInputs.build(alphas, zs).bound(method, tol)
+    """Evaluate the bound a :class:`CombinationMethod` names: entry 0 of a
+    :class:`CombinationStack` of one (keep one to evaluate many bounds)."""
+    stack = CombinationStack.of(alphas, zs)
+    return _make_result(float(stack.lhs[0]), [c[0] for c in stack.chain(method)], method, tol or zs.tol)

@@ -5,18 +5,20 @@ Every trial draws from a counter-based Philox stream keyed by
 replay never needs to fast-forward through earlier trials, and parallel
 workers produce bit-identical draws regardless of scheduling. Auxiliary
 randomness inside checks uses the same key with a distinct counter block
-(see :func:`child_rng`), keeping streams independent without coordination.
+(see :func:`child_rng` and :meth:`InstanceChunk.coeffs`), keeping streams
+independent without coordination.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import IntervalData
+from .bounds import BoundMethod, IntervalData, bound_values
 from .distance import PointStack, beta_stack, orth_complement_stack
 from .errors import NumericalInstabilityError
 from .gram import SystemStack, VectorSystem
@@ -104,29 +106,31 @@ class Instance:
     trial: int | None = None
 
 
-class InstanceChunk:
-    """Consecutive instances of one stream as stacked arrays: a chunk of T
-    trials.
+class InstanceChunk(PointStack):
+    """Consecutive instances of one stream as stacked arrays, a chunk of T
+    trials: the :class:`~spandist.distance.PointStack` of the (T, dim)
+    vectors ``x`` against the T ``systems`` at ``tol``, which also holds the
+    unconditional bounds and draws each trial's auxiliary coefficients.
 
-    ``systems`` holds the T systems, ``x`` the (T, dim) vectors, ``lo`` and
-    ``hi`` the (T, n) interval data (None without it; ``widths`` is
-    hi - lo), and ``trials`` the trial index of each entry. Each trial's
-    numbers are the same bits in a chunk of one as in any larger chunk, so
-    :func:`generate_instance` (a chunk of one) gives trial k exactly as any
-    chunk holds it, and :meth:`of` turns any instance into a chunk of one.
+    ``lo`` and ``hi`` are the (T, n) interval data (None without it;
+    ``widths`` is hi - lo), and ``trials`` the trial index of each entry.
+    Each trial's numbers are the same bits in a chunk of one as in any
+    larger chunk, so :func:`generate_instance` (a chunk of one) gives trial
+    k exactly as any chunk holds it, and :meth:`of` turns any instance into
+    a chunk of one.
     """
 
     def __init__(
         self,
         systems: SystemStack,
         x: np.ndarray,
+        tol: ToleranceConfig,
         lo: np.ndarray | None,
         hi: np.ndarray | None,
         seed: int | None,
         trials: tuple[int | None, ...],
     ) -> None:
-        self.systems = systems
-        self.x = x
+        super().__init__(systems, x, tol)
         self.lo = lo
         self.hi = hi
         self.widths = None if lo is None else hi - lo
@@ -135,14 +139,26 @@ class InstanceChunk:
         self.size = len(trials)
 
     @classmethod
-    def of(cls, instance: Instance) -> "InstanceChunk":
-        """One instance as a chunk of one."""
+    def of(cls, instance: Instance, tol: ToleranceConfig) -> "InstanceChunk":
+        """One instance as a chunk of one, at ``tol``."""
         system, iv = instance.system, instance.intervals
-        p = PointStack.of(system, instance.x)
+        p = PointStack.of(system, instance.x, tol)
         lo = hi = None
         if iv is not None:
             lo, hi = (a[np.newaxis] for a in iv.arrays(system.field, system.n))
-        return cls(p.systems, p.x, lo, hi, instance.seed, (instance.trial,))
+        return cls(p.systems, p.x, p.tol, lo, hi, instance.seed, (instance.trial,))
+
+    @cached_property
+    def unconditional(self) -> dict[BoundMethod, np.ndarray]:
+        """The five unconditional bounds (:func:`~spandist.bounds.bound_values`)."""
+        return bound_values(self.xx, self.s, self.systems.aggregates)
+
+    def coeffs(self, salt: int, count: int | None = None) -> np.ndarray:
+        """(T, count) coefficients (count n by default), each trial's from
+        its own auxiliary stream (:func:`child_rng` with ``salt``)."""
+        count = self.systems.n if count is None else count
+        rngs = [_child_rng(self.seed, trial, salt) for trial in self.trials]
+        return _per_trial(rngs, lambda rng: _standard(rng, (count,), self.systems.field))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -326,7 +342,7 @@ def generate_chunk(
     for a in (x, lo, hi):
         if a is not None:
             a.setflags(write=False)
-    return InstanceChunk(systems, x, lo, hi, config.seed, tuple(trials))
+    return InstanceChunk(systems, x, tol, lo, hi, config.seed, tuple(trials))
 
 
 def generate_instance(

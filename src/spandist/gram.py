@@ -329,6 +329,13 @@ class PivotedCholesky:
         return float(np.prod(self.pivots)) if self.pivots.size else 1.0
 
 
+def _matrix_array(matrix: object) -> np.ndarray:
+    """A caller's matrix as an array: float and complex arrays as they are,
+    anything else through :func:`~spandist.space.field_array`."""
+    a = np.asarray(matrix)
+    return a if a.dtype.kind in "fc" else field_array(a, None, "matrix entries")
+
+
 def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> PivotedCholesky:
     """Factor a Hermitian PSD matrix with diagonal pivoting.
 
@@ -338,7 +345,7 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
     ``-rank_rel_tol`` times that scale raises
     :class:`NumericalInstabilityError`, since no Gram matrix can produce it.
     """
-    src = np.asarray(matrix)
+    src = _matrix_array(matrix)
     a = np.array(src, dtype=np.complex128 if np.iscomplexobj(src) else np.float64)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
@@ -488,10 +495,10 @@ def factor_gram(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_t
     Anything but a nonempty square matrix goes to :func:`pivoted_cholesky`,
     which raises for it.
     """
-    a = np.asarray(matrix)
+    a = _matrix_array(matrix)
     if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] > 0:
         return factor_stack(a[np.newaxis], rank_rel_tol).trial(0)
-    return pivoted_cholesky(matrix, rank_rel_tol)
+    return pivoted_cholesky(a, rank_rel_tol)
 
 
 class SystemStack:

@@ -83,7 +83,10 @@ def field_array(values: object, field: Field | None, what: str) -> np.ndarray:
     number (of a numeric dtype, or a ``numbers.Number``) and finite (an
     integer beyond the float range is not); FieldMismatchError for a nonzero
     imaginary part in a real field. ``field=None`` infers it: complex exactly
-    when some imaginary part is nonzero (:meth:`Field.of` reads it back)."""
+    when some imaginary part is nonzero (:meth:`Field.of` reads it back);
+    any other ``field`` but a :class:`Field` is a ValueError."""
+    if field is not None and not isinstance(field, Field):
+        raise ValueError(f"field must be a Field, got {field!r}")
     arr = np.asarray(values)
     if arr.dtype.kind == "O":
         if not all(isinstance(v, numbers.Number) for v in arr.flat):

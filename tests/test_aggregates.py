@@ -1,4 +1,4 @@
-"""The per-system Gram aggregates and the per-draw combination inputs.
+"""The per-system Gram aggregates and the per-draw combination stacks.
 
 Every value read from a cache must be the very number the direct
 expression gives, so the comparisons here are exact (==), never approx.
@@ -13,7 +13,6 @@ import pytest
 
 import spandist as sd
 from spandist import BoundMethod, CombinationKind, Field, GeneratorConfig
-from spandist import combination as sd_comb
 from spandist import gram as sd_gram
 from spandist.checks import COMBINATION_SWEEP, applicable_checks, run_checks
 
@@ -152,7 +151,7 @@ def test_bessel_right_hand_sides_read_the_aggregates(system):
     assert sd.bessel_rhs_row_sums(system, x) == xx * float(agg.row_max)
 
 
-# -- the combination sweep through CombinationInputs ---------------------------
+# -- the combination sweep through CombinationStack.of -------------------------
 
 
 def _public_bound(alphas, zs, method):
@@ -185,24 +184,23 @@ def test_sweep_bounds_equal_public_functions(system):
     rng = np.random.default_rng(system.n)
     raw = [complex(v) if system.field is Field.COMPLEX else float(v)
            for v in random_rows(rng, 1, system.n, system.field)[0]]
-    inputs = sd.CombinationInputs.build(raw, system)
-    assert inputs.lhs == sd.combination_norm_sq(raw, system)
+    stack = sd.CombinationStack.of(raw, system)
+    assert stack.lhs[0] == sd.combination_norm_sq(raw, system)
     for _, method in COMBINATION_SWEEP:
-        got = inputs.bound(method)
         want = _public_bound(raw, system, method)
-        assert (got.lhs, got.bound, got.chain, got.holds, got.chain_ok) == (
-            want.lhs, want.bound, want.chain, want.holds, want.chain_ok), method.label
-        assert got.method == want.method
+        assert want.lhs == stack.lhs[0], method.label
+        assert want.chain == tuple(c[0] for c in stack.chain(method)), method.label
+        assert want.method == method
         assert sd.evaluate_combination(raw, system, method) == want
 
 
-def test_combination_inputs_power_sums_are_memoised(system):
-    inputs = sd.CombinationInputs.build(np.linspace(-2.0, 3.0, system.n), system)
+def test_combination_stack_power_sums_are_memoised(system):
+    stack = sd.CombinationStack.of(np.linspace(-2.0, 3.0, system.n), system)
     for e in EXPONENTS:
-        assert inputs.power_sum(e) == np.sum(np.abs(inputs.alphas) ** e)
-        assert inputs.power_sum(e) is inputs.power_sum(e)
-    assert inputs.a_max == np.max(inputs.a)
-    assert inputs.a_sum == np.sum(inputs.a)
+        assert stack.power_sum(e)[0] == np.sum(np.abs(stack.alphas[0]) ** e)
+        assert stack.power_sum(e) is stack.power_sum(e)
+    assert stack.a_max[0] == np.max(stack.a[0])
+    assert stack.a_sum[0] == np.sum(stack.a[0])
 
 
 # -- work per instance -------------------------------------------------------------
@@ -277,20 +275,10 @@ def test_aggregates_are_read_only():
         agg.norm_sum = 0.0
 
 
-# -- the thin views: GramAggregates and CombinationInputs --------------------------
+# -- the thin view GramAggregates, and the combination stack of one -------------
 
 
 _STACK_FIELDS = sorted(name for name, v in vars(sd_gram.AggregateStack).items() if isinstance(v, cached_property))
-
-# each CombinationInputs accessor and the type it returns
-_INPUT_TYPES = {
-    "lhs": float,
-    "coeff_norm_sq": float,
-    "a": np.ndarray,
-    "a_max": np.float64,
-    "a_sum": np.float64,
-    "top_pair_product": float,
-}
 
 
 def _assert_entry(got, stacked, k):
@@ -323,41 +311,32 @@ def test_every_stack_field_reads_through_the_view():
         _assert_entry(getattr(lone, name), getattr(stack.aggregates, name), 1)
 
 
-def test_combination_inputs_read_entry_zero(system):
-    inputs = sd.CombinationInputs.build(np.linspace(-2.0, 3.0, system.n), system)
-    for name, kind in _INPUT_TYPES.items():
-        got = getattr(inputs, name)
-        assert type(got) is kind, name
-        assert np.array_equal(got, getattr(inputs.stack, name)[0])
-        assert getattr(inputs, name) is got
-    result = inputs.bound(sd.CombinationMethod(kind=CombinationKind.CAUCHY_SCHWARZ))
+def test_combination_stack_of_one_draw(system):
+    alphas = np.linspace(-2.0, 3.0, system.n)
+    stack = sd.CombinationStack.of(alphas, system)
+    assert stack.alphas.shape == (1, system.n) and np.array_equal(stack.alphas[0], alphas)
+    assert stack.rows is system.as_stack().rows
+    assert stack.agg is system.as_stack().aggregates
+    result = sd.evaluate_combination(alphas, system, sd.CombinationMethod(kind=CombinationKind.CAUCHY_SCHWARZ))
     assert type(result.lhs) is float and type(result.holds) is bool
+    assert result.lhs == stack.lhs[0]
     assert type(sd.combination_norm_sq([1.0] * system.n, system)) is float
+    with pytest.raises(sd.DimensionMismatchError):
+        sd.CombinationStack.of(np.ones(system.n + 1), system)
 
 
 def test_views_forward_no_other_name(system):
     agg = system.aggregates
-    inputs = sd.CombinationInputs.build(np.ones(system.n), system)
-    for obj, names in (
-        (agg, ("norm", "gram_", "power", "_stack_", "_norms_sq", "__setstate__")),
-        (inputs, ("agg", "n", "lagrange", "alphas_", "_lhs", "_a", "__setstate__")),
-    ):
-        for name in names:
-            with pytest.raises(AttributeError):
-                getattr(obj, name)
-    assert isinstance(inputs.stack, sd_comb.CombinationStack)
+    for name in ("norm", "gram_", "power", "_stack_", "_norms_sq", "__setstate__"):
+        with pytest.raises(AttributeError):
+            getattr(agg, name)
 
 
 @pytest.mark.parametrize("read", [False, True])
 def test_views_copy_and_pickle(system, read):
     agg = sd_gram.GramAggregates(system.gram) if not read else system.aggregates
-    inputs = sd.CombinationInputs.build(np.linspace(1.0, 2.0, system.n), system)
     if read:
-        _ = (agg.chain_prefixes, inputs.lhs, inputs.a_max)
+        _ = agg.chain_prefixes
     for clone in (copy.copy(agg), pickle.loads(pickle.dumps(agg))):
         for name in _STACK_FIELDS:
             _assert_entry(getattr(clone, name), getattr(agg.stack, name), 0)
-    for clone in (copy.copy(inputs), pickle.loads(pickle.dumps(inputs))):
-        for name in _INPUT_TYPES:
-            assert np.array_equal(getattr(clone, name), getattr(inputs, name))
-        assert clone.power_sum(3.0) == inputs.power_sum(3.0)

@@ -14,7 +14,7 @@ import spandist as sd
 from spandist import Field, GeneratorConfig
 from spandist import campaign as sd_campaign
 from spandist import gram as sd_gram
-from spandist.checks import REGISTRY, TrialStack, applicable_checks, resolve_check, run_checks, run_stacked
+from spandist.checks import REGISTRY, applicable_checks, resolve_check, run_checks, run_stacked
 from spandist.distance import PointStack
 from spandist.generator import generate_chunk
 
@@ -48,7 +48,7 @@ def test_chunk_outcomes_equal_run_checks_on_each_trial(config):
     # chunks that start off the campaign's own boundaries
     for trials in (range(3, 19), range(30, 37), range(11, 12)):
         chunk = generate_chunk(config, trials, TOL)
-        columns = run_stacked(checks, chunk, TOL)
+        columns = run_stacked(checks, chunk)
         for k, trial in enumerate(trials):
             alone = run_checks(sd.generate_instance(config, trial, TOL), names, TOL)
             assert alone, trial
@@ -86,18 +86,17 @@ def test_the_library_reads_the_campaigns_numbers(name):
     config = _config(name, trials=sd_campaign.CHUNK_TRIALS)
     chunk = generate_chunk(config, range(config.trials), TOL)
     checks = [resolve_check(family) for family in ("representation_agreement", "bound_dominance")]
-    columns = {c.check_id: c for c in run_stacked(checks, chunk, TOL)}
+    columns = {c.check_id: c for c in run_stacked(checks, chunk)}
 
     def value(check_id, key, k):
         return float(dict(columns[check_id].values)[key][k])
 
-    trials = TrialStack(chunk, TOL)
     compared = 0
     for k in np.flatnonzero(chunk.systems.factor.complete).tolist():
         instance = sd.generate_instance(config, k, TOL)
         alone = PointStack.of(instance.system, instance.x)
         for name in ("xx", "beta", "s", "in_orth", "orthonormal", "d2", "ratio", "projection", "oracle"):
-            assert np.array_equal(getattr(alone, name)[0], getattr(trials, name)[k]), name
+            assert np.array_equal(getattr(alone, name)[0], getattr(chunk, name)[k]), name
         result = sd.exact_distance(instance.system, instance.x)
         assert result.d2_quadratic == value("representation_agreement/ratio_vs_quadratic", "quadratic", k)
         assert result.d2_gram_ratio == value("representation_agreement/ratio_vs_quadratic", "ratio", k)

@@ -117,6 +117,26 @@ def test_factor_gram_on_an_overflowing_gram():
     _assert_same_decision(g)
 
 
+@pytest.mark.parametrize("factor", [sd_gram.pivoted_cholesky, sd_gram.factor_gram])
+@pytest.mark.parametrize("matrix, message", [
+    ([["1"]], "must be numbers"),
+    ([[None]], "must be numbers"),
+    ([[4.0, 2.0], [2.0, "3"]], "must be numbers"),
+    ([[10**400]], "must be finite"),
+])
+def test_a_matrix_of_non_numbers_raises_value_error(factor, matrix, message):
+    with pytest.raises(ValueError, match=f"^matrix entries {message}$"):
+        factor(matrix)
+
+
+@pytest.mark.parametrize("factor", [sd_gram.pivoted_cholesky, sd_gram.factor_gram])
+def test_an_integer_matrix_factors_as_its_float_copy(factor):
+    ints = [[4, 2], [2, 3]]
+    got, want = factor(ints), factor(np.array(ints, dtype=np.float64))
+    assert np.array_equal(got.lower, want.lower) and got.rank == want.rank == 2
+    assert factor([[True]]).rank == 1
+
+
 def test_factor_gram_fast_result_has_the_contract():
     rng = np.random.default_rng(3)
     g = _gram(random_rows(rng, 5, 7, Field.COMPLEX))

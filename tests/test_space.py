@@ -205,6 +205,17 @@ def test_field_array_names_what_it_checks(values, field, error, message):
         sd.space.field_array(values, field, "coordinates")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sd.Vector([1.0], "real"),
+    lambda: vector([1.0], "real"),
+    lambda: sd.VectorSystem.from_rows([[1.0, 0.0]], "real"),
+    lambda: sd.space.field_array([1.0], "real", "coordinates"),
+])
+def test_a_field_that_is_not_a_field_raises_value_error(call):
+    with pytest.raises(ValueError, match="^field must be a Field, got 'real'$"):
+        call()
+
+
 def test_field_array_keeps_every_bit_of_valid_input():
     from fractions import Fraction
     big = 2**64 + 1  # an object array: beyond int64 and uint64

@@ -51,6 +51,16 @@ coordinates) and, on streams with interval data, ``condition_verdict``,
 relaxations and ``reverse_bessel_gap``. A ``combined point`` digest over
 these lines follows.
 
+The norm-of-combination API is fingerprinted the same way. For the same
+trials, the ``combination`` line draws one coefficient per vector of the
+system from a generator seeded by (:data:`SEED`, trial), real or complex
+with the stream's field, and hashes the ``repr`` of what each call returns
+or the type of what it raises: ``evaluate_combination`` for every method of
+``checks.COMBINATION_SWEEP``, the named bound function of each of those
+methods (``cauchy_schwarz_bound`` through ``holder_gram_p2_bound``, seven
+in all), ``combination_norm_sq`` and ``lagrange_identity_parts``. A
+``combined combination`` digest over these lines follows.
+
 The ill-conditioned end of the generator is fingerprinted by a second grid
 (:data:`GRID`): both fields, dim/n 7/5, 8/7 and 12/6, Gram condition 1e8,
 1e10, 1e11, 1e12, 1e13 and 1e14, seed 404, 200 trials, each run serially.
@@ -203,12 +213,44 @@ def _point(config: GeneratorConfig) -> str:
     return "".join(out)
 
 
+# the named bound function of each combination kind, called with a method's choices
+NAMED_BOUNDS = {
+    sd.CombinationKind.CAUCHY_SCHWARZ: lambda a, s, m: sd.cauchy_schwarz_bound(a, s),
+    sd.CombinationKind.DIAG_OFFDIAG: lambda a, s, m: sd.diag_offdiag_bound(
+        a, s, m.diag_branch, m.offdiag_branch, m.diag_exp, m.offdiag_exp),
+    sd.CombinationKind.SELECTION_MAX: lambda a, s, m: sd.selection_max_bound(a, s),
+    sd.CombinationKind.SELECTION_FROBENIUS: lambda a, s, m: sd.selection_frobenius_bound(a, s),
+    sd.CombinationKind.ROW_SUM: lambda a, s, m: sd.row_sum_bound(a, s, m.branch, m.p),
+    sd.CombinationKind.HOLDER_GRAM: lambda a, s, m: sd.holder_gram_bound(a, s, m.p),
+    sd.CombinationKind.HOLDER_GRAM_P2: lambda a, s, m: sd.holder_gram_p2_bound(a, s),
+}
+
+
+def _combination(config: GeneratorConfig) -> str:
+    """What each norm-of-combination function returns on the first trials
+    of a stream, for coefficients drawn from a fixed seed."""
+    out = []
+    for trial in range(min(LIBRARY_TRIALS, config.trials)):
+        s = sd.generate_instance(config, trial).system
+        rng = np.random.default_rng([SEED, trial])
+        alphas = rng.standard_normal(s.n)
+        if s.field is Field.COMPLEX:
+            alphas = alphas + 1j * rng.standard_normal(s.n)
+        calls = [lambda m=m: sd.evaluate_combination(alphas, s, m) for _, m in sd.checks.COMBINATION_SWEEP]
+        calls += [lambda m=m: NAMED_BOUNDS[m.kind](alphas, s, m) for _, m in sd.checks.COMBINATION_SWEEP]
+        calls.append(lambda: sd.combination_norm_sq(alphas, s))
+        calls.append(lambda: sd.lagrange_identity_parts(alphas, s))
+        out.append(f"trial {trial} combination\n" + "".join(_repr_or_error(call) for call in calls))
+    return "".join(out)
+
+
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
     library = hashlib.sha256()
     replay = hashlib.sha256()
     point = hashlib.sha256()
+    combination = hashlib.sha256()
     problems = 0
     for name, (trials, kwargs) in STREAMS.items():
         config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
@@ -230,6 +272,9 @@ def main() -> int:
         digest = _sha(_point(config))
         point.update(f"{name} point {digest}\n".encode("ascii"))
         print(f"{name:<34} point  {digest}")
+        digest = _sha(_combination(config))
+        combination.update(f"{name} combination {digest}\n".encode("ascii"))
+        print(f"{name:<34} combination {digest}")
         for jobs in SPLITS:
             split = sd.run_campaign(config, jobs=jobs)
             for fmt in ("json", "csv"):
@@ -250,6 +295,7 @@ def main() -> int:
     print(f"{'combined library':<41} {library.hexdigest()}")
     print(f"{'combined replay':<41} {replay.hexdigest()}")
     print(f"{'combined point':<41} {point.hexdigest()}")
+    print(f"{'combined combination':<41} {combination.hexdigest()}")
     print(f"{'combined grid':<41} {grid.hexdigest()}")
     return 1 if problems else 0
 
