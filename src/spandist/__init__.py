@@ -34,7 +34,6 @@ from .errors import (
     SpandistError,
 )
 from .gram import (
-    GramAggregates,
     GramHadamardVerdict,
     GramMatrix,
     GramSplitVerdict,

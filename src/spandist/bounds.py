@@ -55,7 +55,6 @@ __all__ = [
     "require_condition",
     "bound_cond_half_width",
     "bound_cond_relaxed",
-    "conditional_values",
     "reverse_bessel_gap",
     "full_bound_report",
     "UNCONDITIONAL_METHODS",
@@ -313,7 +312,7 @@ def _require(p: PointStack, intervals: IntervalData) -> ConditionVerdict:
     return verdict
 
 
-def conditional_values(system: VectorSystem, intervals: IntervalData) -> dict[BoundMethod, float]:
+def _conditional_values(system: VectorSystem, intervals: IntervalData) -> dict[BoundMethod, float]:
     """The four conditional bounds, in :data:`CONDITIONAL_METHODS` order.
 
     Checks nothing: the caller has established independence, that x is not
@@ -330,7 +329,7 @@ def bound_cond_half_width(
 ) -> float:
     """d^2 <= (1/4) ||sum_i (Gamma_i - gamma_i) x_i||^2 under the condition."""
     _require(_prepare(system, x, tol), intervals)
-    return conditional_values(system, intervals)[BoundMethod.COND_HALF_WIDTH]
+    return _conditional_values(system, intervals)[BoundMethod.COND_HALF_WIDTH]
 
 
 def bound_cond_relaxed(
@@ -348,7 +347,7 @@ def bound_cond_relaxed(
     if method not in _COND_FACTORS:
         raise ValueError(f"not a conditional relaxation method: {method}")
     _require(_prepare(system, x, tol), intervals)
-    return conditional_values(system, intervals)[method]
+    return _conditional_values(system, intervals)[method]
 
 
 @dataclass(frozen=True)
@@ -425,7 +424,7 @@ def full_bound_report(
     values = {m: float(v[0]) for m, v in bound_values(p.xx, p.s, system.as_stack().aggregates).items()}
     if intervals is not None:
         _require(p, intervals)
-        values.update(conditional_values(system, intervals))
+        values.update(_conditional_values(system, intervals))
     entries = tuple(
         BoundEntry(
             method=m,

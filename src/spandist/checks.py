@@ -253,14 +253,11 @@ def _combination_sweep(t: InstanceChunk) -> list[Column]:
     out: list[Column] = []
     for label, method in COMBINATION_SWEEP:
         chain = draws.chain(method)
-        bound = chain[0]
-        out.append(_column(f"combination_sweep/{label}/holds",
-                           (bound * (1.0 + rel) + rel - lhs) / (1.0 + np.abs(lhs)), lhs=lhs, bound=bound))
+        out.append(_column(f"combination_sweep/{label}/holds", comb.bound_margin(chain[0], lhs, rel),
+                           lhs=lhs, bound=chain[0]))
         if len(chain) > 1:
-            tight, coarse = chain[0], chain[-1]
-            out.append(_column(f"combination_sweep/{label}/chain",
-                               (coarse * (1.0 + rel) + rel - tight) / (1.0 + np.abs(tight)),
-                               tight=tight, coarse=coarse))
+            out.append(_column(f"combination_sweep/{label}/chain", comb.bound_margin(chain[-1], chain[0], rel),
+                               tight=chain[0], coarse=chain[-1]))
     return out
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "holder_gram_bound",
     "holder_gram_p2_bound",
     "evaluate_combination",
+    "bound_margin",
     "DIAG_BRANCHES",
     "OFFDIAG_BRANCHES",
     "ROW_SUM_BRANCHES",
@@ -127,9 +128,10 @@ class CombinationMethod:
 class CombinationBoundResult:
     """Outcome of one combination bound.
 
-    ``chain`` runs tightest to coarsest; ``bound`` is always ``chain[0]``.
-    ``holds`` compares lhs against the tight end; ``chain_ok`` asserts the
-    internal ordering of the chain itself.
+    ``chain`` is (tight,) or (tight, coarse); ``bound`` is always
+    ``chain[0]``. ``holds`` compares lhs against the tight end and
+    ``chain_ok`` the tight end against the coarse one, each by
+    :func:`bound_margin`.
     """
 
     lhs: float
@@ -313,19 +315,12 @@ def lagrange_identity_residual(alphas: Sequence[Scalar], zs: VectorSystem) -> fl
     return lagrange_identity_parts(alphas, zs).residual
 
 
-def _make_result(
-    lhs: float,
-    chain: Sequence[float],
-    method: CombinationMethod,
-    tol: ToleranceConfig,
-) -> CombinationBoundResult:
-    rel = tol.compare_rel_tol
-    chain = tuple(float(c) for c in chain)
-    holds = lhs <= chain[0] * (1.0 + rel) + rel
-    chain_ok = all(chain[i] <= chain[i + 1] * (1.0 + rel) + rel for i in range(len(chain) - 1))
-    return CombinationBoundResult(
-        lhs=lhs, bound=chain[0], chain=chain, method=method, holds=holds, chain_ok=chain_ok
-    )
+def bound_margin(upper: float | np.ndarray, lower: float | np.ndarray, rel: float) -> float | np.ndarray:
+    """Margin of 'lower <= upper * (1 + rel) + rel', relative to 1 + |lower|:
+    >= 0 exactly when that holds, and NaN, a failure, for an infinite
+    ``lower``. Both :func:`evaluate_combination` and the campaign's sweep
+    decide by it."""
+    return (upper * (1.0 + rel) + rel - lower) / (1.0 + np.abs(lower))
 
 
 # -- the bound families: one chain formula each, over a CombinationStack -----
@@ -511,4 +506,8 @@ def evaluate_combination(
     """Evaluate the bound a :class:`CombinationMethod` names: entry 0 of a
     :class:`CombinationStack` of one (keep one to evaluate many bounds)."""
     stack = CombinationStack.of(alphas, zs)
-    return _make_result(float(stack.lhs[0]), [c[0] for c in stack.chain(method)], method, tol or zs.tol)
+    rel = (tol or zs.tol).compare_rel_tol
+    lhs, chain = float(stack.lhs[0]), tuple(float(c[0]) for c in stack.chain(method))
+    holds = bool(bound_margin(chain[0], lhs, rel) >= 0.0)
+    chain_ok = len(chain) == 1 or bool(bound_margin(chain[-1], chain[0], rel) >= 0.0)
+    return CombinationBoundResult(lhs=lhs, bound=chain[0], chain=chain, method=method, holds=holds, chain_ok=chain_ok)

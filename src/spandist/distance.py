@@ -251,7 +251,7 @@ def in_orthogonal_complement(
 def is_orthonormal(system: VectorSystem, tol: ToleranceConfig | None = None) -> bool:
     """True when the Gram matrix is the identity to orthogonality tolerance."""
     tol = tol or system.tol
-    return bool(system.aggregates.identity_deviation <= tol.orth_rel_tol)
+    return bool(system.as_stack().aggregates.identity_deviation[0] <= tol.orth_rel_tol)
 
 
 def distance_sq_gram_ratio(system: VectorSystem, x: Vector) -> float:

@@ -322,7 +322,9 @@ def generate_chunk(
     """Build the instances of consecutive trials as one chunk. Each trial
     draws from its own Philox stream and its numbers do not depend on the
     other trials of the chunk, so this is pure and replayable per trial."""
-    for trial in (trials.start, trials.stop - 1):
+    if not trials:
+        raise ValueError(f"trial range {trials} is empty")
+    for trial in (trials[0], trials[-1]):
         if not 0 <= trial < config.trials:
             raise ValueError(f"trial index {trial} outside the configured range [0, {config.trials})")
     rngs = [trial_rng(config.seed, t) for t in trials]

@@ -7,13 +7,14 @@ the system is linearly dependent. Systems are held in stacks: a
 computes their Gram matrices, factorizations and aggregates over the whole
 stack at once, reducing only over each system's own axes; a
 :class:`VectorSystem` is a stack of one, whose numbers are the same bits as
-its entry in any larger stack. All determinant work goes through
+its entry in any larger stack, and the per-system functions read entry 0 of
+that stack's factorization and aggregates. All determinant work goes through
 :func:`factor_stack` (:func:`factor_gram` for one matrix). It first runs
-LAPACK Cholesky on the equilibrated matrix (G[i, j] divided by powers of
-two near sqrt(G[i, i] G[j, j])) and keeps that factor only when a
-certificate on the size of its inverse proves that the reference
-factorization, :func:`pivoted_cholesky`, would find full rank; otherwise it
-runs the reference itself. The reference is a diagonally pivoted Cholesky
+LAPACK Cholesky on the equilibrated matrix (G[i, j] divided by powers of two
+near sqrt(G[i, i] G[j, j])) and keeps that factor only when a certificate on
+the size of its inverse proves that the reference factorization,
+:func:`pivoted_cholesky`, would find full rank; otherwise it runs the
+reference itself. The reference is a diagonally pivoted Cholesky
 factorization, which keeps the semidefinite structure explicit: the
 determinant is the product of the pivots, rank deficiency shows up as a
 pivot collapsing relative to the largest one, and a significantly negative
@@ -36,7 +37,6 @@ from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, check_member, ch
 __all__ = [
     "GramMatrix",
     "AggregateStack",
-    "GramAggregates",
     "FactorStack",
     "SystemStack",
     "NormalizedGram",
@@ -79,12 +79,12 @@ def gram_stack(rows: np.ndarray) -> np.ndarray:
 
 
 class ChainPrefixes(NamedTuple):
-    """Prefix aggregates of the Hadamard refinement chains: read-only arrays
-    of length n for one system, (T, n) for a stack.
+    """Prefix aggregates of the Hadamard refinement chains: read-only (T, n)
+    arrays, one row per system of a stack.
 
-    ``numerators[k]`` is sum_{j<k} |G[k, j]|^2. Entry m of each other field
-    aggregates the leading (m + 1) x (m + 1) Gram block B, the denominator
-    for position k = m + 1 of the chain of the same name:
+    Column k of ``numerators`` is sum_{j<k} |G[k, j]|^2. Column m of each
+    other field aggregates the leading (m + 1) x (m + 1) Gram block B, the
+    denominator for position k = m + 1 of the chain of the same name:
 
     * ``total_norm``: sum_i B[i, i]
     * ``offdiag_frobenius``: max_i B[i, i] + (sum_{i != j} |B[i, j]|^2)^(1/2)
@@ -97,6 +97,9 @@ class ChainPrefixes(NamedTuple):
     offdiag_frobenius: np.ndarray
     offdiag_max: np.ndarray
     row_sums: np.ndarray
+
+
+_POWER_AXES = {"norms_sq": -1, "abs_gram": (-2, -1), "abs_offdiag": (-2, -1), "row_sums": -1}
 
 
 class AggregateStack:
@@ -121,15 +124,15 @@ class AggregateStack:
 
     @cached_property
     def norm_sum(self) -> np.ndarray:
-        return np.sum(self.norms_sq, axis=-1)
+        return _frozen(np.sum(self.norms_sq, axis=-1))
 
     @cached_property
     def norm_max(self) -> np.ndarray:
-        return np.max(self.norms_sq, axis=-1)
+        return _frozen(np.max(self.norms_sq, axis=-1))
 
     @cached_property
     def norm_product(self) -> np.ndarray:
-        return np.prod(self.norms_sq, axis=-1)
+        return _frozen(np.prod(self.norms_sq, axis=-1))
 
     @cached_property
     def abs_gram(self) -> np.ndarray:
@@ -144,15 +147,15 @@ class AggregateStack:
     @cached_property
     def offdiag_max(self) -> np.ndarray:
         """max_{i != j} |G[i, j]|; 0 for a single vector."""
-        return np.max(self.abs_offdiag, axis=(-2, -1), initial=0.0)
+        return _frozen(np.max(self.abs_offdiag, axis=(-2, -1), initial=0.0))
 
     @cached_property
     def offdiag_sum(self) -> np.ndarray:
-        return np.sum(self.abs_offdiag, axis=(-2, -1))
+        return _frozen(np.sum(self.abs_offdiag, axis=(-2, -1)))
 
     @cached_property
     def offdiag_sum_sq(self) -> np.ndarray:
-        return np.sum(self.abs_offdiag**2, axis=(-2, -1))
+        return _frozen(np.sum(self.abs_offdiag**2, axis=(-2, -1)))
 
     @cached_property
     def row_sums(self) -> np.ndarray:
@@ -161,42 +164,42 @@ class AggregateStack:
 
     @cached_property
     def row_sum_total(self) -> np.ndarray:
-        return np.sum(self.row_sums, axis=-1)
+        return _frozen(np.sum(self.row_sums, axis=-1))
 
     @cached_property
     def row_max(self) -> np.ndarray:
-        return np.max(self.row_sums, axis=-1)
+        return _frozen(np.max(self.row_sums, axis=-1))
 
     @cached_property
     def abs_sum_sq(self) -> np.ndarray:
         """sum_{i, j} |G[i, j]|^2, the squared Frobenius norm."""
-        return np.sum(self.abs_gram**2, axis=(-2, -1))
+        return _frozen(np.sum(self.abs_gram**2, axis=(-2, -1)))
 
     @cached_property
     def offdiag_frobenius(self) -> np.ndarray:
         """(sum_{i != j} |G[i, j]|^2)^(1/2)."""
-        return np.sqrt(self.offdiag_sum_sq)
+        return _frozen(np.sqrt(self.offdiag_sum_sq))
 
     @cached_property
     def frobenius(self) -> np.ndarray:
         """(sum_{i, j} |G[i, j]|^2)^(1/2), the Frobenius norm."""
-        return np.sqrt(self.abs_sum_sq)
+        return _frozen(np.sqrt(self.abs_sum_sq))
 
     @cached_property
     def diag_offdiag_frobenius(self) -> np.ndarray:
         """max_i ||x_i||^2 + (sum_{i != j} |G[i, j]|^2)^(1/2)."""
-        return self.norm_max + self.offdiag_frobenius
+        return _frozen(self.norm_max + self.offdiag_frobenius)
 
     @cached_property
     def diag_offdiag_max(self) -> np.ndarray:
         """max_i ||x_i||^2 + (n - 1) max_{i != j} |G[i, j]|."""
-        return self.norm_max + (self.gram.shape[-1] - 1) * self.offdiag_max
+        return _frozen(self.norm_max + (self.gram.shape[-1] - 1) * self.offdiag_max)
 
     @cached_property
     def identity_deviation(self) -> np.ndarray:
         """max_{i, j} |G - I|: zero exactly for an orthonormal system."""
         g = self.gram
-        return np.max(np.abs(g - np.eye(g.shape[-1], dtype=g.dtype)), axis=(-2, -1))
+        return _frozen(np.max(np.abs(g - np.eye(g.shape[-1], dtype=g.dtype)), axis=(-2, -1)))
 
     @cached_property
     def chain_prefixes(self) -> ChainPrefixes:
@@ -221,76 +224,20 @@ class AggregateStack:
 
     def power_sum(self, name: str, q: float) -> np.ndarray:
         """sum(array ** q) per system for the array aggregate ``name``
-        ("norms_sq", "abs_gram", "abs_offdiag" or "row_sums"), memoised per
-        exponent."""
+        ("norms_sq", "abs_gram", "abs_offdiag" or "row_sums"; any other name
+        raises ValueError), memoised per exponent."""
         key = (name, q)
         value = self._powers.get(key)
         if value is None:
-            array = getattr(self, name)
-            axes = (-2, -1) if array.ndim == self.gram.ndim else -1
-            value = self._powers[key] = np.sum(array**q, axis=axes)
-        return value
-
-
-class GramAggregates:
-    """One system's Gram aggregates: entry 0 of an :class:`AggregateStack`
-    of one.
-
-    Built over a lone Gram matrix it views a stack of one of it; a
-    :class:`VectorSystem` views the aggregates of its own stack, so the
-    per-system API reads the very numbers the stacked checks use. Fields are
-    those of :class:`AggregateStack`, each read on first access and then
-    kept; scalars are numpy float64 values and arrays are read-only.
-    Attributes cannot be assigned.
-    """
-
-    def __init__(self, gram: GramMatrix) -> None:
-        self.__dict__.update(gram=gram, _stack=None, _powers={})
-
-    @classmethod
-    def _entry(cls, gram: GramMatrix, stack: AggregateStack) -> "GramAggregates":
-        agg = cls(gram)
-        agg.__dict__["_stack"] = stack
-        return agg
-
-    @property
-    def stack(self) -> AggregateStack:
-        """The viewed stack: a stack of one of the Gram matrix unless set."""
-        if self._stack is None:
-            self.__dict__["_stack"] = AggregateStack(self.gram.entries[np.newaxis])
-        return self._stack
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GramAggregates is read-only")
-
-    # the cached fields of AggregateStack, the only names read through
-    _FIELDS = frozenset(name for name, v in vars(AggregateStack).items() if isinstance(v, cached_property))
-
-    def __getattr__(self, name: str):
-        # only a stack field gets here; copy and pickle probe other names
-        # (__setstate__, ...) on an instance whose __dict__ is still empty
-        if name not in self._FIELDS:
-            raise AttributeError(f"'GramAggregates' object has no attribute {name!r}")
-        value = getattr(self.stack, name)
-        if isinstance(value, ChainPrefixes):
-            value = ChainPrefixes._make(field[0] for field in value)
-        else:
-            value = value[0]
-        self.__dict__[name] = value
-        return value
-
-    def power_sum(self, name: str, q: float) -> np.floating:
-        """This system's entry of :meth:`AggregateStack.power_sum`, memoised."""
-        key = (name, q)
-        value = self._powers.get(key)
-        if value is None:
-            value = self._powers[key] = self.stack.power_sum(name, q)[0]
+            if name not in _POWER_AXES:
+                raise ValueError(f"power_sum reads one of {', '.join(_POWER_AXES)}, got {name!r}")
+            value = self._powers[key] = _frozen(np.sum(getattr(self, name) ** q, axis=_POWER_AXES[name]))
         return value
 
 
 class NormalizedGram(NamedTuple):
-    """Gram matrix of the unit-normalised system and its determinant, or
-    the (T, n), (T, n, n) and (T,) arrays of a stack of them.
+    """Gram matrices of the unit-normalised systems of a stack and their
+    determinants: (T, n), (T, n, n) and (T,) arrays.
 
     ``entries`` is G[i, j] / (||x_i|| ||x_j||); ``norms`` holds the ||x_i||
     it was divided by. The unit diagonal keeps every factorisation pivot on
@@ -299,7 +246,7 @@ class NormalizedGram(NamedTuple):
 
     norms: np.ndarray
     entries: np.ndarray
-    det: float | np.ndarray
+    det: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,21 +505,23 @@ class VectorSystem:
     """An ordered finite system of vectors sharing field and dimension.
 
     A system is a :class:`SystemStack` of one (:meth:`as_stack`), so the
-    per-system functions run the stacked kernels on it, and its numbers are
-    the same bits as its entry of any larger stack; a vector against it is
-    a :class:`~spandist.distance.PointStack` of one. The Gram matrix and its
-    factorization are computed at construction; everything else derived
-    from them on first use, and then kept for the life of the system: the
-    Gram aggregates (:attr:`aggregates`), the eigenvalue condition number
-    (:meth:`gram_condition`), the unit-normalised Gram matrix with its
-    determinant (the stack's :attr:`~SystemStack.normalized`) and the
-    :class:`Vector` views of the rows (:attr:`vectors`). Nothing is ever mutated once computed, so
-    instances are safe to share; two threads racing on a cold cache compute
-    the same value twice. Prefer :meth:`from_rows` on hot paths; the
-    :class:`Vector`-based constructor validates each vector individually.
+    per-system functions run the stacked kernels on it and read its numbers
+    from that stack: the factorization (``as_stack().factor``), the Gram
+    aggregates (``as_stack().aggregates``), the eigenvalue condition number
+    (:meth:`gram_condition`) and the unit-normalised Gram matrix with its
+    determinant (``as_stack().normalized``). They are the same bits as the
+    system's entry of any larger stack; a vector against it is a
+    :class:`~spandist.distance.PointStack` of one. The Gram matrix and its
+    factorization are computed at construction; everything else on first
+    use, and then kept for the life of the system, as are the
+    :class:`Vector` views of the rows (:attr:`vectors`). Nothing is ever
+    mutated once computed, so instances are safe to share; two threads
+    racing on a cold cache compute the same value twice. Prefer
+    :meth:`from_rows` on hot paths; the :class:`Vector`-based constructor
+    validates each vector individually.
     """
 
-    __slots__ = ("_stack", "_gram", "_aggregates", "_vectors", "_chol")
+    __slots__ = ("_stack", "_gram", "_vectors")
 
     def __init__(self, vectors: Sequence[Vector], tol: ToleranceConfig = DEFAULT_TOL) -> None:
         if len(vectors) == 0:
@@ -609,9 +558,7 @@ class VectorSystem:
     def _bind(self, stack: SystemStack) -> None:
         self._stack = stack
         self._gram = GramMatrix(entries=stack.gram[0])
-        self._aggregates = GramAggregates._entry(self._gram, stack.aggregates)
         self._vectors: tuple[Vector, ...] | None = None
-        self._chol: PivotedCholesky | None = None
 
     # -- basic shape ---------------------------------------------------
     @property
@@ -651,23 +598,12 @@ class VectorSystem:
         return self._gram
 
     @property
-    def cholesky(self) -> PivotedCholesky:
-        if self._chol is None:
-            self._chol = self._stack.factor.trial(0)
-        return self._chol
-
-    @property
     def rank(self) -> int:
         return int(self._stack.factor.rank[0])
 
     @property
     def independent(self) -> bool:
         return bool(self._stack.factor.complete[0])
-
-    @property
-    def aggregates(self) -> GramAggregates:
-        """The Gram aggregates: entry 0 of its stack's."""
-        return self._aggregates
 
     def gram_condition(self) -> float:
         """Eigenvalue condition number of the Gram matrix (inf if singular)."""
@@ -735,7 +671,7 @@ def check_gram_hadamard(system: VectorSystem, tol: ToleranceConfig | None = None
     """
     tol = tol or system.tol
     det = gram_determinant(system)
-    product = float(system.aggregates.norm_product)
+    product = float(system.as_stack().aggregates.norm_product[0])
     rel = tol.compare_rel_tol
     return GramHadamardVerdict(
         gram_det=det,
@@ -766,8 +702,7 @@ def check_gram_product_split(
     if not (1 <= k < system.n):
         raise ValueError(f"split position must satisfy 1 <= k < n={system.n}, got {k}")
     full = gram_determinant(system)
-    left, right = split_determinants(system.gram.entries[np.newaxis], k, tol.rank_rel_tol)
-    left, right = float(left[0]), float(right[0])
+    left, right = (float(d[0]) for d in split_determinants(system.gram.entries[np.newaxis], k, tol.rank_rel_tol))
     return GramSplitVerdict(
         gram_full=full,
         gram_left=left,

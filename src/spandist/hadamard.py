@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericalWarning
-from .gram import VectorSystem, gram_determinant, require_independent
+from .gram import VectorSystem, _leq, gram_determinant, require_independent
 from .space import ToleranceConfig
 
 __all__ = [
@@ -97,26 +97,21 @@ def hadamard_chain(
 ) -> HadamardChainResult:
     """Evaluate one corrected-product refinement for an independent system (n >= 2).
 
-    The prefix numerators and denominators come from
-    ``system.aggregates.chain_prefixes``, computed once per system for every
-    position and every variant; :func:`chain_stack` runs on them as a
-    stack of one.
+    The prefix numerators and denominators come from the ``chain_prefixes``
+    of the system's stack (``system.as_stack().aggregates``), computed once
+    per system for every position and every variant; :func:`chain_stack`
+    runs on that stack of one.
     """
     require_independent(system)
     if system.n < 2:
         raise ValueError("chain refinements need at least two vectors")
     tol = tol or system.tol
-    agg = system.aggregates
+    agg = system.as_stack().aggregates
     prefixes = agg.chain_prefixes
-    factors, refined, clamped = chain_stack(
-        agg.norms_sq[np.newaxis],
-        prefixes.numerators[np.newaxis],
-        getattr(prefixes, variant.value)[np.newaxis],
-        tol,
-    )
+    factors, refined, clamped = chain_stack(agg.norms_sq, prefixes.numerators, getattr(prefixes, variant.value), tol)
     refined = float(refined[0])
     det = gram_determinant(system)
-    product = float(agg.norm_product)
+    product = float(agg.norm_product[0])
     rel = tol.compare_rel_tol
     return HadamardChainResult(
         variant=variant,
@@ -124,8 +119,8 @@ def hadamard_chain(
         refined=refined,
         norm_product=product,
         factors=tuple(factors[0].tolist()),
-        lower_ok=det <= refined + rel * (1.0 + abs(det) + abs(refined)),
-        upper_ok=refined <= product + rel * (1.0 + abs(refined) + abs(product)),
+        lower_ok=_leq(det, refined, rel),
+        upper_ok=_leq(refined, product, rel),
         clamped=bool(clamped[0]),
     )
 
@@ -150,10 +145,10 @@ def check_hadamard_strict(system: VectorSystem, tol: ToleranceConfig | None = No
     require_independent(system)
     tol = tol or system.tol
     det = gram_determinant(system)
-    agg = system.aggregates
-    product = float(agg.norm_product)
+    agg = system.as_stack().aggregates
+    product = float(agg.norm_product[0])
     margin = product - det
-    pair_scale = np.sqrt(np.outer(agg.norms_sq, agg.norms_sq))
-    orthogonal = bool(np.all(agg.abs_offdiag <= tol.orth_rel_tol * pair_scale))
+    pair_scale = np.sqrt(np.outer(agg.norms_sq[0], agg.norms_sq[0]))
+    orthogonal = bool(np.all(agg.abs_offdiag[0] <= tol.orth_rel_tol * pair_scale))
     strict = margin > tol.compare_rel_tol * (1.0 + abs(product)) and not orthogonal
     return HadamardStrictVerdict(gram_det=det, norm_product=product, margin=margin, strict=strict)

@@ -1,4 +1,4 @@
-"""The per-system Gram aggregates and the per-draw combination stacks.
+"""The Gram aggregates of a system's stack and the per-draw combination stacks.
 
 Every value read from a cache must be the very number the direct
 expression gives, so the comparisons here are exact (==), never approx.
@@ -19,6 +19,7 @@ from spandist.checks import COMBINATION_SWEEP, applicable_checks, run_checks
 from conftest import random_rows
 
 EXPONENTS = (1.25, 1.5, 2, 2.0, 3.0, 4 / 3)
+_STACK_FIELDS = sorted(name for name, v in vars(sd_gram.AggregateStack).items() if isinstance(v, cached_property))
 
 
 def _systems():
@@ -47,47 +48,60 @@ def test_fixture_systems_cover_dependence():
     assert SYSTEMS["complex-n5"].independent and SYSTEMS["real-n1"].n == 1
 
 
-# -- GramAggregates ------------------------------------------------------------
+# -- a system's aggregates: entry 0 of its stack's -------------------------------
 
 
 def test_aggregate_fields_equal_direct_expressions(system):
     g = system.gram.entries
     n = system.n
-    agg = system.aggregates
+    stacked = system.as_stack().aggregates
+    agg = {name: getattr(stacked, name)[0] for name in _STACK_FIELDS if name != "chain_prefixes"}
     norms = g.diagonal().real
     abs_g = np.abs(g)
     off = np.where(np.eye(n, dtype=bool), 0.0, abs_g)
     rows = np.sum(abs_g, axis=1)
 
-    assert np.array_equal(agg.norms_sq, norms)
-    assert agg.norm_sum == np.sum(norms)
-    assert agg.norm_max == np.max(norms)
-    assert agg.norm_product == np.prod(norms)
-    assert np.array_equal(agg.abs_gram, abs_g)
-    assert np.array_equal(agg.abs_offdiag, off)
-    assert agg.offdiag_max == np.max(off, initial=0.0)
-    assert agg.offdiag_sum == np.sum(off)
-    assert agg.offdiag_sum_sq == np.sum(off**2)
-    assert np.array_equal(agg.row_sums, rows)
-    assert agg.row_sum_total == np.sum(rows)
-    assert agg.row_max == np.max(rows)
-    assert agg.abs_sum_sq == np.sum(abs_g**2)
-    assert agg.identity_deviation == np.max(np.abs(g - np.eye(n)))
+    assert np.array_equal(agg["norms_sq"], norms)
+    assert agg["norm_sum"] == np.sum(norms)
+    assert agg["norm_max"] == np.max(norms)
+    assert agg["norm_product"] == np.prod(norms)
+    assert np.array_equal(agg["abs_gram"], abs_g)
+    assert np.array_equal(agg["abs_offdiag"], off)
+    assert agg["offdiag_max"] == np.max(off, initial=0.0)
+    assert agg["offdiag_sum"] == np.sum(off)
+    assert agg["offdiag_sum_sq"] == np.sum(off**2)
+    assert np.array_equal(agg["row_sums"], rows)
+    assert agg["row_sum_total"] == np.sum(rows)
+    assert agg["row_max"] == np.max(rows)
+    assert agg["abs_sum_sq"] == np.sum(abs_g**2)
+    assert agg["identity_deviation"] == np.max(np.abs(g - np.eye(n)))
     for name, array in (("norms_sq", norms), ("abs_gram", abs_g), ("abs_offdiag", off), ("row_sums", rows)):
         for q in EXPONENTS:
-            assert agg.power_sum(name, q) == np.sum(array**q)
+            assert stacked.power_sum(name, q)[0] == np.sum(array**q)
 
 
 def test_aggregate_arrays_are_read_only(system):
-    agg = system.aggregates
-    for array in (agg.norms_sq, agg.abs_gram, agg.abs_offdiag, agg.row_sums):
+    # the per-system scalars, the chain prefixes and the power sums included
+    agg = system.as_stack().aggregates
+    arrays = [getattr(agg, name) for name in _STACK_FIELDS if name != "chain_prefixes"]
+    arrays += list(agg.chain_prefixes)
+    arrays += [agg.power_sum(name, 1.5) for name in ("norms_sq", "abs_gram", "abs_offdiag", "row_sums")]
+    for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 1.0
 
 
+def test_power_sums_read_no_other_name(system):
+    agg = system.as_stack().aggregates
+    for name in ("norm_sum", "row_max", "gram", "chain_prefixes", "_powers", "power_sum", "norms"):
+        with pytest.raises(ValueError, match=f"power_sum reads one of norms_sq, .*, got '{name}'"):
+            agg.power_sum(name, 1.5)
+
+
 def test_caches_return_the_first_value(system):
-    agg = system.aggregates
-    assert system.aggregates is agg
+    agg = system.as_stack().aggregates
+    assert system.as_stack().aggregates is agg
+    assert agg.chain_prefixes is agg.chain_prefixes
     assert agg.power_sum("abs_gram", 1.5) is agg.power_sum("abs_gram", 1.5)
     first = system.gram_condition()
     assert system.gram_condition() == first
@@ -145,10 +159,10 @@ def test_report_rejects_dependent_system():
 def test_bessel_right_hand_sides_read_the_aggregates(system):
     x = sd.Vector(np.arange(1.0, system.dim + 1.0), system.field)
     xx = sd.norm_sq(x)
-    agg = system.aggregates
+    agg = system.as_stack().aggregates
     assert sd.bessel_rhs_offdiag_max(system, x) == xx * (
-        float(agg.norm_max) + (system.n - 1) * float(agg.offdiag_max))
-    assert sd.bessel_rhs_row_sums(system, x) == xx * float(agg.row_max)
+        float(agg.norm_max[0]) + (system.n - 1) * float(agg.offdiag_max[0]))
+    assert sd.bessel_rhs_row_sums(system, x) == xx * float(agg.row_max[0])
 
 
 # -- the combination sweep through CombinationStack.of -------------------------
@@ -254,61 +268,62 @@ def test_beta_is_computed_once_per_call(monkeypatch):
 
 def test_aggregates_are_built_once_per_system(monkeypatch):
     built = []
-    original = sd_gram.GramAggregates.__init__
+    original = sd_gram.AggregateStack.__init__
 
     def counted(self, gram):
         built.append(gram)
         original(self, gram)
 
-    monkeypatch.setattr(sd_gram.GramAggregates, "__init__", counted)
+    monkeypatch.setattr(sd_gram.AggregateStack, "__init__", counted)
     result = sd.run_campaign(_STREAM)
     assert result.passed
-    assert built == []  # the stacked checks read the chunk's AggregateStack
+    assert len(built) == 1  # one chunk, one SystemStack: the checks read its AggregateStack
+    built.clear()
     instance = sd.generate_instance(_STREAM, 0)
-    assert built == [instance.system.gram]
-    assert instance.system.aggregates.gram is instance.system.gram
+    assert len(built) == 1 and built[0] is instance.system.as_stack().gram
+    sd.full_bound_report(instance.system, instance.x, instance.intervals)
+    sd.hadamard_chain(instance.system, sd.ChainVariant.ROW_SUMS)
+    sd.check_gram_hadamard(instance.system)
+    assert len(built) == 1
 
 
-def test_aggregates_are_read_only():
-    agg = SYSTEMS["real-n5"].aggregates
-    with pytest.raises(AttributeError):
-        agg.norm_sum = 0.0
-
-
-# -- the thin view GramAggregates, and the combination stack of one -------------
-
-
-_STACK_FIELDS = sorted(name for name, v in vars(sd_gram.AggregateStack).items() if isinstance(v, cached_property))
+# -- the stack of one of a system, and the combination stack of one ---------------
 
 
 def _assert_entry(got, stacked, k):
     if isinstance(stacked, sd_gram.ChainPrefixes):
         assert type(got) is sd_gram.ChainPrefixes
         for field, whole in zip(got, stacked):
-            assert np.array_equal(field, whole[k])
-    elif stacked.ndim > 1:
-        assert type(got) is np.ndarray and np.array_equal(got, stacked[k])
+            assert np.array_equal(field[0], whole[k])
     else:
-        assert type(got) is np.float64 and got == stacked[k]
+        assert type(got) is np.ndarray and np.array_equal(got[0], stacked[k])
 
 
-def test_every_stack_field_reads_through_the_view():
+def test_every_stack_field_of_a_system_is_its_entry_of_a_larger_stack():
     assert len(_STACK_FIELDS) == 19
     rng = np.random.default_rng(5)
     stack = sd_gram.SystemStack(random_rows(rng, 12, 6, Field.COMPLEX).reshape(3, 4, 6), Field.COMPLEX)
     for k in range(len(stack.rows)):
         system = sd.VectorSystem.from_rows(stack.rows[k], Field.COMPLEX)
-        view = system.aggregates
-        assert view.stack is system.as_stack().aggregates
+        agg = system.as_stack().aggregates
         for name in _STACK_FIELDS:
-            _assert_entry(getattr(view, name), getattr(stack.aggregates, name), k)
-            _assert_entry(getattr(view, name), getattr(view.stack, name), 0)
-            assert getattr(view, name) is getattr(view, name)
-    # a view built over a lone Gram matrix reads its own stack of one
-    lone = sd_gram.GramAggregates(sd.VectorSystem.from_rows(stack.rows[1], Field.COMPLEX).gram)
-    for name in _STACK_FIELDS:
-        _assert_entry(getattr(lone, name), getattr(lone.stack, name), 0)
-        _assert_entry(getattr(lone, name), getattr(stack.aggregates, name), 1)
+            _assert_entry(getattr(agg, name), getattr(stack.aggregates, name), k)
+            assert getattr(agg, name) is getattr(agg, name)
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_systems_copy_and_pickle(system, read):
+    stacked = system.as_stack().aggregates
+    if read:
+        for name in _STACK_FIELDS:
+            getattr(stacked, name)
+    for clone in (copy.copy(system), pickle.loads(pickle.dumps(system))):
+        assert (clone.n, clone.dim, clone.field, clone.independent) == (system.n, system.dim, system.field, system.independent)
+        assert np.array_equal(clone.rows, system.rows)
+        agg = clone.as_stack().aggregates
+        for name in _STACK_FIELDS:
+            _assert_entry(getattr(agg, name), getattr(stacked, name), 0)
+        assert np.array_equal(agg.power_sum("row_sums", 1.5), stacked.power_sum("row_sums", 1.5))
 
 
 def test_combination_stack_of_one_draw(system):
@@ -323,20 +338,3 @@ def test_combination_stack_of_one_draw(system):
     assert type(sd.combination_norm_sq([1.0] * system.n, system)) is float
     with pytest.raises(sd.DimensionMismatchError):
         sd.CombinationStack.of(np.ones(system.n + 1), system)
-
-
-def test_views_forward_no_other_name(system):
-    agg = system.aggregates
-    for name in ("norm", "gram_", "power", "_stack_", "_norms_sq", "__setstate__"):
-        with pytest.raises(AttributeError):
-            getattr(agg, name)
-
-
-@pytest.mark.parametrize("read", [False, True])
-def test_views_copy_and_pickle(system, read):
-    agg = sd_gram.GramAggregates(system.gram) if not read else system.aggregates
-    if read:
-        _ = agg.chain_prefixes
-    for clone in (copy.copy(agg), pickle.loads(pickle.dumps(agg))):
-        for name in _STACK_FIELDS:
-            _assert_entry(getattr(clone, name), getattr(agg.stack, name), 0)

@@ -189,6 +189,21 @@ def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
         assert np.array_equal(factor.lower[k], f.lower) and np.array_equal(factor.perm[k], f.perm)
 
 
+def test_a_chunk_takes_any_nonempty_range_inside_the_stream():
+    config = _config("real_d6_n4_k1e3_dependent", trials=10)
+    chunk = generate_chunk(config, range(0, 14, 7), TOL)
+    assert chunk.trials == (0, 7)
+    for k, trial in enumerate(chunk.trials):
+        assert np.array_equal(chunk.systems.rows[k], sd.generate_instance(config, trial, TOL).system.rows)
+    assert generate_chunk(config, range(9, -1, -3), TOL).trials == (9, 6, 3, 0)
+    for trials in (range(0, 0), range(5, 3), range(4, 4, 2)):
+        with pytest.raises(ValueError, match=r"trial range range\(.*\) is empty"):
+            generate_chunk(config, trials, TOL)
+    for trials in (range(0, 11), range(8, 15, 3), range(-1, 3), range(9, -2, -5)):
+        with pytest.raises(ValueError, match="outside the configured range"):
+            generate_chunk(config, trials, TOL)
+
+
 def test_the_dependent_stream_has_dependent_trials_in_its_chunks():
     config = _config("real_d6_n4_k1e3_dependent")
     chunk = generate_chunk(config, range(0, 16), TOL)

@@ -179,3 +179,28 @@ def test_zero_coefficients_are_fine(pair):
     assert res.lhs == 0.0
     assert res.bound == 0.0
     assert res.holds
+
+
+def test_an_infinite_lhs_fails_in_the_library_and_in_the_campaign_margin():
+    # the Gram matrix and the lhs overflow: inf <= inf once counted as holding
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = VectorSystem.from_rows([[1e200, 0.0], [0.0, 1e200]])
+        res = sd.cauchy_schwarz_bound([1e200, 1e200], zs)
+        stack = sd.CombinationStack.of([1e200, 1e200], zs)
+        (bound,) = stack.chain(res.method)
+        margin = sd.combination.bound_margin(bound, stack.lhs, sd.DEFAULT_TOL.compare_rel_tol)
+    assert res.lhs == res.bound == np.inf
+    assert not res.holds and res.chain_ok
+    assert np.isnan(margin[0])
+
+
+def test_the_bound_margin_decides_holds_and_chain_ok(pair):
+    rng = np.random.default_rng(3)
+    margin_of, rel = sd.combination.bound_margin, sd.DEFAULT_TOL.compare_rel_tol
+    for _, method in sd.checks.COMBINATION_SWEEP:
+        res = sd.evaluate_combination(rng.standard_normal(pair.n), pair, method)
+        assert res.holds == (margin_of(res.bound, res.lhs, rel) >= 0.0)
+        assert res.chain_ok == (len(res.chain) == 1 or margin_of(res.chain[1], res.bound, rel) >= 0.0)
+    with np.errstate(invalid="ignore"):
+        margin = margin_of(np.array([1.0, 1.0, 2.0, np.inf]), np.array([1.0, 1.5, np.inf, 2.0]), 0.0)
+    assert margin.tolist()[:2] == [0.0, -0.2] and np.isnan(margin[2]) and margin[3] == np.inf

@@ -229,7 +229,7 @@ def test_a_system_on_the_fast_path_has_the_reference_determinant(field):
     rng = np.random.default_rng(11)
     rows = _conditioned_rows(rng, 6, field, 1e4)
     system = sd.VectorSystem.from_rows(rows, field)
-    assert np.array_equal(system.cholesky.perm, np.arange(6))  # the fast path
+    assert np.array_equal(system.as_stack().factor.perm[0], np.arange(6))  # the fast path
     ref = sd_gram.pivoted_cholesky(system.gram.entries, TOL)
     assert ref.complete is system.independent is True
     assert ref.determinant() == pytest.approx(sd.gram_determinant(system), rel=1e-10)
@@ -384,7 +384,7 @@ def test_chain_clamps_a_planted_negative_factor_with_a_warning():
     system = sd.VectorSystem.from_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     # not a Gram matrix: |G[2, 0]|^2 = 4 exceeds ||x_2||^2 * ||x_0||^2 = 1
     planted = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
-    system._aggregates = sd_gram.GramAggregates(sd_gram.GramMatrix(entries=planted))
+    system.as_stack().aggregates = sd_gram.AggregateStack(planted[np.newaxis])
     variant = sd.ChainVariant.TOTAL_NORM
     with pytest.warns(sd.NumericalWarning, match="position 2"):
         result = sd.hadamard_chain(system, variant)
@@ -397,7 +397,7 @@ def test_chain_clamps_a_tiny_negative_factor_silently():
     system = sd.VectorSystem.from_rows([[1.0, 0.0], [0.0, 1.0]])
     c = math.sqrt(1.0 + 1e-13)  # factor 1 - c^2 is just below zero, inside tolerance
     planted = np.array([[1.0, c], [c, 1.0]])
-    system._aggregates = sd_gram.GramAggregates(sd_gram.GramMatrix(entries=planted))
+    system.as_stack().aggregates = sd_gram.AggregateStack(planted[np.newaxis])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = sd.hadamard_chain(system, sd.ChainVariant.OFFDIAG_MAX)

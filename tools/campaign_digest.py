@@ -61,6 +61,15 @@ methods (``cauchy_schwarz_bound`` through ``holder_gram_p2_bound``, seven
 in all), ``combination_norm_sq`` and ``lagrange_identity_parts``. A
 ``combined combination`` digest over these lines follows.
 
+The Gram-determinant API is fingerprinted the same way. For the same
+trials, the ``gram`` line hashes the ``repr`` of what each call returns or
+the type of what it raises: ``is_orthonormal``, ``gram_determinant``, the
+system's ``gram_condition()``, ``check_gram_hadamard``,
+``check_gram_product_split`` at every split position k = 1 .. n - 1 and
+``check_gram_triangle`` of the instance's x and a second vector ``y1``
+drawn from a generator seeded by (:data:`SEED`, trial), complex on complex
+streams. A ``combined gram`` digest over these lines follows.
+
 The ill-conditioned end of the generator is fingerprinted by a second grid
 (:data:`GRID`): both fields, dim/n 7/5, 8/7 and 12/6, Gram condition 1e8,
 1e10, 1e11, 1e12, 1e13 and 1e14, seed 404, 200 trials, each run serially.
@@ -244,6 +253,26 @@ def _combination(config: GeneratorConfig) -> str:
     return "".join(out)
 
 
+def _gram(config: GeneratorConfig) -> str:
+    """What each Gram-determinant function returns on the first trials of
+    a stream."""
+    out = []
+    for trial in range(min(LIBRARY_TRIALS, config.trials)):
+        inst = sd.generate_instance(config, trial)
+        s = inst.system
+        rng = np.random.default_rng([SEED, trial])
+        y1 = rng.standard_normal(s.dim)
+        if s.field is Field.COMPLEX:
+            y1 = y1 + 1j * rng.standard_normal(s.dim)
+        y1 = sd.Vector(y1, s.field)
+        calls = [lambda: sd.is_orthonormal(s), lambda: sd.gram_determinant(s), s.gram_condition,
+                 lambda: sd.check_gram_hadamard(s)]
+        calls += [lambda k=k: sd.check_gram_product_split(s, k) for k in range(1, s.n)]
+        calls.append(lambda: sd.check_gram_triangle(inst.x, y1, s))
+        out.append(f"trial {trial} gram\n" + "".join(_repr_or_error(call) for call in calls))
+    return "".join(out)
+
+
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
@@ -251,6 +280,7 @@ def main() -> int:
     replay = hashlib.sha256()
     point = hashlib.sha256()
     combination = hashlib.sha256()
+    gram = hashlib.sha256()
     problems = 0
     for name, (trials, kwargs) in STREAMS.items():
         config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
@@ -275,6 +305,9 @@ def main() -> int:
         digest = _sha(_combination(config))
         combination.update(f"{name} combination {digest}\n".encode("ascii"))
         print(f"{name:<34} combination {digest}")
+        digest = _sha(_gram(config))
+        gram.update(f"{name} gram {digest}\n".encode("ascii"))
+        print(f"{name:<34} gram   {digest}")
         for jobs in SPLITS:
             split = sd.run_campaign(config, jobs=jobs)
             for fmt in ("json", "csv"):
@@ -296,6 +329,7 @@ def main() -> int:
     print(f"{'combined replay':<41} {replay.hexdigest()}")
     print(f"{'combined point':<41} {point.hexdigest()}")
     print(f"{'combined combination':<41} {combination.hexdigest()}")
+    print(f"{'combined gram':<41} {gram.hexdigest()}")
     print(f"{'combined grid':<41} {grid.hexdigest()}")
     return 1 if problems else 0
 
