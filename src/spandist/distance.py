@@ -21,8 +21,8 @@ against.
 Each number is computed once, in :class:`PointStack`: the per-instance
 functions here and in :mod:`spandist.bounds` read a stack of one, the
 campaign's checks a chunk of trials. Whether a system is independent is
-decided once too, by its Gram factorization; the QR oracle reads that
-decision rather than making its own.
+decided once too, by its Gram factorization; the QR oracle and the
+determinant ratio read that decision rather than making their own.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotOrthonormalError, NumericalInstabilityError, NumericalWarning
-from .gram import FactorStack, NormalizedGram, SystemStack, VectorSystem, factor_stack, require_independent
+from .errors import NotOrthonormalError, NumericalWarning
+from .gram import FactorStack, SystemStack, VectorSystem, _each, require_independent
 from .orthonormalize import distance_sq_stack
 from .space import Field, Scalar, ToleranceConfig, Vector, re_inner_rows, sq_norms
 
@@ -122,36 +122,37 @@ def quadratic_stack(
     return out
 
 
-def gram_ratio_stack(
-    normalized: NormalizedGram, complete: np.ndarray, xx: np.ndarray, beta: np.ndarray, tol: ToleranceConfig
-) -> np.ndarray:
+def gram_ratio_stack(systems: SystemStack, xx: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """d^2 via the ratio of the augmented to the base Gram determinant, for
     the independent systems (NaN for the others).
 
-    Both determinants are taken over unit-normalised copies of the vectors:
-    the ratio is invariant under per-vector scaling and x contributes
-    exactly ||x||^2. The normalised Gram matrices have unit diagonal, so
-    the factorisation pivots all live on one scale — mismatched vector
-    norms can neither trip the rank test nor wash out the quotient's
-    relative precision.
+    The ratio is the last pivot of the Cholesky factor of the augmented
+    Gram matrix, so it needs no rank decision of its own: the system's
+    factorization has made it. The vectors are unit-normalised first, so
+    the bordered matrix [[G_hat, beta_hat^H], [beta_hat, 1]] has unit
+    diagonal, the ratio is invariant under per-vector scaling and x
+    contributes exactly ||x||^2: d^2 = ||x||^2 |L[n, n]|^2. Where LAPACK
+    cannot factor the bordered matrix, x is numerically in the span and
+    the ratio is 0.
     """
+    complete = systems.factor.complete
     live = complete & (xx != 0.0)
-    if np.any((normalized.det <= 0.0) & live):
-        raise NumericalInstabilityError(
-            "normalised Gram determinant vanished for a system that passed the rank test"
-        )
+    norms = np.sqrt(systems.aggregates.norms_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        beta_hat = beta / (normalized.norms * np.sqrt(xx)[:, np.newaxis])
+        g_hat = systems.gram / (norms[:, :, np.newaxis] * norms[:, np.newaxis, :])
+        beta_hat = beta / (norms * np.sqrt(xx)[:, np.newaxis])
     if not live.all():
+        g_hat = np.where(complete[:, np.newaxis, np.newaxis], g_hat, np.eye(systems.n))
         beta_hat = np.where(live[:, np.newaxis], beta_hat, 0.0)
     count, n = beta.shape
-    aug = np.empty((count, n + 1, n + 1), dtype=normalized.entries.dtype)
-    aug[:, :n, :n] = normalized.entries
+    aug = np.empty((count, n + 1, n + 1), dtype=g_hat.dtype)
+    aug[:, :n, :n] = g_hat
     aug[:, :n, n] = beta_hat.conj()
     aug[:, n, :n] = beta_hat
     aug[:, n, n] = 1.0
-    value = xx * factor_stack(aug, tol.rank_rel_tol).det / normalized.det
-    return value if live.all() else np.where(complete, np.where(xx == 0.0, 0.0, value), np.nan)
+    lower = _each(np.linalg.cholesky, aug)[0]  # a failed matrix's factor is zero
+    value = xx * np.abs(lower[:, n, n]) ** 2
+    return value if complete.all() else np.where(complete, value, np.nan)
 
 
 def projection_stack(rows: np.ndarray, xx: np.ndarray, beta: np.ndarray, in_orth: np.ndarray) -> np.ndarray:
@@ -167,8 +168,9 @@ class PointStack:
     """T vectors x (a (T, dim) array) against the T systems of a
     :class:`SystemStack`: what the paper computes from x and a system, each
     once, on first use, for every entry. Everything here reads ``tol``;
-    what depends on a system alone (its factorization, rank and normalised
-    Gram matrix) keeps the stack's own tolerance.
+    what depends on a system alone (its factorization and rank) keeps the
+    stack's own tolerance. No route here makes a rank decision of its own:
+    each reads the system's.
     """
 
     def __init__(self, systems: SystemStack, x: np.ndarray, tol: ToleranceConfig) -> None:
@@ -215,7 +217,7 @@ class PointStack:
     @cached_property
     def ratio(self) -> np.ndarray:
         """The determinant-ratio distance (:func:`gram_ratio_stack`), NaN for dependent systems."""
-        return gram_ratio_stack(self.systems.normalized, self.systems.factor.complete, self.xx, self.beta, self.tol)
+        return gram_ratio_stack(self.systems, self.xx, self.beta)
 
     @cached_property
     def projection(self) -> np.ndarray:

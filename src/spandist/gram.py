@@ -9,17 +9,14 @@ stack at once, reducing only over each system's own axes; a
 :class:`VectorSystem` is a stack of one, whose numbers are the same bits as
 its entry in any larger stack, and the per-system functions read entry 0 of
 that stack's factorization and aggregates. All determinant work goes through
-:func:`factor_stack` (:func:`factor_gram` for one matrix). It first runs
-LAPACK Cholesky on the equilibrated matrix (G[i, j] divided by powers of two
-near sqrt(G[i, i] G[j, j])) and keeps that factor only when a certificate on
-the size of its inverse proves that the reference factorization,
-:func:`pivoted_cholesky`, would find full rank; otherwise it runs the
-reference itself. The reference is a diagonally pivoted Cholesky
-factorization, which keeps the semidefinite structure explicit: the
+:func:`factor_stack` (:func:`factor_gram` for one matrix). It decides each
+matrix's rank once, as the reference factorization :func:`pivoted_cholesky`
+decides it on the power-of-two equilibrated matrix, so the decision does not
+depend on how the rows are scaled. The reference is a diagonally pivoted
+Cholesky factorization, which keeps the semidefinite structure explicit: the
 determinant is the product of the pivots, rank deficiency shows up as a
 pivot collapsing relative to the largest one, and a significantly negative
 pivot is proof that the input was not a Gram matrix.
-Either way the rank decision is the reference's.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ __all__ = [
     "AggregateStack",
     "FactorStack",
     "SystemStack",
-    "NormalizedGram",
     "PivotedCholesky",
     "VectorSystem",
     "pivoted_cholesky",
@@ -235,20 +231,6 @@ class AggregateStack:
         return value
 
 
-class NormalizedGram(NamedTuple):
-    """Gram matrices of the unit-normalised systems of a stack and their
-    determinants: (T, n), (T, n, n) and (T,) arrays.
-
-    ``entries`` is G[i, j] / (||x_i|| ||x_j||); ``norms`` holds the ||x_i||
-    it was divided by. The unit diagonal keeps every factorisation pivot on
-    one scale, which is what the determinant-ratio distance relies on.
-    """
-
-    norms: np.ndarray
-    entries: np.ndarray
-    det: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class PivotedCholesky:
     """A Cholesky factorization P G P^T = L L^H with its rank decision.
@@ -256,9 +238,9 @@ class PivotedCholesky:
     ``perm`` maps factorization position -> original index. ``pivots``
     holds the squared diagonal of L in factorization order; entries past
     ``rank`` are zero. From :func:`pivoted_cholesky` the pivots are
-    nonincreasing; from the certified fast path of :func:`factor_gram` the
-    order is the natural one (``perm`` is the identity) and the pivots come
-    in no particular order.
+    nonincreasing. :func:`factor_gram` decides on the equilibrated matrix
+    E, so there only E's pivots are nonincreasing (G's are them times
+    S[perm]^2); on its certified fast path ``perm`` is the identity.
     """
 
     lower: np.ndarray
@@ -377,55 +359,57 @@ def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> FactorStack:
-    """Factor a (T, m, m) stack of Hermitian PSD matrices with the rank
-    decision of :func:`pivoted_cholesky`, by LAPACK where that decision is
-    certain.
+    """Factor a (T, m, m) stack of Hermitian PSD matrices, deciding each
+    one's rank once, on its equilibrated matrix.
 
-    LAPACK Cholesky factors each equilibrated matrix S^-1 G S^-1 = L_e L_e^H,
-    where S holds the powers of two nearest sqrt(G[i, i]): dividing by them
-    is exact, so L = S L_e is the unpivoted factor of G itself, computed
-    with entries near unit size. Every pivot of the pivoted factorization
-    is at least lambda_min(G) >= 1 / tr(G^-1) = 1 / ||L^-1||_F^2, and its
-    first pivot is max_i G[i, i]. So when ||L^-1||_F^2 * max_i G[i, i] is
-    below 1 / (4 * rank_rel_tol) (the factor 4 absorbs rounding) the pivoted
-    factorization would find full rank, and L is kept in natural order.
-    Otherwise, and for a nonpositive or nonfinite diagonal or a LAPACK
-    failure, that matrix alone is factored by :func:`pivoted_cholesky`, so
-    reduced rank and negative-pivot errors are decided by the reference.
+    Each G is equilibrated as E = S^-1 G S^-1 (van der Sluis), S holding the
+    powers of two nearest sqrt(G[i, i]), or 1 where G[i, i] is not positive
+    and finite: this is exact, and scaling a row by 2^k leaves E as it is.
+    The rank decision is :func:`pivoted_cholesky`'s on E (Higham's stopping
+    rule on a unit-sized diagonal); the factor of G is L = S[perm] L_e,
+    exact too. LAPACK Cholesky factors E = L_e L_e^H first. Every pivot of
+    the pivoted factorization of E is at least lambda_min(E) >= 1 / tr(E^-1)
+    = 1 / ||L_e^-1||_F^2, and its first is max_i E[i, i]. So when
+    ||L_e^-1||_F^2 * max_i E[i, i] is below 1 / (4 * rank_rel_tol) (the 4
+    absorbs rounding) the decision is full rank, and L is kept in natural
+    order. Otherwise, and for a nonpositive or nonfinite diagonal or a
+    LAPACK failure, :func:`pivoted_cholesky` factors that E alone, and
+    decides reduced rank and negative-pivot errors.
     """
     a = np.asarray(mats)
     if a.dtype != np.float64 and a.dtype != np.complex128:
         a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
     count, m = a.shape[0], a.shape[-1]
     d = a.diagonal(0, -2, -1).real
-    d_max = np.maximum.reduce(d, axis=-1)
-    fast = (np.minimum.reduce(d, axis=-1) > 0.0) & np.isfinite(d_max)
-    src = a
-    if not fast.all():  # those matrices are replaced by the identity here, and not kept
-        src = np.where(fast[:, np.newaxis, np.newaxis], a, np.eye(m))
-        d, d_max = src.diagonal(0, -2, -1).real, np.where(fast, d_max, 1.0)
-    scale = np.exp2(np.rint(0.5 * np.log2(d)))
-    lower_e, ok = _each(np.linalg.cholesky, src / scale[:, :, np.newaxis] / scale[:, np.newaxis, :])
+    good = (d > 0.0) & np.isfinite(d)
+    # 2^(e // 2) for d = f * 2^e, f in [1/2, 1): E[i, i] lies in [1/2, 2)
+    scale = np.ldexp(1.0, np.where(good, np.frexp(d)[1] // 2, 0))
+    e = a / scale[:, :, np.newaxis] / scale[:, np.newaxis, :]
+    fast = np.logical_and.reduce(good, axis=-1)
+    # the other matrices are replaced by the identity here, and not kept
+    src = e if fast.all() else np.where(fast[:, np.newaxis, np.newaxis], e, np.eye(m))
+    lower_e, ok = _each(np.linalg.cholesky, src)
     if ok is not None:
         fast &= ok
         lower_e[~ok] = np.eye(m)
     inv_e, ok = _each(np.linalg.inv, lower_e)
     if ok is not None:
         fast &= ok
-    # L^-1 = L_e^-1 S^-1; weigh its columns by sqrt(d_max) to keep range
-    weighted = np.abs(inv_e * (np.sqrt(d_max)[:, np.newaxis] / scale)[:, np.newaxis, :]) ** 2
-    fast &= 4.0 * rank_rel_tol * np.add.reduce(weighted.reshape(count, -1), axis=-1) < 1.0
+    inv_sq = np.add.reduce(np.abs(inv_e.reshape(count, -1)) ** 2, axis=-1)
+    fast &= 4.0 * rank_rel_tol * inv_sq * np.maximum.reduce(src.diagonal(0, -2, -1).real, axis=-1) < 1.0
     lower = scale[:, :, np.newaxis] * lower_e
     pivots = np.abs(lower.diagonal(0, -2, -1)) ** 2
-    det = np.multiply.reduce(pivots, axis=-1)
     perm, rank, complete = _full_rank(count, m)
     if not fast.all():
         perm, rank = perm.copy(), rank.copy()
         for k in np.flatnonzero(~fast).tolist():
-            ref = pivoted_cholesky(a[k], rank_rel_tol)
-            lower[k], perm[k], pivots[k], rank[k] = ref.lower, ref.perm, ref.pivots, ref.rank
-            det[k] = ref.determinant()
+            ref = pivoted_cholesky(e[k], rank_rel_tol)
+            s = scale[k][ref.perm]
+            lower[k], perm[k], pivots[k], rank[k] = s[:, np.newaxis] * ref.lower, ref.perm, s * s * ref.pivots, ref.rank
         perm, complete = _frozen(perm), rank == m
+    det = np.multiply.reduce(pivots, axis=-1)
+    if not complete.all():
+        det = np.where(complete, det, 0.0)
     return FactorStack(_frozen(lower), perm, _frozen(pivots), rank, complete, det)
 
 
@@ -437,7 +421,8 @@ def _full_rank(count: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def factor_gram(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> PivotedCholesky:
-    """:func:`factor_stack` on one matrix: a stack of one.
+    """:func:`factor_stack` on one matrix: a stack of one, its rank decided
+    on the equilibrated matrix.
 
     Anything but a nonempty square matrix goes to :func:`pivoted_cholesky`,
     which raises for it.
@@ -452,13 +437,14 @@ class SystemStack:
     """T systems of n vectors in dim coordinates, held as stacked arrays.
 
     ``rows`` is the (T, n, dim) coordinate stack. The Gram matrices and
-    their factorizations (:func:`factor_stack`) are computed eagerly, the
-    rest on first use and then kept: the aggregates (an
-    :class:`AggregateStack`, whose fields are lazy themselves), the
-    eigenvalue condition numbers and the unit-normalised Gram matrices with
-    their determinants. Every computation reduces over one system's own
-    axes only, so an entry's numbers are the same bits in a stack of one as
-    in any larger stack. A stack keeps no reference to the
+    their factorizations (:func:`factor_stack`) are computed eagerly: the
+    factorization is each system's one rank decision, which everything that
+    needs to know whether a system is independent reads. The rest is
+    computed on first use and then kept: the aggregates (an
+    :class:`AggregateStack`, whose fields are lazy themselves) and the
+    eigenvalue condition numbers. Every computation reduces over one
+    system's own axes only, so an entry's numbers are the same bits in a
+    stack of one as in any larger stack. A stack keeps no reference to the
     :class:`VectorSystem` built over it.
     """
 
@@ -486,31 +472,17 @@ class SystemStack:
         with np.errstate(divide="ignore", invalid="ignore"):
             return _frozen(np.where(lo <= 0.0, np.inf, hi / lo))
 
-    @cached_property
-    def normalized(self) -> NormalizedGram:
-        """The unit-normalised Gram matrices and their determinants, for the
-        independent systems; a dependent entry holds the identity."""
-        norms = _frozen(np.sqrt(self.aggregates.norms_sq))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_hat = self.gram / (norms[:, :, np.newaxis] * norms[:, np.newaxis, :])
-        complete = self.factor.complete
-        if not complete.all():
-            g_hat = np.where(complete[:, np.newaxis, np.newaxis], g_hat, np.eye(self.n))
-        g_hat = _frozen(g_hat)
-        det = factor_stack(g_hat, self.tol.rank_rel_tol).det
-        return NormalizedGram(norms=norms, entries=g_hat, det=det)
-
 
 class VectorSystem:
     """An ordered finite system of vectors sharing field and dimension.
 
     A system is a :class:`SystemStack` of one (:meth:`as_stack`), so the
     per-system functions run the stacked kernels on it and read its numbers
-    from that stack: the factorization (``as_stack().factor``), the Gram
-    aggregates (``as_stack().aggregates``), the eigenvalue condition number
-    (:meth:`gram_condition`) and the unit-normalised Gram matrix with its
-    determinant (``as_stack().normalized``). They are the same bits as the
-    system's entry of any larger stack; a vector against it is a
+    from that stack: the factorization with its rank decision
+    (``as_stack().factor``), the Gram aggregates (``as_stack().aggregates``)
+    and the eigenvalue condition number (:meth:`gram_condition`); scaling
+    a row by a power of two leaves the rank as it is. They are the same
+    bits as the system's entry of any larger stack; a vector against it is a
     :class:`~spandist.distance.PointStack` of one. The Gram matrix and its
     factorization are computed at construction; everything else on first
     use, and then kept for the life of the system, as are the
@@ -667,7 +639,8 @@ def check_gram_hadamard(system: VectorSystem, tol: ToleranceConfig | None = None
     """Verify 0 <= Gram det <= prod ||x_i||^2 and classify the equality cases.
 
     Equality on the left happens exactly for dependent systems; on the right
-    exactly for pairwise-orthogonal systems.
+    exactly for pairwise-orthogonal systems. A norm product that is not
+    finite (an overflowing Gram matrix) is never an equality case.
     """
     tol = tol or system.tol
     det = gram_determinant(system)
@@ -679,7 +652,7 @@ def check_gram_hadamard(system: VectorSystem, tol: ToleranceConfig | None = None
         lower_ok=det >= 0.0,
         upper_ok=_leq(det, product, rel),
         dependent_equality=not system.independent,
-        orthogonal_equality=abs(product - det) <= rel * (1.0 + abs(product)),
+        orthogonal_equality=math.isfinite(product) and abs(product - det) <= rel * (1.0 + abs(product)),
     )
 
 

@@ -106,9 +106,6 @@ def test_caches_return_the_first_value(system):
     first = system.gram_condition()
     assert system.gram_condition() == first
     assert system.gram_condition() == first
-    if system.independent:
-        base = system.as_stack().normalized
-        assert system.as_stack().normalized is base
 
 
 def test_gram_condition_equals_eigenvalue_ratio(system):

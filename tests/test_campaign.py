@@ -232,16 +232,14 @@ def test_both_workers_are_joined_when_both_raise(monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalInstabilityError,
-                   reason="at Gram condition 1e13 trial 49 passes the rank test, but its normalised "
-                          "Gram determinant vanishes")
 def test_a_campaign_at_gram_condition_1e13_completes():
-    # the expected-failure boundary of conditioning: one trial aborts the
-    # whole campaign, and replaying it alone raises the same way
+    # the rank is decided once, on the equilibrated Gram matrix, and the
+    # determinant ratio reads that decision: no trial aborts the campaign,
+    # and what fails is the agreement of the representations
     config = GeneratorConfig(seed=11, trials=64, dim=7, n=5, conditioning=1e13)
-    with pytest.raises(NumericalInstabilityError):
-        sd.replay_trial(config, 49)
-    sd.run_campaign(config)
+    result = sd.run_campaign(config)
+    assert result.total_outcomes == sum(result.counts.values()) > 0
+    assert all(f.check_id.startswith("representation_agreement/") for f in result.failures)
 
 
 _START_METHOD_SCRIPT = textwrap.dedent("""

@@ -5,6 +5,7 @@ import pytest
 
 import spandist as sd
 from spandist import Field, VectorSystem, vector
+from spandist.distance import PointStack
 
 from conftest import random_rows
 
@@ -99,14 +100,60 @@ def test_oracle_validates_x_like_the_rest(system_b):
 
 
 def test_oracle_reads_the_systems_rank_decision():
-    # orthogonal, but the raw Gram's pivots are 1e16 and 1e-16 apart: the
-    # system's factorization calls it rank 1, and every route says so
-    system = VectorSystem.from_rows([[1e8, 0.0, 0.0], [0.0, 1e-8, 0.0]])
+    # parallel rows whose lengths differ by a factor of about 3e15: the
+    # system's factorization calls them rank 1, and every route says so
+    system = VectorSystem.from_rows([[1e8, 1e8, 0.0], [3e-8, 3e-8, 0.0]])
     x = vector([0.0, 0.0, 1.0])
     assert not system.independent
     for fn in (sd.exact_distance, sd.distance_sq_oracle):
         with pytest.raises(sd.LinearDependenceError, match="^system of 2 vectors has numerical rank 1$"):
             fn(system, x)
+
+
+# -- scale: results do not depend on how the rows are scaled --------------------------
+
+
+def test_orthogonal_rows_of_norms_1e8_and_1e_minus_8_are_independent():
+    system = VectorSystem.from_rows([[1e8, 0.0, 0.0], [0.0, 1e-8, 0.0]])
+    x = vector([0.0, 0.0, 1.0])
+    assert system.independent and system.rank == 2
+    result = sd.exact_distance(system, x)
+    assert result.d2_quadratic == result.d2_gram_ratio == 1.0
+    assert sd.distance_sq_oracle(system, x) == 1.0
+
+
+_SCALED = [
+    sd.GeneratorConfig(seed=31, trials=16, dim=dim, n=n, field=field, conditioning=kappa)
+    for field in (Field.REAL, Field.COMPLEX)
+    for dim, n in ((7, 5), (8, 7))
+    for kappa in (1e2, 1e6, 1e10, 1e12)
+]
+
+
+@pytest.mark.parametrize("config", _SCALED, ids=lambda c: f"{c.field.value}-n{c.n}-k{c.conditioning:.0e}")
+def test_row_scaling_by_powers_of_two_keeps_rank_and_ratio_bits(config):
+    for trial in range(config.trials):
+        inst = sd.generate_instance(config, trial)
+        k = np.random.default_rng([config.n, trial]).integers(-60, 61, config.n)
+        scaled = VectorSystem.from_rows(inst.system.rows * np.exp2(k)[:, np.newaxis], config.field)
+        assert scaled.rank == inst.system.rank
+        got, want = PointStack.of(scaled, inst.x), PointStack.of(inst.system, inst.x)
+        np.testing.assert_array_equal(got.ratio, want.ratio)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_uniform_scaling_by_2_to_the_k_scales_d2_by_4_to_the_k(field):
+    config = sd.GeneratorConfig(seed=32, trials=8, dim=7, n=5, field=field, conditioning=1e6)
+    for trial in range(config.trials):
+        inst = sd.generate_instance(config, trial)
+        want = PointStack.of(inst.system, inst.x)
+        for k in (-400, -61, 1, 60, 400):
+            with np.errstate(over="ignore"):  # det G itself, scaled by 4^(5k), may overflow
+                system = VectorSystem.from_rows(inst.system.rows * 2.0**k, field)
+            got = PointStack.of(system, vector(inst.x.coords * 2.0**k, field))
+            assert system.rank == inst.system.rank
+            np.testing.assert_array_equal(got.d2, want.d2 * 4.0**k)
+            np.testing.assert_array_equal(got.ratio, want.ratio * 4.0**k)
 
 
 def test_orthonormal_shortcut_matches_and_validates(system_b, x_b):

@@ -129,6 +129,15 @@ def test_hadamard_verdict_flags_dependent_equality():
     assert v.gram_det == 0.0
 
 
+def test_hadamard_verdict_on_an_overflowing_gram_is_no_orthogonal_equality():
+    # ||x_i||^2 = 1e400 overflows: inf <= inf must not read as equality
+    with np.errstate(over="ignore"):
+        system = VectorSystem.from_rows([[1e200, 0.0], [0.0, 1e200]])
+    v = sd.check_gram_hadamard(system)
+    assert v.norm_product == np.inf
+    assert not v.orthogonal_equality
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 @pytest.mark.parametrize("seed", range(4))
 def test_product_split_inequality(field, seed):

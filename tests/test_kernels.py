@@ -1,9 +1,9 @@
 """Each array kernel against the loop it replaced, or against a reference.
 
 * ``factor_gram`` (LAPACK Cholesky with a rank certificate) must reach the
-  same rank decision, completeness and exception as ``pivoted_cholesky``,
-  and the same determinant up to rounding where the matrix is not too
-  ill-conditioned.
+  same rank decision, completeness and exception as ``pivoted_cholesky`` on
+  the equilibrated matrix, and the same determinant up to rounding (scaled
+  back) where the matrix is not too ill-conditioned.
 * The Householder QR oracle must leave the residual of a least-squares
   solve, and its squared distance must lie within its backward-error bound
   of the exact rational Gram determinant ratio.
@@ -61,15 +61,26 @@ def _decision(factor, matrix):
     return (chol.rank, chol.complete), chol.determinant()
 
 
+def _equilibrated(matrix):
+    """E = S^-1 G S^-1 and S, with S[i] = 2^(e // 2) for G[i, i] = f 2^e,
+    f in [1/2, 1), or 1 where G[i, i] is not positive and finite."""
+    g = np.asarray(matrix)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        return g, np.ones(0)
+    s = np.array([2.0 ** (math.frexp(v)[1] // 2) if 0.0 < v < math.inf else 1.0 for v in g.diagonal().real])
+    return g / s[:, np.newaxis] / s[np.newaxis, :], s
+
+
 def _assert_same_decision(matrix, det_rel=None):
+    e, s = _equilibrated(matrix)
     fast, fast_det = _decision(sd_gram.factor_gram, matrix)
-    ref, ref_det = _decision(sd_gram.pivoted_cholesky, matrix)
+    ref, ref_det = _decision(sd_gram.pivoted_cholesky, e)
     assert fast == ref
     if det_rel is not None and ref_det is not None:
-        assert fast_det == pytest.approx(ref_det, rel=det_rel, abs=0.0)
+        assert fast_det == pytest.approx(ref_det * np.prod(s**2), rel=det_rel, abs=0.0)
 
 
-# -- factor_gram against pivoted_cholesky -------------------------------------------
+# -- factor_gram against pivoted_cholesky on the equilibrated matrix ------------------
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
@@ -165,36 +176,39 @@ def _count_fallbacks(monkeypatch):
 
 
 def test_certificate_boundary(monkeypatch):
-    # diag(1, t): tr(G^-1) * max(d) = 1 + 1/t against 1 / (4 * TOL), so the
-    # certificate holds when t > 4 * TOL / (1 - 4 * TOL), just above 4 * TOL
+    # diag(1, t) equilibrates to diag(1, t / s^2) with t / s^2 in [1/2, 2):
+    # however small t is, the matrix is complete with no fallback
     calls = _count_fallbacks(monkeypatch)
-    just_under = sd_gram.factor_gram(np.diag([1.0, 3.99 * TOL]), TOL)
+    for t in (3.99 * TOL, 4.01 * TOL, 1e-3, 1.0):
+        assert sd_gram.factor_gram(np.diag([1.0, t]), TOL).complete
+    assert not calls
+    # through off-diagonal mass: tr(E^-1) = 2 / (1 - c^2), so 1 - c^2 against 8 * TOL
+    c = math.sqrt(1.0 - 8.0 * TOL * 0.99)
+    just_under = sd_gram.factor_gram(np.array([[1.0, c], [c, 1.0]]), TOL)
     assert len(calls) == 1
     # the certificate is conservative: the reference still finds full rank
     assert just_under.complete
-    for t in (4.01 * TOL, 1e-3, 1.0):
-        assert sd_gram.factor_gram(np.diag([1.0, t]), TOL).complete
-    assert len(calls) == 1
-    # through off-diagonal mass: tr(G^-1) = 2 / (1 - c^2), so 1 - c^2 against 8 * TOL
-    c = math.sqrt(1.0 - 8.0 * TOL * 0.99)
-    sd_gram.factor_gram(np.array([[1.0, c], [c, 1.0]]), TOL)
-    assert len(calls) == 2
     sd_gram.factor_gram(np.array([[1.0, 0.5], [0.5, 1.0]]), TOL)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-def test_certificate_keeps_the_raw_scale_rank_decision(monkeypatch):
-    # equilibration helps the factor, not the decision: as in the reference,
-    # the smallest diagonal entry is judged against the largest
+def test_the_rank_decision_does_not_depend_on_row_scaling(monkeypatch):
+    # scaling row i by d_i scales G to D G D; the decision is made on the
+    # equilibrated matrix, so rows with norms 1e8 and 1e-8 keep full rank
     calls = _count_fallbacks(monkeypatch)
     g = np.array([[1.0, 0.5], [0.5, 1.0]])
-    mild = np.diag([math.exp(3.0), math.exp(-3.0)])
-    assert sd_gram.factor_gram(mild @ g @ mild, TOL).complete
+    scaled = [np.diag(d) @ g @ np.diag(d) for d in ([math.exp(3.0), math.exp(-3.0)], [1e8, 1e-8], [1e150, 1e-150])]
+    assert all(sd_gram.factor_gram(m, TOL).rank == 2 for m in scaled)
     assert not calls
-    extreme = np.diag([1e8, 1e-8])
-    _assert_same_decision(extreme @ g @ extreme)
-    assert sd_gram.factor_gram(extreme @ g @ extreme, TOL).rank == 1
-    assert calls
+    for m in scaled:
+        _assert_same_decision(m)
+    # powers of two scale the factor exactly, fallback or not
+    for base in (g, np.array([[1.0, 1.0], [1.0, 1.0]])):
+        ref = sd_gram.factor_gram(base, TOL)
+        for k in ([60, -60], [-3, 200], [0, 1]):
+            got = sd_gram.factor_gram(np.diag(np.exp2(k)) @ base @ np.diag(np.exp2(k)), TOL)
+            assert got.rank == ref.rank and np.array_equal(got.perm, ref.perm)
+            assert np.array_equal(got.lower, np.exp2(k)[ref.perm][:, np.newaxis] * ref.lower)
 
 
 _WELL_CONDITIONED = GeneratorConfig(

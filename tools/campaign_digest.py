@@ -21,7 +21,7 @@ chunks. Their json and csv digests must equal the serial ones: a line
 After each of these runs every worker must be gone: a line ``LEFTOVER
 <stream> jobs=<k> <count>`` is printed when ``multiprocessing.active_children()``
 still lists any. The script exits with status 1 if any ``MISMATCH`` or
-``LEFTOVER`` line was printed, 0 otherwise.
+``LEFTOVER`` (or ``SCALE``, below) line was printed, 0 otherwise.
 
 The per-instance API is fingerprinted too. For the first
 :data:`LIBRARY_TRIALS` trials of each stream, the ``library`` line hashes
@@ -70,15 +70,24 @@ system's ``gram_condition()``, ``check_gram_hadamard``,
 drawn from a generator seeded by (:data:`SEED`, trial), complex on complex
 streams. A ``combined gram`` digest over these lines follows.
 
+Results must not depend on how the rows are scaled. For the same trials,
+the ``scale`` line rescales row i of the system by 2^k_i, with k_i in
+[-60, 60] drawn from a generator seeded by (:data:`SEED`, trial), and
+hashes the rank of the rescaled system and the ``repr`` of its
+``distance_sq_gram_ratio`` (or the type of what it raises). Scaling by a
+power of two is exact, so both must equal the unscaled system's: a line
+``SCALE <stream> <trial>`` is printed for each trial where either differs,
+and the script then exits with status 1. A ``combined scale`` digest over
+these lines follows.
+
 The ill-conditioned end of the generator is fingerprinted by a second grid
 (:data:`GRID`): both fields, dim/n 7/5, 8/7 and 12/6, Gram condition 1e8,
 1e10, 1e11, 1e12, 1e13 and 1e14, seed 404, 200 trials, each run serially.
 Its ``grid`` line per stream hashes the structure text only (what ran and
-which trials failed), or the type of the exception the campaign raises
-(the 1e13 streams abort with ``NumericalInstabilityError``). Rounding moves
-nothing there unless it moves a decision: a rank, a clamp, an abort or a
-check's verdict. A ``combined grid`` digest over these lines is printed
-last.
+which trials failed), or the type of the exception the campaign raises.
+Rounding moves nothing there unless it moves a decision: a rank, a clamp,
+an abort or a check's verdict. A ``combined grid`` digest over these lines
+is printed last.
 
 spandist is imported from ``src/`` of the checkout this script sits in.
 """
@@ -273,6 +282,23 @@ def _gram(config: GeneratorConfig) -> str:
     return "".join(out)
 
 
+def _scale(config: GeneratorConfig) -> tuple[str, list[int]]:
+    """The rank and determinant-ratio distance of the first trials of a
+    stream with each row rescaled by a power of two, and the trials where
+    either differs from the unscaled system's."""
+    out, moved = [], []
+    for trial in range(min(LIBRARY_TRIALS, config.trials)):
+        inst = sd.generate_instance(config, trial)
+        s, x = inst.system, inst.x
+        k = np.random.default_rng([SEED, trial]).integers(-60, 61, s.n)
+        scaled = sd.VectorSystem.from_rows(s.rows * np.exp2(k)[:, np.newaxis], s.field)
+        text = f"{scaled.rank} " + _repr_or_error(lambda: sd.distance_sq_gram_ratio(scaled, x))
+        if text != f"{s.rank} " + _repr_or_error(lambda: sd.distance_sq_gram_ratio(s, x)):
+            moved.append(trial)
+        out.append(f"trial {trial} scale\n" + text)
+    return "".join(out), moved
+
+
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
@@ -281,6 +307,7 @@ def main() -> int:
     point = hashlib.sha256()
     combination = hashlib.sha256()
     gram = hashlib.sha256()
+    scale = hashlib.sha256()
     problems = 0
     for name, (trials, kwargs) in STREAMS.items():
         config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
@@ -308,6 +335,13 @@ def main() -> int:
         digest = _sha(_gram(config))
         gram.update(f"{name} gram {digest}\n".encode("ascii"))
         print(f"{name:<34} gram   {digest}")
+        text, moved = _scale(config)
+        digest = _sha(text)
+        scale.update(f"{name} scale {digest}\n".encode("ascii"))
+        print(f"{name:<34} scale  {digest}")
+        for trial in moved:
+            problems += 1
+            print(f"SCALE {name} {trial}")
         for jobs in SPLITS:
             split = sd.run_campaign(config, jobs=jobs)
             for fmt in ("json", "csv"):
@@ -330,6 +364,7 @@ def main() -> int:
     print(f"{'combined point':<41} {point.hexdigest()}")
     print(f"{'combined combination':<41} {combination.hexdigest()}")
     print(f"{'combined gram':<41} {gram.hexdigest()}")
+    print(f"{'combined scale':<41} {scale.hexdigest()}")
     print(f"{'combined grid':<41} {grid.hexdigest()}")
     return 1 if problems else 0
 
