@@ -4,9 +4,12 @@ Every trial draws from a counter-based Philox stream keyed by
 (seed, trial), so trial t of a campaign is reproducible in isolation —
 replay never needs to fast-forward through earlier trials, and parallel
 workers produce bit-identical draws regardless of scheduling. Auxiliary
-randomness inside checks uses the same key with a distinct counter block
-(see :func:`child_rng` and :meth:`InstanceChunk.coeffs`), keeping streams
-independent without coordination.
+randomness inside checks reads the same key with ``salt`` in counter word
+2, a block of its own (see :func:`child_rng` and
+:meth:`InstanceChunk.coeffs`), keeping streams independent without
+coordination. A stream is a pure function of its key and counter, so one
+Philox serves a whole chunk, re-keyed for each trial;
+:func:`trial_rng` and :func:`child_rng` build the same streams afresh.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -140,7 +143,11 @@ class InstanceChunk(PointStack):
 
     @classmethod
     def of(cls, instance: Instance, tol: ToleranceConfig) -> "InstanceChunk":
-        """One instance as a chunk of one, at ``tol``."""
+        """One instance as a chunk of one, at ``tol``; ValueError unless its
+        seed and trial are None or integers in [0, 2**64)."""
+        for name in ("seed", "trial"):
+            if getattr(instance, name) is not None:
+                _word(name, getattr(instance, name))
         system, iv = instance.system, instance.intervals
         p = PointStack.of(system, instance.x, tol)
         lo = hi = None
@@ -155,50 +162,137 @@ class InstanceChunk(PointStack):
 
     def coeffs(self, salt: int, count: int | None = None) -> np.ndarray:
         """(T, count) coefficients (count n by default), each trial's from
-        its own auxiliary stream (:func:`child_rng` with ``salt``)."""
+        its own auxiliary stream: key (seed, trial) with ``salt`` in counter
+        word 2, the stream of :func:`child_rng`, read from one generator
+        re-keyed for each trial (a None seed or trial reads as 0)."""
         count = self.systems.n if count is None else count
-        rngs = [_child_rng(self.seed, trial, salt) for trial in self.trials]
-        return _per_trial(rngs, lambda rng: _standard(rng, (count,), self.systems.field))
+        field = self.systems.field
+        out = _normal_stack(self.size, (count,), field)
+        rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each trial
+        for k, trial in enumerate(self.trials):
+            _normals(_rekey(rng, self.seed or 0, trial or 0, salt), out[k])
+        return _values(out, field)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Primary stream for one trial: Philox keyed by (seed, trial)."""
-    return np.random.Generator(np.random.Philox(key=[seed, trial]))
+    """Primary stream for one trial: a new Philox keyed by (seed, trial).
+    ValueError unless both are integers in [0, 2**64)."""
+    return _fresh(seed, trial, 0)
 
 
 def child_rng(instance: Instance, salt: int) -> np.random.Generator:
-    """Auxiliary stream for a check, independent of the primary draws.
+    """Auxiliary stream for a check, independent of the primary draws: a
+    new Philox with the same (seed, trial) key (0 for None) and ``salt`` in
+    counter word 2, a disjoint block. ValueError unless seed, trial and
+    salt are integers in [0, 2**64)."""
+    seed, trial = (0 if v is None else v for v in (instance.seed, instance.trial))
+    return _fresh(seed, trial, salt)
 
-    Uses the same (seed, trial) key with the counter advanced into a
-    disjoint block selected by ``salt``.
-    """
-    return _child_rng(instance.seed, instance.trial, salt)
+
+def _fresh(seed: object, trial: object, salt: object) -> np.random.Generator:
+    # uint64 arrays: a list holding a word of 2**63 or more reaches Philox as float64
+    key = np.array([_word("seed", seed), _word("trial", trial)], np.uint64)
+    counter = np.array([0, 0, _word("salt", salt), 0], np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def _child_rng(seed: int | None, trial: int | None, salt: int) -> np.random.Generator:
-    key = [seed if seed is not None else 0, trial if trial is not None else 0]
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, int(salt), 0]))
+def _word(name: str, value: object) -> int:
+    """``value`` as one 64-bit word of a Philox key or counter."""
+    value = checked_int(name, value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
+
+
+def _rekey(rng: np.random.Generator, seed: int, trial: int, salt: int = 0) -> np.random.Generator:
+    """``rng`` set to the start of the stream keyed by (seed, trial) with
+    ``salt`` in counter word 2: the draws of a new :func:`child_rng`, with
+    no buffered bits, for the cost of a state assignment."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, salt, 0], "key": [seed, trial]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # the buffer is spent: the next draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _normals(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with standard normals from ``rng``; every normal the
+    generator draws comes through here."""
+    rng.standard_normal(out=out)
+
+
+def _normal_stack(size: int, shape: tuple[int, ...], field: Field) -> np.ndarray:
+    """An empty (size, ...) buffer for the normals of ``size`` draws of
+    ``shape`` field values: a complex draw takes the normals of its real
+    parts, then those of its imaginary parts."""
+    return np.empty((size, 2, *shape) if field is Field.COMPLEX else (size, *shape))
+
+
+def _values(normals: np.ndarray, field: Field) -> np.ndarray:
+    """The (size, ...) field values of a :func:`_normal_stack` buffer."""
+    if field is Field.REAL:
+        return normals
+    return (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
 
 
 def _standard(rng: np.random.Generator, shape: tuple[int, ...], field: Field) -> np.ndarray:
-    if field is Field.REAL:
-        return rng.standard_normal(shape)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    """One draw of ``shape`` standard field values."""
+    out = _normal_stack(1, shape, field)
+    _normals(rng, out[0])
+    return _values(out, field)[0]
 
 
-def _per_trial(rngs: Sequence[np.random.Generator], draw: Callable[[np.random.Generator], np.ndarray]) -> np.ndarray:
-    """A (T, ...) array of one ``draw`` from each trial's generator."""
-    if len(rngs) == 1:
-        return draw(rngs[0])[np.newaxis]
-    return np.stack([draw(rng) for rng in rngs])
+class _FirstPass:
+    """Each trial's first draws as preallocated (T, ...) stacks, filled one
+    trial at a time in its stream's order: the left frame, the right frame
+    and the scale (:func:`_conditioned_rows`; an orthonormal system draws
+    its frame alone), the dependence draws, then the ball's midpoints,
+    width magnitudes and phases, and last the point or the ball's
+    direction with its radius fraction ``rho``."""
+
+    def __init__(self, config: GeneratorConfig, size: int) -> None:
+        n, dim, field = config.n, config.dim, config.field
+        self.config = config
+        self.left = None if config.orthonormal else _normal_stack(size, (n, n), field)
+        self.right = _normal_stack(size, (dim, n), field)
+        self.scale = np.empty(size)
+        self.dependent: list[tuple[int, int, np.ndarray]] = []  # (k, victim, coefficients)
+        if config.intervals:
+            self.mids = _normal_stack(size, (n,), field)
+            self.mags = np.empty((size, n))
+            self.phases = np.empty((size, n)) if field is Field.COMPLEX else None
+            self.rho = np.zeros(size)
+        self.points = _normal_stack(size, (dim,), field)
+
+    def fill(self, rng: np.random.Generator, k: int) -> None:
+        """Draw trial ``k``'s first pass from ``rng``."""
+        cfg = self.config
+        if self.left is not None:
+            _normals(rng, self.left[k])
+        _normals(rng, self.right[k])
+        if self.left is not None:
+            self.scale[k] = math.exp(rng.random() - 0.5)  # the bits of uniform(-0.5, 0.5)
+        if cfg.dependent_fraction > 0.0 and rng.random() < cfg.dependent_fraction:
+            victim = int(rng.integers(cfg.n))
+            self.dependent.append((k, victim, _standard(rng, (cfg.n,), cfg.field)))
+        if cfg.intervals:
+            _normals(rng, self.mids[k])
+            rng.random(out=self.mags[k])
+            if self.phases is not None:
+                rng.random(out=self.phases[k])
+        _normals(rng, self.points[k])
+        if cfg.intervals and np.count_nonzero(self.points[k]):
+            self.rho[k] = 0.9 * rng.random()  # the bits of uniform(0.0, 0.9)
 
 
-def _orthonormal_frames(
-    rngs: Sequence[np.random.Generator], rows: int, dim: int, field: Field
-) -> np.ndarray:
+def _orthonormal_frames(normals: np.ndarray) -> np.ndarray:
     """(T, rows, dim) stack of matrices with orthonormal rows (Haar-ish via
-    QR), one from each generator."""
-    q, r = np.linalg.qr(_per_trial(rngs, lambda rng: _standard(rng, (dim, rows), field)))
+    QR) from the (T, dim, rows) stack of ``normals``."""
+    q, r = np.linalg.qr(normals)
     # fix the QR sign/phase ambiguity so the draw is a pure function of the data
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
@@ -207,36 +301,36 @@ def _orthonormal_frames(
     return np.swapaxes(q * phases[:, np.newaxis, :], -1, -2)
 
 
-def _conditioned_rows(rngs: Sequence[np.random.Generator], cfg: GeneratorConfig) -> np.ndarray:
+def _conditioned_rows(first: _FirstPass, cfg: GeneratorConfig) -> np.ndarray:
     """(T, n, dim) rows whose Gram matrices have condition number exactly
     cfg.conditioning."""
-    n, dim, field = cfg.n, cfg.dim, cfg.field
+    right = _orthonormal_frames(_values(first.right, cfg.field))  # n x dim, orthonormal rows
     if cfg.orthonormal:
-        return _orthonormal_frames(rngs, n, dim, field)
-    left = np.swapaxes(_orthonormal_frames(rngs, n, n, field), -1, -2)  # n x n unitaries
-    right = _orthonormal_frames(rngs, n, dim, field)  # n x dim, orthonormal rows
-    if n == 1:
+        return right
+    left = np.swapaxes(_orthonormal_frames(_values(first.left, cfg.field)), -1, -2)  # n x n unitaries
+    if cfg.n == 1:
         sigmas = np.ones(1)
     else:
-        sigmas = np.geomspace(1.0, 1.0 / math.sqrt(cfg.conditioning), n)
-    scale = np.array([math.exp(rng.uniform(-0.5, 0.5)) for rng in rngs])
-    return scale[:, np.newaxis, np.newaxis] * ((left * sigmas) @ right)
+        sigmas = np.geomspace(1.0, 1.0 / math.sqrt(cfg.conditioning), cfg.n)
+    return first.scale[:, np.newaxis, np.newaxis] * ((left * sigmas) @ right)
 
 
 def _off_complement(
     points: np.ndarray,
     systems: SystemStack,
     tol: ToleranceConfig,
-    redraw: Callable[[int], np.ndarray | None],
+    resume: Callable[[int], np.random.Generator],
+    attempt: Callable[[np.random.Generator, int], np.ndarray | None],
     what: str,
     failed: np.ndarray | None = None,
 ) -> np.ndarray:
     """Keep each point outside the orthogonal complement of its system.
 
     ``points`` holds each trial's first attempt; ``failed`` marks the
-    trials whose first attempt failed already. A trial whose point is
-    orthogonal to its system draws again from its own generator,
-    ``redraw(k)`` giving one attempt (None for a failed one), up to
+    trials whose first attempt failed already. A trial k whose point is
+    orthogonal to its system draws again from its own stream, ``resume(k)``
+    giving the generator where its first pass stopped and
+    ``attempt(rng, k)`` one attempt (None for a failed one), up to
     _MAX_REDRAWS attempts in all.
     """
     norm_max = systems.aggregates.norm_max
@@ -248,8 +342,9 @@ def _off_complement(
     if failed is not None:
         bad |= failed
     for k in np.flatnonzero(bad).tolist():
+        rng = resume(k)
         for _ in range(_MAX_REDRAWS - 1):
-            p = redraw(k)
+            p = attempt(rng, k)
             if p is not None and not orthogonal(p[np.newaxis], slice(k, k + 1))[0]:
                 points[k] = p
                 break
@@ -259,11 +354,11 @@ def _off_complement(
 
 
 def _draw_points(
-    rngs: Sequence[np.random.Generator], systems: SystemStack, tol: ToleranceConfig
+    first: _FirstPass, systems: SystemStack, tol: ToleranceConfig, resume: Callable[[int], np.random.Generator]
 ) -> np.ndarray:
     field, dim = systems.field, systems.dim
-    points = _per_trial(rngs, lambda rng: _standard(rng, (dim,), field))
-    return _off_complement(points, systems, tol, lambda k: _standard(rngs[k], (dim,), field), "x")
+    points = _values(first.points, field)
+    return _off_complement(points, systems, tol, resume, lambda rng, k: _standard(rng, (dim,), field), "x")
 
 
 def _ball_attempt(
@@ -274,7 +369,7 @@ def _ball_attempt(
     direction = _standard(rng, (center.shape[-1],), field)[np.newaxis]
     if not np.any(direction):
         return None
-    rho = np.array([rng.uniform(0.0, 0.9)])
+    rho = np.array([0.9 * rng.random()])
     return _ball_points(center, radius, direction, rho)[0]
 
 
@@ -283,7 +378,7 @@ def _ball_points(center: np.ndarray, radius: np.ndarray, direction: np.ndarray, 
 
 
 def _draw_ball_points(
-    rngs: Sequence[np.random.Generator], systems: SystemStack, tol: ToleranceConfig
+    first: _FirstPass, systems: SystemStack, tol: ToleranceConfig, resume: Callable[[int], np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Interval data plus an x inside the ball the condition describes.
 
@@ -291,28 +386,25 @@ def _draw_ball_points(
     + rho * radius * unit, rho <= 0.9, which satisfies the two-sided
     condition by construction. Returns (x, gamma, Gamma) stacks.
     """
-    field, n, rows = systems.field, systems.n, systems.rows
-    mids = _per_trial(rngs, lambda rng: _standard(rng, (n,), field))
-    mags = _per_trial(rngs, lambda rng: 0.25 + rng.uniform(0.0, 1.0, n))
+    field, rows = systems.field, systems.rows
+    mids = _values(first.mids, field)
+    widths = 0.25 + first.mags
     if field is Field.COMPLEX:
-        widths = mags * _per_trial(rngs, lambda rng: np.exp(2j * math.pi * rng.uniform(0.0, 1.0, n)))
-    else:
-        widths = mags
+        widths = widths * np.exp(2j * math.pi * first.phases)
     center = (mids[:, np.newaxis, :] @ rows)[:, 0, :]
     radius = np.sqrt(sq_norms((widths[:, np.newaxis, :] @ rows)[:, 0, :]))
-    directions = _per_trial(rngs, lambda rng: _standard(rng, (systems.dim,), field))
+    directions = _values(first.points, field)
     live = np.any(directions != 0.0, axis=-1)
-    rho = np.array([rng.uniform(0.0, 0.9) if ok else 0.0 for rng, ok in zip(rngs, live.tolist())])
     failed = None
     if not live.all():
         failed = ~live
         directions[failed] = 1.0  # a placeholder point, replaced by the redraws
-    points = _ball_points(center, radius, directions, rho)
+    points = _ball_points(center, radius, directions, first.rho)
 
-    def redraw(k: int) -> np.ndarray | None:
-        return _ball_attempt(rngs[k], center[k : k + 1], radius[k : k + 1], field)
+    def attempt(rng: np.random.Generator, k: int) -> np.ndarray | None:
+        return _ball_attempt(rng, center[k : k + 1], radius[k : k + 1], field)
 
-    points = _off_complement(points, systems, tol, redraw, "a ball point", failed)
+    points = _off_complement(points, systems, tol, resume, attempt, "a ball point", failed)
     return points, mids - widths, mids + widths
 
 
@@ -320,27 +412,34 @@ def generate_chunk(
     config: GeneratorConfig, trials: range, tol: ToleranceConfig = DEFAULT_TOL
 ) -> InstanceChunk:
     """Build the instances of consecutive trials as one chunk. Each trial
-    draws from its own Philox stream and its numbers do not depend on the
-    other trials of the chunk, so this is pure and replayable per trial."""
+    draws from its own Philox stream, keyed by (seed, trial) on one
+    generator, and its numbers do not depend on the other trials of the
+    chunk, so this is pure and replayable per trial."""
     if not trials:
         raise ValueError(f"trial range {trials} is empty")
     for trial in (trials[0], trials[-1]):
         if not 0 <= trial < config.trials:
             raise ValueError(f"trial index {trial} outside the configured range [0, {config.trials})")
-    rngs = [trial_rng(config.seed, t) for t in trials]
-    rows = _conditioned_rows(rngs, config)
-    if config.dependent_fraction > 0.0:
-        for k, rng in enumerate(rngs):
-            if rng.uniform() < config.dependent_fraction:
-                victim = int(rng.integers(config.n))
-                coeffs = _standard(rng, (config.n,), config.field)
-                coeffs[victim] = 0.0
-                rows[k, victim] = (coeffs[np.newaxis] @ rows[k])[0]
+    first = _FirstPass(config, len(trials))
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each trial
+    states = []
+    for k, trial in enumerate(trials):
+        first.fill(_rekey(rng, config.seed, trial), k)
+        states.append(rng.bit_generator.state)
+
+    def resume(k: int) -> np.random.Generator:
+        rng.bit_generator.state = states[k]
+        return rng
+
+    rows = _conditioned_rows(first, config)
+    for k, victim, coeffs in first.dependent:
+        coeffs[victim] = 0.0
+        rows[k, victim] = (coeffs[np.newaxis] @ rows[k])[0]
     systems = SystemStack(rows, config.field, tol)
     if config.intervals:
-        x, lo, hi = _draw_ball_points(rngs, systems, tol)
+        x, lo, hi = _draw_ball_points(first, systems, tol, resume)
     else:
-        x, lo, hi = _draw_points(rngs, systems, tol), None, None
+        x, lo, hi = _draw_points(first, systems, tol, resume), None, None
     for a in (x, lo, hi):
         if a is not None:
             a.setflags(write=False)

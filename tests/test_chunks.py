@@ -7,6 +7,8 @@ trial alone, serial against split runs, and a stacked factorization
 against one matrix at a time.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -215,25 +217,32 @@ def test_the_dependent_stream_has_dependent_trials_in_its_chunks():
         assert np.array_equal(system.rows, chunk.systems.rows[k])
 
 
-@pytest.mark.parametrize("name", ["complex_d7_n5_k1e2_intervals", "real_d6_n4_k1e3_dependent"])
-def test_redrawn_points_do_not_depend_on_the_chunk(name, monkeypatch):
+def _rejected(xx):
+    return np.modf(xx * 1e3)[0] < 0.5
+
+
+def _reject_about_half(monkeypatch):
     # also count as orthogonal to its system about every other point (by the
     # digits of ||x||^2), so that many trials redraw x from their own streams
     from spandist import generator as sd_gen
 
-    config = _config(name, trials=20)
-    first = [sd.generate_instance(config, t, TOL).x.coords for t in range(config.trials)]
     original = sd_gen.orth_complement_stack
 
-    def rejected(xx):
-        return np.modf(xx * 1e3)[0] < 0.5
-
     def strict(xx, beta, norm_max, tol):
-        return original(xx, beta, norm_max, tol) | rejected(xx)
+        return original(xx, beta, norm_max, tol) | _rejected(xx)
 
     monkeypatch.setattr(sd_gen, "orth_complement_stack", strict)
+
+
+@pytest.mark.parametrize("name", ["complex_d7_n5_k1e2_intervals", "real_d6_n4_k1e3_dependent"])
+def test_redrawn_points_do_not_depend_on_the_chunk(name, monkeypatch):
+    from spandist import generator as sd_gen
+
+    config = _config(name, trials=20)
+    first = [sd.generate_instance(config, t, TOL).x.coords for t in range(config.trials)]
+    _reject_about_half(monkeypatch)
     chunk = generate_chunk(config, range(0, config.trials), TOL)
-    assert not rejected(sd.space.sq_norms(chunk.x)).any()
+    assert not _rejected(sd.space.sq_norms(chunk.x)).any()
     redrawn = 0
     for k in range(config.trials):
         alone = sd.generate_instance(config, k, TOL)
@@ -251,29 +260,81 @@ def test_redrawn_points_do_not_depend_on_the_chunk(name, monkeypatch):
         generate_chunk(config, range(0, 4), TOL)
 
 
+# the generator's bits, pinned: sha256 of a 16-trial chunk's rows, x, lo, hi
+# and auxiliary coefficients, as drawn and with about half the points redrawn
+PINNED_STREAMS = {
+    "real_d6_n4_k1e3": dict(dim=6, n=4, field=Field.REAL, conditioning=1e3),
+    "real_d5_n3_k1e2_intervals": dict(dim=5, n=3, field=Field.REAL, conditioning=1e2, intervals=True),
+    "real_d4_n3_orthonormal_intervals": dict(dim=4, n=3, field=Field.REAL, orthonormal=True, intervals=True),
+    "complex_d7_n5_k1e2": dict(dim=7, n=5, field=Field.COMPLEX, conditioning=1e2),
+    "complex_d7_n5_k1e2_intervals": dict(dim=7, n=5, field=Field.COMPLEX, conditioning=1e2, intervals=True),
+    "complex_d6_n4_k1e3_intervals_dependent": dict(
+        dim=6, n=4, field=Field.COMPLEX, conditioning=1e3, intervals=True, dependent_fraction=0.5
+    ),
+}
+PINNED_DIGESTS = {
+    ("complex_d6_n4_k1e3_intervals_dependent", False): "4ac69cc91d9964caa04588e57fffcd81666a45ef03ec8f49e8a2df6c16154247",
+    ("complex_d6_n4_k1e3_intervals_dependent", True): "63a34d8918ac23c3efc5818b586fd67c001bd13b02c004510c9d4fcf63d81414",
+    ("complex_d7_n5_k1e2", False): "cc58ace782360a56f2ad625e1b3d9f02ace80d8a6fb1381331c61b201e9cc880",
+    ("complex_d7_n5_k1e2", True): "3ec5d24f3fc67c2f718bc4d062ffe1f94ca87043cbe3074719b769556d12195e",
+    ("complex_d7_n5_k1e2_intervals", False): "3d9791058cb411f850aecfc22f44e6a99f21085938c5477977e418dad08f6d69",
+    ("complex_d7_n5_k1e2_intervals", True): "2781f5114ca6f120c3ed5635d5dd411a116f6fa413f08ef7d11d15b19a5cc8f4",
+    ("real_d4_n3_orthonormal_intervals", False): "19f02ae1c7955eebb7d58029ed27fb86b47c3790f8dc3bc11e0cf822fb1608a9",
+    ("real_d4_n3_orthonormal_intervals", True): "a8f00a465dfdffb25f81f849323b469df5e231a73cf824bca29d0936fcdeed7e",
+    ("real_d5_n3_k1e2_intervals", False): "5c143505c6ac9497ccf1f34b8350630efed81f70cce60eacc89c79085461d5e3",
+    ("real_d5_n3_k1e2_intervals", True): "d60afacc12611b6934cca7f6c3a2452460bb299ed9734ca69edf906cc710b71f",
+    ("real_d6_n4_k1e3", False): "523bdc02bef8fd4ffd9a016c312f04d2fc07cc85943eb55a3a06f08510bc7a06",
+    ("real_d6_n4_k1e3", True): "720cef7ca9efbda87e3d5d7e8f092e36192a4f543e7ea139876e39a6152f28d6",
+}
+
+
+def _chunk_digest(chunk):
+    h = hashlib.sha256()
+    coeffs = [chunk.coeffs(salt) for salt in (1, 2, 3)] + [chunk.coeffs(3, chunk.systems.dim)]
+    for a in (chunk.systems.rows, chunk.x, chunk.lo, chunk.hi, *coeffs):
+        if a is not None:
+            h.update(repr((a.dtype.str, a.shape)).encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("redrawn", [False, True], ids=["drawn", "redrawn"])
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_the_generators_bits_are_pinned(name, redrawn, monkeypatch):
+    if redrawn:
+        _reject_about_half(monkeypatch)
+    config = GeneratorConfig(seed=41, trials=16, **PINNED_STREAMS[name])
+    chunk = generate_chunk(config, range(config.trials), TOL)
+    assert _chunk_digest(chunk) == PINNED_DIGESTS[name, redrawn]
+
+
 def test_a_zero_direction_is_redrawn_from_the_trials_own_stream(monkeypatch):
     # the first direction drawn for x in the ball of chosen trials comes out
     # zero; the draw still consumes its random numbers. Each trial is told
-    # apart by the trial half of its Philox key.
+    # apart by the trial half of its Philox key, and its first direction by
+    # being the first draw of dim normals from that key in one generation.
     from spandist import generator as sd_gen
 
     config = _config("complex_d7_n5_k1e2_intervals", trials=20)
     first = [sd.generate_instance(config, t, TOL).x.coords for t in range(config.trials)]
-    original = sd_gen._standard
+    original = sd_gen._normals
     zeroed = {1, 6, 17}
-    hit = {}  # id -> generator, kept alive so that no id is reused
+    hit = []  # the zeroed trials, once per generation
+    drawn = set()  # the trials whose first direction this generation drew
 
-    def standard(rng, shape, field):
-        out = original(rng, shape, field)
-        if shape == (config.dim,) and rng.bit_generator.state["state"]["key"][1] in zeroed and id(rng) not in hit:
-            hit[id(rng)] = rng
-            return np.zeros_like(out)
-        return out
+    def normals(rng, out):
+        original(rng, out)
+        trial = int(rng.bit_generator.state["state"]["key"][1])
+        if out.shape[-1] == config.dim and trial in zeroed and trial not in drawn:
+            drawn.add(trial)
+            hit.append(trial)
+            out[...] = 0.0
 
-    monkeypatch.setattr(sd_gen, "_standard", standard)
+    monkeypatch.setattr(sd_gen, "_normals", normals)
     chunk = generate_chunk(config, range(0, config.trials), TOL)
     assert len(hit) == len(zeroed)
     for k in range(config.trials):
+        drawn.clear()
         alone = sd.generate_instance(config, k, TOL)
         assert np.array_equal(alone.x.coords, chunk.x[k])
         lo, hi = chunk.lo[k].tolist(), chunk.hi[k].tolist()
@@ -282,11 +343,12 @@ def test_a_zero_direction_is_redrawn_from_the_trials_own_stream(monkeypatch):
         assert sd.condition_verdict(alone.system, alone.x, alone.intervals).holds, k
     assert len(hit) == 2 * len(zeroed)
 
-    def always_zero(rng, shape, field):
-        out = original(rng, shape, field)
-        return np.zeros_like(out) if shape == (config.dim,) else out
+    def always_zero(rng, out):
+        original(rng, out)
+        if out.shape[-1] == config.dim:
+            out[...] = 0.0
 
-    monkeypatch.setattr(sd_gen, "_standard", always_zero)
+    monkeypatch.setattr(sd_gen, "_normals", always_zero)
     with pytest.raises(sd.NumericalInstabilityError):
         generate_chunk(config, range(0, 4), TOL)
     with pytest.raises(sd.NumericalInstabilityError):

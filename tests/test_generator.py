@@ -1,8 +1,14 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import spandist as sd
 from spandist import Field, GeneratorConfig
+from spandist import generator as sd_gen
+from spandist.generator import InstanceChunk, generate_chunk
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -125,3 +131,93 @@ def test_child_streams_differ_by_salt():
     assert not np.array_equal(a, b)
     again = sd.child_rng(inst, 1).standard_normal(4)
     assert np.array_equal(a, again)
+
+
+BAD_WORDS = [2.5, 1.0, True, False, -1, 2**64, None, "1", np.float64(3.0)]
+
+
+@pytest.mark.parametrize("bad", BAD_WORDS)
+def test_the_stream_constructors_take_only_64_bit_integers(bad):
+    inst = sd.generate_instance(GeneratorConfig(seed=1, trials=2, dim=4, n=2), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="seed"):
+            sd.trial_rng(bad, 1)
+        with pytest.raises(ValueError, match="trial"):
+            sd.trial_rng(1, bad)
+        with pytest.raises(ValueError, match="salt"):
+            sd.child_rng(inst, bad)
+        if bad is not None:  # None is a file-loaded instance's seed and trial
+            for name in ("seed", "trial"):
+                odd = dataclasses.replace(inst, **{name: bad})
+                with pytest.raises(ValueError, match=name):
+                    sd.child_rng(odd, 1)
+                with pytest.raises(ValueError, match=name):
+                    sd.run_checks(odd, ("lagrange_identity",), sd.DEFAULT_TOL)
+
+
+def test_every_64_bit_seed_keys_its_own_stream():
+    # the top seeds are keys of their own, not the float-rounded neighbours
+    # of one another
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [sd.trial_rng(seed, 0).standard_normal(4) for seed in (2**64 - 1, 2**64 - 2, 2**63 + 1, 2**63)]
+        for seed in (2**64 - 1, 2**63 + 1):
+            assert sd.trial_rng(seed, 3).bit_generator.state["state"]["key"].tolist() == [seed, 3]
+        assert sd.trial_rng(np.uint64(2**64 - 1), np.int32(3)).bit_generator.state["state"]["key"][0] == 2**64 - 1
+    assert len({d.tobytes() for d in draws}) == len(draws)
+
+
+def _draws(rng):
+    """Normals, uniforms and 32-bit integers, whose halves the Philox
+    buffers between calls."""
+    return [
+        rng.standard_normal(5),
+        rng.integers(0, 2**31, 3, dtype=np.int32),
+        rng.uniform(-0.5, 0.5),
+        rng.integers(0, 2**31, dtype=np.int32),
+        rng.random(3),
+        rng.standard_normal(4),
+    ]
+
+
+@pytest.mark.parametrize("seed, trial, salt", [
+    (2**64 - 1, 0, 0),
+    (2**64 - 1, 9, 3),
+    (0, 0, 0),
+    (41, 5, 3),
+    (2**63, 2**64 - 1, 2**64 - 1),
+    (None, None, 0),
+    (None, None, 3),
+])
+def test_a_rekeyed_generator_draws_the_fresh_streams(seed, trial, salt):
+    system = sd.VectorSystem.from_rows([[1.0, 0.0, 0.0]])
+    inst = sd.Instance(system=system, x=sd.vector([0.0, 1.0, 0.0]), seed=seed, trial=trial)
+    kept = np.random.Generator(np.random.Philox(key=0))
+    kept.integers(0, 2**31, dtype=np.int32)  # leaves the second 32-bit half buffered
+    assert kept.bit_generator.state["has_uint32"] == 1
+    fresh = [sd.child_rng(inst, salt)]
+    if salt == 0:
+        fresh.append(sd.trial_rng(seed or 0, trial or 0))
+    for rng in fresh:
+        want = _draws(rng)
+        got = _draws(sd_gen._rekey(kept, seed or 0, trial or 0, salt))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    # a chunk's coefficients, the file-loaded chunk of one included
+    chunk = InstanceChunk.of(inst, sd.DEFAULT_TOL)
+    assert np.array_equal(chunk.coeffs(salt, 4)[0], sd.child_rng(inst, salt).standard_normal(4))
+
+
+@pytest.mark.parametrize("field", list(Field))
+def test_chunk_coefficients_are_each_trials_child_stream(field):
+    config = GeneratorConfig(seed=2**64 - 1, trials=9, dim=5, n=3, field=field)
+    chunk = generate_chunk(config, range(2, 9, 2))
+    for salt, count in ((1, None), (3, 5)):
+        got = chunk.coeffs(salt, count)
+        for k, trial in enumerate(chunk.trials):
+            rng = sd.child_rng(sd.generate_instance(config, trial), salt)
+            want = rng.standard_normal(count or config.n)
+            if field is Field.COMPLEX:
+                want = (want + 1j * rng.standard_normal(count or config.n)) / math.sqrt(2.0)
+            assert np.array_equal(got[k], want), (salt, trial)
