@@ -80,6 +80,8 @@ class CombinationMethod:
 
     def __post_init__(self) -> None:
         k = self.kind
+        if not isinstance(k, CombinationKind):
+            raise ValueError(f"kind must be a CombinationKind, got {k!r}")
         if k is CombinationKind.DIAG_OFFDIAG:
             if self.diag_branch not in DIAG_BRANCHES:
                 raise ValueError(f"diag_branch must be one of {DIAG_BRANCHES}, got {self.diag_branch!r}")

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NotOrthonormalError, NumericalWarning
 from .gram import FactorStack, SystemStack, VectorSystem, _each, require_independent
 from .orthonormalize import distance_sq_stack
-from .space import Field, Scalar, ToleranceConfig, Vector, re_inner_rows, sq_norms
+from .space import Field, Scalar, ToleranceConfig, Vector, sq_norms
 
 __all__ = [
     "DistanceResult",
@@ -73,53 +73,32 @@ def orth_complement_stack(
     return np.abs(beta).max(axis=-1, initial=0.0) <= tol.orth_rel_tol * scale
 
 
-def _solve_spd(factor: FactorStack, b: np.ndarray) -> np.ndarray:
-    """Solve G a = b for each complete factorization P G P^T = L L^H."""
-    lower, perm = factor.lower, factor.perm
-    natural = bool((perm == np.arange(perm.shape[-1])).all())
-    if not natural:
-        b = np.take_along_axis(b, perm, axis=-1)
-    z = np.linalg.solve(np.swapaxes(lower.conj(), -1, -2), np.linalg.solve(lower, b[:, :, np.newaxis]))[:, :, 0]
-    if natural:
-        return z
-    a = np.empty_like(z)
-    np.put_along_axis(a, perm, z, axis=-1)
-    return a
-
-
 def quadratic_stack(
     factor: FactorStack, xx: np.ndarray, beta: np.ndarray, tol: ToleranceConfig
 ) -> np.ndarray:
     """d^2 = ||x||^2 - beta* G^{-1} beta, clamped at zero, for the systems
-    whose factorization is complete (NaN for the others).
+    whose factorization is complete (NaN for the others, through their NaN
+    ``inverse``).
 
-    A tiny negative value from cancellation is clamped silently; a negative
-    value beyond comparison tolerance (relative to ||x||^2) additionally
-    emits a NumericalWarning before clamping.
+    With P G P^T = L L^H, beta* G^{-1} beta = ||L^-1 conj(beta)[perm]||^2,
+    one product with the factorization's kept ``inverse``. Its columns carry
+    the row scaling exactly, so per-row scaling by powers of two leaves
+    every bit of d^2 as it is. A tiny negative value from cancellation is
+    clamped silently; a negative value beyond comparison tolerance (relative
+    to ||x||^2) additionally emits a NumericalWarning before clamping.
     """
-    everywhere = factor.complete.all()
-    if everywhere:
-        part, b, x2 = factor, beta, xx
-    else:
-        idx = np.flatnonzero(factor.complete)
-        part = FactorStack._make(field[idx] for field in factor)
-        b, x2 = beta[idx], xx[idx]
-    # The projection coefficients c satisfy conj(G) c = beta under our
-    # entry convention G[i, j] = <x_i, x_j>, and ||Px||^2 = Re sum conj(beta) c.
-    # Solving G w = conj(beta) and conjugating is the same thing.
-    value = x2 - re_inner_rows(b, np.conj(_solve_spd(part, np.conj(b))))
-    if value.size and value.min() < 0.0:
-        for v in value[value < -tol.compare_rel_tol * (1.0 + x2)].tolist():
-            warnings.warn(
-                f"quadratic-form distance {v:.3e} is negative beyond tolerance",
-                NumericalWarning,
-                stacklevel=3,
-            )
-    if everywhere:
-        return np.maximum(value, 0.0)
-    out = np.full(xx.shape, np.nan)
-    out[idx] = np.maximum(value, 0.0)
-    return out
+    # The projection coefficients c satisfy conj(G) c = beta under our entry
+    # convention G[i, j] = <x_i, x_j>, and ||Px||^2 = Re sum conj(beta) c =
+    # v^H G^{-1} v for v = conj(beta).
+    v = np.take_along_axis(np.conj(beta), factor.perm, axis=-1)
+    value = xx - sq_norms((factor.inverse @ v[:, :, np.newaxis])[:, :, 0])
+    for d2 in value[value < -tol.compare_rel_tol * (1.0 + xx)].tolist():
+        warnings.warn(
+            f"quadratic-form distance {d2:.3e} is negative beyond tolerance",
+            NumericalWarning,
+            stacklevel=3,
+        )
+    return np.maximum(value, 0.0)
 
 
 def gram_ratio_stack(systems: SystemStack, xx: np.ndarray, beta: np.ndarray) -> np.ndarray:

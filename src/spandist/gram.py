@@ -320,7 +320,10 @@ class FactorStack(NamedTuple):
     """The factorizations of a (T, m, m) stack, as (T, ...) arrays:
     ``lower``, ``perm``, ``pivots`` (read-only) and ``rank`` stack the fields
     of :class:`PivotedCholesky`; ``complete`` is rank == m and ``det`` the
-    determinant (exactly 0.0 where the rank test failed)."""
+    determinant (exactly 0.0 where the rank test failed). ``inverse``
+    (read-only) holds L^-1 for P G P^T = L L^H, all NaN where the rank test
+    failed: the inverse of the equilibrated factor with its columns divided
+    by S[perm], so scaling a row by 2^k divides its column by exactly 2^k."""
 
     lower: np.ndarray
     perm: np.ndarray
@@ -328,6 +331,7 @@ class FactorStack(NamedTuple):
     rank: np.ndarray
     complete: np.ndarray
     det: np.ndarray
+    inverse: np.ndarray
 
     def trial(self, k: int) -> PivotedCholesky:
         return PivotedCholesky(
@@ -374,7 +378,9 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
     absorbs rounding) the decision is full rank, and L is kept in natural
     order. Otherwise, and for a nonpositive or nonfinite diagonal or a
     LAPACK failure, :func:`pivoted_cholesky` factors that E alone, and
-    decides reduced rank and negative-pivot errors.
+    decides reduced rank and negative-pivot errors. The certificate's
+    L_e^-1 is kept as ``inverse`` (:class:`FactorStack`); a fallback matrix
+    of full rank inverts its pivoted L_e.
     """
     a = np.asarray(mats)
     if a.dtype != np.float64 and a.dtype != np.complex128:
@@ -398,6 +404,7 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
     inv_sq = np.add.reduce(np.abs(inv_e.reshape(count, -1)) ** 2, axis=-1)
     fast &= 4.0 * rank_rel_tol * inv_sq * np.maximum.reduce(src.diagonal(0, -2, -1).real, axis=-1) < 1.0
     lower = scale[:, :, np.newaxis] * lower_e
+    inverse = inv_e / scale[:, np.newaxis, :]
     pivots = np.abs(lower.diagonal(0, -2, -1)) ** 2
     perm, rank, complete = _full_rank(count, m)
     if not fast.all():
@@ -406,11 +413,12 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
             ref = pivoted_cholesky(e[k], rank_rel_tol)
             s = scale[k][ref.perm]
             lower[k], perm[k], pivots[k], rank[k] = s[:, np.newaxis] * ref.lower, ref.perm, s * s * ref.pivots, ref.rank
+            inverse[k] = np.linalg.inv(ref.lower) / s if ref.complete else np.nan
         perm, complete = _frozen(perm), rank == m
     det = np.multiply.reduce(pivots, axis=-1)
     if not complete.all():
         det = np.where(complete, det, 0.0)
-    return FactorStack(_frozen(lower), perm, _frozen(pivots), rank, complete, det)
+    return FactorStack(_frozen(lower), perm, _frozen(pivots), rank, complete, det, _frozen(inverse))
 
 
 @lru_cache(maxsize=64)

@@ -100,8 +100,11 @@ def hadamard_chain(
     The prefix numerators and denominators come from the ``chain_prefixes``
     of the system's stack (``system.as_stack().aggregates``), computed once
     per system for every position and every variant; :func:`chain_stack`
-    runs on that stack of one.
+    runs on that stack of one. A ``variant`` that is not a
+    :class:`ChainVariant` raises ValueError.
     """
+    if not isinstance(variant, ChainVariant):
+        raise ValueError(f"variant must be a ChainVariant, got {variant!r}")
     require_independent(system)
     if system.n < 2:
         raise ValueError("chain refinements need at least two vectors")

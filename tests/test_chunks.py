@@ -189,6 +189,8 @@ def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
     assert factor.det.tolist() == [f.determinant() for f in alone]
     for k, f in enumerate(alone):
         assert np.array_equal(factor.lower[k], f.lower) and np.array_equal(factor.perm[k], f.perm)
+        own = sd_gram.factor_stack(mats[k][np.newaxis]).inverse[0]
+        assert np.array_equal(factor.inverse[k], own, equal_nan=True)
 
 
 def test_a_chunk_takes_any_nonempty_range_inside_the_stream():

@@ -169,6 +169,12 @@ def test_evaluate_combination_dispatch(pair):
     assert res.method.label == direct.method.label
 
 
+@pytest.mark.parametrize("kind, branch", [("row_sum", "bogus"), ("row_sum", "max_row"), (None, None), (4, None)])
+def test_a_method_kind_must_be_a_combination_kind(kind, branch):
+    with pytest.raises(ValueError, match=f"^kind must be a CombinationKind, got {kind!r}$"):
+        CombinationMethod(kind=kind, branch=branch)
+
+
 def test_combination_rejects_length_mismatch(pair):
     with pytest.raises(ValueError):
         sd.cauchy_schwarz_bound([1.0], pair)

@@ -1,5 +1,7 @@
 """The three distance representations against an orthonormalization oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,7 @@ _SCALED = [
 
 
 @pytest.mark.parametrize("config", _SCALED, ids=lambda c: f"{c.field.value}-n{c.n}-k{c.conditioning:.0e}")
-def test_row_scaling_by_powers_of_two_keeps_rank_and_ratio_bits(config):
+def test_row_scaling_by_powers_of_two_keeps_rank_ratio_and_d2_bits(config):
     for trial in range(config.trials):
         inst = sd.generate_instance(config, trial)
         k = np.random.default_rng([config.n, trial]).integers(-60, 61, config.n)
@@ -139,6 +141,22 @@ def test_row_scaling_by_powers_of_two_keeps_rank_and_ratio_bits(config):
         assert scaled.rank == inst.system.rank
         got, want = PointStack.of(scaled, inst.x), PointStack.of(inst.system, inst.x)
         np.testing.assert_array_equal(got.ratio, want.ratio)
+        np.testing.assert_array_equal(got.d2, want.d2)
+
+
+def test_a_kappa_one_system_keeps_its_quadratic_form_under_row_scaling():
+    # orthonormal rows scaled by 2^53, 2^-41 and 2^29: kappa(G) is huge, the
+    # equilibrated Gram matrix is still the identity
+    config = sd.GeneratorConfig(seed=7, trials=200, dim=4, n=3, orthonormal=True, intervals=True)
+    inst = sd.generate_instance(config, 12)
+    scaled = VectorSystem.from_rows(inst.system.rows * np.exp2([53, -41, 29])[:, np.newaxis])
+    want = sd.exact_distance(inst.system, inst.x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", sd.NumericalWarning)
+        got = sd.exact_distance(scaled, inst.x)
+    assert got.d2_quadratic == want.d2_quadratic
+    assert got.agreement_ok and not got.numerical_warning
+    assert got.d2_quadratic == pytest.approx(sd.distance_sq_oracle(scaled, inst.x), rel=1e-12)
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

@@ -66,6 +66,13 @@ def test_chain_requires_two_vectors():
         sd.hadamard_chain(system, ChainVariant.ROW_SUMS)
 
 
+@pytest.mark.parametrize("variant", ["total_norm", None, 0])
+def test_chain_takes_only_a_chain_variant(variant):
+    system = VectorSystem.from_rows([[1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=f"^variant must be a ChainVariant, got {variant!r}$"):
+        sd.hadamard_chain(system, variant)
+
+
 def test_chain_requires_independence():
     system = VectorSystem.from_rows([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(sd.LinearDependenceError):

@@ -27,6 +27,7 @@ from spandist import combination as sd_comb
 from spandist import gram as sd_gram
 from spandist import orthonormalize as sd_orth
 from spandist.checks import applicable_checks, run_checks
+from spandist.distance import PointStack, quadratic_stack
 from spandist.errors import NumericalInstabilityError
 
 from conftest import random_rows
@@ -256,6 +257,65 @@ def test_a_dependent_system_has_the_reference_rank_and_a_zero_determinant():
     assert system.rank == ref.rank == 2
     assert sd.gram_determinant(system) == ref.determinant() == 0.0
     assert float(ref.pivots[0]) == 9.0
+
+
+# -- the kept inverse factor and the quadratic form that reads it --------------------
+
+
+def _inverse_cases(field):
+    """A certified matrix, a complete one that falls back to the pivoted
+    reference (E's pivots taken in the order 1, 2, 0) and a rank-2 one."""
+    rng = np.random.default_rng(23)
+    certified = _gram(_conditioned_rows(rng, 3, field, 1e4))
+    phase = 1j if field is Field.COMPLEX else 1.0
+    c = phase * math.sqrt(1.5 * (1.0 - 4.0 * TOL))
+    fallback = np.array([[1.0, c, 0.0], [np.conj(c), 1.5, 0.0], [0.0, 0.0, 1.25]])
+    dependent = np.array([[1.0, phase, 0.0], [np.conj(phase), 1.0, 0.0], [0.0, 0.0, 1.0]])
+    return np.stack([certified, fallback, dependent])
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_the_factor_keeps_the_inverse_of_its_lower_factor(field, monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    factor = sd_gram.factor_stack(_inverse_cases(field), TOL)
+    assert len(calls) == 2
+    assert factor.complete.tolist() == [True, True, False]
+    assert factor.perm[0].tolist() == [0, 1, 2] and factor.perm[1].tolist() == [1, 2, 0]
+    for k in (0, 1):
+        assert np.allclose(factor.inverse[k] @ factor.lower[k], np.eye(3), rtol=0.0, atol=1e-9)
+    assert np.isnan(factor.inverse[2]).all()
+    assert not factor.inverse.flags.writeable
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_row_scaling_divides_the_inverse_columns_exactly(field):
+    mats = _inverse_cases(field)
+    factor = sd_gram.factor_stack(mats, TOL)
+    k = np.array([[60, -41, 29], [-3, 200, 7], [1, 0, -60]])
+    d = np.exp2(k)
+    scaled = sd_gram.factor_stack(mats * d[:, :, np.newaxis] * d[:, np.newaxis, :], TOL)
+    assert np.array_equal(scaled.perm, factor.perm)
+    want = factor.inverse / np.take_along_axis(d, factor.perm, axis=-1)[:, np.newaxis, :]
+    assert np.array_equal(scaled.inverse, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_the_quadratic_form_reads_a_pivoted_factor_in_its_order(field):
+    # rows whose Gram matrix is the fallback case: the factor's perm is [1, 2, 0]
+    rows = np.hstack([np.linalg.cholesky(_inverse_cases(field)[1]), np.zeros((3, 1))])
+    system = sd.VectorSystem.from_rows(rows, field)
+    assert system.as_stack().factor.perm[0].tolist() == [1, 2, 0]
+    x = sd.vector(np.array([0.3, -0.7, 0.2, 0.5]) * (1.0 + 0.5j if field is Field.COMPLEX else 1.0), field)
+    p = PointStack.of(system, x)
+    assert abs(p.d2[0] - p.oracle[0]) <= system.gram_condition() * np.finfo(float).eps * p.xx[0]
+
+
+def test_the_quadratic_form_warns_once_and_clamps_a_negative_value():
+    factor = sd_gram.factor_stack([[[1.0]], [[0.0]]])
+    with pytest.warns(sd.NumericalWarning) as record:
+        got = quadratic_stack(factor, np.array([0.5, 1.0]), np.array([[1.0], [1.0]]), sd.DEFAULT_TOL)
+    assert [str(w.message) for w in record] == ["quadratic-form distance -5.000e-01 is negative beyond tolerance"]
+    assert np.array_equal(got, [0.0, np.nan], equal_nan=True)
 
 
 # -- the QR oracle against least squares and an exact value -------------------------

@@ -74,11 +74,11 @@ Results must not depend on how the rows are scaled. For the same trials,
 the ``scale`` line rescales row i of the system by 2^k_i, with k_i in
 [-60, 60] drawn from a generator seeded by (:data:`SEED`, trial), and
 hashes the rank of the rescaled system and the ``repr`` of its
-``distance_sq_gram_ratio`` (or the type of what it raises). Scaling by a
-power of two is exact, so both must equal the unscaled system's: a line
-``SCALE <stream> <trial>`` is printed for each trial where either differs,
-and the script then exits with status 1. A ``combined scale`` digest over
-these lines follows.
+``distance_sq_gram_ratio`` and ``distance_sq_quadratic`` (or the type of
+what each raises). Scaling by a power of two is exact, so all three must
+equal the unscaled system's: a line ``SCALE <stream> <trial>`` is printed
+for each trial where any differs, and the script then exits with status 1.
+A ``combined scale`` digest over these lines follows.
 
 The ill-conditioned end of the generator is fingerprinted by a second grid
 (:data:`GRID`): both fields, dim/n 7/5, 8/7 and 12/6, Gram condition 1e8,
@@ -283,17 +283,23 @@ def _gram(config: GeneratorConfig) -> str:
 
 
 def _scale(config: GeneratorConfig) -> tuple[str, list[int]]:
-    """The rank and determinant-ratio distance of the first trials of a
-    stream with each row rescaled by a power of two, and the trials where
-    either differs from the unscaled system's."""
+    """The rank, determinant-ratio distance and quadratic-form distance of
+    the first trials of a stream with each row rescaled by a power of two,
+    and the trials where any of them differs from the unscaled system's."""
+
+    def fingerprint(system: sd.VectorSystem, x: sd.Vector) -> str:
+        return f"{system.rank} " + "".join(
+            _repr_or_error(lambda: fn(system, x)) for fn in (sd.distance_sq_gram_ratio, sd.distance_sq_quadratic)
+        )
+
     out, moved = [], []
     for trial in range(min(LIBRARY_TRIALS, config.trials)):
         inst = sd.generate_instance(config, trial)
         s, x = inst.system, inst.x
         k = np.random.default_rng([SEED, trial]).integers(-60, 61, s.n)
         scaled = sd.VectorSystem.from_rows(s.rows * np.exp2(k)[:, np.newaxis], s.field)
-        text = f"{scaled.rank} " + _repr_or_error(lambda: sd.distance_sq_gram_ratio(scaled, x))
-        if text != f"{s.rank} " + _repr_or_error(lambda: sd.distance_sq_gram_ratio(s, x)):
+        text = fingerprint(scaled, x)
+        if text != fingerprint(s, x):
             moved.append(trial)
         out.append(f"trial {trial} scale\n" + text)
     return "".join(out), moved
