@@ -233,6 +233,7 @@ def replay_trial(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[CheckOutcome]:
     """Re-run one trial exactly as the campaign saw it and return every outcome."""
+    trial = checked_int("trial index", trial)
     if not (0 <= trial):
         raise ValueError("trial index must be >= 0")
     names = tuple(checks) if checks is not None else applicable_checks(config)

@@ -55,6 +55,8 @@ DOMINANCE_REL = 1e-10
 IDENTITY_REL = 1e-12
 FIXED_POINT_REL = 1e-12
 STRICTNESS_GAP = 1e-12
+# The strict total-norm check runs where kappa_E, the factor's condition of
+# the equilibrated Gram matrix (scale-free, unlike kappa(G)), is at most this.
 STRICT_CONDITION_LIMIT = 1e3
 
 _SALT_LAGRANGE = 1
@@ -153,7 +155,7 @@ def _bound_dominance(t: InstanceChunk) -> list[Column]:
         for method, value in t.unconditional.items()
     ]
     if t.systems.n >= 2:
-        condition = t.systems.condition
+        condition = t.systems.factor.condition
         total = t.unconditional[bnd.BoundMethod.TOTAL_NORM]
         out.append(_column(
             "bound_dominance/total_norm_strict",

@@ -52,8 +52,10 @@ __all__ = [
     "exact_distance",
 ]
 
-# Gram condition below which the two exact representations are expected to
-# agree to comparison tolerance; disagreement there is flagged as numerical.
+# kappa_E (the factor's condition of the equilibrated Gram matrix, which row
+# scaling does not move) below which the two exact representations are
+# expected to agree to comparison tolerance; disagreement there is flagged
+# as numerical.
 WELL_CONDITIONED_LIMIT = 1e6
 
 
@@ -278,8 +280,10 @@ class DistanceResult:
     ``d2`` is the quadratic-form value; ``agreement_ok`` ties it to the
     determinant ratio; ``projection_matches`` records whether the projection
     quotient coincided (it need not); ``numerical_warning`` is set when the
-    two exact representations disagree although the Gram matrix was well
-    conditioned.
+    two exact representations disagree although the equilibrated Gram
+    matrix was well conditioned (the factor's kappa_E, which does not depend
+    on how the rows are scaled). ``gram_condition`` reports the eigenvalue
+    condition number of the Gram matrix itself, kappa(G), which does.
     """
 
     d2_gram_ratio: float
@@ -312,7 +316,6 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
     d2_proj = float(p.projection[0])
     agree = abs(d2_ratio - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
     proj_match = abs(d2_proj - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
-    condition = system.gram_condition()
     field = system.field
     return DistanceResult(
         d2_gram_ratio=d2_ratio,
@@ -323,8 +326,8 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
         in_subspace=d2_quad <= tol.compare_rel_tol * xx,
         agreement_ok=agree,
         projection_matches=proj_match,
-        gram_condition=condition,
-        numerical_warning=(not agree) and condition <= WELL_CONDITIONED_LIMIT,
+        gram_condition=system.gram_condition(),
+        numerical_warning=(not agree) and float(system.as_stack().factor.condition[0]) <= WELL_CONDITIONED_LIMIT,
     )
 
 

@@ -9,14 +9,14 @@ stack at once, reducing only over each system's own axes; a
 :class:`VectorSystem` is a stack of one, whose numbers are the same bits as
 its entry in any larger stack, and the per-system functions read entry 0 of
 that stack's factorization and aggregates. All determinant work goes through
-:func:`factor_stack` (:func:`factor_gram` for one matrix). It decides each
-matrix's rank once, as the reference factorization :func:`pivoted_cholesky`
-decides it on the power-of-two equilibrated matrix, so the decision does not
-depend on how the rows are scaled. The reference is a diagonally pivoted
-Cholesky factorization, which keeps the semidefinite structure explicit: the
-determinant is the product of the pivots, rank deficiency shows up as a
-pivot collapsing relative to the largest one, and a significantly negative
-pivot is proof that the input was not a Gram matrix.
+:func:`factor_stack`. It decides each matrix's rank once, as the reference
+factorization :func:`pivoted_cholesky` decides it on the power-of-two
+equilibrated matrix E, and gauges E's condition with the same factor, so
+neither depends on how the rows are scaled. The reference is a diagonally
+pivoted Cholesky factorization, which keeps the semidefinite structure
+explicit: the determinant is the product of the pivots, rank deficiency
+shows up as a pivot collapsing relative to the largest one, and a
+significantly negative pivot is proof that the input was not a Gram matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "VectorSystem",
     "pivoted_cholesky",
     "factor_stack",
-    "factor_gram",
     "gram_determinant",
     "GramHadamardVerdict",
     "GramSplitVerdict",
@@ -237,10 +236,9 @@ class PivotedCholesky:
 
     ``perm`` maps factorization position -> original index. ``pivots``
     holds the squared diagonal of L in factorization order; entries past
-    ``rank`` are zero. From :func:`pivoted_cholesky` the pivots are
-    nonincreasing. :func:`factor_gram` decides on the equilibrated matrix
-    E, so there only E's pivots are nonincreasing (G's are them times
-    S[perm]^2); on its certified fast path ``perm`` is the identity.
+    ``rank`` are zero and nonincreasing. :func:`factor_stack` runs it on
+    the equilibrated matrix E, so there only E's pivots are nonincreasing
+    (G's are them times S[perm]^2).
     """
 
     lower: np.ndarray
@@ -258,13 +256,6 @@ class PivotedCholesky:
         return float(np.prod(self.pivots)) if self.pivots.size else 1.0
 
 
-def _matrix_array(matrix: object) -> np.ndarray:
-    """A caller's matrix as an array: float and complex arrays as they are,
-    anything else through :func:`~spandist.space.field_array`."""
-    a = np.asarray(matrix)
-    return a if a.dtype.kind in "fc" else field_array(a, None, "matrix entries")
-
-
 def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> PivotedCholesky:
     """Factor a Hermitian PSD matrix with diagonal pivoting.
 
@@ -273,8 +264,12 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
     pivot falls to ``rank_rel_tol`` times the largest pivot; a pivot below
     ``-rank_rel_tol`` times that scale raises
     :class:`NumericalInstabilityError`, since no Gram matrix can produce it.
+    Float and complex arrays are taken as they are, anything else through
+    :func:`~spandist.space.field_array`.
     """
-    src = _matrix_array(matrix)
+    src = np.asarray(matrix)
+    if src.dtype.kind not in "fc":
+        src = field_array(src, None, "matrix entries")
     a = np.array(src, dtype=np.complex128 if np.iscomplexobj(src) else np.float64)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
@@ -318,25 +313,23 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
 
 class FactorStack(NamedTuple):
     """The factorizations of a (T, m, m) stack, as (T, ...) arrays:
-    ``lower``, ``perm``, ``pivots`` (read-only) and ``rank`` stack the fields
-    of :class:`PivotedCholesky`; ``complete`` is rank == m and ``det`` the
+    ``perm``, ``pivots`` (read-only) and ``rank`` stack the fields of
+    :class:`PivotedCholesky`; ``complete`` is rank == m and ``det`` the
     determinant (exactly 0.0 where the rank test failed). ``inverse``
     (read-only) holds L^-1 for P G P^T = L L^H, all NaN where the rank test
     failed: the inverse of the equilibrated factor with its columns divided
-    by S[perm], so scaling a row by 2^k divides its column by exactly 2^k."""
+    by S[perm], so scaling a row by 2^k divides its column by exactly 2^k.
+    ``condition`` (read-only) is kappa_E = max_i E[i, i] * ||L_e^-1||_F^2,
+    the condition of the equilibrated matrix E up to a factor m either way,
+    inf where the rank test failed; scaling a row by 2^k leaves it as it is."""
 
-    lower: np.ndarray
     perm: np.ndarray
     pivots: np.ndarray
     rank: np.ndarray
     complete: np.ndarray
     det: np.ndarray
     inverse: np.ndarray
-
-    def trial(self, k: int) -> PivotedCholesky:
-        return PivotedCholesky(
-            lower=self.lower[k], perm=self.perm[k], pivots=self.pivots[k], rank=int(self.rank[k])
-        )
+    condition: np.ndarray
 
 
 def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -379,8 +372,9 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
     order. Otherwise, and for a nonpositive or nonfinite diagonal or a
     LAPACK failure, :func:`pivoted_cholesky` factors that E alone, and
     decides reduced rank and negative-pivot errors. The certificate's
-    L_e^-1 is kept as ``inverse`` (:class:`FactorStack`); a fallback matrix
-    of full rank inverts its pivoted L_e.
+    L_e^-1 is kept as ``inverse`` and its product as ``condition``
+    (:class:`FactorStack`); a fallback matrix of full rank inverts its
+    pivoted L_e and takes the same product of that inverse.
     """
     a = np.asarray(mats)
     if a.dtype != np.float64 and a.dtype != np.complex128:
@@ -401,24 +395,33 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
     inv_e, ok = _each(np.linalg.inv, lower_e)
     if ok is not None:
         fast &= ok
-    inv_sq = np.add.reduce(np.abs(inv_e.reshape(count, -1)) ** 2, axis=-1)
-    fast &= 4.0 * rank_rel_tol * inv_sq * np.maximum.reduce(src.diagonal(0, -2, -1).real, axis=-1) < 1.0
-    lower = scale[:, :, np.newaxis] * lower_e
+    condition = _condition(inv_e, src)
+    fast &= 4.0 * rank_rel_tol * condition < 1.0
     inverse = inv_e / scale[:, np.newaxis, :]
-    pivots = np.abs(lower.diagonal(0, -2, -1)) ** 2
+    pivots = np.abs(scale * lower_e.diagonal(0, -2, -1)) ** 2
     perm, rank, complete = _full_rank(count, m)
     if not fast.all():
         perm, rank = perm.copy(), rank.copy()
         for k in np.flatnonzero(~fast).tolist():
             ref = pivoted_cholesky(e[k], rank_rel_tol)
             s = scale[k][ref.perm]
-            lower[k], perm[k], pivots[k], rank[k] = s[:, np.newaxis] * ref.lower, ref.perm, s * s * ref.pivots, ref.rank
-            inverse[k] = np.linalg.inv(ref.lower) / s if ref.complete else np.nan
+            perm[k], pivots[k], rank[k] = ref.perm, s * s * ref.pivots, ref.rank
+            if ref.complete:
+                inv = np.linalg.inv(ref.lower)
+                inverse[k], condition[k] = inv / s, _condition(inv[np.newaxis], e[k : k + 1])[0]
+            else:
+                inverse[k], condition[k] = np.nan, np.inf
         perm, complete = _frozen(perm), rank == m
     det = np.multiply.reduce(pivots, axis=-1)
     if not complete.all():
         det = np.where(complete, det, 0.0)
-    return FactorStack(_frozen(lower), perm, _frozen(pivots), rank, complete, det, _frozen(inverse))
+    return FactorStack(perm, _frozen(pivots), rank, complete, det, _frozen(inverse), _frozen(condition))
+
+
+def _condition(inverse: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """max_i E[i, i] * ||L_e^-1||_F^2 for (T, m, m) stacks of L_e^-1 and E."""
+    inv_sq = np.add.reduce(np.abs(inverse.reshape(inverse.shape[0], -1)) ** 2, axis=-1)
+    return inv_sq * np.maximum.reduce(e.diagonal(0, -2, -1).real, axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -428,31 +431,18 @@ def _full_rank(count: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(perm), _frozen(np.full(count, m)), _frozen(np.ones(count, dtype=bool))
 
 
-def factor_gram(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> PivotedCholesky:
-    """:func:`factor_stack` on one matrix: a stack of one, its rank decided
-    on the equilibrated matrix.
-
-    Anything but a nonempty square matrix goes to :func:`pivoted_cholesky`,
-    which raises for it.
-    """
-    a = _matrix_array(matrix)
-    if a.ndim == 2 and a.shape[0] == a.shape[1] and a.shape[0] > 0:
-        return factor_stack(a[np.newaxis], rank_rel_tol).trial(0)
-    return pivoted_cholesky(a, rank_rel_tol)
-
-
 class SystemStack:
     """T systems of n vectors in dim coordinates, held as stacked arrays.
 
     ``rows`` is the (T, n, dim) coordinate stack. The Gram matrices and
     their factorizations (:func:`factor_stack`) are computed eagerly: the
-    factorization is each system's one rank decision, which everything that
-    needs to know whether a system is independent reads. The rest is
-    computed on first use and then kept: the aggregates (an
-    :class:`AggregateStack`, whose fields are lazy themselves) and the
-    eigenvalue condition numbers. Every computation reduces over one
-    system's own axes only, so an entry's numbers are the same bits in a
-    stack of one as in any larger stack. A stack keeps no reference to the
+    factorization is each system's one rank decision and its one condition
+    number (``factor.condition``, the scale-free kappa_E), which everything
+    that needs to know whether a system is independent or well conditioned
+    reads. The aggregates (an :class:`AggregateStack`) are computed on first
+    use and then kept. Every computation reduces over one system's own axes
+    only, so an entry's numbers are the same bits in a stack of one as in
+    any larger stack. A stack keeps no reference to the
     :class:`VectorSystem` built over it.
     """
 
@@ -472,24 +462,18 @@ class SystemStack:
     def dim(self) -> int:
         return int(self.rows.shape[2])
 
-    @cached_property
-    def condition(self) -> np.ndarray:
-        """Eigenvalue condition number of each Gram matrix (inf if singular)."""
-        eigs = np.linalg.eigvalsh(self.gram)
-        lo, hi = eigs[:, 0], eigs[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _frozen(np.where(lo <= 0.0, np.inf, hi / lo))
-
 
 class VectorSystem:
     """An ordered finite system of vectors sharing field and dimension.
 
     A system is a :class:`SystemStack` of one (:meth:`as_stack`), so the
     per-system functions run the stacked kernels on it and read its numbers
-    from that stack: the factorization with its rank decision
-    (``as_stack().factor``), the Gram aggregates (``as_stack().aggregates``)
-    and the eigenvalue condition number (:meth:`gram_condition`); scaling
-    a row by a power of two leaves the rank as it is. They are the same
+    from that stack: the factorization with its rank decision and kappa_E
+    (``as_stack().factor``) and the Gram aggregates
+    (``as_stack().aggregates``); scaling a row by a power of two leaves the
+    rank and kappa_E as they are. :meth:`gram_condition` reports the
+    eigenvalue condition number of G itself, which does depend on the
+    scaling, and computes it only when asked. They are the same
     bits as the system's entry of any larger stack; a vector against it is a
     :class:`~spandist.distance.PointStack` of one. The Gram matrix and its
     factorization are computed at construction; everything else on first
@@ -587,7 +571,9 @@ class VectorSystem:
 
     def gram_condition(self) -> float:
         """Eigenvalue condition number of the Gram matrix (inf if singular)."""
-        return float(self._stack.condition[0])
+        eigs = np.linalg.eigvalsh(self._gram.entries)
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        return math.inf if lo <= 0.0 else hi / lo
 
     # -- derived systems -----------------------------------------------
     def subsystem(self, indices: Sequence[int]) -> "VectorSystem":
@@ -706,10 +692,15 @@ def check_gram_triangle(
     x1: Vector,
     y1: Vector,
     rest: Sequence[Vector] | VectorSystem,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    tol: ToleranceConfig | None = None,
 ) -> GramTriangleVerdict:
-    """Verify det^(1/2)(x1+y1, rest) <= det^(1/2)(x1, rest) + det^(1/2)(y1, rest)."""
-    rest = rest if isinstance(rest, VectorSystem) else VectorSystem(list(rest), tol)
+    """Verify det^(1/2)(x1+y1, rest) <= det^(1/2)(x1, rest) + det^(1/2)(y1, rest).
+
+    ``tol`` defaults to a :class:`VectorSystem` rest's own tolerance, and to
+    :data:`~spandist.space.DEFAULT_TOL` for a sequence of vectors."""
+    if not isinstance(rest, VectorSystem):
+        rest = VectorSystem(list(rest), tol or DEFAULT_TOL)
+    tol = tol or rest.tol
     for lead in (x1, y1):
         rest._check_member(lead)
     combined, first, second = (

@@ -93,7 +93,7 @@ def test_replay_matches_campaign_outcomes():
 def test_replay_validates_the_trial_index():
     with pytest.raises(ValueError, match="^trial index must be >= 0$"):
         sd.replay_trial(CFG, -1)
-    for trial in (True, 1.0, 2.5):
+    for trial in (True, 1.0, 2.0, 2.5, "3", None):
         with pytest.raises(ValueError, match="^trial index must be an integer"):
             sd.replay_trial(CFG, trial)
         with pytest.raises(ValueError, match="^trial index must be an integer"):

@@ -75,6 +75,28 @@ def test_strictness_outcome_only_for_small_condition_numbers():
     assert "bound_dominance/total_norm_strict" not in ids
 
 
+def test_strictness_outcome_reads_the_scale_free_condition():
+    # rows scaled by 2^20, 2^-20 and 1: kappa(G) is 2^80, but the
+    # equilibrated Gram matrix is the identity, with kappa_E = 3
+    rows = np.eye(3, 4) * np.exp2([20, -20, 0])[:, np.newaxis]
+    instance = sd.Instance(system=sd.VectorSystem.from_rows(rows), x=sd.vector([1.0, 1.0, 1.0, 1.0]))
+    outcomes = sd.run_checks(instance, ("bound_dominance",), sd.DEFAULT_TOL)
+    (strict,) = [o for o in outcomes if o.check_id == "bound_dominance/total_norm_strict"]
+    assert strict.ok and dict(strict.values)["condition"] == 3.0
+
+
+def _refuse_eigvalsh(*args, **kwargs):
+    raise RuntimeError("an eigenvalue decomposition ran")
+
+
+def test_a_campaign_runs_no_eigenvalue_decomposition(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse_eigvalsh)
+    config = GeneratorConfig(seed=7, trials=40, dim=6, n=4, conditioning=1e3, dependent_fraction=0.2)
+    result = sd.run_campaign(config, jobs=1)
+    assert result.counts["bound_dominance/total_norm_strict"] > 0
+    assert not result.failures
+
+
 def test_strictness_outcome_skipped_for_single_vector():
     cfg = GeneratorConfig(seed=4, trials=1, dim=5, n=1)
     ids = [o.check_id for o in sd.run_checks(sd.generate_instance(cfg, 0),

@@ -183,14 +183,14 @@ def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
     monkeypatch.setattr(sd_gram, "pivoted_cholesky", counted)
     factor = sd_gram.factor_stack(stack)
     assert len(calls) == 1  # only the dependent matrix takes the reference path
-    alone = [sd_gram.factor_gram(g) for g in mats]
-    assert factor.rank.tolist() == [f.rank for f in alone] == [4] * 4 + [3] + [4] * 4
-    assert factor.complete.tolist() == [f.complete for f in alone]
-    assert factor.det.tolist() == [f.determinant() for f in alone]
+    alone = [sd_gram.factor_stack(g[np.newaxis]) for g in mats]
+    assert factor.rank.tolist() == [int(f.rank[0]) for f in alone] == [4] * 4 + [3] + [4] * 4
+    assert factor.complete.tolist() == [bool(f.complete[0]) for f in alone]
+    assert factor.det.tolist() == [float(f.det[0]) for f in alone]
     for k, f in enumerate(alone):
-        assert np.array_equal(factor.lower[k], f.lower) and np.array_equal(factor.perm[k], f.perm)
-        own = sd_gram.factor_stack(mats[k][np.newaxis]).inverse[0]
-        assert np.array_equal(factor.inverse[k], own, equal_nan=True)
+        for name in ("perm", "pivots", "inverse", "condition"):
+            assert np.array_equal(getattr(factor, name)[k], getattr(f, name)[0], equal_nan=True), name
+    assert np.isinf(factor.condition[4]) and np.isfinite(np.delete(factor.condition, 4)).all()
 
 
 def test_a_chunk_takes_any_nonempty_range_inside_the_stream():

@@ -142,6 +142,7 @@ def test_row_scaling_by_powers_of_two_keeps_rank_ratio_and_d2_bits(config):
         got, want = PointStack.of(scaled, inst.x), PointStack.of(inst.system, inst.x)
         np.testing.assert_array_equal(got.ratio, want.ratio)
         np.testing.assert_array_equal(got.d2, want.d2)
+        np.testing.assert_array_equal(scaled.as_stack().factor.condition, inst.system.as_stack().factor.condition)
 
 
 def test_a_kappa_one_system_keeps_its_quadratic_form_under_row_scaling():
@@ -157,6 +158,25 @@ def test_a_kappa_one_system_keeps_its_quadratic_form_under_row_scaling():
     assert got.d2_quadratic == want.d2_quadratic
     assert got.agreement_ok and not got.numerical_warning
     assert got.d2_quadratic == pytest.approx(sd.distance_sq_oracle(scaled, inst.x), rel=1e-12)
+
+
+def test_the_warning_gate_reads_the_scale_free_condition():
+    # the kappa-one system above: row scaling leaves kappa_E (3 up to
+    # rounding) as it is to the bit while kappa(G) overflows, so a
+    # disagreement is still flagged
+    config = sd.GeneratorConfig(seed=7, trials=200, dim=4, n=3, orthonormal=True, intervals=True)
+    inst = sd.generate_instance(config, 12)
+    scaled = VectorSystem.from_rows(inst.system.rows * np.exp2([53, -41, 29])[:, np.newaxis])
+    want = inst.system.as_stack().factor.condition
+    assert want[0] == pytest.approx(3.0, rel=1e-15)
+    assert np.array_equal(scaled.as_stack().factor.condition, want)
+    assert scaled.gram_condition() == np.inf
+    # no agreement slack at all: the two routes differ in the last bit
+    tight = sd.ToleranceConfig(compare_rel_tol=1e-300)
+    for system in (inst.system, scaled):
+        result = sd.exact_distance(system, inst.x, tight)
+        assert not result.agreement_ok and result.numerical_warning
+        assert result.gram_condition == system.gram_condition()
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

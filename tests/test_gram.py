@@ -194,6 +194,19 @@ def test_sqrt_determinant_triangle_equality_for_parallel_leads():
     assert v.combined == pytest.approx(v.first + v.second, rel=1e-10)
 
 
+def test_triangle_reads_a_system_rests_own_tolerance():
+    loose = sd.ToleranceConfig(rank_rel_tol=0.5)
+    rest = VectorSystem.from_rows([[1.0, 0.0, 0.0]], tol=loose)
+    x1, y1 = sd.vector([1.0, 0.5, 0.0]), sd.vector([0.0, 0.0, 1.0])
+    pair = VectorSystem.from_rows([x1.coords, rest.rows[0]], tol=loose)
+    assert pair.rank == 1 and sd.gram_determinant(pair) == 0.0
+    assert sd.check_gram_triangle(x1, y1, rest).first == 0.0
+    # an explicit tolerance wins, and a sequence of vectors takes the default
+    assert sd.check_gram_triangle(x1, y1, rest, sd.DEFAULT_TOL).first == pytest.approx(0.5, rel=1e-15)
+    assert sd.check_gram_triangle(x1, y1, list(rest.vectors)).first == pytest.approx(0.5, rel=1e-15)
+    assert sd.check_gram_triangle(x1, y1, list(rest.vectors), loose).first == 0.0
+
+
 def test_triangle_validates_fields_and_dims():
     rest = VectorSystem.from_rows([[0.0, 1.0]])
     with pytest.raises(sd.DimensionMismatchError):

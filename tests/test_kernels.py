@@ -1,9 +1,10 @@
 """Each array kernel against the loop it replaced, or against a reference.
 
-* ``factor_gram`` (LAPACK Cholesky with a rank certificate) must reach the
-  same rank decision, completeness and exception as ``pivoted_cholesky`` on
-  the equilibrated matrix, and the same determinant up to rounding (scaled
-  back) where the matrix is not too ill-conditioned.
+* ``factor_stack`` on a stack of one (LAPACK Cholesky with a rank
+  certificate) must reach the same rank decision, completeness and exception
+  as ``pivoted_cholesky`` on the equilibrated matrix, and the same
+  determinant up to rounding (scaled back) where the matrix is not too
+  ill-conditioned.
 * The Householder QR oracle must leave the residual of a least-squares
   solve, and its squared distance must lie within its backward-error bound
   of the exact rational Gram determinant ratio.
@@ -53,13 +54,28 @@ def _gram(rows):
     return (g + g.conj().T) / 2.0
 
 
+def _one(matrix):
+    """factor_stack on a stack of one."""
+    return sd_gram.factor_stack(np.asarray(matrix)[np.newaxis], TOL)
+
+
+def _stacked(matrix):
+    f = _one(matrix)
+    return (int(f.rank[0]), bool(f.complete[0])), float(f.det[0])
+
+
+def _reference(matrix):
+    chol = sd_gram.pivoted_cholesky(matrix, TOL)
+    return (chol.rank, chol.complete), chol.determinant()
+
+
 def _decision(factor, matrix):
-    """What a caller can observe of a factorisation, or the exception type."""
+    """What a caller can observe of a factorisation, (rank, complete) and the
+    determinant, or the exception type."""
     try:
-        chol = factor(matrix, TOL)
+        return factor(matrix)
     except (NumericalInstabilityError, ValueError) as exc:
         return type(exc), None
-    return (chol.rank, chol.complete), chol.determinant()
 
 
 def _equilibrated(matrix):
@@ -74,19 +90,19 @@ def _equilibrated(matrix):
 
 def _assert_same_decision(matrix, det_rel=None):
     e, s = _equilibrated(matrix)
-    fast, fast_det = _decision(sd_gram.factor_gram, matrix)
-    ref, ref_det = _decision(sd_gram.pivoted_cholesky, e)
+    fast, fast_det = _decision(_stacked, matrix)
+    ref, ref_det = _decision(_reference, e)
     assert fast == ref
     if det_rel is not None and ref_det is not None:
         assert fast_det == pytest.approx(ref_det * np.prod(s**2), rel=det_rel, abs=0.0)
 
 
-# -- factor_gram against pivoted_cholesky on the equilibrated matrix ------------------
+# -- factor_stack against pivoted_cholesky on the equilibrated matrix ----------------
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 @pytest.mark.parametrize("kappa", CONDITIONS)
-def test_factor_gram_decides_like_pivoted_cholesky(field, kappa):
+def test_factor_stack_decides_like_pivoted_cholesky(field, kappa):
     rng = np.random.default_rng([20261018, int(math.log10(kappa)), field is Field.COMPLEX])
     for n in range(1, 13):
         for _ in range(3):
@@ -97,31 +113,31 @@ def test_factor_gram_decides_like_pivoted_cholesky(field, kappa):
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-def test_factor_gram_on_dependent_and_degenerate_rows(field):
+def test_factor_stack_on_dependent_and_degenerate_rows(field):
     rng = np.random.default_rng(77)
     for n in range(2, 13):
         rows = random_rows(rng, n, n + 3, field)
         rows[-1] = 0.5 * rows[0] - 1.5 * rows[(n - 1) // 2]
         _assert_same_decision(_gram(rows))
-        assert sd_gram.factor_gram(_gram(rows), TOL).rank < n
+        assert _one(_gram(rows)).rank[0] < n
         rows = random_rows(rng, n, n + 3, field)
         rows[-1] = 0.0
         _assert_same_decision(_gram(rows))
-        assert not sd_gram.factor_gram(_gram(rows), TOL).complete
+        assert not _one(_gram(rows)).complete[0]
     # more vectors than dimensions
     _assert_same_decision(_gram(random_rows(rng, 6, 4, field)))
 
 
-def test_factor_gram_raises_like_pivoted_cholesky():
+def test_factor_stack_raises_like_pivoted_cholesky():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert _decision(sd_gram.factor_gram, indefinite)[0] is NumericalInstabilityError
+    assert _decision(_stacked, indefinite)[0] is NumericalInstabilityError
     _assert_same_decision(indefinite)
     _assert_same_decision(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    assert _decision(sd_gram.factor_gram, np.ones((2, 3)))[0] is ValueError
+    assert _decision(_stacked, np.ones((2, 3)))[0] is ValueError
     _assert_same_decision(np.ones((2, 3)))
 
 
-def test_factor_gram_on_an_overflowing_gram():
+def test_factor_stack_on_an_overflowing_gram():
     rows = np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 1e199]])
     with np.errstate(over="ignore"):
         g = _gram(rows)
@@ -129,35 +145,34 @@ def test_factor_gram_on_an_overflowing_gram():
     _assert_same_decision(g)
 
 
-@pytest.mark.parametrize("factor", [sd_gram.pivoted_cholesky, sd_gram.factor_gram])
 @pytest.mark.parametrize("matrix, message", [
     ([["1"]], "must be numbers"),
     ([[None]], "must be numbers"),
     ([[4.0, 2.0], [2.0, "3"]], "must be numbers"),
     ([[10**400]], "must be finite"),
 ])
-def test_a_matrix_of_non_numbers_raises_value_error(factor, matrix, message):
+def test_a_matrix_of_non_numbers_raises_value_error(matrix, message):
     with pytest.raises(ValueError, match=f"^matrix entries {message}$"):
-        factor(matrix)
+        sd_gram.pivoted_cholesky(matrix)
 
 
-@pytest.mark.parametrize("factor", [sd_gram.pivoted_cholesky, sd_gram.factor_gram])
-def test_an_integer_matrix_factors_as_its_float_copy(factor):
+def test_an_integer_matrix_factors_as_its_float_copy():
     ints = [[4, 2], [2, 3]]
-    got, want = factor(ints), factor(np.array(ints, dtype=np.float64))
+    got, want = sd_gram.pivoted_cholesky(ints), sd_gram.pivoted_cholesky(np.array(ints, dtype=np.float64))
     assert np.array_equal(got.lower, want.lower) and got.rank == want.rank == 2
-    assert factor([[True]]).rank == 1
+    assert sd_gram.pivoted_cholesky([[True]]).rank == 1
 
 
-def test_factor_gram_fast_result_has_the_contract():
+def test_factor_stack_fast_result_has_the_contract():
     rng = np.random.default_rng(3)
     g = _gram(random_rows(rng, 5, 7, Field.COMPLEX))
-    chol = sd_gram.factor_gram(g, TOL)
-    assert chol.complete and chol.rank == 5
-    assert np.array_equal(chol.perm, np.arange(5))
-    assert np.allclose(chol.lower @ chol.lower.conj().T, g, rtol=0.0, atol=1e-12 * np.max(np.abs(g)))
-    assert np.allclose(chol.pivots, np.abs(chol.lower.diagonal()) ** 2, rtol=1e-15, atol=0.0)
-    for a in (chol.lower, chol.pivots, chol.perm):
+    chol = _one(g)
+    assert chol.complete[0] and chol.rank[0] == 5
+    assert np.array_equal(chol.perm[0], np.arange(5))
+    inv = chol.inverse[0]  # perm is the identity: L^-1 G L^-H = I
+    assert np.allclose(inv @ g @ inv.conj().T, np.eye(5), rtol=0.0, atol=1e-12)
+    assert np.allclose(chol.pivots[0], 1.0 / np.abs(inv.diagonal()) ** 2, rtol=1e-12, atol=0.0)
+    for a in (chol.pivots, chol.perm, chol.inverse, chol.condition):
         assert not a.flags.writeable
 
 
@@ -181,15 +196,15 @@ def test_certificate_boundary(monkeypatch):
     # however small t is, the matrix is complete with no fallback
     calls = _count_fallbacks(monkeypatch)
     for t in (3.99 * TOL, 4.01 * TOL, 1e-3, 1.0):
-        assert sd_gram.factor_gram(np.diag([1.0, t]), TOL).complete
+        assert _one(np.diag([1.0, t])).complete[0]
     assert not calls
     # through off-diagonal mass: tr(E^-1) = 2 / (1 - c^2), so 1 - c^2 against 8 * TOL
     c = math.sqrt(1.0 - 8.0 * TOL * 0.99)
-    just_under = sd_gram.factor_gram(np.array([[1.0, c], [c, 1.0]]), TOL)
+    just_under = _one(np.array([[1.0, c], [c, 1.0]]))
     assert len(calls) == 1
     # the certificate is conservative: the reference still finds full rank
-    assert just_under.complete
-    sd_gram.factor_gram(np.array([[1.0, 0.5], [0.5, 1.0]]), TOL)
+    assert just_under.complete[0]
+    _one(np.array([[1.0, 0.5], [0.5, 1.0]]))
     assert len(calls) == 1
 
 
@@ -199,17 +214,18 @@ def test_the_rank_decision_does_not_depend_on_row_scaling(monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     g = np.array([[1.0, 0.5], [0.5, 1.0]])
     scaled = [np.diag(d) @ g @ np.diag(d) for d in ([math.exp(3.0), math.exp(-3.0)], [1e8, 1e-8], [1e150, 1e-150])]
-    assert all(sd_gram.factor_gram(m, TOL).rank == 2 for m in scaled)
+    assert all(_one(m).rank[0] == 2 for m in scaled)
     assert not calls
     for m in scaled:
         _assert_same_decision(m)
-    # powers of two scale the factor exactly, fallback or not
+    # powers of two scale the pivots exactly, fallback or not
     for base in (g, np.array([[1.0, 1.0], [1.0, 1.0]])):
-        ref = sd_gram.factor_gram(base, TOL)
+        ref = _one(base)
         for k in ([60, -60], [-3, 200], [0, 1]):
-            got = sd_gram.factor_gram(np.diag(np.exp2(k)) @ base @ np.diag(np.exp2(k)), TOL)
-            assert got.rank == ref.rank and np.array_equal(got.perm, ref.perm)
-            assert np.array_equal(got.lower, np.exp2(k)[ref.perm][:, np.newaxis] * ref.lower)
+            got = _one(np.diag(np.exp2(k)) @ base @ np.diag(np.exp2(k)))
+            assert got.rank[0] == ref.rank[0] and np.array_equal(got.perm, ref.perm)
+            assert np.array_equal(got.pivots[0], np.exp2(2 * np.array(k))[ref.perm[0]] * ref.pivots[0])
+            assert np.array_equal(got.condition, ref.condition)
 
 
 _WELL_CONDITIONED = GeneratorConfig(
@@ -274,6 +290,11 @@ def _inverse_cases(field):
     return np.stack([certified, fallback, dependent])
 
 
+# L_e of the certified and the fallback case: LAPACK's factor of E where the
+# certificate holds, the pivoted reference's where it falls back
+_FACTORS_OF_E = ((0, np.linalg.cholesky), (1, lambda e: sd_gram.pivoted_cholesky(e, TOL).lower))
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_the_factor_keeps_the_inverse_of_its_lower_factor(field, monkeypatch):
     calls = _count_fallbacks(monkeypatch)
@@ -281,10 +302,29 @@ def test_the_factor_keeps_the_inverse_of_its_lower_factor(field, monkeypatch):
     assert len(calls) == 2
     assert factor.complete.tolist() == [True, True, False]
     assert factor.perm[0].tolist() == [0, 1, 2] and factor.perm[1].tolist() == [1, 2, 0]
-    for k in (0, 1):
-        assert np.allclose(factor.inverse[k] @ factor.lower[k], np.eye(3), rtol=0.0, atol=1e-9)
+    # L = S[perm] L_e
+    for k, lower_e in _FACTORS_OF_E:
+        e, s = _equilibrated(_inverse_cases(field)[k])
+        lower = s[factor.perm[k]][:, np.newaxis] * lower_e(e)
+        assert np.allclose(factor.inverse[k] @ lower, np.eye(3), rtol=0.0, atol=1e-9)
     assert np.isnan(factor.inverse[2]).all()
     assert not factor.inverse.flags.writeable
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_the_factor_gauges_each_matrix_by_its_equilibrated_condition(field):
+    mats = _inverse_cases(field)
+    factor = sd_gram.factor_stack(mats, TOL)
+    assert not factor.condition.flags.writeable
+    # kappa_E = max_i E[i, i] * ||L_e^-1||_F^2
+    for k, lower_e in _FACTORS_OF_E:
+        e, _ = _equilibrated(mats[k])
+        want = np.max(e.diagonal().real) * np.sum(np.abs(np.linalg.inv(lower_e(e))) ** 2)
+        assert factor.condition[k] == want
+        kappa = np.linalg.cond(e)
+        assert kappa / 3 <= factor.condition[k] * (1 + 1e-12) and factor.condition[k] <= 3 * kappa * (1 + 1e-12)
+    assert 4.0 * TOL * factor.condition[0] < 1.0 <= 4.0 * TOL * factor.condition[1]
+    assert factor.condition[2] == np.inf
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
@@ -297,6 +337,7 @@ def test_row_scaling_divides_the_inverse_columns_exactly(field):
     assert np.array_equal(scaled.perm, factor.perm)
     want = factor.inverse / np.take_along_axis(d, factor.perm, axis=-1)[:, np.newaxis, :]
     assert np.array_equal(scaled.inverse, want, equal_nan=True)
+    assert np.array_equal(scaled.condition, factor.condition)
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

@@ -73,10 +73,11 @@ streams. A ``combined gram`` digest over these lines follows.
 Results must not depend on how the rows are scaled. For the same trials,
 the ``scale`` line rescales row i of the system by 2^k_i, with k_i in
 [-60, 60] drawn from a generator seeded by (:data:`SEED`, trial), and
-hashes the rank of the rescaled system and the ``repr`` of its
-``distance_sq_gram_ratio`` and ``distance_sq_quadratic`` (or the type of
-what each raises). Scaling by a power of two is exact, so all three must
-equal the unscaled system's: a line ``SCALE <stream> <trial>`` is printed
+hashes the rank and the factor's condition number kappa_E
+(``as_stack().factor.condition``) of the rescaled system and the ``repr``
+of its ``distance_sq_gram_ratio`` and ``distance_sq_quadratic`` (or the
+type of what each raises). Scaling by a power of two is exact, so all four
+must equal the unscaled system's: a line ``SCALE <stream> <trial>`` is printed
 for each trial where any differs, and the script then exits with status 1.
 A ``combined scale`` digest over these lines follows.
 
@@ -283,12 +284,13 @@ def _gram(config: GeneratorConfig) -> str:
 
 
 def _scale(config: GeneratorConfig) -> tuple[str, list[int]]:
-    """The rank, determinant-ratio distance and quadratic-form distance of
-    the first trials of a stream with each row rescaled by a power of two,
-    and the trials where any of them differs from the unscaled system's."""
+    """The rank, condition number kappa_E, determinant-ratio distance and
+    quadratic-form distance of the first trials of a stream with each row
+    rescaled by a power of two, and the trials where any of them differs
+    from the unscaled system's."""
 
     def fingerprint(system: sd.VectorSystem, x: sd.Vector) -> str:
-        return f"{system.rank} " + "".join(
+        return f"{system.rank} {system.as_stack().factor.condition[0]!r} " + "".join(
             _repr_or_error(lambda: fn(system, x)) for fn in (sd.distance_sq_gram_ratio, sd.distance_sq_quadratic)
         )
 
