@@ -20,9 +20,15 @@ against.
 
 Each number is computed once, in :class:`PointStack`: the per-instance
 functions here and in :mod:`spandist.bounds` read a stack of one, the
-campaign's checks a chunk of trials. Whether a system is independent is
-decided once too, by its Gram factorization; the QR oracle and the
-determinant ratio read that decision rather than making their own.
+campaign's checks a chunk of trials. A :class:`~spandist.gram.VectorSystem`
+keeps the stack of one of the last vector asked about
+(:meth:`PointStack.of`), so ``exact_distance`` followed by
+``full_bound_report`` on the same (system, x) computes ||x||^2, beta, the
+orthogonality test and the quadratic form once between them, and the
+quadratic form's NumericalWarning fires once per (system, x), not once per
+call. Whether a system is independent is decided once too, by its Gram
+factorization; the QR oracle and the determinant ratio read that decision
+rather than making their own.
 """
 
 from __future__ import annotations
@@ -161,9 +167,23 @@ class PointStack:
 
     @classmethod
     def of(cls, system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None) -> "PointStack":
-        """``x`` against ``system``, validated once, at ``tol`` or else the system's."""
+        """``x`` against ``system`` at ``tol`` or else the system's, as a
+        stack of one.
+
+        The system keeps the last stack built for it: asked again about the
+        same :class:`Vector` object (whose coordinates are frozen) at an
+        equal tolerance, it returns that stack, with every number it has
+        computed so far. Otherwise ``x`` is validated and a new stack is
+        built and kept in its place.
+        """
+        tol = tol or system.tol
+        kept = system._point
+        if kept is not None and kept[0] is x and kept[1] == tol:
+            return kept[2]
         system._check_member(x)
-        return cls(system.as_stack(), x.coords.astype(system.field.dtype)[np.newaxis], tol or system.tol)
+        p = cls(system.as_stack(), x.coords.astype(system.field.dtype)[np.newaxis], tol)
+        system._point = (x, tol, p)
+        return p
 
     @cached_property
     def xx(self) -> np.ndarray:
@@ -220,8 +240,9 @@ class PointStack:
 
 
 def coefficients(system: VectorSystem, x: Vector) -> np.ndarray:
-    """Inner products beta_i = <x, x_i> as an ndarray."""
-    return PointStack.of(system, x).beta[0]
+    """Inner products beta_i = <x, x_i> as a new ndarray (a copy, since the
+    system's kept point stack reads beta again)."""
+    return PointStack.of(system, x).beta[0].copy()
 
 
 def in_orthogonal_complement(

@@ -478,14 +478,18 @@ class VectorSystem:
     :class:`~spandist.distance.PointStack` of one. The Gram matrix and its
     factorization are computed at construction; everything else on first
     use, and then kept for the life of the system, as are the
-    :class:`Vector` views of the rows (:attr:`vectors`). Nothing is ever
-    mutated once computed, so instances are safe to share; two threads
-    racing on a cold cache compute the same value twice. Prefer
-    :meth:`from_rows` on hot paths; the :class:`Vector`-based constructor
-    validates each vector individually.
+    :class:`Vector` views of the rows (:attr:`vectors`). A system also
+    keeps the point stack of the last vector asked about
+    (:meth:`~spandist.distance.PointStack.of`), so the functions that read
+    one (system, x) pair share its numbers; asking about another vector, or
+    at another tolerance, replaces it. Nothing is ever mutated once
+    computed, so instances are safe to share; two threads racing on a cold
+    cache, or asking about different vectors, compute the same value
+    twice. Prefer :meth:`from_rows` on hot paths; the :class:`Vector`-based
+    constructor validates each vector individually.
     """
 
-    __slots__ = ("_stack", "_gram", "_vectors")
+    __slots__ = ("_stack", "_gram", "_vectors", "_point")
 
     def __init__(self, vectors: Sequence[Vector], tol: ToleranceConfig = DEFAULT_TOL) -> None:
         if len(vectors) == 0:
@@ -523,6 +527,7 @@ class VectorSystem:
         self._stack = stack
         self._gram = GramMatrix(entries=stack.gram[0])
         self._vectors: tuple[Vector, ...] | None = None
+        self._point: tuple | None = None  # (x, tol, PointStack) of the last PointStack.of
 
     # -- basic shape ---------------------------------------------------
     @property

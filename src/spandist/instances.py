@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import IntervalData
 from .errors import InstanceFormatError
 from .generator import Instance
-from .gram import VectorSystem
+from .gram import SystemStack, VectorSystem
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, field_array
 
 __all__ = ["load_instance", "save_instance", "instance_to_obj", "instance_from_obj"]
@@ -132,7 +132,9 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
                 gammas=tuple(_to_array(obj["gammas"], field, "interval scalars").tolist()),
                 Gammas=tuple(_to_array(obj["Gammas"], field, "interval scalars").tolist()),
             )
-        system = VectorSystem.from_rows(_to_array(raw_vectors, field, "system coordinates"), field, tol)
+        # the checks above established the nonempty (n, dim) shape
+        rows = _to_array(raw_vectors, field, "system coordinates")
+        system = VectorSystem._of(SystemStack(rows[np.newaxis], field, tol))
         x = Vector(_to_array(obj["x"], field, "vector coordinates"), field)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
@@ -140,16 +142,23 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
 
 
 def save_instance(path: str | Path, instance: Instance) -> None:
-    Path(path).write_text(json.dumps(instance_to_obj(instance), indent=2) + "\n")
+    Path(path).write_text(json.dumps(instance_to_obj(instance), indent=2) + "\n", encoding="utf-8")
 
 
 def load_instance(path: str | Path, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
+    """The instance in the UTF-8 JSON file at ``path``; InstanceFormatError
+    naming the path for a file that cannot be read, is not UTF-8, is not
+    JSON or nests too deeply to decode."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError(f"{path} nests too deeply to decode: {exc}") from exc
     return instance_from_obj(obj, tol)

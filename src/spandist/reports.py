@@ -3,14 +3,22 @@
 Machine formats (csv/json) are deterministic: floats use shortest
 round-trip repr, keys are sorted, and volatile data (wall-clock runtime)
 is omitted, so identical computations yield byte-identical documents.
+
+JSON is written by a short recursive writer rather than ``json.dumps``,
+whose ``indent`` turns off the C encoder. Its output is byte for byte
+``json.dumps(obj, sort_keys=True, indent=2) + "\n"``: keys must be ``str``
+and are sorted, floats go through ``float.__repr__`` (non-finite ones as
+``NaN``, ``Infinity`` and ``-Infinity``), strings through
+``json.encoder.encode_basestring_ascii``, tuples render as lists, empty
+containers as ``{}`` and ``[]``, and any other type raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import asdict
+from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .bounds import BoundReport
@@ -38,8 +46,59 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, byte for byte."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj: Any, newline: str, out: list[str]) -> None:
+    """Append the JSON of ``obj`` to ``out``; ``newline`` is the line break
+    and indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # -- bound reports ---------------------------------------------------------
@@ -85,8 +144,13 @@ def render_bound_report(report: BoundReport, fmt: str = "human") -> str:
 # -- distance results --------------------------------------------------------
 
 
+def _fields_obj(dc: Any) -> dict[str, Any]:
+    """A flat dataclass's fields as a dict, without ``asdict``'s deep copy."""
+    return {f.name: getattr(dc, f.name) for f in fields(dc)}
+
+
 def _distance_obj(result: DistanceResult) -> dict[str, Any]:
-    obj = asdict(result)
+    obj = _fields_obj(result)
     obj["beta"] = [[complex(b).real, complex(b).imag] for b in result.beta]
     return obj
 
@@ -125,7 +189,7 @@ def render_distance(result: DistanceResult, report: BoundReport | None = None, f
 
 
 def _config_obj(result: CampaignResult) -> dict[str, Any]:
-    cfg = asdict(result.config)
+    cfg = _fields_obj(result.config)
     cfg["field"] = result.config.field.value
     return cfg
 

@@ -95,6 +95,13 @@ def test_malformed_instance_file(tmp_path, capsys):
     assert main(["distance", str(path)]) == EXIT_BAD_INPUT
 
 
+def test_deeply_nested_instance_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000)
+    assert main(["distance", str(path)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_integer_beyond_the_float_range_exit_code(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"field": "real", "vectors": [[10**400, 0.0]], "x": [1.0, 1.0]}))

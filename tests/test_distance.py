@@ -235,3 +235,102 @@ def test_near_dependent_system_warns_or_flags():
     assert res.gram_condition > 1e6
     # representations may legitimately disagree here, but the result says so
     assert res.agreement_ok or not res.numerical_warning
+
+
+# -- the point stack a system keeps: one per (system, x) ---------------------------
+
+
+def _point_results(system, x, intervals, order=1):
+    """The repr of every per-instance result of (system, x), or the type of
+    what the call raises, the calls made in ``order`` (1 or -1)."""
+    calls = [
+        lambda: sd.exact_distance(system, x),
+        lambda: sd.full_bound_report(system, x, intervals),
+        lambda: sd.coefficients(system, x).tolist(),
+        lambda: sd.in_orthogonal_complement(system, x),
+        lambda: sd.distance_sq_gram_ratio(system, x),
+        lambda: sd.distance_sq_quadratic(system, x),
+        lambda: sd.distance_sq_projection(system, x),
+        lambda: sd.distance_sq_orthonormal(system, x),
+        lambda: sd.distance_sq_oracle(system, x),
+        lambda: sd.bound_row_sums(system, x),
+        lambda: sd.bessel_rhs_offdiag_max(system, x),
+        lambda: sd.condition_verdict(system, x, intervals),
+        lambda: sd.bound_cond_half_width(system, x, intervals),
+        lambda: sd.reverse_bessel_gap(system, x, intervals),
+    ]
+    results = {}
+    for k in range(len(calls))[::order]:
+        try:
+            results[k] = repr(calls[k]())
+        except (sd.SpandistError, ValueError) as exc:
+            results[k] = type(exc).__name__
+    return [results[k] for k in range(len(calls))]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        sd.GeneratorConfig(seed=3, trials=8, dim=7, n=5, field=Field.COMPLEX, conditioning=1e2, intervals=True),
+        sd.GeneratorConfig(seed=3, trials=8, dim=4, n=3, orthonormal=True, intervals=True),
+        sd.GeneratorConfig(seed=3, trials=8, dim=6, n=4, conditioning=1e3, intervals=True, dependent_fraction=0.3),
+    ],
+)
+def test_a_shared_point_stack_gives_a_fresh_systems_bits_in_any_order(config):
+    for trial in range(config.trials):
+        inst = sd.generate_instance(config, trial)
+        forward = _point_results(inst.system, inst.x, inst.intervals)
+        backward = sd.generate_instance(config, trial)
+        assert _point_results(backward.system, backward.x, backward.intervals, order=-1) == forward
+        # each call alone, on a system built afresh for it
+        alone = []
+        for k in range(len(forward)):
+            fresh = sd.generate_instance(config, trial)
+            alone.append(_point_results(fresh.system, fresh.x, fresh.intervals)[k])
+        assert alone == forward
+
+
+def test_an_equal_vector_or_another_tolerance_gets_its_own_stack(system_b, x_b):
+    p = PointStack.of(system_b, x_b)
+    assert PointStack.of(system_b, x_b) is p
+    assert PointStack.of(system_b, x_b, sd.ToleranceConfig()) is p  # equal to the system's tolerance
+    other = sd.ToleranceConfig(orth_rel_tol=1e-6)
+    q = PointStack.of(system_b, x_b, other)
+    assert q is not p and q.tol is other
+    equal = vector(x_b.coords.tolist())
+    r = PointStack.of(system_b, equal)
+    assert r is not p and r is not q
+    assert r.d2.tolist() == p.d2.tolist() and r.beta.tolist() == p.beta.tolist()
+    # only the last stack is kept
+    assert PointStack.of(system_b, equal) is r
+    assert PointStack.of(system_b, x_b) is not p
+
+
+def test_the_returned_coefficients_are_the_callers_to_change(system_b, x_b):
+    want = sd.exact_distance(VectorSystem.from_rows(system_b.rows), x_b)
+    beta = sd.coefficients(system_b, x_b)
+    beta[:] = 0.0
+    assert sd.exact_distance(system_b, x_b) == want
+    assert sd.coefficients(system_b, x_b).tolist() == list(want.beta)
+
+
+def test_the_quadratic_forms_warning_fires_once_per_system_and_x():
+    # x in the span of the rows: with no comparison slack, a quadratic form
+    # that rounds below zero warns; the first combination that does is used
+    tight = sd.ToleranceConfig(compare_rel_tol=1e-300)
+    rows = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    for a, b in [(0.2, 0.9), (0.2, -0.3), (0.3, -0.3), (0.7, -0.3), (0.1, 0.7), (1.1, 0.3)]:
+        system = VectorSystem.from_rows(rows, tol=tight)
+        x = vector(a * rows[0] + b * rows[1])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            sd.exact_distance(system, x)
+            sd.full_bound_report(system, x)
+            sd.distance_sq_quadratic(system, x)
+        if record:
+            break
+    else:
+        pytest.fail("no combination rounded below zero")
+    assert [w.category for w in record] == [sd.NumericalWarning]
+    with pytest.warns(sd.NumericalWarning):  # an equal vector is another x
+        sd.distance_sq_quadratic(system, vector(x.coords.tolist()))

@@ -122,6 +122,20 @@ def test_unparseable_file(tmp_path):
         sd.load_instance(path)
 
 
+def test_a_file_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(InstanceFormatError, match="utf16.json is not UTF-8"):
+        sd.load_instance(path)
+
+
+def test_json_nested_too_deeply_is_a_format_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000)
+    with pytest.raises(InstanceFormatError, match="deep.json nests too deeply"):
+        sd.load_instance(path)
+
+
 def test_top_level_must_be_object(tmp_path):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([1, 2, 3]))

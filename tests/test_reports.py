@@ -2,10 +2,14 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spandist as sd
-from spandist import Field, GeneratorConfig
+from spandist import Field, GeneratorConfig, reports
+from spandist.checks import REGISTRY
 
 
 @pytest.fixture
@@ -93,3 +97,67 @@ def test_hadamard_render(system_b):
     obj = json.loads(sd.render_hadamard(chains, strict, "json"))
     assert len(obj["chains"]) == 4
     assert obj["strict"]["strict"] is True
+
+
+# -- the JSON writer: the bytes of json.dumps(obj, sort_keys=True, indent=2) ---------
+
+
+def _stdlib(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_KEYS = st.text(st.characters(), max_size=8) | st.sampled_from(
+    ["", "é", "\u2603", "\x00", "\t\n\"\\", "a,b", "[x]", "{y}", "\ud800",
+     "combination_sweep/diag_offdiag[holder,holder](p=1.5)/holds"])
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e308, 1.7976931348623157e308])
+_INTS = st.integers() | st.integers(min_value=2**63, max_value=2**200) | st.integers(max_value=-(2**63), min_value=-(2**200))
+_LEAVES = _FLOATS | _INTS | st.booleans() | st.none() | _KEYS
+_JSON_LIKE = st.recursive(
+    _LEAVES | st.sampled_from([[], {}, (), [[]], {"": {}}, ([], ())]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_LIKE)
+def test_the_json_writer_emits_the_stdlib_bytes(obj):
+    assert reports._json(obj) == _stdlib(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: 2.0}, {"a": np.int64(1)}, [1j], {"a": object()}, {"s": {1, 2}}, b"x"])
+def test_the_json_writer_rejects_what_is_not_json(obj):
+    with pytest.raises(TypeError):
+        reports._json(obj)
+
+
+def test_every_rendered_json_is_the_stdlib_document(monkeypatch):
+    def bad(instance, tol):
+        values = (("nan", float("nan")), ("inf", float("inf")), ("neg zero", -0.0), ("é,[1]", 1e308))
+        return [sd.CheckOutcome("bad/é,[\"x\"]\t", False, -1.0, values)]
+
+    monkeypatch.setitem(REGISTRY, "bad", bad)
+    config = GeneratorConfig(seed=12, trials=5, dim=4, n=2, intervals=True)
+    campaign = sd.run_campaign(config, sd.campaign.applicable_checks(config) + ("bad",))
+    assert campaign.failures and campaign.counts["combination_sweep/diag_offdiag[holder,holder](p=1.5)/holds"]
+    inst = sd.generate_instance(GeneratorConfig(seed=5, trials=1, dim=5, n=3, field=Field.COMPLEX, intervals=True), 0)
+    s, x = inst.system, inst.x
+    distance, bound_report = sd.exact_distance(s, x), sd.full_bound_report(s, x, inst.intervals)
+    chains, strict = [sd.hadamard_chain(s, v) for v in sd.ChainVariant], sd.check_hadamard_strict(s)
+
+    def documents():
+        return [
+            sd.render_distance(distance, fmt="json"),
+            sd.render_distance(distance, bound_report, "json"),
+            sd.render_bound_report(bound_report, "json"),
+            sd.render_hadamard(chains, fmt="json"),
+            sd.render_hadamard(chains, strict, "json"),
+            sd.render_campaign(campaign, "json"),
+        ]
+
+    ours = documents()
+    monkeypatch.setattr(reports, "_json", _stdlib)
+    assert documents() == ours

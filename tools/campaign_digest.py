@@ -21,7 +21,8 @@ chunks. Their json and csv digests must equal the serial ones: a line
 After each of these runs every worker must be gone: a line ``LEFTOVER
 <stream> jobs=<k> <count>`` is printed when ``multiprocessing.active_children()``
 still lists any. The script exits with status 1 if any ``MISMATCH`` or
-``LEFTOVER`` (or ``SCALE``, below) line was printed, 0 otherwise.
+``LEFTOVER`` (or ``ORDER`` or ``SCALE``, below) line was printed, 0
+otherwise.
 
 The per-instance API is fingerprinted too. For the first
 :data:`LIBRARY_TRIALS` trials of each stream, the ``library`` line hashes
@@ -36,6 +37,16 @@ type of what it raises: the per-instance check path of
 ``generate_instance``, ``InstanceChunk.of`` and ``run_checks``. A
 ``combined library`` and a ``combined replay`` digest over these lines
 close the output.
+
+A system keeps the numbers of the last vector it was asked about, so the
+per-instance results must not depend on the order of the calls. For each
+of these trials the script also generates the instance afresh and calls
+``full_bound_report`` before ``exact_distance``, and, on another fresh
+instance, the calls of the ``point`` line below from last to first (so
+``POINT_FUNCTIONS`` from last to first). Each document and each ``repr``
+must equal the one of the forward pass: a line ``ORDER <stream> trial
+<t>`` is printed for each trial where any differs, and the script then
+exits with status 1.
 
 Each function of the per-instance API that reads a (system, x) pair is
 fingerprinted on its own as well. For the same trials, the ``point`` line
@@ -161,17 +172,37 @@ def _or_error(call) -> str:
         return type(exc).__name__ + "\n"
 
 
-def _library(config: GeneratorConfig) -> str:
-    """What the per-instance API reports on the first trials of a stream."""
-    out = []
+def _distance(inst: sd.Instance, reverse: bool) -> str:
+    """The json of ``exact_distance`` and ``full_bound_report`` of an
+    instance, called in this order or, with ``reverse``, the other way round."""
+
+    def call() -> str:
+        s, x = inst.system, inst.x
+        if reverse:
+            report = sd.full_bound_report(s, x, inst.intervals)
+            result = sd.exact_distance(s, x)
+        else:
+            result = sd.exact_distance(s, x)
+            report = sd.full_bound_report(s, x, inst.intervals)
+        return sd.render_distance(result, report, "json")
+
+    return _or_error(call)
+
+
+def _library(config: GeneratorConfig) -> tuple[str, list[int]]:
+    """What the per-instance API reports on the first trials of a stream,
+    and the trials where calling it in reverse order reports otherwise."""
+    out, disordered = [], []
     for trial in range(min(LIBRARY_TRIALS, config.trials)):
         inst = sd.generate_instance(config, trial)
-        s, x = inst.system, inst.x
-        out.append(f"trial {trial} distance\n" + _or_error(lambda: sd.render_distance(
-            sd.exact_distance(s, x), sd.full_bound_report(s, x, inst.intervals), "json")))
+        s = inst.system
+        text = _distance(inst, reverse=False)
+        if _distance(sd.generate_instance(config, trial), reverse=True) != text:
+            disordered.append(trial)
+        out.append(f"trial {trial} distance\n" + text)
         out.append(f"trial {trial} hadamard\n" + _or_error(lambda: sd.render_hadamard(
             [sd.hadamard_chain(s, variant) for variant in sd.ChainVariant], sd.check_hadamard_strict(s), "json")))
-    return "".join(out)
+    return "".join(out), disordered
 
 
 def _replay(config: GeneratorConfig) -> str:
@@ -213,23 +244,33 @@ def _repr_or_error(call) -> str:
     return repr(value.tolist() if isinstance(value, np.ndarray) else value) + "\n"
 
 
-def _point(config: GeneratorConfig) -> str:
+def _point_calls(inst: sd.Instance) -> list:
+    """Each per-instance call of an instance's (system, x) pair, in the
+    order the ``point`` line hashes them."""
+    s, x, iv = inst.system, inst.x, inst.intervals
+    calls = [lambda fn=fn: fn(s, x) for fn in POINT_FUNCTIONS]
+    calls.append(lambda: sd.orthonormal_rows(s.rows))
+    calls += [lambda fn=fn: fn(s.rows, x.coords) for fn in ROW_FUNCTIONS]
+    if iv is not None:
+        calls.append(lambda: sd.condition_verdict(s, x, iv))
+        calls.append(lambda: sd.bound_cond_half_width(s, x, iv))
+        calls += [lambda m=m: sd.bound_cond_relaxed(s, x, iv, m) for m in RELAXATIONS]
+        calls.append(lambda: sd.reverse_bessel_gap(s, x, iv))
+    return calls
+
+
+def _point(config: GeneratorConfig) -> tuple[str, list[int]]:
     """What each per-instance function of a (system, x) pair returns on the
-    first trials of a stream."""
-    out = []
+    first trials of a stream, and the trials where calling them from last
+    to first returns otherwise."""
+    out, disordered = [], []
     for trial in range(min(LIBRARY_TRIALS, config.trials)):
-        inst = sd.generate_instance(config, trial)
-        s, x, iv = inst.system, inst.x, inst.intervals
-        calls = [lambda fn=fn: fn(s, x) for fn in POINT_FUNCTIONS]
-        calls.append(lambda: sd.orthonormal_rows(s.rows))
-        calls += [lambda fn=fn: fn(s.rows, x.coords) for fn in ROW_FUNCTIONS]
-        if iv is not None:
-            calls.append(lambda: sd.condition_verdict(s, x, iv))
-            calls.append(lambda: sd.bound_cond_half_width(s, x, iv))
-            calls += [lambda m=m: sd.bound_cond_relaxed(s, x, iv, m) for m in RELAXATIONS]
-            calls.append(lambda: sd.reverse_bessel_gap(s, x, iv))
-        out.append(f"trial {trial} point\n" + "".join(_repr_or_error(call) for call in calls))
-    return "".join(out)
+        forward = [_repr_or_error(call) for call in _point_calls(sd.generate_instance(config, trial))]
+        backward = [_repr_or_error(call) for call in reversed(_point_calls(sd.generate_instance(config, trial)))]
+        if backward[::-1] != forward:
+            disordered.append(trial)
+        out.append(f"trial {trial} point\n" + "".join(forward))
+    return "".join(out), disordered
 
 
 # the named bound function of each combination kind, called with a method's choices
@@ -328,15 +369,20 @@ def main() -> int:
         digest = _sha(_structure(result))
         structure.update(f"{name} struct {digest}\n".encode("ascii"))
         print(f"{name:<34} {'struct':<6} {digest}")
-        digest = _sha(_library(config))
+        text, disordered = _library(config)
+        digest = _sha(text)
         library.update(f"{name} library {digest}\n".encode("ascii"))
         print(f"{name:<34} library {digest}")
         digest = _sha(_replay(config))
         replay.update(f"{name} replay {digest}\n".encode("ascii"))
         print(f"{name:<34} replay {digest}")
-        digest = _sha(_point(config))
+        text, backward = _point(config)
+        digest = _sha(text)
         point.update(f"{name} point {digest}\n".encode("ascii"))
         print(f"{name:<34} point  {digest}")
+        for trial in sorted(set(disordered + backward)):
+            problems += 1
+            print(f"ORDER {name} trial {trial}")
         digest = _sha(_combination(config))
         combination.update(f"{name} combination {digest}\n".encode("ascii"))
         print(f"{name:<34} combination {digest}")
