@@ -111,6 +111,16 @@ class IntervalData:
         if field_array((self.gammas, self.Gammas), None, "interval scalars").ndim != 2:
             raise ValueError("interval scalars must be numbers")
 
+    @classmethod
+    def _of(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalData":
+        """The data of two same-length arrays that :func:`field_array` has
+        checked, kept as the arrays of their field."""
+        data = cls.__new__(cls)
+        object.__setattr__(data, "gammas", tuple(lo.tolist()))
+        object.__setattr__(data, "Gammas", tuple(hi.tolist()))
+        object.__setattr__(data, "_arrays", {Field.of(lo): (lo, hi)})
+        return data
+
     @property
     def n(self) -> int:
         return len(self.gammas)

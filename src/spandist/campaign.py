@@ -9,9 +9,10 @@ range is split into chunks, or across workers, changes nothing. A check
 registered at runtime (a plain per-instance function) is called once per
 trial with that trial's :func:`generate_instance`.
 
-With ``jobs > 1`` each trial range runs in its own forked worker, which
-sends its tally, or its exception and traceback, back through a pipe. All
-replies are read before any worker is joined: a large one blocks its exit.
+With ``jobs = k > 1`` the trials are split into k ranges: the caller runs
+the first itself, and k - 1 forked workers run the rest, each sending its
+tally, or its exception and traceback, back through a pipe. All replies
+are read before any worker is joined: a large one blocks its exit.
 
 Aggregation is order-independent by construction — counts are sums, worst
 margins are minima, and failures are sorted by (trial, check_id) — so a
@@ -25,6 +26,7 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from typing import Sequence
 
 import numpy as np
@@ -160,7 +162,13 @@ def _worker(send, config: GeneratorConfig, names: tuple[str, ...], start: int, s
     try:
         send.send((True, _run_range(config, [resolve_check(name) for name in names], start, stop, tol)))
     except BaseException as exc:
-        send.send((False, (exc, "".join(traceback.format_exception(exc)))))
+        text = "".join(traceback.format_exception(exc))
+        try:  # one that does not round-trip would be lost in send or in the caller's recv
+            ForkingPickler.loads(ForkingPickler.dumps(exc))
+        except Exception:
+            summary = "".join(traceback.format_exception_only(exc)).strip()
+            exc = RuntimeError(f"a worker raised an exception that does not pickle: {summary}")
+        send.send((False, (exc, text)))
 
 
 def run_campaign(
@@ -172,8 +180,9 @@ def run_campaign(
     """Run ``config.trials`` independent trials of the named checks.
 
     ``checks=None`` selects every check applicable to the config. With
-    ``jobs > 1`` the trial range is split across worker processes; results
-    are identical to a serial run.
+    ``jobs > 1`` the trial range is split into ``jobs`` shares: the caller
+    runs the first, a forked worker each of the others; results are
+    identical to a serial run.
     """
     jobs = checked_int("jobs", jobs)
     if jobs < 1:
@@ -189,14 +198,15 @@ def run_campaign(
         edges = [trials * i // jobs for i in range(jobs + 1)]
         procs, conns, parts = [], [], []
         try:
-            for lo, hi in zip(edges, edges[1:]):
+            for lo, hi in zip(edges[1:], edges[2:]):
                 recv, send = _MP_CONTEXT.Pipe(duplex=False)
                 conns.append(recv)
                 with send:  # closed before the next fork, so that this worker's exit ends the pipe
                     proc = _MP_CONTEXT.Process(target=_worker, args=(send, config, names, lo, hi, tol))
                     proc.start()
                 procs.append(proc)
-            for proc, recv, lo, hi in zip(procs, conns, edges, edges[1:]):
+            tally = _run_range(config, resolved, 0, edges[1], tol)  # the first share, while the workers run
+            for proc, recv, lo, hi in zip(procs, conns, edges[1:], edges[2:]):
                 try:
                     ok, reply = recv.recv()
                 except EOFError:
@@ -212,7 +222,6 @@ def run_campaign(
                 proc.join()
             for conn in conns:
                 conn.close()
-        tally = _Tally()
         for part in parts:
             tally.merge(part)
     runtime = time.perf_counter() - started

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checks", default=None,
                           help=f"comma-separated check names (default: all applicable; "
                                f"known: {', '.join(REGISTRY)})")
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_verify.add_argument("--jobs", type=int, default=1, help="processes, the caller's included (default 1)")
     _add_format_flag(p_verify)
     _add_tolerance_flags(p_verify)
 

@@ -454,13 +454,10 @@ def generate_instance(
     same bits as trial ``trial`` of any chunk."""
     trial = checked_int("trial index", trial)
     chunk = generate_chunk(config, range(trial, trial + 1), tol)
-    intervals = None
-    if chunk.lo is not None:
-        intervals = IntervalData(gammas=tuple(chunk.lo[0].tolist()), Gammas=tuple(chunk.hi[0].tolist()))
     return Instance(
         system=VectorSystem._of(chunk.systems),
-        x=Vector(chunk.x[0], config.field),
-        intervals=intervals,
+        x=Vector._of(chunk.x[0]),
+        intervals=None if chunk.lo is None else IntervalData._of(chunk.lo[0], chunk.hi[0]),
         seed=config.seed,
         trial=trial,
     )

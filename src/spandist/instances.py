@@ -128,14 +128,15 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
     try:
         intervals = None
         if "gammas" in obj:
-            intervals = IntervalData(
-                gammas=tuple(_to_array(obj["gammas"], field, "interval scalars").tolist()),
-                Gammas=tuple(_to_array(obj["Gammas"], field, "interval scalars").tolist()),
+            intervals = IntervalData._of(
+                _to_array(obj["gammas"], field, "interval scalars"),
+                _to_array(obj["Gammas"], field, "interval scalars"),
             )
-        # the checks above established the nonempty (n, dim) shape
+        # the checks above established the nonempty (n, dim) shape, and each
+        # array is checked once, here
         rows = _to_array(raw_vectors, field, "system coordinates")
         system = VectorSystem._of(SystemStack(rows[np.newaxis], field, tol))
-        x = Vector(_to_array(obj["x"], field, "vector coordinates"), field)
+        x = Vector._of(_to_array(obj["x"], field, "vector coordinates"))
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
     return Instance(system=system, x=x, intervals=intervals)

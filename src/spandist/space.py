@@ -160,6 +160,15 @@ class Vector:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "field", Field.of(coords))
 
+    @classmethod
+    def _of(cls, coords: np.ndarray) -> "Vector":
+        """The vector of a nonempty one-dimensional array that
+        :func:`field_array` has checked."""
+        v = cls.__new__(cls)
+        object.__setattr__(v, "coords", coords)
+        object.__setattr__(v, "field", Field.of(coords))
+        return v
+
     @property
     def dim(self) -> int:
         return int(self.coords.shape[0])

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -143,7 +144,9 @@ def test_failures_sorted_by_trial_then_check(monkeypatch):
     assert res.counts["zzz/b"] == 2
 
 
-SHARED = GeneratorConfig(seed=5, trials=6, dim=3, n=2)  # jobs=2 splits it into trials 0-2 and 3-5
+# jobs=2 splits it into trials 0-2, run by the caller, and 3-5, run by a
+# worker; jobs=3 into 0-1 (the caller), 2-3 and 4-5 (two workers)
+SHARED = GeneratorConfig(seed=5, trials=6, dim=3, n=2)
 
 
 @pytest.mark.parametrize("config,jobs", [(GeneratorConfig(trials=0), 1), (SHARED, 2)])
@@ -185,26 +188,26 @@ def test_a_worker_that_exits_without_a_reply_raises_runtime_error(monkeypatch):
 
 
 def test_a_dying_worker_is_seen_while_its_sibling_still_runs(monkeypatch):
-    # the second share sleeps for a minute: the first share's exit must end
+    # the second worker sleeps for a minute: the first worker's exit must end
     # its pipe at once, and the second must be terminated
     def planted(instance, tol):
-        if instance.trial == 1:
+        if instance.trial == 2:
             os._exit(3)
         deadline = time.monotonic() + 60.0
-        while instance.trial == 3 and time.monotonic() < deadline:
+        while instance.trial == 4 and time.monotonic() < deadline:
             time.sleep(0.01)
         return []
 
     monkeypatch.setitem(REGISTRY, "planted", planted)
     started = time.monotonic()
-    with pytest.raises(RuntimeError, match="worker for trials 0-2 exited with code 3"):
-        sd.run_campaign(SHARED, checks=("planted",), jobs=2)
+    with pytest.raises(RuntimeError, match="worker for trials 2-3 exited with code 3"):
+        sd.run_campaign(SHARED, checks=("planted",), jobs=3)
     assert time.monotonic() - started < 30.0
     assert multiprocessing.active_children() == []
 
 
 def test_both_workers_are_joined_when_both_raise(monkeypatch, tmp_path):
-    # the second share raises first, and the first waits for it, so both
+    # the second worker raises first, and the first waits for it, so both
     # workers have raised by the time the first reply is read
     second_raised = tmp_path / "second_raised"
 
@@ -213,22 +216,100 @@ def test_both_workers_are_joined_when_both_raise(monkeypatch, tmp_path):
         if instance.trial == 4:
             second_raised.touch()
             raise ValueError("planted at trial 4")
-        if instance.trial == 1:
+        if instance.trial == 2:
             deadline = time.monotonic() + 60.0
             while not second_raised.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            raise ValueError("planted at trial 1")
+            raise ValueError("planted at trial 2")
         return []
 
     monkeypatch.setitem(REGISTRY, "planted", planted)
-    with pytest.raises(ValueError, match="^planted at trial 1$"):
-        sd.run_campaign(SHARED, checks=("planted",), jobs=2)
-    pids = [int(path.name.split("_")[1]) for path in tmp_path.glob("pid_*")]
+    with pytest.raises(ValueError, match="^planted at trial 2$"):
+        sd.run_campaign(SHARED, checks=("planted",), jobs=3)
+    pids = {int(path.name.split("_")[1]) for path in tmp_path.glob("pid_*")} - {os.getpid()}
     assert len(pids) == 2
     for pid in pids:
         # a worker that was joined is no child left to wait for
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+SEVEN = GeneratorConfig(seed=9, trials=7, dim=3, n=2)
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_the_caller_runs_the_first_share_and_jobs_minus_one_workers_the_rest(monkeypatch, tmp_path, jobs):
+    def planted(instance, tol):
+        (tmp_path / f"{instance.trial}_{os.getpid()}").touch()
+        return [CheckOutcome("planted/ok", True, float(instance.trial))]
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    checks = ("planted", "lagrange_identity")
+    split = sd.run_campaign(SEVEN, checks=checks, jobs=jobs)
+    pid_of = dict(map(int, path.name.split("_")) for path in tmp_path.iterdir())
+    assert sorted(pid_of) == list(range(SEVEN.trials))
+    first = SEVEN.trials // jobs
+    assert {pid_of[t] for t in range(first)} == {os.getpid()}
+    workers = {pid_of[t] for t in range(first, SEVEN.trials)}
+    assert os.getpid() not in workers and len(workers) == jobs - 1
+    assert multiprocessing.active_children() == []
+    serial = sd.run_campaign(SEVEN, checks=checks)
+    assert sd.render_campaign(split, "json") == sd.render_campaign(serial, "json")
+    assert sd.render_campaign(split, "csv") == sd.render_campaign(serial, "csv")
+
+
+@pytest.mark.parametrize("raised", [ValueError, KeyboardInterrupt])
+def test_an_exception_in_the_callers_share_stops_the_sleeping_worker(monkeypatch, raised):
+    # trial 1 is the caller's, trial 3 the worker's, which sleeps for a
+    # minute: the caller's exception must terminate it
+    def planted(instance, tol):
+        if instance.trial == 1:
+            raise raised("planted at trial 1")
+        deadline = time.monotonic() + 60.0
+        while instance.trial == 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return []
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    started = time.monotonic()
+    with pytest.raises(raised, match="^planted at trial 1$") as info:
+        sd.run_campaign(SHARED, checks=("planted",), jobs=2)
+    assert info.value.__cause__ is None
+    assert time.monotonic() - started < 30.0
+    assert multiprocessing.active_children() == []
+
+
+class _TwoArgumentError(Exception):
+    # pickled as its type and args, which one argument cannot rebuild
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def _error_with_a_lock():
+    exc = ValueError("planted with a lock")
+    exc.lock = threading.Lock()  # a lock does not pickle
+    return exc
+
+
+@pytest.mark.parametrize("make,summary", [
+    (lambda: _TwoArgumentError(1, 2), "_TwoArgumentError: 1 and 2"),
+    (_error_with_a_lock, "ValueError: planted with a lock"),
+])
+def test_a_worker_exception_that_does_not_pickle_arrives_as_a_runtime_error(monkeypatch, make, summary):
+    def planted(instance, tol):
+        if instance.trial == 4:
+            raise make()
+        return []
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    with pytest.raises(RuntimeError, match="^a worker raised an exception that does not pickle: ") as info:
+        sd.run_campaign(SHARED, checks=("planted",), jobs=2)
+    assert str(info.value).endswith(summary)
+    assert isinstance(info.value.__cause__, sd_campaign._WorkerTraceback)
+    remote = str(info.value.__cause__)
+    assert "in planted" in remote
+    assert remote.rstrip().endswith(summary)
     assert multiprocessing.active_children() == []
 
 

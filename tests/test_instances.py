@@ -1,6 +1,8 @@
 """JSON instance files: exact round-trips and hostile input."""
 
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -196,3 +198,29 @@ def test_screened_loading_keeps_every_bit():
     assert cplx.system.rows.tolist() == [[1 + 0j, 1j], [0.5 + 0.5j, 1 - 0j]]
     assert np.signbit(cplx.system.rows[1, 1].imag)
     assert cplx.x.coords.tolist() == [1 + 2j, 3 + 0j]
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_loading_checks_each_array_once_and_the_report_none(monkeypatch, field):
+    # one field_array call for the system, one for x and one per interval
+    # array; the report reads the interval arrays the loader kept
+    generated = sd.generate_instance(GeneratorConfig(seed=3, trials=1, dim=6, n=3, field=field, intervals=True), 0)
+    expected = sd.full_bound_report(generated.system, generated.x, intervals=generated.intervals)
+    original = sd.space.field_array
+    calls = []
+
+    def counted(values, field, what):
+        calls.append(what)
+        return original(values, field, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "spandist" and getattr(module, "field_array", None) is original:
+            monkeypatch.setattr(module, "field_array", counted)
+    inst = sd.instance_from_obj(sd.instance_to_obj(generated))
+    assert Counter(calls) == {"system coordinates": 1, "vector coordinates": 1, "interval scalars": 2}
+    calls.clear()
+    report = sd.full_bound_report(inst.system, inst.x, intervals=inst.intervals)
+    assert calls == []
+    assert len(report.entries) == 9
+    assert report == expected
+    assert inst.intervals == generated.intervals

@@ -15,8 +15,9 @@ the same arithmetic) must leave every structure line identical: the same
 checks ran, as often, and failed on the same trials.
 
 Each stream is also run with ``jobs=2`` and ``jobs=3``, which split its
-trials across worker processes off the boundaries of the serial run's
-chunks. Their json and csv digests must equal the serial ones: a line
+trials off the boundaries of the serial run's chunks: the caller runs the
+first share, so ``jobs=2`` forks one worker and ``jobs=3`` two. Their json
+and csv digests must equal the serial ones: a line
 ``MISMATCH <stream> jobs=<k> <fmt>`` is printed for each that differs.
 After each of these runs every worker must be gone: a line ``LEFTOVER
 <stream> jobs=<k> <count>`` is printed when ``multiprocessing.active_children()``
