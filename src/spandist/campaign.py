@@ -2,12 +2,13 @@
 
 Trials are generated and checked in chunks (:data:`CHUNK_TRIALS` at most,
 fewer for large systems): one set of array operations serves every trial
-of a chunk, and each built-in check returns per-trial arrays of margins
-that are merged as they are, building a record only for a failure. A
-trial's numbers do not depend on the chunk it is evaluated in, so how a
-range is split into chunks, or across workers, changes nothing. A check
-registered at runtime (a plain per-instance function) is called once per
-trial with that trial's :func:`generate_instance`.
+of a chunk, and each built-in check returns per-trial arrays of margins.
+The tally stacks a chunk's margins and masks and reduces all of them in
+one pass, building a record only for a failure. A trial's numbers do not
+depend on the chunk it is evaluated in, so how a range is split into
+chunks, or across workers, changes nothing. A check registered at runtime
+(a plain per-instance function) is called once per trial with that
+trial's :func:`generate_instance`.
 
 With ``jobs = k > 1`` the trials are split into k ranges: the caller runs
 the first itself, and k - 1 forked workers run the rest, each sending its
@@ -15,9 +16,10 @@ tally, or its exception and traceback, back through a pipe. All replies
 are read before any worker is joined: a large one blocks its exit.
 
 Aggregation is order-independent by construction — counts are sums, worst
-margins are minima, and failures are sorted by (trial, check_id) — so a
-parallel run merges to exactly the same result as a serial one, and the
-machine-readable reports are byte-identical across repeats.
+margins are minima (NaN where any margin is NaN), and failures are sorted
+by (trial, check_id) — so a parallel run merges to exactly the same result
+as a serial one, and the machine-readable reports are byte-identical
+across repeats.
 """
 
 from __future__ import annotations
@@ -90,24 +92,25 @@ class _Tally:
     def _count(self, check_id: str, count: int, low: float) -> None:
         self.counts[check_id] = self.counts.get(check_id, 0) + count
         prev = self.worst.get(check_id)
-        if prev is None or low < prev:
+        if prev is None or low < prev or low != low:  # a NaN, once seen, stays the worst
             self.worst[check_id] = low
 
     def columns(self, trials: Sequence[int], columns: list[Column]) -> None:
-        for col in columns:
-            if col.mask is None:
-                idx, margins = None, col.margin
-            else:
-                idx = np.flatnonzero(col.mask)
-                if not idx.size:
-                    continue
-                margins = col.margin[idx]
-            low = float(margins.min())
-            self._count(col.check_id, margins.size, low)
-            if low >= 0.0:
-                continue
-            bad = np.flatnonzero(~(margins >= 0.0))
-            for k in (bad if idx is None else idx[bad]).tolist():
+        """Tally a chunk's columns: the counts and masked minima of all of
+        them in one pass over their (C, T) stack, then a record per failure."""
+        if not columns:
+            return
+        everyone = np.ones(len(trials), dtype=bool)
+        masks = np.array([everyone if col.mask is None else col.mask for col in columns])
+        margins = np.array([col.margin for col in columns])
+        failed = masks & ~(margins >= 0.0)
+        lows = np.where(masks, margins, np.inf).min(axis=1).tolist()
+        for col, count, low in zip(columns, masks.sum(axis=1).tolist(), lows):
+            if count:
+                self._count(col.check_id, count, low)
+        for c in np.flatnonzero(failed.any(axis=1)).tolist():
+            col = columns[c]
+            for k in np.flatnonzero(failed[c]).tolist():
                 self.failures.append(FailureRecord(
                     trial=trials[k],
                     check_id=col.check_id,

@@ -11,9 +11,11 @@ The built-in checks are written once, over a chunk of trials (an
 which carries its tolerance and draws their auxiliary coefficients): each
 returns one :class:`Column` per check id, its margins and recorded values
 as arrays with one entry per trial and a mask of the trials it applies
-to. The per-instance check is that run on ``InstanceChunk.of(instance,
-tol)``, a chunk of one; the campaign merges columns directly and builds a
-record only for a failure.
+to. Where a family has several ids of one formula, it evaluates the
+formula once over their stacked operands, and each column holds its row.
+The per-instance check is that run on ``InstanceChunk.of(instance, tol)``,
+a chunk of one; the campaign tallies a chunk's columns in one pass and
+builds a record only for a failure.
 
 Margins are normalised so that ok == (margin >= 0) and more positive means
 more comfortable; the campaign keeps the worst margin per check id.
@@ -80,6 +82,8 @@ class Column(NamedTuple):
 
     ``margin`` and each recorded value (sorted by name) hold one entry per
     trial; ``mask`` marks the trials the outcome exists for (None: all).
+    A family with several ids of one formula computes it once, on (C, T)
+    stacks, and its columns hold row views of them (:func:`_columns`).
     """
 
     check_id: str
@@ -90,6 +94,18 @@ class Column(NamedTuple):
 
 def _column(check_id: str, margin: np.ndarray, mask: np.ndarray | None = None, **values: np.ndarray) -> Column:
     return Column(check_id, margin, tuple(sorted(values.items())), mask)
+
+
+def _columns(
+    ids: Sequence[str], margin: np.ndarray, mask: np.ndarray | None = None, **values: np.ndarray
+) -> list[Column]:
+    """One column per id of a (C, T) margin stack, id c taking row c; a
+    (C, T) recorded value gives its rows out the same way, a (T,) one goes
+    to every column."""
+    names = sorted(values)
+    stacks = [values[name] if values[name].ndim == 2 else [values[name]] * len(ids) for name in names]
+    rows = zip(*stacks) if stacks else [()] * len(ids)
+    return [Column(check_id, m, tuple(zip(names, row)), mask) for check_id, m, row in zip(ids, margin, rows)]
 
 
 def outcomes_of(columns: Sequence[Column], k: int) -> list[CheckOutcome]:
@@ -114,13 +130,6 @@ def _dominance_margin(bound: np.ndarray, floor: np.ndarray) -> np.ndarray:
 def _closeness_margin(value: np.ndarray, expected: np.ndarray, rel: float) -> np.ndarray:
     """Margin for '|value - expected| <= rel * (1 + |expected|)'."""
     return rel - np.abs(value - expected) / (1.0 + np.abs(expected))
-
-
-def _spread(idx: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
-    """Values of the trials ``idx`` placed in a length-``size`` array, NaN elsewhere."""
-    out = np.full(size, np.nan)
-    out[idx] = values
-    return out
 
 
 # -- the check families, each over a whole chunk ----------------------------
@@ -150,10 +159,9 @@ def _bound_dominance(t: InstanceChunk) -> list[Column]:
     total-norm bound is strictly above it away from degeneracies."""
     ok = t.systems.factor.complete & ~t.in_orth
     d2 = t.d2
-    out = [
-        _column(f"bound_dominance/{method.value}", _dominance_margin(value, d2), ok, bound=value, exact=d2)
-        for method, value in t.unconditional.items()
-    ]
+    bounds = np.array(list(t.unconditional.values()))
+    ids = [f"bound_dominance/{method.value}" for method in t.unconditional]
+    out = _columns(ids, _dominance_margin(bounds, d2), ok, bound=bounds, exact=d2)
     if t.systems.n >= 2:
         condition = t.systems.factor.condition
         total = t.unconditional[bnd.BoundMethod.TOTAL_NORM]
@@ -182,25 +190,19 @@ def _orthonormal_collapse(t: InstanceChunk) -> list[Column]:
         method.TOTAL_NORM: bessel + s * (1.0 - 1.0 / n),
         method.FROBENIUS: bessel + s * (1.0 - 1.0 / math.sqrt(n)),
     }
-    return [
-        _column(
-            f"orthonormal_collapse/{m.value}",
-            _closeness_margin(t.unconditional[m], expected, DOMINANCE_REL),
-            ok,
-            value=t.unconditional[m],
-            expected=expected,
-        )
-        for m, expected in expectations.items()
-    ]
+    values = np.array([t.unconditional[m] for m in expectations])
+    expected = np.array(list(expectations.values()))
+    ids = [f"orthonormal_collapse/{m.value}" for m in expectations]
+    return _columns(ids, _closeness_margin(values, expected, DOMINANCE_REL), ok, value=values, expected=expected)
 
 
 def _bessel_refinements(t: InstanceChunk) -> list[Column]:
     """Refined Bessel right-hand sides dominate the coefficient power sum
     for arbitrary systems, dependent ones included."""
-    return [
-        _column(f"bessel_refinements/{m.value}", _dominance_margin(value, t.s), rhs=value, power_sum=t.s)
-        for m, value in bnd.bessel_values(t.xx, t.systems.aggregates).items()
-    ]
+    rhs = bnd.bessel_values(t.xx, t.systems.aggregates)
+    values = np.array(list(rhs.values()))
+    ids = [f"bessel_refinements/{m.value}" for m in rhs]
+    return _columns(ids, _dominance_margin(values, t.s), rhs=values, power_sum=t.s)
 
 
 def _lagrange_identity(t: InstanceChunk) -> list[Column]:
@@ -245,6 +247,7 @@ def _sweep() -> tuple[tuple[str, comb.CombinationMethod], ...]:
 
 
 COMBINATION_SWEEP = _sweep()
+_SWEEP_HOLDS = tuple(f"combination_sweep/{label}/holds" for label, _ in COMBINATION_SWEEP)
 
 
 def _combination_sweep(t: InstanceChunk) -> list[Column]:
@@ -252,15 +255,18 @@ def _combination_sweep(t: InstanceChunk) -> list[Column]:
     draws = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.systems.aggregates)
     rel = t.tol.compare_rel_tol
     lhs = draws.lhs
-    out: list[Column] = []
-    for label, method in COMBINATION_SWEEP:
-        chain = draws.chain(method)
-        out.append(_column(f"combination_sweep/{label}/holds", comb.bound_margin(chain[0], lhs, rel),
-                           lhs=lhs, bound=chain[0]))
-        if len(chain) > 1:
-            out.append(_column(f"combination_sweep/{label}/chain", comb.bound_margin(chain[-1], chain[0], rel),
-                               tight=chain[0], coarse=chain[-1]))
-    return out
+    chains = [draws.chain(method) for _, method in COMBINATION_SWEEP]
+    tight = np.array([chain[0] for chain in chains])
+    holds = _columns(_SWEEP_HOLDS, comb.bound_margin(tight, lhs, rel), lhs=lhs, bound=tight)
+    linked = [k for k, chain in enumerate(chains) if len(chain) > 1]
+    coarse, paired = np.array([chains[k][-1] for k in linked]), tight[linked]
+    ids = [f"combination_sweep/{COMBINATION_SWEEP[k][0]}/chain" for k in linked]
+    chained = iter(_columns(ids, comb.bound_margin(coarse, paired, rel), tight=paired, coarse=coarse))
+    return [col for hold, chain in zip(holds, chains) for col in ([hold, next(chained)] if len(chain) > 1 else [hold])]
+
+
+_CHAIN_IDS = {kind: tuple(f"hadamard_chains/{v.value}/{kind}" for v in ChainVariant)
+              for kind in ("lower", "upper", "orthonormal_fixed_point")}
 
 
 def _hadamard_chains(t: InstanceChunk) -> list[Column]:
@@ -272,20 +278,18 @@ def _hadamard_chains(t: InstanceChunk) -> list[Column]:
         return []
     det, product = t.systems.factor.det, t.systems.aggregates.norm_product
     fixed_point = ok & t.orthonormal
-    norms = t.systems.aggregates.norms_sq[idx]
-    prefixes = t.systems.aggregates.chain_prefixes
-    numerators = prefixes.numerators[idx]
-    out: list[Column] = []
-    for variant in ChainVariant:
-        denominators = getattr(prefixes, variant.value)[idx]
-        refined = _spread(idx, t.size, chain_stack(norms, numerators, denominators, t.tol)[1])
-        out.append(_column(f"hadamard_chains/{variant.value}/lower", _dominance_margin(refined, det), ok,
-                           refined=refined, gram_det=det))
-        out.append(_column(f"hadamard_chains/{variant.value}/upper", _dominance_margin(product, refined), ok,
-                           refined=refined, norm_product=product))
-        out.append(_column(f"hadamard_chains/{variant.value}/orthonormal_fixed_point",
-                           _closeness_margin(refined, 1.0, FIXED_POINT_REL), fixed_point, refined=refined))
-    return out
+    agg, variants = t.systems.aggregates, len(ChainVariant)
+    # the chains of every variant as one stack of variants * len(idx) rows
+    norms, numerators = (np.tile(a[idx], (variants, 1)) for a in (agg.norms_sq, agg.chain_prefixes.numerators))
+    denominators = np.concatenate([getattr(agg.chain_prefixes, v.value)[idx] for v in ChainVariant])
+    refined = np.full((variants, t.size), np.nan)
+    refined[:, idx] = chain_stack(norms, numerators, denominators, t.tol)[1].reshape(variants, -1)
+    lower = _columns(_CHAIN_IDS["lower"], _dominance_margin(refined, det), ok, refined=refined, gram_det=det)
+    upper = _columns(_CHAIN_IDS["upper"], _dominance_margin(product, refined), ok,
+                     refined=refined, norm_product=product)
+    fixed = _columns(_CHAIN_IDS["orthonormal_fixed_point"], _closeness_margin(refined, 1.0, FIXED_POINT_REL),
+                     fixed_point, refined=refined)
+    return [col for triple in zip(lower, upper, fixed) for col in triple]
 
 
 def _gram_inequalities(t: InstanceChunk) -> list[Column]:
@@ -330,10 +334,9 @@ def _conditional_bounds(t: InstanceChunk) -> list[Column]:
     half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
     out.append(_column("conditional_bounds/half_width_dominates", _dominance_margin(half_width, d2), held,
                        bound=half_width, exact=d2))
-    for method in bnd.CONDITIONAL_METHODS[1:]:
-        relaxed = values[method]
-        out.append(_column(f"conditional_bounds/{method.value}_coarser", _dominance_margin(relaxed, half_width),
-                           held, relaxed=relaxed, half_width=half_width))
+    relaxed = np.array([values[method] for method in bnd.CONDITIONAL_METHODS[1:]])
+    ids = [f"conditional_bounds/{method.value}_coarser" for method in bnd.CONDITIONAL_METHODS[1:]]
+    out += _columns(ids, _dominance_margin(relaxed, half_width), held, relaxed=relaxed, half_width=half_width)
     gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, t.widths)
     above, below = _dominance_margin(gap, 0.0), _dominance_margin(quarter, gap)
     out.append(_column("conditional_bounds/reverse_bessel", np.where(below < above, below, above),

@@ -422,13 +422,12 @@ def generate_chunk(
             raise ValueError(f"trial index {trial} outside the configured range [0, {config.trials})")
     first = _FirstPass(config, len(trials))
     rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each trial
-    states = []
     for k, trial in enumerate(trials):
         first.fill(_rekey(rng, config.seed, trial), k)
-        states.append(rng.bit_generator.state)
 
     def resume(k: int) -> np.random.Generator:
-        rng.bit_generator.state = states[k]
+        # the rare redraw replays trial k's first pass, into a throwaway one
+        _FirstPass(config, 1).fill(_rekey(rng, config.seed, trials[k]), 0)
         return rng
 
     rows = _conditioned_rows(first, config)

@@ -337,8 +337,9 @@ def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     on (None: all of them).
 
     numpy raises for the whole stack when one matrix fails, so then each
-    matrix is retried alone: LAPACK treats the matrices of a stack one by
-    one, and a failure stays with its own matrix.
+    failed part is retried by halves: LAPACK treats the matrices of a stack
+    one by one, so a failure stays with its own matrix, and one failure
+    among m matrices costs at most 2 * ceil(log2 m) more calls.
     """
     try:
         return fn(stack), None
@@ -346,12 +347,16 @@ def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         pass
     out = np.zeros_like(stack)
     ok = np.zeros(stack.shape[0], dtype=bool)
-    for k in range(stack.shape[0]):
-        try:
-            out[k] = fn(stack[k : k + 1])[0]
-            ok[k] = True
-        except np.linalg.LinAlgError:
-            pass
+    spans = [(0, stack.shape[0])] if stack.shape[0] > 1 else []  # parts that failed whole
+    while spans:
+        lo, hi = spans.pop()
+        mid = (lo + hi) // 2
+        for a, b in ((lo, mid), (mid, hi)):
+            try:
+                out[a:b], ok[a:b] = fn(stack[a:b]), True
+            except np.linalg.LinAlgError:
+                if b - a > 1:
+                    spans.append((a, b))
     return out, ok
 
 
@@ -729,19 +734,28 @@ def split_determinants(gram: np.ndarray, k: int, rank_rel_tol: float) -> tuple[n
     )
 
 
+_JOINT_ENTRIES = 1 << 13
+
+
 def triangle_roots(
     x1: np.ndarray, y1: np.ndarray, rest_rows: np.ndarray, field: Field, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """det^(1/2) of the Gram matrices of (x1 + y1, rest), (x1, rest) and
     (y1, rest) for (T, dim) leading rows and a (T, m, dim) rest: the Gram
-    block of the rest, bordered by each leading row's inner products."""
+    block of the rest, bordered by each leading row's inner products. Up to
+    ``_JOINT_ENTRIES`` entries in all, one :func:`factor_stack` call factors
+    the three stacks (saving two calls); larger ones, whose temporaries would
+    outweigh that, take one call each through one buffer."""
     rest = rest_rows.astype(field.dtype)
+    count, m = rest.shape[:2]
     leads = np.stack([x1 + y1, x1, y1], axis=1).astype(field.dtype)
-    cross = rest.conj() @ np.swapaxes(leads, -1, -2)  # cross[:, j, k] = <lead_k, rest_j>
-    gram = np.empty((rest.shape[0], rest.shape[1] + 1, rest.shape[1] + 1), field.dtype)
-    gram[:, 1:, 1:] = gram_stack(rest)
-    roots = []
-    for k in range(3):
-        gram[:, 0, 0], gram[:, 0, 1:], gram[:, 1:, 0] = sq_norms(leads[:, k]), cross[:, :, k], cross[:, :, k].conj()
-        roots.append(np.sqrt(np.maximum(factor_stack(gram, tol.rank_rel_tol).det, 0.0)))
-    return tuple(roots)
+    cross = np.transpose(rest.conj() @ np.swapaxes(leads, -1, -2), (2, 0, 1))  # cross[k, :, j] = <lead_k, rest_j>
+    norms = sq_norms(leads).T
+    joint = 3 * count * (m + 1) ** 2 <= _JOINT_ENTRIES
+    gram = np.empty((3 if joint else 1, count, m + 1, m + 1), field.dtype)
+    gram[:, :, 1:, 1:] = gram_stack(rest)
+    det = []
+    for ks in ([0, 1, 2],) if joint else ([0], [1], [2]):
+        gram[:, :, 0, 0], gram[:, :, 0, 1:], gram[:, :, 1:, 0] = norms[ks], cross[ks], cross[ks].conj()
+        det.append(factor_stack(gram.reshape(-1, m + 1, m + 1), tol.rank_rel_tol).det)
+    return tuple(np.sqrt(np.maximum(np.concatenate(det).reshape(3, count), 0.0)))

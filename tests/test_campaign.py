@@ -1,5 +1,6 @@
 """Campaign determinism: serial == parallel, replay reproduces failures."""
 
+import math
 import multiprocessing
 import os
 import signal
@@ -142,6 +143,27 @@ def test_failures_sorted_by_trial_then_check(monkeypatch):
     keys = [(f.trial, f.check_id) for f in res.failures]
     assert keys == sorted(keys)
     assert res.counts["zzz/b"] == 2
+
+
+def _nan_on_trial_1(instance, tol):
+    margin = 0.5 if instance.trial == 0 else math.nan
+    return [CheckOutcome("planted/nan_on_1", margin >= 0.0, margin, ())]
+
+
+def test_a_nan_margin_is_the_worst_in_any_order_or_split(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "planted", _nan_on_trial_1)
+    config = GeneratorConfig(seed=3, trials=2, dim=3, n=2)
+    for jobs in (1, 2):
+        res = sd.run_campaign(config, checks=("planted",), jobs=jobs)
+        assert math.isnan(res.worst_margin["planted/nan_on_1"]), jobs
+        assert [f.trial for f in res.failures] == [1]
+    parts = [sd_campaign._run_range(config, [_nan_on_trial_1], t, t + 1, sd.DEFAULT_TOL) for t in (0, 1)]
+    for order in (parts, parts[::-1]):
+        tally = sd_campaign._Tally()
+        for part in order:
+            tally.merge(part)
+        assert tally.counts == {"planted/nan_on_1": 2}
+        assert math.isnan(tally.worst["planted/nan_on_1"])
 
 
 # jobs=2 splits it into trials 0-2, run by the caller, and 3-5, run by a

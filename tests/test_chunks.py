@@ -8,6 +8,7 @@ against one matrix at a time.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -191,6 +192,110 @@ def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
         for name in ("perm", "pivots", "inverse", "condition"):
             assert np.array_equal(getattr(factor, name)[k], getattr(f, name)[0], equal_nan=True), name
     assert np.isinf(factor.condition[4]) and np.isfinite(np.delete(factor.condition, 4)).all()
+
+
+def _singular_stack(count, singular, field):
+    # a zero row makes an exactly singular Gram matrix: LAPACK meets a zero pivot
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal((count, 4, 6)) + (
+        1j * rng.standard_normal((count, 4, 6)) if field is Field.COMPLEX else 0.0
+    )
+    rows[sorted(singular), 2] = 0.0
+    return np.stack([_gram(r) for r in rows])
+
+
+def _per_matrix(fn, stack):
+    out, ok = np.zeros_like(stack), []
+    for k in range(stack.shape[0]):
+        try:
+            out[k] = fn(stack[k : k + 1])[0]
+            ok.append(True)
+        except np.linalg.LinAlgError:
+            ok.append(False)
+    return out, ok
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("count", [1, 2, 7, 48])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "everywhere"])
+def test_a_failed_stack_is_retried_by_halves_with_each_matrixs_bits(field, count, where):
+    singular = {"first": {0}, "middle": {count // 2}, "last": {count - 1}, "everywhere": set(range(count))}[where]
+    stack = _singular_stack(count, singular, field)
+    calls = []
+
+    def cholesky(a):
+        calls.append(a.shape[0])
+        return np.linalg.cholesky(a)
+
+    out, ok = sd_gram._each(cholesky, stack)
+    ref, ref_ok = _per_matrix(np.linalg.cholesky, stack)
+    assert ok.tolist() == ref_ok == [k not in singular for k in range(count)]
+    assert np.array_equal(out, ref)
+    if len(singular) == 1:
+        assert len(calls) <= 2 * math.ceil(math.log2(count)) + 1
+    assert sd_gram._each(np.linalg.cholesky, np.delete(stack, sorted(singular), axis=0))[1] is None
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_the_triangle_stacks_factor_alike_jointly_or_one_at_a_time(name, monkeypatch):
+    config = _config(name, trials=16)
+    chunk = generate_chunk(config, range(config.trials), TOL)
+    rows = chunk.systems.rows
+    args = (rows[:, 0], chunk.coeffs(3, config.dim), rows[:, 1:], config.field, TOL)
+    default = sd_gram.triangle_roots(*args)
+    for entries in (0, 1 << 30):  # every size one call each, and every size in one call
+        monkeypatch.setattr(sd_gram, "_JOINT_ENTRIES", entries)
+        assert all(np.array_equal(a, b) for a, b in zip(sd_gram.triangle_roots(*args), default)), entries
+
+
+def _tally_reference(trials, columns):
+    """Counts, worst margins and failures of ``columns``, one column and one trial at a time."""
+    counts, worst, failures = {}, {}, []
+    for col in columns:
+        ks = [k for k in range(len(trials)) if col.mask is None or col.mask[k]]
+        if not ks:
+            continue
+        margins = [float(col.margin[k]) for k in ks]
+        counts[col.check_id] = counts.get(col.check_id, 0) + len(ks)
+        low = math.nan if any(math.isnan(m) for m in margins) else min(margins)
+        prev = worst.get(col.check_id, math.inf)
+        worst[col.check_id] = low if math.isnan(low) or low < prev else prev
+        failures += [
+            sd_campaign.FailureRecord(trials[k], col.check_id, m, tuple((name, float(v[k])) for name, v in col.values))
+            for k, m in zip(ks, margins)
+            if not m >= 0.0
+        ]
+    return counts, worst, failures
+
+
+def test_the_tally_reduces_a_chunk_as_each_column_alone():
+    nan, inf = math.nan, math.inf
+    recorded = np.array([1.5, -2.0, 3.25, 0.0])
+
+    def col(check_id, margin, mask=None):
+        return sd.checks.Column(check_id, np.array(margin), (("a", recorded), ("b", -recorded)), mask)
+
+    columns = [
+        col("all/passing", [1.0, 2.0, 0.5, 3.0]),
+        col("all/failing_twice", [-1.0, 2.0, -0.5, 3.0]),
+        col("masked/empty", [-1.0, nan, -inf, 2.0], np.zeros(4, bool)),
+        col("masked/nan_and_inf_outside", [nan, inf, -inf, 0.25], np.array([False, False, False, True])),
+        col("masked/nan_inside", [0.5, nan, 1.0, -2.0], np.array([True, True, False, False])),
+        col("masked/inf_inside", [inf, -1.0, -inf, 0.75], np.array([True, False, False, True])),
+        col("masked/failing_thrice", [-3.0, -inf, 4.0, -0.0], np.array([True, True, True, False])),
+    ]
+    trials = range(40, 44)
+    tally = sd_campaign._Tally()
+    tally.columns(trials, columns)
+    counts, worst, failures = _tally_reference(trials, columns)
+    assert tally.counts == counts and "masked/empty" not in counts
+    assert repr(tally.worst) == repr(worst)
+    assert math.isnan(tally.worst["masked/nan_inside"])
+    assert repr(tally.failures) == repr(failures)
+    assert [(f.trial, f.check_id) for f in tally.failures] == [
+        (40, "all/failing_twice"), (42, "all/failing_twice"), (41, "masked/nan_inside"),
+        (40, "masked/failing_thrice"), (41, "masked/failing_thrice"),
+    ]
 
 
 def test_a_chunk_takes_any_nonempty_range_inside_the_stream():
