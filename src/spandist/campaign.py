@@ -24,11 +24,9 @@ across repeats.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
-from multiprocessing.reduction import ForkingPickler
 from typing import Sequence
 
 import numpy as np
@@ -44,9 +42,12 @@ __all__ = ["FailureRecord", "CampaignResult", "run_campaign", "replay_trial"]
 CHUNK_TRIALS = 16
 _CHUNK_ENTRIES = 1 << 15
 
-# Workers are forked where the platform can fork: a forked worker inherits the
-# checks registered at runtime, which a spawn or forkserver worker would lack.
-_MP_CONTEXT = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
+def _mp_context():
+    """Fork where the platform can fork: a forked worker inherits the checks
+    registered at runtime. A split run alone imports multiprocessing."""
+    import multiprocessing
+    return multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,7 @@ def _worker(send, config: GeneratorConfig, names: tuple[str, ...], start: int, s
     try:
         send.send((True, _run_range(config, [resolve_check(name) for name in names], start, stop, tol)))
     except BaseException as exc:
+        from multiprocessing.reduction import ForkingPickler
         text = "".join(traceback.format_exception(exc))
         try:  # one that does not round-trip would be lost in send or in the caller's recv
             ForkingPickler.loads(ForkingPickler.dumps(exc))
@@ -199,13 +201,13 @@ def run_campaign(
     else:
         jobs = min(jobs, trials)
         edges = [trials * i // jobs for i in range(jobs + 1)]
-        procs, conns, parts = [], [], []
+        procs, conns, parts, context = [], [], [], _mp_context()
         try:
             for lo, hi in zip(edges[1:], edges[2:]):
-                recv, send = _MP_CONTEXT.Pipe(duplex=False)
+                recv, send = context.Pipe(duplex=False)
                 conns.append(recv)
                 with send:  # closed before the next fork, so that this worker's exit ends the pipe
-                    proc = _MP_CONTEXT.Process(target=_worker, args=(send, config, names, lo, hi, tol))
+                    proc = context.Process(target=_worker, args=(send, config, names, lo, hi, tol))
                     proc.start()
                 procs.append(proc)
             tally = _run_range(config, resolved, 0, edges[1], tol)  # the first share, while the workers run

@@ -326,6 +326,7 @@ def bound_margin(upper: float | np.ndarray, lower: float | np.ndarray, rel: floa
 
 
 # -- the bound families: one chain formula each, over a CombinationStack -----
+# CombinationMethod validated each exponent p: its conjugate is conjugate_exponent's p / (p - 1.0).
 
 
 def _cauchy_schwarz_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
@@ -337,7 +338,7 @@ def _diag_term(branch: DiagBranch, exp: float | None, c: CombinationStack) -> np
     if branch == "max_coeff":
         return c.a_max**2 * g.norm_sum
     if branch == "holder":
-        q = conjugate_exponent(exp)
+        q = exp / (exp - 1.0)
         return c.power_sum(2 * exp) ** (1 / exp) * g.power_sum("norms_sq", q) ** (1 / q)
     return c.power_sum(2) * g.norm_max
 
@@ -347,7 +348,7 @@ def _offdiag_term(branch: OffdiagBranch, exp: float | None, c: CombinationStack)
     if branch == "max_coeff":
         return c.top_pair_product * g.offdiag_sum
     if branch == "holder":
-        q = conjugate_exponent(exp)
+        q = exp / (exp - 1.0)
         coeff = np.maximum(c.power_sum(exp) ** 2 - c.power_sum(2 * exp), 0.0)
         return coeff ** (1 / exp) * g.power_sum("abs_offdiag", q) ** (1 / q)
     coeff = np.maximum(c.a_sum**2 - c.power_sum(2), 0.0)
@@ -379,7 +380,7 @@ def _row_sum_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarra
     if m.branch == "max_coeff":
         relaxed = c.a_max**2 * g.row_sum_total
     elif m.branch == "holder":
-        q = conjugate_exponent(m.p)
+        q = m.p / (m.p - 1.0)
         relaxed = c.power_sum(2 * m.p) ** (1 / m.p) * g.power_sum("row_sums", q) ** (1 / q)
     else:
         relaxed = c.power_sum(2) * g.row_max
@@ -387,7 +388,7 @@ def _row_sum_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarra
 
 
 def _holder_gram_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    q = conjugate_exponent(m.p)
+    q = m.p / (m.p - 1.0)
     return (c.power_sum(m.p) ** (2 / m.p) * c.agg.power_sum("abs_gram", q) ** (1 / q),)
 
 

@@ -13,7 +13,8 @@ Schema::
 A scalar ``s`` is a plain number in the real case and a two-element
 ``[re, im]`` array in the complex case. Floats are written with
 shortest-round-trip precision, so save -> load reproduces every value
-exactly.
+exactly. Files are written by the JSON writer of :mod:`spandist.reports`,
+byte for byte ``json.dumps(obj, indent=2) + "\n"``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .bounds import IntervalData
 from .errors import InstanceFormatError
 from .generator import Instance
 from .gram import SystemStack, VectorSystem
+from .reports import _json
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, field_array
 
 __all__ = ["load_instance", "save_instance", "instance_to_obj", "instance_from_obj"]
@@ -37,11 +39,9 @@ _KNOWN_KEYS = {"field", "vectors", "x", "gammas", "Gammas"}
 _NUMBERS = {float, int}
 
 
-def _encode_scalar(value: complex | float, field: Field) -> Any:
-    if field is Field.REAL:
-        return float(np.real(value))
-    z = complex(value)
-    return [z.real, z.imag]
+def _encode(values: np.ndarray, field: Field) -> list:
+    """``values`` as nested lists of floats, a complex scalar as its [re, im] pair."""
+    return (values.real if field is Field.REAL else np.stack((values.real, values.imag), axis=-1)).tolist()
 
 
 def _check_scalar(raw: Any, field: Field, where: str) -> None:
@@ -85,15 +85,15 @@ def _to_array(raw: list, field: Field, what: str) -> np.ndarray:
 
 
 def instance_to_obj(instance: Instance) -> dict[str, Any]:
-    field = instance.system.field
+    system, field = instance.system, instance.system.field
     obj: dict[str, Any] = {
         "field": field.value,
-        "vectors": [[_encode_scalar(v, field) for v in row] for row in instance.system.rows],
-        "x": [_encode_scalar(v, field) for v in instance.x.coords],
+        "vectors": _encode(system.rows, field),
+        "x": _encode(instance.x.coords, field),
     }
     if instance.intervals is not None:
-        obj["gammas"] = [_encode_scalar(v, field) for v in instance.intervals.gammas]
-        obj["Gammas"] = [_encode_scalar(v, field) for v in instance.intervals.Gammas]
+        lo, hi = instance.intervals.arrays(field, system.n)
+        obj["gammas"], obj["Gammas"] = _encode(lo, field), _encode(hi, field)
     return obj
 
 
@@ -143,7 +143,7 @@ def instance_from_obj(obj: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:
 
 
 def save_instance(path: str | Path, instance: Instance) -> None:
-    Path(path).write_text(json.dumps(instance_to_obj(instance), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(_json(instance_to_obj(instance), sort_keys=False), encoding="utf-8")
 
 
 def load_instance(path: str | Path, tol: ToleranceConfig = DEFAULT_TOL) -> Instance:

@@ -4,11 +4,13 @@ Machine formats (csv/json) are deterministic: floats use shortest
 round-trip repr, keys are sorted, and volatile data (wall-clock runtime)
 is omitted, so identical computations yield byte-identical documents.
 
-JSON is written by a short recursive writer rather than ``json.dumps``,
-whose ``indent`` turns off the C encoder. Its output is byte for byte
-``json.dumps(obj, sort_keys=True, indent=2) + "\n"``: keys must be ``str``
-and are sorted, floats go through ``float.__repr__`` (non-finite ones as
-``NaN``, ``Infinity`` and ``-Infinity``), strings through
+JSON, in reports and instance files, is written by a short recursive writer
+rather than ``json.dumps``, whose ``indent`` turns off the C encoder. Its
+output is byte for byte ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``
+(without ``sort_keys`` in the insertion-order mode of instance files): keys
+must be ``str``, floats go through ``float.__repr__`` (non-finite ones as
+``NaN``, ``Infinity`` and ``-Infinity``; a list of exact floats, or of
+``[re, im]`` pairs of them, in one ``str.join``), strings through
 ``json.encoder.encode_basestring_ascii``, tuples render as lists, empty
 containers as ``{}`` and ``[]``, and any other type raises ``TypeError``.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import fields
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -46,20 +49,23 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json(obj: Any) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\n"``, byte for byte."""
+def _json(obj: Any, sort_keys: bool = True) -> str:
+    """``json.dumps(obj, sort_keys=sort_keys, indent=2) + "\n"``, byte for byte."""
     out: list[str] = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, sorted if sort_keys else iter)
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj: Any, newline: str, out: list[str]) -> None:
-    """Append the JSON of ``obj`` to ``out``; ``newline`` is the line break
-    and indent of the line ``obj`` starts on."""
+def _spelled(text: str) -> str:
+    """Float reprs (and JSON punctuation) with nan and inf spelled as JSON
+    spells them; the letter n is in no finite repr and no separator."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _write(obj: Any, newline: str, out: list[str], keys: Any) -> None:
+    """Append the JSON of ``obj`` to ``out``; ``newline`` is the line break and
+    indent of the line ``obj`` starts on, ``keys`` (sorted or iter) orders a dict."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -71,17 +77,26 @@ def _write(obj: Any, newline: str, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        text = float.__repr__(obj)
-        out.append(_NON_FINITE.get(text, text))
+        out.append(_spelled(float.__repr__(obj)))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
         inner = newline + "  "
+        types = set(map(type, obj))  # exact floats, or [re, im] pairs of them, are screened and joined at C speed
+        if types == {float}:
+            out.append("[" + inner + _spelled(("," + inner).join(map(float.__repr__, obj))) + newline + "]")
+            return
+        if types == {list} and set(map(len, obj)) == {2} and set(map(type, chain.from_iterable(obj))) == {float}:
+            deeper = inner + "  "
+            parts = map(float.__repr__, chain.from_iterable(obj))
+            pairs = (inner + "]," + inner + "[" + deeper).join(map(("," + deeper).join, zip(parts, parts)))
+            out.append("[" + inner + "[" + deeper + _spelled(pairs) + inner + "]" + newline + "]")
+            return
         sep = "[" + inner
         for item in obj:
             out.append(sep)
-            _write(item, inner, out)
+            _write(item, inner, out, keys)
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(obj, dict):
@@ -90,11 +105,11 @@ def _write(obj: Any, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         sep = "{" + inner
-        for key in sorted(obj):
+        for key in keys(obj):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write(obj[key], inner, out)
+            _write(obj[key], inner, out, keys)
             sep = "," + inner
         out.append(newline + "}")
     else:

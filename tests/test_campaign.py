@@ -405,3 +405,35 @@ def test_importing_spandist_leaves_the_executor_machinery_out():
     out = subprocess.run([sys.executable, "-c", "import sys, spandist; print('concurrent.futures' in sys.modules)"],
                          capture_output=True, text=True, env=env, timeout=120, check=True).stdout
     assert out.split() == ["False"]
+
+
+def test_importing_spandist_leaves_multiprocessing_out():
+    # in a fresh interpreter: only a split run imports multiprocessing, and
+    # a split run after the import equals the serial one
+    src = str(Path(sd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, spandist as sd; print('multiprocessing' in sys.modules); "
+            "c = sd.GeneratorConfig(seed=3, trials=6, dim=4, n=2, intervals=True); "
+            "print(sd.render_campaign(sd.run_campaign(c, jobs=2), 'json') == sd.render_campaign(sd.run_campaign(c), 'json')); "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+                         check=True).stdout
+    assert out.split() == ["False", "True", "True"]
+
+
+def test_only_a_split_run_asks_for_the_process_context(monkeypatch):
+    asked = []
+    original = sd_campaign._mp_context
+
+    def context():
+        asked.append(True)
+        return original()
+
+    monkeypatch.setattr(sd_campaign, "_mp_context", context)
+    config = GeneratorConfig(seed=2, trials=4, dim=3, n=2)
+    serial = sd.run_campaign(config, jobs=1)
+    assert asked == []
+    split = sd.run_campaign(config, jobs=2)
+    assert asked == [True]
+    assert sd.render_campaign(split, "json") == sd.render_campaign(serial, "json")
+    assert multiprocessing.active_children() == []

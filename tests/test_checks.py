@@ -136,3 +136,27 @@ def test_the_checks_oracle_makes_no_rank_decision_of_its_own(monkeypatch):
     assert sd.distance_sq_oracle(instance.system, instance.x) >= 0.0
     with pytest.raises(RuntimeError):
         sd_orth.distance_sq_by_orthonormalization(instance.system.rows, instance.x.coords)
+
+
+def test_the_combination_sweep_does_not_revalidate_its_exponents(monkeypatch):
+    # CombinationMethod validated every exponent once; a chunk reads each
+    # conjugate as p / (p - 1.0), with the same bits
+    from spandist import checks, space
+    from spandist.generator import generate_chunk
+
+    config = GeneratorConfig(seed=4, trials=4, dim=5, n=3)
+    expected = checks._combination_sweep(generate_chunk(config, range(4)))
+    chunk = generate_chunk(config, range(4))
+    calls = []
+    original = space.checked_real
+
+    def counted(name, value):
+        calls.append(name)
+        return original(name, value)
+
+    monkeypatch.setattr(space, "checked_real", counted)
+    columns = checks._combination_sweep(chunk)
+    assert calls == []
+    assert [c.check_id for c in columns] == [c.check_id for c in expected]
+    for got, want in zip(columns, expected):
+        assert got.margin.tobytes() == want.margin.tobytes()

@@ -224,3 +224,78 @@ def test_loading_checks_each_array_once_and_the_report_none(monkeypatch, field):
     assert len(report.entries) == 9
     assert report == expected
     assert inst.intervals == generated.intervals
+
+
+# -- the bytes of a saved file ----------------------------------------------------
+
+
+def _reference_obj(instance):
+    # one Python call per scalar, as the encoding was first written
+    field = instance.system.field
+
+    def scalar(value):
+        if field is Field.REAL:
+            return float(np.real(value))
+        z = complex(value)
+        return [z.real, z.imag]
+
+    obj = {"field": field.value, "vectors": [[scalar(v) for v in row] for row in instance.system.rows],
+           "x": [scalar(v) for v in instance.x.coords]}
+    if instance.intervals is not None:
+        obj["gammas"] = [scalar(v) for v in instance.intervals.gammas]
+        obj["Gammas"] = [scalar(v) for v in instance.intervals.Gammas]
+    return obj
+
+
+# the largest float sits in x and the interval data: in a system vector it
+# would overflow the Gram matrix that loading builds
+_MAX_FLOAT = 1.7976931348623157e308
+_HAND_BUILT = [
+    {"field": "real", "vectors": [[-0.0, 5e-324, 3, 1.5], [1, -0.0, 2.5, -5e-324]], "x": [0, _MAX_FLOAT, -2, -_MAX_FLOAT]},
+    {"field": "real", "vectors": [[-0.0, 5e-324, 3, 1.5], [1, -0.0, 2.5, -5e-324]], "x": [0, _MAX_FLOAT, -2, -_MAX_FLOAT],
+     "gammas": [-0.0, 2], "Gammas": [5e-324, _MAX_FLOAT]},
+    {"field": "complex", "vectors": [[[-0.0, 5e-324], [3, -0.0]], [[2, 0], [1, 2]]], "x": [[0, -0.0], [_MAX_FLOAT, 5e-324]]},
+    {"field": "complex", "vectors": [[[-0.0, 5e-324], [3, -0.0]], [[2, 0], [1, 2]]], "x": [[0, -0.0], [_MAX_FLOAT, 5e-324]],
+     "gammas": [[-0.0, 0], [1, 2]], "Gammas": [[5e-324, -0.0], [_MAX_FLOAT, 4]]},
+]
+
+
+def _generated_and_hand_built():
+    for field in Field:
+        for intervals in (False, True):
+            for dim, n in ((2, 1), (2, 2), (5, 3)):
+                yield sd.generate_instance(GeneratorConfig(seed=dim + n, trials=1, dim=dim, n=n, field=field,
+                                                           conditioning=1e3, intervals=intervals), 0)
+    for obj in _HAND_BUILT:
+        yield sd.instance_from_obj(obj)
+
+
+@pytest.mark.parametrize("instance", list(_generated_and_hand_built()))
+def test_a_saved_file_is_the_stdlib_document(tmp_path, instance):
+    path = tmp_path / "inst.json"
+    sd.save_instance(path, instance)
+    obj = sd.instance_to_obj(instance)
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
+    # the same floats, of the same types and signs, as a per-scalar encoding
+    assert repr(obj) == repr(_reference_obj(instance))
+    assert list(obj) == ["field", "vectors", "x"] + (["gammas", "Gammas"] if instance.intervals else [])
+
+
+def test_hand_built_edge_values_survive_a_save(tmp_path):
+    inst = sd.instance_from_obj(_HAND_BUILT[3])
+    back = roundtrip(tmp_path, inst)
+    assert np.array_equal(back.system.rows, inst.system.rows)
+    assert np.signbit(back.system.rows[0, 0].real) and np.signbit(back.x.coords[0].imag)
+    assert back.system.rows[0, 0].imag == 5e-324 and back.x.coords[1].real == _MAX_FLOAT
+    assert repr(back.intervals) == repr(inst.intervals)
+
+
+def test_saving_rejects_interval_data_that_does_not_fit_the_system(tmp_path):
+    # the file would not load (wrong length) or would lose the imaginary parts
+    inst = sd.generate_instance(GeneratorConfig(seed=1, trials=1, dim=3, n=2, intervals=True), 0)
+    short = sd.IntervalData(gammas=(0.0,), Gammas=(1.0,))
+    imaginary = sd.IntervalData(gammas=(0.0, 1j), Gammas=(1.0, 2.0))
+    for intervals, error in ((short, sd.DimensionMismatchError), (imaginary, sd.FieldMismatchError)):
+        with pytest.raises(error):
+            sd.save_instance(tmp_path / "bad.json", sd.Instance(system=inst.system, x=inst.x, intervals=intervals))
+    assert not (tmp_path / "bad.json").exists()

@@ -113,8 +113,12 @@ _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) |
     [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e308, 1.7976931348623157e308])
 _INTS = st.integers() | st.integers(min_value=2**63, max_value=2**200) | st.integers(max_value=-(2**63), min_value=-(2**200))
 _LEAVES = _FLOATS | _INTS | st.booleans() | st.none() | _KEYS
+# float-only lists and [re, im] pair lists, the writer's joined fast paths;
+# an np.float64 item sends its list down the generic path
+_FLOAT_ITEMS = _FLOATS | _FLOATS.map(np.float64)
+_FLOAT_LISTS = st.lists(_FLOAT_ITEMS, max_size=6) | st.lists(st.lists(_FLOAT_ITEMS, min_size=2, max_size=2), max_size=4)
 _JSON_LIKE = st.recursive(
-    _LEAVES | st.sampled_from([[], {}, (), [[]], {"": {}}, ([], ())]),
+    _LEAVES | _FLOAT_LISTS | _FLOAT_LISTS.map(tuple) | st.sampled_from([[], {}, (), [[]], {"": {}}, ([], ())]),
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(_KEYS, children, max_size=4),
@@ -126,12 +130,41 @@ _JSON_LIKE = st.recursive(
 @given(_JSON_LIKE)
 def test_the_json_writer_emits_the_stdlib_bytes(obj):
     assert reports._json(obj) == _stdlib(obj)
+    assert reports._json(obj, sort_keys=False) == json.dumps(obj, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("obj", [{1: 2.0}, {"a": np.int64(1)}, [1j], {"a": object()}, {"s": {1, 2}}, b"x"])
 def test_the_json_writer_rejects_what_is_not_json(obj):
-    with pytest.raises(TypeError):
-        reports._json(obj)
+    for sort_keys in (True, False):
+        with pytest.raises(TypeError):
+            reports._json(obj, sort_keys)
+
+
+@pytest.mark.parametrize("obj, writes", [
+    ([1.0, -0.0, float("nan"), float("-inf")], 1),
+    ([[1.0, float("inf")], [5e-324, -0.0]], 1),
+    ((1.0, 2.0), 1),
+    ([np.float64(1.0), 2.0], 3),
+    ([np.float64(1.0), np.float64("nan")], 3),
+    ([[np.float64(1.0), 2.0]], 4),
+    ([1.0, 2], 3),
+    ([[1.0, 2.0], [3.0]], 3),
+    ([(1.0, 2.0)], 2),
+])
+def test_only_exact_floats_take_the_joined_paths(monkeypatch, obj, writes):
+    # a joined list is one _write call; any other item is written by its own
+    calls = []
+    original = reports._write
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(reports, "_write", counted)
+    for sort_keys in (True, False):
+        calls.clear()
+        assert reports._json(obj, sort_keys) == _stdlib(obj)
+        assert len(calls) == writes
 
 
 def test_every_rendered_json_is_the_stdlib_document(monkeypatch):

@@ -1,21 +1,25 @@
-"""Interleaved A/B timing of one campaign workload on two checkouts.
+"""Interleaved A/B timing of one benchmark workload on two checkouts.
 
     python tools/ab_rounds.py BASE CHANGE [--workload campaign_small] [--seed 1] [--rounds 60]
 
 BASE and CHANGE are the roots of two checkouts of this repository. The
 script starts one long-lived interpreter per checkout; each imports
-``spandist`` from its own ``src/`` and the workload's configs from its own
-``perfbench/workloads.py`` (``campaign_configs``, read as it is), runs one
-untimed round to warm up, and then waits. A round is every
-``run_campaign`` call of the workload's configs, once, at the workload's
-``jobs``. The two interpreters take turns, one round each, and which of
-them goes first alternates from round to round, so slow drifts of the
-machine fall on both sides alike.
+``spandist`` from its own ``src/`` and the workload from its own
+``perfbench/workloads.py`` (read as it is), runs one untimed round to warm
+up, and then waits. For a campaign workload a round is every
+``run_campaign`` call of the workload's configs (``campaign_configs``),
+once, at the workload's ``jobs``. For ``library_calls`` a round is the
+set-up build: one ``library_files`` call that writes the instance files
+into a fresh temporary directory, which is removed after the round. The
+two interpreters take turns, one round each, and which of them goes first
+alternates from round to round, so slow drifts of the machine fall on both
+sides alike.
 
 It prints each side's median and quartiles of the round time, the median
 and quartiles of the per-round ratio BASE time / CHANGE time (above 1: the
-change is faster), and the rounds each side won. The warm-up rounds also
-hash the JSON reports of every call; the script exits with status 1 when
+change is faster), and the rounds each side won. The warm-up round also
+hashes its output: the JSON reports of every campaign call, or the bytes
+of every instance file in name order. The script exits with status 1 when
 the two sides' hashes differ. Both interpreters are ended before it exits.
 
 Separate benchmark runs of the same code on a shared machine can differ by
@@ -32,6 +36,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -45,19 +50,40 @@ def serve(root: Path, workload: str, seed: int) -> None:
 
     if Path(sd.__file__).resolve().parent != (root / "src" / "spandist").resolve():
         sys.exit(f"error: imported spandist from {sd.__file__}, expected {root / 'src'}")
-    if workload not in workloads.CAMPAIGNS:
-        sys.exit(f"error: {workload!r} is not one of the campaign workloads {sorted(workloads.CAMPAIGNS)}")
-    jobs = workloads.CAMPAIGNS[workload].jobs
-    configs = workloads.campaign_configs(workload, seed)
     digest = hashlib.sha256()
-    for config in configs:
-        digest.update(sd.render_campaign(sd.run_campaign(config, jobs=jobs), "json").encode())
-    print(json.dumps({"digest": digest.hexdigest(), "instances": sum(c.trials for c in configs)}), flush=True)
+    if workload == workloads.LIBRARY:
+
+        def run_round(digest=None) -> tuple[float, int]:
+            with tempfile.TemporaryDirectory() as tmp:
+                started = time.perf_counter()
+                files = workloads.library_files(seed, Path(tmp))
+                elapsed = time.perf_counter() - started
+                if digest is not None:
+                    for path in sorted(f.path for f in files):
+                        digest.update(path.read_bytes())
+            return elapsed, len(files)
+
+        unit, output = "files", "instance files"
+    elif workload in workloads.CAMPAIGNS:
+        jobs = workloads.CAMPAIGNS[workload].jobs
+        configs = workloads.campaign_configs(workload, seed)
+
+        def run_round(digest=None) -> tuple[float, int]:
+            started = time.perf_counter()
+            results = [sd.run_campaign(config, jobs=jobs) for config in configs]
+            elapsed = time.perf_counter() - started
+            if digest is not None:
+                for result in results:
+                    digest.update(sd.render_campaign(result, "json").encode())
+            return elapsed, sum(c.trials for c in configs)
+
+        unit, output = "instances", "reports"
+    else:
+        sys.exit(f"error: {workload!r} is not one of the workloads {sorted(workloads.CAMPAIGNS) + [workloads.LIBRARY]}")
+    _, count = run_round(digest)
+    print(json.dumps({"digest": digest.hexdigest(), "count": count, "unit": unit, "output": output}), flush=True)
     for _ in sys.stdin:
-        started = time.perf_counter()
-        for config in configs:
-            sd.run_campaign(config, jobs=jobs)
-        print(time.perf_counter() - started, flush=True)
+        print(run_round()[0], flush=True)
 
 
 def _reply(name: str, proc: subprocess.Popen) -> str:
@@ -107,12 +133,12 @@ def main() -> int:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-    instances = warm["base"]["instances"]
-    print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds of {instances} instances")
+    count, unit, output = warm["base"]["count"], warm["base"]["unit"], warm["base"]["output"]
+    print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds of {count} {unit}")
     for name in sides:
         q1, q2, q3 = _quartiles(times[name])
         print(f"{name:>6}: round {q2 * 1e3:.2f} ms (quartiles {q1 * 1e3:.2f}-{q3 * 1e3:.2f}), "
-              f"{instances / q2:.0f} instances/s")
+              f"{count / q2:.0f} {unit}/s")
     ratios = [b / c for b, c in zip(times["base"], times["change"])]
     q1, q2, q3 = _quartiles(ratios)
     wins = sum(r > 1.0 for r in ratios)
@@ -120,9 +146,9 @@ def main() -> int:
     print(f"ratio base/change: median {q2:.3f} (quartiles {q1:.3f}-{q3:.3f}); "
           f"change faster in {wins}, slower in {losses} of {len(ratios)} rounds")
     if warm["base"]["digest"] != warm["change"]["digest"]:
-        print(f"REPORTS DIFFER: base {warm['base']['digest']} change {warm['change']['digest']}")
+        print(f"{output.upper()} DIFFER: base {warm['base']['digest']} change {warm['change']['digest']}")
         return 1
-    print(f"reports equal: {warm['base']['digest']}")
+    print(f"{output} equal: {warm['base']['digest']}")
     return 0
 
 
