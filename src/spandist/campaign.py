@@ -1,8 +1,9 @@
 """Campaign driver: run checks over a trial stream, serially or in parallel.
 
 Trials are generated and checked in chunks (:data:`CHUNK_TRIALS` at most,
-fewer for large systems): one set of array operations serves every trial
-of a chunk, and each built-in check returns per-trial arrays of margins.
+fewer where the chunk's trials * n * dim would pass its entry budget): one
+set of array operations serves every trial of a chunk, and each built-in
+check returns per-trial arrays of margins.
 The tally stacks a chunk's margins and masks and reduces all of them in
 one pass, building a record only for a failure. A trial's numbers do not
 depend on the chunk it is evaluated in, so how a range is split into
@@ -10,10 +11,12 @@ chunks, or across workers, changes nothing. A check registered at runtime
 (a plain per-instance function) is called once per trial with that
 trial's :func:`generate_instance`.
 
-With ``jobs = k > 1`` the trials are split into k ranges: the caller runs
-the first itself, and k - 1 forked workers run the rest, each sending its
-tally, or its exception and traceback, back through a pipe. All replies
-are read before any worker is joined: a large one blocks its exit.
+The check names are resolved once, in the caller, before any trial. With
+``jobs = k > 1`` the trials are split into k ranges: the caller runs the
+first itself, and k - 1 workers run the rest with the functions the caller
+resolved, each sending its tally, or its exception and traceback, back
+through a pipe. All replies are read before any worker is joined: a large
+one blocks its exit.
 
 Aggregation is order-independent by construction — counts are sums, worst
 margins are minima (NaN where any margin is NaN), and failures are sorted
@@ -31,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import STACKED, CheckFn, CheckOutcome, Column, applicable_checks, resolve_check, run_checks, run_stacked
+from .checks import STACKED, CheckFn, CheckOutcome, Column, _run_resolved, applicable_checks, resolve_checks, run_stacked
 from .generator import GeneratorConfig, generate_chunk, generate_instance
 from .space import DEFAULT_TOL, ToleranceConfig, checked_int
 
@@ -39,13 +42,15 @@ __all__ = ["FailureRecord", "CampaignResult", "run_campaign", "replay_trial"]
 
 # Trials per chunk, and the budget on trials * n * dim that caps it for
 # large systems (a few arrays of that many entries live at once).
-CHUNK_TRIALS = 16
+CHUNK_TRIALS = 256
 _CHUNK_ENTRIES = 1 << 15
 
 
 def _mp_context():
-    """Fork where the platform can fork: a forked worker inherits the checks
-    registered at runtime. A split run alone imports multiprocessing."""
+    """Fork where the platform can fork, for its start cost: a forked worker
+    starts in milliseconds, a spawned one in about half a second. Under any
+    method a worker runs the caller's check functions (pickled by reference
+    where it is not forked). A split run alone imports multiprocessing."""
     import multiprocessing
     return multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
@@ -160,11 +165,9 @@ class _WorkerTraceback(Exception):
     """The formatted traceback of an exception raised in a worker."""
 
 
-def _worker(send, config: GeneratorConfig, names: tuple[str, ...], start: int, stop: int, tol: ToleranceConfig) -> None:
-    # names, not functions, cross to the worker: where it is spawned they
-    # are pickled, and the built-in checks do not pickle
+def _worker(send, config: GeneratorConfig, checks: list[CheckFn], start: int, stop: int, tol: ToleranceConfig) -> None:
     try:
-        send.send((True, _run_range(config, [resolve_check(name) for name in names], start, stop, tol)))
+        send.send((True, _run_range(config, checks, start, stop, tol)))
     except BaseException as exc:
         from multiprocessing.reduction import ForkingPickler
         text = "".join(traceback.format_exception(exc))
@@ -184,20 +187,21 @@ def run_campaign(
 ) -> CampaignResult:
     """Run ``config.trials`` independent trials of the named checks.
 
-    ``checks=None`` selects every check applicable to the config. With
-    ``jobs > 1`` the trial range is split into ``jobs`` shares: the caller
-    runs the first, a forked worker each of the others; results are
+    ``checks=None`` selects every check applicable to the config; a bare
+    str, a name given twice or an unknown name raises ValueError before any
+    trial. With ``jobs > 1`` the trial range is split into ``jobs`` shares:
+    the caller runs the first, a worker each of the others; results are
     identical to a serial run.
     """
     jobs = checked_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    names = tuple(checks) if checks is not None else applicable_checks(config)
-    resolved = [resolve_check(name) for name in names]  # an unknown name raises before any trial or fork
+    resolved = resolve_checks(applicable_checks(config) if checks is None else checks)  # before any trial or fork
+    names, fns = tuple(resolved), list(resolved.values())
     started = time.perf_counter()
     trials = config.trials
     if jobs <= 1 or trials < 2:
-        tally = _run_range(config, resolved, 0, trials, tol)
+        tally = _run_range(config, fns, 0, trials, tol)
     else:
         jobs = min(jobs, trials)
         edges = [trials * i // jobs for i in range(jobs + 1)]
@@ -207,10 +211,10 @@ def run_campaign(
                 recv, send = context.Pipe(duplex=False)
                 conns.append(recv)
                 with send:  # closed before the next fork, so that this worker's exit ends the pipe
-                    proc = context.Process(target=_worker, args=(send, config, names, lo, hi, tol))
+                    proc = context.Process(target=_worker, args=(send, config, fns, lo, hi, tol))
                     proc.start()
                 procs.append(proc)
-            tally = _run_range(config, resolved, 0, edges[1], tol)  # the first share, while the workers run
+            tally = _run_range(config, fns, 0, edges[1], tol)  # the first share, while the workers run
             for proc, recv, lo, hi in zip(procs, conns, edges[1:], edges[2:]):
                 try:
                     ok, reply = recv.recv()
@@ -250,6 +254,5 @@ def replay_trial(
     trial = checked_int("trial index", trial)
     if not (0 <= trial):
         raise ValueError("trial index must be >= 0")
-    names = tuple(checks) if checks is not None else applicable_checks(config)
-    instance = generate_instance(config, trial, tol)
-    return run_checks(instance, names, tol)
+    resolved = resolve_checks(applicable_checks(config) if checks is None else checks)  # before the trial
+    return _run_resolved(generate_instance(config, trial, tol), resolved.values(), tol)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "applicable_checks",
     "outcomes_of",
     "resolve_check",
+    "resolve_checks",
     "run_checks",
     "run_stacked",
 ]
@@ -373,6 +374,8 @@ def _per_instance(stacked: Callable[[InstanceChunk], list[Column]]) -> CheckFn:
 
 
 REGISTRY: dict[str, CheckFn] = {name: _per_instance(stacked) for name, stacked in _FAMILIES.items()}
+# each check_<family> is an attribute of this module, so that it pickles by reference
+globals().update({fn.__name__: fn for fn in REGISTRY.values()})
 
 # The stacked form of each built-in check. A REGISTRY entry found here runs
 # over whole chunks; any other entry (a check registered at runtime, or a
@@ -409,6 +412,19 @@ def resolve_check(name: str) -> CheckFn:
         raise ValueError(f"unknown check name: {name!r}") from None
 
 
+def resolve_checks(names: Sequence[str]) -> dict[str, CheckFn]:
+    """The REGISTRY entry of each of ``names``, in their order; a bare str,
+    a name given twice and an unknown name raise ValueError."""
+    if isinstance(names, str):
+        raise ValueError(f"checks must be a sequence of names, not the str {names!r}")
+    resolved: dict[str, CheckFn] = {}
+    for name in names:
+        if name in resolved:
+            raise ValueError(f"check name given twice: {name!r}")
+        resolved[name] = resolve_check(name)
+    return resolved
+
+
 def _evaluate(stacked: Callable[[InstanceChunk], list[Column]], chunk: InstanceChunk) -> list[Column]:
     # entries of trials a column does not apply to may hold inf or NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -423,10 +439,14 @@ def run_stacked(checks: Sequence[CheckFn], chunk: InstanceChunk) -> list[Column]
 def run_checks(
     instance: Instance, names: Sequence[str], tol: ToleranceConfig
 ) -> list[CheckOutcome]:
+    """Every outcome of the named checks on one instance, in their order."""
+    return _run_resolved(instance, resolve_checks(names).values(), tol)
+
+
+def _run_resolved(instance: Instance, checks: Iterable[CheckFn], tol: ToleranceConfig) -> list[CheckOutcome]:
     chunk = None
     out: list[CheckOutcome] = []
-    for name in names:
-        fn = resolve_check(name)
+    for fn in checks:
         stacked = STACKED.get(fn)
         if stacked is None:
             out.extend(fn(instance, tol))

@@ -20,9 +20,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import fields
+from enum import EnumMeta
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, get_type_hints
 
 from .bounds import BoundReport
 from .campaign import CampaignResult
@@ -119,20 +121,26 @@ def _write(obj: Any, newline: str, out: list[str], keys: Any) -> None:
 # -- bound reports ---------------------------------------------------------
 
 
+@cache
+def _fields_of(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A dataclass's field names, and those of its fields declared an Enum."""
+    hints = get_type_hints(cls)
+    names = tuple(f.name for f in fields(cls))
+    return names, tuple(name for name in names if isinstance(hints[name], EnumMeta))
+
+
+def _fields_obj(dc: Any) -> dict[str, Any]:
+    """A flat dataclass's fields as a dict, without ``asdict``'s deep copy;
+    an Enum field as its value."""
+    names, enums = _fields_of(type(dc))
+    obj = {name: getattr(dc, name) for name in names}
+    for name in enums:
+        obj[name] = obj[name].value
+    return obj
+
+
 def _bound_report_obj(report: BoundReport) -> dict[str, Any]:
-    return {
-        "exact_d2": report.exact_d2,
-        "bounds": [
-            {
-                "method": e.method.value,
-                "value": e.value,
-                "slack": e.slack,
-                "tightness": e.tightness,
-                "strict_expected": e.strict_expected,
-            }
-            for e in report.entries
-        ],
-    }
+    return {"exact_d2": report.exact_d2, "bounds": [_fields_obj(e) for e in report.entries]}
 
 
 def render_bound_report(report: BoundReport, fmt: str = "human") -> str:
@@ -157,11 +165,6 @@ def render_bound_report(report: BoundReport, fmt: str = "human") -> str:
 
 
 # -- distance results --------------------------------------------------------
-
-
-def _fields_obj(dc: Any) -> dict[str, Any]:
-    """A flat dataclass's fields as a dict, without ``asdict``'s deep copy."""
-    return {f.name: getattr(dc, f.name) for f in fields(dc)}
 
 
 def _distance_obj(result: DistanceResult) -> dict[str, Any]:
@@ -203,27 +206,13 @@ def render_distance(result: DistanceResult, report: BoundReport | None = None, f
 # -- campaigns ---------------------------------------------------------------
 
 
-def _config_obj(result: CampaignResult) -> dict[str, Any]:
-    cfg = _fields_obj(result.config)
-    cfg["field"] = result.config.field.value
-    return cfg
-
-
 def _campaign_obj(result: CampaignResult) -> dict[str, Any]:
     return {
-        "config": _config_obj(result),
+        "config": _fields_obj(result.config),
         "checks": list(result.checks),
         "counts": result.counts,
         "worst_margin": result.worst_margin,
-        "failures": [
-            {
-                "trial": f.trial,
-                "check_id": f.check_id,
-                "margin": f.margin,
-                "values": {k: v for k, v in f.values},
-            }
-            for f in result.failures
-        ],
+        "failures": [{**_fields_obj(f), "values": dict(f.values)} for f in result.failures],
         "passed": result.passed,
     }
 
@@ -284,28 +273,9 @@ def render_hadamard(
 ) -> str:
     _check_format(fmt)
     if fmt == "json":
-        obj: dict[str, Any] = {
-            "chains": [
-                {
-                    "variant": c.variant.value,
-                    "gram_det": c.gram_det,
-                    "refined": c.refined,
-                    "norm_product": c.norm_product,
-                    "factors": list(c.factors),
-                    "lower_ok": c.lower_ok,
-                    "upper_ok": c.upper_ok,
-                    "clamped": c.clamped,
-                }
-                for c in chains
-            ]
-        }
+        obj: dict[str, Any] = {"chains": [_fields_obj(c) for c in chains]}
         if strict is not None:
-            obj["strict"] = {
-                "gram_det": strict.gram_det,
-                "norm_product": strict.norm_product,
-                "margin": strict.margin,
-                "strict": strict.strict,
-            }
+            obj["strict"] = _fields_obj(strict)
         return _json(obj)
     if fmt == "csv":
         lines = ["variant,gram_det,refined,norm_product,lower_ok,upper_ok"]

@@ -180,6 +180,37 @@ def test_an_unknown_check_name_raises_before_any_trial_or_worker(config, jobs):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("checks,message", [
+    (("planted", "planted"), "check name given twice: 'planted'"),
+    ("planted", "checks must be a sequence of names, not the str 'planted'"),
+])
+@pytest.mark.parametrize("call", ["run_campaign/1", "run_campaign/2", "replay_trial", "run_checks"])
+def test_a_repeated_name_or_a_bare_str_raises_before_any_trial_or_fork(monkeypatch, checks, message, call):
+    ran = []
+
+    def planted(instance, tol):
+        ran.append(instance.trial)
+        return []
+
+    def refuse(*args):
+        raise AssertionError("a trial or a fork came before the check list was resolved")
+
+    monkeypatch.setitem(REGISTRY, "planted", planted)
+    instance = sd.generate_instance(SHARED, 0)
+    for name in ("generate_instance", "generate_chunk", "_mp_context"):
+        monkeypatch.setattr(sd_campaign, name, refuse)
+    with pytest.raises(ValueError) as info:
+        if call == "replay_trial":
+            sd.replay_trial(SHARED, 0, checks=checks)
+        elif call == "run_checks":
+            sd.run_checks(instance, checks, sd.DEFAULT_TOL)
+        else:
+            sd.run_campaign(SHARED, checks=checks, jobs=int(call[-1]))
+    assert str(info.value) == message
+    assert ran == []
+    assert multiprocessing.active_children() == []
+
+
 def test_a_worker_exception_reaches_the_caller_with_its_traceback(monkeypatch):
     def planted(instance, tol):
         if instance.trial == 3:
@@ -345,38 +376,15 @@ def test_a_campaign_at_gram_condition_1e13_completes():
     assert all(f.check_id.startswith("representation_agreement/") for f in result.failures)
 
 
-_START_METHOD_SCRIPT = textwrap.dedent("""
-    import multiprocessing as mp
-    import sys
-
-    import spandist as sd
-    from spandist.checks import REGISTRY
-
-
-    def planted(instance, tol):
-        return [sd.CheckOutcome("planted/ok", True, 1.0)]
-
-
-    if __name__ == "__main__":
-        mp.set_start_method(sys.argv[1])
-        REGISTRY["planted"] = planted
-        config = sd.GeneratorConfig(seed=1, trials=4, dim=3, n=2)
-        print(sd.run_campaign(config, checks=("planted",), jobs=2).counts["planted/ok"])
-""")
-
-
-@pytest.mark.parametrize("method", ["forkserver", "spawn"])
-def test_a_runtime_check_runs_in_the_pool_under_any_start_method(tmp_path, method):
-    # in a child interpreter with its own start method and process group, so
-    # this session's start method stays as it is and every helper process
-    # the child leaves (pool workers, fork server) can be found and reaped
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"{method} is not available on this platform")
-    script = tmp_path / "repro.py"
-    script.write_text(_START_METHOD_SCRIPT)
+def _run_child(tmp_path, script, *args):
+    """Run ``script`` in a child interpreter with its own process group,
+    and its output once every process of that group (workers, a fork
+    server) has exited."""
+    path = tmp_path / "repro.py"
+    path.write_text(script)
     src = str(Path(sd.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, str(script), method], stdout=subprocess.PIPE,
+    proc = subprocess.Popen([sys.executable, str(path), *args], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
     try:
         out, err = proc.communicate(timeout=120)
@@ -395,7 +403,66 @@ def test_a_runtime_check_runs_in_the_pool_under_any_start_method(tmp_path, metho
             pass
         proc.wait()
     assert proc.returncode == 0, err
-    assert out.split() == ["4"]
+    return out
+
+
+_START_METHOD_SCRIPT = textwrap.dedent("""
+    import multiprocessing as mp
+    import sys
+
+    import spandist as sd
+    from spandist import campaign
+    from spandist.checks import REGISTRY
+
+
+    def planted(instance, tol):
+        # the check id names the start method of the process it runs in
+        method = getattr(mp.current_process(), "_start_method", None) or "caller"
+        return [sd.CheckOutcome(f"planted/{method}", True, 1.0)]
+
+
+    if __name__ == "__main__":
+        context = mp.get_context(sys.argv[1])
+        campaign._mp_context = lambda: context
+        REGISTRY["planted"] = planted
+        config = sd.GeneratorConfig(seed=1, trials=4, dim=3, n=2)
+        for check_id, count in sd.run_campaign(config, checks=("planted",), jobs=2).counts.items():
+            print(check_id, count)
+""")
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_a_runtime_check_runs_in_the_pool_under_any_start_method(tmp_path, method):
+    # in a child interpreter, so that the process context is patched there
+    # alone and every helper process the child leaves can be found and reaped
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    out = _run_child(tmp_path, _START_METHOD_SCRIPT, method)
+    assert out.split() == ["planted/caller", "2", f"planted/{method}", "2"]
+
+
+_UNPICKLABLE_SCRIPT = textwrap.dedent("""
+    import multiprocessing as mp
+
+    import spandist as sd
+    from spandist import campaign
+    from spandist.checks import REGISTRY
+
+    if __name__ == "__main__":
+        context = mp.get_context("spawn")
+        campaign._mp_context = lambda: context
+        REGISTRY["planted"] = lambda instance, tol: []
+        try:
+            sd.run_campaign(sd.GeneratorConfig(seed=1, trials=4, dim=3, n=2), checks=("planted",), jobs=2)
+        except Exception as exc:
+            print(type(exc).__name__, len(mp.active_children()))
+""")
+
+
+def test_an_unpicklable_runtime_check_raises_in_the_caller_under_spawn(tmp_path):
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("spawn is not available on this platform")
+    assert _run_child(tmp_path, _UNPICKLABLE_SCRIPT).split() == ["PicklingError", "0"]
 
 
 def test_importing_spandist_leaves_the_executor_machinery_out():

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,11 @@ def test_unknown_check_name_rejected():
     cfg = GeneratorConfig(seed=0, trials=1, dim=4, n=2)
     with pytest.raises(ValueError, match="unknown check"):
         sd.run_checks(sd.generate_instance(cfg, 0), ("no_such_check",), sd.DEFAULT_TOL)
+
+
+def test_the_built_in_checks_pickle_by_reference():
+    for fn in sd.REGISTRY.values():
+        assert pickle.loads(pickle.dumps(fn)) is fn
 
 
 def test_outcome_values_are_sorted_pairs():

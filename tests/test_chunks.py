@@ -32,6 +32,12 @@ STREAMS = {
 TRIALS = 37  # not a multiple of the chunk size
 
 
+@pytest.fixture(autouse=True)
+def chunks_of_16(monkeypatch):
+    # chunks smaller than the streams, so that every run here spans several
+    monkeypatch.setattr(sd_campaign, "CHUNK_TRIALS", 16)
+
+
 def _config(name, trials=TRIALS, seed=41):
     return GeneratorConfig(seed=seed, trials=trials, **STREAMS[name])
 

@@ -61,6 +61,12 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+def test_verify_a_repeated_check(capsys):
+    code = main(["verify", "--trials", "3", "--checks", "lagrange_identity,lagrange_identity"])
+    assert code == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: check name given twice: 'lagrange_identity'\n"
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     def bad(instance, tol):
         return [sd.CheckOutcome("bad/always", False, -1.0, ())]

@@ -16,14 +16,20 @@ checks ran, as often, and failed on the same trials.
 
 Each stream is also run with ``jobs=2`` and ``jobs=3``, which split its
 trials off the boundaries of the serial run's chunks: the caller runs the
-first share, so ``jobs=2`` forks one worker and ``jobs=3`` two. Their json
+first share, so ``jobs=2`` starts one worker and ``jobs=3`` two. Their json
 and csv digests must equal the serial ones: a line
 ``MISMATCH <stream> jobs=<k> <fmt>`` is printed for each that differs.
+Both splits are run again under every other method of
+``multiprocessing.get_all_start_methods()``, with ``campaign._mp_context``
+patched to return that method's context: a line ``START <method> <stream>
+jobs=<k>`` is printed for each whose json or csv digest differs from the
+serial one. Spawned workers import spandist afresh, about 0.45 s per split
+call, so these runs take most of the script's time.
 After each of these runs every worker must be gone: a line ``LEFTOVER
 <stream> jobs=<k> <count>`` is printed when ``multiprocessing.active_children()``
-still lists any. The script exits with status 1 if any ``MISMATCH`` or
-``LEFTOVER`` (or ``ORDER`` or ``SCALE``, below) line was printed, 0
-otherwise.
+still lists any. The script exits with status 1 if any ``MISMATCH``,
+``START`` or ``LEFTOVER`` (or ``ORDER`` or ``SCALE``, below) line was
+printed, 0 otherwise.
 
 The per-instance API is fingerprinted too. For the first
 :data:`LIBRARY_TRIALS` trials of each stream, the ``library`` line hashes
@@ -118,6 +124,7 @@ import numpy as np  # noqa: E402
 
 import spandist as sd  # noqa: E402
 from spandist import Field, GeneratorConfig  # noqa: E402
+from spandist import campaign as sd_campaign  # noqa: E402
 
 SEED = 7
 
@@ -349,6 +356,23 @@ def _scale(config: GeneratorConfig) -> tuple[str, list[int]]:
     return "".join(out), moved
 
 
+def _split_runs(config: GeneratorConfig):
+    """Each run of the stream under :data:`SPLITS`, as (method, jobs, result):
+    first with the process context ``run_campaign`` picks (method None), then
+    with each other start method patched in as that context."""
+    default = sd_campaign._mp_context
+    others = [m for m in multiprocessing.get_all_start_methods() if m != default().get_start_method()]
+    try:
+        for method in [None, *others]:
+            if method is not None:
+                context = multiprocessing.get_context(method)
+                sd_campaign._mp_context = lambda: context
+            for jobs in SPLITS:
+                yield method, jobs, sd.run_campaign(config, jobs=jobs)
+    finally:
+        sd_campaign._mp_context = default
+
+
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
@@ -397,16 +421,18 @@ def main() -> int:
         for trial in moved:
             problems += 1
             print(f"SCALE {name} {trial}")
-        for jobs in SPLITS:
-            split = sd.run_campaign(config, jobs=jobs)
-            for fmt in ("json", "csv"):
-                if _sha(sd.render_campaign(split, fmt)) != serial[fmt]:
-                    problems += 1
-                    print(f"MISMATCH {name} jobs={jobs} {fmt}")
+        for method, jobs, split in _split_runs(config):
+            differs = [fmt for fmt in ("json", "csv") if _sha(sd.render_campaign(split, fmt)) != serial[fmt]]
+            if method is None:
+                lines = [f"MISMATCH {name} jobs={jobs} {fmt}" for fmt in differs]
+            else:
+                lines = [f"START {method} {name} jobs={jobs}"] if differs else []
             leftover = len(multiprocessing.active_children())
             if leftover:
-                problems += 1
-                print(f"LEFTOVER {name} jobs={jobs} {leftover}")
+                lines.append(f"LEFTOVER {name} jobs={jobs} {leftover}")
+            problems += len(lines)
+            for line in lines:
+                print(line)
     grid = hashlib.sha256()
     for name, config in GRID.items():
         digest = _sha(_or_error(lambda: _structure(sd.run_campaign(config))))
