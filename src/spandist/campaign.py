@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import STACKED, CheckFn, CheckOutcome, Column, _run_resolved, applicable_checks, resolve_checks, run_stacked
+from .checks import CheckFn, CheckOutcome, Column, _Family, _run_resolved, applicable_checks, resolve_checks, run_stacked
 from .generator import GeneratorConfig, generate_chunk, generate_instance
 from .space import DEFAULT_TOL, ToleranceConfig, checked_int
 
@@ -49,8 +49,9 @@ _CHUNK_ENTRIES = 1 << 15
 def _mp_context():
     """Fork where the platform can fork, for its start cost: a forked worker
     starts in milliseconds, a spawned one in about half a second. Under any
-    method a worker runs the caller's check functions (pickled by reference
-    where it is not forked). A split run alone imports multiprocessing."""
+    method a worker runs the caller's check functions, pickled where it is
+    not forked (:func:`_check_pickles`). A split run alone imports
+    multiprocessing."""
     import multiprocessing
     return multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
@@ -146,8 +147,8 @@ def _run_range(
     tol: ToleranceConfig,
 ) -> _Tally:
     tally = _Tally()
-    stacked = [fn for fn in checks if fn in STACKED]
-    plain = [fn for fn in checks if fn not in STACKED]
+    stacked = [fn for fn in checks if isinstance(fn, _Family)]
+    plain = [fn for fn in checks if not isinstance(fn, _Family)]
     step = _chunk_trials(config)
     for lo in range(start, stop, step):
         trials = range(lo, min(lo + step, stop))
@@ -179,6 +180,17 @@ def _worker(send, config: GeneratorConfig, checks: list[CheckFn], start: int, st
         send.send((False, (exc, text)))
 
 
+def _check_pickles(resolved: dict[str, CheckFn], method: str) -> None:
+    """Unless workers fork, raise ValueError naming a check that does not pickle."""
+    if method != "fork":
+        from multiprocessing.reduction import ForkingPickler
+        for name, fn in resolved.items():
+            try:
+                ForkingPickler.dumps(fn)
+            except Exception as exc:
+                raise ValueError(f"check {name!r} does not pickle, which a {method} worker needs: {exc}") from exc
+
+
 def run_campaign(
     config: GeneratorConfig,
     checks: tuple[str, ...] | list[str] | None = None,
@@ -206,6 +218,7 @@ def run_campaign(
         jobs = min(jobs, trials)
         edges = [trials * i // jobs for i in range(jobs + 1)]
         procs, conns, parts, context = [], [], [], _mp_context()
+        _check_pickles(resolved, context.get_start_method())  # before any process starts
         try:
             for lo, hi in zip(edges[1:], edges[2:]):
                 recv, send = context.Pipe(duplex=False)

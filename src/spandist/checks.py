@@ -13,9 +13,13 @@ returns one :class:`Column` per check id, its margins and recorded values
 as arrays with one entry per trial and a mask of the trials it applies
 to. Where a family has several ids of one formula, it evaluates the
 formula once over their stacked operands, and each column holds its row.
-The per-instance check is that run on ``InstanceChunk.of(instance, tol)``,
-a chunk of one; the campaign tallies a chunk's columns in one pass and
-builds a record only for a failure.
+Each built-in REGISTRY entry is one family object: its chunk function,
+its precondition on a config (which :func:`applicable_checks` reads), and,
+called on one instance, the family on a chunk of one. It pickles by name.
+Any other entry (a check registered at runtime, or a built-in wrapped in
+another function) is a plain per-instance function, run once per trial.
+The campaign tallies a chunk's columns in one pass and builds a record
+only for a failure.
 
 Margins are normalised so that ok == (margin >= 0) and more positive means
 more comfortable; the campaign keeps the worst margin per check id.
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import combination as comb
-from .generator import Instance, InstanceChunk
+from .generator import GeneratorConfig, Instance, InstanceChunk
 from .gram import split_determinants, triangle_roots
 from .hadamard import ChainVariant, chain_stack
 from .space import ToleranceConfig
@@ -42,7 +46,6 @@ __all__ = [
     "CheckFn",
     "Column",
     "REGISTRY",
-    "STACKED",
     "applicable_checks",
     "outcomes_of",
     "resolve_check",
@@ -345,63 +348,49 @@ def _conditional_bounds(t: InstanceChunk) -> list[Column]:
     return out
 
 
-# -- the registry: each family by name, and on one instance -------------------
+# -- the registry: each family with its precondition ---------------------------
 
 
-_FAMILIES: dict[str, Callable[[InstanceChunk], list[Column]]] = {
-    "representation_agreement": _representation_agreement,
-    "bound_dominance": _bound_dominance,
-    "orthonormal_collapse": _orthonormal_collapse,
-    "bessel_refinements": _bessel_refinements,
-    "lagrange_identity": _lagrange_identity,
-    "combination_sweep": _combination_sweep,
-    "hadamard_chains": _hadamard_chains,
-    "gram_inequalities": _gram_inequalities,
-    "conditional_bounds": _conditional_bounds,
-}
+class _Family:
+    """A built-in check: a family of check ids over a chunk of trials, and
+    the precondition a config meets where it applies. On one instance it
+    runs on a chunk of one; it pickles by name, as its REGISTRY entry."""
+
+    def __init__(self, stacked: Callable[[InstanceChunk], list[Column]],
+                 applies: Callable[[GeneratorConfig], bool] = lambda config: True) -> None:
+        self.name, self.__doc__ = stacked.__name__.lstrip("_"), stacked.__doc__
+        self._stacked, self.applies = stacked, applies
+
+    def columns(self, chunk: InstanceChunk) -> list[Column]:
+        # entries of trials a column does not apply to may hold inf or NaN
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._stacked(chunk)
+
+    def __call__(self, instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
+        return outcomes_of(self.columns(InstanceChunk.of(instance, tol)), 0)
+
+    def __reduce__(self):
+        return resolve_check, (self.name,)
 
 
-def _per_instance(stacked: Callable[[InstanceChunk], list[Column]]) -> CheckFn:
-    """The check ``stacked`` on one instance: the family run on a chunk of
-    one, named ``check_<family>`` and documented by the family's docstring."""
-
-    def check(instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-        return outcomes_of(_evaluate(stacked, InstanceChunk.of(instance, tol)), 0)
-
-    check.__name__ = check.__qualname__ = "check" + stacked.__name__
-    check.__doc__ = stacked.__doc__
-    return check
-
-
-REGISTRY: dict[str, CheckFn] = {name: _per_instance(stacked) for name, stacked in _FAMILIES.items()}
-# each check_<family> is an attribute of this module, so that it pickles by reference
-globals().update({fn.__name__: fn for fn in REGISTRY.values()})
-
-# The stacked form of each built-in check. A REGISTRY entry found here runs
-# over whole chunks; any other entry (a check registered at runtime, or a
-# built-in wrapped in another function) runs once per instance.
-STACKED: dict[CheckFn, Callable[[InstanceChunk], list[Column]]] = {
-    REGISTRY[name]: stacked for name, stacked in _FAMILIES.items()
-}
+# every built-in family, in the order a campaign runs them
+_BUILT_IN = (
+    _Family(_representation_agreement),
+    _Family(_bound_dominance),
+    _Family(_orthonormal_collapse, lambda config: config.orthonormal),
+    _Family(_bessel_refinements),
+    _Family(_lagrange_identity),
+    _Family(_combination_sweep),
+    _Family(_gram_inequalities),
+    _Family(_hadamard_chains, lambda config: config.n >= 2),
+    _Family(_conditional_bounds, lambda config: config.intervals),
+)
+REGISTRY: dict[str, CheckFn] = {family.name: family for family in _BUILT_IN}
 
 
-def applicable_checks(config) -> tuple[str, ...]:
-    """Registry names whose preconditions the given config can satisfy."""
-    names = [
-        "representation_agreement",
-        "bound_dominance",
-        "bessel_refinements",
-        "lagrange_identity",
-        "combination_sweep",
-        "gram_inequalities",
-    ]
-    if config.orthonormal:
-        names.insert(2, "orthonormal_collapse")
-    if config.n >= 2:
-        names.append("hadamard_chains")
-    if config.intervals:
-        names.append("conditional_bounds")
-    return tuple(names)
+def applicable_checks(config: GeneratorConfig) -> tuple[str, ...]:
+    """Names of the built-in checks whose preconditions the given config can satisfy."""
+    return tuple(family.name for family in _BUILT_IN if family.applies(config))
 
 
 def resolve_check(name: str) -> CheckFn:
@@ -414,7 +403,7 @@ def resolve_check(name: str) -> CheckFn:
 
 def resolve_checks(names: Sequence[str]) -> dict[str, CheckFn]:
     """The REGISTRY entry of each of ``names``, in their order; a bare str,
-    a name given twice and an unknown name raise ValueError."""
+    no name, a name given twice and an unknown name raise ValueError."""
     if isinstance(names, str):
         raise ValueError(f"checks must be a sequence of names, not the str {names!r}")
     resolved: dict[str, CheckFn] = {}
@@ -422,18 +411,14 @@ def resolve_checks(names: Sequence[str]) -> dict[str, CheckFn]:
         if name in resolved:
             raise ValueError(f"check name given twice: {name!r}")
         resolved[name] = resolve_check(name)
+    if not resolved:
+        raise ValueError("no checks to run")
     return resolved
 
 
-def _evaluate(stacked: Callable[[InstanceChunk], list[Column]], chunk: InstanceChunk) -> list[Column]:
-    # entries of trials a column does not apply to may hold inf or NaN
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return stacked(chunk)
-
-
-def run_stacked(checks: Sequence[CheckFn], chunk: InstanceChunk) -> list[Column]:
-    """The columns of the built-in ``checks`` (keys of :data:`STACKED`) over one chunk."""
-    return [column for fn in checks for column in _evaluate(STACKED[fn], chunk)]
+def run_stacked(checks: Sequence[_Family], chunk: InstanceChunk) -> list[Column]:
+    """The columns of the built-in ``checks`` over one chunk."""
+    return [column for family in checks for column in family.columns(chunk)]
 
 
 def run_checks(
@@ -444,14 +429,12 @@ def run_checks(
 
 
 def _run_resolved(instance: Instance, checks: Iterable[CheckFn], tol: ToleranceConfig) -> list[CheckOutcome]:
-    chunk = None
+    chunk = None  # one chunk of one for every built-in check
     out: list[CheckOutcome] = []
     for fn in checks:
-        stacked = STACKED.get(fn)
-        if stacked is None:
-            out.extend(fn(instance, tol))
-            continue
-        if chunk is None:
-            chunk = InstanceChunk.of(instance, tol)
-        out.extend(outcomes_of(_evaluate(stacked, chunk), 0))
+        if isinstance(fn, _Family):
+            chunk = InstanceChunk.of(instance, tol) if chunk is None else chunk
+            out += outcomes_of(fn.columns(chunk), 0)
+        else:
+            out += fn(instance, tol)
     return out

@@ -190,10 +190,8 @@ def child_rng(instance: Instance, salt: int) -> np.random.Generator:
 
 
 def _fresh(seed: object, trial: object, salt: object) -> np.random.Generator:
-    # uint64 arrays: a list holding a word of 2**63 or more reaches Philox as float64
-    key = np.array([_word("seed", seed), _word("trial", trial)], np.uint64)
-    counter = np.array([0, 0, _word("salt", salt), 0], np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    words = (_word("seed", seed), _word("trial", trial), _word("salt", salt))
+    return _rekey(np.random.Generator(np.random.Philox(key=0)), *words)
 
 
 def _word(name: str, value: object) -> int:

@@ -14,18 +14,29 @@ def test_registry_names():
         "bessel_refinements", "lagrange_identity", "combination_sweep",
         "hadamard_chains", "gram_inequalities", "conditional_bounds",
     }
+    for name, fn in sd.REGISTRY.items():
+        assert isinstance(fn, sd.checks._Family) and fn.name == name
 
 
-def test_applicable_checks_follow_config_shape():
-    plain = GeneratorConfig(seed=0, trials=1, dim=4, n=2)
-    names = sd.applicable_checks(plain)
-    assert "orthonormal_collapse" not in names
-    assert "conditional_bounds" not in names
-
-    orth = GeneratorConfig(seed=0, trials=1, dim=4, n=2, orthonormal=True, intervals=True)
-    names = sd.applicable_checks(orth)
-    assert "orthonormal_collapse" in names
-    assert "conditional_bounds" in names
+@pytest.mark.parametrize("orthonormal", [False, True])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("intervals", [False, True])
+def test_applicable_checks_follow_config_shape(orthonormal, n, intervals):
+    config = GeneratorConfig(seed=0, trials=1, dim=4, n=n, orthonormal=orthonormal, intervals=intervals)
+    expected = [
+        "representation_agreement",
+        "bound_dominance",
+        *(["orthonormal_collapse"] if orthonormal else []),
+        "bessel_refinements",
+        "lagrange_identity",
+        "combination_sweep",
+        "gram_inequalities",
+        *(["hadamard_chains"] if n >= 2 else []),
+        *(["conditional_bounds"] if intervals else []),
+    ]
+    assert sd.applicable_checks(config) == tuple(expected)
+    # the registry holds the families in the same order
+    assert [name for name in sd.REGISTRY if name in expected] == expected
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

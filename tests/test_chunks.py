@@ -163,6 +163,39 @@ def test_a_wrapped_builtin_runs_per_instance_with_the_same_numbers(monkeypatch):
     assert sd.render_campaign(per_instance, "json") == sd.render_campaign(stacked, "json")
 
 
+@pytest.mark.parametrize("name", SMALL_STREAMS)
+def test_every_check_wrapped_as_a_plain_function_runs_once_per_trial(name, monkeypatch):
+    # as a benchmark's traced run does: every REGISTRY value wrapped in a
+    # plain per-instance function, and the campaign's generate_instance
+    # counted. The check list does not read the values, and each wrapper
+    # runs once per trial on the trial's instance, to the same report.
+    config = _config(name)
+    names = applicable_checks(config)
+    stacked = sd.run_campaign(config)
+    calls, generated = [], []
+    original = sd_campaign.generate_instance
+
+    def generate(config, trial, tol):
+        generated.append(trial)
+        return original(config, trial, tol)
+
+    def plain(family, fn):
+        def check(instance, tol):
+            calls.append((instance.trial, family))
+            return fn(instance, tol)
+
+        return check
+
+    for family, fn in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, family, plain(family, fn))
+    monkeypatch.setattr(sd_campaign, "generate_instance", generate)
+    assert applicable_checks(config) == names
+    wrapped = sd.run_campaign(config)
+    assert generated == list(range(config.trials))
+    assert calls == [(trial, family) for trial in range(config.trials) for family in names]
+    assert sd.render_campaign(wrapped, "json") == sd.render_campaign(stacked, "json")
+
+
 def _gram(rows):
     g = rows @ rows.conj().T
     return (g + g.conj().T) / 2.0

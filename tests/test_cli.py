@@ -67,6 +67,15 @@ def test_verify_a_repeated_check(capsys):
     assert capsys.readouterr().err == "error: check name given twice: 'lagrange_identity'\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "replay"])
+@pytest.mark.parametrize("raw", [",", "", " , "])
+def test_an_empty_check_list_is_bad_input(command, raw, capsys):
+    trial = ["--trials", "3"] if command == "verify" else ["--trial", "1"]
+    assert main([command, *trial, "--checks", raw]) == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no checks to run\n"
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     def bad(instance, tol):
         return [sd.CheckOutcome("bad/always", False, -1.0, ())]
