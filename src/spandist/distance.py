@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotOrthonormalError, NumericalWarning
-from .gram import FactorStack, SystemStack, VectorSystem, _each, require_independent
+from .gram import FactorStack, SystemStack, VectorSystem, _lapack, _umath_linalg, require_independent
 from .orthonormalize import distance_sq_stack
 from .space import Field, Scalar, ToleranceConfig, Vector, sq_norms
 
@@ -137,8 +137,8 @@ def gram_ratio_stack(systems: SystemStack, xx: np.ndarray, beta: np.ndarray) -> 
     aug[:, :n, n] = beta_hat.conj()
     aug[:, n, :n] = beta_hat
     aug[:, n, n] = 1.0
-    lower = _each(np.linalg.cholesky, aug)[0]  # a failed matrix's factor is zero
-    value = xx * np.abs(lower[:, n, n]) ** 2
+    lower, ok = _lapack(_umath_linalg.cholesky_lo, aug)
+    value = xx * np.abs(np.where(ok, lower[:, n, n], 0.0)) ** 2  # a failed factor's is 0
     return value if complete.all() else np.where(complete, value, np.nan)
 
 

@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import LinearDependenceError, NumericalInstabilityError
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, check_member, checked_int, field_array, sq_norms
@@ -274,41 +275,58 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    perm = np.arange(n)
-    pivots = np.zeros(n)
-    rank = n
-    scale = float(np.max(np.abs(a.diagonal().real))) if n else 0.0
-    for k in range(n):
-        diag = a.diagonal().real
-        j = k + int(np.argmax(diag[k:]))
-        piv = float(diag[j])
-        if k > 0:
-            scale = pivots[0]
-        if piv < -rank_rel_tol * scale:
-            raise NumericalInstabilityError(
-                f"pivot {piv:.3e} at step {k} is negative beyond tolerance; "
-                "input is not positive semidefinite"
-            )
-        if piv <= rank_rel_tol * scale or piv <= 0.0:
-            rank = k
-            a[k:, k:] = 0.0  # drop the residual block, keep the valid trapezoid
-            break
-        if j != k:
-            a[[k, j], :] = a[[j, k], :]
-            a[:, [k, j]] = a[:, [j, k]]
-            perm[[k, j]] = perm[[j, k]]
-        pivots[k] = piv
-        root = math.sqrt(piv)
-        a[k, k] = root
-        a[k + 1 :, k] /= root
-        col = a[k + 1 :, k]
-        a[k + 1 :, k + 1 :] -= np.outer(col, col.conj())
-        a[k, k + 1 :] = 0.0
-    lower = np.tril(a)
-    lower.setflags(write=False)
-    pivots.setflags(write=False)
-    perm.setflags(write=False)
-    return PivotedCholesky(lower=lower, perm=perm, pivots=pivots, rank=rank)
+    lower, perm, pivots, rank = _pivoted(a[np.newaxis], rank_rel_tol)
+    return PivotedCholesky(lower=_frozen(lower[0]), perm=_frozen(perm[0]), pivots=_frozen(pivots[0]), rank=int(rank[0]))
+
+
+def _pivoted(a: np.ndarray, rank_rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pivoted_cholesky` of each matrix of a (K, m, m) float64 or
+    complex128 stack, which it overwrites: lower, perm, pivots and rank.
+    Each step runs on all matrices not yet stopped at once, with the
+    one-matrix loop's elementwise operations in its order, so each matrix
+    gets its own bits; a stack raises for its first non-PSD matrix."""
+    count, m = a.shape[0], a.shape[-1]
+    lower, rank = np.zeros_like(a), np.full(count, m)
+    perm, pivots = np.arange(m)[np.newaxis].repeat(count, axis=0), np.zeros((count, m))
+    # the matrices still being factored: their stack index, perm and pivots (the outputs until one stops)
+    live, rows, p, piv_live, error = np.arange(count), np.arange(count), perm, pivots, None
+    for k in range(m):
+        d = a.diagonal(0, -2, -1).real
+        j = d[:, k:].argmax(axis=-1) + k
+        piv = d[rows, j]
+        if k < 2:  # the scale is the largest diagonal entry at step 0, the first pivot after it
+            tol = rank_rel_tol * (np.abs(d).max(axis=-1) if k == 0 else piv_live[:, 0])
+            bound = np.fmax(tol, 0.0)  # piv <= tol or piv <= 0.0, as tol is NaN or at least 0
+        stop = piv <= bound
+        if np.count_nonzero(stop):
+            neg = piv < -tol
+            if np.count_nonzero(neg):  # no matrix after the first can be the one raised for
+                i = int(neg.argmax())
+                error = f"pivot {piv[i]:.3e} at step {k} is negative beyond tolerance; " \
+                    "input is not positive semidefinite"
+                stop |= live > live[i]
+            a[stop, k:, k:] = 0.0  # drop the residual block, keep the valid trapezoid
+            done, keep = live[stop], ~stop
+            lower[done], perm[done], pivots[done], rank[done] = a[stop], p[stop], piv_live[stop], k
+            live, a, p, piv_live, j, piv = live[keep], a[keep], p[keep], piv_live[keep], j[keep], piv[keep]
+            tol, bound, rows = tol[keep], bound[keep], rows[: live.size]
+            if not live.size:
+                break
+        if np.count_nonzero(j != k):
+            at, to = rows[:, np.newaxis], np.empty((live.size, 2), dtype=np.intp)
+            to[:, 0], to[:, 1] = k, j
+            a[at, to], p[at, to] = a[at, to[:, ::-1]], p[at, to[:, ::-1]]
+            a[at, :, to] = a[at, :, to[:, ::-1]]
+        piv_live[:, k] = piv
+        a[:, k, k] = root = np.sqrt(piv)
+        col, trailing = a[:, k + 1 :, k], a[:, k + 1 :, k + 1 :]
+        np.divide(col, root[:, np.newaxis], out=col)
+        np.subtract(trailing, col[:, :, np.newaxis] * col[:, np.newaxis, :].conj(), out=trailing)
+        a[:, k, k + 1 :] = 0.0
+    if error is not None:
+        raise NumericalInstabilityError(error)
+    lower[live], perm[live], pivots[live] = a, p, piv_live
+    return np.tril(lower), perm, pivots, rank
 
 
 class FactorStack(NamedTuple):
@@ -332,32 +350,17 @@ class FactorStack(NamedTuple):
     condition: np.ndarray
 
 
-def _each(fn, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A numpy.linalg routine over a stack, and which matrices it succeeded
-    on (None: all of them).
-
-    numpy raises for the whole stack when one matrix fails, so then each
-    failed part is retried by halves: LAPACK treats the matrices of a stack
-    one by one, so a failure stays with its own matrix, and one failure
-    among m matrices costs at most 2 * ceil(log2 m) more calls.
-    """
-    try:
-        return fn(stack), None
-    except np.linalg.LinAlgError:
-        pass
-    out = np.zeros_like(stack)
-    ok = np.zeros(stack.shape[0], dtype=bool)
-    spans = [(0, stack.shape[0])] if stack.shape[0] > 1 else []  # parts that failed whole
-    while spans:
-        lo, hi = spans.pop()
-        mid = (lo + hi) // 2
-        for a, b in ((lo, mid), (mid, hi)):
-            try:
-                out[a:b], ok[a:b] = fn(stack[a:b]), True
-            except np.linalg.LinAlgError:
-                if b - a > 1:
-                    spans.append((a, b))
-    return out, ok
+def _lapack(gufunc, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``gufunc`` (``_umath_linalg.cholesky_lo`` or ``inv``, the gufuncs that
+    ``np.linalg.cholesky`` and ``inv`` call) over a (T, m, m) stack, and
+    which matrices LAPACK succeeded on. LAPACK takes the matrices one by
+    one; where np.linalg raises for the whole stack, the gufunc fills each
+    failed matrix with NaN, leaves the others np.linalg's bits and only
+    raises the invalid flag, which is caught here."""
+    failed = []
+    with np.errstate(all="ignore", invalid="call", call=lambda *_: failed.append(True)):
+        out = gufunc(stack)
+    return out, ~np.isnan(out).all(axis=(-2, -1)) if failed else np.ones(len(stack), dtype=bool)
 
 
 def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> FactorStack:
@@ -375,11 +378,11 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
     ||L_e^-1||_F^2 * max_i E[i, i] is below 1 / (4 * rank_rel_tol) (the 4
     absorbs rounding) the decision is full rank, and L is kept in natural
     order. Otherwise, and for a nonpositive or nonfinite diagonal or a
-    LAPACK failure, :func:`pivoted_cholesky` factors that E alone, and
-    decides reduced rank and negative-pivot errors. The certificate's
-    L_e^-1 is kept as ``inverse`` and its product as ``condition``
-    (:class:`FactorStack`); a fallback matrix of full rank inverts its
-    pivoted L_e and takes the same product of that inverse.
+    LAPACK failure, :func:`pivoted_cholesky` factors E, all such E in one
+    pass, and decides reduced rank and negative-pivot errors. The
+    certificate's L_e^-1 is kept as ``inverse`` and its product as
+    ``condition`` (:class:`FactorStack`); a fallback matrix of full rank
+    inverts its pivoted L_e and takes the same product of that inverse.
     """
     a = np.asarray(mats)
     if a.dtype != np.float64 and a.dtype != np.complex128:
@@ -393,29 +396,26 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
     fast = np.logical_and.reduce(good, axis=-1)
     # the other matrices are replaced by the identity here, and not kept
     src = e if fast.all() else np.where(fast[:, np.newaxis, np.newaxis], e, np.eye(m))
-    lower_e, ok = _each(np.linalg.cholesky, src)
-    if ok is not None:
-        fast &= ok
-        lower_e[~ok] = np.eye(m)
-    inv_e, ok = _each(np.linalg.inv, lower_e)
-    if ok is not None:
-        fast &= ok
+    # a matrix LAPACK could not factor or invert comes back NaN, and so
+    # does its condition, which then fails the test below
+    lower_e = _lapack(_umath_linalg.cholesky_lo, src)[0]
+    inv_e = _lapack(_umath_linalg.inv, lower_e)[0]
     condition = _condition(inv_e, src)
     fast &= 4.0 * rank_rel_tol * condition < 1.0
     inverse = inv_e / scale[:, np.newaxis, :]
     pivots = np.abs(scale * lower_e.diagonal(0, -2, -1)) ** 2
     perm, rank, complete = _full_rank(count, m)
     if not fast.all():
+        slow = np.flatnonzero(~fast)
+        lower, slow_perm, slow_pivots, slow_rank = _pivoted(e[slow], rank_rel_tol)
+        s = scale[slow[:, np.newaxis], slow_perm]
         perm, rank = perm.copy(), rank.copy()
-        for k in np.flatnonzero(~fast).tolist():
-            ref = pivoted_cholesky(e[k], rank_rel_tol)
-            s = scale[k][ref.perm]
-            perm[k], pivots[k], rank[k] = ref.perm, s * s * ref.pivots, ref.rank
-            if ref.complete:
-                inv = np.linalg.inv(ref.lower)
-                inverse[k], condition[k] = inv / s, _condition(inv[np.newaxis], e[k : k + 1])[0]
-            else:
-                inverse[k], condition[k] = np.nan, np.inf
+        perm[slow], pivots[slow], rank[slow] = slow_perm, s * s * slow_pivots, slow_rank
+        inverse[slow], condition[slow] = np.nan, np.inf
+        full = slow_rank == m
+        if full.any():
+            inv = _lapack(_umath_linalg.inv, lower[full])[0]
+            inverse[slow[full]], condition[slow[full]] = inv / s[full][:, np.newaxis, :], _condition(inv, e[slow[full]])
         perm, complete = _frozen(perm), rank == m
     det = np.multiply.reduce(pivots, axis=-1)
     if not complete.all():

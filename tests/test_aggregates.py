@@ -223,13 +223,13 @@ _STREAM = GeneratorConfig(seed=5, trials=4, dim=7, n=5, field=Field.COMPLEX, con
 def test_one_trial_factors_at_most_eight_gram_matrices(monkeypatch):
     instance = sd.generate_instance(_STREAM, 0)
     calls = []
-    original = sd_gram.pivoted_cholesky
+    original = sd_gram._pivoted
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.extend([1] * a.shape[0])  # one entry per matrix entering the stacked fallback
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(sd_gram, "pivoted_cholesky", counted)
+    monkeypatch.setattr(sd_gram, "_pivoted", counted)
     outcomes = run_checks(instance, applicable_checks(_STREAM), sd.DEFAULT_TOL)
     assert outcomes and all(o.ok for o in outcomes)
     assert len(calls) <= 8, len(calls)

@@ -9,6 +9,7 @@ against one matrix at a time.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,13 +215,13 @@ def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(stack)
     calls = []
-    original = sd_gram.pivoted_cholesky
+    original = sd_gram._pivoted
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.extend([1] * a.shape[0])  # one entry per matrix entering the stacked fallback
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(sd_gram, "pivoted_cholesky", counted)
+    monkeypatch.setattr(sd_gram, "_pivoted", counted)
     factor = sd_gram.factor_stack(stack)
     assert len(calls) == 1  # only the dependent matrix takes the reference path
     alone = [sd_gram.factor_stack(g[np.newaxis]) for g in mats]
@@ -231,6 +232,53 @@ def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
         for name in ("perm", "pivots", "inverse", "condition"):
             assert np.array_equal(getattr(factor, name)[k], getattr(f, name)[0], equal_nan=True), name
     assert np.isinf(factor.condition[4]) and np.isfinite(np.delete(factor.condition, 4)).all()
+
+
+def _lapack_log(monkeypatch):
+    """A log of each factor_stack and bordered-ratio call, each LAPACK gufunc
+    call and each entry into the stacked fallback, in call order."""
+    from spandist import distance as sd_distance
+
+    log = []
+
+    def logged(owner, name, entry):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            log.append(entry(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    logged(sd_gram, "factor_stack", lambda *_: "stack")
+    logged(sd_distance, "gram_ratio_stack", lambda *_: "stack")
+    for owner in (sd_gram, sd_distance):
+        logged(owner, "_lapack", lambda gufunc, stack: gufunc.__name__)
+    logged(sd_gram, "_pivoted", lambda *_: "fallback")
+    return log
+
+
+@pytest.mark.parametrize("fraction", [0.2, 1.0])
+def test_each_stack_makes_one_cholesky_call_and_enters_the_fallback_at_most_once(fraction, monkeypatch):
+    logs = {}
+    for frac in (fraction, 0.0):  # the dependent stream and its twin
+        stream = {**STREAMS["real_d6_n4_k1e3_dependent"], "dependent_fraction": frac}
+        config = GeneratorConfig(seed=41, trials=16, **stream)
+        checks = [resolve_check(name) for name in applicable_checks(config)]
+        with monkeypatch.context() as patch:
+            log = _lapack_log(patch)
+            run_stacked(checks, generate_chunk(config, range(config.trials), TOL))
+        stacks = []
+        for entry in log:
+            if entry == "stack":
+                stacks.append([])
+            else:
+                stacks[-1].append(entry)
+        assert stacks and all(s.count("cholesky_lo") == 1 and s.count("fallback") <= 1 for s in stacks), stacks
+        logs[frac] = log
+    dependent, twin = logs[fraction], logs[0.0]
+    assert "fallback" in dependent and "fallback" not in twin
+    assert dependent.count("cholesky_lo") <= twin.count("cholesky_lo")
 
 
 def _singular_stack(count, singular, field):
@@ -254,25 +302,32 @@ def _per_matrix(fn, stack):
     return out, ok
 
 
+_GUFUNCS = (
+    (sd_gram._umath_linalg.cholesky_lo, np.linalg.cholesky),
+    (sd_gram._umath_linalg.inv, np.linalg.inv),
+)
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 @pytest.mark.parametrize("count", [1, 2, 7, 48])
 @pytest.mark.parametrize("where", ["first", "middle", "last", "everywhere"])
-def test_a_failed_stack_is_retried_by_halves_with_each_matrixs_bits(field, count, where):
+def test_the_lapack_gufuncs_flag_and_nan_fill_exactly_the_failed_matrices(field, count, where):
+    # the private numpy gufuncs behind np.linalg.cholesky and inv: one call
+    # over the stack, a failed matrix NaN-filled and flagged, every other one
+    # np.linalg's bits, and no warning or exception
     singular = {"first": {0}, "middle": {count // 2}, "last": {count - 1}, "everywhere": set(range(count))}[where]
     stack = _singular_stack(count, singular, field)
-    calls = []
-
-    def cholesky(a):
-        calls.append(a.shape[0])
-        return np.linalg.cholesky(a)
-
-    out, ok = sd_gram._each(cholesky, stack)
-    ref, ref_ok = _per_matrix(np.linalg.cholesky, stack)
-    assert ok.tolist() == ref_ok == [k not in singular for k in range(count)]
-    assert np.array_equal(out, ref)
-    if len(singular) == 1:
-        assert len(calls) <= 2 * math.ceil(math.log2(count)) + 1
-    assert sd_gram._each(np.linalg.cholesky, np.delete(stack, sorted(singular), axis=0))[1] is None
+    for gufunc, public in _GUFUNCS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, ok = sd_gram._lapack(gufunc, stack)
+        ref, ref_ok = _per_matrix(public, stack)
+        assert ok.tolist() == ref_ok == [k not in singular for k in range(count)]
+        assert np.isnan(out[~ok]).all()
+        assert out[ok].tobytes() == ref[ok].tobytes()
+        regular = np.delete(stack, sorted(singular), axis=0)
+        out, ok = sd_gram._lapack(gufunc, regular)
+        assert ok.all() and out.tobytes() == public(regular).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))

@@ -1,5 +1,6 @@
 """The three distance representations against an orthonormalization oracle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import spandist as sd
 from spandist import Field, VectorSystem, vector
 from spandist.distance import PointStack
+from spandist.generator import generate_chunk
 
 from conftest import random_rows
 
@@ -334,3 +336,23 @@ def test_the_quadratic_forms_warning_fires_once_per_system_and_x():
     assert [w.category for w in record] == [sd.NumericalWarning]
     with pytest.warns(sd.NumericalWarning):  # an equal vector is another x
         sd.distance_sq_quadratic(system, vector(x.coords.tolist()))
+
+
+def test_the_ratio_is_zero_where_lapack_cannot_factor_the_bordered_matrix():
+    # an independent system whose bordered unit-diagonal Gram matrix LAPACK
+    # cannot factor: the ratio reads x as in the span, exactly 0.0, in a
+    # stack of one and in its chunk, where it is the only such trial
+    config = sd.GeneratorConfig(seed=404, trials=200, dim=8, n=7, conditioning=1e12)
+    instance = sd.generate_instance(config, 120)
+    system, p = instance.system, PointStack.of(instance.system, instance.x)
+    norms = np.sqrt(system.as_stack().aggregates.norms_sq[0])
+    bordered = np.eye(system.n + 1)
+    bordered[:-1, :-1] = system.gram.entries / np.outer(norms, norms)
+    bordered[-1, :-1] = p.beta[0] / (norms * math.sqrt(p.xx[0]))
+    bordered[:-1, -1] = bordered[-1, :-1].conj()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(bordered)
+    assert system.independent and p.oracle[0] > 1e-5
+    assert p.ratio[0] == 0.0 and not math.copysign(1.0, p.ratio[0]) < 0.0
+    chunk = generate_chunk(config, range(config.trials), sd.DEFAULT_TOL)
+    assert np.flatnonzero(chunk.systems.factor.complete & (chunk.ratio == 0.0)).tolist() == [120]

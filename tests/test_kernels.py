@@ -5,6 +5,8 @@
   as ``pivoted_cholesky`` on the equilibrated matrix, and the same
   determinant up to rounding (scaled back) where the matrix is not too
   ill-conditioned.
+* The stacked pivoted fallback must give each matrix of a stack the bits of
+  the one-matrix loop it replaced, and raise as that loop does.
 * The Householder QR oracle must leave the residual of a least-squares
   solve, and its squared distance must lie within its backward-error bound
   of the exact rational Gram determinant ratio.
@@ -180,14 +182,15 @@ def test_factor_stack_fast_result_has_the_contract():
 
 
 def _count_fallbacks(monkeypatch):
+    """A list that gains one entry per matrix entering the stacked pivoted fallback."""
     calls = []
-    original = sd_gram.pivoted_cholesky
+    original = sd_gram._pivoted
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.extend([1] * a.shape[0])
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(sd_gram, "pivoted_cholesky", counted)
+    monkeypatch.setattr(sd_gram, "_pivoted", counted)
     return calls
 
 
@@ -250,6 +253,163 @@ def test_a_dependent_trial_falls_back(monkeypatch):
     outcomes = run_checks(instance, applicable_checks(_DEPENDENT), sd.DEFAULT_TOL)
     assert outcomes and all(o.ok for o in outcomes)
     assert len(calls) >= 1
+
+
+# -- the stacked fallback against the per-matrix loop it replaced -------------------
+
+
+def _loop_reference(matrix, rank_rel_tol=TOL):
+    """The one-matrix pivoted Cholesky loop that the stacked pass replaced,
+    kept here as the reference: lower, perm, pivots and rank."""
+    a = np.array(matrix, dtype=np.complex128 if np.iscomplexobj(matrix) else np.float64)
+    n = a.shape[0]
+    perm = np.arange(n)
+    pivots = np.zeros(n)
+    rank = n
+    scale = float(np.max(np.abs(a.diagonal().real))) if n else 0.0
+    for k in range(n):
+        diag = a.diagonal().real
+        j = k + int(np.argmax(diag[k:]))
+        piv = float(diag[j])
+        if k > 0:
+            scale = pivots[0]
+        if piv < -rank_rel_tol * scale:
+            raise NumericalInstabilityError(
+                f"pivot {piv:.3e} at step {k} is negative beyond tolerance; "
+                "input is not positive semidefinite"
+            )
+        if piv <= rank_rel_tol * scale or piv <= 0.0:
+            rank = k
+            a[k:, k:] = 0.0
+            break
+        if j != k:
+            a[[k, j], :] = a[[j, k], :]
+            a[:, [k, j]] = a[:, [j, k]]
+            perm[[k, j]] = perm[[j, k]]
+        pivots[k] = piv
+        root = math.sqrt(piv)
+        a[k, k] = root
+        a[k + 1 :, k] /= root
+        col = a[k + 1 :, k]
+        a[k + 1 :, k + 1 :] -= np.outer(col, col.conj())
+        a[k, k + 1 :] = 0.0
+    return np.tril(a), perm, pivots, rank
+
+
+def _mixed_stack(rng, m, field):
+    """Full-rank, rank-deficient, tied, scaled and zero Hermitian PSD matrices of size m."""
+    mats = [_gram(random_rows(rng, m, m + 2, field)) for _ in range(3)]
+    for r in range(m):  # every lower rank, the last row a combination of the first
+        rows = random_rows(rng, m, m + 2, field)
+        rows[r:] = random_rows(rng, 1, r, field) @ rows[:r] if r else 0.0
+        mats.append(_gram(rows))
+    ties = np.eye(m) * 2.0 + (0.5 if m > 1 else 0.0)  # every diagonal entry ties with every other
+    mats += [ties, np.eye(m), np.zeros((m, m))]
+    d = np.exp2(rng.integers(-60, 60, m))
+    mats.append(_gram(_conditioned_rows(rng, m, field, 1e8)) * d[:, np.newaxis] * d[np.newaxis, :])
+    return np.stack(mats).astype(np.complex128 if field is Field.COMPLEX else np.float64)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_the_stacked_fallback_gives_each_matrix_the_loops_bits(field, m):
+    rng = np.random.default_rng([m, field is Field.COMPLEX])
+    stack = _mixed_stack(rng, m, field)
+    lower, perm, pivots, rank = sd_gram._pivoted(stack.copy(), TOL)
+    ranks = []
+    for k, matrix in enumerate(stack):
+        ref_lower, ref_perm, ref_pivots, ref_rank = _loop_reference(matrix)
+        for got_lower, got_perm, got_pivots, got_rank in ((lower[k], perm[k], pivots[k], rank[k]), _one_matrix(matrix)):
+            assert _bits(got_lower) == _bits(ref_lower)  # the sign of zero too
+            assert got_perm.tolist() == ref_perm.tolist()
+            assert _bits(got_pivots) == _bits(ref_pivots)
+            assert got_rank == ref_rank
+        ranks.append(ref_rank)
+    assert set(ranks) == set(range(m + 1))  # the stack holds every rank
+
+
+def _one_matrix(matrix):
+    """pivoted_cholesky's lower, perm, pivots and rank."""
+    chol = sd_gram.pivoted_cholesky(matrix, TOL)
+    return chol.lower, chol.perm, chol.pivots, chol.rank
+
+
+def _outcome(fn, matrix):
+    try:
+        return fn(matrix)
+    except NumericalInstabilityError as exc:
+        return str(exc)
+
+
+def _indefinite(m, step, value):
+    """Diagonal, with ones up to ``step`` and then ``value`` < 0: the pivot at
+    ``step`` is ``value``."""
+    return np.diag(np.r_[np.ones(step), np.full(m - step, value)])
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("bad", [(0,), (3,), (6,), (1, 4), (2, 5)])
+def test_a_stack_raises_for_its_first_non_psd_matrix(field, bad):
+    rng = np.random.default_rng(len(bad))
+    m = 5
+    stack = _mixed_stack(rng, m, field)[:7].copy()
+    for pos, index in enumerate(bad):  # a later matrix turns negative at an earlier step
+        stack[index] = _indefinite(m, m - 1 - pos, -1.0 - index)
+    want = next(o for o in (_outcome(_loop_reference, g) for g in stack) if isinstance(o, str))
+    assert want.startswith(f"pivot {-1.0 - bad[0]:.3e} at step {m - 1} ")
+    with pytest.raises(NumericalInstabilityError) as raised:
+        sd_gram._pivoted(stack.copy(), TOL)
+    assert str(raised.value) == want
+    with pytest.raises(NumericalInstabilityError) as raised:
+        sd_gram.factor_stack(stack, TOL)
+    assert str(raised.value) == want
+
+
+def _same_values(got, want):
+    """Equal entries, the sign of zero included, NaN where the other has NaN."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    for part in ((lambda a: a.real), (lambda a: a.imag)) if np.iscomplexobj(want) else ((lambda a: a),):
+        g, w = part(got), part(want)
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.array_equal(g[~nan], w[~nan]) and np.array_equal(np.signbit(g[~nan]), np.signbit(w[~nan]))
+
+
+_NON_FINITE = [
+    [[np.nan]],
+    [[np.inf]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, 0.5], [0.5, np.nan]],
+    [[np.inf, 0.5], [0.5, 1.0]],
+    [[2.0, 1.0, -np.inf], [1.0, 2.0, 0.5], [-np.inf, 0.5, 3.0]],
+    [[4.0, np.nan, 1.0], [np.nan, 1.0, 0.0], [1.0, 0.0, 2.0]],
+]
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("matrix", _NON_FINITE, ids=range(len(_NON_FINITE)))
+def test_the_stacked_fallback_on_inf_and_nan_entries(field, matrix):
+    # as the loop: the same rank, perm or message, NaN in the same places
+    # and the same other entries (a NaN's sign bit is not compared)
+    g = np.array(matrix, dtype=np.complex128 if field is Field.COMPLEX else np.float64)
+    m = g.shape[0]
+    rng = np.random.default_rng(m)
+    stack = np.concatenate([_mixed_stack(rng, m, field)[:2], g[np.newaxis], _mixed_stack(rng, m, field)[:2]])
+    with np.errstate(all="ignore"):
+        want = _outcome(_loop_reference, g)
+        got_one = _outcome(_one_matrix, g)
+        got_stack = _outcome(lambda a: [v[2] for v in sd_gram._pivoted(a.copy(), TOL)], stack)
+    if isinstance(want, str):
+        assert got_one == got_stack == want
+        return
+    for got in (got_one, got_stack):
+        for got_part, want_part in zip(got, want):
+            _same_values(got_part, want_part)
 
 
 # -- a system's factor against the pivoted reference ---------------------------------

@@ -17,7 +17,12 @@ sides alike.
 
 It prints each side's median and quartiles of the round time, the median
 and quartiles of the per-round ratio BASE time / CHANGE time (above 1: the
-change is faster), and the rounds each side won. The warm-up round also
+change is faster), and the rounds each side won. For a campaign workload
+it also times each call and prints, per side, the median call time over
+all calls and the median over rounds of each round's tail percentile of
+its call times (the benchmark's ``call_p50_us`` and ``call_tail_us``, on
+the unscaled clock), and in how many rounds each side had the lower tail
+percentile. The warm-up round also
 hashes its output: the JSON reports of every campaign call, or the bytes
 of every instance file in name order. The script exits with status 1 when
 the two sides' hashes differ. Both interpreters are ended before it exits.
@@ -43,7 +48,8 @@ from pathlib import Path
 
 def serve(root: Path, workload: str, seed: int) -> None:
     """The interpreter of one checkout: answer each line on stdin with one
-    round's wall time, until stdin closes."""
+    round's wall time and the wall time of each of its calls (none for
+    ``library_calls``) as a JSON list, until stdin closes."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import spandist as sd
     import workloads
@@ -53,7 +59,7 @@ def serve(root: Path, workload: str, seed: int) -> None:
     digest = hashlib.sha256()
     if workload == workloads.LIBRARY:
 
-        def run_round(digest=None) -> tuple[float, int]:
+        def run_round(digest=None) -> tuple[float, list[float], int]:
             with tempfile.TemporaryDirectory() as tmp:
                 started = time.perf_counter()
                 files = workloads.library_files(seed, Path(tmp))
@@ -61,29 +67,34 @@ def serve(root: Path, workload: str, seed: int) -> None:
                 if digest is not None:
                     for path in sorted(f.path for f in files):
                         digest.update(path.read_bytes())
-            return elapsed, len(files)
+            return elapsed, [], len(files)
 
-        unit, output = "files", "instance files"
+        unit, output, tail = "files", "instance files", None
     elif workload in workloads.CAMPAIGNS:
         jobs = workloads.CAMPAIGNS[workload].jobs
         configs = workloads.campaign_configs(workload, seed)
 
-        def run_round(digest=None) -> tuple[float, int]:
+        def run_round(digest=None) -> tuple[float, list[float], int]:
+            results, calls = [], []
             started = time.perf_counter()
-            results = [sd.run_campaign(config, jobs=jobs) for config in configs]
-            elapsed = time.perf_counter() - started
+            for config in configs:
+                results.append(sd.run_campaign(config, jobs=jobs))
+                calls.append(time.perf_counter())
+            elapsed = calls[-1] - started
             if digest is not None:
                 for result in results:
                     digest.update(sd.render_campaign(result, "json").encode())
-            return elapsed, sum(c.trials for c in configs)
+            return elapsed, [b - a for a, b in zip([started] + calls, calls)], sum(c.trials for c in configs)
 
-        unit, output = "instances", "reports"
+        unit, output, tail = "instances", "reports", workloads.CAMPAIGN_TAIL_PERCENTILE
     else:
         sys.exit(f"error: {workload!r} is not one of the workloads {sorted(workloads.CAMPAIGNS) + [workloads.LIBRARY]}")
-    _, count = run_round(digest)
-    print(json.dumps({"digest": digest.hexdigest(), "count": count, "unit": unit, "output": output}), flush=True)
+    _, _, count = run_round(digest)
+    warm = {"digest": digest.hexdigest(), "count": count, "unit": unit, "output": output, "tail": tail}
+    print(json.dumps(warm), flush=True)
     for _ in sys.stdin:
-        print(run_round()[0], flush=True)
+        elapsed, calls, _ = run_round()
+        print(json.dumps([elapsed, calls]), flush=True)
 
 
 def _reply(name: str, proc: subprocess.Popen) -> str:
@@ -96,6 +107,15 @@ def _reply(name: str, proc: subprocess.Popen) -> str:
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def _percentile(values: list[float], q: float) -> float:
+    """The q-th percentile by linear interpolation, numpy.percentile's default."""
+    ordered = sorted(values)
+    pos = (len(ordered) - 1) * q / 100.0
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def main() -> int:
@@ -119,11 +139,14 @@ def main() -> int:
             )
         warm = {name: json.loads(_reply(name, proc)) for name, proc in sides.items()}
         times: dict[str, list[float]] = {name: [] for name in sides}
+        calls: dict[str, list[list[float]]] = {name: [] for name in sides}
         for r in range(args.rounds):
             for name in sorted(sides, reverse=r % 2 == 1):
                 sides[name].stdin.write("round\n")
                 sides[name].stdin.flush()
-                times[name].append(float(_reply(name, sides[name])))
+                elapsed, round_calls = json.loads(_reply(name, sides[name]))
+                times[name].append(elapsed)
+                calls[name].append(round_calls)
     finally:
         for proc in sides.values():
             proc.stdin.close()
@@ -145,6 +168,16 @@ def main() -> int:
     losses = sum(r < 1.0 for r in ratios)
     print(f"ratio base/change: median {q2:.3f} (quartiles {q1:.3f}-{q3:.3f}); "
           f"change faster in {wins}, slower in {losses} of {len(ratios)} rounds")
+    tail = warm["base"]["tail"]
+    if tail is not None:
+        tails = {name: [_percentile(c, tail) for c in calls[name]] for name in sides}
+        for name in sides:
+            p50 = statistics.median(t for c in calls[name] for t in c)
+            p_tail = statistics.median(tails[name])
+            print(f"{name:>6}: call p50 {p50 * 1e6:.0f} us, call p{tail:g} {p_tail * 1e6:.0f} us (median over rounds)")
+        lower = sum(b > c for b, c in zip(tails["base"], tails["change"]))
+        higher = sum(b < c for b, c in zip(tails["base"], tails["change"]))
+        print(f"call p{tail:g} per round: change lower in {lower}, higher in {higher} of {len(ratios)} rounds")
     if warm["base"]["digest"] != warm["change"]["digest"]:
         print(f"{output.upper()} DIFFER: base {warm['base']['digest']} change {warm['change']['digest']}")
         return 1
