@@ -288,21 +288,11 @@ class ConditionVerdict:
 def condition_verdict(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
 ) -> ConditionVerdict:
-    return _verdict(PointStack.of(system, x, tol), intervals)
-
-
-def require_condition(
-    system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
-) -> ConditionVerdict:
-    return _require(PointStack.of(system, x, tol), intervals)
-
-
-def _verdict(p: PointStack, intervals: IntervalData) -> ConditionVerdict:
-    """:func:`condition_verdict` of x against a system (a point stack of one)."""
-    systems = p.systems
-    lo, hi = intervals.arrays(systems.field, systems.n)
+    """Both formulations of the two-sided condition for x against the system."""
+    p = PointStack.of(system, x, tol)
+    lo, hi = intervals.arrays(system.field, system.n)
     re_inner, ball_margin, holds, forms_agree = condition_stack(
-        systems.rows, p.x, p.xx, lo[np.newaxis], hi[np.newaxis], p.tol
+        p.systems.rows, p.x, p.xx, lo[np.newaxis], hi[np.newaxis], p.tol
     )
     return ConditionVerdict(
         re_inner=float(re_inner[0]),
@@ -312,9 +302,11 @@ def _verdict(p: PointStack, intervals: IntervalData) -> ConditionVerdict:
     )
 
 
-def _require(p: PointStack, intervals: IntervalData) -> ConditionVerdict:
-    """:func:`require_condition` of x against a system (a point stack of one)."""
-    verdict = _verdict(p, intervals)
+def require_condition(
+    system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
+) -> ConditionVerdict:
+    """:func:`condition_verdict`; ConditionNotSatisfiedError unless it holds."""
+    verdict = condition_verdict(system, x, intervals, tol)
     if not verdict.holds:
         raise ConditionNotSatisfiedError(
             f"two-sided condition fails: Re-inner term {verdict.re_inner:.6e} < 0"
@@ -338,7 +330,8 @@ def bound_cond_half_width(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
 ) -> float:
     """d^2 <= (1/4) ||sum_i (Gamma_i - gamma_i) x_i||^2 under the condition."""
-    _require(_prepare(system, x, tol), intervals)
+    _prepare(system, x, tol)
+    require_condition(system, x, intervals, tol)
     return _conditional_values(system, intervals)[BoundMethod.COND_HALF_WIDTH]
 
 
@@ -356,7 +349,8 @@ def bound_cond_relaxed(
     """
     if method not in _COND_FACTORS:
         raise ValueError(f"not a conditional relaxation method: {method}")
-    _require(_prepare(system, x, tol), intervals)
+    _prepare(system, x, tol)
+    require_condition(system, x, intervals, tol)
     return _conditional_values(system, intervals)[method]
 
 
@@ -376,7 +370,7 @@ def reverse_bessel_gap(
     if not is_orthonormal(system, tol):
         raise NotOrthonormalError("reverse Bessel bound requires an orthonormal system")
     p = PointStack.of(system, x, tol)
-    _require(p, intervals)
+    require_condition(system, x, intervals, tol)
     lo, hi = intervals.arrays(system.field, system.n)
     gap, quarter = reverse_bessel_stack(p.xx, p.s, (hi - lo)[np.newaxis])
     gap, quarter = float(gap[0]), float(quarter[0])
@@ -433,7 +427,7 @@ def full_bound_report(
     exact = float(p.d2[0])
     values = {m: float(v[0]) for m, v in bound_values(p.xx, p.s, system.as_stack().aggregates).items()}
     if intervals is not None:
-        _require(p, intervals)
+        require_condition(system, x, intervals, tol)
         values.update(_conditional_values(system, intervals))
     entries = tuple(
         BoundEntry(

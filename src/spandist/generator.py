@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -237,20 +236,12 @@ def _values(normals: np.ndarray, field: Field) -> np.ndarray:
     return (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
 
 
-def _standard(rng: np.random.Generator, shape: tuple[int, ...], field: Field) -> np.ndarray:
-    """One draw of ``shape`` standard field values."""
-    out = _normal_stack(1, shape, field)
-    _normals(rng, out[0])
-    return _values(out, field)[0]
-
-
 class _FirstPass:
     """Each trial's first draws as preallocated (T, ...) stacks, filled one
     trial at a time in its stream's order: the left frame, the right frame
     and the scale (:func:`_conditioned_rows`; an orthonormal system draws
     its frame alone), the dependence draws, then the ball's midpoints,
-    width magnitudes and phases, and last the point or the ball's
-    direction with its radius fraction ``rho``."""
+    width magnitudes and phases, and last x (:meth:`fill_point`)."""
 
     def __init__(self, config: GeneratorConfig, size: int) -> None:
         n, dim, field = config.n, config.dim, config.field
@@ -276,14 +267,22 @@ class _FirstPass:
             self.scale[k] = math.exp(rng.random() - 0.5)  # the bits of uniform(-0.5, 0.5)
         if cfg.dependent_fraction > 0.0 and rng.random() < cfg.dependent_fraction:
             victim = int(rng.integers(cfg.n))
-            self.dependent.append((k, victim, _standard(rng, (cfg.n,), cfg.field)))
+            coeffs = _normal_stack(1, (cfg.n,), cfg.field)
+            _normals(rng, coeffs[0])
+            self.dependent.append((k, victim, _values(coeffs, cfg.field)[0]))
         if cfg.intervals:
             _normals(rng, self.mids[k])
             rng.random(out=self.mags[k])
             if self.phases is not None:
                 rng.random(out=self.phases[k])
+        self.fill_point(rng, k)
+
+    def fill_point(self, rng: np.random.Generator, k: int) -> None:
+        """Draw trial ``k``'s x from ``rng``: its normals, the point or the
+        ball's direction, then the ball's radius fraction ``rho`` when the
+        direction is nonzero. A redraw repeats this step alone."""
         _normals(rng, self.points[k])
-        if cfg.intervals and np.count_nonzero(self.points[k]):
+        if self.config.intervals and np.count_nonzero(self.points[k]):
             self.rho[k] = 0.9 * rng.random()  # the bits of uniform(0.0, 0.9)
 
 
@@ -313,77 +312,11 @@ def _conditioned_rows(first: _FirstPass, cfg: GeneratorConfig) -> np.ndarray:
     return first.scale[:, np.newaxis, np.newaxis] * ((left * sigmas) @ right)
 
 
-def _off_complement(
-    points: np.ndarray,
-    systems: SystemStack,
-    tol: ToleranceConfig,
-    resume: Callable[[int], np.random.Generator],
-    attempt: Callable[[np.random.Generator, int], np.ndarray | None],
-    what: str,
-    failed: np.ndarray | None = None,
-) -> np.ndarray:
-    """Keep each point outside the orthogonal complement of its system.
-
-    ``points`` holds each trial's first attempt; ``failed`` marks the
-    trials whose first attempt failed already. A trial k whose point is
-    orthogonal to its system draws again from its own stream, ``resume(k)``
-    giving the generator where its first pass stopped and
-    ``attempt(rng, k)`` one attempt (None for a failed one), up to
-    _MAX_REDRAWS attempts in all.
-    """
-    norm_max = systems.aggregates.norm_max
-
-    def orthogonal(p: np.ndarray, k: slice) -> np.ndarray:
-        return orth_complement_stack(sq_norms(p), beta_stack(systems.rows[k], p), norm_max[k], tol)
-
-    bad = orthogonal(points, slice(None))
-    if failed is not None:
-        bad |= failed
-    for k in np.flatnonzero(bad).tolist():
-        rng = resume(k)
-        for _ in range(_MAX_REDRAWS - 1):
-            p = attempt(rng, k)
-            if p is not None and not orthogonal(p[np.newaxis], slice(k, k + 1))[0]:
-                points[k] = p
-                break
-        else:
-            raise NumericalInstabilityError(f"could not draw {what} outside the orthogonal complement")
-    return points
-
-
-def _draw_points(
-    first: _FirstPass, systems: SystemStack, tol: ToleranceConfig, resume: Callable[[int], np.random.Generator]
-) -> np.ndarray:
-    field, dim = systems.field, systems.dim
-    points = _values(first.points, field)
-    return _off_complement(points, systems, tol, resume, lambda rng, k: _standard(rng, (dim,), field), "x")
-
-
-def _ball_attempt(
-    rng: np.random.Generator, center: np.ndarray, radius: np.ndarray, field: Field
-) -> np.ndarray | None:
-    """One draw of a point of the ball: center + rho * radius * unit direction
-    for (1, dim) center and (1,) radius; None when the direction is zero."""
-    direction = _standard(rng, (center.shape[-1],), field)[np.newaxis]
-    if not np.any(direction):
-        return None
-    rho = np.array([0.9 * rng.random()])
-    return _ball_points(center, radius, direction, rho)[0]
-
-
-def _ball_points(center: np.ndarray, radius: np.ndarray, direction: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return center + (rho * radius)[:, np.newaxis] * direction / np.sqrt(sq_norms(direction))[:, np.newaxis]
-
-
-def _draw_ball_points(
-    first: _FirstPass, systems: SystemStack, tol: ToleranceConfig, resume: Callable[[int], np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interval data plus an x inside the ball the condition describes.
-
-    gamma/Gamma are midpoint +- half-width; x = (midpoint combination)
-    + rho * radius * unit, rho <= 0.9, which satisfies the two-sided
-    condition by construction. Returns (x, gamma, Gamma) stacks.
-    """
+def _ball(first: _FirstPass, systems: SystemStack) -> tuple[np.ndarray, ...]:
+    """The interval data gamma/Gamma = midpoint -+ half-width, and the centre
+    (the midpoint combination) and radius of the ball of the points that
+    satisfy the two-sided condition. Returns (gamma, Gamma, centre, radius)
+    stacks."""
     field, rows = systems.field, systems.rows
     mids = _values(first.mids, field)
     widths = 0.25 + first.mags
@@ -391,19 +324,28 @@ def _draw_ball_points(
         widths = widths * np.exp(2j * math.pi * first.phases)
     center = (mids[:, np.newaxis, :] @ rows)[:, 0, :]
     radius = np.sqrt(sq_norms((widths[:, np.newaxis, :] @ rows)[:, 0, :]))
-    directions = _values(first.points, field)
-    live = np.any(directions != 0.0, axis=-1)
-    failed = None
-    if not live.all():
-        failed = ~live
-        directions[failed] = 1.0  # a placeholder point, replaced by the redraws
-    points = _ball_points(center, radius, directions, first.rho)
+    return mids - widths, mids + widths, center, radius
 
-    def attempt(rng: np.random.Generator, k: int) -> np.ndarray | None:
-        return _ball_attempt(rng, center[k : k + 1], radius[k : k + 1], field)
 
-    points = _off_complement(points, systems, tol, resume, attempt, "a ball point", failed)
-    return points, mids - widths, mids + widths
+def _points(
+    first: _FirstPass, systems: SystemStack, tol: ToleranceConfig, ball: list[np.ndarray] | None, k: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """x for the trials ``k`` of the first pass, and which of them to
+    redraw: those orthogonal to their system and, with a ball (its centres
+    and radii), those whose direction is zero. A ball point is centre +
+    rho * radius * unit direction, rho <= 0.9, inside the ball."""
+    x = _values(first.points[k], systems.field)
+    with np.errstate(invalid="ignore"):  # a zero direction divides 0 by 0
+        if ball is None:
+            redraw = np.zeros(len(x), bool)
+        else:
+            center, radius = ball
+            norm = np.sqrt(sq_norms(x))
+            redraw = norm == 0.0
+            x = center[k] + (first.rho[k] * radius[k])[:, np.newaxis] * x / norm[:, np.newaxis]
+        rows, norm_max = systems.rows[k], systems.aggregates.norm_max[k]
+        redraw |= orth_complement_stack(sq_norms(x), beta_stack(rows, x), norm_max, tol)
+    return x, redraw
 
 
 def generate_chunk(
@@ -423,20 +365,27 @@ def generate_chunk(
     for k, trial in enumerate(trials):
         first.fill(_rekey(rng, config.seed, trial), k)
 
-    def resume(k: int) -> np.random.Generator:
-        # the rare redraw replays trial k's first pass, into a throwaway one
-        _FirstPass(config, 1).fill(_rekey(rng, config.seed, trials[k]), 0)
-        return rng
-
     rows = _conditioned_rows(first, config)
     for k, victim, coeffs in first.dependent:
         coeffs[victim] = 0.0
         rows[k, victim] = (coeffs[np.newaxis] @ rows[k])[0]
     systems = SystemStack(rows, config.field, tol)
+    lo = hi = ball = None
     if config.intervals:
-        x, lo, hi = _draw_ball_points(first, systems, tol, resume)
-    else:
-        x, lo, hi = _draw_points(first, systems, tol, resume), None, None
+        lo, hi, *ball = _ball(first, systems)
+    x, redraw = _points(first, systems, tol, ball, slice(None))
+    for k in np.flatnonzero(redraw).tolist():
+        # the rare redraw replays trial k's first pass, into a throwaway one,
+        # and draws x again where it stopped: _MAX_REDRAWS draws of x in all
+        _FirstPass(config, 1).fill(_rekey(rng, config.seed, trials[k]), 0)
+        for _ in range(_MAX_REDRAWS - 1):
+            first.fill_point(rng, k)
+            point, again = _points(first, systems, tol, ball, slice(k, k + 1))
+            if not again[0]:
+                x[k] = point[0]
+                break
+        else:
+            raise NumericalInstabilityError("could not draw x outside the orthogonal complement of its system")
     for a in (x, lo, hi):
         if a is not None:
             a.setflags(write=False)

@@ -457,8 +457,21 @@ def test_redrawn_points_do_not_depend_on_the_chunk(name, monkeypatch):
     assert redrawn > 0
 
     monkeypatch.setattr(sd_gen, "orth_complement_stack", lambda xx, beta, norm_max, tol: np.ones(len(xx), bool))
+    original = sd_gen._normals
+    points = {}  # the draws of dim normals, by the trial word of their Philox key
+
+    def normals(rng, out):
+        original(rng, out)
+        if out.shape[-1] == config.dim:
+            trial = int(rng.bit_generator.state["state"]["key"][1])
+            points[trial] = points.get(trial, 0) + 1
+
+    monkeypatch.setattr(sd_gen, "_normals", normals)
     with pytest.raises(sd.NumericalInstabilityError):
         generate_chunk(config, range(0, 4), TOL)
+    # trial 0 gives up after 100 draws of x (its first pass's and 99
+    # redraws') and the one replay of its first pass
+    assert points == {0: 101, 1: 1, 2: 1, 3: 1}
 
 
 # the generator's bits, pinned: sha256 of a 16-trial chunk's rows, x, lo, hi
