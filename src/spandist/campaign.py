@@ -3,9 +3,9 @@
 Trials are generated and checked in chunks (:data:`CHUNK_TRIALS` at most,
 fewer where the chunk's trials * n * dim would pass its entry budget): one
 set of array operations serves every trial of a chunk, and each built-in
-check returns per-trial arrays of margins.
-The tally stacks a chunk's margins and masks and reduces all of them in
-one pass, building a record only for a failure. A trial's numbers do not
+check returns (C, T) stacks of margins, one row per check id.
+The tally joins a chunk's stacks and reduces all of them in one pass,
+building a record only for a failure. A trial's numbers do not
 depend on the chunk it is evaluated in, so how a range is split into
 chunks, or across workers, changes nothing. A check registered at runtime
 (a plain per-instance function) is called once per trial with that
@@ -34,7 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import CheckFn, CheckOutcome, Column, _Family, _run_resolved, applicable_checks, resolve_checks, run_stacked
+from .checks import (
+    CheckFn, CheckOutcome, CheckStack, _Family, _run_resolved, applicable_checks, resolve_checks, run_stacked,
+)
 from .generator import GeneratorConfig, generate_chunk, generate_instance
 from .space import DEFAULT_TOL, ToleranceConfig, checked_int
 
@@ -102,28 +104,37 @@ class _Tally:
         if prev is None or low < prev or low != low:  # a NaN, once seen, stays the worst
             self.worst[check_id] = low
 
-    def columns(self, trials: Sequence[int], columns: list[Column]) -> None:
-        """Tally a chunk's columns: the counts and masked minima of all of
-        them in one pass over their (C, T) stack, then a record per failure."""
-        if not columns:
+    def stacks(self, trials: Sequence[int], stacks: list[CheckStack]) -> None:
+        """Tally a chunk's stacks: the counts and masked minima of every row
+        in one pass over their joined (R, T) margins, then a record per failure."""
+        if not stacks:
             return
         everyone = np.ones(len(trials), dtype=bool)
-        masks = np.array([everyone if col.mask is None else col.mask for col in columns])
-        margins = np.array([col.margin for col in columns])
+        masks, repeats = [], []
+        for stack in stacks:  # a (T,) mask once, repeated for each of the stack's rows
+            mask = everyone if stack.mask is None else stack.mask
+            if mask.ndim == 1:
+                masks.append(mask)
+                repeats.append(len(stack.ids))
+            else:
+                masks.extend(mask)
+                repeats += [1] * len(mask)
+        masks = np.repeat(np.array(masks), repeats, axis=0)
+        margins = np.concatenate([stack.margin for stack in stacks])
         failed = masks & ~(margins >= 0.0)
         lows = np.where(masks, margins, np.inf).min(axis=1).tolist()
-        for col, count, low in zip(columns, masks.sum(axis=1).tolist(), lows):
+        ids = [check_id for stack in stacks for check_id in stack.ids]
+        for check_id, count, low in zip(ids, masks.sum(axis=1).tolist(), lows):
             if count:
-                self._count(col.check_id, count, low)
-        for c in np.flatnonzero(failed.any(axis=1)).tolist():
-            col = columns[c]
-            for k in np.flatnonzero(failed[c]).tolist():
-                self.failures.append(FailureRecord(
-                    trial=trials[k],
-                    check_id=col.check_id,
-                    margin=float(col.margin[k]),
-                    values=tuple((name, float(v[k])) for name, v in col.values),
-                ))
+                self._count(check_id, count, low)
+        if not failed.any():
+            return
+        rows = [(stack, c) for stack in stacks for c in range(len(stack.ids))]
+        for r in np.flatnonzero(failed.any(axis=1)).tolist():
+            stack, c = rows[r]
+            for k in np.flatnonzero(failed[r]).tolist():
+                margin, values = stack.outcome(c, k)
+                self.failures.append(FailureRecord(trial=trials[k], check_id=ids[r], margin=margin, values=values))
 
     def merge(self, other: "_Tally") -> None:
         for check_id, count in other.counts.items():
@@ -153,7 +164,7 @@ def _run_range(
     for lo in range(start, stop, step):
         trials = range(lo, min(lo + step, stop))
         if stacked:
-            tally.columns(trials, run_stacked(stacked, generate_chunk(config, trials, tol)))
+            tally.stacks(trials, run_stacked(stacked, generate_chunk(config, trials, tol)))
         if plain:
             for trial in trials:
                 instance = generate_instance(config, trial, tol)

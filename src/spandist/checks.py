@@ -9,17 +9,16 @@ mix instance shapes freely.
 The built-in checks are written once, over a chunk of trials (an
 :class:`~spandist.generator.InstanceChunk`, the point stack of its trials,
 which carries its tolerance and draws their auxiliary coefficients): each
-returns one :class:`Column` per check id, its margins and recorded values
-as arrays with one entry per trial and a mask of the trials it applies
-to. Where a family has several ids of one formula, it evaluates the
-formula once over their stacked operands, and each column holds its row.
-Each built-in REGISTRY entry is one family object: its chunk function,
-its precondition on a config (which :func:`applicable_checks` reads), and,
-called on one instance, the family on a chunk of one. It pickles by name.
-Any other entry (a check registered at runtime, or a built-in wrapped in
-another function) is a plain per-instance function, run once per trial.
-The campaign tallies a chunk's columns in one pass and builds a record
-only for a failure.
+returns a few :class:`CheckStack` objects, one per formula. A stack holds
+the margins of the C check ids of its formula as one (C, T) array, its
+recorded values and a mask of the trials it applies to; an id of its own
+formula is the case C = 1. Each built-in REGISTRY entry is one family
+object: its chunk function, its precondition on a config (which
+:func:`applicable_checks` reads), and, called on one instance, the family
+on a chunk of one. It pickles by name. Any other entry (a check registered
+at runtime, or a built-in wrapped in another function) is a plain
+per-instance function, run once per trial. The campaign tallies a chunk's
+stacks in one pass and builds a record only for a failure.
 
 Margins are normalised so that ok == (margin >= 0) and more positive means
 more comfortable; the campaign keeps the worst margin per check id.
@@ -44,7 +43,7 @@ from .space import ToleranceConfig
 __all__ = [
     "CheckOutcome",
     "CheckFn",
-    "Column",
+    "CheckStack",
     "REGISTRY",
     "applicable_checks",
     "outcomes_of",
@@ -81,49 +80,55 @@ class CheckOutcome:
 CheckFn = Callable[[Instance, ToleranceConfig], list[CheckOutcome]]
 
 
-class Column(NamedTuple):
-    """One check id's outcomes over a chunk of T trials.
+class CheckStack(NamedTuple):
+    """The outcomes of C check ids of one formula over a chunk of T trials.
 
-    ``margin`` and each recorded value (sorted by name) hold one entry per
-    trial; ``mask`` marks the trials the outcome exists for (None: all).
-    A family with several ids of one formula computes it once, on (C, T)
-    stacks, and its columns hold row views of them (:func:`_columns`).
+    ``margin`` is (C, T), id c taking row c. Each recorded value (sorted by
+    name) is (C, T), row c going to id c, or (T,), shared by every id;
+    ``mask`` is (T,) or (C, T) the same way and marks the trials an outcome
+    exists for (None: all). In the outcome order row c comes right after
+    row ``follows[c]`` of the stack before it, or, where ``follows`` is
+    None, the rows come in order after every earlier one: a family whose
+    ids interleave two formulas gives that order without reordering either
+    stack.
     """
 
-    check_id: str
+    ids: tuple[str, ...]
     margin: np.ndarray
     values: tuple[tuple[str, np.ndarray], ...]
     mask: np.ndarray | None = None
+    follows: tuple[int, ...] | None = None
+
+    def outcome(self, c: int, k: int) -> tuple[float, tuple[tuple[str, float], ...]]:
+        """Row c's margin and recorded values at trial k."""
+        values = tuple((name, float(v[c, k] if v.ndim == 2 else v[k])) for name, v in self.values)
+        return float(self.margin[c, k]), values
 
 
-def _column(check_id: str, margin: np.ndarray, mask: np.ndarray | None = None, **values: np.ndarray) -> Column:
-    return Column(check_id, margin, tuple(sorted(values.items())), mask)
+def _stack(
+    ids: str | Sequence[str], margin: np.ndarray, mask: np.ndarray | None = None,
+    follows: tuple[int, ...] | None = None, **values: np.ndarray,
+) -> CheckStack:
+    """The stack of ``ids`` and their (C, T) margins; one id, a str, takes its (T,) margin as a (1, T) row."""
+    if isinstance(ids, str):
+        ids, margin = (ids,), margin[np.newaxis]
+    return CheckStack(tuple(ids), margin, tuple(sorted(values.items())), mask, follows)
 
 
-def _columns(
-    ids: Sequence[str], margin: np.ndarray, mask: np.ndarray | None = None, **values: np.ndarray
-) -> list[Column]:
-    """One column per id of a (C, T) margin stack, id c taking row c; a
-    (C, T) recorded value gives its rows out the same way, a (T,) one goes
-    to every column."""
-    names = sorted(values)
-    stacks = [values[name] if values[name].ndim == 2 else [values[name]] * len(ids) for name in names]
-    rows = zip(*stacks) if stacks else [()] * len(ids)
-    return [Column(check_id, m, tuple(zip(names, row)), mask) for check_id, m, row in zip(ids, margin, rows)]
-
-
-def outcomes_of(columns: Sequence[Column], k: int) -> list[CheckOutcome]:
-    """The outcomes of trial k of a chunk, in column order."""
-    return [
-        CheckOutcome(
-            check_id=c.check_id,
-            ok=bool(c.margin[k] >= 0.0),
-            margin=float(c.margin[k]),
-            values=tuple((name, float(v[k])) for name, v in c.values),
-        )
-        for c in columns
-        if c.mask is None or c.mask[k]
-    ]
+def outcomes_of(stacks: Sequence[CheckStack], k: int) -> list[CheckOutcome]:
+    """The outcomes of trial k of a chunk, in outcome order."""
+    keys, previous = [], []
+    for i, stack in enumerate(stacks):  # a row's key: its anchor's key, then (stack, row)
+        anchors = [()] * len(stack.ids) if stack.follows is None else [previous[r] for r in stack.follows]
+        previous = [anchor + ((i, c),) for c, anchor in enumerate(anchors)]
+        keys += previous
+    out = []
+    for *_, (i, c) in sorted(keys):
+        stack = stacks[i]
+        if stack.mask is None or (stack.mask[c, k] if stack.mask.ndim == 2 else stack.mask[k]):
+            margin, values = stack.outcome(c, k)
+            out.append(CheckOutcome(stack.ids[c], bool(margin >= 0.0), margin, values))
+    return out
 
 
 def _dominance_margin(bound: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -139,7 +144,7 @@ def _closeness_margin(value: np.ndarray, expected: np.ndarray, rel: float) -> np
 # -- the check families, each over a whole chunk ----------------------------
 
 
-def _representation_agreement(t: InstanceChunk) -> list[Column]:
+def _representation_agreement(t: InstanceChunk) -> list[CheckStack]:
     """The determinant-ratio and quadratic-form distances agree with each
     other and with the Householder QR oracle; the projection quotient sits
     above. All four are read from the chunk, on the systems whose
@@ -149,27 +154,27 @@ def _representation_agreement(t: InstanceChunk) -> list[Column]:
         return []
     d2, ratio, projection, oracle, rel = t.d2, t.ratio, t.projection, t.oracle, t.tol.compare_rel_tol
     return [
-        _column("representation_agreement/ratio_vs_quadratic", _closeness_margin(ratio, d2, rel), ok,
-                ratio=ratio, quadratic=d2),
-        _column("representation_agreement/oracle_vs_quadratic", _closeness_margin(oracle, d2, rel), ok,
-                oracle=oracle, quadratic=d2),
-        _column("representation_agreement/projection_is_upper", _dominance_margin(projection, d2), ok,
-                projection=projection, quadratic=d2),
+        _stack("representation_agreement/ratio_vs_quadratic", _closeness_margin(ratio, d2, rel), ok,
+               ratio=ratio, quadratic=d2),
+        _stack("representation_agreement/oracle_vs_quadratic", _closeness_margin(oracle, d2, rel), ok,
+               oracle=oracle, quadratic=d2),
+        _stack("representation_agreement/projection_is_upper", _dominance_margin(projection, d2), ok,
+               projection=projection, quadratic=d2),
     ]
 
 
-def _bound_dominance(t: InstanceChunk) -> list[Column]:
+def _bound_dominance(t: InstanceChunk) -> list[CheckStack]:
     """Every unconditional bound dominates the exact squared distance; the
     total-norm bound is strictly above it away from degeneracies."""
     ok = t.systems.factor.complete & ~t.in_orth
     d2 = t.d2
     bounds = np.array(list(t.unconditional.values()))
     ids = [f"bound_dominance/{method.value}" for method in t.unconditional]
-    out = _columns(ids, _dominance_margin(bounds, d2), ok, bound=bounds, exact=d2)
+    out = [_stack(ids, _dominance_margin(bounds, d2), ok, bound=bounds, exact=d2)]
     if t.systems.n >= 2:
         condition = t.systems.factor.condition
         total = t.unconditional[bnd.BoundMethod.TOTAL_NORM]
-        out.append(_column(
+        out.append(_stack(
             "bound_dominance/total_norm_strict",
             (total - d2 - STRICTNESS_GAP) / (1.0 + np.abs(d2)),
             ok & (condition <= STRICT_CONDITION_LIMIT),
@@ -180,7 +185,7 @@ def _bound_dominance(t: InstanceChunk) -> list[Column]:
     return out
 
 
-def _orthonormal_collapse(t: InstanceChunk) -> list[Column]:
+def _orthonormal_collapse(t: InstanceChunk) -> list[CheckStack]:
     """For orthonormal systems three bounds collapse to the Bessel distance
     and the other two exceed it by closed-form amounts."""
     ok = t.orthonormal & ~t.in_orth
@@ -197,25 +202,25 @@ def _orthonormal_collapse(t: InstanceChunk) -> list[Column]:
     values = np.array([t.unconditional[m] for m in expectations])
     expected = np.array(list(expectations.values()))
     ids = [f"orthonormal_collapse/{m.value}" for m in expectations]
-    return _columns(ids, _closeness_margin(values, expected, DOMINANCE_REL), ok, value=values, expected=expected)
+    return [_stack(ids, _closeness_margin(values, expected, DOMINANCE_REL), ok, value=values, expected=expected)]
 
 
-def _bessel_refinements(t: InstanceChunk) -> list[Column]:
+def _bessel_refinements(t: InstanceChunk) -> list[CheckStack]:
     """Refined Bessel right-hand sides dominate the coefficient power sum
     for arbitrary systems, dependent ones included."""
     rhs = bnd.bessel_values(t.xx, t.systems.aggregates)
     values = np.array(list(rhs.values()))
     ids = [f"bessel_refinements/{m.value}" for m in rhs]
-    return _columns(ids, _dominance_margin(values, t.s), rhs=values, power_sum=t.s)
+    return [_stack(ids, _dominance_margin(values, t.s), rhs=values, power_sum=t.s)]
 
 
-def _lagrange_identity(t: InstanceChunk) -> list[Column]:
+def _lagrange_identity(t: InstanceChunk) -> list[CheckStack]:
     """The norm-of-combination identity balances to near machine precision."""
     parts = comb.CombinationStack(t.coeffs(_SALT_LAGRANGE), t.systems.rows, t.systems.aggregates).lagrange
     residual, magnitude = parts.residual, parts.magnitude
     return [
-        _column("lagrange_identity/residual", IDENTITY_REL - residual / (1.0 + magnitude),
-                residual=residual, magnitude=magnitude)
+        _stack("lagrange_identity/residual", IDENTITY_REL - residual / (1.0 + magnitude),
+               residual=residual, magnitude=magnitude)
     ]
 
 
@@ -251,31 +256,36 @@ def _sweep() -> tuple[tuple[str, comb.CombinationMethod], ...]:
 
 
 COMBINATION_SWEEP = _sweep()
+_SWEEP_PLAN = comb.sweep_plan([method for _, method in COMBINATION_SWEEP])
 _SWEEP_HOLDS = tuple(f"combination_sweep/{label}/holds" for label, _ in COMBINATION_SWEEP)
+_SWEEP_CHAINS = tuple(f"combination_sweep/{label}/chain" for label, _ in COMBINATION_SWEEP)
 
 
-def _combination_sweep(t: InstanceChunk) -> list[Column]:
-    """Exercise every combination bound family on one coefficient draw."""
+def _combination_sweep(t: InstanceChunk) -> list[CheckStack]:
+    """Exercise every combination bound family on one coefficient draw:
+    each bound holds, and each chain's coarse end is above its tight one
+    (outcome order: each ``/holds`` id, then its ``/chain`` id if any)."""
     draws = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.systems.aggregates)
     rel = t.tol.compare_rel_tol
     lhs = draws.lhs
-    chains = [draws.chain(method) for _, method in COMBINATION_SWEEP]
-    tight = np.array([chain[0] for chain in chains])
-    holds = _columns(_SWEEP_HOLDS, comb.bound_margin(tight, lhs, rel), lhs=lhs, bound=tight)
-    linked = [k for k, chain in enumerate(chains) if len(chain) > 1]
-    coarse, paired = np.array([chains[k][-1] for k in linked]), tight[linked]
-    ids = [f"combination_sweep/{COMBINATION_SWEEP[k][0]}/chain" for k in linked]
-    chained = iter(_columns(ids, comb.bound_margin(coarse, paired, rel), tight=paired, coarse=coarse))
-    return [col for hold, chain in zip(holds, chains) for col in ([hold, next(chained)] if len(chain) > 1 else [hold])]
+    tight, coarse, linked = draws.sweep(_SWEEP_PLAN)
+    paired = tight[list(linked)]
+    return [
+        _stack(_SWEEP_HOLDS, comb.bound_margin(tight, lhs, rel), lhs=lhs, bound=tight),
+        _stack([_SWEEP_CHAINS[k] for k in linked], comb.bound_margin(coarse, paired, rel), follows=linked,
+               tight=paired, coarse=coarse),
+    ]
 
 
 _CHAIN_IDS = {kind: tuple(f"hadamard_chains/{v.value}/{kind}" for v in ChainVariant)
               for kind in ("lower", "upper", "orthonormal_fixed_point")}
+_EACH_VARIANT = tuple(range(len(ChainVariant)))  # each row after its variant's row in the stack before
 
 
-def _hadamard_chains(t: InstanceChunk) -> list[Column]:
+def _hadamard_chains(t: InstanceChunk) -> list[CheckStack]:
     """All chain refinements are sandwiched between the determinant and the
-    norm product; orthonormal systems sit exactly at 1."""
+    norm product; orthonormal systems sit exactly at 1 (outcome order: the
+    three ids of each variant in turn)."""
     ok = t.systems.factor.complete
     idx = np.flatnonzero(ok)
     if t.systems.n < 2 or not idx.size:
@@ -288,36 +298,37 @@ def _hadamard_chains(t: InstanceChunk) -> list[Column]:
     denominators = np.concatenate([getattr(agg.chain_prefixes, v.value)[idx] for v in ChainVariant])
     refined = np.full((variants, t.size), np.nan)
     refined[:, idx] = chain_stack(norms, numerators, denominators, t.tol)[1].reshape(variants, -1)
-    lower = _columns(_CHAIN_IDS["lower"], _dominance_margin(refined, det), ok, refined=refined, gram_det=det)
-    upper = _columns(_CHAIN_IDS["upper"], _dominance_margin(product, refined), ok,
-                     refined=refined, norm_product=product)
-    fixed = _columns(_CHAIN_IDS["orthonormal_fixed_point"], _closeness_margin(refined, 1.0, FIXED_POINT_REL),
-                     fixed_point, refined=refined)
-    return [col for triple in zip(lower, upper, fixed) for col in triple]
+    return [
+        _stack(_CHAIN_IDS["lower"], _dominance_margin(refined, det), ok, refined=refined, gram_det=det),
+        _stack(_CHAIN_IDS["upper"], _dominance_margin(product, refined), ok,
+               follows=_EACH_VARIANT, refined=refined, norm_product=product),
+        _stack(_CHAIN_IDS["orthonormal_fixed_point"], _closeness_margin(refined, 1.0, FIXED_POINT_REL),
+               fixed_point, follows=_EACH_VARIANT, refined=refined),
+    ]
 
 
-def _gram_inequalities(t: InstanceChunk) -> list[Column]:
+def _gram_inequalities(t: InstanceChunk) -> list[CheckStack]:
     """Determinant nonnegativity/product bound, block splits, and the
     sqrt-determinant triangle inequality on a random companion vector."""
     det, product = t.systems.factor.det, t.systems.aggregates.norm_product
     out = [
-        _column("gram_inequalities/nonnegative", det / (1.0 + np.abs(det)) + DOMINANCE_REL, gram_det=det),
-        _column("gram_inequalities/norm_product", _dominance_margin(product, det),
-                gram_det=det, norm_product=product),
+        _stack("gram_inequalities/nonnegative", det / (1.0 + np.abs(det)) + DOMINANCE_REL, gram_det=det),
+        _stack("gram_inequalities/norm_product", _dominance_margin(product, det),
+               gram_det=det, norm_product=product),
     ]
     if t.systems.n >= 2:
         rows = t.systems.rows
         left, right = split_determinants(t.systems.gram, t.systems.n // 2, t.tol.rank_rel_tol)
-        out.append(_column("gram_inequalities/product_split", _dominance_margin(left * right, det),
-                           full=det, left=left, right=right))
+        out.append(_stack("gram_inequalities/product_split", _dominance_margin(left * right, det),
+                          full=det, left=left, right=right))
         y1 = t.coeffs(_SALT_TRIANGLE, t.systems.dim)
         combined, first, second = triangle_roots(rows[:, 0], y1, rows[:, 1:], t.systems.field, t.tol)
-        out.append(_column("gram_inequalities/triangle", _dominance_margin(first + second, combined),
-                           combined=combined, first=first, second=second))
+        out.append(_stack("gram_inequalities/triangle", _dominance_margin(first + second, combined),
+                          combined=combined, first=first, second=second))
     return out
 
 
-def _conditional_bounds(t: InstanceChunk) -> list[Column]:
+def _conditional_bounds(t: InstanceChunk) -> list[CheckStack]:
     """Constructively sampled two-sided data: the condition holds in both
     formulations, the half-width bound dominates d^2, and each relaxation
     dominates the half-width bound."""
@@ -328,23 +339,23 @@ def _conditional_bounds(t: InstanceChunk) -> list[Column]:
     rows = t.systems.rows
     re_inner, ball_margin, holds, forms_agree = bnd.condition_stack(rows, t.x, t.xx, t.lo, t.hi, t.tol)
     out = [
-        _column("conditional_bounds/condition_holds", re_inner / (1.0 + t.xx) + rel, ok, re_inner=re_inner),
-        _column("conditional_bounds/forms_agree", np.where(forms_agree, rel, -1.0), ok,
-                re_inner=re_inner, ball_margin=ball_margin),
+        _stack("conditional_bounds/condition_holds", re_inner / (1.0 + t.xx) + rel, ok, re_inner=re_inner),
+        _stack("conditional_bounds/forms_agree", np.where(forms_agree, rel, -1.0), ok,
+               re_inner=re_inner, ball_margin=ball_margin),
     ]
     held = ok & holds
     d2 = t.d2
     values = bnd.conditional_stack(rows, t.widths, t.systems.aggregates)
     half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
-    out.append(_column("conditional_bounds/half_width_dominates", _dominance_margin(half_width, d2), held,
-                       bound=half_width, exact=d2))
+    out.append(_stack("conditional_bounds/half_width_dominates", _dominance_margin(half_width, d2), held,
+                      bound=half_width, exact=d2))
     relaxed = np.array([values[method] for method in bnd.CONDITIONAL_METHODS[1:]])
     ids = [f"conditional_bounds/{method.value}_coarser" for method in bnd.CONDITIONAL_METHODS[1:]]
-    out += _columns(ids, _dominance_margin(relaxed, half_width), held, relaxed=relaxed, half_width=half_width)
+    out.append(_stack(ids, _dominance_margin(relaxed, half_width), held, relaxed=relaxed, half_width=half_width))
     gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, t.widths)
     above, below = _dominance_margin(gap, 0.0), _dominance_margin(quarter, gap)
-    out.append(_column("conditional_bounds/reverse_bessel", np.where(below < above, below, above),
-                       held & t.orthonormal, gap=gap, quarter_width_sq=quarter))
+    out.append(_stack("conditional_bounds/reverse_bessel", np.where(below < above, below, above),
+                      held & t.orthonormal, gap=gap, quarter_width_sq=quarter))
     return out
 
 
@@ -356,18 +367,13 @@ class _Family:
     the precondition a config meets where it applies. On one instance it
     runs on a chunk of one; it pickles by name, as its REGISTRY entry."""
 
-    def __init__(self, stacked: Callable[[InstanceChunk], list[Column]],
+    def __init__(self, stacked: Callable[[InstanceChunk], list[CheckStack]],
                  applies: Callable[[GeneratorConfig], bool] = lambda config: True) -> None:
         self.name, self.__doc__ = stacked.__name__.lstrip("_"), stacked.__doc__
         self._stacked, self.applies = stacked, applies
 
-    def columns(self, chunk: InstanceChunk) -> list[Column]:
-        # entries of trials a column does not apply to may hold inf or NaN
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self._stacked(chunk)
-
     def __call__(self, instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-        return outcomes_of(self.columns(InstanceChunk.of(instance, tol)), 0)
+        return outcomes_of(run_stacked([self], InstanceChunk.of(instance, tol)), 0)
 
     def __reduce__(self):
         return resolve_check, (self.name,)
@@ -416,9 +422,11 @@ def resolve_checks(names: Sequence[str]) -> dict[str, CheckFn]:
     return resolved
 
 
-def run_stacked(checks: Sequence[_Family], chunk: InstanceChunk) -> list[Column]:
-    """The columns of the built-in ``checks`` over one chunk."""
-    return [column for family in checks for column in family.columns(chunk)]
+def run_stacked(checks: Sequence[_Family], chunk: InstanceChunk) -> list[CheckStack]:
+    """The stacks of the built-in ``checks`` over one chunk, in their order."""
+    # entries of trials an outcome does not exist for may hold inf or NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return [stack for family in checks for stack in family._stacked(chunk)]
 
 
 def run_checks(
@@ -434,7 +442,7 @@ def _run_resolved(instance: Instance, checks: Iterable[CheckFn], tol: ToleranceC
     for fn in checks:
         if isinstance(fn, _Family):
             chunk = InstanceChunk.of(instance, tol) if chunk is None else chunk
-            out += outcomes_of(fn.columns(chunk), 0)
+            out += outcomes_of(run_stacked([fn], chunk), 0)
         else:
             out += fn(instance, tol)
     return out

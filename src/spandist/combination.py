@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "CombinationMethod",
     "CombinationBoundResult",
     "CombinationStack",
+    "SweepPlan",
+    "sweep_plan",
     "LagrangeParts",
     "combination_norm_sq",
     "lagrange_identity_parts",
@@ -150,11 +152,13 @@ class CombinationStack:
     ``alphas`` is (T, n), ``rows`` the (T, n, dim) coordinates and ``agg``
     the systems' :class:`~spandist.gram.AggregateStack`. Holds everything the
     bounds read from the coefficients, per system — |a|, its maximum and
-    sum, the power sums sum |a_i|^e (memoised per exponent), the lhs
-    ||sum a_i z_i||^2 and the Lagrange identity parts — each computed at
-    most once, so any number of bounds on the same draws reduce the
-    coefficients once. :meth:`chain` evaluates one bound family; :meth:`of`
-    builds the stack of one draw against one system.
+    sum, the power sums sum |a_i|^e, the diagonal and off-diagonal terms
+    of the diag/offdiag splits (memoised per exponent and branch), the
+    row-sum base, the lhs ||sum a_i z_i||^2 and the Lagrange identity parts
+    — each computed at most once, so any number of bounds on the same draws
+    reduce the coefficients once. :meth:`chain` evaluates one bound family
+    and :meth:`sweep` many from the same terms; :meth:`of` builds the stack
+    of one draw against one system.
     """
 
     def __init__(self, alphas: np.ndarray, rows: np.ndarray, agg: AggregateStack) -> None:
@@ -162,7 +166,7 @@ class CombinationStack:
         self.rows = rows
         self.agg = agg
         self.n = alphas.shape[-1]
-        self._powers: dict[float, np.ndarray] = {}
+        self._memos: dict[tuple, np.ndarray] = {}
 
     @classmethod
     def of(cls, alphas: Sequence[Scalar] | np.ndarray, zs: VectorSystem) -> "CombinationStack":
@@ -188,11 +192,11 @@ class CombinationStack:
 
     @cached_property
     def a_max(self) -> np.ndarray:
-        return np.max(self.a, axis=-1)
+        return self.a.max(axis=-1)
 
     @cached_property
     def a_sum(self) -> np.ndarray:
-        return np.sum(self.a, axis=-1)
+        return self.a.sum(axis=-1)
 
     @cached_property
     def top_pair_product(self) -> np.ndarray:
@@ -202,12 +206,30 @@ class CombinationStack:
         top = np.partition(self.a, -2, axis=-1)[:, -2:]
         return top[:, 0] * top[:, 1]
 
+    def _memo(self, term, *args) -> np.ndarray:
+        """``term(self, *args)``, computed once per (term, args)."""
+        key = (term, *args)
+        value = self._memos.get(key)
+        if value is None:
+            value = self._memos[key] = term(self, *args)
+        return value
+
     def power_sum(self, e: float) -> np.ndarray:
         """sum_i |a_i|^e, memoised per exponent."""
-        value = self._powers.get(e)
-        if value is None:
-            value = self._powers[e] = np.sum(self.a**e, axis=-1)
-        return value
+        return self._memo(_power_sum, e)
+
+    def diag_term(self, branch: DiagBranch, exp: float | None) -> np.ndarray:
+        """The diagonal term of a diag/offdiag split, memoised per branch and exponent."""
+        return self._memo(_diag_term, branch, exp)
+
+    def offdiag_term(self, branch: OffdiagBranch, exp: float | None) -> np.ndarray:
+        """The off-diagonal term of a diag/offdiag split, memoised per branch and exponent."""
+        return self._memo(_offdiag_term, branch, exp)
+
+    @cached_property
+    def row_sum_base(self) -> np.ndarray:
+        """sum_i |a_i|^2 r_i, the tight end of every row-sum chain."""
+        return (self.a**2 * self.agg.row_sums).sum(axis=-1)
 
     @cached_property
     def lagrange(self) -> "LagrangeParts":
@@ -222,6 +244,24 @@ class CombinationStack:
     def chain(self, method: CombinationMethod) -> tuple[np.ndarray, ...]:
         """The chain of one bound family, tightest first, per system."""
         return _CHAINS[method.kind](self, method)
+
+    def sweep(self, plan: "SweepPlan") -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The tight ends of the plan's M methods as one (M, T) stack, and the
+        coarse ends of those whose chain has one as an (L, T) stack, with
+        their indices among the methods: each entry the bits :meth:`chain`
+        gives. Every distinct term of the diag/offdiag splits is computed
+        once, and the splits are summed by one gather and add over the stack
+        of terms."""
+        chains = [self.chain(method) for method in plan.others]
+        terms = np.array([
+            *(self.diag_term(*key) for key in plan.diag),
+            *(self.offdiag_term(*key) for key in plan.offdiag),
+            *(chain[0] for chain in chains),
+            np.full(self.alphas.shape[0], -0.0),  # x + -0.0 is x, bit for bit, for every x
+        ])
+        tight = terms[plan.first] + terms[plan.second]
+        linked = tuple(k for k, chain in zip(plan.other_index, chains) if len(chain) > 1)
+        return tight, np.array([chain[-1] for chain in chains if len(chain) > 1]), linked
 
 
 def combination_norm_sq(alphas: Sequence[Scalar], zs: VectorSystem) -> float:
@@ -333,7 +373,11 @@ def _cauchy_schwarz_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np
     return (c.coeff_norm_sq * c.agg.norm_sum,)
 
 
-def _diag_term(branch: DiagBranch, exp: float | None, c: CombinationStack) -> np.ndarray:
+def _power_sum(c: CombinationStack, e: float) -> np.ndarray:
+    return (c.a**e).sum(axis=-1)
+
+
+def _diag_term(c: CombinationStack, branch: DiagBranch, exp: float | None) -> np.ndarray:
     g = c.agg
     if branch == "max_coeff":
         return c.a_max**2 * g.norm_sum
@@ -343,7 +387,7 @@ def _diag_term(branch: DiagBranch, exp: float | None, c: CombinationStack) -> np
     return c.power_sum(2) * g.norm_max
 
 
-def _offdiag_term(branch: OffdiagBranch, exp: float | None, c: CombinationStack) -> np.ndarray:
+def _offdiag_term(c: CombinationStack, branch: OffdiagBranch, exp: float | None) -> np.ndarray:
     g = c.agg
     if branch == "max_coeff":
         return c.top_pair_product * g.offdiag_sum
@@ -356,7 +400,7 @@ def _offdiag_term(branch: OffdiagBranch, exp: float | None, c: CombinationStack)
 
 
 def _diag_offdiag_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    return (_diag_term(m.diag_branch, m.diag_exp, c) + _offdiag_term(m.offdiag_branch, m.offdiag_exp, c),)
+    return (c.diag_term(m.diag_branch, m.diag_exp) + c.offdiag_term(m.offdiag_branch, m.offdiag_exp),)
 
 
 def _selection_max_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
@@ -376,7 +420,6 @@ def _selection_frobenius_chain(c: CombinationStack, m: CombinationMethod) -> tup
 
 def _row_sum_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
     g = c.agg
-    base = np.sum(c.a**2 * g.row_sums, axis=-1)
     if m.branch == "max_coeff":
         relaxed = c.a_max**2 * g.row_sum_total
     elif m.branch == "holder":
@@ -384,7 +427,7 @@ def _row_sum_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarra
         relaxed = c.power_sum(2 * m.p) ** (1 / m.p) * g.power_sum("row_sums", q) ** (1 / q)
     else:
         relaxed = c.power_sum(2) * g.row_max
-    return (base, relaxed)
+    return (c.row_sum_base, relaxed)
 
 
 def _holder_gram_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
@@ -401,6 +444,37 @@ _CHAINS = {
     CombinationKind.HOLDER_GRAM: _holder_gram_chain,
     CombinationKind.HOLDER_GRAM_P2: _holder_gram_chain,
 }
+
+
+class SweepPlan(NamedTuple):
+    """How :meth:`CombinationStack.sweep` stacks the terms of a sequence of
+    methods: the distinct (branch, exponent) keys of the diagonal and of the
+    off-diagonal terms, the methods that are not splits (``others``, at
+    ``other_index``), and per method the two rows of the stack of terms
+    (diagonal terms, off-diagonal terms, the others' tight ends, a -0.0 row)
+    whose sum is its tight end."""
+
+    diag: tuple[tuple[DiagBranch, float | None], ...]
+    offdiag: tuple[tuple[OffdiagBranch, float | None], ...]
+    others: tuple[CombinationMethod, ...]
+    other_index: tuple[int, ...]
+    first: np.ndarray
+    second: np.ndarray
+
+
+def sweep_plan(methods: Sequence[CombinationMethod]) -> SweepPlan:
+    """The :class:`SweepPlan` of ``methods``, in their order."""
+    split = CombinationKind.DIAG_OFFDIAG
+    diag = tuple(dict.fromkeys((m.diag_branch, m.diag_exp) for m in methods if m.kind is split))
+    offdiag = tuple(dict.fromkeys((m.offdiag_branch, m.offdiag_exp) for m in methods if m.kind is split))
+    other_index = tuple(k for k, m in enumerate(methods) if m.kind is not split)
+    others = len(diag) + len(offdiag)  # the row of the first other tight end
+    first = [diag.index((m.diag_branch, m.diag_exp)) if m.kind is split else others + other_index.index(k)
+             for k, m in enumerate(methods)]
+    second = [len(diag) + offdiag.index((m.offdiag_branch, m.offdiag_exp)) if m.kind is split
+              else others + len(other_index) for m in methods]
+    return SweepPlan(diag, offdiag, tuple(methods[k] for k in other_index), other_index,
+                     np.array(first), np.array(second))
 
 
 def cauchy_schwarz_bound(

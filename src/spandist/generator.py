@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .bounds import BoundMethod, IntervalData, bound_values
 from .distance import PointStack, beta_stack, orth_complement_stack
 from .errors import NumericalInstabilityError
 from .gram import SystemStack, VectorSystem
+from .orthonormalize import _householder
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, checked_real, sq_norms
 
 __all__ = [
@@ -289,7 +290,7 @@ class _FirstPass:
 def _orthonormal_frames(normals: np.ndarray) -> np.ndarray:
     """(T, rows, dim) stack of matrices with orthonormal rows (Haar-ish via
     QR) from the (T, dim, rows) stack of ``normals``."""
-    q, r = np.linalg.qr(normals)
+    r, q = _householder(normals, with_q=True)
     # fix the QR sign/phase ambiguity so the draw is a pure function of the data
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
@@ -305,11 +306,15 @@ def _conditioned_rows(first: _FirstPass, cfg: GeneratorConfig) -> np.ndarray:
     if cfg.orthonormal:
         return right
     left = np.swapaxes(_orthonormal_frames(_values(first.left, cfg.field)), -1, -2)  # n x n unitaries
-    if cfg.n == 1:
-        sigmas = np.ones(1)
-    else:
-        sigmas = np.geomspace(1.0, 1.0 / math.sqrt(cfg.conditioning), cfg.n)
-    return first.scale[:, np.newaxis, np.newaxis] * ((left * sigmas) @ right)
+    return first.scale[:, np.newaxis, np.newaxis] * ((left * _sigmas(cfg.n, cfg.conditioning)) @ right)
+
+
+@lru_cache(maxsize=64)
+def _sigmas(n: int, conditioning: float) -> np.ndarray:
+    """The n singular values from 1 down to 1/sqrt(conditioning), geometrically spaced; read-only."""
+    sigmas = np.ones(1) if n == 1 else np.geomspace(1.0, 1.0 / math.sqrt(conditioning), n)
+    sigmas.setflags(write=False)
+    return sigmas
 
 
 def _ball(first: _FirstPass, systems: SystemStack) -> tuple[np.ndarray, ...]:

@@ -175,6 +175,36 @@ def test_the_combination_sweep_does_not_revalidate_its_exponents(monkeypatch):
     monkeypatch.setattr(space, "checked_real", counted)
     columns = checks._combination_sweep(chunk)
     assert calls == []
-    assert [c.check_id for c in columns] == [c.check_id for c in expected]
+    assert [c.ids for c in columns] == [c.ids for c in expected]
     for got, want in zip(columns, expected):
         assert got.margin.tobytes() == want.margin.tobytes()
+
+
+def test_the_sweep_computes_each_distinct_term_once(monkeypatch):
+    # 19 diag/offdiag splits over 5 distinct diagonal and 5 distinct
+    # off-diagonal terms, and 5 row-sum chains over one base
+    from functools import cached_property
+
+    from spandist import checks
+    from spandist import combination as comb
+    from spandist.generator import generate_chunk
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(comb, "_diag_term", counted("diag", comb._diag_term))
+    monkeypatch.setattr(comb, "_offdiag_term", counted("offdiag", comb._offdiag_term))
+    base = cached_property(counted("base", comb.CombinationStack.row_sum_base.func))
+    base.__set_name__(comb.CombinationStack, "row_sum_base")
+    monkeypatch.setattr(comb.CombinationStack, "row_sum_base", base)
+    kinds = [method.kind for _, method in checks.COMBINATION_SWEEP]
+    assert kinds.count(comb.CombinationKind.DIAG_OFFDIAG) == 19 and kinds.count(comb.CombinationKind.ROW_SUM) == 5
+    chunk = generate_chunk(GeneratorConfig(seed=4, trials=16, dim=5, n=3), range(16))
+    stacks = checks.run_stacked([checks.resolve_check("combination_sweep")], chunk)
+    assert sorted(calls) == ["base"] + ["diag"] * 5 + ["offdiag"] * 5
+    assert [len(stack.ids) for stack in stacks] == [31, 7]

@@ -96,10 +96,14 @@ def test_the_library_reads_the_campaigns_numbers(name):
     config = _config(name, trials=sd_campaign.CHUNK_TRIALS)
     chunk = generate_chunk(config, range(config.trials), TOL)
     checks = [resolve_check(family) for family in ("representation_agreement", "bound_dominance")]
-    columns = {c.check_id: c for c in run_stacked(checks, chunk)}
+    rows = {check_id: (stack, c) for stack in run_stacked(checks, chunk) for c, check_id in enumerate(stack.ids)}
+
+    def row(array, c, k):  # a (C, T) array gives row c, a (T,) one is every row's
+        return array[c, k] if array.ndim == 2 else array[k]
 
     def value(check_id, key, k):
-        return float(dict(columns[check_id].values)[key][k])
+        stack, c = rows[check_id]
+        return float(row(dict(stack.values)[key], c, k))
 
     compared = 0
     for k in np.flatnonzero(chunk.systems.factor.complete).tolist():
@@ -113,7 +117,7 @@ def test_the_library_reads_the_campaigns_numbers(name):
         assert result.d2_projection == value("representation_agreement/projection_is_upper", "projection", k)
         oracle = sd.distance_sq_oracle(instance.system, instance.x)
         assert oracle == value("representation_agreement/oracle_vs_quadratic", "oracle", k)
-        if not columns["bound_dominance/total_norm"].mask[k]:
+        if not row(rows["bound_dominance/total_norm"][0].mask, rows["bound_dominance/total_norm"][1], k):
             continue  # x orthogonal to the span: the report raises
         report = sd.full_bound_report(instance.system, instance.x)
         assert len(report.entries) == 5
@@ -121,6 +125,60 @@ def test_the_library_reads_the_campaigns_numbers(name):
             assert entry.value == value(f"bound_dominance/{entry.method.value}", "bound", k), entry.method
         compared += 1
     assert compared >= config.trials // 2
+
+
+# sha256 of the newline-joined check ids that run_checks gives on trial 0
+# of each small stream (seed 41), and their count: the outcome order
+PINNED_ORDER = {
+    "complex_d7_n5_k1e2_intervals": (69, "d3668069b269dd6b6daa4e86a9e431a8efad5c9e75cd5bc8f2f7204ae8b5de0c"),
+    "real_d4_n3_orthonormal_intervals": (79, "25c8e825497b67959567ce8272b42ff8941046acba768ee8d384be4ac76e9f83"),
+    "real_d6_n4_k1e3_dependent": (63, "9eff6e67ce77f7644f7f2a1613dbcfb475a0f74153bec1f30b4623874994e080"),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_STREAMS)
+def test_the_outcome_order_is_pinned(name):
+    config = _config(name)
+    instance = sd.generate_instance(config, 0, TOL)
+    ids = [oc.check_id for oc in run_checks(instance, applicable_checks(config), TOL)]
+    assert (len(ids), hashlib.sha256("\n".join(ids).encode()).hexdigest()) == PINNED_ORDER[name]
+    assert ids == [oc.check_id for oc in sd.replay_trial(config, 0)]
+    # the two families whose ids interleave two stacks
+    sweep = [i for i in ids if i.startswith("combination_sweep/")]
+    assert sweep[:2] == [
+        "combination_sweep/cauchy_schwarz/holds", "combination_sweep/diag_offdiag[max_coeff,max_coeff]/holds",
+    ]
+    for label in ("selection_max", "selection_frobenius", "row_sum[max_coeff]", "row_sum[holder](p=3)"):
+        at = sweep.index(f"combination_sweep/{label}/holds")
+        assert sweep[at + 1] == f"combination_sweep/{label}/chain", label
+    variants, kinds = [v.value for v in sd.ChainVariant], ["lower", "upper", "orthonormal_fixed_point"]
+    chains = [i.split("/")[1:] for i in ids if i.startswith("hadamard_chains/")]
+    order = [(variants.index(variant), kinds.index(kind)) for variant, kind in chains]
+    assert len(order) >= 2 * len(variants) and order == sorted(order)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("name", [*SMALL_STREAMS, "complex_d12_n9_k1e3"])
+def test_the_stacked_sweep_equals_the_per_method_api(name):
+    stream = STREAMS.get(name, dict(dim=12, n=9, field=Field.COMPLEX, conditioning=1e3))
+    config = GeneratorConfig(seed=41, trials=16, **stream)
+    chunk = generate_chunk(config, range(config.trials), TOL)
+    stacks = run_stacked([resolve_check("combination_sweep")], chunk)
+    coeffs = chunk.coeffs(sd.checks._SALT_COMBINATION)
+    for k in range(config.trials):
+        system = sd.generate_instance(config, k, TOL).system
+        outcomes = {oc.check_id: dict(oc.values) for oc in sd.checks.outcomes_of(stacks, k)}
+        assert len(outcomes) == len(sd.checks.outcomes_of(stacks, k))
+        for label, method in sd.checks.COMBINATION_SWEEP:
+            result = sd.evaluate_combination(coeffs[k], system, method)
+            holds, chain = f"combination_sweep/{label}/holds", f"combination_sweep/{label}/chain"
+            assert _bits(result.chain[0]) == _bits(outcomes.pop(holds)["bound"]), (k, label)
+            if len(result.chain) > 1:
+                assert _bits(result.chain[-1]) == _bits(outcomes.pop(chain)["coarse"]), (k, label)
+        assert not outcomes, k  # every /chain id belongs to a method with a chain
 
 
 def test_runtime_check_runs_per_instance_beside_stacked_ones(monkeypatch):
@@ -342,20 +400,33 @@ def test_the_triangle_stacks_factor_alike_jointly_or_one_at_a_time(name, monkeyp
         assert all(np.array_equal(a, b) for a, b in zip(sd_gram.triangle_roots(*args), default)), entries
 
 
-def _tally_reference(trials, columns):
-    """Counts, worst margins and failures of ``columns``, one column and one trial at a time."""
+def _rows_of(stacks):
+    """Each row of ``stacks`` as (check_id, margin, mask, values), its own
+    (T,) arrays: row c of a (C, T) array, or the shared (T,) one."""
+    def row(array, c):
+        return array if array is None or array.ndim == 1 else array[c]
+
+    return [
+        (check_id, stack.margin[c], row(stack.mask, c), tuple((name, row(v, c)) for name, v in stack.values))
+        for stack in stacks
+        for c, check_id in enumerate(stack.ids)
+    ]
+
+
+def _tally_reference(trials, stacks):
+    """Counts, worst margins and failures of ``stacks``, one row and one trial at a time."""
     counts, worst, failures = {}, {}, []
-    for col in columns:
-        ks = [k for k in range(len(trials)) if col.mask is None or col.mask[k]]
+    for check_id, margin, mask, values in _rows_of(stacks):
+        ks = [k for k in range(len(trials)) if mask is None or mask[k]]
         if not ks:
             continue
-        margins = [float(col.margin[k]) for k in ks]
-        counts[col.check_id] = counts.get(col.check_id, 0) + len(ks)
+        margins = [float(margin[k]) for k in ks]
+        counts[check_id] = counts.get(check_id, 0) + len(ks)
         low = math.nan if any(math.isnan(m) for m in margins) else min(margins)
-        prev = worst.get(col.check_id, math.inf)
-        worst[col.check_id] = low if math.isnan(low) or low < prev else prev
+        prev = worst.get(check_id, math.inf)
+        worst[check_id] = low if math.isnan(low) or low < prev else prev
         failures += [
-            sd_campaign.FailureRecord(trials[k], col.check_id, m, tuple((name, float(v[k])) for name, v in col.values))
+            sd_campaign.FailureRecord(trials[k], check_id, m, tuple((name, float(v[k])) for name, v in values))
             for k, m in zip(ks, margins)
             if not m >= 0.0
         ]
@@ -366,22 +437,23 @@ def test_the_tally_reduces_a_chunk_as_each_column_alone():
     nan, inf = math.nan, math.inf
     recorded = np.array([1.5, -2.0, 3.25, 0.0])
 
-    def col(check_id, margin, mask=None):
-        return sd.checks.Column(check_id, np.array(margin), (("a", recorded), ("b", -recorded)), mask)
+    def stack(ids, margin, mask=None, values=(("a", recorded), ("b", -recorded))):
+        return sd.checks.CheckStack(tuple(ids), np.array(margin), values, mask)
 
-    columns = [
-        col("all/passing", [1.0, 2.0, 0.5, 3.0]),
-        col("all/failing_twice", [-1.0, 2.0, -0.5, 3.0]),
-        col("masked/empty", [-1.0, nan, -inf, 2.0], np.zeros(4, bool)),
-        col("masked/nan_and_inf_outside", [nan, inf, -inf, 0.25], np.array([False, False, False, True])),
-        col("masked/nan_inside", [0.5, nan, 1.0, -2.0], np.array([True, True, False, False])),
-        col("masked/inf_inside", [inf, -1.0, -inf, 0.75], np.array([True, False, False, True])),
-        col("masked/failing_thrice", [-3.0, -inf, 4.0, -0.0], np.array([True, True, True, False])),
+    # every mask form: none, (T,) shared by the rows, (C, T) one per row; and a (C, T) recorded value
+    stacks = [
+        stack(["all/passing", "all/failing_twice"], [[1.0, 2.0, 0.5, 3.0], [-1.0, 2.0, -0.5, 3.0]],
+              values=(("a", np.array([recorded, recorded])), ("b", -recorded))),
+        stack(["masked/empty"], [[-1.0, nan, -inf, 2.0]], np.zeros(4, bool)),
+        stack(["masked/nan_and_inf_outside", "masked/nan_inside", "masked/inf_inside"],
+              [[nan, inf, -inf, 0.25], [0.5, nan, 1.0, -2.0], [inf, -1.0, -inf, 0.75]],
+              np.array([[False, False, False, True], [True, True, False, False], [True, False, False, True]])),
+        stack(["masked/failing_thrice"], [[-3.0, -inf, 4.0, -0.0]], np.array([True, True, True, False])),
     ]
     trials = range(40, 44)
     tally = sd_campaign._Tally()
-    tally.columns(trials, columns)
-    counts, worst, failures = _tally_reference(trials, columns)
+    tally.stacks(trials, stacks)
+    counts, worst, failures = _tally_reference(trials, stacks)
     assert tally.counts == counts and "masked/empty" not in counts
     assert repr(tally.worst) == repr(worst)
     assert math.isnan(tally.worst["masked/nan_inside"])
@@ -390,6 +462,15 @@ def test_the_tally_reduces_a_chunk_as_each_column_alone():
         (40, "all/failing_twice"), (42, "all/failing_twice"), (41, "masked/nan_inside"),
         (40, "masked/failing_thrice"), (41, "masked/failing_thrice"),
     ]
+    # each trial's outcomes, row by row in stack order
+    for k in range(len(trials)):
+        expected = [
+            (check_id, repr(float(margin[k])), tuple((name, float(v[k])) for name, v in values))
+            for check_id, margin, mask, values in _rows_of(stacks)
+            if mask is None or mask[k]
+        ]
+        got = [(oc.check_id, repr(oc.margin), oc.values) for oc in sd.checks.outcomes_of(stacks, k)]
+        assert repr(got) == repr(expected), k
 
 
 def test_a_chunk_takes_any_nonempty_range_inside_the_stream():

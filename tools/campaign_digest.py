@@ -109,15 +109,26 @@ an abort or a check's verdict. A ``combined grid`` digest over these lines
 is printed last.
 
 spandist is imported from ``src/`` of the checkout this script sits in.
+BLAS runs on one thread: the script sets ``OPENBLAS_NUM_THREADS`` and
+``OMP_NUM_THREADS`` to 1 before numpy is imported, as ``perfbench/run.py``
+does, and its workers inherit them. A multithreaded BLAS splits the wide
+stream's matrix products by the machine's core count, which moves their
+last bits: with the default thread count on a 2-core machine, the
+``real_d256_n64_k1e4`` json, csv, replay and combination lines and the
+combined, combined replay and combined combination digests differed from
+the single-thread ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported (see above)
+os.environ["OMP_NUM_THREADS"] = "1"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
