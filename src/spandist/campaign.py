@@ -110,16 +110,10 @@ class _Tally:
         if not stacks:
             return
         everyone = np.ones(len(trials), dtype=bool)
-        masks, repeats = [], []
-        for stack in stacks:  # a (T,) mask once, repeated for each of the stack's rows
-            mask = everyone if stack.mask is None else stack.mask
-            if mask.ndim == 1:
-                masks.append(mask)
-                repeats.append(len(stack.ids))
-            else:
-                masks.extend(mask)
-                repeats += [1] * len(mask)
-        masks = np.repeat(np.array(masks), repeats, axis=0)
+        masks = np.repeat(  # each stack's (T,) mask once per row
+            np.array([everyone if stack.mask is None else stack.mask for stack in stacks]),
+            [len(stack.ids) for stack in stacks], axis=0,
+        )
         margins = np.concatenate([stack.margin for stack in stacks])
         failed = masks & ~(margins >= 0.0)
         lows = np.where(masks, margins, np.inf).min(axis=1).tolist()

@@ -11,7 +11,7 @@ The built-in checks are written once, over a chunk of trials (an
 which carries its tolerance and draws their auxiliary coefficients): each
 returns a few :class:`CheckStack` objects, one per formula. A stack holds
 the margins of the C check ids of its formula as one (C, T) array, its
-recorded values and a mask of the trials it applies to; an id of its own
+recorded values and one mask of the trials it applies to; an id of its own
 formula is the case C = 1. Each built-in REGISTRY entry is one family
 object: its chunk function, its precondition on a config (which
 :func:`applicable_checks` reads), and, called on one instance, the family
@@ -85,12 +85,11 @@ class CheckStack(NamedTuple):
 
     ``margin`` is (C, T), id c taking row c. Each recorded value (sorted by
     name) is (C, T), row c going to id c, or (T,), shared by every id;
-    ``mask`` is (T,) or (C, T) the same way and marks the trials an outcome
-    exists for (None: all). In the outcome order row c comes right after
-    row ``follows[c]`` of the stack before it, or, where ``follows`` is
-    None, the rows come in order after every earlier one: a family whose
-    ids interleave two formulas gives that order without reordering either
-    stack.
+    ``mask``, (T,), marks the trials where every id has an outcome (None:
+    all). In the outcome order row c comes right after row ``follows[c]``
+    of the stack before it, or, where ``follows`` is None, the rows come in
+    order after every earlier one: a family whose ids interleave two
+    formulas gives that order without reordering either stack.
     """
 
     ids: tuple[str, ...]
@@ -125,7 +124,7 @@ def outcomes_of(stacks: Sequence[CheckStack], k: int) -> list[CheckOutcome]:
     out = []
     for *_, (i, c) in sorted(keys):
         stack = stacks[i]
-        if stack.mask is None or (stack.mask[c, k] if stack.mask.ndim == 2 else stack.mask[k]):
+        if stack.mask is None or stack.mask[k]:
             margin, values = stack.outcome(c, k)
             out.append(CheckOutcome(stack.ids[c], bool(margin >= 0.0), margin, values))
     return out
@@ -256,7 +255,6 @@ def _sweep() -> tuple[tuple[str, comb.CombinationMethod], ...]:
 
 
 COMBINATION_SWEEP = _sweep()
-_SWEEP_PLAN = comb.sweep_plan([method for _, method in COMBINATION_SWEEP])
 _SWEEP_HOLDS = tuple(f"combination_sweep/{label}/holds" for label, _ in COMBINATION_SWEEP)
 _SWEEP_CHAINS = tuple(f"combination_sweep/{label}/chain" for label, _ in COMBINATION_SWEEP)
 
@@ -268,8 +266,10 @@ def _combination_sweep(t: InstanceChunk) -> list[CheckStack]:
     draws = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.systems.aggregates)
     rel = t.tol.compare_rel_tol
     lhs = draws.lhs
-    tight, coarse, linked = draws.sweep(_SWEEP_PLAN)
-    paired = tight[list(linked)]
+    chains = [draws.chain(method) for _, method in COMBINATION_SWEEP]
+    tight = np.array([chain[0] for chain in chains])
+    linked = tuple(k for k, chain in enumerate(chains) if len(chain) > 1)
+    coarse, paired = np.array([chains[k][-1] for k in linked]), tight[list(linked)]
     return [
         _stack(_SWEEP_HOLDS, comb.bound_margin(tight, lhs, rel), lhs=lhs, bound=tight),
         _stack([_SWEEP_CHAINS[k] for k in linked], comb.bound_margin(coarse, paired, rel), follows=linked,
@@ -373,7 +373,7 @@ class _Family:
         self._stacked, self.applies = stacked, applies
 
     def __call__(self, instance: Instance, tol: ToleranceConfig) -> list[CheckOutcome]:
-        return outcomes_of(run_stacked([self], InstanceChunk.of(instance, tol)), 0)
+        return _run_resolved(instance, (self,), tol)
 
     def __reduce__(self):
         return resolve_check, (self.name,)

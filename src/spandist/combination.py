@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "CombinationMethod",
     "CombinationBoundResult",
     "CombinationStack",
-    "SweepPlan",
-    "sweep_plan",
     "LagrangeParts",
     "combination_norm_sq",
     "lagrange_identity_parts",
@@ -156,9 +154,10 @@ class CombinationStack:
     of the diag/offdiag splits (memoised per exponent and branch), the
     row-sum base, the lhs ||sum a_i z_i||^2 and the Lagrange identity parts
     — each computed at most once, so any number of bounds on the same draws
-    reduce the coefficients once. :meth:`chain` evaluates one bound family
-    and :meth:`sweep` many from the same terms; :meth:`of` builds the stack
-    of one draw against one system.
+    reduce the coefficients once. :meth:`chain` evaluates one bound family:
+    the campaign's sweep calls it once per method, and the terms the methods
+    share come from the memo; :meth:`of` builds the stack of one draw
+    against one system.
     """
 
     def __init__(self, alphas: np.ndarray, rows: np.ndarray, agg: AggregateStack) -> None:
@@ -244,24 +243,6 @@ class CombinationStack:
     def chain(self, method: CombinationMethod) -> tuple[np.ndarray, ...]:
         """The chain of one bound family, tightest first, per system."""
         return _CHAINS[method.kind](self, method)
-
-    def sweep(self, plan: "SweepPlan") -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """The tight ends of the plan's M methods as one (M, T) stack, and the
-        coarse ends of those whose chain has one as an (L, T) stack, with
-        their indices among the methods: each entry the bits :meth:`chain`
-        gives. Every distinct term of the diag/offdiag splits is computed
-        once, and the splits are summed by one gather and add over the stack
-        of terms."""
-        chains = [self.chain(method) for method in plan.others]
-        terms = np.array([
-            *(self.diag_term(*key) for key in plan.diag),
-            *(self.offdiag_term(*key) for key in plan.offdiag),
-            *(chain[0] for chain in chains),
-            np.full(self.alphas.shape[0], -0.0),  # x + -0.0 is x, bit for bit, for every x
-        ])
-        tight = terms[plan.first] + terms[plan.second]
-        linked = tuple(k for k, chain in zip(plan.other_index, chains) if len(chain) > 1)
-        return tight, np.array([chain[-1] for chain in chains if len(chain) > 1]), linked
 
 
 def combination_norm_sq(alphas: Sequence[Scalar], zs: VectorSystem) -> float:
@@ -444,37 +425,6 @@ _CHAINS = {
     CombinationKind.HOLDER_GRAM: _holder_gram_chain,
     CombinationKind.HOLDER_GRAM_P2: _holder_gram_chain,
 }
-
-
-class SweepPlan(NamedTuple):
-    """How :meth:`CombinationStack.sweep` stacks the terms of a sequence of
-    methods: the distinct (branch, exponent) keys of the diagonal and of the
-    off-diagonal terms, the methods that are not splits (``others``, at
-    ``other_index``), and per method the two rows of the stack of terms
-    (diagonal terms, off-diagonal terms, the others' tight ends, a -0.0 row)
-    whose sum is its tight end."""
-
-    diag: tuple[tuple[DiagBranch, float | None], ...]
-    offdiag: tuple[tuple[OffdiagBranch, float | None], ...]
-    others: tuple[CombinationMethod, ...]
-    other_index: tuple[int, ...]
-    first: np.ndarray
-    second: np.ndarray
-
-
-def sweep_plan(methods: Sequence[CombinationMethod]) -> SweepPlan:
-    """The :class:`SweepPlan` of ``methods``, in their order."""
-    split = CombinationKind.DIAG_OFFDIAG
-    diag = tuple(dict.fromkeys((m.diag_branch, m.diag_exp) for m in methods if m.kind is split))
-    offdiag = tuple(dict.fromkeys((m.offdiag_branch, m.offdiag_exp) for m in methods if m.kind is split))
-    other_index = tuple(k for k, m in enumerate(methods) if m.kind is not split)
-    others = len(diag) + len(offdiag)  # the row of the first other tight end
-    first = [diag.index((m.diag_branch, m.diag_exp)) if m.kind is split else others + other_index.index(k)
-             for k, m in enumerate(methods)]
-    second = [len(diag) + offdiag.index((m.offdiag_branch, m.offdiag_exp)) if m.kind is split
-              else others + len(other_index) for m in methods]
-    return SweepPlan(diag, offdiag, tuple(methods[k] for k in other_index), other_index,
-                     np.array(first), np.array(second))
 
 
 def cauchy_schwarz_bound(

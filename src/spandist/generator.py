@@ -24,7 +24,6 @@ from .bounds import BoundMethod, IntervalData, bound_values
 from .distance import PointStack, beta_stack, orth_complement_stack
 from .errors import NumericalInstabilityError
 from .gram import SystemStack, VectorSystem
-from .orthonormalize import _householder
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, checked_real, sq_norms
 
 __all__ = [
@@ -290,7 +289,7 @@ class _FirstPass:
 def _orthonormal_frames(normals: np.ndarray) -> np.ndarray:
     """(T, rows, dim) stack of matrices with orthonormal rows (Haar-ish via
     QR) from the (T, dim, rows) stack of ``normals``."""
-    r, q = _householder(normals, with_q=True)
+    q, r = np.linalg.qr(normals)
     # fix the QR sign/phase ambiguity so the draw is a pure function of the data
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)

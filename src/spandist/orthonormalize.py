@@ -16,35 +16,19 @@ systems whose Gram factorization is complete. The functions over bare rows
 :func:`distance_sq_by_orthonormalization`) have no system to ask, so they
 check their arrays by :func:`spandist.space.field_array` and test the
 diagonal of R themselves, raising LinearDependenceError.
+
+Every QR here is ``np.linalg.qr``, one LAPACK call per stack; so is the
+generator's (:mod:`spandist.generator` draws its orthonormal frames by it).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatchError, LinearDependenceError
 from .space import DEFAULT_TOL, ToleranceConfig, field_array, sq_norms
 
 __all__ = ["orthonormal_rows", "residual_after_projection", "distance_sq_by_orthonormalization"]
-
-
-def _raise_qr_error(*_) -> None:
-    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
-
-
-def _householder(stack: np.ndarray, with_q: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """One LAPACK Householder QR of each matrix of a float64 or complex128
-    (..., m, k) stack, through the gufuncs ``np.linalg.qr`` calls, with its
-    error handling and bits but not its checks, casts and ``triu``: a
-    factored copy of the stack, whose upper triangle is R, and, if asked,
-    the reduced Q."""
-    a = np.array(stack)  # the gufunc factors in place
-    real = a.dtype.kind != "c"
-    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        tau = _umath_linalg.qr_r_raw(a, signature="d->d" if real else "D->D")
-        q = _umath_linalg.qr_reduced(a, tau, signature="dd->d" if real else "DD->D") if with_q else None
-    return a, q
 
 
 def _checked_diagonal(r: np.ndarray, rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -79,15 +63,14 @@ def _checked(rows: object, x: object = None) -> tuple[np.ndarray, np.ndarray | N
 
 def _basis(rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """:func:`orthonormal_rows` of checked rows."""
-    r, q = _householder(rows.T, with_q=True)
+    q, r = np.linalg.qr(rows.T)
     diag = _checked_diagonal(r[np.newaxis], rows[np.newaxis], tol)[0]
     return (q * (diag / np.abs(diag))).T
 
 
 def _augmented_r(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One stacked QR of the (T, dim, n + 1) augmented columns x_1..x_n, x,
-    R in its upper triangle: its callers read R's diagonal and R[n, n]."""
-    return _householder(np.swapaxes(np.concatenate([rows, x[:, np.newaxis]], axis=1), -1, -2))[0]
+    """R of one stacked QR of the (T, dim, n + 1) augmented columns x_1..x_n, x."""
+    return np.linalg.qr(np.swapaxes(np.concatenate([rows, x[:, np.newaxis]], axis=1), -1, -2), mode="r")
 
 
 def _distance_sq(r: np.ndarray, n: int, dim: int) -> np.ndarray:

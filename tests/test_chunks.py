@@ -440,14 +440,14 @@ def test_the_tally_reduces_a_chunk_as_each_column_alone():
     def stack(ids, margin, mask=None, values=(("a", recorded), ("b", -recorded))):
         return sd.checks.CheckStack(tuple(ids), np.array(margin), values, mask)
 
-    # every mask form: none, (T,) shared by the rows, (C, T) one per row; and a (C, T) recorded value
+    # no mask and (T,) masks, one stack per mask; and a (C, T) recorded value
     stacks = [
         stack(["all/passing", "all/failing_twice"], [[1.0, 2.0, 0.5, 3.0], [-1.0, 2.0, -0.5, 3.0]],
               values=(("a", np.array([recorded, recorded])), ("b", -recorded))),
         stack(["masked/empty"], [[-1.0, nan, -inf, 2.0]], np.zeros(4, bool)),
-        stack(["masked/nan_and_inf_outside", "masked/nan_inside", "masked/inf_inside"],
-              [[nan, inf, -inf, 0.25], [0.5, nan, 1.0, -2.0], [inf, -1.0, -inf, 0.75]],
-              np.array([[False, False, False, True], [True, True, False, False], [True, False, False, True]])),
+        stack(["masked/nan_and_inf_outside"], [[nan, inf, -inf, 0.25]], np.array([False, False, False, True])),
+        stack(["masked/nan_inside"], [[0.5, nan, 1.0, -2.0]], np.array([True, True, False, False])),
+        stack(["masked/inf_inside"], [[inf, -1.0, -inf, 0.75]], np.array([True, False, False, True])),
         stack(["masked/failing_thrice"], [[-3.0, -inf, 4.0, -0.0]], np.array([True, True, True, False])),
     ]
     trials = range(40, 44)
@@ -583,14 +583,19 @@ PINNED_DIGESTS = {
 }
 
 
-def _chunk_digest(chunk):
+def _digest(*arrays):
+    """sha256 of the dtype, shape and bytes of each array given (None skipped)."""
     h = hashlib.sha256()
-    coeffs = [chunk.coeffs(salt) for salt in (1, 2, 3)] + [chunk.coeffs(3, chunk.systems.dim)]
-    for a in (chunk.systems.rows, chunk.x, chunk.lo, chunk.hi, *coeffs):
+    for a in arrays:
         if a is not None:
             h.update(repr((a.dtype.str, a.shape)).encode())
             h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def _chunk_digest(chunk):
+    coeffs = [chunk.coeffs(salt) for salt in (1, 2, 3)] + [chunk.coeffs(3, chunk.systems.dim)]
+    return _digest(chunk.systems.rows, chunk.x, chunk.lo, chunk.hi, *coeffs)
 
 
 @pytest.mark.parametrize("redrawn", [False, True], ids=["drawn", "redrawn"])
@@ -601,6 +606,46 @@ def test_the_generators_bits_are_pinned(name, redrawn, monkeypatch):
     config = GeneratorConfig(seed=41, trials=16, **PINNED_STREAMS[name])
     chunk = generate_chunk(config, range(config.trials), TOL)
     assert _chunk_digest(chunk) == PINNED_DIGESTS[name, redrawn]
+
+
+# the bits of the QR oracle and of the combination sweep, pinned on the same
+# chunks as drawn: sha256 of ``chunk.oracle``, and of the sweep's margins and
+# recorded values, stack by stack
+PINNED_ROUTE_DIGESTS = {
+    "complex_d6_n4_k1e3_intervals_dependent": (
+        "4a677d10a25be3c1ad1b6e5d4337b12c33b352ffbd7fa85d83bb43bd1826e339",
+        "949df9800b493f7d7c6be3dfedd0912b4666959143069aafb9016acc4f39c260",
+    ),
+    "complex_d7_n5_k1e2": (
+        "bc2f41c5c5038b20aa49ab19ccfcc11198cda68b70e336d406e8080dd1222583",
+        "241bb799707f67fcd1e0c97af5de84bb7aa33a3c9262a432ec82f6f14dab3ebf",
+    ),
+    "complex_d7_n5_k1e2_intervals": (
+        "70a2ec7004d118a848b04de6a0dd0e4e7b7d96e10e52c3723cee73419185dc58",
+        "241bb799707f67fcd1e0c97af5de84bb7aa33a3c9262a432ec82f6f14dab3ebf",
+    ),
+    "real_d4_n3_orthonormal_intervals": (
+        "363e7c531839e926748984b7631ab57f280735c7a8807b5af3ea8b55690aa5b7",
+        "5279f4edf8090356ce78dfd9b6f7752f0141aa0d753eba1a2124ed3723803253",
+    ),
+    "real_d5_n3_k1e2_intervals": (
+        "0679e7c5f3faff7df5a0e55fa53c5fba34484935b028ae8ec900ec7893c9b31b",
+        "f8df015ced365f2cd8cd0300e4d3bdafd78b9772d4a533000b8b6f095208746f",
+    ),
+    "real_d6_n4_k1e3": (
+        "40debf654473f7c7a3754d9e3a8d77977902aa0f55a612a57f3a0916c1b1ea46",
+        "19ae855d91b4614e3554bbd7746fc9623de49947c4382654d1e3b1b84a2d3797",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_the_qr_and_sweep_bits_are_pinned(name):
+    config = GeneratorConfig(seed=41, trials=16, **PINNED_STREAMS[name])
+    chunk = generate_chunk(config, range(config.trials), TOL)
+    sweep = run_stacked([resolve_check("combination_sweep")], chunk)
+    arrays = [a for stack in sweep for a in (stack.margin, *(v for _, v in stack.values))]
+    assert (_digest(chunk.oracle), _digest(*arrays)) == PINNED_ROUTE_DIGESTS[name]
 
 
 def test_a_zero_direction_is_redrawn_from_the_trials_own_stream(monkeypatch):

@@ -39,3 +39,16 @@ def test_residual_after_projection_is_orthogonal():
     v = random_rows(rng, 1, 6, Field.COMPLEX)[0]
     r = sd.residual_after_projection(q, v)
     assert np.max(np.abs(q.conj() @ r)) < 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_more_rows_than_dimensions_are_dependent(field):
+    rows = random_rows(np.random.default_rng(24), 3, 2, field)
+    x = random_rows(np.random.default_rng(25), 1, 2, field)[0]
+    for call in (
+        lambda: sd.orthonormal_rows(rows),
+        lambda: sd.residual_after_projection(rows, x),
+        lambda: sd.distance_sq_by_orthonormalization(rows, x),
+    ):
+        with pytest.raises(sd.LinearDependenceError, match="vector 2 is numerically in the span"):
+            call()
