@@ -149,8 +149,6 @@ def _representation_agreement(t: InstanceChunk) -> list[CheckStack]:
     above. All four are read from the chunk, on the systems whose
     factorization is complete: the oracle makes no rank decision of its own."""
     ok = t.systems.factor.complete
-    if not ok.any():
-        return []
     d2, ratio, projection, oracle, rel = t.d2, t.ratio, t.projection, t.oracle, t.tol.compare_rel_tol
     return [
         _stack("representation_agreement/ratio_vs_quadratic", _closeness_margin(ratio, d2, rel), ok,
@@ -286,18 +284,17 @@ def _hadamard_chains(t: InstanceChunk) -> list[CheckStack]:
     """All chain refinements are sandwiched between the determinant and the
     norm product; orthonormal systems sit exactly at 1 (outcome order: the
     three ids of each variant in turn)."""
+    if t.systems.n < 2:
+        return []
     ok = t.systems.factor.complete
     idx = np.flatnonzero(ok)
-    if t.systems.n < 2 or not idx.size:
-        return []
-    det, product = t.systems.factor.det, t.systems.aggregates.norm_product
+    det, agg = t.systems.factor.det, t.systems.aggregates
+    product, prefixes = agg.norm_product, agg.chain_prefixes
     fixed_point = ok & t.orthonormal
-    agg, variants = t.systems.aggregates, len(ChainVariant)
-    # the chains of every variant as one stack of variants * len(idx) rows
-    norms, numerators = (np.tile(a[idx], (variants, 1)) for a in (agg.norms_sq, agg.chain_prefixes.numerators))
-    denominators = np.concatenate([getattr(agg.chain_prefixes, v.value)[idx] for v in ChainVariant])
-    refined = np.full((variants, t.size), np.nan)
-    refined[:, idx] = chain_stack(norms, numerators, denominators, t.tol)[1].reshape(variants, -1)
+    # the chains of every variant on the complete systems, one (variants, len(idx), n) stack of denominators
+    denominators = np.array([getattr(prefixes, v.value) for v in ChainVariant])[:, idx]
+    refined = np.full((len(ChainVariant), t.size), np.nan)
+    refined[:, idx] = chain_stack(agg.norms_sq[idx], prefixes.numerators[idx], denominators, t.tol)[1]
     return [
         _stack(_CHAIN_IDS["lower"], _dominance_margin(refined, det), ok, refined=refined, gram_det=det),
         _stack(_CHAIN_IDS["upper"], _dominance_margin(product, refined), ok,
@@ -344,15 +341,15 @@ def _conditional_bounds(t: InstanceChunk) -> list[CheckStack]:
                re_inner=re_inner, ball_margin=ball_margin),
     ]
     held = ok & holds
-    d2 = t.d2
-    values = bnd.conditional_stack(rows, t.widths, t.systems.aggregates)
+    d2, widths = t.d2, t.hi - t.lo
+    values = bnd.conditional_stack(rows, widths, t.systems.aggregates)
     half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
     out.append(_stack("conditional_bounds/half_width_dominates", _dominance_margin(half_width, d2), held,
                       bound=half_width, exact=d2))
     relaxed = np.array([values[method] for method in bnd.CONDITIONAL_METHODS[1:]])
     ids = [f"conditional_bounds/{method.value}_coarser" for method in bnd.CONDITIONAL_METHODS[1:]]
     out.append(_stack(ids, _dominance_margin(relaxed, half_width), held, relaxed=relaxed, half_width=half_width))
-    gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, t.widths)
+    gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, widths)
     above, below = _dominance_margin(gap, 0.0), _dominance_margin(quarter, gap)
     out.append(_stack("conditional_bounds/reverse_bessel", np.where(below < above, below, above),
                       held & t.orthonormal, gap=gap, quarter_width_sq=quarter))

@@ -119,8 +119,9 @@ def gram_ratio_stack(systems: SystemStack, xx: np.ndarray, beta: np.ndarray) -> 
     the bordered matrix [[G_hat, beta_hat^H], [beta_hat, 1]] has unit
     diagonal, the ratio is invariant under per-vector scaling and x
     contributes exactly ||x||^2: d^2 = ||x||^2 |L[n, n]|^2. Where LAPACK
-    cannot factor the bordered matrix, x is numerically in the span and
-    the ratio is 0.
+    cannot factor the bordered matrix the ratio reads 0: right for an x in
+    the span, but from a Gram condition of about 1e12 also met by an x at a
+    positive distance from an independent system (ROADMAP item 6).
     """
     complete = systems.factor.complete
     live = complete & (xx != 0.0)
@@ -181,7 +182,7 @@ class PointStack:
         if kept is not None and kept[0] is x and kept[1] == tol:
             return kept[2]
         system._check_member(x)
-        p = cls(system.as_stack(), x.coords.astype(system.field.dtype)[np.newaxis], tol)
+        p = cls(system.as_stack(), x.coords[np.newaxis], tol)
         system._point = (x, tol, p)
         return p
 

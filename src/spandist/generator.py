@@ -114,8 +114,8 @@ class InstanceChunk(PointStack):
     vectors ``x`` against the T ``systems`` at ``tol``, which also holds the
     unconditional bounds and draws each trial's auxiliary coefficients.
 
-    ``lo`` and ``hi`` are the (T, n) interval data (None without it;
-    ``widths`` is hi - lo), and ``trials`` the trial index of each entry.
+    ``lo`` and ``hi`` are the (T, n) interval data (None without it), and
+    ``trials`` the trial index of each entry.
     Each trial's numbers are the same bits in a chunk of one as in any
     larger chunk, so :func:`generate_instance` (a chunk of one) gives trial
     k exactly as any chunk holds it, and :meth:`of` turns any instance into
@@ -135,7 +135,6 @@ class InstanceChunk(PointStack):
         super().__init__(systems, x, tol)
         self.lo = lo
         self.hi = hi
-        self.widths = None if lo is None else hi - lo
         self.seed = seed
         self.trials = trials
         self.size = len(trials)

@@ -502,7 +502,7 @@ class VectorSystem:
         head = vectors[0]
         for v in vectors[1:]:
             check_member(v, head.field, head.dim)
-        rows = np.stack([v.coords for v in vectors]).astype(head.field.dtype)
+        rows = np.stack([v.coords for v in vectors])
         self._bind(SystemStack(rows[np.newaxis], head.field, tol))
         self._vectors = tuple(vectors)
 
@@ -593,7 +593,7 @@ class VectorSystem:
     def augmented(self, x: Vector) -> "VectorSystem":
         """System with ``x`` appended after the existing vectors."""
         self._check_member(x)
-        rows = np.vstack([self.rows, x.coords.astype(self.field.dtype)])
+        rows = np.vstack([self.rows, x.coords])
         return VectorSystem.from_rows(rows, self.field, self.tol)
 
     def _check_member(self, x: Vector) -> None:
@@ -738,17 +738,17 @@ _JOINT_ENTRIES = 1 << 13
 
 
 def triangle_roots(
-    x1: np.ndarray, y1: np.ndarray, rest_rows: np.ndarray, field: Field, tol: ToleranceConfig
+    x1: np.ndarray, y1: np.ndarray, rest: np.ndarray, field: Field, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """det^(1/2) of the Gram matrices of (x1 + y1, rest), (x1, rest) and
-    (y1, rest) for (T, dim) leading rows and a (T, m, dim) rest: the Gram
-    block of the rest, bordered by each leading row's inner products. Up to
-    ``_JOINT_ENTRIES`` entries in all, one :func:`factor_stack` call factors
-    the three stacks (saving two calls); larger ones, whose temporaries would
-    outweigh that, take one call each through one buffer."""
-    rest = rest_rows.astype(field.dtype)
+    (y1, rest) for (T, dim) leading rows and a (T, m, dim) rest, all in the
+    field's dtype: the Gram block of the rest, bordered by each leading
+    row's inner products. Up to ``_JOINT_ENTRIES`` entries in all, one
+    :func:`factor_stack` call factors the three stacks (saving two calls);
+    larger ones, whose temporaries would outweigh that, take one call each
+    through one buffer."""
     count, m = rest.shape[:2]
-    leads = np.stack([x1 + y1, x1, y1], axis=1).astype(field.dtype)
+    leads = np.stack([x1 + y1, x1, y1], axis=1)
     cross = np.transpose(rest.conj() @ np.swapaxes(leads, -1, -2), (2, 0, 1))  # cross[k, :, j] = <lead_k, rest_j>
     norms = sq_norms(leads).T
     joint = 3 * count * (m + 1) ** 2 <= _JOINT_ENTRIES

@@ -70,20 +70,23 @@ def chain_stack(
     """(factors, refined, clamped) of one refinement chain for each system of
     a stack, n >= 2: (T, n) squared norms, and the chain's prefix numerators
     and denominators (the fields of :class:`~spandist.gram.ChainPrefixes`).
+    Denominators of shape (..., T, n) run one chain per leading index (the
+    four variants' as one (4, T, n) stack), and the results carry the same
+    leading axes.
 
     A factor below zero is clamped to zero; one below zero beyond tolerance
     also emits a NumericalWarning and sets ``clamped``.
     """
-    factors = np.empty(norms.shape)
-    factors[:, 0] = norms[:, 0]
-    factors[:, 1:] = norms[:, 1:] - numerators[:, 1:] / denominators[:, :-1]
+    factors = np.empty(denominators.shape)
+    factors[..., 0] = norms[:, 0]
+    factors[..., 1:] = norms[:, 1:] - numerators[:, 1:] / denominators[..., :-1]
     negative = factors < 0.0
     if not negative.any():
-        return factors, np.prod(factors, axis=-1), negative[:, 0]
+        return factors, np.prod(factors, axis=-1), negative[..., 0]
     loud = negative & (factors < -tol.compare_rel_tol * (1.0 + norms))
-    for t, k in zip(*np.nonzero(loud)):
+    for at in np.argwhere(loud):
         warnings.warn(
-            f"chain factor {factors[t, k]:.3e} at position {k} is negative beyond "
+            f"chain factor {factors[tuple(at)]:.3e} at position {at[-1]} is negative beyond "
             "tolerance; clamping to zero",
             NumericalWarning,
             stacklevel=3,

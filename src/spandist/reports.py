@@ -20,11 +20,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import fields
-from enum import EnumMeta
+from enum import Enum
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, get_type_hints
+from typing import Any
 
 from .bounds import BoundReport
 from .campaign import CampaignResult
@@ -122,21 +122,16 @@ def _write(obj: Any, newline: str, out: list[str], keys: Any) -> None:
 
 
 @cache
-def _fields_of(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """A dataclass's field names, and those of its fields declared an Enum."""
-    hints = get_type_hints(cls)
-    names = tuple(f.name for f in fields(cls))
-    return names, tuple(name for name in names if isinstance(hints[name], EnumMeta))
+def _fields_of(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names."""
+    return tuple(f.name for f in fields(cls))
 
 
 def _fields_obj(dc: Any) -> dict[str, Any]:
     """A flat dataclass's fields as a dict, without ``asdict``'s deep copy;
-    an Enum field as its value."""
-    names, enums = _fields_of(type(dc))
-    obj = {name: getattr(dc, name) for name in names}
-    for name in enums:
-        obj[name] = obj[name].value
-    return obj
+    an Enum as its value."""
+    obj = {name: getattr(dc, name) for name in _fields_of(type(dc))}
+    return {name: v.value if isinstance(v, Enum) else v for name, v in obj.items()}
 
 
 def _bound_report_obj(report: BoundReport) -> dict[str, Any]:

@@ -225,3 +225,31 @@ def test_reverse_bessel_requires_orthonormal(system_b, x_b):
     iv = IntervalData(gammas=(0.0, 0.0), Gammas=(2.0, 2.0))
     with pytest.raises(sd.NotOrthonormalError):
         sd.reverse_bessel_gap(system_b, x_b, iv)
+
+
+@pytest.mark.parametrize("method", [BoundMethod.TOTAL_NORM, BoundMethod.FROBENIUS, BoundMethod.COND_HALF_WIDTH])
+def test_a_relaxed_bound_needs_a_relaxation_method(planar, method):
+    system, x, iv = planar
+    with pytest.raises(ValueError, match=f"^not a conditional relaxation method: {method}$"):
+        sd.bound_cond_relaxed(system, x, iv, method)
+
+
+@pytest.mark.parametrize("gammas, Gammas", [
+    (([0.0, 1.0],), ([1.0, 2.0],)),
+    (((0.0,), (1.0,)), ((2.0,), (3.0,))),
+    ((np.zeros(2), np.zeros(2)), (np.ones(2), np.ones(2))),
+])
+def test_interval_scalars_must_not_be_sequences(gammas, Gammas):
+    with pytest.raises(ValueError, match="^interval scalars must be numbers$"):
+        IntervalData(gammas=gammas, Gammas=Gammas)
+
+
+def test_a_report_has_no_entry_for_a_method_it_does_not_hold(system_b, x_b, planar):
+    report = sd.full_bound_report(system_b, x_b)
+    for method in sd.bounds.CONDITIONAL_METHODS:
+        with pytest.raises(KeyError) as caught:
+            report.entry(method)
+        assert caught.value.args == (method,)
+    system, x, iv = planar
+    full = sd.full_bound_report(system, x, iv)
+    assert all(full.entry(e.method) is e for e in full.entries)

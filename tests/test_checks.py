@@ -208,3 +208,23 @@ def test_the_sweep_computes_each_distinct_term_once(monkeypatch):
     stacks = checks.run_stacked([checks.resolve_check("combination_sweep")], chunk)
     assert sorted(calls) == ["base"] + ["diag"] * 5 + ["offdiag"] * 5
     assert [len(stack.ids) for stack in stacks] == [31, 7]
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_conditional_bounds_give_nothing_without_interval_data(field):
+    cfg = GeneratorConfig(seed=21, trials=3, dim=5, n=3, field=field)
+    for trial in range(cfg.trials):
+        inst = sd.generate_instance(cfg, trial)
+        assert inst.intervals is None
+        assert sd.run_checks(inst, ("conditional_bounds",), sd.DEFAULT_TOL) == []
+    with_data = sd.generate_instance(GeneratorConfig(seed=21, trials=1, dim=5, n=3, field=field, intervals=True), 0)
+    assert sd.run_checks(with_data, ("conditional_bounds",), sd.DEFAULT_TOL)
+
+
+def test_the_chains_give_nothing_for_a_single_vector():
+    cfg = GeneratorConfig(seed=21, trials=3, dim=4, n=1)
+    assert "hadamard_chains" not in sd.applicable_checks(cfg)
+    assert sd.run_checks(sd.generate_instance(cfg, 0), ("hadamard_chains",), sd.DEFAULT_TOL) == []
+    # a campaign whose every stack list is empty counts nothing
+    result = sd.run_campaign(cfg, ("hadamard_chains",))
+    assert result.counts == {} and result.worst_margin == {} and result.passed

@@ -174,3 +174,21 @@ def test_the_flags_default_to_the_library_defaults():
     args = build_parser().parse_args(["verify"])
     assert _tol_from_args(args) == sd.DEFAULT_TOL
     assert _config_from_args(args) == sd.GeneratorConfig()
+
+
+def test_replay_prints_each_failing_outcomes_values(capsys):
+    # a comparison tolerance of 1e-300 fails the rounding-level agreement checks
+    args = ["replay", "--seed", "0", "--trial", "3", "--dim", "4", "--n", "3", "--tol-compare", "1e-300"]
+    assert main(args) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    parsed = build_parser().parse_args(args)
+    outcomes = sd.replay_trial(_config_from_args(parsed, trials=4), 3, tol=_tol_from_args(parsed))
+    failed = [oc for oc in outcomes if not oc.ok]
+    assert failed and lines[-1] == f"{len(outcomes)} outcomes, {len(failed)} failures"
+    expected = []
+    for oc in outcomes:
+        expected.append(f"{'ok  ' if oc.ok else 'FAIL'} {oc.check_id}  margin={oc.margin:.6e}")
+        if not oc.ok:
+            expected += [f"       {key} = {value!r}" for key, value in oc.values]
+    assert lines[:-1] == expected
+    assert any(line.startswith("       ") for line in lines)

@@ -4,6 +4,8 @@ The running hand example: z1 = (1,0), z2 = (1,1), alpha = (1,1), so
 sum alpha_i z_i = (2,1) and ||sum||^2 = 5 with Gram [[1,1],[1,2]].
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,3 +212,44 @@ def test_the_bound_margin_decides_holds_and_chain_ok(pair):
     with np.errstate(invalid="ignore"):
         margin = margin_of(np.array([1.0, 1.0, 2.0, np.inf]), np.array([1.0, 1.5, np.inf, 2.0]), 0.0)
     assert margin.tolist()[:2] == [0.0, -0.2] and np.isnan(margin[2]) and margin[3] == np.inf
+
+
+_KIND = CombinationKind
+_BAD_METHODS = [
+    (dict(kind=_KIND.DIAG_OFFDIAG, diag_branch="bogus", offdiag_branch="max_coeff"),
+     f"diag_branch must be one of {sd.combination.DIAG_BRANCHES}, got 'bogus'"),
+    (dict(kind=_KIND.DIAG_OFFDIAG, diag_branch="max_coeff", offdiag_branch="max_row"),
+     f"offdiag_branch must be one of {sd.combination.OFFDIAG_BRANCHES}, got 'max_row'"),
+    (dict(kind=_KIND.DIAG_OFFDIAG, diag_branch="max_coeff", offdiag_branch="max_coeff", diag_exp=2.0),
+     "diag_exp is required exactly when diag_branch='holder'"),
+    (dict(kind=_KIND.DIAG_OFFDIAG, diag_branch="max_coeff", offdiag_branch="holder"),
+     "offdiag_exp is required exactly when offdiag_branch='holder'"),
+    (dict(kind=_KIND.ROW_SUM, branch="max_norm"),
+     f"branch must be one of {sd.combination.ROW_SUM_BRANCHES}, got 'max_norm'"),
+    (dict(kind=_KIND.ROW_SUM, branch="holder"), "p is required exactly when branch='holder'"),
+    (dict(kind=_KIND.ROW_SUM, branch="max_row", p=2.0), "p is required exactly when branch='holder'"),
+    (dict(kind=_KIND.HOLDER_GRAM), "holder_gram methods require the exponent p"),
+    (dict(kind=_KIND.HOLDER_GRAM_P2), "holder_gram methods require the exponent p"),
+    (dict(kind=_KIND.HOLDER_GRAM_P2, p=3.0), "the p=2 specialisation fixes p at 2"),
+]
+
+
+@pytest.mark.parametrize("fields, message", _BAD_METHODS)
+def test_a_method_names_what_is_wrong_with_it(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CombinationMethod(**fields)
+
+
+@pytest.mark.parametrize("method, label", [
+    (CombinationMethod(kind=_KIND.CAUCHY_SCHWARZ), "[cauchy_schwarz]"),
+    (CombinationMethod(kind=_KIND.DIAG_OFFDIAG, diag_branch="holder", offdiag_branch="max_entry", diag_exp=1.5),
+     "[diag_offdiag, diag=holder(1.5), offdiag=max_entry]"),
+    (CombinationMethod(kind=_KIND.DIAG_OFFDIAG, diag_branch="max_norm", offdiag_branch="holder", offdiag_exp=3.0),
+     "[diag_offdiag, diag=max_norm, offdiag=holder(3)]"),
+    (CombinationMethod(kind=_KIND.ROW_SUM, branch="holder", p=2.0), "[row_sum, branch=holder, p=2]"),
+    (CombinationMethod(kind=_KIND.ROW_SUM, branch="max_row"), "[row_sum, branch=max_row]"),
+    (CombinationMethod(kind=_KIND.HOLDER_GRAM, p=1.25), "[holder_gram, p=1.25]"),
+    (CombinationMethod(kind=_KIND.HOLDER_GRAM_P2, p=2.0), "[holder_gram_p2]"),
+])
+def test_a_method_label_names_its_choices(method, label):
+    assert method.label == label

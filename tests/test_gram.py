@@ -213,3 +213,21 @@ def test_triangle_validates_fields_and_dims():
         sd.check_gram_triangle(sd.vector([1.0, 0.0, 0.0]), sd.vector([1.0, 0.0]), rest)
     with pytest.raises(sd.FieldMismatchError):
         sd.check_gram_triangle(sd.vector([1j, 0.0]), sd.vector([1.0, 0.0]), rest)
+
+
+def test_the_vector_constructor_needs_at_least_one_vector():
+    with pytest.raises(ValueError, match="^a vector system needs at least one vector$"):
+        VectorSystem([])
+    assert VectorSystem([sd.vector([1.0, 2.0]), sd.vector([0.0, 1.0])]).gram.n == 2
+
+
+def test_a_hadamard_verdict_is_ok_when_both_sides_hold(system_b):
+    v = sd.check_gram_hadamard(system_b)
+    assert v.ok is (v.lower_ok and v.upper_ok) is True
+
+
+def test_factor_stack_takes_integer_matrices_as_floats():
+    ints = np.array([[[4, 2], [2, 3]]])
+    assert ints.dtype.kind == "i"
+    got, want = sd.gram.factor_stack(ints), sd.gram.factor_stack(ints.astype(np.float64))
+    assert got.det.tobytes() == want.det.tobytes() and got.rank.tolist() == [2]

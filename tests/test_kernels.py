@@ -679,6 +679,35 @@ def test_chain_clamps_a_tiny_negative_factor_silently():
     assert result.factors == (1.0, 0.0) and not result.clamped
 
 
+def test_chain_stack_runs_every_variant_in_one_call():
+    # denominators with a leading variant axis give each variant's chain as
+    # its own two-dimensional call does, warnings in the same text and order
+    rng = np.random.default_rng(7)
+    grams = [_conditioned_rows(rng, 4, Field.REAL, 1e2) for _ in range(3)]
+    grams = [rows @ rows.T for rows in grams]
+    planted = np.eye(4)
+    planted[3, 0] = planted[0, 3] = 2.0  # a factor far below zero at position 3
+    planted[2, 1] = planted[1, 2] = 1.5  # and one at position 2
+    agg = sd_gram.AggregateStack(np.array([grams[0], planted, grams[1], planted, grams[2]]))
+    prefixes, tol = agg.chain_prefixes, sd.DEFAULT_TOL
+    alone, texts = [], []
+    for variant in sd.ChainVariant:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alone.append(sd.hadamard.chain_stack(agg.norms_sq, prefixes.numerators, getattr(prefixes, variant.value), tol))
+        texts += [str(w.message) for w in caught]
+    denominators = np.array([getattr(prefixes, v.value) for v in sd.ChainVariant])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        joint = sd.hadamard.chain_stack(agg.norms_sq, prefixes.numerators, denominators, tol)
+    assert all(issubclass(w.category, sd.NumericalWarning) for w in caught)
+    assert [str(w.message) for w in caught] == texts and len(texts) >= 8
+    for got, parts in zip(joint, zip(*alone)):
+        assert got.shape == (4, *parts[0].shape)
+        assert got.tobytes() == np.array(parts).tobytes()
+    assert joint[2][:, [1, 3]].all() and not joint[2][:, [0, 2, 4]].any()
+
+
 # -- the Lagrange pair sum against the dense tensor ----------------------------------
 
 

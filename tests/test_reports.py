@@ -194,3 +194,51 @@ def test_every_rendered_json_is_the_stdlib_document(monkeypatch):
     ours = documents()
     monkeypatch.setattr(reports, "_json", _stdlib)
     assert documents() == ours
+
+
+# -- csv and human output no other test renders --------------------------------------
+
+
+def test_hadamard_csv_parses_back(system_b):
+    chains = [sd.hadamard_chain(system_b, v) for v in sd.ChainVariant]
+    text = sd.render_hadamard(chains, sd.check_hadamard_strict(system_b), "csv")
+    assert text.startswith("variant,gram_det,refined,norm_product,lower_ok,upper_ok\n")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [r["variant"] for r in rows] == [v.value for v in sd.ChainVariant]
+    for r, c in zip(rows, chains):
+        assert (float(r["gram_det"]), float(r["refined"]), float(r["norm_product"])) == (
+            c.gram_det, c.refined, c.norm_product)
+        assert (r["lower_ok"], r["upper_ok"]) == (str(c.lower_ok), str(c.upper_ok)) == ("True", "True")
+
+
+def test_distance_csv_without_a_report_is_the_three_distances(system_b, x_b):
+    result = sd.exact_distance(system_b, x_b)
+    text = sd.render_distance(result, None, "csv")
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [r["method"] for r in rows] == ["d2_gram_ratio", "d2_quadratic", "d2_projection"]
+    assert [float(r["value"]) for r in rows] == [result.d2_gram_ratio, result.d2_quadratic, result.d2_projection]
+    assert all(r["slack"] == r["tightness"] == "" for r in rows)
+    with_report = sd.render_distance(result, sd.full_bound_report(system_b, x_b), "csv")
+    assert with_report.endswith(text.split("\n", 1)[1]) and len(with_report) > len(text)
+
+
+def _fails_often(instance, tol):
+    # one id fails on every trial, the other on odd trials only
+    odd = instance.trial % 2 == 1
+    return [sd.CheckOutcome("planted/always", False, -1.0, (("trial", float(instance.trial)),)),
+            sd.CheckOutcome("planted/odd", not odd, -2.0 if odd else 3.0, ())]
+
+
+def test_campaign_reports_count_the_failures_of_each_id(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "planted", _fails_often)
+    result = sd.run_campaign(GeneratorConfig(seed=12, trials=9, dim=4, n=2), ("planted", "lagrange_identity"))
+    assert len(result.failures) == 9 + 4
+    rows = {r["check_id"]: r for r in csv.DictReader(io.StringIO(sd.render_campaign(result, "csv")))}
+    assert {k: (int(r["count"]), int(r["failures"])) for k, r in rows.items()} == {
+        "lagrange_identity/residual": (9, 0), "planted/always": (9, 9), "planted/odd": (9, 4)}
+    assert float(rows["planted/odd"]["worst_margin"]) == -2.0
+    human = sd.render_campaign(result, "human").splitlines()
+    assert "FAILURES: 13" in human and human[-1] == "FAIL"
+    listed = [line for line in human if line.startswith("  trial ")]
+    assert listed[0] == "  trial 0  planted/always  margin -1.000e+00" and len(listed) == 10
+    assert human[human.index(listed[-1]) + 1] == "  ... and 3 more"

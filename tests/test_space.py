@@ -226,3 +226,13 @@ def test_field_array_keeps_every_bit_of_valid_input():
     cplx = sd.space.field_array([1, 2j], None, "c")
     assert cplx.dtype == np.complex128 and cplx.tolist() == [1 + 0j, 2j]
     assert sd.space.field_array([True, 3], Field.COMPLEX, "c").tolist() == [1 + 0j, 3 + 0j]
+
+
+def test_vector_coordinates_must_be_one_dimensional():
+    with pytest.raises(ValueError, match=r"^vector coordinates must be one-dimensional, got shape \(2, 2\)$"):
+        vector([[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_linear_combination_needs_a_vector():
+    with pytest.raises(ValueError, match="^need at least one vector$"):
+        sd.linear_combination([], [])
