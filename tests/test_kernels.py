@@ -683,8 +683,7 @@ def test_chain_stack_runs_every_variant_in_one_call():
     # denominators with a leading variant axis give each variant's chain as
     # its own two-dimensional call does, warnings in the same text and order
     rng = np.random.default_rng(7)
-    grams = [_conditioned_rows(rng, 4, Field.REAL, 1e2) for _ in range(3)]
-    grams = [rows @ rows.T for rows in grams]
+    grams = [rows @ rows.T for rows in (_conditioned_rows(rng, 4, Field.REAL, 1e2) for _ in range(3))]
     planted = np.eye(4)
     planted[3, 0] = planted[0, 3] = 2.0  # a factor far below zero at position 3
     planted[2, 1] = planted[1, 2] = 1.5  # and one at position 2
