@@ -34,7 +34,7 @@ from .errors import (
 )
 from .distance import PointStack, is_orthonormal
 from .gram import AggregateStack, VectorSystem, require_independent
-from .space import Field, Scalar, ToleranceConfig, Vector, field_array, re_inner_rows, sq_norms
+from .space import Field, Scalar, ToleranceConfig, Vector, field_array, leq_margin, re_inner_rows, sq_norms
 
 __all__ = [
     "BoundMethod",
@@ -164,17 +164,17 @@ def bessel_values(xx: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.n
 def condition_stack(
     rows: np.ndarray, x: np.ndarray, xx: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(re_inner, ball_margin, holds, forms_agree) of :class:`ConditionVerdict`
-    per system, for (T, n) interval data."""
+    """(re_inner, ball_margin, margin, forms_agree) per system, for (T, n) interval data, where
+    ``margin`` is that of 0 <= re_inner on the scale ||x||^2: :class:`ConditionVerdict` holds where it is >= 0."""
     upper_comb = (hi[:, np.newaxis, :] @ rows)[:, 0, :]
     lower_comb = (lo[:, np.newaxis, :] @ rows)[:, 0, :]
     re_inner = re_inner_rows(x - lower_comb, upper_comb - x)
     mid_resid = x - (upper_comb + lower_comb) / 2.0
     half_width = (upper_comb - lower_comb) / 2.0
     ball_margin = sq_norms(half_width) - sq_norms(mid_resid)
-    slack = tol.compare_rel_tol * (1.0 + xx + sq_norms(upper_comb))
-    holds = re_inner >= -slack
-    return re_inner, ball_margin, holds, holds == (ball_margin >= -slack)
+    rel = tol.compare_rel_tol
+    margin = leq_margin(0.0, re_inner, rel, scale=xx)
+    return re_inner, ball_margin, margin, (margin >= 0.0) == (leq_margin(0.0, ball_margin, rel, scale=xx) >= 0.0)
 
 
 def conditional_stack(rows: np.ndarray, widths: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.ndarray]:
@@ -291,13 +291,13 @@ def condition_verdict(
     """Both formulations of the two-sided condition for x against the system."""
     p = PointStack.of(system, x, tol)
     lo, hi = intervals.arrays(system.field, system.n)
-    re_inner, ball_margin, holds, forms_agree = condition_stack(
+    re_inner, ball_margin, margin, forms_agree = condition_stack(
         p.systems.rows, p.x, p.xx, lo[np.newaxis], hi[np.newaxis], p.tol
     )
     return ConditionVerdict(
         re_inner=float(re_inner[0]),
         ball_margin=float(ball_margin[0]),
-        holds=bool(holds[0]),
+        holds=bool(margin[0] >= 0.0),
         forms_agree=bool(forms_agree[0]),
     )
 
@@ -375,7 +375,7 @@ def reverse_bessel_gap(
     gap, quarter = reverse_bessel_stack(p.xx, p.s, (hi - lo)[np.newaxis])
     gap, quarter = float(gap[0]), float(quarter[0])
     rel = p.tol.compare_rel_tol
-    holds = gap >= -rel * (1.0 + abs(gap)) and gap <= quarter + rel * (1.0 + quarter)
+    holds = leq_margin(0.0, gap, rel) >= 0.0 and leq_margin(gap, quarter, rel, scale=quarter) >= 0.0
     return ReverseBesselVerdict(bessel_gap=gap, quarter_width_sq=quarter, holds=holds)
 
 

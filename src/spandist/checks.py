@@ -38,7 +38,7 @@ from . import combination as comb
 from .generator import GeneratorConfig, Instance, InstanceChunk
 from .gram import split_determinants, triangle_roots
 from .hadamard import ChainVariant, chain_stack
-from .space import ToleranceConfig
+from .space import ToleranceConfig, leq_margin, near_margin
 
 __all__ = [
     "CheckOutcome",
@@ -130,16 +130,6 @@ def outcomes_of(stacks: Sequence[CheckStack], k: int) -> list[CheckOutcome]:
     return out
 
 
-def _dominance_margin(bound: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Margin for 'bound >= floor' with the dominance cushion."""
-    return (bound - floor) / (1.0 + np.abs(floor)) + DOMINANCE_REL
-
-
-def _closeness_margin(value: np.ndarray, expected: np.ndarray, rel: float) -> np.ndarray:
-    """Margin for '|value - expected| <= rel * (1 + |expected|)'."""
-    return rel - np.abs(value - expected) / (1.0 + np.abs(expected))
-
-
 # -- the check families, each over a whole chunk ----------------------------
 
 
@@ -151,11 +141,11 @@ def _representation_agreement(t: InstanceChunk) -> list[CheckStack]:
     ok = t.systems.factor.complete
     d2, ratio, projection, oracle, rel = t.d2, t.ratio, t.projection, t.oracle, t.tol.compare_rel_tol
     return [
-        _stack("representation_agreement/ratio_vs_quadratic", _closeness_margin(ratio, d2, rel), ok,
+        _stack("representation_agreement/ratio_vs_quadratic", near_margin(ratio, d2, rel), ok,
                ratio=ratio, quadratic=d2),
-        _stack("representation_agreement/oracle_vs_quadratic", _closeness_margin(oracle, d2, rel), ok,
+        _stack("representation_agreement/oracle_vs_quadratic", near_margin(oracle, d2, rel), ok,
                oracle=oracle, quadratic=d2),
-        _stack("representation_agreement/projection_is_upper", _dominance_margin(projection, d2), ok,
+        _stack("representation_agreement/projection_is_upper", leq_margin(d2, projection, DOMINANCE_REL), ok,
                projection=projection, quadratic=d2),
     ]
 
@@ -167,7 +157,7 @@ def _bound_dominance(t: InstanceChunk) -> list[CheckStack]:
     d2 = t.d2
     bounds = np.array(list(t.unconditional.values()))
     ids = [f"bound_dominance/{method.value}" for method in t.unconditional]
-    out = [_stack(ids, _dominance_margin(bounds, d2), ok, bound=bounds, exact=d2)]
+    out = [_stack(ids, leq_margin(d2, bounds, DOMINANCE_REL), ok, bound=bounds, exact=d2)]
     if t.systems.n >= 2:
         condition = t.systems.factor.condition
         total = t.unconditional[bnd.BoundMethod.TOTAL_NORM]
@@ -199,7 +189,7 @@ def _orthonormal_collapse(t: InstanceChunk) -> list[CheckStack]:
     values = np.array([t.unconditional[m] for m in expectations])
     expected = np.array(list(expectations.values()))
     ids = [f"orthonormal_collapse/{m.value}" for m in expectations]
-    return [_stack(ids, _closeness_margin(values, expected, DOMINANCE_REL), ok, value=values, expected=expected)]
+    return [_stack(ids, near_margin(values, expected, DOMINANCE_REL), ok, value=values, expected=expected)]
 
 
 def _bessel_refinements(t: InstanceChunk) -> list[CheckStack]:
@@ -208,7 +198,7 @@ def _bessel_refinements(t: InstanceChunk) -> list[CheckStack]:
     rhs = bnd.bessel_values(t.xx, t.systems.aggregates)
     values = np.array(list(rhs.values()))
     ids = [f"bessel_refinements/{m.value}" for m in rhs]
-    return [_stack(ids, _dominance_margin(values, t.s), rhs=values, power_sum=t.s)]
+    return [_stack(ids, leq_margin(t.s, values, DOMINANCE_REL), rhs=values, power_sum=t.s)]
 
 
 def _lagrange_identity(t: InstanceChunk) -> list[CheckStack]:
@@ -296,10 +286,10 @@ def _hadamard_chains(t: InstanceChunk) -> list[CheckStack]:
     refined = np.full((len(ChainVariant), t.size), np.nan)
     refined[:, idx] = chain_stack(agg.norms_sq[idx], prefixes.numerators[idx], denominators, t.tol)[1]
     return [
-        _stack(_CHAIN_IDS["lower"], _dominance_margin(refined, det), ok, refined=refined, gram_det=det),
-        _stack(_CHAIN_IDS["upper"], _dominance_margin(product, refined), ok,
+        _stack(_CHAIN_IDS["lower"], leq_margin(det, refined, DOMINANCE_REL), ok, refined=refined, gram_det=det),
+        _stack(_CHAIN_IDS["upper"], leq_margin(refined, product, DOMINANCE_REL), ok,
                follows=_EACH_VARIANT, refined=refined, norm_product=product),
-        _stack(_CHAIN_IDS["orthonormal_fixed_point"], _closeness_margin(refined, 1.0, FIXED_POINT_REL),
+        _stack(_CHAIN_IDS["orthonormal_fixed_point"], near_margin(refined, 1.0, FIXED_POINT_REL),
                fixed_point, follows=_EACH_VARIANT, refined=refined),
     ]
 
@@ -309,18 +299,18 @@ def _gram_inequalities(t: InstanceChunk) -> list[CheckStack]:
     sqrt-determinant triangle inequality on a random companion vector."""
     det, product = t.systems.factor.det, t.systems.aggregates.norm_product
     out = [
-        _stack("gram_inequalities/nonnegative", det / (1.0 + np.abs(det)) + DOMINANCE_REL, gram_det=det),
-        _stack("gram_inequalities/norm_product", _dominance_margin(product, det),
+        _stack("gram_inequalities/nonnegative", leq_margin(0.0, det, DOMINANCE_REL, scale=det), gram_det=det),
+        _stack("gram_inequalities/norm_product", leq_margin(det, product, DOMINANCE_REL),
                gram_det=det, norm_product=product),
     ]
     if t.systems.n >= 2:
         rows = t.systems.rows
         left, right = split_determinants(t.systems.gram, t.systems.n // 2, t.tol.rank_rel_tol)
-        out.append(_stack("gram_inequalities/product_split", _dominance_margin(left * right, det),
+        out.append(_stack("gram_inequalities/product_split", leq_margin(det, left * right, DOMINANCE_REL),
                           full=det, left=left, right=right))
         y1 = t.coeffs(_SALT_TRIANGLE, t.systems.dim)
         combined, first, second = triangle_roots(rows[:, 0], y1, rows[:, 1:], t.systems.field, t.tol)
-        out.append(_stack("gram_inequalities/triangle", _dominance_margin(first + second, combined),
+        out.append(_stack("gram_inequalities/triangle", leq_margin(combined, first + second, DOMINANCE_REL),
                           combined=combined, first=first, second=second))
     return out
 
@@ -332,25 +322,25 @@ def _conditional_bounds(t: InstanceChunk) -> list[CheckStack]:
     if t.lo is None:
         return []
     ok = t.systems.factor.complete & ~t.in_orth
-    rel = t.tol.compare_rel_tol
     rows = t.systems.rows
-    re_inner, ball_margin, holds, forms_agree = bnd.condition_stack(rows, t.x, t.xx, t.lo, t.hi, t.tol)
+    re_inner, ball_margin, margin, forms_agree = bnd.condition_stack(rows, t.x, t.xx, t.lo, t.hi, t.tol)
     out = [
-        _stack("conditional_bounds/condition_holds", re_inner / (1.0 + t.xx) + rel, ok, re_inner=re_inner),
-        _stack("conditional_bounds/forms_agree", np.where(forms_agree, rel, -1.0), ok,
+        _stack("conditional_bounds/condition_holds", margin, ok, re_inner=re_inner),
+        _stack("conditional_bounds/forms_agree", np.where(forms_agree, t.tol.compare_rel_tol, -1.0), ok,
                re_inner=re_inner, ball_margin=ball_margin),
     ]
-    held = ok & holds
+    held = ok & (margin >= 0.0)
     d2, widths = t.d2, t.hi - t.lo
     values = bnd.conditional_stack(rows, widths, t.systems.aggregates)
     half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
-    out.append(_stack("conditional_bounds/half_width_dominates", _dominance_margin(half_width, d2), held,
+    out.append(_stack("conditional_bounds/half_width_dominates", leq_margin(d2, half_width, DOMINANCE_REL), held,
                       bound=half_width, exact=d2))
     relaxed = np.array([values[method] for method in bnd.CONDITIONAL_METHODS[1:]])
     ids = [f"conditional_bounds/{method.value}_coarser" for method in bnd.CONDITIONAL_METHODS[1:]]
-    out.append(_stack(ids, _dominance_margin(relaxed, half_width), held, relaxed=relaxed, half_width=half_width))
+    out.append(_stack(ids, leq_margin(half_width, relaxed, DOMINANCE_REL), held,
+                      relaxed=relaxed, half_width=half_width))
     gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, widths)
-    above, below = _dominance_margin(gap, 0.0), _dominance_margin(quarter, gap)
+    above, below = leq_margin(0.0, gap, DOMINANCE_REL), leq_margin(gap, quarter, DOMINANCE_REL)
     out.append(_stack("conditional_bounds/reverse_bessel", np.where(below < above, below, above),
                       held & t.orthonormal, gap=gap, quarter_width_sq=quarter))
     return out

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import NotOrthonormalError, NumericalWarning
 from .gram import FactorStack, SystemStack, VectorSystem, _lapack, _umath_linalg, require_independent
 from .orthonormalize import distance_sq_stack
-from .space import Field, Scalar, ToleranceConfig, Vector, sq_norms
+from .space import Field, Scalar, ToleranceConfig, Vector, leq_margin, near_margin, sq_norms
 
 __all__ = [
     "DistanceResult",
@@ -100,7 +100,7 @@ def quadratic_stack(
     # v^H G^{-1} v for v = conj(beta).
     v = np.take_along_axis(np.conj(beta), factor.perm, axis=-1)
     value = xx - sq_norms((factor.inverse @ v[:, :, np.newaxis])[:, :, 0])
-    for d2 in value[value < -tol.compare_rel_tol * (1.0 + xx)].tolist():
+    for d2 in value[leq_margin(0.0, value, tol.compare_rel_tol, scale=xx) < 0.0].tolist():
         warnings.warn(
             f"quadratic-form distance {d2:.3e} is negative beyond tolerance",
             NumericalWarning,
@@ -336,8 +336,7 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
     d2_ratio = float(p.ratio[0])  # before the quadratic form, so that warnings keep their order
     d2_quad = float(p.d2[0])
     d2_proj = float(p.projection[0])
-    agree = abs(d2_ratio - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
-    proj_match = abs(d2_proj - d2_quad) <= tol.compare_rel_tol * (1.0 + abs(d2_quad))
+    agree = near_margin(d2_ratio, d2_quad, tol.compare_rel_tol) >= 0.0
     field = system.field
     return DistanceResult(
         d2_gram_ratio=d2_ratio,
@@ -347,7 +346,7 @@ def exact_distance(system: VectorSystem, x: Vector, tol: ToleranceConfig | None 
         in_orth_complement=bool(p.in_orth[0]),
         in_subspace=d2_quad <= tol.compare_rel_tol * xx,
         agreement_ok=agree,
-        projection_matches=proj_match,
+        projection_matches=near_margin(d2_proj, d2_quad, tol.compare_rel_tol) >= 0.0,
         gram_condition=system.gram_condition(),
         numerical_warning=(not agree) and float(system.as_stack().factor.condition[0]) <= WELL_CONDITIONED_LIMIT,
     )

@@ -31,6 +31,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import LinearDependenceError, NumericalInstabilityError
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, check_member, checked_int, field_array, sq_norms
+from .space import leq_margin, near_margin
 
 __all__ = [
     "GramMatrix",
@@ -607,7 +608,9 @@ class VectorSystem:
 
 
 def gram_determinant(system: VectorSystem) -> float:
-    """Gram determinant; exactly 0.0 for (numerically) dependent systems."""
+    """Gram determinant; exactly 0.0 for a (numerically) dependent system, but
+    0.0 also when an independent one's underflows (256 vectors with Gram
+    eigenvalues near 0.01), which ``system.independent`` tells apart."""
     return float(system._stack.factor.det[0])
 
 
@@ -616,11 +619,6 @@ def require_independent(system: VectorSystem) -> None:
         raise LinearDependenceError(
             f"system of {system.n} vectors has numerical rank {system.rank}"
         )
-
-
-def _leq(lhs: float, rhs: float, rel: float) -> bool:
-    """lhs <= rhs up to relative slack on the magnitude of both sides."""
-    return lhs <= rhs + rel * (1.0 + abs(lhs) + abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -643,20 +641,19 @@ def check_gram_hadamard(system: VectorSystem, tol: ToleranceConfig | None = None
     """Verify 0 <= Gram det <= prod ||x_i||^2 and classify the equality cases.
 
     Equality on the left happens exactly for dependent systems; on the right
-    exactly for pairwise-orthogonal systems. A norm product that is not
-    finite (an overflowing Gram matrix) is never an equality case.
+    exactly for pairwise-orthogonal systems. An overflowing norm product
+    (inf) is never an equality case, and it fails ``upper_ok``.
     """
     tol = tol or system.tol
     det = gram_determinant(system)
     product = float(system.as_stack().aggregates.norm_product[0])
-    rel = tol.compare_rel_tol
     return GramHadamardVerdict(
         gram_det=det,
         norm_product=product,
         lower_ok=det >= 0.0,
-        upper_ok=_leq(det, product, rel),
+        upper_ok=leq_margin(det, product, tol.compare_rel_tol) >= 0.0,
         dependent_equality=not system.independent,
-        orthogonal_equality=math.isfinite(product) and abs(product - det) <= rel * (1.0 + abs(product)),
+        orthogonal_equality=near_margin(det, product, tol.compare_rel_tol) >= 0.0,
     )
 
 
@@ -684,7 +681,7 @@ def check_gram_product_split(
         gram_full=full,
         gram_left=left,
         gram_right=right,
-        ok=_leq(full, left * right, tol.compare_rel_tol),
+        ok=leq_margin(full, left * right, tol.compare_rel_tol) >= 0.0,
     )
 
 
@@ -721,7 +718,7 @@ def check_gram_triangle(
         combined=combined,
         first=first,
         second=second,
-        ok=_leq(combined, first + second, tol.compare_rel_tol),
+        ok=leq_margin(combined, first + second, tol.compare_rel_tol) >= 0.0,
     )
 
 

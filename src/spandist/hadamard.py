@@ -21,8 +21,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericalWarning
-from .gram import VectorSystem, _leq, gram_determinant, require_independent
-from .space import ToleranceConfig
+from .gram import VectorSystem, gram_determinant, require_independent
+from .space import ToleranceConfig, leq_margin
 
 __all__ = [
     "ChainVariant",
@@ -83,7 +83,7 @@ def chain_stack(
     negative = factors < 0.0
     if not negative.any():
         return factors, np.prod(factors, axis=-1), negative[..., 0]
-    loud = negative & (factors < -tol.compare_rel_tol * (1.0 + norms))
+    loud = negative & (leq_margin(0.0, factors, tol.compare_rel_tol, scale=norms) < 0.0)
     for at in np.argwhere(loud):
         warnings.warn(
             f"chain factor {factors[tuple(at)]:.3e} at position {at[-1]} is negative beyond "
@@ -118,15 +118,14 @@ def hadamard_chain(
     refined = float(refined[0])
     det = gram_determinant(system)
     product = float(agg.norm_product[0])
-    rel = tol.compare_rel_tol
     return HadamardChainResult(
         variant=variant,
         gram_det=det,
         refined=refined,
         norm_product=product,
         factors=tuple(factors[0].tolist()),
-        lower_ok=_leq(det, refined, rel),
-        upper_ok=_leq(refined, product, rel),
+        lower_ok=leq_margin(det, refined, tol.compare_rel_tol) >= 0.0,
+        upper_ok=leq_margin(refined, product, tol.compare_rel_tol) >= 0.0,
         clamped=bool(clamped[0]),
     )
 
@@ -153,8 +152,7 @@ def check_hadamard_strict(system: VectorSystem, tol: ToleranceConfig | None = No
     det = gram_determinant(system)
     agg = system.as_stack().aggregates
     product = float(agg.norm_product[0])
-    margin = product - det
     pair_scale = np.sqrt(np.outer(agg.norms_sq[0], agg.norms_sq[0]))
     orthogonal = bool(np.all(agg.abs_offdiag[0] <= tol.orth_rel_tol * pair_scale))
-    strict = margin > tol.compare_rel_tol * (1.0 + abs(product)) and not orthogonal
-    return HadamardStrictVerdict(gram_det=det, norm_product=product, margin=margin, strict=strict)
+    strict = leq_margin(product, det, tol.compare_rel_tol) < 0.0 and not orthogonal
+    return HadamardStrictVerdict(gram_det=det, norm_product=product, margin=product - det, strict=strict)

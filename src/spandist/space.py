@@ -122,7 +122,8 @@ class ToleranceConfig:
         to the system.
     compare_rel_tol:
         slack allowed when comparing two quantities that are equal or
-        ordered in exact arithmetic.
+        ordered in exact arithmetic: the ``rel`` every library verdict
+        passes to :func:`leq_margin` or :func:`near_margin`.
     """
 
     rank_rel_tol: float = 1e-12
@@ -137,6 +138,20 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def leq_margin(lower: float | np.ndarray, upper: float | np.ndarray, rel: float, scale=None) -> float | np.ndarray:
+    """Margin of 'lower <= upper' at relative tolerance ``rel``: (upper - lower)
+    / (1 + |scale|) + rel, ``scale`` defaulting to ``lower``; >= 0 when it holds,
+    NaN (a failure) for equal infinities or an infinite default scale. Floats
+    stay floats, with no numpy scalar and no warning."""
+    return (upper - lower) / (1.0 + abs(lower if scale is None else scale)) + rel
+
+
+def near_margin(value: float | np.ndarray, expected: float | np.ndarray, rel: float) -> float | np.ndarray:
+    """Margin of 'value = expected' at relative tolerance ``rel``, rel - |value - expected|
+    / (1 + |expected|): >= 0 when they agree, NaN for an infinite ``expected``."""
+    return rel - abs(value - expected) / (1.0 + abs(expected))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ import pytest
 
 import spandist as sd
 from spandist import BoundMethod, Field, IntervalData, VectorSystem, vector
+from spandist.space import leq_margin
 
 from conftest import random_rows
 
@@ -129,6 +130,7 @@ def test_condition_verdict_hand_example(planar):
     assert v.re_inner == pytest.approx(1.0, abs=1e-12)
     assert v.holds
     assert v.forms_agree
+    assert v.holds == (leq_margin(0.0, v.re_inner, sd.DEFAULT_TOL.compare_rel_tol, scale=sd.norm_sq(x)) >= 0.0)
 
 
 def test_conditional_bounds_hand_example(planar):
@@ -150,6 +152,7 @@ def test_condition_violation_detected():
     v = sd.condition_verdict(system, x, iv)
     assert not v.holds
     assert v.forms_agree
+    assert v.holds == (leq_margin(0.0, v.re_inner, sd.DEFAULT_TOL.compare_rel_tol, scale=sd.norm_sq(x)) >= 0.0)
     with pytest.raises(sd.ConditionNotSatisfiedError):
         sd.bound_cond_half_width(system, x, iv)
 
@@ -200,6 +203,12 @@ def test_interval_data_validation():
 # --- reverse inequality for orthonormal systems --------------------------------
 
 
+def _reverse_bessel_holds(v, rel=sd.DEFAULT_TOL.compare_rel_tol):
+    """0 <= gap <= quarter by the shared rule; the upper side on the scale of the quarter."""
+    gap, quarter = v.bessel_gap, v.quarter_width_sq
+    return leq_margin(0.0, gap, rel) >= 0.0 and leq_margin(gap, quarter, rel, scale=quarter) >= 0.0
+
+
 def test_reverse_bessel_gap_orthonormal():
     system = VectorSystem.from_rows(np.eye(3)[:2])
     x = vector([1.0, 1.0, 0.5])
@@ -208,6 +217,7 @@ def test_reverse_bessel_gap_orthonormal():
     assert v.holds
     assert v.bessel_gap == pytest.approx(0.25, abs=1e-12)
     assert v.quarter_width_sq == pytest.approx(2.0, abs=1e-12)
+    assert v.holds == _reverse_bessel_holds(v)
 
 
 def test_reverse_bessel_sharpness():
@@ -219,6 +229,7 @@ def test_reverse_bessel_sharpness():
     v = sd.reverse_bessel_gap(system, x, iv)
     assert v.holds
     assert v.bessel_gap == pytest.approx(v.quarter_width_sq, abs=1e-12)
+    assert v.holds == _reverse_bessel_holds(v)
 
 
 def test_reverse_bessel_requires_orthonormal(system_b, x_b):

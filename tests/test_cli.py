@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import spandist as sd
@@ -39,6 +40,17 @@ def test_hadamard_subcommand(tmp_path, capsys):
     assert main(["hadamard", str(out), "--format", "json"]) == EXIT_OK
     obj = json.loads(capsys.readouterr().out)
     assert len(obj["chains"]) == 4
+
+
+def test_hadamard_fails_on_chains_that_overflow(tmp_path, capsys):
+    # det G, every refined product and the norm product overflow: inf <= inf is no verdict
+    path = tmp_path / "big.json"
+    rows = [[1e150, 0.0, 0.0], [0.0, 1e150, 0.0]]
+    path.write_text(json.dumps({"field": "real", "vectors": rows, "x": [0.0, 0.0, 1.0]}))
+    with np.errstate(over="ignore"):
+        assert main(["hadamard", str(path), "--format", "json"]) == EXIT_CHECK_FAILED
+    chains = json.loads(capsys.readouterr().out)["chains"]
+    assert [(c["gram_det"], c["lower_ok"], c["upper_ok"]) for c in chains] == [(float("inf"), False, False)] * 4
 
 
 def test_verify_passes(capsys):

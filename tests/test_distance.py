@@ -10,6 +10,7 @@ import spandist as sd
 from spandist import Field, VectorSystem, vector
 from spandist.distance import PointStack
 from spandist.generator import generate_chunk
+from spandist.space import near_margin
 
 from conftest import random_rows
 
@@ -43,6 +44,9 @@ def test_representations_agree_with_oracle(field, conditioning, seed):
         assert abs(d_ratio - d_quad) <= 1e-8 * scale
         assert abs(d_oracle - d_quad) <= 1e-8 * scale
         assert sd.distance_sq_projection(inst.system, inst.x) >= d_oracle - 1e-10 * scale
+        res, rel = sd.exact_distance(inst.system, inst.x), inst.system.tol.compare_rel_tol
+        assert res.agreement_ok == (near_margin(res.d2_gram_ratio, res.d2_quadratic, rel) >= 0.0)
+        assert res.projection_matches == (near_margin(res.d2_projection, res.d2_quadratic, rel) >= 0.0)
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

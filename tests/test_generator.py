@@ -9,6 +9,7 @@ import spandist as sd
 from spandist import Field, GeneratorConfig
 from spandist import generator as sd_gen
 from spandist.generator import InstanceChunk, generate_chunk
+from spandist.space import leq_margin
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -114,6 +115,8 @@ def test_interval_instances_satisfy_the_condition():
         v = sd.condition_verdict(inst.system, inst.x, inst.intervals)
         assert v.holds
         assert v.forms_agree
+        rel = inst.system.tol.compare_rel_tol
+        assert v.holds == (leq_margin(0.0, v.re_inner, rel, scale=sd.norm_sq(inst.x)) >= 0.0)
 
 
 def test_x_is_never_orthogonal_to_the_system():

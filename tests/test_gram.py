@@ -3,6 +3,7 @@ import pytest
 
 import spandist as sd
 from spandist import Field, VectorSystem
+from spandist.space import leq_margin, near_margin
 
 from conftest import random_rows
 
@@ -111,6 +112,9 @@ def test_hadamard_verdict_on_random_systems(seed):
     v = sd.check_gram_hadamard(system)
     assert v.lower_ok and v.upper_ok
     assert 0.0 <= v.gram_det <= v.norm_product * (1 + 1e-12)
+    rel = system.tol.compare_rel_tol
+    assert v.upper_ok == (leq_margin(v.gram_det, v.norm_product, rel) >= 0.0)
+    assert v.orthogonal_equality == (near_margin(v.gram_det, v.norm_product, rel) >= 0.0)
     assert not v.dependent_equality
     assert not v.orthogonal_equality
 
@@ -136,6 +140,17 @@ def test_hadamard_verdict_on_an_overflowing_gram_is_no_orthogonal_equality():
     v = sd.check_gram_hadamard(system)
     assert v.norm_product == np.inf
     assert not v.orthogonal_equality
+    assert system.rank == 0 and v.gram_det == 0.0 and v.upper_ok  # 0.0 <= inf holds
+    # ||x_i||^2 = 1e300 is finite, rank 2, but det G and the norm product overflow:
+    # inf <= inf is no verdict, in the library as in the campaign's margins
+    with np.errstate(over="ignore"):
+        system = VectorSystem.from_rows([[1e150, 0.0, 0.0], [0.0, 1e150, 0.0]])
+        v = sd.check_gram_hadamard(system)
+        chains = [sd.hadamard_chain(system, variant) for variant in sd.ChainVariant]
+    assert system.rank == 2 and v.gram_det == v.norm_product == np.inf
+    assert not v.orthogonal_equality and not v.upper_ok
+    assert not sd.check_gram_product_split(system, 1).ok
+    assert [(c.refined, c.lower_ok, c.upper_ok) for c in chains] == [(np.inf, False, False)] * 4
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
@@ -148,6 +163,7 @@ def test_product_split_inequality(field, seed):
         v = sd.check_gram_product_split(system, k)
         assert v.ok
         assert v.gram_full <= v.gram_left * v.gram_right * (1 + 1e-10) + 1e-12
+        assert v.ok == (leq_margin(v.gram_full, v.gram_left * v.gram_right, system.tol.compare_rel_tol) >= 0.0)
 
 
 def test_product_split_equality_for_orthogonal_blocks():
@@ -183,6 +199,7 @@ def test_sqrt_determinant_triangle_inequality(field, seed):
     v = sd.check_gram_triangle(x1, y1, VectorSystem.from_rows(rows))
     assert v.ok
     assert v.combined <= v.first + v.second + 1e-10 * (1 + v.first + v.second)
+    assert v.ok == (leq_margin(v.combined, v.first + v.second, sd.DEFAULT_TOL.compare_rel_tol) >= 0.0)
 
 
 def test_sqrt_determinant_triangle_equality_for_parallel_leads():

@@ -3,6 +3,7 @@ import pytest
 
 import spandist as sd
 from spandist import ChainVariant, Field, VectorSystem
+from spandist.space import leq_margin
 
 from conftest import random_rows
 
@@ -17,6 +18,9 @@ def test_chain_sits_between_determinant_and_norm_product(variant, field, seed):
     res = sd.hadamard_chain(system, variant)
     assert res.lower_ok and res.upper_ok
     assert not res.clamped
+    rel = system.tol.compare_rel_tol
+    assert (res.lower_ok, res.upper_ok) == (leq_margin(res.gram_det, res.refined, rel) >= 0.0,
+                                            leq_margin(res.refined, res.norm_product, rel) >= 0.0)
     assert len(res.factors) == n
     assert res.refined == pytest.approx(float(np.prod(res.factors)))
 
@@ -39,6 +43,7 @@ def test_epsilon_example_strict():
     v = sd.check_hadamard_strict(system)
     assert v.strict
     assert v.margin == pytest.approx(1.0, rel=1e-9)
+    assert v.strict == (leq_margin(v.norm_product, v.gram_det, system.tol.compare_rel_tol) < 0.0)
 
 
 def test_orthogonal_system_is_not_strict():

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,3 +238,75 @@ def test_vector_coordinates_must_be_one_dimensional():
 def test_linear_combination_needs_a_vector():
     with pytest.raises(ValueError, match="^need at least one vector$"):
         sd.linear_combination([], [])
+
+
+# --- the comparison rule -------------------------------------------------------
+
+INF, NAN = math.inf, math.nan
+_LEQ_CASES = [  # (lower, upper, rel, scale, margin); None: NaN, a failure
+    (1.0, 1.5, 0.0, None, 0.25),
+    (1.5, 1.0, 0.1, None, 0.1 - 0.2),
+    (2.0, 1.0, 0.0, 3.0, -0.25),  # an explicit scale, not the default 1 + |lower| = 3
+    (NAN, 1.0, 1e-8, None, None),
+    (1.0, NAN, 1e-8, None, None),
+    (INF, INF, 1e-8, None, None),  # inf <= inf is no verdict
+    (-INF, -INF, 1e-8, None, None),
+    (INF, INF, 1e-8, 1.0, None),  # whatever the scale
+    (1.0, INF, 1e-8, None, INF),  # a finite value below inf holds
+    (INF, 1.0, 1e-8, None, None),  # inf below a finite value fails
+    (0.0, -0.0, 0.0, None, 0.0),  # a signed zero is no violation
+    (-0.0, 0.0, 0.0, None, 0.0),
+    (0.0, -1e-9, 1e-8, 100.0, 1e-8 - 1e-9 / 101.0),
+]
+_NEAR_CASES = [  # (value, expected, rel, margin); None: NaN
+    (1.0, 1.5, 1.0, 1.0 - 0.2),
+    (NAN, 1.0, 1e-8, None),
+    (1.0, NAN, 1e-8, None),
+    (INF, INF, 1e-8, None),
+    (INF, 1.0, 1e-8, -INF),  # inf is far from a finite value
+    (1.0, INF, 1e-8, None),  # and a finite value from inf
+    (-0.0, 0.0, 0.0, 0.0),
+    (0.0, -0.0, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("lower, upper, rel, scale, expected", _LEQ_CASES)
+def test_leq_margin_decides_an_ordering(lower, upper, rel, scale, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margin = sd.space.leq_margin(lower, upper, rel, scale)
+    assert type(margin) is float
+    if expected is None:
+        assert math.isnan(margin) and not margin >= 0.0
+    else:
+        assert margin == pytest.approx(expected, rel=1e-15, abs=0.0) and (margin >= 0.0) == (expected >= 0.0)
+    scales = None if scale is None else np.array([scale])
+    with np.errstate(invalid="ignore"):
+        stacked = sd.space.leq_margin(np.array([lower]), np.array([upper]), rel, scales)
+    assert stacked.tolist() == pytest.approx([margin], nan_ok=True, rel=0.0, abs=0.0)
+
+
+@pytest.mark.parametrize("value, expected_value, rel, expected", _NEAR_CASES)
+def test_near_margin_decides_an_agreement(value, expected_value, rel, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margin = sd.space.near_margin(value, expected_value, rel)
+    assert type(margin) is float
+    if expected is None:
+        assert math.isnan(margin) and not margin >= 0.0
+    else:
+        assert margin == pytest.approx(expected, rel=1e-15, abs=0.0) and (margin >= 0.0) == (expected >= 0.0)
+    with np.errstate(invalid="ignore"):
+        stacked = sd.space.near_margin(np.array([value]), np.array([expected_value]), rel)
+    assert stacked.tolist() == pytest.approx([margin], nan_ok=True, rel=0.0, abs=0.0)
+
+
+def test_the_margins_are_the_formulas_of_the_docstrings():
+    rng = np.random.default_rng(17)
+    lower, upper, scale = rng.standard_normal((3, 50)) * 10.0 ** rng.integers(-5, 6, (3, 50))
+    rel = 1e-8
+    assert np.array_equal(sd.space.leq_margin(lower, upper, rel), (upper - lower) / (1.0 + np.abs(lower)) + rel)
+    assert np.array_equal(sd.space.leq_margin(lower, upper, rel, scale), (upper - lower) / (1.0 + np.abs(scale)) + rel)
+    assert np.array_equal(sd.space.near_margin(upper, lower, rel), rel - np.abs(upper - lower) / (1.0 + np.abs(lower)))
+    assert [sd.space.leq_margin(a, b, rel) for a, b in zip(lower.tolist(), upper.tolist())] == \
+        sd.space.leq_margin(lower, upper, rel).tolist()

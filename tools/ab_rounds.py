@@ -8,24 +8,28 @@ script starts one long-lived interpreter per checkout; each imports
 ``perfbench/workloads.py`` (read as it is), runs one untimed round to warm
 up, and then waits. For a campaign workload a round is every
 ``run_campaign`` call of the workload's configs (``campaign_configs``),
-once, at the workload's ``jobs``. For ``library_calls`` a round is the
-set-up build: one ``library_files`` call that writes the instance files
-into a fresh temporary directory, which is removed after the round. The
-two interpreters take turns, one round each, and which of them goes first
-alternates from round to round, so slow drifts of the machine fall on both
-sides alike.
+once, at the workload's ``jobs``. For ``library_calls`` a round is one
+``library_request`` per instance file, in the workload's request order:
+the requests that the benchmark's ``calls_per_s`` counts. Each interpreter
+writes the files once (``library_files``), before its warm-up round, into
+a temporary directory that it removes when it exits. The two interpreters
+take turns, one round each, and which of them goes first alternates from
+round to round, so slow drifts of the machine fall on both sides alike.
 
 It prints each side's median and quartiles of the round time, the median
 and quartiles of the per-round ratio BASE time / CHANGE time (above 1: the
-change is faster), and the rounds each side won. For a campaign workload
-it also times each call and prints, per side, the median call time over
-all calls and the median over rounds of each round's tail percentile of
-its call times (the benchmark's ``call_p50_us`` and ``call_tail_us``, on
-the unscaled clock), and in how many rounds each side had the lower tail
-percentile. The warm-up round also
-hashes its output: the JSON reports of every campaign call, or the bytes
-of every instance file in name order. The script exits with status 1 when
-the two sides' hashes differ. Both interpreters are ended before it exits.
+change is faster), and the rounds each side won. It also times each call
+(each ``run_campaign`` call, or each library request) and prints, per
+side, the median call time over all calls and the median over rounds of
+each round's tail percentile of its call times (the workload's
+``CAMPAIGN_TAIL_PERCENTILE`` or ``LIBRARY_TAIL_PERCENTILE``: the
+benchmark's ``call_p50_us`` and ``call_tail_us``, on the unscaled clock),
+and in how many rounds each side had the lower tail percentile. The
+warm-up round also hashes its output: the JSON reports of every campaign
+call, or, per request, the instance file's bytes, the rendered distance
+JSON and the ``repr`` of the four Hadamard chains (so a moved ``lower_ok``
+or ``upper_ok`` shows). The script exits with status 1 when the two
+sides' hashes differ. Both interpreters are ended before it exits.
 
 Separate benchmark runs of the same code on a shared machine can differ by
 more than the change being measured; taking turns round by round within
@@ -48,53 +52,56 @@ from pathlib import Path
 
 def serve(root: Path, workload: str, seed: int) -> None:
     """The interpreter of one checkout: answer each line on stdin with one
-    round's wall time and the wall time of each of its calls (none for
-    ``library_calls``) as a JSON list, until stdin closes."""
+    round's wall time and the wall time of each of its calls as a JSON
+    list, until stdin closes."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import spandist as sd
     import workloads
 
     if Path(sd.__file__).resolve().parent != (root / "src" / "spandist").resolve():
         sys.exit(f"error: imported spandist from {sd.__file__}, expected {root / 'src'}")
-    digest = hashlib.sha256()
-    if workload == workloads.LIBRARY:
-
-        def run_round(digest=None) -> tuple[float, list[float], int]:
-            with tempfile.TemporaryDirectory() as tmp:
-                started = time.perf_counter()
-                files = workloads.library_files(seed, Path(tmp))
-                elapsed = time.perf_counter() - started
-                if digest is not None:
-                    for path in sorted(f.path for f in files):
-                        digest.update(path.read_bytes())
-            return elapsed, [], len(files)
-
-        unit, output, tail = "files", "instance files", None
-    elif workload in workloads.CAMPAIGNS:
-        jobs = workloads.CAMPAIGNS[workload].jobs
-        configs = workloads.campaign_configs(workload, seed)
-
-        def run_round(digest=None) -> tuple[float, list[float], int]:
-            results, calls = [], []
-            started = time.perf_counter()
-            for config in configs:
-                results.append(sd.run_campaign(config, jobs=jobs))
-                calls.append(time.perf_counter())
-            elapsed = calls[-1] - started
-            if digest is not None:
-                for result in results:
-                    digest.update(sd.render_campaign(result, "json").encode())
-            return elapsed, [b - a for a, b in zip([started] + calls, calls)], sum(c.trials for c in configs)
-
-        unit, output, tail = "instances", "reports", workloads.CAMPAIGN_TAIL_PERCENTILE
-    else:
+    if workload != workloads.LIBRARY and workload not in workloads.CAMPAIGNS:
         sys.exit(f"error: {workload!r} is not one of the workloads {sorted(workloads.CAMPAIGNS) + [workloads.LIBRARY]}")
-    _, _, count = run_round(digest)
-    warm = {"digest": digest.hexdigest(), "count": count, "unit": unit, "output": output, "tail": tail}
-    print(json.dumps(warm), flush=True)
-    for _ in sys.stdin:
-        elapsed, calls, _ = run_round()
-        print(json.dumps([elapsed, calls]), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:  # the instance files of library_calls
+        digest = hashlib.sha256()
+        if workload == workloads.LIBRARY:
+            files = workloads.library_files(seed, Path(tmp))
+
+            def run_round(digest=None) -> tuple[float, list[float], int]:
+                outs, calls = [], []
+                started = time.perf_counter()
+                for file in files:
+                    outs.append(workloads.library_request(file.path))
+                    calls.append(time.perf_counter())
+                if digest is not None:
+                    for file, (_, chains, text) in zip(files, outs):
+                        digest.update(file.path.read_bytes() + text.encode() + repr(chains).encode())
+                return calls[-1] - started, [b - a for a, b in zip([started] + calls, calls)], len(files)
+
+            unit, output, tail = "requests", "instance files, reports and chains", workloads.LIBRARY_TAIL_PERCENTILE
+        else:
+            jobs = workloads.CAMPAIGNS[workload].jobs
+            configs = workloads.campaign_configs(workload, seed)
+
+            def run_round(digest=None) -> tuple[float, list[float], int]:
+                results, calls = [], []
+                started = time.perf_counter()
+                for config in configs:
+                    results.append(sd.run_campaign(config, jobs=jobs))
+                    calls.append(time.perf_counter())
+                elapsed = calls[-1] - started
+                if digest is not None:
+                    for result in results:
+                        digest.update(sd.render_campaign(result, "json").encode())
+                return elapsed, [b - a for a, b in zip([started] + calls, calls)], sum(c.trials for c in configs)
+
+            unit, output, tail = "instances", "reports", workloads.CAMPAIGN_TAIL_PERCENTILE
+        _, _, count = run_round(digest)
+        warm = {"digest": digest.hexdigest(), "count": count, "unit": unit, "output": output, "tail": tail}
+        print(json.dumps(warm), flush=True)
+        for _ in sys.stdin:
+            elapsed, calls, _ = run_round()
+            print(json.dumps([elapsed, calls]), flush=True)
 
 
 def _reply(name: str, proc: subprocess.Popen) -> str:
@@ -169,15 +176,14 @@ def main() -> int:
     print(f"ratio base/change: median {q2:.3f} (quartiles {q1:.3f}-{q3:.3f}); "
           f"change faster in {wins}, slower in {losses} of {len(ratios)} rounds")
     tail = warm["base"]["tail"]
-    if tail is not None:
-        tails = {name: [_percentile(c, tail) for c in calls[name]] for name in sides}
-        for name in sides:
-            p50 = statistics.median(t for c in calls[name] for t in c)
-            p_tail = statistics.median(tails[name])
-            print(f"{name:>6}: call p50 {p50 * 1e6:.0f} us, call p{tail:g} {p_tail * 1e6:.0f} us (median over rounds)")
-        lower = sum(b > c for b, c in zip(tails["base"], tails["change"]))
-        higher = sum(b < c for b, c in zip(tails["base"], tails["change"]))
-        print(f"call p{tail:g} per round: change lower in {lower}, higher in {higher} of {len(ratios)} rounds")
+    tails = {name: [_percentile(c, tail) for c in calls[name]] for name in sides}
+    for name in sides:
+        p50 = statistics.median(t for c in calls[name] for t in c)
+        p_tail = statistics.median(tails[name])
+        print(f"{name:>6}: call p50 {p50 * 1e6:.0f} us, call p{tail:g} {p_tail * 1e6:.0f} us (median over rounds)")
+    lower = sum(b > c for b, c in zip(tails["base"], tails["change"]))
+    higher = sum(b < c for b, c in zip(tails["base"], tails["change"]))
+    print(f"call p{tail:g} per round: change lower in {lower}, higher in {higher} of {len(ratios)} rounds")
     if warm["base"]["digest"] != warm["change"]["digest"]:
         print(f"{output.upper()} DIFFER: base {warm['base']['digest']} change {warm['change']['digest']}")
         return 1
