@@ -277,14 +277,12 @@ def _hadamard_chains(t: InstanceChunk) -> list[CheckStack]:
     if t.systems.n < 2:
         return []
     ok = t.systems.factor.complete
-    idx = np.flatnonzero(ok)
     det, agg = t.systems.factor.det, t.systems.aggregates
     product, prefixes = agg.norm_product, agg.chain_prefixes
     fixed_point = ok & t.orthonormal
-    # the chains of every variant on the complete systems, one (variants, len(idx), n) stack of denominators
-    denominators = np.array([getattr(prefixes, v.value) for v in ChainVariant])[:, idx]
-    refined = np.full((len(ChainVariant), t.size), np.nan)
-    refined[:, idx] = chain_stack(agg.norms_sq[idx], prefixes.numerators[idx], denominators, t.tol)[1]
+    # the chains of every variant on every system, one (variants, T, n) stack of denominators
+    denominators = np.array([getattr(prefixes, v.value) for v in ChainVariant])
+    refined = chain_stack(agg.norms_sq, prefixes.numerators, denominators, t.tol)[1]
     return [
         _stack(_CHAIN_IDS["lower"], leq_margin(det, refined, DOMINANCE_REL), ok, refined=refined, gram_det=det),
         _stack(_CHAIN_IDS["upper"], leq_margin(refined, product, DOMINANCE_REL), ok,
@@ -309,7 +307,7 @@ def _gram_inequalities(t: InstanceChunk) -> list[CheckStack]:
         out.append(_stack("gram_inequalities/product_split", leq_margin(det, left * right, DOMINANCE_REL),
                           full=det, left=left, right=right))
         y1 = t.coeffs(_SALT_TRIANGLE, t.systems.dim)
-        combined, first, second = triangle_roots(rows[:, 0], y1, rows[:, 1:], t.systems.field, t.tol)
+        combined, first, second = triangle_roots(rows[:, 0], y1, rows[:, 1:], t.tol)
         out.append(_stack("gram_inequalities/triangle", leq_margin(combined, first + second, DOMINANCE_REL),
                           combined=combined, first=first, second=second))
     return out

@@ -531,7 +531,10 @@ def evaluate_combination(
     tol: ToleranceConfig | None = None,
 ) -> CombinationBoundResult:
     """Evaluate the bound a :class:`CombinationMethod` names: entry 0 of a
-    :class:`CombinationStack` of one (keep one to evaluate many bounds)."""
+    :class:`CombinationStack` of one (keep one to evaluate many bounds). A
+    ``method`` that is not a :class:`CombinationMethod` raises ValueError."""
+    if not isinstance(method, CombinationMethod):
+        raise ValueError(f"method must be a CombinationMethod, got {method!r}")
     stack = CombinationStack.of(alphas, zs)
     rel = (tol or zs.tol).compare_rel_tol
     lhs, chain = float(stack.lhs[0]), tuple(float(c[0]) for c in stack.chain(method))

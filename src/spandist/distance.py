@@ -118,29 +118,27 @@ def gram_ratio_stack(systems: SystemStack, xx: np.ndarray, beta: np.ndarray) -> 
     factorization has made it. The vectors are unit-normalised first, so
     the bordered matrix [[G_hat, beta_hat^H], [beta_hat, 1]] has unit
     diagonal, the ratio is invariant under per-vector scaling and x
-    contributes exactly ||x||^2: d^2 = ||x||^2 |L[n, n]|^2. Where LAPACK
-    cannot factor the bordered matrix the ratio reads 0: right for an x in
-    the span, but from a Gram condition of about 1e12 also met by an x at a
-    positive distance from an independent system (ROADMAP item 6).
+    contributes exactly ||x||^2: d^2 = ||x||^2 |L[n, n]|^2. Every system
+    of the stack is factored in one LAPACK call, and the dependent ones
+    are masked by their ``complete`` flag afterwards. A NaN pivot reads 0:
+    that of x = 0 (whose beta_hat is 0/0, which LAPACK may factor rather
+    than fail on) and LAPACK's NaN fill of a matrix it cannot factor. That
+    is right for an x in the span, but from a Gram condition of about 1e12
+    also met by an x at a positive distance from an independent system
+    (ROADMAP item 6).
     """
-    complete = systems.factor.complete
-    live = complete & (xx != 0.0)
     norms = np.sqrt(systems.aggregates.norms_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         g_hat = systems.gram / (norms[:, :, np.newaxis] * norms[:, np.newaxis, :])
         beta_hat = beta / (norms * np.sqrt(xx)[:, np.newaxis])
-    if not live.all():
-        g_hat = np.where(complete[:, np.newaxis, np.newaxis], g_hat, np.eye(systems.n))
-        beta_hat = np.where(live[:, np.newaxis], beta_hat, 0.0)
     count, n = beta.shape
     aug = np.empty((count, n + 1, n + 1), dtype=g_hat.dtype)
     aug[:, :n, :n] = g_hat
     aug[:, :n, n] = beta_hat.conj()
     aug[:, n, :n] = beta_hat
     aug[:, n, n] = 1.0
-    lower, ok = _lapack(_umath_linalg.cholesky_lo, aug)
-    value = xx * np.abs(np.where(ok, lower[:, n, n], 0.0)) ** 2  # a failed factor's is 0
-    return value if complete.all() else np.where(complete, value, np.nan)
+    last = _lapack(_umath_linalg.cholesky_lo, aug)[0][:, n, n]
+    return np.where(systems.factor.complete, xx * np.abs(np.where(np.isnan(last), 0.0, last)) ** 2, np.nan)
 
 
 def projection_stack(rows: np.ndarray, xx: np.ndarray, beta: np.ndarray, in_orth: np.ndarray) -> np.ndarray:
@@ -228,13 +226,10 @@ class PointStack:
 
     @cached_property
     def oracle(self) -> np.ndarray:
-        """The Householder QR distance (:func:`distance_sq_stack`), NaN for
-        dependent systems: the rank decision is the system's factorization."""
-        complete = self.systems.factor.complete
-        out = np.full(complete.shape, np.nan)
-        if complete.any():
-            out[complete] = distance_sq_stack(self.systems.rows[complete], self.x[complete])
-        return out
+        """The Householder QR distance (:func:`distance_sq_stack`): one QR
+        over the whole stack, masked to NaN for the dependent systems, since
+        the rank decision is the system's factorization."""
+        return np.where(self.systems.factor.complete, distance_sq_stack(self.systems.rows, self.x), np.nan)
 
 
 # -- one system: entry 0 of a point stack of one -------------------------------

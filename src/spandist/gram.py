@@ -273,8 +273,7 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
     if src.dtype.kind not in "fc":
         src = field_array(src, None, "matrix entries")
     a = np.array(src, dtype=np.complex128 if np.iscomplexobj(src) else np.float64)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     lower, perm, pivots, rank = _pivoted(a[np.newaxis], rank_rel_tol)
     return PivotedCholesky(lower=_frozen(lower[0]), perm=_frozen(perm[0]), pivots=_frozen(pivots[0]), rank=int(rank[0]))
@@ -712,7 +711,7 @@ def check_gram_triangle(
         rest._check_member(lead)
     combined, first, second = (
         float(v[0])
-        for v in triangle_roots(x1.coords[np.newaxis], y1.coords[np.newaxis], rest.rows[np.newaxis], rest.field, tol)
+        for v in triangle_roots(x1.coords[np.newaxis], y1.coords[np.newaxis], rest.rows[np.newaxis], tol)
     )
     return GramTriangleVerdict(
         combined=combined,
@@ -731,28 +730,19 @@ def split_determinants(gram: np.ndarray, k: int, rank_rel_tol: float) -> tuple[n
     )
 
 
-_JOINT_ENTRIES = 1 << 13
-
-
 def triangle_roots(
-    x1: np.ndarray, y1: np.ndarray, rest: np.ndarray, field: Field, tol: ToleranceConfig
+    x1: np.ndarray, y1: np.ndarray, rest: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """det^(1/2) of the Gram matrices of (x1 + y1, rest), (x1, rest) and
     (y1, rest) for (T, dim) leading rows and a (T, m, dim) rest, all in the
-    field's dtype: the Gram block of the rest, bordered by each leading
-    row's inner products. Up to ``_JOINT_ENTRIES`` entries in all, one
-    :func:`factor_stack` call factors the three stacks (saving two calls);
-    larger ones, whose temporaries would outweigh that, take one call each
-    through one buffer."""
+    rest's dtype: the Gram block of the rest, bordered by each leading
+    row's inner products, the three stacks factored as one (3T, m + 1,
+    m + 1) :func:`factor_stack` call."""
     count, m = rest.shape[:2]
     leads = np.stack([x1 + y1, x1, y1], axis=1)
     cross = np.transpose(rest.conj() @ np.swapaxes(leads, -1, -2), (2, 0, 1))  # cross[k, :, j] = <lead_k, rest_j>
-    norms = sq_norms(leads).T
-    joint = 3 * count * (m + 1) ** 2 <= _JOINT_ENTRIES
-    gram = np.empty((3 if joint else 1, count, m + 1, m + 1), field.dtype)
+    gram = np.empty((3, count, m + 1, m + 1), rest.dtype)
     gram[:, :, 1:, 1:] = gram_stack(rest)
-    det = []
-    for ks in ([0, 1, 2],) if joint else ([0], [1], [2]):
-        gram[:, :, 0, 0], gram[:, :, 0, 1:], gram[:, :, 1:, 0] = norms[ks], cross[ks], cross[ks].conj()
-        det.append(factor_stack(gram.reshape(-1, m + 1, m + 1), tol.rank_rel_tol).det)
-    return tuple(np.sqrt(np.maximum(np.concatenate(det).reshape(3, count), 0.0)))
+    gram[:, :, 0, 0], gram[:, :, 0, 1:], gram[:, :, 1:, 0] = sq_norms(leads).T, cross, cross.conj()
+    det = factor_stack(gram.reshape(-1, m + 1, m + 1), tol.rank_rel_tol).det
+    return tuple(np.sqrt(np.maximum(det.reshape(3, count), 0.0)))

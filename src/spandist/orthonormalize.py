@@ -10,9 +10,10 @@ normwise backward stable (Golub and Van Loan, section 5.2; Higham, Accuracy
 and Stability of Numerical Algorithms, ch. 19).
 
 :func:`distance_sq_stack` is the stacked kernel and trusts its caller's
-rank decision: :class:`spandist.distance.PointStack` calls it on the
-systems whose Gram factorization is complete. The functions over bare rows
-(:func:`orthonormal_rows`, :func:`residual_after_projection`,
+rank decision: :class:`spandist.distance.PointStack` calls it on the whole
+stack and masks the systems whose Gram factorization is not complete. The
+functions over bare rows (:func:`orthonormal_rows`,
+:func:`residual_after_projection`,
 :func:`distance_sq_by_orthonormalization`) have no system to ask, so they
 check their arrays by :func:`spandist.space.field_array` and test the
 diagonal of R themselves, raising LinearDependenceError.
@@ -74,15 +75,15 @@ def _augmented_r(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _distance_sq(r: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """|R[n, n]|^2 of each augmented R, or exactly 0 when dim == n."""
-    return np.zeros(r.shape[0]) if dim == n else np.abs(r[:, n, n]) ** 2
+    """|R[n, n]|^2 of each augmented R, or exactly 0 when dim <= n."""
+    return np.zeros(r.shape[0]) if dim <= n else np.abs(r[:, n, n]) ** 2
 
 
 def distance_sq_stack(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared distance from each x[t] to the row span of rows[t]: |R[n, n]|^2
     of one stacked QR of the (T, dim, n + 1) augmented columns, or exactly 0
-    when dim == n. No dependence test: the caller has decided that every
-    system is independent (so n <= dim)."""
+    when dim <= n. No dependence test: the value of a dependent system means
+    nothing, and the caller masks it by its own rank decision."""
     return _distance_sq(_augmented_r(rows, x), *rows.shape[1:])
 
 

@@ -472,6 +472,13 @@ def test_an_unpicklable_runtime_check_raises_in_the_caller_under_spawn(tmp_path)
     assert message.startswith("check 'planted' does not pickle, which a spawn worker needs: ")
 
 
+def test_check_pickles_passes_a_family_and_names_a_lambda_and_the_method():
+    # in this interpreter: only a method other than fork pickles the checks
+    sd_campaign._check_pickles({"lagrange_identity": REGISTRY["lagrange_identity"]}, "spawn")
+    with pytest.raises(ValueError, match="^check 'planted' does not pickle, which a forkserver worker needs: "):
+        sd_campaign._check_pickles({"planted": lambda instance, tol: []}, "forkserver")
+
+
 def test_importing_spandist_leaves_the_executor_machinery_out():
     # in a fresh interpreter, since this session may have imported it already
     src = str(Path(sd.__file__).resolve().parent.parent)

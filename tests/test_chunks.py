@@ -388,18 +388,6 @@ def test_the_lapack_gufuncs_flag_and_nan_fill_exactly_the_failed_matrices(field,
         assert ok.all() and out.tobytes() == public(regular).tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(STREAMS))
-def test_the_triangle_stacks_factor_alike_jointly_or_one_at_a_time(name, monkeypatch):
-    config = _config(name, trials=16)
-    chunk = generate_chunk(config, range(config.trials), TOL)
-    rows = chunk.systems.rows
-    args = (rows[:, 0], chunk.coeffs(3, config.dim), rows[:, 1:], config.field, TOL)
-    default = sd_gram.triangle_roots(*args)
-    for entries in (0, 1 << 30):  # every size one call each, and every size in one call
-        monkeypatch.setattr(sd_gram, "_JOINT_ENTRIES", entries)
-        assert all(np.array_equal(a, b) for a, b in zip(sd_gram.triangle_roots(*args), default)), entries
-
-
 def _rows_of(stacks):
     """Each row of ``stacks`` as (check_id, margin, mask, values), its own
     (T,) arrays: row c of a (C, T) array, or the shared (T,) one."""

@@ -171,6 +171,12 @@ def test_evaluate_combination_dispatch(pair):
     assert res.method.label == direct.method.label
 
 
+@pytest.mark.parametrize("method", ["cauchy_schwarz", None, CombinationKind.CAUCHY_SCHWARZ])
+def test_evaluate_combination_takes_only_a_combination_method(pair, method):
+    with pytest.raises(ValueError, match=f"^method must be a CombinationMethod, got {re.escape(repr(method))}$"):
+        sd.evaluate_combination(ALPHAS, pair, method)
+
+
 @pytest.mark.parametrize("kind, branch", [("row_sum", "bogus"), ("row_sum", "max_row"), (None, None), (4, None)])
 def test_a_method_kind_must_be_a_combination_kind(kind, branch):
     with pytest.raises(ValueError, match=f"^kind must be a CombinationKind, got {kind!r}$"):

@@ -342,6 +342,17 @@ def test_the_quadratic_forms_warning_fires_once_per_system_and_x():
         sd.distance_sq_quadratic(system, vector(x.coords.tolist()))
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_every_distance_of_the_zero_vector_is_zero(field):
+    # x = 0 borders the ratio's unit-diagonal matrix with 0/0, which LAPACK
+    # may factor into a NaN pivot rather than fail on: it still reads 0
+    system = VectorSystem.from_rows(random_rows(np.random.default_rng(7), 3, 5, field))
+    x = sd.Vector(np.zeros(5, dtype=field.dtype), field)
+    result = sd.exact_distance(system, x)
+    assert result.d2_gram_ratio == result.d2_quadratic == result.d2_projection == 0.0
+    assert sd.distance_sq_gram_ratio(system, x) == sd.distance_sq_oracle(system, x) == 0.0
+
+
 def test_the_ratio_is_zero_where_lapack_cannot_factor_the_bordered_matrix():
     # an independent system whose bordered unit-diagonal Gram matrix LAPACK
     # cannot factor: the ratio reads x as in the span, exactly 0.0, in a

@@ -137,6 +137,8 @@ def test_factor_stack_raises_like_pivoted_cholesky():
     _assert_same_decision(np.array([[1.0, 0.0], [0.0, -1.0]]))
     assert _decision(_stacked, np.ones((2, 3)))[0] is ValueError
     _assert_same_decision(np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(\)$"):
+        sd_gram.pivoted_cholesky(5.0)
 
 
 def test_factor_stack_on_an_overflowing_gram():

@@ -29,7 +29,9 @@ warm-up round also hashes its output: the JSON reports of every campaign
 call, or, per request, the instance file's bytes, the rendered distance
 JSON and the ``repr`` of the four Hadamard chains (so a moved ``lower_ok``
 or ``upper_ok`` shows). The script exits with status 1 when the two
-sides' hashes differ. Both interpreters are ended before it exits.
+sides' hashes differ, and with status 2 (a usage error naming the known
+workloads) when a checkout does not know ``--workload``. Both interpreters
+are ended before it exits.
 
 Separate benchmark runs of the same code on a shared machine can differ by
 more than the change being measured; taking turns round by round within
@@ -53,7 +55,8 @@ from pathlib import Path
 def serve(root: Path, workload: str, seed: int) -> None:
     """The interpreter of one checkout: answer each line on stdin with one
     round's wall time and the wall time of each of its calls as a JSON
-    list, until stdin closes."""
+    list, until stdin closes. For a workload it does not know it prints the
+    known ones instead and exits."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import spandist as sd
     import workloads
@@ -61,7 +64,8 @@ def serve(root: Path, workload: str, seed: int) -> None:
     if Path(sd.__file__).resolve().parent != (root / "src" / "spandist").resolve():
         sys.exit(f"error: imported spandist from {sd.__file__}, expected {root / 'src'}")
     if workload != workloads.LIBRARY and workload not in workloads.CAMPAIGNS:
-        sys.exit(f"error: {workload!r} is not one of the workloads {sorted(workloads.CAMPAIGNS) + [workloads.LIBRARY]}")
+        print(json.dumps({"known": sorted([*workloads.CAMPAIGNS, workloads.LIBRARY])}), flush=True)
+        return
     with tempfile.TemporaryDirectory() as tmp:  # the instance files of library_calls
         digest = hashlib.sha256()
         if workload == workloads.LIBRARY:
@@ -145,6 +149,10 @@ def main() -> int:
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
             )
         warm = {name: json.loads(_reply(name, proc)) for name, proc in sides.items()}
+        for name, first in warm.items():
+            if "known" in first:
+                parser.error(f"unknown workload {args.workload!r}; the {name} checkout knows "
+                             f"{', '.join(first['known'])}")
         times: dict[str, list[float]] = {name: [] for name in sides}
         calls: dict[str, list[list[float]]] = {name: [] for name in sides}
         for r in range(args.rounds):
