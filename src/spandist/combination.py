@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -276,55 +276,32 @@ class LagrangeParts:
         return abs(self.coeff_sum * self.norm_sum) + abs(self.combo_norm_sq) + abs(self.pair_sum)
 
 
-# Entries of one pass of pairwise differences in the Lagrange sum: systems
-# whose pairs fit are summed together in one pass; a larger system takes
-# one pass per row, so its working memory stays at two (n - 1, dim) buffers.
-_PAIR_BLOCK_ENTRIES = 1 << 16
-
-
-@lru_cache(maxsize=64)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs i < j of n vectors, read-only."""
-    i, j = np.triu_indices(n, 1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
-
-
 def _pair_sum(ac: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_{i<j} ||ac_i z_j - ac_j z_i||^2 per system, summed in coordinates,
     for (T, n) coefficients and (T, n, dim) rows.
 
-    When one system's pairs fit the entry budget, each pass takes all pairs
-    of as many systems as fit, as one (systems, pairs, dim) array. Larger
-    systems go one at a time and one row i at a time: the differences
-    ac_i z_j - ac_j z_i against the partners j > i are formed in place in a
-    (partners, dim) buffer and summed by one BLAS dot, so the (n, n, dim)
-    tensor is never built. Either way a system's sum is taken over the same
-    entries in the same order in any stack.
+    One pass per row i over the whole stack: the differences
+    ac_i z_j - ac_j z_i against the partners j > i of every system are
+    formed in place in two (T, n - 1, dim) buffers, so the (n, n, dim)
+    tensor is never built, squared in place (a complex buffer as its float
+    pairs) and added up per system by ``np.add.reduce``. No BLAS call takes
+    part, so a system's sum is the same bits in any stack and under any
+    BLAS thread count.
     """
     count, n, dim = rows.shape
-    i, j = _pairs(n)
-    per_system = i.size * dim
+    left = np.empty(count * (n - 1) * dim, np.result_type(ac, rows))
+    right = np.empty_like(left)
     total = np.zeros(count)
-    if per_system <= _PAIR_BLOCK_ENTRIES:
-        step = max(1, _PAIR_BLOCK_ENTRIES // max(per_system, 1))
-        for lo in range(0, count, step):
-            a, z = ac[lo : lo + step], rows[lo : lo + step]
-            diff = a[:, i, np.newaxis] * z[:, j] - a[:, j, np.newaxis] * z[:, i]
-            total[lo : lo + step] = sq_norms(diff.reshape(diff.shape[0], -1))
-        return total
-    dtype = np.result_type(ac, rows)
-    left, right = np.empty((n - 1) * dim, dtype), np.empty((n - 1) * dim, dtype)
-    for t in range(count):
-        a, z = ac[t], rows[t]
-        for row in range(n - 1):
-            size = (n - 1 - row) * dim
-            diff, sub = left[:size].reshape(-1, dim), right[:size].reshape(-1, dim)
-            np.multiply(a[row], z[row + 1 :], out=diff)
-            np.multiply(a[row + 1 :, np.newaxis], z[row], out=sub)
-            diff -= sub
-            total[t] += np.real(np.vdot(diff, diff))
+    for row in range(n - 1):
+        partners = n - 1 - row
+        size = count * partners * dim
+        diff, sub = left[:size].reshape(count, partners, dim), right[:size].reshape(count, partners, dim)
+        np.multiply(ac[:, row, np.newaxis, np.newaxis], rows[:, row + 1 :], out=diff)
+        np.multiply(ac[:, row + 1 :, np.newaxis], rows[:, row, np.newaxis], out=sub)
+        diff -= sub
+        sq = diff.reshape(count, partners * dim).view(np.float64)
+        np.multiply(sq, sq, out=sq)
+        total += np.add.reduce(sq, axis=-1)
     return total
 
 

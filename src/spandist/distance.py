@@ -137,7 +137,7 @@ def gram_ratio_stack(systems: SystemStack, xx: np.ndarray, beta: np.ndarray) -> 
     aug[:, :n, n] = beta_hat.conj()
     aug[:, n, :n] = beta_hat
     aug[:, n, n] = 1.0
-    last = _lapack(_umath_linalg.cholesky_lo, aug)[0][:, n, n]
+    last = _lapack(_umath_linalg.cholesky_lo, aug)[:, n, n]
     return np.where(systems.factor.complete, xx * np.abs(np.where(np.isnan(last), 0.0, last)) ** 2, np.nan)
 
 

@@ -350,17 +350,15 @@ class FactorStack(NamedTuple):
     condition: np.ndarray
 
 
-def _lapack(gufunc, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lapack(gufunc, stack: np.ndarray) -> np.ndarray:
     """``gufunc`` (``_umath_linalg.cholesky_lo`` or ``inv``, the gufuncs that
-    ``np.linalg.cholesky`` and ``inv`` call) over a (T, m, m) stack, and
-    which matrices LAPACK succeeded on. LAPACK takes the matrices one by
-    one; where np.linalg raises for the whole stack, the gufunc fills each
-    failed matrix with NaN, leaves the others np.linalg's bits and only
-    raises the invalid flag, which is caught here."""
-    failed = []
-    with np.errstate(all="ignore", invalid="call", call=lambda *_: failed.append(True)):
-        out = gufunc(stack)
-    return out, ~np.isnan(out).all(axis=(-2, -1)) if failed else np.ones(len(stack), dtype=bool)
+    ``np.linalg.cholesky`` and ``inv`` call) over a (T, m, m) stack. LAPACK
+    takes the matrices one by one; where np.linalg raises for the whole
+    stack, the gufunc fills each failed matrix with NaN, leaves the others
+    np.linalg's bits and only raises the invalid flag, which is ignored
+    here: a caller reads a failure from the NaN fill."""
+    with np.errstate(all="ignore"):
+        return gufunc(stack)
 
 
 def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> FactorStack:
@@ -398,8 +396,8 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
     src = e if fast.all() else np.where(fast[:, np.newaxis, np.newaxis], e, np.eye(m))
     # a matrix LAPACK could not factor or invert comes back NaN, and so
     # does its condition, which then fails the test below
-    lower_e = _lapack(_umath_linalg.cholesky_lo, src)[0]
-    inv_e = _lapack(_umath_linalg.inv, lower_e)[0]
+    lower_e = _lapack(_umath_linalg.cholesky_lo, src)
+    inv_e = _lapack(_umath_linalg.inv, lower_e)
     condition = _condition(inv_e, src)
     fast &= 4.0 * rank_rel_tol * condition < 1.0
     inverse = inv_e / scale[:, np.newaxis, :]
@@ -414,7 +412,7 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
         inverse[slow], condition[slow] = np.nan, np.inf
         full = slow_rank == m
         if full.any():
-            inv = _lapack(_umath_linalg.inv, lower[full])[0]
+            inv = _lapack(_umath_linalg.inv, lower[full])
             inverse[slow[full]], condition[slow[full]] = inv / s[full][:, np.newaxis, :], _condition(inv, e[slow[full]])
         perm, complete = _frozen(perm), rank == m
     det = np.multiply.reduce(pivots, axis=-1)

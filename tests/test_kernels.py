@@ -11,15 +11,19 @@
   solve, and its squared distance must lie within its backward-error bound
   of the exact rational Gram determinant ratio.
 * The one-pass chain prefixes must give the factors of a per-position loop.
-* The Lagrange pair sum, in one pass or one row at a time, must give the
-  dense (n, n, dim) formula.
-* The QR oracle and the row-pass pair sum give each system the same bits
-  in any stack.
+* The Lagrange pair sum, one row at a time, must give the dense
+  (n, n, dim) formula.
+* The QR oracle and the pair sum give each system the same bits in any
+  stack, and the pair sum under one BLAS thread or two.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -719,44 +723,69 @@ def _dense_pair_sum(alphas, rows):
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-@pytest.mark.parametrize("block", [None, 1, 50, 200])
-def test_blocked_pair_sum_matches_the_dense_tensor(field, block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(sd_comb, "_PAIR_BLOCK_ENTRIES", block)
-    rng = np.random.default_rng(2026)
-    for n, dim in ((1, 3), (2, 2), (5, 7), (13, 9), (64, 40)):
-        system = sd.VectorSystem.from_rows(random_rows(rng, n, dim, field), field)
-        alphas = random_rows(rng, 1, n, field)[0]
-        parts = sd.lagrange_identity_parts(alphas, system)
-        assert parts.pair_sum == pytest.approx(_dense_pair_sum(alphas, system.rows), rel=1e-13, abs=0.0)
-        assert parts.residual <= 1e-12 * parts.magnitude
+@pytest.mark.parametrize("n, dim", [(1, 3), (2, 2), (5, 7), (13, 9), (64, 40)])
+def test_pair_sum_matches_the_dense_tensor(field, n, dim):
+    rng = np.random.default_rng([2026, n, dim])
+    system = sd.VectorSystem.from_rows(random_rows(rng, n, dim, field), field)
+    alphas = random_rows(rng, 1, n, field)[0]
+    parts = sd.lagrange_identity_parts(alphas, system)
+    assert parts.pair_sum == pytest.approx(_dense_pair_sum(alphas, system.rows), rel=1e-13, abs=0.0)
+    assert parts.residual <= 1e-12 * parts.magnitude
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-@pytest.mark.parametrize("block", [None, 1, 50, 200, 400])
-def test_pair_sum_over_a_chunk_of_small_systems(field, block, monkeypatch):
-    # a campaign chunk: 16 systems summed in one pass when they fit the
-    # budget, in groups of systems or row blocks when they do not; each
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_pair_sum_over_a_chunk_of_small_systems(field, n):
+    # a campaign chunk: 16 systems summed together, row by row; each
     # system's sum is the same bits as its own stack of one
-    if block is not None:
-        monkeypatch.setattr(sd_comb, "_PAIR_BLOCK_ENTRIES", block)
-    rng = np.random.default_rng([16, 5, 7])
-    rows = np.stack([random_rows(rng, 5, 7, field) for _ in range(16)])
-    alphas = random_rows(rng, 16, 5, field)
+    rng = np.random.default_rng([16, n, 7])
+    rows = np.stack([random_rows(rng, n, 7, field) for _ in range(16)])
+    alphas = random_rows(rng, 16, n, field)
     chunk = sd_comb._pair_sum(alphas.conj(), rows)
     for k in range(16):
         assert chunk[k] == pytest.approx(_dense_pair_sum(alphas[k], rows[k]), rel=1e-13, abs=0.0)
         assert chunk[k] == sd_comb._pair_sum(alphas[k : k + 1].conj(), rows[k : k + 1])[0]
+    assert sd_comb._pair_sum(alphas[:0].conj(), rows[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-def test_row_pass_pair_sum_at_the_wide_shape(field):
-    # a campaign_wide chunk: too large for one pass, so one pass per row
+def test_pair_sum_at_the_wide_shape(field):
+    # a campaign_wide chunk: two systems of 64 rows of dimension 256
     rng = np.random.default_rng([2, 64, 256, field is Field.COMPLEX])
     rows = np.stack([random_rows(rng, 64, 256, field) for _ in range(2)])
     alphas = random_rows(rng, 2, 64, field)
-    assert 64 * 63 // 2 * 256 > sd_comb._PAIR_BLOCK_ENTRIES
     chunk = sd_comb._pair_sum(alphas.conj(), rows)
     for k in range(2):
         assert chunk[k] == pytest.approx(_dense_pair_sum(alphas[k], rows[k]), rel=1e-13, abs=0.0)
         assert chunk[k] == sd_comb._pair_sum(alphas[k : k + 1].conj(), rows[k : k + 1])[0]
+
+
+_PAIR_SUM_BYTES = """
+import sys
+import numpy as np
+from spandist.combination import _pair_sum
+
+out = []
+for count, n, dim in ((2, 64, 256), (1, 96, 512)):
+    for complex_ in (False, True):
+        rng = np.random.default_rng([count, n, dim, complex_])
+        rows = rng.standard_normal((count, n, dim))
+        ac = rng.standard_normal((count, n))
+        if complex_:
+            rows = rows + 1j * rng.standard_normal((count, n, dim))
+            ac = ac + 1j * rng.standard_normal((count, n))
+        out.append(_pair_sum(ac, rows).tobytes().hex())
+sys.stdout.write(" ".join(out))
+"""
+
+
+def test_pair_sum_bytes_do_not_depend_on_the_blas_thread_count():
+    # each thread count in a fresh interpreter, since BLAS reads it at import
+    src = str(Path(sd.__file__).resolve().parent.parent)
+    sums = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        sums.append(subprocess.run([sys.executable, "-c", _PAIR_SUM_BYTES], capture_output=True, text=True,
+                                   env=env, timeout=120, check=True).stdout.split())
+    assert len(sums[0]) == 4 and sums[0] == sums[1]

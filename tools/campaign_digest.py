@@ -28,8 +28,8 @@ call, so these runs take most of the script's time.
 After each of these runs every worker must be gone: a line ``LEFTOVER
 <stream> jobs=<k> <count>`` is printed when ``multiprocessing.active_children()``
 still lists any. The script exits with status 1 if any ``MISMATCH``,
-``START`` or ``LEFTOVER`` (or ``ORDER`` or ``SCALE``, below) line was
-printed, 0 otherwise.
+``START`` or ``LEFTOVER`` (or ``ORDER``, ``SCALE`` or ``THREADS``, below)
+line was printed, 0 otherwise.
 
 The per-instance API is fingerprinted too. For the first
 :data:`LIBRARY_TRIALS` trials of each stream, the ``library`` line hashes
@@ -111,12 +111,17 @@ is printed last.
 spandist is imported from ``src/`` of the checkout this script sits in.
 BLAS runs on one thread: the script sets ``OPENBLAS_NUM_THREADS`` and
 ``OMP_NUM_THREADS`` to 1 before numpy is imported, as ``perfbench/run.py``
-does, and its workers inherit them. A multithreaded BLAS splits the wide
-stream's matrix products by the machine's core count, which moves their
-last bits: with the default thread count on a 2-core machine, the
-``real_d256_n64_k1e4`` json, csv, replay and combination lines and the
-combined, combined replay and combined combination digests differed from
-the single-thread ones.
+does, and its workers inherit them. Real reports at these sizes must not
+depend on the thread count, which a BLAS reduction would bring in: it
+splits its sum by the machine's core count, and so moves the last bits
+(as the Lagrange pair sum's row dot once moved the ``real_d256_n64_k1e4``
+json, csv, replay and combination lines). So the streams of
+:data:`THREAD_STREAMS` are run again in a child interpreter with both
+variables set to 2. A line ``THREADS <stream> <fmt>`` is printed for each
+json or csv digest that differs from the single-thread run, and the
+script then exits with status 1. Larger and complex streams are left
+out: LAPACK's bits move with the thread count from about n = 128 at dim
+512, and the generator's complex QR from dim 256, n 64.
 """
 
 from __future__ import annotations
@@ -124,6 +129,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -156,6 +162,22 @@ STREAMS = {
     # it at trial 3, inside a serial chunk
     "real_d256_n64_k1e4": (6, dict(dim=256, n=64, field=Field.REAL, conditioning=1e4)),
 }
+
+# the streams run again under two BLAS threads: the campaign_wide shape and
+# a larger real one, below the size where LAPACK's bits move
+THREAD_STREAMS = {
+    "real_d256_n64_k1e4": STREAMS["real_d256_n64_k1e4"],
+    "real_d512_n96_k1e4": (4, dict(dim=512, n=96, field=Field.REAL, conditioning=1e4)),
+}
+THREADS = 2
+
+# the child of the THREADS gate: numpy, and with it BLAS, is loaded under
+# the child's thread count before this script's top pins it to 1
+_THREAD_CHILD = """import runpy, sys
+import numpy
+for key, digest in runpy.run_path(sys.argv[1])["_report_digests"]().items():
+    print(key, digest)
+"""
 
 
 def _sha(text: str) -> str:
@@ -384,6 +406,27 @@ def _split_runs(config: GeneratorConfig):
         sd_campaign._mp_context = default
 
 
+def _report_digests() -> dict[str, str]:
+    """The json and csv digest of a serial run of each of :data:`THREAD_STREAMS`,
+    keyed by "<stream> <fmt>"."""
+    out = {}
+    for name, (trials, kwargs) in THREAD_STREAMS.items():
+        result = sd.run_campaign(GeneratorConfig(seed=SEED, trials=trials, **kwargs))
+        for fmt in ("json", "csv"):
+            out[f"{name} {fmt}"] = _sha(sd.render_campaign(result, fmt))
+    return out
+
+
+def _threads() -> list[str]:
+    """A ``THREADS`` line for each report digest that a child under
+    :data:`THREADS` BLAS threads computes otherwise than this process."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(THREADS), "OMP_NUM_THREADS": str(THREADS)}
+    child = subprocess.run([sys.executable, "-c", _THREAD_CHILD, __file__], env=env, capture_output=True,
+                           text=True, check=True, timeout=600).stdout
+    theirs = dict(line.rsplit(" ", 1) for line in child.splitlines())
+    return [f"THREADS {key}" for key, digest in _report_digests().items() if theirs.get(key) != digest]
+
+
 def main() -> int:
     combined = hashlib.sha256()
     structure = hashlib.sha256()
@@ -444,6 +487,9 @@ def main() -> int:
             problems += len(lines)
             for line in lines:
                 print(line)
+    for line in _threads():
+        problems += 1
+        print(line)
     grid = hashlib.sha256()
     for name, config in GRID.items():
         digest = _sha(_or_error(lambda: _structure(sd.run_campaign(config))))
