@@ -149,9 +149,9 @@ class CombinationStack:
 
     ``alphas`` is (T, n), ``rows`` the (T, n, dim) coordinates and ``agg``
     the systems' :class:`~spandist.gram.AggregateStack`. Holds everything the
-    bounds read from the coefficients, per system — |a|, its maximum and
-    sum, the power sums sum |a_i|^e, the diagonal and off-diagonal terms
-    of the diag/offdiag splits (memoised per exponent and branch), the
+    bounds read from the coefficients, per system — |a|, its maximum, the
+    power sums sum |a_i|^e (its sum at e = 1), the diagonal and off-diagonal
+    terms of the diag/offdiag splits (memoised per exponent and branch), the
     row-sum base, the lhs ||sum a_i z_i||^2 and the Lagrange identity parts
     — each computed at most once, so any number of bounds on the same draws
     reduce the coefficients once. :meth:`chain` evaluates one bound family:
@@ -192,10 +192,6 @@ class CombinationStack:
     @cached_property
     def a_max(self) -> np.ndarray:
         return self.a.max(axis=-1)
-
-    @cached_property
-    def a_sum(self) -> np.ndarray:
-        return self.a.sum(axis=-1)
 
     @cached_property
     def top_pair_product(self) -> np.ndarray:
@@ -348,12 +344,12 @@ def _diag_term(c: CombinationStack, branch: DiagBranch, exp: float | None) -> np
 def _offdiag_term(c: CombinationStack, branch: OffdiagBranch, exp: float | None) -> np.ndarray:
     g = c.agg
     if branch == "max_coeff":
-        return c.top_pair_product * g.offdiag_sum
+        return c.top_pair_product * g.power_sum("abs_offdiag", 1)
     if branch == "holder":
         q = exp / (exp - 1.0)
         coeff = np.maximum(c.power_sum(exp) ** 2 - c.power_sum(2 * exp), 0.0)
         return coeff ** (1 / exp) * g.power_sum("abs_offdiag", q) ** (1 / q)
-    coeff = np.maximum(c.a_sum**2 - c.power_sum(2), 0.0)
+    coeff = np.maximum(c.power_sum(1) ** 2 - c.power_sum(2), 0.0)
     return coeff * g.offdiag_max
 
 
@@ -362,24 +358,19 @@ def _diag_offdiag_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.n
 
 
 def _selection_max_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    g = c.agg
-    sum_sq = c.power_sum(2)
-    tight = g.norm_max * sum_sq + g.offdiag_max * np.maximum(c.a_sum**2 - sum_sq, 0.0)
-    return (tight, sum_sq * g.diag_offdiag_max)
+    tight = c.diag_term("max_norm", None) + c.offdiag_term("max_entry", None)
+    return (tight, c.power_sum(2) * c.agg.diag_offdiag_max)
 
 
 def _selection_frobenius_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    g = c.agg
-    sum_sq = c.power_sum(2)
-    coeff = np.sqrt(np.maximum(sum_sq**2 - c.power_sum(4), 0.0))
-    tight = g.norm_max * sum_sq + g.offdiag_frobenius * coeff
-    return (tight, sum_sq * g.diag_offdiag_frobenius)
+    tight = c.diag_term("max_norm", None) + c.offdiag_term("holder", 2.0)
+    return (tight, c.power_sum(2) * c.agg.diag_offdiag_frobenius)
 
 
 def _row_sum_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
     g = c.agg
     if m.branch == "max_coeff":
-        relaxed = c.a_max**2 * g.row_sum_total
+        relaxed = c.a_max**2 * g.power_sum("row_sums", 1)
     elif m.branch == "holder":
         q = m.p / (m.p - 1.0)
         relaxed = c.power_sum(2 * m.p) ** (1 / m.p) * g.power_sum("row_sums", q) ** (1 / q)
@@ -441,7 +432,8 @@ def selection_max_bound(
 ) -> CombinationBoundResult:
     """Max-norm/max-entry selection with its coarser closed form.
 
-    tight  = max||z||^2 * sum|a|^2 + max|<z_i,z_j>| * ((sum|a|)^2 - sum|a|^2)
+    tight  = max||z||^2 * sum|a|^2 + max|<z_i,z_j>| * ((sum|a|)^2 - sum|a|^2),
+             the diag/offdiag split (max_norm, max_entry)
     coarse = sum|a|^2 * (max||z||^2 + (n-1) * max|<z_i,z_j>|)
     """
     return evaluate_combination(alphas, zs, CombinationMethod(kind=CombinationKind.SELECTION_MAX), tol)
@@ -453,7 +445,8 @@ def selection_frobenius_bound(
     """Max-norm/off-diagonal-Frobenius selection with its coarser closed form.
 
     tight  = max||z||^2 * sum|a|^2
-             + (sum_{i!=j} |<z_i,z_j>|^2)^(1/2) * ((sum|a|^2)^2 - sum|a|^4)^(1/2)
+             + (sum_{i!=j} |<z_i,z_j>|^2)^(1/2) * ((sum|a|^2)^2 - sum|a|^4)^(1/2),
+             the diag/offdiag split (max_norm, holder at p = 2)
     coarse = sum|a|^2 * (max||z||^2 + (sum_{i!=j} |<z_i,z_j>|^2)^(1/2))
     """
     return evaluate_combination(alphas, zs, CombinationMethod(kind=CombinationKind.SELECTION_FROBENIUS), tol)

@@ -141,11 +141,11 @@ def gram_ratio_stack(systems: SystemStack, xx: np.ndarray, beta: np.ndarray) -> 
     return np.where(systems.factor.complete, xx * np.abs(np.where(np.isnan(last), 0.0, last)) ** 2, np.nan)
 
 
-def projection_stack(rows: np.ndarray, xx: np.ndarray, beta: np.ndarray, in_orth: np.ndarray) -> np.ndarray:
-    """The projection quotient ||x||^2 - S^2 / ||sum_i beta_i x_i||^2, clamped
-    at zero; ||x||^2 where x is orthogonal to the whole system."""
+def projection_stack(rows: np.ndarray, xx: np.ndarray, beta: np.ndarray, s: np.ndarray, in_orth: np.ndarray) -> np.ndarray:
+    """The projection quotient ||x||^2 - S^2 / ||sum_i beta_i x_i||^2 for
+    S = sum_i |beta_i|^2, clamped at zero; ||x||^2 where x is orthogonal to
+    the whole system."""
     combo = (beta[:, np.newaxis, :] @ rows)[:, 0, :]
-    s = sq_norms(beta)
     value = np.maximum(xx - s * s / np.where(in_orth, 1.0, sq_norms(combo)), 0.0)
     return np.where(in_orth, xx, value)
 
@@ -222,7 +222,7 @@ class PointStack:
     @cached_property
     def projection(self) -> np.ndarray:
         """The projection quotient (:func:`projection_stack`)."""
-        return projection_stack(self.systems.rows, self.xx, self.beta, self.in_orth)
+        return projection_stack(self.systems.rows, self.xx, self.beta, self.s, self.in_orth)
 
     @cached_property
     def oracle(self) -> np.ndarray:

@@ -106,8 +106,10 @@ class AggregateStack:
     Each field holds one value (or row) per system along the leading axis,
     is computed on first access and then kept. Every reduction runs over one
     system's own trailing axes, so a system's values are the same bits in a
-    stack of one as in any larger stack. :meth:`power_sum` memoises the
-    Hölder sums sum(array ** q) per exponent. Arrays are read-only.
+    stack of one as in any larger stack. Every sum of the powers of an
+    array aggregate, sum(array ** q), is :meth:`power_sum`, memoised per
+    exponent: the Hölder sums, the plain sums (q = 1) and the squared
+    Frobenius norms (q = 2) alike. Arrays are read-only.
     """
 
     def __init__(self, gram: np.ndarray) -> None:
@@ -147,40 +149,23 @@ class AggregateStack:
         return _frozen(np.max(self.abs_offdiag, axis=(-2, -1), initial=0.0))
 
     @cached_property
-    def offdiag_sum(self) -> np.ndarray:
-        return _frozen(np.sum(self.abs_offdiag, axis=(-2, -1)))
-
-    @cached_property
-    def offdiag_sum_sq(self) -> np.ndarray:
-        return _frozen(np.sum(self.abs_offdiag**2, axis=(-2, -1)))
-
-    @cached_property
     def row_sums(self) -> np.ndarray:
         """r_i = sum_j |G[i, j]|, diagonal included."""
         return _frozen(np.sum(self.abs_gram, axis=-1))
-
-    @cached_property
-    def row_sum_total(self) -> np.ndarray:
-        return _frozen(np.sum(self.row_sums, axis=-1))
 
     @cached_property
     def row_max(self) -> np.ndarray:
         return _frozen(np.max(self.row_sums, axis=-1))
 
     @cached_property
-    def abs_sum_sq(self) -> np.ndarray:
-        """sum_{i, j} |G[i, j]|^2, the squared Frobenius norm."""
-        return _frozen(np.sum(self.abs_gram**2, axis=(-2, -1)))
-
-    @cached_property
     def offdiag_frobenius(self) -> np.ndarray:
         """(sum_{i != j} |G[i, j]|^2)^(1/2)."""
-        return _frozen(np.sqrt(self.offdiag_sum_sq))
+        return _frozen(np.sqrt(self.power_sum("abs_offdiag", 2)))
 
     @cached_property
     def frobenius(self) -> np.ndarray:
         """(sum_{i, j} |G[i, j]|^2)^(1/2), the Frobenius norm."""
-        return _frozen(np.sqrt(self.abs_sum_sq))
+        return _frozen(np.sqrt(self.power_sum("abs_gram", 2)))
 
     @cached_property
     def diag_offdiag_frobenius(self) -> np.ndarray:

@@ -18,7 +18,7 @@ from spandist.checks import COMBINATION_SWEEP, applicable_checks, run_checks
 
 from conftest import random_rows
 
-EXPONENTS = (1.25, 1.5, 2, 2.0, 3.0, 4 / 3)
+EXPONENTS = (1, 1.25, 1.5, 2, 2.0, 3.0, 4 / 3)
 _STACK_FIELDS = sorted(name for name, v in vars(sd_gram.AggregateStack).items() if isinstance(v, cached_property))
 
 
@@ -68,12 +68,12 @@ def test_aggregate_fields_equal_direct_expressions(system):
     assert np.array_equal(agg["abs_gram"], abs_g)
     assert np.array_equal(agg["abs_offdiag"], off)
     assert agg["offdiag_max"] == np.max(off, initial=0.0)
-    assert agg["offdiag_sum"] == np.sum(off)
-    assert agg["offdiag_sum_sq"] == np.sum(off**2)
+    assert stacked.power_sum("abs_offdiag", 1)[0] == np.sum(off)
+    assert stacked.power_sum("abs_offdiag", 2)[0] == np.sum(off**2)
     assert np.array_equal(agg["row_sums"], rows)
-    assert agg["row_sum_total"] == np.sum(rows)
+    assert stacked.power_sum("row_sums", 1)[0] == np.sum(rows)
     assert agg["row_max"] == np.max(rows)
-    assert agg["abs_sum_sq"] == np.sum(abs_g**2)
+    assert stacked.power_sum("abs_gram", 2)[0] == np.sum(abs_g**2)
     assert agg["identity_deviation"] == np.max(np.abs(g - np.eye(n)))
     for name, array in (("norms_sq", norms), ("abs_gram", abs_g), ("abs_offdiag", off), ("row_sums", rows)):
         for q in EXPONENTS:
@@ -211,7 +211,50 @@ def test_combination_stack_power_sums_are_memoised(system):
         assert stack.power_sum(e)[0] == np.sum(np.abs(stack.alphas[0]) ** e)
         assert stack.power_sum(e) is stack.power_sum(e)
     assert stack.a_max[0] == np.max(stack.a[0])
-    assert stack.a_sum[0] == np.sum(stack.a[0])
+    assert stack.power_sum(1)[0] == np.sum(stack.a[0])
+
+
+# -- the selection chains' tight ends: the diag/offdiag splits they equal ----------
+
+
+_SELECTION_SPLITS = {  # selection kind -> (offdiag branch, offdiag exponent), diag branch max_norm
+    CombinationKind.SELECTION_MAX: ("max_entry", None),
+    CombinationKind.SELECTION_FROBENIUS: ("holder", 2.0),
+}
+_SELECTION_STREAMS = {
+    f"{field.value}-{name}": GeneratorConfig(seed=13, trials=12, dim=dim, n=n, field=field, **kwargs)
+    for field in (Field.REAL, Field.COMPLEX)
+    for name, dim, n, kwargs in (("n4-dependent", 6, 4, dict(conditioning=1e3, dependent_fraction=0.5)),
+                                 ("n1", 3, 1, {}))
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SELECTION_STREAMS))
+def test_selection_tight_ends_are_their_splits_in_a_stack(name):
+    from spandist.generator import generate_chunk
+
+    config = _SELECTION_STREAMS[name]
+    chunk = generate_chunk(config, range(config.trials))
+    if config.dependent_fraction:
+        assert not chunk.systems.factor.complete.all()
+    alphas = chunk.coeffs(1)
+    for kind, (offdiag, exp) in _SELECTION_SPLITS.items():
+        split = sd.CombinationMethod(kind=CombinationKind.DIAG_OFFDIAG, diag_branch="max_norm",
+                                     offdiag_branch=offdiag, offdiag_exp=exp)
+        # each from a stack of its own, so neither reads the other's memo
+        selection = sd.CombinationStack(alphas, chunk.systems.rows, chunk.systems.aggregates)
+        diag_offdiag = sd.CombinationStack(alphas, chunk.systems.rows, chunk.systems.aggregates)
+        (want,) = diag_offdiag.chain(split)
+        assert np.array_equal(selection.chain(sd.CombinationMethod(kind=kind))[0], want), kind
+
+
+def test_selection_tight_ends_are_their_splits_for_one_system(system):
+    raw = [complex(v) if system.field is Field.COMPLEX else float(v)
+           for v in random_rows(np.random.default_rng(system.n + 1), 1, system.n, system.field)[0]]
+    for kind, (offdiag, exp) in _SELECTION_SPLITS.items():
+        got = sd.evaluate_combination(raw, system, sd.CombinationMethod(kind=kind))
+        want = sd.diag_offdiag_bound(raw, system, "max_norm", offdiag, offdiag_exp=exp)
+        assert got.bound == got.chain[0] == want.bound, kind
 
 
 # -- work per instance -------------------------------------------------------------
@@ -294,7 +337,7 @@ def _assert_entry(got, stacked, k):
 
 
 def test_every_stack_field_of_a_system_is_its_entry_of_a_larger_stack():
-    assert len(_STACK_FIELDS) == 19
+    assert len(_STACK_FIELDS) == 15
     rng = np.random.default_rng(5)
     stack = sd_gram.SystemStack(random_rows(rng, 12, 6, Field.COMPLEX).reshape(3, 4, 6), Field.COMPLEX)
     for k in range(len(stack.rows)):
@@ -303,6 +346,9 @@ def test_every_stack_field_of_a_system_is_its_entry_of_a_larger_stack():
         for name in _STACK_FIELDS:
             _assert_entry(getattr(agg, name), getattr(stack.aggregates, name), k)
             assert getattr(agg, name) is getattr(agg, name)
+        for name in sd_gram._POWER_AXES:
+            for q in (1, 2):
+                _assert_entry(agg.power_sum(name, q), stack.aggregates.power_sum(name, q), k)
 
 
 @pytest.mark.parametrize("read", [False, True])

@@ -119,9 +119,12 @@ json, csv, replay and combination lines). So the streams of
 :data:`THREAD_STREAMS` are run again in a child interpreter with both
 variables set to 2. A line ``THREADS <stream> <fmt>`` is printed for each
 json or csv digest that differs from the single-thread run, and the
-script then exits with status 1. Larger and complex streams are left
-out: LAPACK's bits move with the thread count from about n = 128 at dim
-512, and the generator's complex QR from dim 256, n 64.
+script then exits with status 1. Larger streams are left out: LAPACK's
+bits move with the thread count from about n = 128 at dim 512, and the
+generator's complex QR moves complex reports from dim 256, n 64 on. So the
+one complex stream there is dim 128, n 32, with interval data, below that
+size: complex reports were the same bytes under 1 and 2 threads up to dim
+128, n 48.
 """
 
 from __future__ import annotations
@@ -163,11 +166,14 @@ STREAMS = {
     "real_d256_n64_k1e4": (6, dict(dim=256, n=64, field=Field.REAL, conditioning=1e4)),
 }
 
-# the streams run again under two BLAS threads: the campaign_wide shape and
-# a larger real one, below the size where LAPACK's bits move
+# the streams run again under two BLAS threads: the campaign_wide shape, a
+# larger real one below the size where LAPACK's bits move, and a complex one
+# below the size where the generator's complex QR moves them
 THREAD_STREAMS = {
     "real_d256_n64_k1e4": STREAMS["real_d256_n64_k1e4"],
     "real_d512_n96_k1e4": (4, dict(dim=512, n=96, field=Field.REAL, conditioning=1e4)),
+    "complex_d128_n32_k1e4_intervals": (
+        4, dict(dim=128, n=32, field=Field.COMPLEX, conditioning=1e4, intervals=True)),
 }
 THREADS = 2
 

@@ -9,9 +9,10 @@ lies in ``src/spandist`` are traced line by line. Afterwards it prints, per
 module in path order, each statement that never ran, as its line number
 and first line of source, then one total line, after pytest's own output.
 
-A statement is one ``ast.stmt`` node, docstrings left out (as in
-``tools/src_size.py``). A simple statement ran when a line event fell on
-any of its lines. A compound one (``def``, ``if``, ``try``, ``with`` ...)
+A statement is one ``ast.stmt`` node, docstrings left out by the rule of
+``tools/src_size.py``, so the statements walked here are the ones it
+counts. A simple statement ran when a line event fell on any of its lines.
+A compound one (``def``, ``if``, ``try``, ``with`` ...)
 ran when an event fell on its header, from its first decorator to the line
 before its body, or when any statement of its body ran: ``try:`` and
 ``else:`` lines get no event of their own. A child process the suite forks
@@ -35,6 +36,8 @@ import tempfile
 import threading
 from pathlib import Path
 from typing import Iterator
+
+from src_size import _docstring  # this script's folder is first on sys.path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "spandist"
@@ -84,16 +87,12 @@ def _blocks(node: ast.AST) -> list[list[ast.stmt]]:
     return blocks + [block.body for block in (*getattr(node, "handlers", []), *getattr(node, "cases", []))]
 
 
-def _is_docstring(node: ast.stmt) -> bool:
-    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
-
-
 def _statements(node: ast.AST) -> Iterator[ast.stmt]:
     """Every statement inside ``node`` in source order, docstrings left out."""
-    scope = isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-    for k, block in enumerate(_blocks(node)):
-        for i, child in enumerate(block):
-            if not (scope and k == i == 0 and _is_docstring(child)):
+    doc = _docstring(node)
+    for block in _blocks(node):
+        for child in block:
+            if child is not doc:
                 yield child
                 yield from _statements(child)
 
