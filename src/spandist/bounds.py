@@ -95,7 +95,8 @@ CONDITIONAL_METHODS = (
 @dataclass(frozen=True)
 class IntervalData:
     """Two-sided scalar data (gamma_i, Gamma_i) for the conditional bounds,
-    checked by :func:`~spandist.space.field_array` (its field inferred)."""
+    checked once by :func:`~spandist.space.field_array` (its field inferred)
+    and kept as the arrays of that field."""
 
     gammas: tuple[Scalar, ...]
     Gammas: tuple[Scalar, ...]
@@ -108,8 +109,10 @@ class IntervalData:
             )
         if len(self.gammas) == 0:
             raise ValueError("interval data must be nonempty")
-        if field_array((self.gammas, self.Gammas), None, "interval scalars").ndim != 2:
+        pair = field_array((self.gammas, self.Gammas), None, "interval scalars")
+        if pair.ndim != 2:
             raise ValueError("interval scalars must be numbers")
+        self._arrays[Field.of(pair)] = tuple(pair)
 
     @classmethod
     def _of(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalData":
@@ -177,20 +180,19 @@ def condition_stack(
     return re_inner, ball_margin, margin, (margin >= 0.0) == (leq_margin(0.0, ball_margin, rel, scale=xx) >= 0.0)
 
 
-def conditional_stack(rows: np.ndarray, widths: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.ndarray]:
-    """The four conditional bounds per system, in :data:`CONDITIONAL_METHODS`
-    order, for (T, n) interval widths."""
+def conditional_stack(
+    rows: np.ndarray, widths: np.ndarray, agg: AggregateStack
+) -> tuple[np.ndarray, dict[BoundMethod, np.ndarray]]:
+    """(quarter, values) per system, for (T, n) interval widths: the quarter
+    width sum (1/4) sum_i |Gamma_i - gamma_i|^2, which also bounds the
+    reverse Bessel gap, and the four conditional bounds by method, in
+    :data:`CONDITIONAL_METHODS` order, each relaxation quarter * D."""
     width_comb = (widths[:, np.newaxis, :] @ rows)[:, 0, :]
     values = {BoundMethod.COND_HALF_WIDTH: 0.25 * sq_norms(width_comb)}
-    width_sq = sq_norms(widths)
+    quarter = 0.25 * sq_norms(widths)
     for method, factor in _COND_FACTORS.items():
-        values[method] = 0.25 * width_sq * getattr(agg, _DENOMINATOR_FIELDS[factor])
-    return values
-
-
-def reverse_bessel_stack(xx: np.ndarray, s: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(||x||^2 - S, (1/4) sum_i |Gamma_i - gamma_i|^2) per system."""
-    return xx - s, 0.25 * sq_norms(widths)
+        values[method] = quarter * getattr(agg, _DENOMINATOR_FIELDS[factor])
+    return quarter, values
 
 
 _COND_FACTORS = {
@@ -322,7 +324,7 @@ def _conditional_values(system: VectorSystem, intervals: IntervalData) -> dict[B
     :func:`full_bound_report` does), so that the condition is evaluated once.
     """
     lo, hi = intervals.arrays(system.field, system.n)
-    values = conditional_stack(system.rows[np.newaxis], (hi - lo)[np.newaxis], system.as_stack().aggregates)
+    _, values = conditional_stack(system.rows[np.newaxis], (hi - lo)[np.newaxis], system.as_stack().aggregates)
     return {m: float(v[0]) for m, v in values.items()}
 
 
@@ -372,8 +374,8 @@ def reverse_bessel_gap(
     p = PointStack.of(system, x, tol)
     require_condition(system, x, intervals, tol)
     lo, hi = intervals.arrays(system.field, system.n)
-    gap, quarter = reverse_bessel_stack(p.xx, p.s, (hi - lo)[np.newaxis])
-    gap, quarter = float(gap[0]), float(quarter[0])
+    quarter, _ = conditional_stack(system.rows[np.newaxis], (hi - lo)[np.newaxis], system.as_stack().aggregates)
+    gap, quarter = float(p.xx[0] - p.s[0]), float(quarter[0])
     rel = p.tol.compare_rel_tol
     holds = leq_margin(0.0, gap, rel) >= 0.0 and leq_margin(gap, quarter, rel, scale=quarter) >= 0.0
     return ReverseBesselVerdict(bessel_gap=gap, quarter_width_sq=quarter, holds=holds)

@@ -329,7 +329,7 @@ def _conditional_bounds(t: InstanceChunk) -> list[CheckStack]:
     ]
     held = ok & (margin >= 0.0)
     d2, widths = t.d2, t.hi - t.lo
-    values = bnd.conditional_stack(rows, widths, t.systems.aggregates)
+    quarter, values = bnd.conditional_stack(rows, widths, t.systems.aggregates)
     half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
     out.append(_stack("conditional_bounds/half_width_dominates", leq_margin(d2, half_width, DOMINANCE_REL), held,
                       bound=half_width, exact=d2))
@@ -337,7 +337,7 @@ def _conditional_bounds(t: InstanceChunk) -> list[CheckStack]:
     ids = [f"conditional_bounds/{method.value}_coarser" for method in bnd.CONDITIONAL_METHODS[1:]]
     out.append(_stack(ids, leq_margin(half_width, relaxed, DOMINANCE_REL), held,
                       relaxed=relaxed, half_width=half_width))
-    gap, quarter = bnd.reverse_bessel_stack(t.xx, t.s, widths)
+    gap = t.xx - t.s
     above, below = leq_margin(0.0, gap, DOMINANCE_REL), leq_margin(gap, quarter, DOMINANCE_REL)
     out.append(_stack("conditional_bounds/reverse_bessel", np.where(below < above, below, above),
                       held & t.orthonormal, gap=gap, quarter_width_sq=quarter))

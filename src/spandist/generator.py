@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bounds import BoundMethod, IntervalData, bound_values
-from .distance import PointStack, beta_stack, orth_complement_stack
+from .distance import PointStack
 from .errors import NumericalInstabilityError
 from .gram import SystemStack, VectorSystem
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, checked_real, sq_norms
@@ -330,25 +330,19 @@ def _ball(first: _FirstPass, systems: SystemStack) -> tuple[np.ndarray, ...]:
     return mids - widths, mids + widths, center, radius
 
 
-def _points(
-    first: _FirstPass, systems: SystemStack, tol: ToleranceConfig, ball: list[np.ndarray] | None, k: slice
-) -> tuple[np.ndarray, np.ndarray]:
-    """x for the trials ``k`` of the first pass, and which of them to
-    redraw: those orthogonal to their system and, with a ball (its centres
-    and radii), those whose direction is zero. A ball point is centre +
-    rho * radius * unit direction, rho <= 0.9, inside the ball."""
-    x = _values(first.points[k], systems.field)
+def _points(first: _FirstPass, field: Field, ball: list[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
+    """x for every trial of the first pass, and which have a zero ball
+    direction (none without a ``ball``, the centres and radii). A ball
+    point is centre + rho * radius * unit direction, rho <= 0.9, inside the
+    ball."""
+    x = _values(first.points, field)
+    if ball is None:
+        return x, np.zeros(len(x), bool)
+    center, radius = ball
+    norm = np.sqrt(sq_norms(x))
     with np.errstate(invalid="ignore"):  # a zero direction divides 0 by 0
-        if ball is None:
-            redraw = np.zeros(len(x), bool)
-        else:
-            center, radius = ball
-            norm = np.sqrt(sq_norms(x))
-            redraw = norm == 0.0
-            x = center[k] + (first.rho[k] * radius[k])[:, np.newaxis] * x / norm[:, np.newaxis]
-        rows, norm_max = systems.rows[k], systems.aggregates.norm_max[k]
-        redraw |= orth_complement_stack(sq_norms(x), beta_stack(rows, x), norm_max, tol)
-    return x, redraw
+        x = center + (first.rho * radius)[:, np.newaxis] * x / norm[:, np.newaxis]
+    return x, norm == 0.0
 
 
 def generate_chunk(
@@ -357,7 +351,9 @@ def generate_chunk(
     """Build the instances of consecutive trials as one chunk. Each trial
     draws from its own Philox stream, keyed by (seed, trial) on one
     generator, and its numbers do not depend on the other trials of the
-    chunk, so this is pure and replayable per trial."""
+    chunk, so this is pure and replayable per trial. A trial whose ball
+    direction is zero, or whose x the chunk's own ``in_orth`` finds
+    orthogonal to its system, draws x again."""
     if not trials:
         raise ValueError(f"trial range {trials} is empty")
     for trial in (trials[0], trials[-1]):
@@ -376,23 +372,24 @@ def generate_chunk(
     lo = hi = ball = None
     if config.intervals:
         lo, hi, *ball = _ball(first, systems)
-    x, redraw = _points(first, systems, tol, ball, slice(None))
-    for k in np.flatnonzero(redraw).tolist():
-        # the rare redraw replays trial k's first pass, into a throwaway one,
-        # and draws x again where it stopped: _MAX_REDRAWS draws of x in all
+    x, zero = _points(first, config.field, ball)
+    chunk = InstanceChunk(systems, x, tol, lo, hi, config.seed, tuple(trials))
+    for k in np.flatnonzero(zero | chunk.in_orth).tolist():
+        # the rare redraw replays trial k's first pass, into a throwaway one, draws x
+        # again where it stopped and reads a fresh chunk's test: _MAX_REDRAWS draws in all
         _FirstPass(config, 1).fill(_rekey(rng, config.seed, trials[k]), 0)
         for _ in range(_MAX_REDRAWS - 1):
             first.fill_point(rng, k)
-            point, again = _points(first, systems, tol, ball, slice(k, k + 1))
-            if not again[0]:
-                x[k] = point[0]
+            x, zero = _points(first, config.field, ball)
+            chunk = InstanceChunk(systems, x, tol, lo, hi, config.seed, tuple(trials))
+            if not (zero[k] or chunk.in_orth[k]):
                 break
         else:
             raise NumericalInstabilityError("could not draw x outside the orthogonal complement of its system")
-    for a in (x, lo, hi):
+    for a in (chunk.x, lo, hi):
         if a is not None:
             a.setflags(write=False)
-    return InstanceChunk(systems, x, tol, lo, hi, config.seed, tuple(trials))
+    return chunk
 
 
 def generate_instance(

@@ -1,6 +1,7 @@
 """Unconditional and two-sided-coefficient bounds on the squared distance."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -253,6 +254,24 @@ def test_a_relaxed_bound_needs_a_relaxation_method(planar, method):
 def test_interval_scalars_must_not_be_sequences(gammas, Gammas):
     with pytest.raises(ValueError, match="^interval scalars must be numbers$"):
         IntervalData(gammas=gammas, Gammas=Gammas)
+
+
+def test_interval_data_is_checked_once(monkeypatch):
+    # the constructor keeps the arrays it checked, and the report reads them
+    system, x = VectorSystem.from_rows(np.eye(3)[:2]), vector([1.0, 1.0, 1.0])
+    original = sd.space.field_array
+    calls = []
+
+    def counted(values, field, what):
+        calls.append(what)
+        return original(values, field, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "spandist" and getattr(module, "field_array", None) is original:
+            monkeypatch.setattr(module, "field_array", counted)
+    report = sd.full_bound_report(system, x, IntervalData(gammas=(0.0, 0.0), Gammas=(2.0, 2.0)))
+    assert len(report.entries) == 9
+    assert calls.count("interval scalars") == 1
 
 
 def test_a_report_has_no_entry_for_a_method_it_does_not_hold(system_b, x_b, planar):

@@ -9,7 +9,9 @@ against one matrix at a time.
 
 import hashlib
 import math
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -495,14 +497,14 @@ def _rejected(xx):
 def _reject_about_half(monkeypatch):
     # also count as orthogonal to its system about every other point (by the
     # digits of ||x||^2), so that many trials redraw x from their own streams
-    from spandist import generator as sd_gen
+    from spandist import distance as sd_distance
 
-    original = sd_gen.orth_complement_stack
+    original = sd_distance.orth_complement_stack
 
     def strict(xx, beta, norm_max, tol):
         return original(xx, beta, norm_max, tol) | _rejected(xx)
 
-    monkeypatch.setattr(sd_gen, "orth_complement_stack", strict)
+    monkeypatch.setattr(sd_distance, "orth_complement_stack", strict)
 
 
 @pytest.mark.parametrize("name", ["complex_d7_n5_k1e2_intervals", "real_d6_n4_k1e3_dependent"])
@@ -526,7 +528,7 @@ def test_redrawn_points_do_not_depend_on_the_chunk(name, monkeypatch):
         redrawn += not np.array_equal(first[k], chunk.x[k])
     assert redrawn > 0
 
-    monkeypatch.setattr(sd_gen, "orth_complement_stack", lambda xx, beta, norm_max, tol: np.ones(len(xx), bool))
+    monkeypatch.setattr(sd.distance, "orth_complement_stack", lambda xx, beta, norm_max, tol: np.ones(len(xx), bool))
     original = sd_gen._normals
     points = {}  # the draws of dim normals, by the trial word of their Philox key
 
@@ -682,3 +684,68 @@ def test_a_zero_direction_is_redrawn_from_the_trials_own_stream(monkeypatch):
         generate_chunk(config, range(0, 4), TOL)
     with pytest.raises(sd.NumericalInstabilityError):
         sd.generate_instance(config, 0, TOL)
+
+
+# the stacked kernels of the chunk path, by name, each wrapped once, as its
+# own module defines it, in every spandist module that holds it
+_KERNELS = (
+    "sq_norms", "re_inner_rows",
+    "beta_stack", "orth_complement_stack", "quadratic_stack", "gram_ratio_stack", "projection_stack",
+    "distance_sq_stack",
+    "gram_stack", "factor_stack", "_pivoted", "_lapack", "_condition", "split_determinants", "triangle_roots",
+    "bound_values", "bessel_values", "condition_stack", "conditional_stack",
+    "chain_stack", "_pair_sum",
+    "_orthonormal_frames", "_conditioned_rows", "_ball", "_points",
+)
+
+# the nine streams of tools/campaign_digest.py, at its seed, one chunk each
+DIGEST_STREAMS = {
+    "complex_d7_n5_k1e2_intervals": (16, STREAMS["complex_d7_n5_k1e2_intervals"]),
+    "real_d4_n3_orthonormal_intervals": (16, STREAMS["real_d4_n3_orthonormal_intervals"]),
+    "real_d6_n4_k1e3_dependent": (16, STREAMS["real_d6_n4_k1e3_dependent"]),
+    "real_d40_n20_k1e4_intervals": (16, STREAMS["real_d40_n20_k1e4_intervals"]),
+    "real_d3_n1_intervals": (16, dict(dim=3, n=1, field=Field.REAL, intervals=True)),
+    "complex_d4_n1": (16, dict(dim=4, n=1, field=Field.COMPLEX)),
+    "complex_d8_n7_k1e6": (16, dict(dim=8, n=7, field=Field.COMPLEX, conditioning=1e6)),
+    "complex_d5_n4_k1e2_dependent": (16, dict(dim=5, n=4, field=Field.COMPLEX, conditioning=1e2, dependent_fraction=0.5)),
+    "real_d256_n64_k1e4": (2, dict(dim=256, n=64, field=Field.REAL, conditioning=1e4)),
+}
+
+
+def test_no_kernel_of_the_chunk_path_runs_twice_on_the_same_arguments(monkeypatch):
+    # a call's key: arrays by dtype, shape and bytes, scalars by repr, any
+    # other object by identity (kept alive, so that no id is reused)
+    kept, calls = [], Counter()
+
+    def key(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if value is None or isinstance(value, (bool, int, float, complex, str, np.generic)):
+            return repr(value)
+        kept.append(value)
+        return id(value)
+
+    def guarded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name, tuple(map(key, args)), tuple((k, key(v)) for k, v in sorted(kwargs.items()))] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "spandist"]
+    for name in _KERNELS:
+        (fn,) = {getattr(m, name) for m in modules if getattr(getattr(m, name, None), "__module__", None) == m.__name__}
+        wrapper = guarded(name, fn)
+        for m in modules:
+            if getattr(m, name, None) is fn:
+                monkeypatch.setattr(m, name, wrapper)
+    ran, twice = set(), []
+    for stream, (trials, kwargs) in DIGEST_STREAMS.items():
+        calls.clear()
+        sd.run_campaign(GeneratorConfig(seed=7, trials=trials, **kwargs))
+        ran |= {k[0] for k in calls}
+        repeated = sorted({k[0] for k, count in calls.items() if count > 1})
+        if repeated:
+            twice.append(f"{stream}: {', '.join(repeated)}")
+    assert ran == set(_KERNELS)
+    assert not twice, "\n".join(twice)
