@@ -254,10 +254,8 @@ def _combination_sweep(t: InstanceChunk) -> list[CheckStack]:
     draws = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.systems.aggregates)
     rel = t.tol.compare_rel_tol
     lhs = draws.lhs
-    chains = [draws.chain(method) for _, method in COMBINATION_SWEEP]
-    tight = np.array([chain[0] for chain in chains])
-    linked = tuple(k for k, chain in enumerate(chains) if len(chain) > 1)
-    coarse, paired = np.array([chains[k][-1] for k in linked]), tight[list(linked)]
+    tight, coarse, linked = draws.chains(tuple(method for _, method in COMBINATION_SWEEP))
+    paired = tight[list(linked)]
     return [
         _stack(_SWEEP_HOLDS, comb.bound_margin(tight, lhs, rel), lhs=lhs, bound=tight),
         _stack([_SWEEP_CHAINS[k] for k in linked], comb.bound_margin(coarse, paired, rel), follows=linked,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .gram import AggregateStack, VectorSystem
-from .space import Scalar, ToleranceConfig, conjugate_exponent, sq_norms
+from .gram import AggregateStack, VectorSystem, _frozen
+from .space import Scalar, ToleranceConfig, cached_property, conjugate_exponent, sq_norms
 from .space import _coeff_array as _validated_coeffs
 
 __all__ = [
@@ -154,10 +154,9 @@ class CombinationStack:
     terms of the diag/offdiag splits (memoised per exponent and branch), the
     row-sum base, the lhs ||sum a_i z_i||^2 and the Lagrange identity parts
     — each computed at most once, so any number of bounds on the same draws
-    reduce the coefficients once. :meth:`chain` evaluates one bound family:
-    the campaign's sweep calls it once per method, and the terms the methods
-    share come from the memo; :meth:`of` builds the stack of one draw
-    against one system.
+    reduce the coefficients once. :meth:`chains` evaluates any number of
+    bound families from one table of the terms they read, :meth:`chain`
+    one of them; :meth:`of` builds the stack of one draw against one system.
     """
 
     def __init__(self, alphas: np.ndarray, rows: np.ndarray, agg: AggregateStack) -> None:
@@ -213,19 +212,6 @@ class CombinationStack:
         """sum_i |a_i|^e, memoised per exponent."""
         return self._memo(_power_sum, e)
 
-    def diag_term(self, branch: DiagBranch, exp: float | None) -> np.ndarray:
-        """The diagonal term of a diag/offdiag split, memoised per branch and exponent."""
-        return self._memo(_diag_term, branch, exp)
-
-    def offdiag_term(self, branch: OffdiagBranch, exp: float | None) -> np.ndarray:
-        """The off-diagonal term of a diag/offdiag split, memoised per branch and exponent."""
-        return self._memo(_offdiag_term, branch, exp)
-
-    @cached_property
-    def row_sum_base(self) -> np.ndarray:
-        """sum_i |a_i|^2 r_i, the tight end of every row-sum chain."""
-        return (self.a**2 * self.agg.row_sums).sum(axis=-1)
-
     @cached_property
     def lagrange(self) -> "LagrangeParts":
         """The parts of the norm-of-combination identity, per system."""
@@ -236,9 +222,20 @@ class CombinationStack:
             pair_sum=_pair_sum(self.alphas.conj(), self.rows),
         )
 
+    def chains(self, methods: Sequence[CombinationMethod]) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The (K, T) tight ends of ``methods``, the (L, T) coarse ends and the L
+        rows that have one, read from one table of their distinct memoised terms
+        (:func:`_plan`): each diag/offdiag split is one indexed add, table[di] + table[oi]."""
+        keys, split, di, oi, single, si, ci, linked = _plan(tuple(methods))
+        table = np.array([self._memo(*key) for key in keys]).reshape(len(keys), len(self.alphas))
+        tight = np.empty((len(methods), len(self.alphas)))
+        tight[split], tight[single] = table[di] + table[oi], table[si]
+        return tight, table[ci], linked
+
     def chain(self, method: CombinationMethod) -> tuple[np.ndarray, ...]:
-        """The chain of one bound family, tightest first, per system."""
-        return _CHAINS[method.kind](self, method)
+        """The chain of one bound family, tightest first, per system: row 0 of :meth:`chains`."""
+        tight, coarse, _ = self.chains((method,))
+        return (tight[0], *coarse)
 
 
 def combination_norm_sq(alphas: Sequence[Scalar], zs: VectorSystem) -> float:
@@ -319,12 +316,41 @@ def bound_margin(upper: float | np.ndarray, lower: float | np.ndarray, rel: floa
     return (upper * (1.0 + rel) + rel - lower) / (1.0 + np.abs(lower))
 
 
-# -- the bound families: one chain formula each, over a CombinationStack -----
+# -- the bound families: the terms of each chain, over a CombinationStack ----
 # CombinationMethod validated each exponent p: its conjugate is conjugate_exponent's p / (p - 1.0).
 
 
-def _cauchy_schwarz_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    return (c.coeff_norm_sq * c.agg.norm_sum,)
+def _chain_terms(m: CombinationMethod) -> tuple[tuple | None, ...]:
+    """The memo keys (term, *args) of a method's diagonal and off-diagonal split
+    terms, other tight end and coarse end, each None where it has none."""
+    kind = m.kind
+    if kind is CombinationKind.DIAG_OFFDIAG:
+        return (_diag_term, m.diag_branch, m.diag_exp), (_offdiag_term, m.offdiag_branch, m.offdiag_exp), None, None
+    if kind is CombinationKind.SELECTION_MAX:
+        return (_diag_term, "max_norm", None), (_offdiag_term, "max_entry", None), None, (_coarse, "diag_offdiag_max")
+    if kind is CombinationKind.SELECTION_FROBENIUS:
+        return (_diag_term, "max_norm", None), (_offdiag_term, "holder", 2.0), None, (_coarse, "diag_offdiag_frobenius")
+    if kind is CombinationKind.ROW_SUM:
+        return None, None, (_row_sum_base,), (_row_sum_relaxed, m.branch, m.p)
+    if kind is CombinationKind.CAUCHY_SCHWARZ:
+        return None, None, (_cauchy_schwarz,), None
+    return None, None, (_holder_gram, m.p), None
+
+
+@lru_cache(maxsize=16)
+def _plan(methods: tuple[CombinationMethod, ...]) -> tuple:
+    """The distinct memo keys of the chain ends of ``methods``, then, read-only,
+    the rows of the split and other tight ends, each with its keys' rows, the
+    keys' rows of the coarse ends, and (a tuple) the rows that have one."""
+    keys: dict[tuple, int] = {}
+    ends = np.array([[-1 if k is None else keys.setdefault(k, len(keys)) for k in _chain_terms(m)] for m in methods])
+    split, single, linked = (np.flatnonzero(ends[:, i] >= 0) for i in (0, 2, 3))
+    rows = map(_frozen, (split, ends[split, 0], ends[split, 1], single, ends[single, 2], ends[linked, 3]))
+    return tuple(keys), *rows, tuple(linked.tolist())
+
+
+def _cauchy_schwarz(c: CombinationStack) -> np.ndarray:
+    return c.coeff_norm_sq * c.agg.norm_sum
 
 
 def _power_sum(c: CombinationStack, e: float) -> np.ndarray:
@@ -353,46 +379,28 @@ def _offdiag_term(c: CombinationStack, branch: OffdiagBranch, exp: float | None)
     return coeff * g.offdiag_max
 
 
-def _diag_offdiag_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    return (c.diag_term(m.diag_branch, m.diag_exp) + c.offdiag_term(m.offdiag_branch, m.offdiag_exp),)
+def _coarse(c: CombinationStack, aggregate: str) -> np.ndarray:
+    return c.power_sum(2) * getattr(c.agg, aggregate)
 
 
-def _selection_max_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    tight = c.diag_term("max_norm", None) + c.offdiag_term("max_entry", None)
-    return (tight, c.power_sum(2) * c.agg.diag_offdiag_max)
+def _row_sum_base(c: CombinationStack) -> np.ndarray:
+    """sum_i |a_i|^2 r_i, the tight end of every row-sum chain."""
+    return (c.a**2 * c.agg.row_sums).sum(axis=-1)
 
 
-def _selection_frobenius_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    tight = c.diag_term("max_norm", None) + c.offdiag_term("holder", 2.0)
-    return (tight, c.power_sum(2) * c.agg.diag_offdiag_frobenius)
-
-
-def _row_sum_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
+def _row_sum_relaxed(c: CombinationStack, branch: RowSumBranch, p: float | None) -> np.ndarray:
     g = c.agg
-    if m.branch == "max_coeff":
-        relaxed = c.a_max**2 * g.power_sum("row_sums", 1)
-    elif m.branch == "holder":
-        q = m.p / (m.p - 1.0)
-        relaxed = c.power_sum(2 * m.p) ** (1 / m.p) * g.power_sum("row_sums", q) ** (1 / q)
-    else:
-        relaxed = c.power_sum(2) * g.row_max
-    return (c.row_sum_base, relaxed)
+    if branch == "max_coeff":
+        return c.a_max**2 * g.power_sum("row_sums", 1)
+    if branch == "holder":
+        q = p / (p - 1.0)
+        return c.power_sum(2 * p) ** (1 / p) * g.power_sum("row_sums", q) ** (1 / q)
+    return c.power_sum(2) * g.row_max
 
 
-def _holder_gram_chain(c: CombinationStack, m: CombinationMethod) -> tuple[np.ndarray, ...]:
-    q = m.p / (m.p - 1.0)
-    return (c.power_sum(m.p) ** (2 / m.p) * c.agg.power_sum("abs_gram", q) ** (1 / q),)
-
-
-_CHAINS = {
-    CombinationKind.CAUCHY_SCHWARZ: _cauchy_schwarz_chain,
-    CombinationKind.DIAG_OFFDIAG: _diag_offdiag_chain,
-    CombinationKind.SELECTION_MAX: _selection_max_chain,
-    CombinationKind.SELECTION_FROBENIUS: _selection_frobenius_chain,
-    CombinationKind.ROW_SUM: _row_sum_chain,
-    CombinationKind.HOLDER_GRAM: _holder_gram_chain,
-    CombinationKind.HOLDER_GRAM_P2: _holder_gram_chain,
-}
+def _holder_gram(c: CombinationStack, p: float) -> np.ndarray:
+    q = p / (p - 1.0)
+    return c.power_sum(p) ** (2 / p) * c.agg.power_sum("abs_gram", q) ** (1 / q)
 
 
 def cauchy_schwarz_bound(

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NotOrthonormalError, NumericalWarning
 from .gram import FactorStack, SystemStack, VectorSystem, _lapack, _umath_linalg, require_independent
 from .orthonormalize import distance_sq_stack
-from .space import Field, Scalar, ToleranceConfig, Vector, leq_margin, near_margin, sq_norms
+from .space import Field, Scalar, ToleranceConfig, Vector, cached_property, leq_margin, near_margin, sq_norms
 
 __all__ = [
     "DistanceResult",

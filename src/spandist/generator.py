@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .bounds import BoundMethod, IntervalData, bound_values
 from .distance import PointStack
 from .errors import NumericalInstabilityError
-from .gram import SystemStack, VectorSystem
-from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, checked_int, checked_real, sq_norms
+from .gram import SystemStack, VectorSystem, _qr
+from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, cached_property, checked_int, checked_real, sq_norms
 
 __all__ = [
     "GeneratorConfig",
@@ -138,6 +138,7 @@ class InstanceChunk(PointStack):
         self.seed = seed
         self.trials = trials
         self.size = len(trials)
+        self._rng: np.random.Generator | None = None  # made on first use, or generate_chunk's
 
     @classmethod
     def of(cls, instance: Instance, tol: ToleranceConfig) -> "InstanceChunk":
@@ -161,12 +162,12 @@ class InstanceChunk(PointStack):
     def coeffs(self, salt: int, count: int | None = None) -> np.ndarray:
         """(T, count) coefficients (count n by default), each trial's from
         its own auxiliary stream: key (seed, trial) with ``salt`` in counter
-        word 2, the stream of :func:`child_rng`, read from one generator
-        re-keyed for each trial (a None seed or trial reads as 0)."""
+        word 2, the stream of :func:`child_rng` (a None seed or trial reads
+        as 0), drawn by the chunk's one generator, so not by two threads at once."""
         count = self.systems.n if count is None else count
         field = self.systems.field
         out = _normal_stack(self.size, (count,), field)
-        rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for each trial
+        rng = self._rng = self._rng or np.random.Generator(np.random.Philox(key=0))  # re-keyed for each trial
         for k, trial in enumerate(self.trials):
             _normals(_rekey(rng, self.seed or 0, trial or 0, salt), out[k])
         return _values(out, field)
@@ -288,7 +289,7 @@ class _FirstPass:
 def _orthonormal_frames(normals: np.ndarray) -> np.ndarray:
     """(T, rows, dim) stack of matrices with orthonormal rows (Haar-ish via
     QR) from the (T, dim, rows) stack of ``normals``."""
-    q, r = np.linalg.qr(normals)
+    r, q = _qr(normals)
     # fix the QR sign/phase ambiguity so the draw is a pure function of the data
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mags = np.abs(d)
@@ -389,6 +390,7 @@ def generate_chunk(
     for a in (chunk.x, lo, hi):
         if a is not None:
             a.setflags(write=False)
+    chunk._rng = rng  # its auxiliary draws re-key the same generator
     return chunk
 
 

@@ -23,15 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg import _linalg, _umath_linalg
 
 from .errors import LinearDependenceError, NumericalInstabilityError
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, check_member, checked_int, field_array, sq_norms
-from .space import leq_margin, near_margin
+from .space import cached_property, leq_margin, near_margin
 
 __all__ = [
     "GramMatrix",
@@ -123,15 +123,15 @@ class AggregateStack:
 
     @cached_property
     def norm_sum(self) -> np.ndarray:
-        return _frozen(np.sum(self.norms_sq, axis=-1))
+        return _frozen(np.add.reduce(self.norms_sq, axis=-1))
 
     @cached_property
     def norm_max(self) -> np.ndarray:
-        return _frozen(np.max(self.norms_sq, axis=-1))
+        return _frozen(np.maximum.reduce(self.norms_sq, axis=-1))
 
     @cached_property
     def norm_product(self) -> np.ndarray:
-        return _frozen(np.prod(self.norms_sq, axis=-1))
+        return _frozen(np.multiply.reduce(self.norms_sq, axis=-1))
 
     @cached_property
     def abs_gram(self) -> np.ndarray:
@@ -146,16 +146,16 @@ class AggregateStack:
     @cached_property
     def offdiag_max(self) -> np.ndarray:
         """max_{i != j} |G[i, j]|; 0 for a single vector."""
-        return _frozen(np.max(self.abs_offdiag, axis=(-2, -1), initial=0.0))
+        return _frozen(np.maximum.reduce(self.abs_offdiag, axis=(-2, -1), initial=0.0))
 
     @cached_property
     def row_sums(self) -> np.ndarray:
         """r_i = sum_j |G[i, j]|, diagonal included."""
-        return _frozen(np.sum(self.abs_gram, axis=-1))
+        return _frozen(np.add.reduce(self.abs_gram, axis=-1))
 
     @cached_property
     def row_max(self) -> np.ndarray:
-        return _frozen(np.max(self.row_sums, axis=-1))
+        return _frozen(np.maximum.reduce(self.row_sums, axis=-1))
 
     @cached_property
     def offdiag_frobenius(self) -> np.ndarray:
@@ -181,7 +181,7 @@ class AggregateStack:
     def identity_deviation(self) -> np.ndarray:
         """max_{i, j} |G - I|: zero exactly for an orthonormal system."""
         g = self.gram
-        return _frozen(np.max(np.abs(g - np.eye(g.shape[-1], dtype=g.dtype)), axis=(-2, -1)))
+        return _frozen(np.maximum.reduce(np.abs(g - np.eye(g.shape[-1], dtype=g.dtype)), axis=(-2, -1)))
 
     @cached_property
     def chain_prefixes(self) -> ChainPrefixes:
@@ -189,13 +189,14 @@ class AggregateStack:
         every prefix at once (see :class:`ChainPrefixes`)."""
         d = self.norms_sq
         abs_g = self.abs_gram
-        numerators = np.sum(np.tril(abs_g**2, -1), axis=-1)
+        below = np.tri(*abs_g.shape[-2:], -1, dtype=bool)  # np.tril(., -1) keeps it, np.triu(.) zeroes it
+        numerators = np.add.reduce(np.where(below, abs_g**2, 0.0), axis=-1)
         norm_max = np.maximum.accumulate(d, axis=-1)
         # max_{j<i} |G[i, j]| per row, then its running max over rows
-        offdiag_max = np.maximum.accumulate(np.max(np.tril(abs_g, -1), axis=-1), axis=-1)
+        offdiag_max = np.maximum.accumulate(np.maximum.reduce(np.where(below, abs_g, 0.0), axis=-1), axis=-1)
         # column m of the row-wise cumsum holds sum_{j<=m} |G[i, j]|; the
         # block of size m + 1 takes its max over rows i <= m
-        row_sums = np.max(np.triu(np.cumsum(abs_g, axis=-1)), axis=-2)
+        row_sums = np.maximum.reduce(np.where(below, 0.0, np.cumsum(abs_g, axis=-1)), axis=-2)
         return ChainPrefixes(
             numerators=_frozen(numerators),
             total_norm=_frozen(np.cumsum(d, axis=-1)),
@@ -213,7 +214,7 @@ class AggregateStack:
         if value is None:
             if name not in _POWER_AXES:
                 raise ValueError(f"power_sum reads one of {', '.join(_POWER_AXES)}, got {name!r}")
-            value = self._powers[key] = _frozen(np.sum(getattr(self, name) ** q, axis=_POWER_AXES[name]))
+            value = self._powers[key] = _frozen(np.add.reduce(getattr(self, name) ** q, axis=_POWER_AXES[name]))
         return value
 
 
@@ -344,6 +345,16 @@ def _lapack(gufunc, stack: np.ndarray) -> np.ndarray:
     here: a caller reads a failure from the NaN fill."""
     with np.errstate(all="ignore"):
         return gufunc(stack)
+
+
+def _qr(stack: np.ndarray, reduced: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """``numpy.linalg.qr`` of a (T, m, k) stack by the same two gufuncs, under
+    its error rule but without its copies and wrappers: the factored copy,
+    which holds R on and above its diagonal, and the reduced Q (or None)."""
+    a = np.array(stack)  # qr_r_raw factors its operand in place
+    with np.errstate(call=_linalg._raise_linalgerror_qr, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a)
+        return a, _umath_linalg.qr_reduced(a, tau) if reduced else None
 
 
 def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_tol) -> FactorStack:

@@ -82,7 +82,7 @@ def chain_stack(
     factors[..., 1:] = norms[:, 1:] - numerators[:, 1:] / denominators[..., :-1]
     negative = factors < 0.0
     if not negative.any():
-        return factors, np.prod(factors, axis=-1), negative[..., 0]
+        return factors, np.multiply.reduce(factors, axis=-1), negative[..., 0]
     loud = negative & (leq_margin(0.0, factors, tol.compare_rel_tol, scale=norms) < 0.0)
     for at in np.argwhere(loud):
         warnings.warn(

@@ -18,8 +18,8 @@ functions over bare rows (:func:`orthonormal_rows`,
 check their arrays by :func:`spandist.space.field_array` and test the
 diagonal of R themselves, raising LinearDependenceError.
 
-Every QR here is ``np.linalg.qr``, one LAPACK call per stack; so is the
-generator's (:mod:`spandist.generator` draws its orthonormal frames by it).
+Every QR here is one LAPACK call per stack, by :func:`spandist.gram._qr`;
+so is the generator's (:mod:`spandist.generator` draws its orthonormal frames by it).
 """
 
 from __future__ import annotations
@@ -27,14 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, LinearDependenceError
+from .gram import _qr
 from .space import DEFAULT_TOL, ToleranceConfig, field_array, sq_norms
 
 __all__ = ["orthonormal_rows", "residual_after_projection", "distance_sq_by_orthonormalization"]
 
 
 def _checked_diagonal(r: np.ndarray, rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """diag R for (T, k, >= n) factors R of the columns of a (T, n, dim)
-    stack of rows. |R[k, k]| is what is left of row k after projecting out
+    """diag R for (T, dim, >= n) factored QR copies of the columns of a (T, n,
+    dim) stack of rows. |R[k, k]| is what is left of row k after projecting out
     its predecessors: LinearDependenceError if that collapses below
     ``rank_rel_tol`` (relative to the row's own norm) in any system, or if
     there are more rows than dimensions."""
@@ -64,14 +65,14 @@ def _checked(rows: object, x: object = None) -> tuple[np.ndarray, np.ndarray | N
 
 def _basis(rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """:func:`orthonormal_rows` of checked rows."""
-    q, r = np.linalg.qr(rows.T)
+    r, q = _qr(rows.T)
     diag = _checked_diagonal(r[np.newaxis], rows[np.newaxis], tol)[0]
     return (q * (diag / np.abs(diag))).T
 
 
 def _augmented_r(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """R of one stacked QR of the (T, dim, n + 1) augmented columns x_1..x_n, x."""
-    return np.linalg.qr(np.swapaxes(np.concatenate([rows, x[:, np.newaxis]], axis=1), -1, -2), mode="r")
+    """R, in the factored copy, of one stacked QR of the (T, dim, n + 1) augmented columns x_1..x_n, x."""
+    return _qr(np.swapaxes(np.concatenate([rows, x[:, np.newaxis]], axis=1), -1, -2), reduced=False)[0]
 
 
 def _distance_sq(r: np.ndarray, n: int, dim: int) -> np.ndarray:

@@ -15,6 +15,7 @@ field) naming what it checked; shapes are checked by the callers.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import sys
@@ -42,6 +43,13 @@ __all__ = [
     "linear_combination",
     "conjugate_exponent",
 ]
+
+
+class cached_property(functools.cached_property):
+    """``functools.cached_property`` without the lock Python 3.11 takes on each first read."""
+
+    def __get__(self, instance, owner=None):
+        return self if instance is None else instance.__dict__.setdefault(self.attrname, self.func(instance))
 
 
 class Field(enum.Enum):

@@ -183,7 +183,7 @@ def test_the_combination_sweep_does_not_revalidate_its_exponents(monkeypatch):
 def test_the_sweep_computes_each_distinct_term_once(monkeypatch):
     # 19 diag/offdiag splits over 5 distinct diagonal and 5 distinct
     # off-diagonal terms, and 5 row-sum chains over one base
-    from functools import cached_property
+    from functools import lru_cache
 
     from spandist import checks
     from spandist import combination as comb
@@ -199,9 +199,9 @@ def test_the_sweep_computes_each_distinct_term_once(monkeypatch):
 
     monkeypatch.setattr(comb, "_diag_term", counted("diag", comb._diag_term))
     monkeypatch.setattr(comb, "_offdiag_term", counted("offdiag", comb._offdiag_term))
-    base = cached_property(counted("base", comb.CombinationStack.row_sum_base.func))
-    base.__set_name__(comb.CombinationStack, "row_sum_base")
-    monkeypatch.setattr(comb.CombinationStack, "row_sum_base", base)
+    monkeypatch.setattr(comb, "_row_sum_base", counted("base", comb._row_sum_base))
+    # a plan holds the term functions it was made with: plans made here hold the counted ones
+    monkeypatch.setattr(comb, "_plan", lru_cache(maxsize=16)(comb._plan.__wrapped__))
     kinds = [method.kind for _, method in checks.COMBINATION_SWEEP]
     assert kinds.count(comb.CombinationKind.DIAG_OFFDIAG) == 19 and kinds.count(comb.CombinationKind.ROW_SUM) == 5
     chunk = generate_chunk(GeneratorConfig(seed=4, trials=16, dim=5, n=3), range(16))

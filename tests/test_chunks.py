@@ -22,7 +22,7 @@ from spandist import campaign as sd_campaign
 from spandist import gram as sd_gram
 from spandist.checks import REGISTRY, applicable_checks, resolve_check, run_checks, run_stacked
 from spandist.distance import PointStack
-from spandist.generator import generate_chunk
+from spandist.generator import InstanceChunk, generate_chunk
 
 TOL = sd.DEFAULT_TOL
 
@@ -181,6 +181,51 @@ def test_the_stacked_sweep_equals_the_per_method_api(name):
             if len(result.chain) > 1:
                 assert _bits(result.chain[-1]) == _bits(outcomes.pop(chain)["coarse"]), (k, label)
         assert not outcomes, k  # every /chain id belongs to a method with a chain
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_evaluate_combination_is_its_row_of_the_sweep_on_a_chunk_of_one(field):
+    # one path: each of the 31 methods, evaluated alone, gives the bytes of
+    # its row of the campaign's sweep over the same instance as a chunk of one
+    config = GeneratorConfig(seed=17, trials=4, dim=6, n=4, field=field, conditioning=1e3, dependent_fraction=0.5)
+    for trial in range(config.trials):
+        instance = sd.generate_instance(config, trial, TOL)
+        chunk = InstanceChunk.of(instance, TOL)
+        holds, chain = run_stacked([resolve_check("combination_sweep")], chunk)
+        bound, lhs = dict(holds.values)["bound"][:, 0], dict(holds.values)["lhs"][0]
+        coarse = dict(chain.values)["coarse"][:, 0]
+        alphas = chunk.coeffs(sd.checks._SALT_COMBINATION)[0]
+        linked = []
+        for k, (label, method) in enumerate(sd.checks.COMBINATION_SWEEP):
+            result = sd.evaluate_combination(alphas, instance.system, method, TOL)
+            assert (_bits(result.lhs), _bits(result.bound)) == (_bits(lhs), _bits(bound[k])), (trial, label)
+            assert result.holds == (holds.margin[k, 0] >= 0.0), (trial, label)
+            if len(result.chain) > 1:
+                c = len(linked)
+                linked.append(k)
+                assert _bits(result.chain[1]) == _bits(coarse[c]), (trial, label)
+                assert result.chain_ok == (chain.margin[c, 0] >= 0.0), (trial, label)
+        assert len(sd.checks.COMBINATION_SWEEP) == 31 and tuple(linked) == chain.follows
+
+
+@pytest.mark.parametrize("name", SMALL_STREAMS)
+def test_a_campaign_calls_no_numpy_qr_and_makes_one_philox_per_chunk(name, monkeypatch):
+    # the fixed cost cut from a chunk stays cut: every QR goes through
+    # gram._qr, and one generator serves all the draws of a chunk
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(np.random, "Philox", counted("Philox", np.random.Philox))
+    config = _config(name)
+    sd.run_campaign(config)
+    assert counts == {"Philox": len(range(0, config.trials, sd_campaign._chunk_trials(config)))} == {"Philox": 3}
 
 
 def test_runtime_check_runs_per_instance_beside_stacked_ones(monkeypatch):
@@ -389,6 +434,40 @@ def test_the_lapack_gufuncs_flag_and_nan_fill_exactly_the_failed_matrices(field,
         regular = np.delete(stack, sorted(singular), axis=0)
         out = sd_gram._lapack(gufunc, regular)
         assert not np.isnan(out).any() and out.tobytes() == public(regular).tobytes()
+
+
+_QR_SHAPES = {  # the chunk path's QR operands, one matrix each: (rows, columns)
+    "tall": (7, 5),  # a frame's (dim, n) normals
+    "square": (5, 5),  # a frame's (n, n) normals
+    "oracle": (7, 6),  # the oracle's (dim, n + 1) augmented columns
+    "oracle_dim_n": (4, 5),  # ... with dim = n
+    "oracle_dim_n_1": (1, 2),
+}
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("shape", sorted(_QR_SHAPES))
+def test_the_qr_gufuncs_give_the_bytes_of_numpy_linalg_qr(field, shape):
+    # the private numpy gufuncs behind np.linalg.qr, which gram._qr calls
+    # without its wrappers: Q, diag R and R are np.linalg.qr's bytes, for
+    # each matrix alone and for a stack of 7, and the operand is left as it was
+    umath = sd_gram._umath_linalg
+    assert (umath.qr_r_raw.signature, umath.qr_reduced.signature) == ("(m,n)->(p)", "(m,n),(k)->(m,k)")
+    rows, cols = _QR_SHAPES[shape]
+    rng = np.random.default_rng(rows * cols)
+    stack = rng.standard_normal((7, rows, cols))
+    if field is Field.COMPLEX:
+        stack = stack + 1j * rng.standard_normal((7, rows, cols))
+    stack.setflags(write=False)
+    for mats in [stack[k : k + 1] for k in range(7)] + [stack]:
+        want_q, want_r = np.linalg.qr(mats)
+        factored, q = sd_gram._qr(mats)
+        top = np.triu(factored[:, : min(rows, cols)])
+        assert q.dtype == want_q.dtype and q.shape == want_q.shape and q.tobytes() == want_q.tobytes()
+        assert top.shape == want_r.shape and top.tobytes() == want_r.tobytes()
+        assert np.diagonal(factored, 0, -2, -1).tobytes() == np.diagonal(want_r, 0, -2, -1).tobytes()
+        factored, none = sd_gram._qr(mats, reduced=False)
+        assert none is None and np.triu(factored[:, : min(rows, cols)]).tobytes() == np.linalg.qr(mats, "r").tobytes()
 
 
 def _rows_of(stacks):
