@@ -165,16 +165,16 @@ def bessel_values(xx: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.n
 
 
 def condition_stack(
-    rows: np.ndarray, x: np.ndarray, xx: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: ToleranceConfig
+    rows: np.ndarray, x: np.ndarray, xx: np.ndarray, lo: np.ndarray, hi: np.ndarray, half_width: np.ndarray,
+    tol: ToleranceConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(re_inner, ball_margin, margin, forms_agree) per system, for (T, n) interval data, where
-    ``margin`` is that of 0 <= re_inner on the scale ||x||^2: :class:`ConditionVerdict` holds where it is >= 0."""
+    ``margin`` is that of 0 <= re_inner on the scale ||x||^2: :class:`ConditionVerdict` holds where it is >= 0.
+    ``ball_margin`` subtracts from ``half_width``, the COND_HALF_WIDTH bound of :func:`conditional_stack`."""
     upper_comb = (hi[:, np.newaxis, :] @ rows)[:, 0, :]
     lower_comb = (lo[:, np.newaxis, :] @ rows)[:, 0, :]
     re_inner = re_inner_rows(x - lower_comb, upper_comb - x)
-    mid_resid = x - (upper_comb + lower_comb) / 2.0
-    half_width = (upper_comb - lower_comb) / 2.0
-    ball_margin = sq_norms(half_width) - sq_norms(mid_resid)
+    ball_margin = half_width - sq_norms(x - (upper_comb + lower_comb) / 2.0)
     rel = tol.compare_rel_tol
     margin = leq_margin(0.0, re_inner, rel, scale=xx)
     return re_inner, ball_margin, margin, (margin >= 0.0) == (leq_margin(0.0, ball_margin, rel, scale=xx) >= 0.0)
@@ -287,45 +287,44 @@ class ConditionVerdict:
     forms_agree: bool
 
 
+def _two_sided(
+    system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None
+) -> tuple[ConditionVerdict, float, dict[BoundMethod, float]]:
+    """The condition's verdict for x against the system, then the quarter
+    width sum and the four conditional bounds of :func:`conditional_stack`
+    (its half-width bound is the one the ball formulation reads)."""
+    p = PointStack.of(system, x, tol)
+    rows, (lo, hi) = p.systems.rows, intervals.arrays(system.field, system.n)
+    quarter, values = conditional_stack(rows, (hi - lo)[np.newaxis], p.systems.aggregates)
+    re_inner, ball_margin, margin, forms_agree = condition_stack(
+        rows, p.x, p.xx, lo[np.newaxis], hi[np.newaxis], values[BoundMethod.COND_HALF_WIDTH], p.tol
+    )
+    verdict = ConditionVerdict(float(re_inner[0]), float(ball_margin[0]), bool(margin[0] >= 0.0), bool(forms_agree[0]))
+    return verdict, float(quarter[0]), {m: float(v[0]) for m, v in values.items()}
+
+
+def _required(
+    system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None
+) -> tuple[ConditionVerdict, float, dict[BoundMethod, float]]:
+    """:func:`_two_sided`; ConditionNotSatisfiedError unless the condition holds."""
+    verdict, _, _ = out = _two_sided(system, x, intervals, tol)
+    if not verdict.holds:
+        raise ConditionNotSatisfiedError(f"two-sided condition fails: Re-inner term {verdict.re_inner:.6e} < 0")
+    return out
+
+
 def condition_verdict(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
 ) -> ConditionVerdict:
     """Both formulations of the two-sided condition for x against the system."""
-    p = PointStack.of(system, x, tol)
-    lo, hi = intervals.arrays(system.field, system.n)
-    re_inner, ball_margin, margin, forms_agree = condition_stack(
-        p.systems.rows, p.x, p.xx, lo[np.newaxis], hi[np.newaxis], p.tol
-    )
-    return ConditionVerdict(
-        re_inner=float(re_inner[0]),
-        ball_margin=float(ball_margin[0]),
-        holds=bool(margin[0] >= 0.0),
-        forms_agree=bool(forms_agree[0]),
-    )
+    return _two_sided(system, x, intervals, tol)[0]
 
 
 def require_condition(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None = None
 ) -> ConditionVerdict:
     """:func:`condition_verdict`; ConditionNotSatisfiedError unless it holds."""
-    verdict = condition_verdict(system, x, intervals, tol)
-    if not verdict.holds:
-        raise ConditionNotSatisfiedError(
-            f"two-sided condition fails: Re-inner term {verdict.re_inner:.6e} < 0"
-        )
-    return verdict
-
-
-def _conditional_values(system: VectorSystem, intervals: IntervalData) -> dict[BoundMethod, float]:
-    """The four conditional bounds, in :data:`CONDITIONAL_METHODS` order.
-
-    Checks nothing: the caller has established independence, that x is not
-    orthogonal to the span, and the two-sided condition (as
-    :func:`full_bound_report` does), so that the condition is evaluated once.
-    """
-    lo, hi = intervals.arrays(system.field, system.n)
-    _, values = conditional_stack(system.rows[np.newaxis], (hi - lo)[np.newaxis], system.as_stack().aggregates)
-    return {m: float(v[0]) for m, v in values.items()}
+    return _required(system, x, intervals, tol)[0]
 
 
 def bound_cond_half_width(
@@ -333,8 +332,7 @@ def bound_cond_half_width(
 ) -> float:
     """d^2 <= (1/4) ||sum_i (Gamma_i - gamma_i) x_i||^2 under the condition."""
     _prepare(system, x, tol)
-    require_condition(system, x, intervals, tol)
-    return _conditional_values(system, intervals)[BoundMethod.COND_HALF_WIDTH]
+    return _required(system, x, intervals, tol)[2][BoundMethod.COND_HALF_WIDTH]
 
 
 def bound_cond_relaxed(
@@ -352,8 +350,7 @@ def bound_cond_relaxed(
     if method not in _COND_FACTORS:
         raise ValueError(f"not a conditional relaxation method: {method}")
     _prepare(system, x, tol)
-    require_condition(system, x, intervals, tol)
-    return _conditional_values(system, intervals)[method]
+    return _required(system, x, intervals, tol)[2][method]
 
 
 @dataclass(frozen=True)
@@ -372,10 +369,8 @@ def reverse_bessel_gap(
     if not is_orthonormal(system, tol):
         raise NotOrthonormalError("reverse Bessel bound requires an orthonormal system")
     p = PointStack.of(system, x, tol)
-    require_condition(system, x, intervals, tol)
-    lo, hi = intervals.arrays(system.field, system.n)
-    quarter, _ = conditional_stack(system.rows[np.newaxis], (hi - lo)[np.newaxis], system.as_stack().aggregates)
-    gap, quarter = float(p.xx[0] - p.s[0]), float(quarter[0])
+    quarter = _required(system, x, intervals, tol)[1]
+    gap = float(p.xx[0] - p.s[0])
     rel = p.tol.compare_rel_tol
     holds = leq_margin(0.0, gap, rel) >= 0.0 and leq_margin(gap, quarter, rel, scale=quarter) >= 0.0
     return ReverseBesselVerdict(bessel_gap=gap, quarter_width_sq=quarter, holds=holds)
@@ -429,8 +424,7 @@ def full_bound_report(
     exact = float(p.d2[0])
     values = {m: float(v[0]) for m, v in bound_values(p.xx, p.s, system.as_stack().aggregates).items()}
     if intervals is not None:
-        require_condition(system, x, intervals, tol)
-        values.update(_conditional_values(system, intervals))
+        values.update(_required(system, x, intervals, tol)[2])
     entries = tuple(
         BoundEntry(
             method=m,

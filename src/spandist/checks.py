@@ -292,7 +292,10 @@ def _hadamard_chains(t: InstanceChunk) -> list[CheckStack]:
 
 def _gram_inequalities(t: InstanceChunk) -> list[CheckStack]:
     """Determinant nonnegativity/product bound, block splits, and the
-    sqrt-determinant triangle inequality on a random companion vector."""
+    sqrt-determinant triangle inequality on a random companion vector y1,
+    whose det(x1, rest) is the system's own determinant. The split factors
+    its blocks: in a pivoted order, a prefix product of the pivots is
+    another block's determinant."""
     det, product = t.systems.factor.det, t.systems.aggregates.norm_product
     out = [
         _stack("gram_inequalities/nonnegative", leq_margin(0.0, det, DOMINANCE_REL, scale=det), gram_det=det),
@@ -300,12 +303,10 @@ def _gram_inequalities(t: InstanceChunk) -> list[CheckStack]:
                gram_det=det, norm_product=product),
     ]
     if t.systems.n >= 2:
-        rows = t.systems.rows
         left, right = split_determinants(t.systems.gram, t.systems.n // 2, t.tol.rank_rel_tol)
         out.append(_stack("gram_inequalities/product_split", leq_margin(det, left * right, DOMINANCE_REL),
                           full=det, left=left, right=right))
-        y1 = t.coeffs(_SALT_TRIANGLE, t.systems.dim)
-        combined, first, second = triangle_roots(rows[:, 0], y1, rows[:, 1:], t.tol)
+        combined, first, second = triangle_roots(t.systems, t.coeffs(_SALT_TRIANGLE, t.systems.dim), t.tol)
         out.append(_stack("gram_inequalities/triangle", leq_margin(combined, first + second, DOMINANCE_REL),
                           combined=combined, first=first, second=second))
     return out
@@ -318,17 +319,16 @@ def _conditional_bounds(t: InstanceChunk) -> list[CheckStack]:
     if t.lo is None:
         return []
     ok = t.systems.factor.complete & ~t.in_orth
-    rows = t.systems.rows
-    re_inner, ball_margin, margin, forms_agree = bnd.condition_stack(rows, t.x, t.xx, t.lo, t.hi, t.tol)
+    rows, d2 = t.systems.rows, t.d2
+    quarter, values = bnd.conditional_stack(rows, t.hi - t.lo, t.systems.aggregates)
+    half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
+    re_inner, ball_margin, margin, forms_agree = bnd.condition_stack(rows, t.x, t.xx, t.lo, t.hi, half_width, t.tol)
     out = [
         _stack("conditional_bounds/condition_holds", margin, ok, re_inner=re_inner),
         _stack("conditional_bounds/forms_agree", np.where(forms_agree, t.tol.compare_rel_tol, -1.0), ok,
                re_inner=re_inner, ball_margin=ball_margin),
     ]
     held = ok & (margin >= 0.0)
-    d2, widths = t.d2, t.hi - t.lo
-    quarter, values = bnd.conditional_stack(rows, widths, t.systems.aggregates)
-    half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
     out.append(_stack("conditional_bounds/half_width_dominates", leq_margin(d2, half_width, DOMINANCE_REL), held,
                       bound=half_width, exact=d2))
     relaxed = np.array([values[method] for method in bnd.CONDITIONAL_METHODS[1:]])

@@ -150,11 +150,12 @@ class CombinationStack:
     ``alphas`` is (T, n), ``rows`` the (T, n, dim) coordinates and ``agg``
     the systems' :class:`~spandist.gram.AggregateStack`. Holds everything the
     bounds read from the coefficients, per system — |a|, its maximum, the
-    power sums sum |a_i|^e (its sum at e = 1), the diagonal and off-diagonal
-    terms of the diag/offdiag splits (memoised per exponent and branch), the
-    row-sum base, the lhs ||sum a_i z_i||^2 and the Lagrange identity parts
-    — each computed at most once, so any number of bounds on the same draws
-    reduce the coefficients once. :meth:`chains` evaluates any number of
+    power sums sum |a_i|^e (its sum at e = 1, and at e = 2 the array
+    ``coeff_norm_sq``), the diagonal and off-diagonal terms of the
+    diag/offdiag splits (memoised per exponent and branch), the row-sum
+    base, the lhs ||sum a_i z_i||^2 and the Lagrange identity parts — each
+    computed at most once, so any number of bounds on the same draws reduce
+    the coefficients once. :meth:`chains` evaluates any number of
     bound families from one table of the terms they read, :meth:`chain`
     one of them; :meth:`of` builds the stack of one draw against one system.
     """
@@ -180,7 +181,7 @@ class CombinationStack:
 
     @cached_property
     def coeff_norm_sq(self) -> np.ndarray:
-        """sum_i |alphas[i]|^2 as the inner product <a, a>."""
+        """sum_i |alphas[i]|^2 as the inner product <a, a>, also :meth:`power_sum` at e = 2."""
         return sq_norms(self.alphas)
 
     @cached_property
@@ -209,7 +210,7 @@ class CombinationStack:
         return value
 
     def power_sum(self, e: float) -> np.ndarray:
-        """sum_i |a_i|^e, memoised per exponent."""
+        """sum_i |a_i|^e, memoised per exponent; at e = 2 it is :attr:`coeff_norm_sq`."""
         return self._memo(_power_sum, e)
 
     @cached_property
@@ -354,7 +355,7 @@ def _cauchy_schwarz(c: CombinationStack) -> np.ndarray:
 
 
 def _power_sum(c: CombinationStack, e: float) -> np.ndarray:
-    return (c.a**e).sum(axis=-1)
+    return c.coeff_norm_sq if e == 2 else (c.a**e).sum(axis=-1)
 
 
 def _diag_term(c: CombinationStack, branch: DiagBranch, exp: float | None) -> np.ndarray:

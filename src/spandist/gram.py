@@ -8,14 +8,16 @@ computes their Gram matrices, factorizations and aggregates over the whole
 stack at once, reducing only over each system's own axes; a
 :class:`VectorSystem` is a stack of one, whose numbers are the same bits as
 its entry in any larger stack, and the per-system functions read entry 0 of
-that stack's factorization and aggregates. All determinant work goes through
-:func:`factor_stack`. It decides each matrix's rank once, as the reference
-factorization :func:`pivoted_cholesky` decides it on the power-of-two
-equilibrated matrix E, and gauges E's condition with the same factor, so
-neither depends on how the rows are scaled. The reference is a diagonally
-pivoted Cholesky factorization, which keeps the semidefinite structure
-explicit: the determinant is the product of the pivots, rank deficiency
-shows up as a pivot collapsing relative to the largest one, and a
+that stack's factorization and aggregates. The triangle check reads them
+too: det(x1, rest) is the system's own determinant, and its other two
+matrices border the system's Gram block of the rest. All determinant work
+goes through :func:`factor_stack`. It decides each matrix's rank once, as
+the reference factorization :func:`pivoted_cholesky` decides it on the
+power-of-two equilibrated matrix E, and gauges E's condition with the same
+factor, so neither depends on how the rows are scaled. The reference is a
+diagonally pivoted Cholesky factorization, which keeps the semidefinite
+structure explicit: the determinant is the product of the pivots, rank
+deficiency shows up as a pivot collapsing relative to the largest one, and a
 significantly negative pivot is proof that the input was not a Gram matrix.
 """
 
@@ -252,13 +254,11 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
     pivot falls to ``rank_rel_tol`` times the largest pivot; a pivot below
     ``-rank_rel_tol`` times that scale raises
     :class:`NumericalInstabilityError`, since no Gram matrix can produce it.
-    Float and complex arrays are taken as they are, anything else through
-    :func:`~spandist.space.field_array`.
+    Every entry is checked by :func:`~spandist.space.field_array`, so a
+    non-finite one raises ValueError; a complex array stays complex.
     """
     src = np.asarray(matrix)
-    if src.dtype.kind not in "fc":
-        src = field_array(src, None, "matrix entries")
-    a = np.array(src, dtype=np.complex128 if np.iscomplexobj(src) else np.float64)
+    a = np.array(field_array(src, Field.COMPLEX if src.dtype.kind == "c" else None, "matrix entries"))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     lower, perm, pivots, rank = _pivoted(a[np.newaxis], rank_rel_tol)
@@ -694,24 +694,23 @@ def check_gram_triangle(
     rest: Sequence[Vector] | VectorSystem,
     tol: ToleranceConfig | None = None,
 ) -> GramTriangleVerdict:
-    """Verify det^(1/2)(x1+y1, rest) <= det^(1/2)(x1, rest) + det^(1/2)(y1, rest).
+    """Verify det^(1/2)(x1+y1, rest) <= det^(1/2)(x1, rest) + det^(1/2)(y1, rest)
+    by :func:`triangle_roots` on the system (x1, rest).
 
     ``tol`` defaults to a :class:`VectorSystem` rest's own tolerance, and to
     :data:`~spandist.space.DEFAULT_TOL` for a sequence of vectors."""
-    if not isinstance(rest, VectorSystem):
-        rest = VectorSystem(list(rest), tol or DEFAULT_TOL)
-    tol = tol or rest.tol
-    for lead in (x1, y1):
-        rest._check_member(lead)
+    if isinstance(rest, VectorSystem):
+        tol, rest = tol or rest.tol, rest.vectors
+    system = VectorSystem([x1, *rest], tol or DEFAULT_TOL)
+    system._check_member(y1)
     combined, first, second = (
-        float(v[0])
-        for v in triangle_roots(x1.coords[np.newaxis], y1.coords[np.newaxis], rest.rows[np.newaxis], tol)
+        float(v[0]) for v in triangle_roots(system.as_stack(), y1.coords[np.newaxis], system.tol)
     )
     return GramTriangleVerdict(
         combined=combined,
         first=first,
         second=second,
-        ok=leq_margin(combined, first + second, tol.compare_rel_tol) >= 0.0,
+        ok=leq_margin(combined, first + second, system.tol.compare_rel_tol) >= 0.0,
     )
 
 
@@ -725,18 +724,19 @@ def split_determinants(gram: np.ndarray, k: int, rank_rel_tol: float) -> tuple[n
 
 
 def triangle_roots(
-    x1: np.ndarray, y1: np.ndarray, rest: np.ndarray, tol: ToleranceConfig
+    systems: SystemStack, y1: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """det^(1/2) of the Gram matrices of (x1 + y1, rest), (x1, rest) and
-    (y1, rest) for (T, dim) leading rows and a (T, m, dim) rest, all in the
-    rest's dtype: the Gram block of the rest, bordered by each leading
-    row's inner products, the three stacks factored as one (3T, m + 1,
-    m + 1) :func:`factor_stack` call."""
-    count, m = rest.shape[:2]
-    leads = np.stack([x1 + y1, x1, y1], axis=1)
-    cross = np.transpose(rest.conj() @ np.swapaxes(leads, -1, -2), (2, 0, 1))  # cross[k, :, j] = <lead_k, rest_j>
-    gram = np.empty((3, count, m + 1, m + 1), rest.dtype)
-    gram[:, :, 1:, 1:] = gram_stack(rest)
+    (y1, rest) for the systems (x1, rest) of a stack and (T, dim) rows y1,
+    all in the systems' dtype. The second is the systems' own determinant,
+    at their own tolerance. The other two border the systems' Gram block
+    of the rest with each leading row's inner products, and the two stacks
+    are factored as one (2T, n, n) :func:`factor_stack` call at ``tol``."""
+    rows, (count, n) = systems.rows, systems.rows.shape[:2]
+    leads = np.stack([rows[:, 0] + y1, y1], axis=1)
+    cross = np.transpose(rows[:, 1:].conj() @ np.swapaxes(leads, -1, -2), (2, 0, 1))  # [k, :, j]: <lead_k, rest_j>
+    gram = np.empty((2, count, n, n), rows.dtype)
+    gram[:, :, 1:, 1:] = systems.gram[:, 1:, 1:]
     gram[:, :, 0, 0], gram[:, :, 0, 1:], gram[:, :, 1:, 0] = sq_norms(leads).T, cross, cross.conj()
-    det = factor_stack(gram.reshape(-1, m + 1, m + 1), tol.rank_rel_tol).det
-    return tuple(np.sqrt(np.maximum(det.reshape(3, count), 0.0)))
+    det = factor_stack(gram.reshape(-1, n, n), tol.rank_rel_tol).det.reshape(2, count)
+    return tuple(np.sqrt(np.maximum([det[0], systems.factor.det, det[1]], 0.0)))

@@ -79,8 +79,11 @@ def checked_int(name: str, value: object) -> int:
 def checked_real(name: str, value: object) -> object:
     """``value`` itself; ValueError naming ``name`` unless it is a finite real
     number (``numbers.Real``, numpy floats and integers included, but not
-    bool): one within the float range, so NaN, inf and 10**400 are not."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+    bool): one within the float range, so NaN, inf and 10**400 are not. A
+    numpy scalar is compared as a float64, with no cast of the range to its dtype."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not (
+        -_FLOAT_MAX <= (float(value) if isinstance(value, np.generic) else value) <= _FLOAT_MAX
+    ):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return value
 

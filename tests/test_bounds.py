@@ -132,6 +132,9 @@ def test_condition_verdict_hand_example(planar):
     assert v.holds
     assert v.forms_agree
     assert v.holds == (leq_margin(0.0, v.re_inner, sd.DEFAULT_TOL.compare_rel_tol, scale=sd.norm_sq(x)) >= 0.0)
+    # the half-width bound ||(2,2,0)||^2 / 4 = 2 less ||x - (1,1,0)||^2 = 1
+    assert v.ball_margin == 1.0
+    assert sd.bounds.require_condition(system, x, iv) == v
 
 
 def test_conditional_bounds_hand_example(planar):
@@ -156,6 +159,8 @@ def test_condition_violation_detected():
     assert v.holds == (leq_margin(0.0, v.re_inner, sd.DEFAULT_TOL.compare_rel_tol, scale=sd.norm_sq(x)) >= 0.0)
     with pytest.raises(sd.ConditionNotSatisfiedError):
         sd.bound_cond_half_width(system, x, iv)
+    with pytest.raises(sd.ConditionNotSatisfiedError, match="^two-sided condition fails: Re-inner term "):
+        sd.bounds.require_condition(system, x, iv)
 
 
 def test_half_width_bound_is_tightest_relaxation():

@@ -97,8 +97,10 @@ SMALL_STREAMS = ("complex_d7_n5_k1e2_intervals", "real_d4_n3_orthonormal_interva
 def test_the_library_reads_the_campaigns_numbers(name):
     config = _config(name, trials=sd_campaign.CHUNK_TRIALS)
     chunk = generate_chunk(config, range(config.trials), TOL)
-    checks = [resolve_check(family) for family in ("representation_agreement", "bound_dominance")]
-    rows = {check_id: (stack, c) for stack in run_stacked(checks, chunk) for c, check_id in enumerate(stack.ids)}
+    families = ("representation_agreement", "bound_dominance", "gram_inequalities")
+    rows = {check_id: (stack, c) for stack in run_stacked([resolve_check(f) for f in families], chunk)
+            for c, check_id in enumerate(stack.ids)}
+    y1s = chunk.coeffs(sd.checks._SALT_TRIANGLE, chunk.systems.dim)
 
     def row(array, c, k):  # a (C, T) array gives row c, a (T,) one is every row's
         return array[c, k] if array.ndim == 2 else array[k]
@@ -108,8 +110,22 @@ def test_the_library_reads_the_campaigns_numbers(name):
         return float(row(dict(stack.values)[key], c, k))
 
     compared = 0
-    for k in np.flatnonzero(chunk.systems.factor.complete).tolist():
+    for k in range(config.trials):
         instance = sd.generate_instance(config, k, TOL)
+        system = instance.system
+        # the Gram checks, on every trial, dependent ones included
+        y1 = sd.Vector(y1s[k], system.field)
+        triangle = sd.check_gram_triangle(system.vectors[0], y1, system.vectors[1:])
+        for key in ("combined", "first", "second"):
+            assert getattr(triangle, key) == value("gram_inequalities/triangle", key, k), key
+        split = sd.check_gram_product_split(system, system.n // 2)
+        for key, field in (("full", "gram_full"), ("left", "gram_left"), ("right", "gram_right")):
+            assert getattr(split, field) == value("gram_inequalities/product_split", key, k), key
+        hadamard = sd.check_gram_hadamard(system)
+        assert hadamard.gram_det == value("gram_inequalities/norm_product", "gram_det", k)
+        assert hadamard.norm_product == value("gram_inequalities/norm_product", "norm_product", k)
+        if not chunk.systems.factor.complete[k]:
+            continue
         alone = PointStack.of(instance.system, instance.x)
         for name in ("xx", "beta", "s", "in_orth", "orthonormal", "d2", "ratio", "projection", "oracle"):
             assert np.array_equal(getattr(alone, name)[0], getattr(chunk, name)[k]), name
@@ -684,15 +700,15 @@ def test_the_generators_bits_are_pinned(name, redrawn, monkeypatch):
 PINNED_ROUTE_DIGESTS = {
     "complex_d6_n4_k1e3_intervals_dependent": (
         "4a677d10a25be3c1ad1b6e5d4337b12c33b352ffbd7fa85d83bb43bd1826e339",
-        "949df9800b493f7d7c6be3dfedd0912b4666959143069aafb9016acc4f39c260",
+        "7336e1e894118283cce28a445cda9cfa6299e147e242a2b7946311419d6709df",
     ),
     "complex_d7_n5_k1e2": (
         "bc2f41c5c5038b20aa49ab19ccfcc11198cda68b70e336d406e8080dd1222583",
-        "241bb799707f67fcd1e0c97af5de84bb7aa33a3c9262a432ec82f6f14dab3ebf",
+        "c97dbcba037bf647c09fb5f9593696f6ef4cfcf7a6f83541a43e334182a62e41",
     ),
     "complex_d7_n5_k1e2_intervals": (
         "70a2ec7004d118a848b04de6a0dd0e4e7b7d96e10e52c3723cee73419185dc58",
-        "241bb799707f67fcd1e0c97af5de84bb7aa33a3c9262a432ec82f6f14dab3ebf",
+        "c97dbcba037bf647c09fb5f9593696f6ef4cfcf7a6f83541a43e334182a62e41",
     ),
     "real_d4_n3_orthonormal_intervals": (
         "363e7c531839e926748984b7631ab57f280735c7a8807b5af3ea8b55690aa5b7",
@@ -828,3 +844,90 @@ def test_no_kernel_of_the_chunk_path_runs_twice_on_the_same_arguments(monkeypatc
             twice.append(f"{stream}: {', '.join(repeated)}")
     assert ran == set(_KERNELS)
     assert not twice, "\n".join(twice)
+
+
+def test_a_chunk_forms_one_gram_matrix(monkeypatch):
+    # the system's own; the triangle check borders its block of the rest
+    original, calls = sd_gram.gram_stack, []
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return original(rows)
+
+    monkeypatch.setattr(sd_gram, "gram_stack", counted)
+    for stream, (trials, kwargs) in DIGEST_STREAMS.items():
+        calls.clear()
+        sd.run_campaign(GeneratorConfig(seed=7, trials=trials, **kwargs))
+        assert calls == [(trials, kwargs["n"], kwargs["dim"])], stream
+
+
+@pytest.mark.parametrize("name", [name for name, (_, kwargs) in DIGEST_STREAMS.items() if kwargs["n"] >= 2])
+def test_the_triangle_reads_the_systems_determinant_and_factors_2t_matrices(name, monkeypatch):
+    trials, kwargs = DIGEST_STREAMS[name]
+    chunk = generate_chunk(GeneratorConfig(seed=7, trials=trials, **kwargs), range(trials), TOL)
+    original, shapes = sd_gram.factor_stack, []
+
+    def factor(mats, *args):
+        shapes.append(mats.shape)
+        return original(mats, *args)
+
+    monkeypatch.setattr(sd_gram, "factor_stack", factor)
+    stacks = {stack.ids[0]: stack for stack in run_stacked([resolve_check("gram_inequalities")], chunk)}
+    first = dict(stacks["gram_inequalities/triangle"].values)["first"]
+    assert first.tobytes() == np.sqrt(np.maximum(chunk.systems.factor.det, 0.0)).tobytes()
+    n, k = kwargs["n"], kwargs["n"] // 2
+    # the product split's two blocks, then (x1 + y1, rest) and (y1, rest) as one stack
+    assert shapes == [(trials, k, k), (trials, n - k, n - k), (2 * trials, n, n)]
+
+
+@pytest.mark.parametrize("name", [name for name, (_, kwargs) in DIGEST_STREAMS.items() if kwargs.get("intervals")])
+def test_the_ball_form_subtracts_from_the_half_width_bound(name):
+    trials, kwargs = DIGEST_STREAMS[name]
+    config = GeneratorConfig(seed=7, trials=trials, **kwargs)
+    chunk = generate_chunk(config, range(trials), TOL)
+    stacks = {stack.ids[0]: stack for stack in run_stacked([resolve_check("conditional_bounds")], chunk)}
+    half_width = dict(stacks["conditional_bounds/half_width_dominates"].values)["bound"]
+    ball_margin = dict(stacks["conditional_bounds/forms_agree"].values)["ball_margin"]
+    rows, x = chunk.systems.rows, chunk.x
+    mid = ((chunk.hi[:, np.newaxis, :] @ rows)[:, 0, :] + (chunk.lo[:, np.newaxis, :] @ rows)[:, 0, :]) / 2.0
+    assert ball_margin.tobytes() == (half_width - sd.space.sq_norms(x - mid)).tobytes()
+    for k in range(trials):  # and in the library, on each trial alone
+        instance = sd.generate_instance(config, k, TOL)
+        verdict = sd.condition_verdict(instance.system, instance.x, instance.intervals)
+        assert verdict.ball_margin == ball_margin[k]
+
+
+@pytest.mark.parametrize("halved", [1, 2], ids=["first", "second"])
+@pytest.mark.parametrize("name", SMALL_STREAMS)
+def test_a_planted_triangle_defect_gives_a_negative_margin(name, halved, monkeypatch):
+    # det^(1/2)(x1, rest) or det^(1/2)(y1, rest) halved: the check must fail
+    original = sd.checks.triangle_roots
+
+    def planted(*args):
+        roots = list(original(*args))
+        roots[halved] = roots[halved] / 2.0
+        return tuple(roots)
+
+    monkeypatch.setattr(sd.checks, "triangle_roots", planted)
+    config = GeneratorConfig(seed=7, trials=16, **STREAMS[name])
+    result = sd.run_campaign(config, checks=("gram_inequalities",))
+    assert result.worst_margin["gram_inequalities/triangle"] < 0.0
+    assert any(f.check_id == "gram_inequalities/triangle" for f in result.failures)
+
+
+@pytest.mark.parametrize("name", ["real_d6_n4_k1e3_dependent", "complex_d5_n4_k1e2_dependent"])
+def test_the_product_split_factors_its_leading_block(name):
+    # a system factored in pivoted order: the prefix product of its pivots is
+    # the determinant of the block of its first pivots, not of its leading block
+    trials, kwargs = DIGEST_STREAMS[name]
+    chunk = generate_chunk(GeneratorConfig(seed=7, trials=64, **kwargs), range(64), TOL)
+    factor, gram, k = chunk.systems.factor, chunk.systems.gram, kwargs["n"] // 2
+    pivoted = np.flatnonzero((factor.perm != np.arange(kwargs["n"])).any(axis=-1))
+    assert pivoted.size
+    left = sd_gram.split_determinants(gram, k, TOL.rank_rel_tol)[0]
+    differs = 0
+    for t in pivoted.tolist():
+        prefix, first = np.prod(factor.pivots[t, :k]), factor.perm[t, :k]
+        assert prefix == pytest.approx(np.linalg.det(gram[t][np.ix_(first, first)]).real, rel=1e-6, abs=1e-12)
+        differs += not math.isclose(prefix, left[t], rel_tol=1e-6)
+    assert differs

@@ -188,6 +188,19 @@ def test_combination_rejects_length_mismatch(pair):
         sd.cauchy_schwarz_bound([1.0], pair)
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_the_coefficient_square_sum_is_one_array(field):
+    # Cauchy-Schwarz and Lagrange read coeff_norm_sq, every other bound power_sum(2)
+    rng = np.random.default_rng(3)
+    zs = VectorSystem.from_rows(random_rows(rng, 5, 7, field))
+    stack = sd.CombinationStack.of(random_rows(rng, 1, 5, field)[0], zs)
+    assert stack.power_sum(2) is stack.power_sum(2.0) is stack.coeff_norm_sq is stack.lagrange.coeff_sum
+    cauchy_schwarz = stack.chain(CombinationMethod(kind=CombinationKind.CAUCHY_SCHWARZ))[0]
+    holder_p2 = stack.chain(CombinationMethod(kind=CombinationKind.HOLDER_GRAM_P2, p=2.0))[0]
+    assert cauchy_schwarz.tobytes() == (stack.coeff_norm_sq * zs.as_stack().aggregates.norm_sum).tobytes()
+    assert holder_p2.tobytes() == (stack.coeff_norm_sq * zs.as_stack().aggregates.frobenius).tobytes()
+
+
 def test_zero_coefficients_are_fine(pair):
     res = sd.selection_frobenius_bound([0.0, 0.0], pair)
     assert res.lhs == 0.0

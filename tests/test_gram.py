@@ -224,12 +224,22 @@ def test_triangle_reads_a_system_rests_own_tolerance():
     assert sd.check_gram_triangle(x1, y1, list(rest.vectors), loose).first == 0.0
 
 
+def test_triangle_with_an_empty_rest_is_the_triangle_inequality_of_norms():
+    # the system (x1, rest) is x1 alone
+    v = sd.check_gram_triangle(sd.vector([3.0, 0.0]), sd.vector([0.0, 4.0]), [])
+    assert (v.combined, v.first, v.second, v.ok) == (5.0, 3.0, 4.0, True)
+
+
 def test_triangle_validates_fields_and_dims():
     rest = VectorSystem.from_rows([[0.0, 1.0]])
     with pytest.raises(sd.DimensionMismatchError):
         sd.check_gram_triangle(sd.vector([1.0, 0.0, 0.0]), sd.vector([1.0, 0.0]), rest)
     with pytest.raises(sd.FieldMismatchError):
         sd.check_gram_triangle(sd.vector([1j, 0.0]), sd.vector([1.0, 0.0]), rest)
+    with pytest.raises(sd.DimensionMismatchError):
+        sd.check_gram_triangle(sd.vector([1.0, 0.0]), sd.vector([1.0, 0.0, 0.0]), rest)
+    with pytest.raises(sd.FieldMismatchError):
+        sd.check_gram_triangle(sd.vector([1.0, 0.0]), sd.vector([1j, 0.0]), list(rest.vectors))
 
 
 def test_the_vector_constructor_needs_at_least_one_vector():

@@ -150,7 +150,13 @@ def test_factor_stack_on_an_overflowing_gram():
     with np.errstate(over="ignore"):
         g = _gram(rows)
     assert np.isinf(g).any()
-    _assert_same_decision(g)
+    # the decision of factor_stack's fallback pass on E; the public
+    # factorization takes no inf entry
+    e, _ = _equilibrated(g)
+    rank = int(sd_gram._pivoted(e[np.newaxis].copy(), TOL)[3][0])
+    assert _stacked(g)[0] == (rank, rank == 2)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        sd_gram.pivoted_cholesky(e)
 
 
 @pytest.mark.parametrize("matrix, message", [
@@ -158,10 +164,22 @@ def test_factor_stack_on_an_overflowing_gram():
     ([[None]], "must be numbers"),
     ([[4.0, 2.0], [2.0, "3"]], "must be numbers"),
     ([[10**400]], "must be finite"),
+    # a list of Python floats is a float array, checked like any other
+    ([[np.nan, 0.0], [0.0, 1.0]], "must be finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "must be finite"),
+    ([[1.0, 0.0], [0.0, -np.inf]], "must be finite"),
 ])
 def test_a_matrix_of_non_numbers_raises_value_error(matrix, message):
     with pytest.raises(ValueError, match=f"^matrix entries {message}$"):
         sd_gram.pivoted_cholesky(matrix)
+
+
+def test_a_complex_matrix_stays_complex():
+    real_valued = np.array([[4.0, 2.0], [2.0, 3.0]])
+    got = sd_gram.pivoted_cholesky(real_valued.astype(np.complex128))
+    want = sd_gram.pivoted_cholesky(real_valued)
+    assert got.lower.dtype == np.complex128 and want.lower.dtype == np.float64
+    assert np.array_equal(got.lower.real, want.lower) and got.rank == want.rank == 2
 
 
 def test_an_integer_matrix_factors_as_its_float_copy():
@@ -401,21 +419,22 @@ _NON_FINITE = [
 @pytest.mark.parametrize("matrix", _NON_FINITE, ids=range(len(_NON_FINITE)))
 def test_the_stacked_fallback_on_inf_and_nan_entries(field, matrix):
     # as the loop: the same rank, perm or message, NaN in the same places
-    # and the same other entries (a NaN's sign bit is not compared)
+    # and the same other entries (a NaN's sign bit is not compared); the
+    # public factorization raises instead
     g = np.array(matrix, dtype=np.complex128 if field is Field.COMPLEX else np.float64)
     m = g.shape[0]
     rng = np.random.default_rng(m)
     stack = np.concatenate([_mixed_stack(rng, m, field)[:2], g[np.newaxis], _mixed_stack(rng, m, field)[:2]])
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        sd_gram.pivoted_cholesky(g, TOL)
     with np.errstate(all="ignore"):
         want = _outcome(_loop_reference, g)
-        got_one = _outcome(_one_matrix, g)
-        got_stack = _outcome(lambda a: [v[2] for v in sd_gram._pivoted(a.copy(), TOL)], stack)
+        got = _outcome(lambda a: [v[2] for v in sd_gram._pivoted(a.copy(), TOL)], stack)
     if isinstance(want, str):
-        assert got_one == got_stack == want
+        assert got == want
         return
-    for got in (got_one, got_stack):
-        for got_part, want_part in zip(got, want):
-            _same_values(got_part, want_part)
+    for got_part, want_part in zip(got, want):
+        _same_values(got_part, want_part)
 
 
 # -- a system's factor against the pivoted reference ---------------------------------

@@ -120,6 +120,23 @@ def test_tolerance_config_validates_open_unit_interval(kwargs):
         sd.ToleranceConfig(**kwargs)
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.int8])
+def test_a_numpy_scalar_is_compared_with_the_float_range_as_a_float64(dtype):
+    # the float range cast to a narrow dtype would overflow, a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sd.space.checked_real("value", dtype(-3)) == -3
+        assert sd.GeneratorConfig(conditioning=dtype(10)).conditioning == 10
+        assert conjugate_exponent(dtype(3)) == 1.5
+        bad = [float("nan"), float("inf"), 10**400, True, np.bool_(True)]
+        if dtype != np.int8:  # a tolerance lies strictly between 0 and 1
+            assert sd.ToleranceConfig(rank_rel_tol=dtype(1e-3)).rank_rel_tol == dtype(1e-3)
+            bad += [dtype("nan"), dtype("inf"), -dtype("inf")]
+        for value in bad:
+            with pytest.raises(ValueError, match="^value must be a finite real number"):
+                sd.space.checked_real("value", value)
+
+
 # --- one rule for caller-supplied numbers ----------------------------------------
 # Each bad input goes, in place of one number, to each public entry point that
 # takes caller numbers; every one must raise a ValueError subclass (never a
