@@ -103,10 +103,10 @@ class IntervalData:
     _arrays: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if 0 in (np.ndim(self.gammas), np.ndim(self.Gammas)):
+            raise ValueError(f"gammas and Gammas must be sequences, got {self.gammas!r} and {self.Gammas!r}")
         if len(self.gammas) != len(self.Gammas):
-            raise DimensionMismatchError(
-                f"gamma/Gamma lengths differ: {len(self.gammas)} vs {len(self.Gammas)}"
-            )
+            raise DimensionMismatchError(f"gamma/Gamma lengths differ: {len(self.gammas)} vs {len(self.Gammas)}")
         if len(self.gammas) == 0:
             raise ValueError("interval data must be nonempty")
         pair = field_array((self.gammas, self.Gammas), None, "interval scalars")

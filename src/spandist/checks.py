@@ -244,7 +244,9 @@ def _sweep() -> tuple[tuple[str, comb.CombinationMethod], ...]:
 
 COMBINATION_SWEEP = _sweep()
 _SWEEP_HOLDS = tuple(f"combination_sweep/{label}/holds" for label, _ in COMBINATION_SWEEP)
-_SWEEP_CHAINS = tuple(f"combination_sweep/{label}/chain" for label, _ in COMBINATION_SWEEP)
+# the 7 rows of the sweep whose chain has a coarse end, and their ids
+_SWEEP_LINKED = tuple(k for k, (_, method) in enumerate(COMBINATION_SWEEP) if method._chain_terms[-1] is not None)
+_SWEEP_CHAINS = tuple(f"combination_sweep/{COMBINATION_SWEEP[k][0]}/chain" for k in _SWEEP_LINKED)
 
 
 def _combination_sweep(t: InstanceChunk) -> list[CheckStack]:
@@ -254,11 +256,12 @@ def _combination_sweep(t: InstanceChunk) -> list[CheckStack]:
     draws = comb.CombinationStack(t.coeffs(_SALT_COMBINATION), t.systems.rows, t.systems.aggregates)
     rel = t.tol.compare_rel_tol
     lhs = draws.lhs
-    tight, coarse, linked = draws.chains(tuple(method for _, method in COMBINATION_SWEEP))
-    paired = tight[list(linked)]
+    chains = [draws.chain(method) for _, method in COMBINATION_SWEEP]
+    tight = np.array([chain[0] for chain in chains])
+    coarse, paired = np.array([chains[k][1] for k in _SWEEP_LINKED]), tight[list(_SWEEP_LINKED)]
     return [
         _stack(_SWEEP_HOLDS, comb.bound_margin(tight, lhs, rel), lhs=lhs, bound=tight),
-        _stack([_SWEEP_CHAINS[k] for k in linked], comb.bound_margin(coarse, paired, rel), follows=linked,
+        _stack(_SWEEP_CHAINS, comb.bound_margin(coarse, paired, rel), follows=_SWEEP_LINKED,
                tight=paired, coarse=coarse),
     ]
 

@@ -13,14 +13,13 @@ systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .gram import AggregateStack, VectorSystem, _frozen
+from .gram import AggregateStack, VectorSystem
 from .space import Scalar, ToleranceConfig, cached_property, conjugate_exponent, sq_norms
 from .space import _coeff_array as _validated_coeffs
 
@@ -66,6 +65,14 @@ class CombinationKind(Enum):
     HOLDER_GRAM_P2 = "holder_gram_p2"
 
 
+_READS = {  # the fields each kind reads; every other field of its method is None
+    CombinationKind.DIAG_OFFDIAG: ("diag_branch", "offdiag_branch", "diag_exp", "offdiag_exp"),
+    CombinationKind.ROW_SUM: ("branch", "p"),
+    CombinationKind.HOLDER_GRAM: ("p",),
+    CombinationKind.HOLDER_GRAM_P2: ("p",),
+}
+
+
 @dataclass(frozen=True)
 class CombinationMethod:
     """A bound family plus whatever branch/exponent choices it takes."""
@@ -82,6 +89,9 @@ class CombinationMethod:
         k = self.kind
         if not isinstance(k, CombinationKind):
             raise ValueError(f"kind must be a CombinationKind, got {k!r}")
+        for f in fields(self)[1:]:
+            if f.name not in _READS.get(k, ()) and getattr(self, f.name) is not None:
+                raise ValueError(f"{k.value} takes no {f.name}, got {getattr(self, f.name)!r}")
         if k is CombinationKind.DIAG_OFFDIAG:
             if self.diag_branch not in DIAG_BRANCHES:
                 raise ValueError(f"diag_branch must be one of {DIAG_BRANCHES}, got {self.diag_branch!r}")
@@ -109,6 +119,24 @@ class CombinationMethod:
             conjugate_exponent(self.p)
             if k is CombinationKind.HOLDER_GRAM_P2 and self.p != 2.0:
                 raise ValueError("the p=2 specialisation fixes p at 2")
+
+    @cached_property
+    def _chain_terms(self) -> tuple[tuple, tuple | None, tuple | None]:
+        """The memo keys (term, *args) :meth:`CombinationStack.chain` reads: the tight end or
+        a split's diagonal term, its off-diagonal term and the coarse end, each None where there is none."""
+        k = self.kind
+        if k is CombinationKind.DIAG_OFFDIAG:
+            offdiag = (_offdiag_term, self.offdiag_branch, self.offdiag_exp)
+            return (_diag_term, self.diag_branch, self.diag_exp), offdiag, None
+        if k is CombinationKind.SELECTION_MAX:
+            return (_diag_term, "max_norm", None), (_offdiag_term, "max_entry", None), (_coarse, "diag_offdiag_max")
+        if k is CombinationKind.SELECTION_FROBENIUS:
+            return (_diag_term, "max_norm", None), (_offdiag_term, "holder", 2.0), (_coarse, "diag_offdiag_frobenius")
+        if k is CombinationKind.ROW_SUM:
+            return (_row_sum_base,), None, (_row_sum_relaxed, self.branch, self.p)
+        if k is CombinationKind.CAUCHY_SCHWARZ:
+            return (_cauchy_schwarz,), None, None
+        return (_holder_gram, self.p), None, None
 
     @property
     def label(self) -> str:
@@ -155,9 +183,9 @@ class CombinationStack:
     diag/offdiag splits (memoised per exponent and branch), the row-sum
     base, the lhs ||sum a_i z_i||^2 and the Lagrange identity parts — each
     computed at most once, so any number of bounds on the same draws reduce
-    the coefficients once. :meth:`chains` evaluates any number of
-    bound families from one table of the terms they read, :meth:`chain`
-    one of them; :meth:`of` builds the stack of one draw against one system.
+    the coefficients once. :meth:`chain` evaluates one bound family from the
+    memoised terms its method names; :meth:`of` builds the stack of one draw
+    against one system.
     """
 
     def __init__(self, alphas: np.ndarray, rows: np.ndarray, agg: AggregateStack) -> None:
@@ -201,17 +229,16 @@ class CombinationStack:
         top = np.partition(self.a, -2, axis=-1)[:, -2:]
         return top[:, 0] * top[:, 1]
 
-    def _memo(self, term, *args) -> np.ndarray:
-        """``term(self, *args)``, computed once per (term, args)."""
-        key = (term, *args)
+    def _memo(self, key: tuple) -> np.ndarray:
+        """``term(self, *args)`` of a key (term, *args), computed once per key."""
         value = self._memos.get(key)
         if value is None:
-            value = self._memos[key] = term(self, *args)
+            value = self._memos[key] = key[0](self, *key[1:])
         return value
 
     def power_sum(self, e: float) -> np.ndarray:
         """sum_i |a_i|^e, memoised per exponent; at e = 2 it is :attr:`coeff_norm_sq`."""
-        return self._memo(_power_sum, e)
+        return self._memo((_power_sum, e))
 
     @cached_property
     def lagrange(self) -> "LagrangeParts":
@@ -223,20 +250,11 @@ class CombinationStack:
             pair_sum=_pair_sum(self.alphas.conj(), self.rows),
         )
 
-    def chains(self, methods: Sequence[CombinationMethod]) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """The (K, T) tight ends of ``methods``, the (L, T) coarse ends and the L
-        rows that have one, read from one table of their distinct memoised terms
-        (:func:`_plan`): each diag/offdiag split is one indexed add, table[di] + table[oi]."""
-        keys, split, di, oi, single, si, ci, linked = _plan(tuple(methods))
-        table = np.array([self._memo(*key) for key in keys]).reshape(len(keys), len(self.alphas))
-        tight = np.empty((len(methods), len(self.alphas)))
-        tight[split], tight[single] = table[di] + table[oi], table[si]
-        return tight, table[ci], linked
-
     def chain(self, method: CombinationMethod) -> tuple[np.ndarray, ...]:
-        """The chain of one bound family, tightest first, per system: row 0 of :meth:`chains`."""
-        tight, coarse, _ = self.chains((method,))
-        return (tight[0], *coarse)
+        """The chain of one bound family, tightest first, per system: a split is the add of its two terms."""
+        first, offdiag, coarse = method._chain_terms
+        tight = self._memo(first) if offdiag is None else self._memo(first) + self._memo(offdiag)
+        return (tight,) if coarse is None else (tight, self._memo(coarse))
 
 
 def combination_norm_sq(alphas: Sequence[Scalar], zs: VectorSystem) -> float:
@@ -319,35 +337,6 @@ def bound_margin(upper: float | np.ndarray, lower: float | np.ndarray, rel: floa
 
 # -- the bound families: the terms of each chain, over a CombinationStack ----
 # CombinationMethod validated each exponent p: its conjugate is conjugate_exponent's p / (p - 1.0).
-
-
-def _chain_terms(m: CombinationMethod) -> tuple[tuple | None, ...]:
-    """The memo keys (term, *args) of a method's diagonal and off-diagonal split
-    terms, other tight end and coarse end, each None where it has none."""
-    kind = m.kind
-    if kind is CombinationKind.DIAG_OFFDIAG:
-        return (_diag_term, m.diag_branch, m.diag_exp), (_offdiag_term, m.offdiag_branch, m.offdiag_exp), None, None
-    if kind is CombinationKind.SELECTION_MAX:
-        return (_diag_term, "max_norm", None), (_offdiag_term, "max_entry", None), None, (_coarse, "diag_offdiag_max")
-    if kind is CombinationKind.SELECTION_FROBENIUS:
-        return (_diag_term, "max_norm", None), (_offdiag_term, "holder", 2.0), None, (_coarse, "diag_offdiag_frobenius")
-    if kind is CombinationKind.ROW_SUM:
-        return None, None, (_row_sum_base,), (_row_sum_relaxed, m.branch, m.p)
-    if kind is CombinationKind.CAUCHY_SCHWARZ:
-        return None, None, (_cauchy_schwarz,), None
-    return None, None, (_holder_gram, m.p), None
-
-
-@lru_cache(maxsize=16)
-def _plan(methods: tuple[CombinationMethod, ...]) -> tuple:
-    """The distinct memo keys of the chain ends of ``methods``, then, read-only,
-    the rows of the split and other tight ends, each with its keys' rows, the
-    keys' rows of the coarse ends, and (a tuple) the rows that have one."""
-    keys: dict[tuple, int] = {}
-    ends = np.array([[-1 if k is None else keys.setdefault(k, len(keys)) for k in _chain_terms(m)] for m in methods])
-    split, single, linked = (np.flatnonzero(ends[:, i] >= 0) for i in (0, 2, 3))
-    rows = map(_frozen, (split, ends[split, 0], ends[split, 1], single, ends[single, 2], ends[linked, 3]))
-    return tuple(keys), *rows, tuple(linked.tolist())
 
 
 def _cauchy_schwarz(c: CombinationStack) -> np.ndarray:

@@ -49,7 +49,8 @@ class GeneratorConfig:
     singular-value ratio sqrt(conditioning) to achieve it exactly.
     ``dependent_fraction`` makes that share of trials linearly dependent by
     replacing one vector with a combination of the others (for exercising
-    bounds that do not need independence). Both are stored as given.
+    bounds that do not need independence). Both are stored as given, a numpy
+    scalar as the Python number it holds (``.item()``).
     """
 
     seed: int = 0
@@ -66,7 +67,8 @@ class GeneratorConfig:
         for name in ("seed", "trials", "dim", "n"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         for name in ("conditioning", "dependent_fraction"):
-            checked_real(name, getattr(self, name))
+            value = checked_real(name, getattr(self, name))
+            object.__setattr__(self, name, value.item() if isinstance(value, np.generic) else value)
         for name in ("orthonormal", "intervals"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")

@@ -1,6 +1,7 @@
 """Unconditional and two-sided-coefficient bounds on the squared distance."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -258,6 +259,18 @@ def test_a_relaxed_bound_needs_a_relaxation_method(planar, method):
 ])
 def test_interval_scalars_must_not_be_sequences(gammas, Gammas):
     with pytest.raises(ValueError, match="^interval scalars must be numbers$"):
+        IntervalData(gammas=gammas, Gammas=Gammas)
+
+
+@pytest.mark.parametrize("gammas, Gammas", [
+    (1.0, 2.0),
+    ((0.0,), 2.0),
+    (np.float64(0.0), (1.0,)),
+    (np.array(0.0), np.array(1.0)),
+])
+def test_interval_data_must_be_two_sequences(gammas, Gammas):
+    message = f"gammas and Gammas must be sequences, got {gammas!r} and {Gammas!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         IntervalData(gammas=gammas, Gammas=Gammas)
 
 

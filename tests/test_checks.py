@@ -183,8 +183,6 @@ def test_the_combination_sweep_does_not_revalidate_its_exponents(monkeypatch):
 def test_the_sweep_computes_each_distinct_term_once(monkeypatch):
     # 19 diag/offdiag splits over 5 distinct diagonal and 5 distinct
     # off-diagonal terms, and 5 row-sum chains over one base
-    from functools import lru_cache
-
     from spandist import checks
     from spandist import combination as comb
     from spandist.generator import generate_chunk
@@ -200,14 +198,34 @@ def test_the_sweep_computes_each_distinct_term_once(monkeypatch):
     monkeypatch.setattr(comb, "_diag_term", counted("diag", comb._diag_term))
     monkeypatch.setattr(comb, "_offdiag_term", counted("offdiag", comb._offdiag_term))
     monkeypatch.setattr(comb, "_row_sum_base", counted("base", comb._row_sum_base))
-    # a plan holds the term functions it was made with: plans made here hold the counted ones
-    monkeypatch.setattr(comb, "_plan", lru_cache(maxsize=16)(comb._plan.__wrapped__))
+    # a method holds the term functions it first read: methods made here hold the counted ones
+    monkeypatch.setattr(checks, "COMBINATION_SWEEP", checks._sweep())
     kinds = [method.kind for _, method in checks.COMBINATION_SWEEP]
     assert kinds.count(comb.CombinationKind.DIAG_OFFDIAG) == 19 and kinds.count(comb.CombinationKind.ROW_SUM) == 5
     chunk = generate_chunk(GeneratorConfig(seed=4, trials=16, dim=5, n=3), range(16))
     stacks = checks.run_stacked([checks.resolve_check("combination_sweep")], chunk)
     assert sorted(calls) == ["base"] + ["diag"] * 5 + ["offdiag"] * 5
     assert [len(stack.ids) for stack in stacks] == [31, 7]
+
+
+def test_one_sweep_over_a_chunk_hashes_no_method(monkeypatch):
+    # each chain reads its own method's memo keys: no cache is keyed by the methods
+    from spandist import checks
+    from spandist import combination as comb
+    from spandist.generator import generate_chunk
+
+    def unhashable(method):
+        raise AssertionError(f"{method.label} was hashed")
+
+    chunk = generate_chunk(GeneratorConfig(seed=4, trials=16, dim=5, n=3), range(16))
+    want = checks.run_stacked([checks.resolve_check("combination_sweep")], chunk)
+    monkeypatch.setattr(comb.CombinationMethod, "__hash__", unhashable)
+    with pytest.raises(AssertionError, match="was hashed"):
+        hash(checks.COMBINATION_SWEEP[0][1])
+    for sweep in (checks.COMBINATION_SWEEP, checks._sweep()):  # keys read before, and read first here
+        monkeypatch.setattr(checks, "COMBINATION_SWEEP", sweep)
+        got = checks.run_stacked([checks.resolve_check("combination_sweep")], chunk)
+        assert [stack.margin.tobytes() for stack in got] == [stack.margin.tobytes() for stack in want]
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

@@ -250,6 +250,16 @@ _BAD_METHODS = [
     (dict(kind=_KIND.HOLDER_GRAM), "holder_gram methods require the exponent p"),
     (dict(kind=_KIND.HOLDER_GRAM_P2), "holder_gram methods require the exponent p"),
     (dict(kind=_KIND.HOLDER_GRAM_P2, p=3.0), "the p=2 specialisation fixes p at 2"),
+    # a field the kind never reads
+    (dict(kind=_KIND.CAUCHY_SCHWARZ, p=3.0), "cauchy_schwarz takes no p, got 3.0"),
+    (dict(kind=_KIND.SELECTION_MAX, diag_exp=5.0), "selection_max takes no diag_exp, got 5.0"),
+    (dict(kind=_KIND.SELECTION_FROBENIUS, offdiag_branch="holder", offdiag_exp=2.0),
+     "selection_frobenius takes no offdiag_branch, got 'holder'"),
+    (dict(kind=_KIND.DIAG_OFFDIAG, diag_branch="max_coeff", offdiag_branch="max_coeff", branch="max_row", p=7.0),
+     "diag_offdiag takes no branch, got 'max_row'"),
+    (dict(kind=_KIND.ROW_SUM, branch="holder", p=2.0, diag_exp=2.0), "row_sum takes no diag_exp, got 2.0"),
+    (dict(kind=_KIND.HOLDER_GRAM, p=2.0, branch="holder"), "holder_gram takes no branch, got 'holder'"),
+    (dict(kind=_KIND.HOLDER_GRAM_P2, p=2.0, offdiag_exp=2.0), "holder_gram_p2 takes no offdiag_exp, got 2.0"),
 ]
 
 

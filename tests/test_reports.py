@@ -74,6 +74,23 @@ def test_campaign_json_is_environment_free(campaign_result):
     assert dumped == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("name, scalar, number", [
+    ("conditioning", np.float32(10), 10.0),
+    ("conditioning", np.float16(10), 10.0),
+    ("conditioning", np.int64(10), 10),
+    ("dependent_fraction", np.int8(0), 0),
+    ("dependent_fraction", np.float64(0.25), 0.25),
+])
+def test_a_numpy_scalar_config_renders_as_its_python_number(name, scalar, number):
+    base = dict(seed=3, trials=4, dim=5, n=3)
+    config = GeneratorConfig(**base, **{name: scalar})
+    assert type(getattr(config, name)) is type(number) and config == GeneratorConfig(**base, **{name: number})
+    for fmt in ("json", "csv", "human"):
+        assert sd.render_campaign(sd.run_campaign(config), fmt) == sd.render_campaign(
+            sd.run_campaign(GeneratorConfig(**base, **{name: number})), fmt
+        )
+
+
 def test_campaign_csv_lists_every_check(campaign_result):
     text = sd.render_campaign(campaign_result, "csv")
     rows = list(csv.DictReader(io.StringIO(text)))
