@@ -112,6 +112,8 @@ class IntervalData:
         pair = field_array((self.gammas, self.Gammas), None, "interval scalars")
         if pair.ndim != 2:
             raise ValueError("interval scalars must be numbers")
+        object.__setattr__(self, "gammas", tuple(self.gammas))  # not the caller's list
+        object.__setattr__(self, "Gammas", tuple(self.Gammas))
         self._arrays[Field.of(pair)] = tuple(pair)
 
     @classmethod
@@ -141,65 +143,56 @@ class IntervalData:
 
 # -- stacked kernels: one value per system of a stack ---------------------
 
-
-_DENOMINATOR_FIELDS = {  # the AggregateStack field of each unconditional bound's D
-    BoundMethod.TOTAL_NORM: "norm_sum",
-    BoundMethod.OFFDIAG_FROBENIUS: "diag_offdiag_frobenius",
-    BoundMethod.OFFDIAG_MAX: "diag_offdiag_max",
-    BoundMethod.ROW_SUMS: "row_max",
-    BoundMethod.FROBENIUS: "frobenius",
-}
-
-
-def bound_values(xx: np.ndarray, s: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.ndarray]:
-    """The five unconditional bounds ||x||^2 - S / D, clamped at zero."""
-    return {m: np.maximum(xx - s / getattr(agg, d), 0.0) for m, d in _DENOMINATOR_FIELDS.items()}
-
-
+# the AggregateStack field of each unconditional bound's D, in UNCONDITIONAL_METHODS order
+_DENOMINATORS = ("norm_sum", "diag_offdiag_frobenius", "diag_offdiag_max", "row_max", "frobenius")
 BESSEL_METHODS = (BoundMethod.OFFDIAG_FROBENIUS, BoundMethod.OFFDIAG_MAX, BoundMethod.ROW_SUMS)
+_BESSEL_DENOMINATORS = tuple(_DENOMINATORS[UNCONDITIONAL_METHODS.index(m)] for m in BESSEL_METHODS)
+# the relaxation COND_<X> reads the D of the unconditional bound <X>
+_RELAXED_DENOMINATORS = tuple(
+    _DENOMINATORS[UNCONDITIONAL_METHODS.index(BoundMethod[m.name.removeprefix("COND_")])]
+    for m in CONDITIONAL_METHODS[1:]
+)
 
 
-def bessel_values(xx: np.ndarray, agg: AggregateStack) -> dict[BoundMethod, np.ndarray]:
-    """Bessel right-hand sides ||x||^2 * D, each dominating S."""
-    return {m: xx * getattr(agg, _DENOMINATOR_FIELDS[m]) for m in BESSEL_METHODS}
+def _stacked(agg: AggregateStack, fields: tuple[str, ...]) -> np.ndarray:
+    """The (len(fields), T) stack of the named aggregates."""
+    return np.array([getattr(agg, name) for name in fields])
 
 
-def condition_stack(
-    rows: np.ndarray, x: np.ndarray, xx: np.ndarray, lo: np.ndarray, hi: np.ndarray, half_width: np.ndarray,
-    tol: ToleranceConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(re_inner, ball_margin, margin, forms_agree) per system, for (T, n) interval data, where
-    ``margin`` is that of 0 <= re_inner on the scale ||x||^2: :class:`ConditionVerdict` holds where it is >= 0.
-    ``ball_margin`` subtracts from ``half_width``, the COND_HALF_WIDTH bound of :func:`conditional_stack`."""
+def bound_values(xx: np.ndarray, s: np.ndarray, agg: AggregateStack) -> np.ndarray:
+    """The five unconditional bounds ||x||^2 - S / D, clamped at zero, as a
+    (5, T) array in :data:`UNCONDITIONAL_METHODS` order."""
+    return np.maximum(xx - s / _stacked(agg, _DENOMINATORS), 0.0)
+
+
+def bessel_values(xx: np.ndarray, agg: AggregateStack) -> np.ndarray:
+    """Bessel right-hand sides ||x||^2 * D, each dominating S, as a (3, T)
+    array in :data:`BESSEL_METHODS` order."""
+    return xx * _stacked(agg, _BESSEL_DENOMINATORS)
+
+
+def two_sided_stack(
+    p: PointStack, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(quarter, values, re_inner, ball_margin, margin, forms_agree) for the
+    (T, n) interval data of ``p``'s systems: the quarter width sum, which
+    also bounds the reverse Bessel gap; the (4, T) conditional bounds in
+    :data:`CONDITIONAL_METHODS` order, each relaxation quarter * D; and the
+    condition, which holds where ``margin`` (of 0 <= re_inner on the scale
+    ||x||^2) is >= 0, ``ball_margin`` subtracting from the half-width bound."""
+    rows, x, xx = p.systems.rows, p.x, p.xx
+    widths = hi - lo
+    half_width = 0.25 * sq_norms((widths[:, np.newaxis, :] @ rows)[:, 0, :])
+    quarter = 0.25 * sq_norms(widths)
+    values = np.concatenate((half_width[np.newaxis], quarter * _stacked(p.systems.aggregates, _RELAXED_DENOMINATORS)))
     upper_comb = (hi[:, np.newaxis, :] @ rows)[:, 0, :]
     lower_comb = (lo[:, np.newaxis, :] @ rows)[:, 0, :]
     re_inner = re_inner_rows(x - lower_comb, upper_comb - x)
     ball_margin = half_width - sq_norms(x - (upper_comb + lower_comb) / 2.0)
-    rel = tol.compare_rel_tol
+    rel = p.tol.compare_rel_tol
     margin = leq_margin(0.0, re_inner, rel, scale=xx)
-    return re_inner, ball_margin, margin, (margin >= 0.0) == (leq_margin(0.0, ball_margin, rel, scale=xx) >= 0.0)
-
-
-def conditional_stack(
-    rows: np.ndarray, widths: np.ndarray, agg: AggregateStack
-) -> tuple[np.ndarray, dict[BoundMethod, np.ndarray]]:
-    """(quarter, values) per system, for (T, n) interval widths: the quarter
-    width sum (1/4) sum_i |Gamma_i - gamma_i|^2, which also bounds the
-    reverse Bessel gap, and the four conditional bounds by method, in
-    :data:`CONDITIONAL_METHODS` order, each relaxation quarter * D."""
-    width_comb = (widths[:, np.newaxis, :] @ rows)[:, 0, :]
-    values = {BoundMethod.COND_HALF_WIDTH: 0.25 * sq_norms(width_comb)}
-    quarter = 0.25 * sq_norms(widths)
-    for method, factor in _COND_FACTORS.items():
-        values[method] = quarter * getattr(agg, _DENOMINATOR_FIELDS[factor])
-    return quarter, values
-
-
-_COND_FACTORS = {
-    BoundMethod.COND_OFFDIAG_MAX: BoundMethod.OFFDIAG_MAX,
-    BoundMethod.COND_OFFDIAG_FROBENIUS: BoundMethod.OFFDIAG_FROBENIUS,
-    BoundMethod.COND_ROW_SUMS: BoundMethod.ROW_SUMS,
-}
+    forms_agree = (margin >= 0.0) == (leq_margin(0.0, ball_margin, rel, scale=xx) >= 0.0)
+    return quarter, values, re_inner, ball_margin, margin, forms_agree
 
 
 # -- one system: entry 0 of a point stack of one -------------------------------
@@ -218,7 +211,7 @@ def _prepare(system: VectorSystem, x: Vector, tol: ToleranceConfig | None) -> Po
 
 def _ratio_bound(system: VectorSystem, x: Vector, method: BoundMethod, tol: ToleranceConfig | None) -> float:
     p = _prepare(system, x, tol)
-    return float(bound_values(p.xx, p.s, system.as_stack().aggregates)[method][0])
+    return float(bound_values(p.xx, p.s, system.as_stack().aggregates)[UNCONDITIONAL_METHODS.index(method), 0])
 
 
 def bound_total_norm(system: VectorSystem, x: Vector, tol: ToleranceConfig | None = None) -> float:
@@ -250,7 +243,8 @@ def bound_frobenius(system: VectorSystem, x: Vector, tol: ToleranceConfig | None
 
 
 def _bessel_rhs(system: VectorSystem, x: Vector, method: BoundMethod) -> float:
-    return float(bessel_values(PointStack.of(system, x).xx, system.as_stack().aggregates)[method][0])
+    xx = PointStack.of(system, x).xx
+    return float(bessel_values(xx, system.as_stack().aggregates)[BESSEL_METHODS.index(method), 0])
 
 
 def bessel_rhs_offdiag_frobenius(system: VectorSystem, x: Vector) -> float:
@@ -289,23 +283,21 @@ class ConditionVerdict:
 
 def _two_sided(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None
-) -> tuple[ConditionVerdict, float, dict[BoundMethod, float]]:
+) -> tuple[ConditionVerdict, float, list[float]]:
     """The condition's verdict for x against the system, then the quarter
-    width sum and the four conditional bounds of :func:`conditional_stack`
-    (its half-width bound is the one the ball formulation reads)."""
-    p = PointStack.of(system, x, tol)
-    rows, (lo, hi) = p.systems.rows, intervals.arrays(system.field, system.n)
-    quarter, values = conditional_stack(rows, (hi - lo)[np.newaxis], p.systems.aggregates)
-    re_inner, ball_margin, margin, forms_agree = condition_stack(
-        rows, p.x, p.xx, lo[np.newaxis], hi[np.newaxis], values[BoundMethod.COND_HALF_WIDTH], p.tol
+    width sum and the four conditional bounds of :func:`two_sided_stack`,
+    in :data:`CONDITIONAL_METHODS` order."""
+    lo, hi = intervals.arrays(system.field, system.n)
+    quarter, values, re_inner, ball_margin, margin, forms_agree = two_sided_stack(
+        PointStack.of(system, x, tol), lo[np.newaxis], hi[np.newaxis]
     )
     verdict = ConditionVerdict(float(re_inner[0]), float(ball_margin[0]), bool(margin[0] >= 0.0), bool(forms_agree[0]))
-    return verdict, float(quarter[0]), {m: float(v[0]) for m, v in values.items()}
+    return verdict, float(quarter[0]), values[:, 0].tolist()
 
 
 def _required(
     system: VectorSystem, x: Vector, intervals: IntervalData, tol: ToleranceConfig | None
-) -> tuple[ConditionVerdict, float, dict[BoundMethod, float]]:
+) -> tuple[ConditionVerdict, float, list[float]]:
     """:func:`_two_sided`; ConditionNotSatisfiedError unless the condition holds."""
     verdict, _, _ = out = _two_sided(system, x, intervals, tol)
     if not verdict.holds:
@@ -332,7 +324,7 @@ def bound_cond_half_width(
 ) -> float:
     """d^2 <= (1/4) ||sum_i (Gamma_i - gamma_i) x_i||^2 under the condition."""
     _prepare(system, x, tol)
-    return _required(system, x, intervals, tol)[2][BoundMethod.COND_HALF_WIDTH]
+    return _required(system, x, intervals, tol)[2][0]
 
 
 def bound_cond_relaxed(
@@ -347,10 +339,10 @@ def bound_cond_relaxed(
     F is the Gram aggregate named by ``method`` (one of the three
     conditional relaxations); each dominates the half-width bound.
     """
-    if method not in _COND_FACTORS:
+    if method not in CONDITIONAL_METHODS[1:]:
         raise ValueError(f"not a conditional relaxation method: {method}")
     _prepare(system, x, tol)
-    return _required(system, x, intervals, tol)[2][method]
+    return _required(system, x, intervals, tol)[2][CONDITIONAL_METHODS.index(method)]
 
 
 @dataclass(frozen=True)
@@ -422,10 +414,10 @@ def full_bound_report(
     """
     p = _prepare(system, x, tol)
     exact = float(p.d2[0])
-    values = {m: float(v[0]) for m, v in bound_values(p.xx, p.s, system.as_stack().aggregates).items()}
+    methods, values = UNCONDITIONAL_METHODS, bound_values(p.xx, p.s, system.as_stack().aggregates)[:, 0].tolist()
     if intervals is not None:
-        values.update(_required(system, x, intervals, tol)[2])
-    entries = tuple(
+        methods, values = methods + CONDITIONAL_METHODS, values + _required(system, x, intervals, tol)[2]
+    return BoundReport(exact_d2=exact, entries=tuple(
         BoundEntry(
             method=m,
             value=v,
@@ -433,6 +425,5 @@ def full_bound_report(
             tightness=(v - exact) / (1.0 + exact),
             strict_expected=(m is BoundMethod.TOTAL_NORM and system.n >= 2),
         )
-        for m, v in values.items()
-    )
-    return BoundReport(exact_d2=exact, entries=entries)
+        for m, v in zip(methods, values)
+    ))

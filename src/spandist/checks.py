@@ -150,17 +150,19 @@ def _representation_agreement(t: InstanceChunk) -> list[CheckStack]:
     ]
 
 
+_DOMINANCE_IDS = tuple(f"bound_dominance/{method.value}" for method in bnd.UNCONDITIONAL_METHODS)
+_TOTAL_NORM = bnd.UNCONDITIONAL_METHODS.index(bnd.BoundMethod.TOTAL_NORM)
+
+
 def _bound_dominance(t: InstanceChunk) -> list[CheckStack]:
     """Every unconditional bound dominates the exact squared distance; the
     total-norm bound is strictly above it away from degeneracies."""
     ok = t.systems.factor.complete & ~t.in_orth
-    d2 = t.d2
-    bounds = np.array(list(t.unconditional.values()))
-    ids = [f"bound_dominance/{method.value}" for method in t.unconditional]
-    out = [_stack(ids, leq_margin(d2, bounds, DOMINANCE_REL), ok, bound=bounds, exact=d2)]
+    d2, bounds = t.d2, t.unconditional
+    out = [_stack(_DOMINANCE_IDS, leq_margin(d2, bounds, DOMINANCE_REL), ok, bound=bounds, exact=d2)]
     if t.systems.n >= 2:
         condition = t.systems.factor.condition
-        total = t.unconditional[bnd.BoundMethod.TOTAL_NORM]
+        total = bounds[_TOTAL_NORM]
         out.append(_stack(
             "bound_dominance/total_norm_strict",
             (total - d2 - STRICTNESS_GAP) / (1.0 + np.abs(d2)),
@@ -172,33 +174,32 @@ def _bound_dominance(t: InstanceChunk) -> list[CheckStack]:
     return out
 
 
+# on an orthonormal system the D of each Bessel bound is 1, that of
+# TOTAL_NORM n and that of FROBENIUS sqrt(n); the rows in that order
+_COLLAPSED = bnd.BESSEL_METHODS + (bnd.BoundMethod.TOTAL_NORM, bnd.BoundMethod.FROBENIUS)
+_COLLAPSE_ROWS = [bnd.UNCONDITIONAL_METHODS.index(method) for method in _COLLAPSED]
+_COLLAPSE_IDS = tuple(f"orthonormal_collapse/{method.value}" for method in _COLLAPSED)
+
+
 def _orthonormal_collapse(t: InstanceChunk) -> list[CheckStack]:
     """For orthonormal systems three bounds collapse to the Bessel distance
     and the other two exceed it by closed-form amounts."""
     ok = t.orthonormal & ~t.in_orth
     s, n = t.s, t.systems.n
     bessel = t.xx - s
-    method = bnd.BoundMethod
-    expectations = {
-        method.OFFDIAG_FROBENIUS: bessel,
-        method.OFFDIAG_MAX: bessel,
-        method.ROW_SUMS: bessel,
-        method.TOTAL_NORM: bessel + s * (1.0 - 1.0 / n),
-        method.FROBENIUS: bessel + s * (1.0 - 1.0 / math.sqrt(n)),
-    }
-    values = np.array([t.unconditional[m] for m in expectations])
-    expected = np.array(list(expectations.values()))
-    ids = [f"orthonormal_collapse/{m.value}" for m in expectations]
-    return [_stack(ids, near_margin(values, expected, DOMINANCE_REL), ok, value=values, expected=expected)]
+    values = t.unconditional[_COLLAPSE_ROWS]
+    expected = np.array([bessel, bessel, bessel, bessel + s * (1.0 - 1.0 / n), bessel + s * (1.0 - 1.0 / math.sqrt(n))])
+    return [_stack(_COLLAPSE_IDS, near_margin(values, expected, DOMINANCE_REL), ok, value=values, expected=expected)]
+
+
+_BESSEL_IDS = tuple(f"bessel_refinements/{method.value}" for method in bnd.BESSEL_METHODS)
 
 
 def _bessel_refinements(t: InstanceChunk) -> list[CheckStack]:
     """Refined Bessel right-hand sides dominate the coefficient power sum
     for arbitrary systems, dependent ones included."""
     rhs = bnd.bessel_values(t.xx, t.systems.aggregates)
-    values = np.array(list(rhs.values()))
-    ids = [f"bessel_refinements/{m.value}" for m in rhs]
-    return [_stack(ids, leq_margin(t.s, values, DOMINANCE_REL), rhs=values, power_sum=t.s)]
+    return [_stack(_BESSEL_IDS, leq_margin(t.s, rhs, DOMINANCE_REL), rhs=rhs, power_sum=t.s)]
 
 
 def _lagrange_identity(t: InstanceChunk) -> list[CheckStack]:
@@ -315,6 +316,9 @@ def _gram_inequalities(t: InstanceChunk) -> list[CheckStack]:
     return out
 
 
+_COARSER_IDS = tuple(f"conditional_bounds/{method.value}_coarser" for method in bnd.CONDITIONAL_METHODS[1:])
+
+
 def _conditional_bounds(t: InstanceChunk) -> list[CheckStack]:
     """Constructively sampled two-sided data: the condition holds in both
     formulations, the half-width bound dominates d^2, and each relaxation
@@ -322,21 +326,17 @@ def _conditional_bounds(t: InstanceChunk) -> list[CheckStack]:
     if t.lo is None:
         return []
     ok = t.systems.factor.complete & ~t.in_orth
-    rows, d2 = t.systems.rows, t.d2
-    quarter, values = bnd.conditional_stack(rows, t.hi - t.lo, t.systems.aggregates)
-    half_width = values[bnd.BoundMethod.COND_HALF_WIDTH]
-    re_inner, ball_margin, margin, forms_agree = bnd.condition_stack(rows, t.x, t.xx, t.lo, t.hi, half_width, t.tol)
+    quarter, values, re_inner, ball_margin, margin, forms_agree = bnd.two_sided_stack(t, t.lo, t.hi)
+    half_width, relaxed = values[0], values[1:]
     out = [
         _stack("conditional_bounds/condition_holds", margin, ok, re_inner=re_inner),
         _stack("conditional_bounds/forms_agree", np.where(forms_agree, t.tol.compare_rel_tol, -1.0), ok,
                re_inner=re_inner, ball_margin=ball_margin),
     ]
     held = ok & (margin >= 0.0)
-    out.append(_stack("conditional_bounds/half_width_dominates", leq_margin(d2, half_width, DOMINANCE_REL), held,
-                      bound=half_width, exact=d2))
-    relaxed = np.array([values[method] for method in bnd.CONDITIONAL_METHODS[1:]])
-    ids = [f"conditional_bounds/{method.value}_coarser" for method in bnd.CONDITIONAL_METHODS[1:]]
-    out.append(_stack(ids, leq_margin(half_width, relaxed, DOMINANCE_REL), held,
+    out.append(_stack("conditional_bounds/half_width_dominates", leq_margin(t.d2, half_width, DOMINANCE_REL), held,
+                      bound=half_width, exact=t.d2))
+    out.append(_stack(_COARSER_IDS, leq_margin(half_width, relaxed, DOMINANCE_REL), held,
                       relaxed=relaxed, half_width=half_width))
     gap = t.xx - t.s
     above, below = leq_margin(0.0, gap, DOMINANCE_REL), leq_margin(gap, quarter, DOMINANCE_REL)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import BoundMethod, IntervalData, bound_values
+from .bounds import IntervalData, bound_values
 from .distance import PointStack
 from .errors import NumericalInstabilityError
 from .gram import SystemStack, VectorSystem, _qr
@@ -157,8 +157,8 @@ class InstanceChunk(PointStack):
         return cls(p.systems, p.x, p.tol, lo, hi, instance.seed, (instance.trial,))
 
     @cached_property
-    def unconditional(self) -> dict[BoundMethod, np.ndarray]:
-        """The five unconditional bounds (:func:`~spandist.bounds.bound_values`)."""
+    def unconditional(self) -> np.ndarray:
+        """The (5, T) unconditional bounds (:func:`~spandist.bounds.bound_values`)."""
         return bound_values(self.xx, self.s, self.systems.aggregates)
 
     def coeffs(self, salt: int, count: int | None = None) -> np.ndarray:

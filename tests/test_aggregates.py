@@ -162,6 +162,24 @@ def test_bessel_right_hand_sides_read_the_aggregates(system):
     assert sd.bessel_rhs_row_sums(system, x) == xx * float(agg.row_max[0])
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_each_conditional_relaxation_reads_its_aggregate(field):
+    cfg = GeneratorConfig(seed=11, trials=1, dim=6, n=4, field=field, conditioning=1e2, intervals=True)
+    inst = sd.generate_instance(cfg, 0)
+    s, x, iv = inst.system, inst.x, inst.intervals
+    agg = s.as_stack().aggregates
+    lo, hi = iv.arrays(s.field, s.n)
+    quarter = 0.25 * float(np.sum(np.abs(hi - lo) ** 2))
+    factors = {
+        BoundMethod.COND_OFFDIAG_MAX: float(agg.norm_max[0]) + (s.n - 1) * float(agg.offdiag_max[0]),
+        BoundMethod.COND_OFFDIAG_FROBENIUS: float(agg.diag_offdiag_frobenius[0]),
+        BoundMethod.COND_ROW_SUMS: float(agg.row_max[0]),
+    }
+    assert len(set(factors.values())) == 3
+    for method, factor in factors.items():
+        assert sd.bound_cond_relaxed(s, x, iv, method) == pytest.approx(quarter * factor, rel=1e-13)
+
+
 # -- the combination sweep through CombinationStack.of -------------------------
 
 

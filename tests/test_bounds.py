@@ -274,6 +274,51 @@ def test_interval_data_must_be_two_sequences(gammas, Gammas):
         IntervalData(gammas=gammas, Gammas=Gammas)
 
 
+def test_interval_data_keeps_tuples_of_the_entries_given():
+    # not the caller's list: an edit of it after the fact reaches no field and
+    # no array; the data equals the loaded form of its numbers and hashes
+    gammas, entry = [1.0, 2.0], np.float64(3.0)
+    data = IntervalData(gammas, [entry, 4.0])
+    gammas[0] = 9.0
+    assert data.gammas == (1.0, 2.0) and data.Gammas[0] is entry
+    assert data.arrays(Field.REAL, 2)[0].tolist() == data.arrays(Field.COMPLEX, 2)[0].tolist() == [1.0, 2.0]
+    loaded = IntervalData._of(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    assert data == loaded and hash(data) == hash(loaded)
+    assert hash(IntervalData([1.0], [2.0])) == hash(IntervalData((1.0,), (2.0,)))
+
+
+BESSEL_FNS = {
+    BoundMethod.OFFDIAG_FROBENIUS: sd.bessel_rhs_offdiag_frobenius,
+    BoundMethod.OFFDIAG_MAX: sd.bessel_rhs_offdiag_max,
+    BoundMethod.ROW_SUMS: sd.bessel_rhs_row_sums,
+}
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_each_row_of_a_stacked_family_is_its_methods_function(field):
+    # on a stack of one, row k of each kernel is, bit for bit, the function
+    # of the k-th method of its documented order
+    from spandist.bounds import CONDITIONAL_METHODS, bessel_values, bound_values, two_sided_stack
+    from spandist.distance import PointStack
+
+    config = sd.GeneratorConfig(seed=3, trials=1, dim=6, n=4, field=field, conditioning=10.0, intervals=True)
+    inst = sd.generate_instance(config, 0)
+    system, x, iv = inst.system, inst.x, inst.intervals
+    p, agg = PointStack.of(system, x), system.as_stack().aggregates
+    unconditional = bound_values(p.xx, p.s, agg)
+    assert unconditional.shape == (5, 1)
+    assert unconditional[:, 0].tolist() == [BOUND_FNS[m](system, x) for m in sd.bounds.UNCONDITIONAL_METHODS]
+    rhs = bessel_values(p.xx, agg)
+    assert rhs.shape == (3, 1)
+    assert rhs[:, 0].tolist() == [BESSEL_FNS[m](system, x) for m in sd.bounds.BESSEL_METHODS]
+    lo, hi = iv.arrays(field, system.n)
+    conditional = two_sided_stack(p, lo[np.newaxis], hi[np.newaxis])[1]
+    assert conditional.shape == (4, 1)
+    relaxed = [sd.bound_cond_relaxed(system, x, iv, m) for m in CONDITIONAL_METHODS[1:]]
+    assert conditional[:, 0].tolist() == [sd.bound_cond_half_width(system, x, iv), *relaxed]
+    assert len(set(unconditional[:, 0].tolist())) == 5 and len(set(conditional[:, 0].tolist())) == 4
+
+
 def test_interval_data_is_checked_once(monkeypatch):
     # the constructor keeps the arrays it checked, and the report reads them
     system, x = VectorSystem.from_rows(np.eye(3)[:2]), vector([1.0, 1.0, 1.0])

@@ -788,7 +788,7 @@ _KERNELS = (
     "beta_stack", "orth_complement_stack", "quadratic_stack", "gram_ratio_stack", "projection_stack",
     "distance_sq_stack",
     "gram_stack", "factor_stack", "_pivoted", "_lapack", "_condition", "split_determinants", "triangle_roots",
-    "bound_values", "bessel_values", "condition_stack", "conditional_stack",
+    "bound_values", "bessel_values", "two_sided_stack",
     "chain_stack", "_pair_sum",
     "_orthonormal_frames", "_conditioned_rows", "_ball", "_points",
 )
@@ -844,6 +844,27 @@ def test_no_kernel_of_the_chunk_path_runs_twice_on_the_same_arguments(monkeypatc
             twice.append(f"{stream}: {', '.join(repeated)}")
     assert ran == set(_KERNELS)
     assert not twice, "\n".join(twice)
+
+
+@pytest.mark.parametrize("name", ["complex_d7_n5_k1e2_intervals", "real_d4_n3_orthonormal_intervals"])
+def test_the_checks_of_a_chunk_hash_no_bound_method(name, monkeypatch):
+    # each bound family is an array in its method order: no dict on the chunk path is keyed by a method
+    config = _config(name, trials=16)
+    families = [resolve_check(check) for check in applicable_checks(config)]
+    want = run_stacked(families, generate_chunk(config, range(16), TOL))
+    chunk = generate_chunk(config, range(16), TOL)
+
+    def unhashable(method):
+        raise AssertionError(f"{method} was hashed")
+
+    monkeypatch.setattr(sd.BoundMethod, "__hash__", unhashable)
+    with pytest.raises(AssertionError, match="was hashed"):
+        hash(sd.BoundMethod.TOTAL_NORM)
+    got = run_stacked(families, chunk)
+    assert {i.partition("/")[0] for stack in got for i in stack.ids} == {family.name for family in families}
+    assert [(stack.ids, stack.margin.tobytes()) for stack in got] == [
+        (stack.ids, stack.margin.tobytes()) for stack in want
+    ]
 
 
 def test_a_chunk_forms_one_gram_matrix(monkeypatch):
