@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .gram import AggregateStack, VectorSystem
-from .space import Scalar, ToleranceConfig, cached_property, conjugate_exponent, sq_norms
+from .space import Scalar, ToleranceConfig, cached_property, checked_real, conjugate_exponent, sq_norms
 from .space import _coeff_array as _validated_coeffs
 
 __all__ = [
@@ -119,6 +119,9 @@ class CombinationMethod:
             conjugate_exponent(self.p)
             if k is CombinationKind.HOLDER_GRAM_P2 and self.p != 2.0:
                 raise ValueError("the p=2 specialisation fixes p at 2")
+        for name in ("p", "diag_exp", "offdiag_exp"):  # each validated above, kept as a Python number
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, checked_real(name, getattr(self, name)))
 
     @cached_property
     def _chain_terms(self) -> tuple[tuple, tuple | None, tuple | None]:

@@ -49,8 +49,9 @@ class GeneratorConfig:
     singular-value ratio sqrt(conditioning) to achieve it exactly.
     ``dependent_fraction`` makes that share of trials linearly dependent by
     replacing one vector with a combination of the others (for exercising
-    bounds that do not need independence). Both are stored as given, a numpy
-    scalar as the Python number it holds (``.item()``).
+    bounds that do not need independence). Both are stored as
+    :func:`~spandist.space.checked_real` returns them, a numpy scalar as the
+    Python number it holds.
     """
 
     seed: int = 0
@@ -67,8 +68,7 @@ class GeneratorConfig:
         for name in ("seed", "trials", "dim", "n"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         for name in ("conditioning", "dependent_fraction"):
-            value = checked_real(name, getattr(self, name))
-            object.__setattr__(self, name, value.item() if isinstance(value, np.generic) else value)
+            object.__setattr__(self, name, checked_real(name, getattr(self, name)))
         for name in ("orthonormal", "intervals"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")

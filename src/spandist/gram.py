@@ -268,51 +268,36 @@ def pivoted_cholesky(matrix: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_
 def _pivoted(a: np.ndarray, rank_rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`pivoted_cholesky` of each matrix of a (K, m, m) float64 or
     complex128 stack, which it overwrites: lower, perm, pivots and rank.
-    Each step runs on all matrices not yet stopped at once, with the
-    one-matrix loop's elementwise operations in its order, so each matrix
-    gets its own bits; a stack raises for its first non-PSD matrix."""
+    The matrices are factored one after another, so a stack raises for its
+    first non-PSD matrix."""
     count, m = a.shape[0], a.shape[-1]
-    lower, rank = np.zeros_like(a), np.full(count, m)
-    perm, pivots = np.arange(m)[np.newaxis].repeat(count, axis=0), np.zeros((count, m))
-    # the matrices still being factored: their stack index, perm and pivots (the outputs until one stops)
-    live, rows, p, piv_live, error = np.arange(count), np.arange(count), perm, pivots, None
-    for k in range(m):
-        d = a.diagonal(0, -2, -1).real
-        j = d[:, k:].argmax(axis=-1) + k
-        piv = d[rows, j]
-        if k < 2:  # the scale is the largest diagonal entry at step 0, the first pivot after it
-            tol = rank_rel_tol * (np.abs(d).max(axis=-1) if k == 0 else piv_live[:, 0])
-            bound = np.fmax(tol, 0.0)  # piv <= tol or piv <= 0.0, as tol is NaN or at least 0
-        stop = piv <= bound
-        if np.count_nonzero(stop):
-            neg = piv < -tol
-            if np.count_nonzero(neg):  # no matrix after the first can be the one raised for
-                i = int(neg.argmax())
-                error = f"pivot {piv[i]:.3e} at step {k} is negative beyond tolerance; " \
-                    "input is not positive semidefinite"
-                stop |= live > live[i]
-            a[stop, k:, k:] = 0.0  # drop the residual block, keep the valid trapezoid
-            done, keep = live[stop], ~stop
-            lower[done], perm[done], pivots[done], rank[done] = a[stop], p[stop], piv_live[stop], k
-            live, a, p, piv_live, j, piv = live[keep], a[keep], p[keep], piv_live[keep], j[keep], piv[keep]
-            tol, bound, rows = tol[keep], bound[keep], rows[: live.size]
-            if not live.size:
+    perm, pivots, rank = np.arange(m)[np.newaxis].repeat(count, axis=0), np.zeros((count, m)), np.full(count, m)
+    rel = float(rank_rel_tol)  # float64 tolerances for a numpy float32 one too
+    for i, (g, p, done) in enumerate(zip(a, perm, pivots)):
+        d = g.diagonal().real
+        for k in range(m):
+            j = k + int(d[k:].argmax())
+            piv = float(d[j])
+            if k < 2:  # the scale is the largest diagonal entry at step 0, the first pivot after it
+                tol = rel * (float(np.abs(d).max()) if k == 0 else float(done[0]))
+            if piv <= tol or piv <= 0.0:  # the second decides where tol is NaN
+                if piv < -tol:
+                    raise NumericalInstabilityError(
+                        f"pivot {piv:.3e} at step {k} is negative beyond tolerance; "
+                        "input is not positive semidefinite"
+                    )
+                g[k:, k:] = 0.0  # drop the residual block, keep the valid trapezoid
+                rank[i] = k
                 break
-        if np.count_nonzero(j != k):
-            at, to = rows[:, np.newaxis], np.empty((live.size, 2), dtype=np.intp)
-            to[:, 0], to[:, 1] = k, j
-            a[at, to], p[at, to] = a[at, to[:, ::-1]], p[at, to[:, ::-1]]
-            a[at, :, to] = a[at, :, to[:, ::-1]]
-        piv_live[:, k] = piv
-        a[:, k, k] = root = np.sqrt(piv)
-        col, trailing = a[:, k + 1 :, k], a[:, k + 1 :, k + 1 :]
-        np.divide(col, root[:, np.newaxis], out=col)
-        np.subtract(trailing, col[:, :, np.newaxis] * col[:, np.newaxis, :].conj(), out=trailing)
-        a[:, k, k + 1 :] = 0.0
-    if error is not None:
-        raise NumericalInstabilityError(error)
-    lower[live], perm[live], pivots[live] = a, p, piv_live
-    return np.tril(lower), perm, pivots, rank
+            if j != k:
+                g[k], g[j], p[k], p[j] = g[j].copy(), g[k].copy(), p[j], p[k]
+                g[:, k], g[:, j] = g[:, j].copy(), g[:, k].copy()
+            done[k] = piv
+            g[k, k] = root = math.sqrt(piv)
+            col, trailing = g[k + 1 :, k], g[k + 1 :, k + 1 :]
+            col /= root
+            np.subtract(trailing, col[:, np.newaxis] * col[np.newaxis, :].conj(), out=trailing)
+    return np.tril(a), perm, pivots, rank
 
 
 class FactorStack(NamedTuple):
@@ -372,8 +357,8 @@ def factor_stack(mats: np.ndarray, rank_rel_tol: float = DEFAULT_TOL.rank_rel_to
     ||L_e^-1||_F^2 * max_i E[i, i] is below 1 / (4 * rank_rel_tol) (the 4
     absorbs rounding) the decision is full rank, and L is kept in natural
     order. Otherwise, and for a nonpositive or nonfinite diagonal or a
-    LAPACK failure, :func:`pivoted_cholesky` factors E, all such E in one
-    pass, and decides reduced rank and negative-pivot errors. The
+    LAPACK failure, :func:`pivoted_cholesky`'s loop factors each such E
+    alone and decides reduced rank and negative-pivot errors. The
     certificate's L_e^-1 is kept as ``inverse`` and its product as
     ``condition`` (:class:`FactorStack`); a fallback matrix of full rank
     inverts its pivoted L_e and takes the same product of that inverse.
@@ -581,8 +566,12 @@ class VectorSystem:
 
     # -- derived systems -----------------------------------------------
     def subsystem(self, indices: Sequence[int]) -> "VectorSystem":
-        """The vectors at ``indices`` (at least one) as a system."""
-        return VectorSystem.from_rows(self.rows[list(indices)], self.field, self.tol)
+        """The vectors at ``indices`` (at least one, each 0 <= i < n) as a system."""
+        picked = [checked_int("subsystem index", i) for i in indices]
+        for i in picked:
+            if not 0 <= i < self.n:
+                raise ValueError(f"subsystem index must satisfy 0 <= i < n={self.n}, got {i}")
+        return VectorSystem.from_rows(self.rows[picked], self.field, self.tol)
 
     def augmented(self, x: Vector) -> "VectorSystem":
         """System with ``x`` appended after the existing vectors."""

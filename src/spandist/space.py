@@ -76,16 +76,16 @@ def checked_int(name: str, value: object) -> int:
     return int(value)
 
 
-def checked_real(name: str, value: object) -> object:
-    """``value`` itself; ValueError naming ``name`` unless it is a finite real
-    number (``numbers.Real``, numpy floats and integers included, but not
-    bool): one within the float range, so NaN, inf and 10**400 are not. A
-    numpy scalar is compared as a float64, with no cast of the range to its dtype."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not (
-        -_FLOAT_MAX <= (float(value) if isinstance(value, np.generic) else value) <= _FLOAT_MAX
-    ):
+def checked_real(name: str, value: object) -> int | float:
+    """``value`` as the Python number it holds (a numpy scalar's ``.item()``,
+    so arithmetic on it runs in float64); ValueError naming ``name`` unless it
+    is a finite real number (``numbers.Real``, numpy floats and integers
+    included, but not bool): one within the float range, so NaN, inf and
+    10**400 are not."""
+    number = value.item() if isinstance(value, np.generic) else value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not -_FLOAT_MAX <= number <= _FLOAT_MAX:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return value
+    return number
 
 
 def field_array(values: object, field: Field | None, what: str) -> np.ndarray:
@@ -135,6 +135,9 @@ class ToleranceConfig:
         slack allowed when comparing two quantities that are equal or
         ordered in exact arithmetic: the ``rel`` every library verdict
         passes to :func:`leq_margin` or :func:`near_margin`.
+
+    Each is stored as :func:`checked_real` returns it, a numpy scalar as the
+    Python number it holds.
     """
 
     rank_rel_tol: float = 1e-12
@@ -145,7 +148,8 @@ class ToleranceConfig:
         for name in ("rank_rel_tol", "orth_rel_tol", "compare_rel_tol"):
             value = checked_real(name, getattr(self, name))
             if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+                raise ValueError(f"{name} must lie strictly between 0 and 1, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -154,8 +158,9 @@ DEFAULT_TOL = ToleranceConfig()
 def leq_margin(lower: float | np.ndarray, upper: float | np.ndarray, rel: float, scale=None) -> float | np.ndarray:
     """Margin of 'lower <= upper' at relative tolerance ``rel``: (upper - lower)
     / (1 + |scale|) + rel, ``scale`` defaulting to ``lower``; >= 0 when it holds,
-    NaN (a failure) for equal infinities or an infinite default scale. Floats
-    stay floats, with no numpy scalar and no warning."""
+    NaN (a failure) for equal infinities or an infinite default scale. Floats,
+    and a ``rel`` read from a :class:`ToleranceConfig`, stay floats, with no
+    numpy scalar and no warning."""
     return (upper - lower) / (1.0 + abs(lower if scale is None else scale)) + rel
 
 
@@ -282,6 +287,7 @@ def conjugate_exponent(p: float) -> float:
     operations; the partner is always derived here so the pair cannot drift
     out of conjugacy.
     """
-    if not checked_real("Hölder exponent", p) > 1.0:
+    value = checked_real("Hölder exponent", p)
+    if not value > 1.0:
         raise ValueError(f"Hölder exponent must be finite and > 1, got {p!r}")
-    return p / (p - 1.0)
+    return value / (value - 1.0)

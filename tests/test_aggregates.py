@@ -287,7 +287,7 @@ def test_one_trial_factors_at_most_eight_gram_matrices(monkeypatch):
     original = sd_gram._pivoted
 
     def counted(a, *args, **kwargs):
-        calls.extend([1] * a.shape[0])  # one entry per matrix entering the stacked fallback
+        calls.extend([1] * a.shape[0])  # one entry per matrix entering the fallback
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(sd_gram, "_pivoted", counted)

@@ -339,7 +339,7 @@ def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
     original = sd_gram._pivoted
 
     def counted(a, *args, **kwargs):
-        calls.extend([1] * a.shape[0])  # one entry per matrix entering the stacked fallback
+        calls.extend([1] * a.shape[0])  # one entry per matrix entering the fallback
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(sd_gram, "_pivoted", counted)
@@ -357,7 +357,7 @@ def test_one_dependent_matrix_leaves_the_others_to_lapack(field, monkeypatch):
 
 def _lapack_log(monkeypatch):
     """A log of each factor_stack and bordered-ratio call, each LAPACK gufunc
-    call and each entry into the stacked fallback, in call order."""
+    call and each entry into the fallback, in call order."""
     from spandist import distance as sd_distance
 
     log = []

@@ -102,6 +102,19 @@ def test_subsystem_and_augmented(system_b, x_b):
     assert np.array_equal(aug.rows[-1], x_b.coords)
 
 
+@pytest.mark.parametrize("index, message", [
+    (True, "^subsystem index must be an integer, got True$"),
+    (1.0, "^subsystem index must be an integer, got 1.0$"),
+    (2, r"^subsystem index must satisfy 0 <= i < n=2, got 2$"),
+    (5, r"^subsystem index must satisfy 0 <= i < n=2, got 5$"),
+    (-1, r"^subsystem index must satisfy 0 <= i < n=2, got -1$"),
+])
+def test_a_subsystem_index_is_an_integer_within_the_system(system_b, index, message):
+    with pytest.raises(ValueError, match=message):
+        system_b.subsystem([0, index])
+    assert np.array_equal(system_b.subsystem([np.int64(1), 0]).rows, system_b.rows[::-1])
+
+
 # --- determinant inequalities -------------------------------------------------
 
 

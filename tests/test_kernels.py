@@ -279,12 +279,12 @@ def test_a_dependent_trial_falls_back(monkeypatch):
     assert len(calls) >= 1
 
 
-# -- the stacked fallback against the per-matrix loop it replaced -------------------
+# -- the fallback against the per-matrix reference loop ---------------------------
 
 
 def _loop_reference(matrix, rank_rel_tol=TOL):
-    """The one-matrix pivoted Cholesky loop that the stacked pass replaced,
-    kept here as the reference: lower, perm, pivots and rank."""
+    """The one-matrix pivoted Cholesky loop, written out independently here
+    as the reference: lower, perm, pivots and rank."""
     a = np.array(matrix, dtype=np.complex128 if np.iscomplexobj(matrix) else np.float64)
     n = a.shape[0]
     perm = np.arange(n)
@@ -339,7 +339,7 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", [*range(1, 9), 64])  # 64: long rows swapped at every step
 def test_the_stacked_fallback_gives_each_matrix_the_loops_bits(field, m):
     rng = np.random.default_rng([m, field is Field.COMPLEX])
     stack = _mixed_stack(rng, m, field)
@@ -354,6 +354,23 @@ def test_the_stacked_fallback_gives_each_matrix_the_loops_bits(field, m):
             assert got_rank == ref_rank
         ranks.append(ref_rank)
     assert set(ranks) == set(range(m + 1))  # the stack holds every rank
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_a_float32_rank_tolerance_decides_as_its_float64_value(field):
+    # the second pivot, 1.50000001e-08, lies above float(tol) times the first
+    # pivot 1.5, but rounds to float32(tol * 1.5): a tolerance product or a
+    # comparison taken in float32 would call this matrix rank 1
+    tol, b = np.float32(1e-8), 1.49999
+    g = np.array([[1.5, b], [b, float.fromhex("0x1.7ffeb0b55d6b9p+0")]], dtype=field.dtype)
+    want, got = sd_gram.pivoted_cholesky(g, float(tol)), sd_gram.pivoted_cholesky(g, tol)
+    assert want.rank == got.rank == 2
+    for part in ("lower", "perm", "pivots"):
+        assert _bits(getattr(got, part)) == _bits(getattr(want, part))
+    got, want = sd_gram.factor_stack(g[np.newaxis], tol), sd_gram.factor_stack(g[np.newaxis], float(tol))
+    assert got.rank[0] == 2
+    for got_part, want_part in zip(got, want):
+        _same_values(got_part, want_part)
 
 
 def _one_matrix(matrix):

@@ -137,6 +137,33 @@ def test_a_numpy_scalar_is_compared_with_the_float_range_as_a_float64(dtype):
                 sd.space.checked_real("value", value)
 
 
+def test_a_numpy_scalar_tolerance_or_exponent_is_computed_as_its_python_float():
+    # a float32 kept as given would compute in float32: the margin, the
+    # verdict, q = 10.999998 and another bound in the last bits
+    rel, p = np.float32(1e-8), np.float32(1.1)
+    tol = sd.ToleranceConfig(compare_rel_tol=rel)
+    assert type(tol.compare_rel_tol) is float and tol == sd.ToleranceConfig(compare_rel_tol=float(rel))
+    margin = sd.space.leq_margin(1.0, 1.0, tol.compare_rel_tol)
+    assert type(margin) is float and margin == float(rel)
+    system = sd.VectorSystem.from_rows([[1.0, 0.5, 0.0], [0.25, 1.0, 2.0], [0.0, -1.0, 0.5]])
+    assert type(sd.check_gram_hadamard(system, tol).upper_ok) is bool
+    q = conjugate_exponent(p)
+    assert type(q) is float and q == float(p) / (float(p) - 1.0) == 10.999997615814777
+    kinds = sd.CombinationKind
+    methods = [
+        sd.CombinationMethod(kinds.HOLDER_GRAM, p=p),
+        sd.CombinationMethod(kinds.ROW_SUM, branch="holder", p=p),
+        sd.CombinationMethod(
+            kinds.DIAG_OFFDIAG, diag_branch="holder", offdiag_branch="holder", diag_exp=p, offdiag_exp=p
+        ),
+    ]
+    for method in methods:
+        for name in ("p", "diag_exp", "offdiag_exp"):
+            assert getattr(method, name) is None or type(getattr(method, name)) is float
+    bound = sd.holder_gram_bound([1.0, -2.0, 0.5], system, p).bound
+    assert type(bound) is float and bound == sd.holder_gram_bound([1.0, -2.0, 0.5], system, float(p)).bound
+
+
 # --- one rule for caller-supplied numbers ----------------------------------------
 # Each bad input goes, in place of one number, to each public entry point that
 # takes caller numbers; every one must raise a ValueError subclass (never a
