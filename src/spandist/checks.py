@@ -280,11 +280,9 @@ def _hadamard_chains(t: InstanceChunk) -> list[CheckStack]:
         return []
     ok = t.systems.factor.complete
     det, agg = t.systems.factor.det, t.systems.aggregates
-    product, prefixes = agg.norm_product, agg.chain_prefixes
+    product, (numerators, denominators) = agg.norm_product, agg.chain_prefixes
     fixed_point = ok & t.orthonormal
-    # the chains of every variant on every system, one (variants, T, n) stack of denominators
-    denominators = np.array([getattr(prefixes, v.value) for v in ChainVariant])
-    refined = chain_stack(agg.norms_sq, prefixes.numerators, denominators, t.tol)[1]
+    refined = chain_stack(agg.norms_sq, numerators, denominators, t.tol)[1]  # every variant on every system
     return [
         _stack(_CHAIN_IDS["lower"], leq_margin(det, refined, DOMINANCE_REL), ok, refined=refined, gram_det=det),
         _stack(_CHAIN_IDS["upper"], leq_margin(refined, product, DOMINANCE_REL), ok,

@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .gram import AggregateStack, VectorSystem
-from .space import Scalar, ToleranceConfig, cached_property, checked_real, conjugate_exponent, sq_norms
+from .space import Scalar, ToleranceConfig, cached_property, holder_pair, sq_norms
 from .space import _coeff_array as _validated_coeffs
 
 __all__ = [
@@ -65,17 +65,41 @@ class CombinationKind(Enum):
     HOLDER_GRAM_P2 = "holder_gram_p2"
 
 
-_READS = {  # the fields each kind reads; every other field of its method is None
-    CombinationKind.DIAG_OFFDIAG: ("diag_branch", "offdiag_branch", "diag_exp", "offdiag_exp"),
-    CombinationKind.ROW_SUM: ("branch", "p"),
-    CombinationKind.HOLDER_GRAM: ("p",),
-    CombinationKind.HOLDER_GRAM_P2: ("p",),
+# per kind: the choices it reads, each (branch field, branches, exponent field), the exponent given
+# exactly when the branch is "holder" (always where the branch field is None); and its chain terms
+# (CombinationMethod._chain_terms) from each choice's (branch, Hölder pair (p, q) or None)
+_KINDS = {
+    CombinationKind.CAUCHY_SCHWARZ: ((), lambda: ((_cauchy_schwarz,), None, None)),
+    CombinationKind.DIAG_OFFDIAG: (
+        (("diag_branch", DIAG_BRANCHES, "diag_exp"), ("offdiag_branch", OFFDIAG_BRANCHES, "offdiag_exp")),
+        lambda diag, offdiag: ((_diag_term, *diag), (_offdiag_term, *offdiag), None),
+    ),
+    CombinationKind.SELECTION_MAX: ((), lambda: (
+        (_diag_term, "max_norm", None), (_offdiag_term, "max_entry", None), (_coarse, "diag_offdiag_max"),
+    )),
+    CombinationKind.SELECTION_FROBENIUS: ((), lambda: (
+        (_diag_term, "max_norm", None),
+        (_offdiag_term, "holder", holder_pair(2.0)),
+        (_coarse, "diag_offdiag_frobenius"),
+    )),
+    CombinationKind.ROW_SUM: (
+        (("branch", ROW_SUM_BRANCHES, "p"),), lambda relaxed: ((_row_sum_base,), None, (_row_sum_relaxed, *relaxed)),
+    ),
+    CombinationKind.HOLDER_GRAM: (((None, (), "p"),), lambda gram: ((_holder_gram, gram[1]), None, None)),
 }
+_KINDS[CombinationKind.HOLDER_GRAM_P2] = _KINDS[CombinationKind.HOLDER_GRAM]
 
 
 @dataclass(frozen=True)
 class CombinationMethod:
-    """A bound family plus whatever branch/exponent choices it takes."""
+    """A bound family plus whatever branch/exponent choices it takes.
+
+    Building one checks every field once and sets ``_chain_terms``, the
+    memo keys (term, *args) :meth:`CombinationStack.chain` reads: the tight
+    end or a split's diagonal term, its off-diagonal term and the coarse end,
+    each None where there is none. A Hölder term's key carries its exponent
+    pair (p, q) from :func:`~spandist.space.holder_pair`.
+    """
 
     kind: CombinationKind
     diag_branch: DiagBranch | None = None
@@ -89,57 +113,28 @@ class CombinationMethod:
         k = self.kind
         if not isinstance(k, CombinationKind):
             raise ValueError(f"kind must be a CombinationKind, got {k!r}")
+        choices, terms = _KINDS[k]
+        reads = [name for branch, _, exp in choices for name in (branch, exp)]
         for f in fields(self)[1:]:
-            if f.name not in _READS.get(k, ()) and getattr(self, f.name) is not None:
+            if f.name not in reads and getattr(self, f.name) is not None:
                 raise ValueError(f"{k.value} takes no {f.name}, got {getattr(self, f.name)!r}")
-        if k is CombinationKind.DIAG_OFFDIAG:
-            if self.diag_branch not in DIAG_BRANCHES:
-                raise ValueError(f"diag_branch must be one of {DIAG_BRANCHES}, got {self.diag_branch!r}")
-            if self.offdiag_branch not in OFFDIAG_BRANCHES:
-                raise ValueError(
-                    f"offdiag_branch must be one of {OFFDIAG_BRANCHES}, got {self.offdiag_branch!r}"
-                )
-            if (self.diag_branch == "holder") != (self.diag_exp is not None):
-                raise ValueError("diag_exp is required exactly when diag_branch='holder'")
-            if (self.offdiag_branch == "holder") != (self.offdiag_exp is not None):
-                raise ValueError("offdiag_exp is required exactly when offdiag_branch='holder'")
-            for exp in (self.diag_exp, self.offdiag_exp):
-                if exp is not None:
-                    conjugate_exponent(exp)  # validates > 1
-        elif k is CombinationKind.ROW_SUM:
-            if self.branch not in ROW_SUM_BRANCHES:
-                raise ValueError(f"branch must be one of {ROW_SUM_BRANCHES}, got {self.branch!r}")
-            if (self.branch == "holder") != (self.p is not None):
-                raise ValueError("p is required exactly when branch='holder'")
-            if self.p is not None:
-                conjugate_exponent(self.p)
-        elif k in (CombinationKind.HOLDER_GRAM, CombinationKind.HOLDER_GRAM_P2):
-            if self.p is None:
+        for branch, branches, _ in choices:
+            if branch and getattr(self, branch) not in branches:
+                raise ValueError(f"{branch} must be one of {branches}, got {getattr(self, branch)!r}")
+        for branch, _, exp in choices:
+            if branch is None and getattr(self, exp) is None:
                 raise ValueError("holder_gram methods require the exponent p")
-            conjugate_exponent(self.p)
-            if k is CombinationKind.HOLDER_GRAM_P2 and self.p != 2.0:
-                raise ValueError("the p=2 specialisation fixes p at 2")
-        for name in ("p", "diag_exp", "offdiag_exp"):  # each validated above, kept as a Python number
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, checked_real(name, getattr(self, name)))
-
-    @cached_property
-    def _chain_terms(self) -> tuple[tuple, tuple | None, tuple | None]:
-        """The memo keys (term, *args) :meth:`CombinationStack.chain` reads: the tight end or
-        a split's diagonal term, its off-diagonal term and the coarse end, each None where there is none."""
-        k = self.kind
-        if k is CombinationKind.DIAG_OFFDIAG:
-            offdiag = (_offdiag_term, self.offdiag_branch, self.offdiag_exp)
-            return (_diag_term, self.diag_branch, self.diag_exp), offdiag, None
-        if k is CombinationKind.SELECTION_MAX:
-            return (_diag_term, "max_norm", None), (_offdiag_term, "max_entry", None), (_coarse, "diag_offdiag_max")
-        if k is CombinationKind.SELECTION_FROBENIUS:
-            return (_diag_term, "max_norm", None), (_offdiag_term, "holder", 2.0), (_coarse, "diag_offdiag_frobenius")
-        if k is CombinationKind.ROW_SUM:
-            return (_row_sum_base,), None, (_row_sum_relaxed, self.branch, self.p)
-        if k is CombinationKind.CAUCHY_SCHWARZ:
-            return (_cauchy_schwarz,), None, None
-        return (_holder_gram, self.p), None, None
+            if branch and (getattr(self, branch) == "holder") != (getattr(self, exp) is not None):
+                raise ValueError(f"{exp} is required exactly when {branch}='holder'")
+        picks = []
+        for branch, _, exp in choices:
+            pair = None if getattr(self, exp) is None else holder_pair(getattr(self, exp))
+            if pair is not None:
+                object.__setattr__(self, exp, pair[0])  # kept as a Python number
+            picks.append((branch and getattr(self, branch), pair))
+        if k is CombinationKind.HOLDER_GRAM_P2 and self.p != 2.0:
+            raise ValueError("the p=2 specialisation fixes p at 2")
+        object.__setattr__(self, "_chain_terms", terms(*picks))
 
     @property
     def label(self) -> str:
@@ -339,7 +334,6 @@ def bound_margin(upper: float | np.ndarray, lower: float | np.ndarray, rel: floa
 
 
 # -- the bound families: the terms of each chain, over a CombinationStack ----
-# CombinationMethod validated each exponent p: its conjugate is conjugate_exponent's p / (p - 1.0).
 
 
 def _cauchy_schwarz(c: CombinationStack) -> np.ndarray:
@@ -350,22 +344,22 @@ def _power_sum(c: CombinationStack, e: float) -> np.ndarray:
     return c.coeff_norm_sq if e == 2 else (c.a**e).sum(axis=-1)
 
 
-def _diag_term(c: CombinationStack, branch: DiagBranch, exp: float | None) -> np.ndarray:
+def _diag_term(c: CombinationStack, branch: DiagBranch, pair: tuple[float, float] | None) -> np.ndarray:
     g = c.agg
     if branch == "max_coeff":
         return c.a_max**2 * g.norm_sum
     if branch == "holder":
-        q = exp / (exp - 1.0)
+        exp, q = pair
         return c.power_sum(2 * exp) ** (1 / exp) * g.power_sum("norms_sq", q) ** (1 / q)
     return c.power_sum(2) * g.norm_max
 
 
-def _offdiag_term(c: CombinationStack, branch: OffdiagBranch, exp: float | None) -> np.ndarray:
+def _offdiag_term(c: CombinationStack, branch: OffdiagBranch, pair: tuple[float, float] | None) -> np.ndarray:
     g = c.agg
     if branch == "max_coeff":
         return c.top_pair_product * g.power_sum("abs_offdiag", 1)
     if branch == "holder":
-        q = exp / (exp - 1.0)
+        exp, q = pair
         coeff = np.maximum(c.power_sum(exp) ** 2 - c.power_sum(2 * exp), 0.0)
         return coeff ** (1 / exp) * g.power_sum("abs_offdiag", q) ** (1 / q)
     coeff = np.maximum(c.power_sum(1) ** 2 - c.power_sum(2), 0.0)
@@ -381,18 +375,18 @@ def _row_sum_base(c: CombinationStack) -> np.ndarray:
     return (c.a**2 * c.agg.row_sums).sum(axis=-1)
 
 
-def _row_sum_relaxed(c: CombinationStack, branch: RowSumBranch, p: float | None) -> np.ndarray:
+def _row_sum_relaxed(c: CombinationStack, branch: RowSumBranch, pair: tuple[float, float] | None) -> np.ndarray:
     g = c.agg
     if branch == "max_coeff":
         return c.a_max**2 * g.power_sum("row_sums", 1)
     if branch == "holder":
-        q = p / (p - 1.0)
+        p, q = pair
         return c.power_sum(2 * p) ** (1 / p) * g.power_sum("row_sums", q) ** (1 / q)
     return c.power_sum(2) * g.row_max
 
 
-def _holder_gram(c: CombinationStack, p: float) -> np.ndarray:
-    q = p / (p - 1.0)
+def _holder_gram(c: CombinationStack, pair: tuple[float, float]) -> np.ndarray:
+    p, q = pair
     return c.power_sum(p) ** (2 / p) * c.agg.power_sum("abs_gram", q) ** (1 / q)
 
 

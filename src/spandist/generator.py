@@ -50,8 +50,7 @@ class GeneratorConfig:
     ``dependent_fraction`` makes that share of trials linearly dependent by
     replacing one vector with a combination of the others (for exercising
     bounds that do not need independence). Both are stored as
-    :func:`~spandist.space.checked_real` returns them, a numpy scalar as the
-    Python number it holds.
+    :func:`~spandist.space.checked_real` returns them, a Python int or float.
     """
 
     seed: int = 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,6 +37,7 @@ from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, check_member, ch
 from .space import cached_property, leq_margin, near_margin
 
 __all__ = [
+    "ChainVariant",
     "GramMatrix",
     "AggregateStack",
     "FactorStack",
@@ -77,25 +79,22 @@ def gram_stack(rows: np.ndarray) -> np.ndarray:
     return _frozen((g + np.swapaxes(g.conj(), -1, -2)) / 2.0)
 
 
-class ChainPrefixes(NamedTuple):
-    """Prefix aggregates of the Hadamard refinement chains: read-only (T, n)
-    arrays, one row per system of a stack.
+class ChainVariant(Enum):
+    """How the Hadamard refinement chains aggregate the leading
+    (m + 1) x (m + 1) Gram block B into the denominator for position
+    k = m + 1; the denominators of :attr:`AggregateStack.chain_prefixes`
+    take one row per variant, in this order:
 
-    Column k of ``numerators`` is sum_{j<k} |G[k, j]|^2. Column m of each
-    other field aggregates the leading (m + 1) x (m + 1) Gram block B, the
-    denominator for position k = m + 1 of the chain of the same name:
-
-    * ``total_norm``: sum_i B[i, i]
-    * ``offdiag_frobenius``: max_i B[i, i] + (sum_{i != j} |B[i, j]|^2)^(1/2)
-    * ``offdiag_max``: max_i B[i, i] + m * max_{i != j} |B[i, j]|
-    * ``row_sums``: max_i sum_j |B[i, j]|
+    * ``TOTAL_NORM``: sum_i B[i, i]
+    * ``OFFDIAG_FROBENIUS``: max_i B[i, i] + (sum_{i != j} |B[i, j]|^2)^(1/2)
+    * ``OFFDIAG_MAX``: max_i B[i, i] + m * max_{i != j} |B[i, j]|
+    * ``ROW_SUMS``: max_i sum_j |B[i, j]|
     """
 
-    numerators: np.ndarray
-    total_norm: np.ndarray
-    offdiag_frobenius: np.ndarray
-    offdiag_max: np.ndarray
-    row_sums: np.ndarray
+    TOTAL_NORM = "total_norm"
+    OFFDIAG_FROBENIUS = "offdiag_frobenius"
+    OFFDIAG_MAX = "offdiag_max"
+    ROW_SUMS = "row_sums"
 
 
 _POWER_AXES = {"norms_sq": -1, "abs_gram": (-2, -1), "abs_offdiag": (-2, -1), "row_sums": -1}
@@ -186,9 +185,12 @@ class AggregateStack:
         return _frozen(np.maximum.reduce(np.abs(g - np.eye(g.shape[-1], dtype=g.dtype)), axis=(-2, -1)))
 
     @cached_property
-    def chain_prefixes(self) -> ChainPrefixes:
+    def chain_prefixes(self) -> tuple[np.ndarray, np.ndarray]:
         """Numerators and denominators of the Hadamard refinement chains for
-        every prefix at once (see :class:`ChainPrefixes`)."""
+        every prefix at once, read-only: the (T, n) numerators, column k
+        holding sum_{j<k} |G[k, j]|^2, and the (4, T, n) denominators, one row
+        per :class:`ChainVariant` in its member order, column m holding that
+        variant's aggregate of the leading (m + 1) x (m + 1) Gram block."""
         d = self.norms_sq
         abs_g = self.abs_gram
         below = np.tri(*abs_g.shape[-2:], -1, dtype=bool)  # np.tril(., -1) keeps it, np.triu(.) zeroes it
@@ -199,13 +201,12 @@ class AggregateStack:
         # column m of the row-wise cumsum holds sum_{j<=m} |G[i, j]|; the
         # block of size m + 1 takes its max over rows i <= m
         row_sums = np.maximum.reduce(np.where(below, 0.0, np.cumsum(abs_g, axis=-1)), axis=-2)
-        return ChainPrefixes(
-            numerators=_frozen(numerators),
-            total_norm=_frozen(np.cumsum(d, axis=-1)),
-            offdiag_frobenius=_frozen(norm_max + np.sqrt(2.0 * np.cumsum(numerators, axis=-1))),
-            offdiag_max=_frozen(norm_max + np.arange(d.shape[-1]) * offdiag_max),
-            row_sums=_frozen(row_sums),
-        )
+        return _frozen(numerators), _frozen(np.array([
+            np.cumsum(d, axis=-1),
+            norm_max + np.sqrt(2.0 * np.cumsum(numerators, axis=-1)),
+            norm_max + np.arange(d.shape[-1]) * offdiag_max,
+            row_sums,
+        ]))
 
     def power_sum(self, name: str, q: float) -> np.ndarray:
         """sum(array ** q) per system for the array aggregate ``name``

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import NumericalWarning
-from .gram import VectorSystem, gram_determinant, require_independent
+from .gram import ChainVariant, VectorSystem, gram_determinant, require_independent
 from .space import ToleranceConfig, leq_margin
 
 __all__ = [
@@ -33,14 +32,7 @@ __all__ = [
     "check_hadamard_strict",
 ]
 
-
-class ChainVariant(Enum):
-    """How the prefix Gram block is aggregated into the denominator D_k."""
-
-    TOTAL_NORM = "total_norm"
-    OFFDIAG_FROBENIUS = "offdiag_frobenius"
-    OFFDIAG_MAX = "offdiag_max"
-    ROW_SUMS = "row_sums"
+_ROWS = {variant: row for row, variant in enumerate(ChainVariant)}  # each variant's row of the denominators
 
 
 @dataclass(frozen=True)
@@ -68,10 +60,11 @@ def chain_stack(
     norms: np.ndarray, numerators: np.ndarray, denominators: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(factors, refined, clamped) of one refinement chain for each system of
-    a stack, n >= 2: (T, n) squared norms, and the chain's prefix numerators
-    and denominators (the fields of :class:`~spandist.gram.ChainPrefixes`).
-    Denominators of shape (..., T, n) run one chain per leading index (the
-    four variants' as one (4, T, n) stack), and the results carry the same
+    a stack, n >= 2: (T, n) squared norms, and the chain's (T, n) prefix
+    numerators and denominators (see
+    :attr:`~spandist.gram.AggregateStack.chain_prefixes`). Denominators of
+    shape (..., T, n) run one chain per leading index (every variant's at
+    once from the whole (4, T, n) array), and the results carry the same
     leading axes.
 
     A factor below zero is clamped to zero; one below zero beyond tolerance
@@ -100,11 +93,11 @@ def hadamard_chain(
 ) -> HadamardChainResult:
     """Evaluate one corrected-product refinement for an independent system (n >= 2).
 
-    The prefix numerators and denominators come from the ``chain_prefixes``
-    of the system's stack (``system.as_stack().aggregates``), computed once
-    per system for every position and every variant; :func:`chain_stack`
-    runs on that stack of one. A ``variant`` that is not a
-    :class:`ChainVariant` raises ValueError.
+    The prefix numerators and the variant's row of the denominators come
+    from the ``chain_prefixes`` of the system's stack
+    (``system.as_stack().aggregates``), computed once per system for every
+    position and every variant; :func:`chain_stack` runs on that stack of
+    one. A ``variant`` that is not a :class:`ChainVariant` raises ValueError.
     """
     if not isinstance(variant, ChainVariant):
         raise ValueError(f"variant must be a ChainVariant, got {variant!r}")
@@ -113,8 +106,8 @@ def hadamard_chain(
         raise ValueError("chain refinements need at least two vectors")
     tol = tol or system.tol
     agg = system.as_stack().aggregates
-    prefixes = agg.chain_prefixes
-    factors, refined, clamped = chain_stack(agg.norms_sq, prefixes.numerators, getattr(prefixes, variant.value), tol)
+    numerators, denominators = agg.chain_prefixes
+    factors, refined, clamped = chain_stack(agg.norms_sq, numerators, denominators[_ROWS[variant]], tol)
     refined = float(refined[0])
     det = gram_determinant(system)
     product = float(agg.norm_product[0])

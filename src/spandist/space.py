@@ -42,6 +42,7 @@ __all__ = [
     "norm_sq",
     "linear_combination",
     "conjugate_exponent",
+    "holder_pair",
 ]
 
 
@@ -77,15 +78,19 @@ def checked_int(name: str, value: object) -> int:
 
 
 def checked_real(name: str, value: object) -> int | float:
-    """``value`` as the Python number it holds (a numpy scalar's ``.item()``,
-    so arithmetic on it runs in float64); ValueError naming ``name`` unless it
-    is a finite real number (``numbers.Real``, numpy floats and integers
-    included, but not bool): one within the float range, so NaN, inf and
-    10**400 are not."""
-    number = value.item() if isinstance(value, np.generic) else value
+    """``value`` as a Python int (an integer, ``numbers.Integral``) or float
+    (any other real), so arithmetic on it runs in float64 and a report renders
+    it as a Python number: a numpy float32, a long double and a ``Fraction``
+    all come back as the float nearest them. ValueError naming ``name``
+    unless it is a finite real number (``numbers.Real``, numpy floats and
+    integers included, but not bool): one within the float range, compared as
+    the Python number a numpy scalar holds (a long double as one, with no
+    cast), so NaN, inf, 10**400, ``np.longdouble('1e400')`` and
+    ``Fraction(10**400)`` are not."""
+    number = value.item() if isinstance(value, np.generic) else value  # a long double stays one
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not -_FLOAT_MAX <= number <= _FLOAT_MAX:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return number
+    return int(number) if isinstance(value, numbers.Integral) else float(number)
 
 
 def field_array(values: object, field: Field | None, what: str) -> np.ndarray:
@@ -136,8 +141,7 @@ class ToleranceConfig:
         ordered in exact arithmetic: the ``rel`` every library verdict
         passes to :func:`leq_margin` or :func:`near_margin`.
 
-    Each is stored as :func:`checked_real` returns it, a numpy scalar as the
-    Python number it holds.
+    Each is stored as :func:`checked_real` returns it, a Python int or float.
     """
 
     rank_rel_tol: float = 1e-12
@@ -280,14 +284,21 @@ def linear_combination(coeffs: Sequence[Scalar], vectors: Sequence[Vector]) -> V
     return Vector(alphas @ rows, head.field)
 
 
-def conjugate_exponent(p: float) -> float:
-    """Return q with 1/p + 1/q = 1; requires p > 1.
+def holder_pair(p: float) -> tuple[int | float, float]:
+    """The Hölder pair (p, q), 1/p + 1/q = 1: ``p`` as :func:`checked_real`
+    returns it and its conjugate q = p / (p - 1.0). ValueError unless ``p`` is
+    a finite real number > 1.
 
     Only one exponent of a Hölder pair is ever accepted by the public
-    operations; the partner is always derived here so the pair cannot drift
-    out of conjugacy.
+    operations; the partner is always derived here, once per exponent, so
+    the pair cannot drift out of conjugacy.
     """
     value = checked_real("Hölder exponent", p)
     if not value > 1.0:
         raise ValueError(f"Hölder exponent must be finite and > 1, got {p!r}")
-    return value / (value - 1.0)
+    return value, value / (value - 1.0)
+
+
+def conjugate_exponent(p: float) -> float:
+    """Return q with 1/p + 1/q = 1, ``holder_pair(p)[1]``; requires p > 1."""
+    return holder_pair(p)[1]

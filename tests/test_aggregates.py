@@ -346,10 +346,10 @@ def test_aggregates_are_built_once_per_system(monkeypatch):
 
 
 def _assert_entry(got, stacked, k):
-    if isinstance(stacked, sd_gram.ChainPrefixes):
-        assert type(got) is sd_gram.ChainPrefixes
+    if isinstance(stacked, tuple):  # the chain prefixes: (T, n) numerators, (4, T, n) denominators
+        assert type(got) is tuple
         for field, whole in zip(got, stacked):
-            assert np.array_equal(field[0], whole[k])
+            assert np.array_equal(field[..., 0, :], whole[..., k, :])
     else:
         assert type(got) is np.ndarray and np.array_equal(got[0], stacked[k])
 

@@ -179,6 +179,25 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
+@pytest.mark.parametrize("name", ["complex_d7_n5_k1e2_intervals", "real_d6_n4_k1e3_dependent"])
+def test_each_chunk_chain_row_is_its_variants_library_chain(name):
+    # the chunk runs every variant from one (4, T, n) array of denominators;
+    # row v must be variant v's chain as hadamard_chain gives it
+    config = _config(name, trials=16)
+    stacks = run_stacked([resolve_check("hadamard_chains")], generate_chunk(config, range(config.trials), TOL))
+    compared = Counter()
+    for k in range(config.trials):
+        system = sd.generate_instance(config, k, TOL).system
+        outcomes = {oc.check_id: dict(oc.values) for oc in sd.checks.outcomes_of(stacks, k)}
+        for variant in sd.ChainVariant:
+            lower = outcomes.get(f"hadamard_chains/{variant.value}/lower")
+            compared[lower is not None] += 1
+            assert (lower is not None) == system.independent, (k, variant)
+            if lower is not None:
+                assert _bits(lower["refined"]) == _bits(sd.hadamard_chain(system, variant).refined), (k, variant)
+    assert compared[True] >= 4 * 12 and (compared[False] > 0) == ("dependent" in name)
+
+
 @pytest.mark.parametrize("name", [*SMALL_STREAMS, "complex_d12_n9_k1e3"])
 def test_the_stacked_sweep_equals_the_per_method_api(name):
     stream = STREAMS.get(name, dict(dim=12, n=9, field=Field.COMPLEX, conditioning=1e3))

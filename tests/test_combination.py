@@ -269,6 +269,42 @@ def test_a_method_names_what_is_wrong_with_it(fields, message):
         CombinationMethod(**fields)
 
 
+def test_a_method_checks_each_exponent_once(monkeypatch):
+    # each exponent goes through checked_real once, and its conjugate rides
+    # in the memo keys of the terms that read it
+    from spandist import space
+
+    calls = []
+    original = space.checked_real
+
+    def counted(name, value):
+        calls.append(name)
+        return original(name, value)
+
+    for module in (space, sd.combination):  # also where a module imports the name
+        monkeypatch.setattr(module, "checked_real", counted, raising=False)
+    split = CombinationMethod(
+        kind=_KIND.DIAG_OFFDIAG, diag_branch="holder", offdiag_branch="holder", diag_exp=1.5, offdiag_exp=3
+    )
+    assert calls == ["Hölder exponent"] * 2
+    row_sum = CombinationMethod(kind=_KIND.ROW_SUM, branch="holder", p=1.25)
+    gram = CombinationMethod(kind=_KIND.HOLDER_GRAM, p=4.0)
+    assert calls == ["Hölder exponent"] * 4
+    monkeypatch.undo()
+    diag, offdiag, _ = split._chain_terms
+    assert diag[1:] == ("holder", (1.5, sd.conjugate_exponent(1.5)))
+    assert offdiag[1:] == ("holder", (3, sd.conjugate_exponent(3)))
+    assert row_sum._chain_terms[2][1:] == ("holder", (1.25, sd.conjugate_exponent(1.25)))
+    assert gram._chain_terms[0][1:] == ((4.0, sd.conjugate_exponent(4.0)),)
+    # memo sharing: the selection's off-diagonal term is the split's at exponent 2
+    frobenius = CombinationMethod(kind=_KIND.SELECTION_FROBENIUS)._chain_terms[1]
+    for two in (2, 2.0):
+        at_two = CombinationMethod(
+            kind=_KIND.DIAG_OFFDIAG, diag_branch="max_norm", offdiag_branch="holder", offdiag_exp=two
+        )
+        assert at_two._chain_terms[1] == frobenius and hash(at_two._chain_terms[1]) == hash(frobenius)
+
+
 @pytest.mark.parametrize("method, label", [
     (CombinationMethod(kind=_KIND.CAUCHY_SCHWARZ), "[cauchy_schwarz]"),
     (CombinationMethod(kind=_KIND.DIAG_OFFDIAG, diag_branch="holder", offdiag_branch="max_entry", diag_exp=1.5),

@@ -730,17 +730,16 @@ def test_chain_stack_runs_every_variant_in_one_call():
     planted[3, 0] = planted[0, 3] = 2.0  # a factor far below zero at position 3
     planted[2, 1] = planted[1, 2] = 1.5  # and one at position 2
     agg = sd_gram.AggregateStack(np.array([grams[0], planted, grams[1], planted, grams[2]]))
-    prefixes, tol = agg.chain_prefixes, sd.DEFAULT_TOL
+    (numerators, denominators), tol = agg.chain_prefixes, sd.DEFAULT_TOL
     alone, texts = [], []
-    for variant in sd.ChainVariant:
+    for row in range(len(sd.ChainVariant)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            alone.append(sd.hadamard.chain_stack(agg.norms_sq, prefixes.numerators, getattr(prefixes, variant.value), tol))
+            alone.append(sd.hadamard.chain_stack(agg.norms_sq, numerators, denominators[row], tol))
         texts += [str(w.message) for w in caught]
-    denominators = np.array([getattr(prefixes, v.value) for v in sd.ChainVariant])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        joint = sd.hadamard.chain_stack(agg.norms_sq, prefixes.numerators, denominators, tol)
+        joint = sd.hadamard.chain_stack(agg.norms_sq, numerators, denominators, tol)
     assert all(issubclass(w.category, sd.NumericalWarning) for w in caught)
     assert [str(w.message) for w in caught] == texts and len(texts) >= 8
     for got, parts in zip(joint, zip(*alone)):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -162,6 +163,37 @@ def test_a_numpy_scalar_tolerance_or_exponent_is_computed_as_its_python_float():
             assert getattr(method, name) is None or type(getattr(method, name)) is float
     bound = sd.holder_gram_bound([1.0, -2.0, 0.5], system, p).bound
     assert type(bound) is float and bound == sd.holder_gram_bound([1.0, -2.0, 0.5], system, float(p)).bound
+
+
+@pytest.mark.parametrize("wide", [np.longdouble, Fraction])
+def test_a_long_double_or_fraction_is_kept_as_the_float_nearest_it(wide):
+    # kept as given, either reached the campaign JSON, which cannot
+    # serialise it, and computed in its own arithmetic
+    ten, tiny, p = wide(10), wide(1) / wide(10**8), wide(11) / wide(10)
+    tol = sd.ToleranceConfig(compare_rel_tol=tiny)
+    assert type(tol.compare_rel_tol) is float and tol == sd.ToleranceConfig(compare_rel_tol=float(tiny))
+    config = sd.GeneratorConfig(seed=3, trials=4, dim=5, n=3, intervals=True, conditioning=ten)
+    assert type(config.conditioning) is float and config.conditioning == 10.0
+    assert type(sd.GeneratorConfig(conditioning=10).conditioning) is int  # an int stays an int
+    kinds = sd.CombinationKind
+    method = sd.CombinationMethod(
+        kinds.DIAG_OFFDIAG, diag_branch="holder", offdiag_branch="holder", diag_exp=p, offdiag_exp=p
+    )
+    for exp in (sd.CombinationMethod(kinds.HOLDER_GRAM, p=p).p, method.diag_exp, method.offdiag_exp):
+        assert type(exp) is float and exp == float(p)
+    q = conjugate_exponent(p)
+    assert type(q) is float and q == float(p) / (float(p) - 1.0)
+    as_float = dataclasses.replace(config, conditioning=10.0)
+    float_tol = sd.ToleranceConfig(compare_rel_tol=float(tiny))
+    for got, want in [(sd.run_campaign(config), sd.run_campaign(as_float)),
+                      (sd.run_campaign(as_float, tol=tol), sd.run_campaign(as_float, tol=float_tol))]:
+        assert sd.render_campaign(got, "json") == sd.render_campaign(want, "json")
+    big = wide(10) ** 400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (big, -big):
+            with pytest.raises(ValueError, match="^value must be a finite real number"):
+                sd.space.checked_real("value", value)
 
 
 # --- one rule for caller-supplied numbers ----------------------------------------
