@@ -20,6 +20,7 @@ with three coarser closed forms.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,10 +96,11 @@ CONDITIONAL_METHODS = (
 class IntervalData:
     """Two-sided scalar data (gamma_i, Gamma_i) for the conditional bounds,
     checked once by :func:`~spandist.space.field_array` (its field inferred)
-    and kept as the pair of arrays of that field."""
+    and kept as the arrays of that field."""
 
     gammas: tuple[Scalar, ...]
     Gammas: tuple[Scalar, ...]
+    _arrays: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if 0 in (np.ndim(self.gammas), np.ndim(self.Gammas)):
@@ -112,16 +114,16 @@ class IntervalData:
             raise ValueError("interval scalars must be numbers")
         object.__setattr__(self, "gammas", tuple(self.gammas))  # not the caller's list
         object.__setattr__(self, "Gammas", tuple(self.Gammas))
-        object.__setattr__(self, "_pair", tuple(pair))
+        self._arrays[Field.of(pair)] = tuple(pair)
 
     @classmethod
     def _of(cls, lo: np.ndarray, hi: np.ndarray) -> "IntervalData":
         """The data of two same-length arrays that :func:`field_array` has
-        checked, kept as the pair of arrays of their field."""
+        checked, kept as the arrays of their field."""
         data = cls.__new__(cls)
         object.__setattr__(data, "gammas", tuple(lo.tolist()))
         object.__setattr__(data, "Gammas", tuple(hi.tolist()))
-        object.__setattr__(data, "_pair", (lo, hi))
+        object.__setattr__(data, "_arrays", {Field.of(lo): (lo, hi)})
         return data
 
     @property
@@ -130,13 +132,13 @@ class IntervalData:
 
     def arrays(self, field: Field, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (gamma, Gamma) arrays for a system of ``n`` vectors over
-        ``field``: the kept pair for the data's own field, any other field's
-        checked anew."""
+        ``field``, memoised per field."""
         if self.n != n:
             raise DimensionMismatchError(f"interval data for {self.n} vectors, system has {n}")
-        if Field.of(self._pair[0]) is field:
-            return self._pair
-        return tuple(field_array((self.gammas, self.Gammas), field, "interval scalars"))
+        pair = self._arrays.get(field)
+        if pair is None:
+            pair = self._arrays[field] = tuple(field_array((self.gammas, self.Gammas), field, "interval scalars"))
+        return pair
 
 
 # -- stacked kernels: one value per system of a stack ---------------------

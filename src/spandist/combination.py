@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,13 +65,23 @@ class CombinationKind(Enum):
     HOLDER_GRAM_P2 = "holder_gram_p2"
 
 
-# per kind: the choices it reads, each (branch field, branches, exponent field), the exponent given
-# exactly when the branch is "holder" (always where the branch field is None); and its chain terms
-# (CombinationMethod._chain_terms) from each choice's (branch, Hölder pair (p, q) or None)
+class _Choice(NamedTuple):
+    """An exponent field a kind reads: given exactly when the ``branch`` field is "holder", or
+    always where ``required_by`` names the family; ``fixed`` is its one allowed value, if any."""
+
+    exp: str
+    branch: str | None = None
+    branches: tuple[str, ...] = ()
+    required_by: str | None = None
+    fixed: float | None = None
+
+
+_HOLDER_GRAM_P = _Choice("p", required_by="holder_gram")
+# per kind: its choices, and its chain terms (CombinationMethod._chain_terms) from each choice's (branch, pair or None)
 _KINDS = {
     CombinationKind.CAUCHY_SCHWARZ: ((), lambda: ((_cauchy_schwarz,), None, None)),
     CombinationKind.DIAG_OFFDIAG: (
-        (("diag_branch", DIAG_BRANCHES, "diag_exp"), ("offdiag_branch", OFFDIAG_BRANCHES, "offdiag_exp")),
+        (_Choice("diag_exp", "diag_branch", DIAG_BRANCHES), _Choice("offdiag_exp", "offdiag_branch", OFFDIAG_BRANCHES)),
         lambda diag, offdiag: ((_diag_term, *diag), (_offdiag_term, *offdiag), None),
     ),
     CombinationKind.SELECTION_MAX: ((), lambda: (
@@ -82,24 +92,24 @@ _KINDS = {
         (_offdiag_term, "holder", holder_pair(2.0)),
         (_coarse, "diag_offdiag_frobenius"),
     )),
-    CombinationKind.ROW_SUM: (
-        (("branch", ROW_SUM_BRANCHES, "p"),), lambda relaxed: ((_row_sum_base,), None, (_row_sum_relaxed, *relaxed)),
+    CombinationKind.ROW_SUM: ((_Choice("p", "branch", ROW_SUM_BRANCHES),), lambda relaxed: (
+        (_row_sum_base,), None, (_row_sum_relaxed, *relaxed),
+    )),
+    CombinationKind.HOLDER_GRAM: ((_HOLDER_GRAM_P,), lambda gram: ((_holder_gram, gram[1]), None, None)),
+    CombinationKind.HOLDER_GRAM_P2: (
+        (_HOLDER_GRAM_P._replace(fixed=2.0),), lambda gram: ((_holder_gram, gram[1]), None, None)
     ),
-    CombinationKind.HOLDER_GRAM: (((None, (), "p"),), lambda gram: ((_holder_gram, gram[1]), None, None)),
 }
-_KINDS[CombinationKind.HOLDER_GRAM_P2] = _KINDS[CombinationKind.HOLDER_GRAM]
 
 
 @dataclass(frozen=True)
 class CombinationMethod:
-    """A bound family plus whatever branch/exponent choices it takes.
-
-    Building one checks every field once and sets ``_chain_terms``, the
-    memo keys (term, *args) :meth:`CombinationStack.chain` reads: the tight
-    end or a split's diagonal term, its off-diagonal term and the coarse end,
-    each None where there is none. A Hölder term's key carries its exponent
-    pair (p, q) from :func:`~spandist.space.holder_pair`.
-    """
+    """A bound family plus whatever branch/exponent choices it takes, each
+    checked once when it is built, which sets ``_chain_terms``: the memo keys
+    (term, *args) :meth:`CombinationStack.chain` reads for the tight end or a
+    split's diagonal term, its off-diagonal term and the coarse end (None where
+    there is none), a Hölder term's carrying its pair (p, q) from
+    :func:`~spandist.space.holder_pair`."""
 
     kind: CombinationKind
     diag_branch: DiagBranch | None = None
@@ -114,26 +124,26 @@ class CombinationMethod:
         if not isinstance(k, CombinationKind):
             raise ValueError(f"kind must be a CombinationKind, got {k!r}")
         choices, terms = _KINDS[k]
-        reads = [name for branch, _, exp in choices for name in (branch, exp)]
+        reads = [name for c in choices for name in (c.branch, c.exp)]
         for f in fields(self)[1:]:
             if f.name not in reads and getattr(self, f.name) is not None:
                 raise ValueError(f"{k.value} takes no {f.name}, got {getattr(self, f.name)!r}")
-        for branch, branches, _ in choices:
-            if branch and getattr(self, branch) not in branches:
-                raise ValueError(f"{branch} must be one of {branches}, got {getattr(self, branch)!r}")
-        for branch, _, exp in choices:
-            if branch is None and getattr(self, exp) is None:
-                raise ValueError("holder_gram methods require the exponent p")
-            if branch and (getattr(self, branch) == "holder") != (getattr(self, exp) is not None):
-                raise ValueError(f"{exp} is required exactly when {branch}='holder'")
+        for c in choices:
+            if c.branch and getattr(self, c.branch) not in c.branches:
+                raise ValueError(f"{c.branch} must be one of {c.branches}, got {getattr(self, c.branch)!r}")
+        for c in choices:
+            if c.required_by and getattr(self, c.exp) is None:
+                raise ValueError(f"{c.required_by} methods require the exponent {c.exp}")
+            if c.branch and (getattr(self, c.branch) == "holder") != (getattr(self, c.exp) is not None):
+                raise ValueError(f"{c.exp} is required exactly when {c.branch}='holder'")
         picks = []
-        for branch, _, exp in choices:
-            pair = None if getattr(self, exp) is None else holder_pair(getattr(self, exp))
+        for c in choices:
+            pair = None if getattr(self, c.exp) is None else holder_pair(getattr(self, c.exp))
             if pair is not None:
-                object.__setattr__(self, exp, pair[0])  # kept as a Python number
-            picks.append((branch and getattr(self, branch), pair))
-        if k is CombinationKind.HOLDER_GRAM_P2 and self.p != 2.0:
-            raise ValueError("the p=2 specialisation fixes p at 2")
+                object.__setattr__(self, c.exp, pair[0])  # kept as a Python number
+            if c.fixed is not None and pair[0] != c.fixed:
+                raise ValueError(f"the {c.exp}={c.fixed:g} specialisation fixes {c.exp} at {c.fixed:g}")
+            picks.append((c.branch and getattr(self, c.branch), pair))
         object.__setattr__(self, "_chain_terms", terms(*picks))
 
     @property

@@ -80,10 +80,9 @@ def gram_stack(rows: np.ndarray) -> np.ndarray:
 
 
 class ChainVariant(Enum):
-    """How the Hadamard refinement chains aggregate the leading
-    (m + 1) x (m + 1) Gram block B into the denominator for position
-    k = m + 1; the denominators of :attr:`AggregateStack.chain_prefixes`
-    take one row per variant, in this order:
+    """How the Hadamard refinement chains aggregate the leading (m + 1) x (m + 1)
+    Gram block B into the denominator for position k = m + 1; the denominators
+    of :attr:`AggregateStack.chain_prefixes` take one row per variant, in order:
 
     * ``TOTAL_NORM``: sum_i B[i, i]
     * ``OFFDIAG_FROBENIUS``: max_i B[i, i] + (sum_{i != j} |B[i, j]|^2)^(1/2)

@@ -78,15 +78,13 @@ def checked_int(name: str, value: object) -> int:
 
 
 def checked_real(name: str, value: object) -> int | float:
-    """``value`` as a Python int (an integer, ``numbers.Integral``) or float
-    (any other real), so arithmetic on it runs in float64 and a report renders
-    it as a Python number: a numpy float32, a long double and a ``Fraction``
-    all come back as the float nearest them. ValueError naming ``name``
-    unless it is a finite real number (``numbers.Real``, numpy floats and
-    integers included, but not bool): one within the float range, compared as
-    the Python number a numpy scalar holds (a long double as one, with no
-    cast), so NaN, inf, 10**400, ``np.longdouble('1e400')`` and
-    ``Fraction(10**400)`` are not."""
+    """``value`` as a Python int (a ``numbers.Integral``) or float (any other
+    real: a numpy float32, a long double or a ``Fraction`` as the float nearest
+    it), so arithmetic on it runs in float64 and a report renders it.
+    ValueError naming ``name`` unless it is a finite real number
+    (``numbers.Real``, numpy numbers included, not bool) within the float
+    range, compared uncast, so NaN, inf, 10**400, ``np.longdouble('1e400')``
+    and ``Fraction(10**400)`` are not."""
     number = value.item() if isinstance(value, np.generic) else value  # a long double stays one
     if not isinstance(value, numbers.Real) or isinstance(value, bool) or not -_FLOAT_MAX <= number <= _FLOAT_MAX:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
@@ -286,13 +284,9 @@ def linear_combination(coeffs: Sequence[Scalar], vectors: Sequence[Vector]) -> V
 
 def holder_pair(p: float) -> tuple[int | float, float]:
     """The Hölder pair (p, q), 1/p + 1/q = 1: ``p`` as :func:`checked_real`
-    returns it and its conjugate q = p / (p - 1.0). ValueError unless ``p`` is
-    a finite real number > 1.
-
-    Only one exponent of a Hölder pair is ever accepted by the public
-    operations; the partner is always derived here, once per exponent, so
-    the pair cannot drift out of conjugacy.
-    """
+    returns it, and q = p / (p - 1.0). The public operations accept one
+    exponent only and derive its partner here, once, so the pair cannot
+    drift out of conjugacy. ValueError unless ``p`` is finite and > 1."""
     value = checked_real("Hölder exponent", p)
     if not value > 1.0:
         raise ValueError(f"Hölder exponent must be finite and > 1, got {p!r}")
