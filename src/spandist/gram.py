@@ -34,7 +34,7 @@ from numpy.linalg import _linalg, _umath_linalg
 
 from .errors import LinearDependenceError, NumericalInstabilityError
 from .space import DEFAULT_TOL, Field, ToleranceConfig, Vector, check_member, checked_int, field_array, sq_norms
-from .space import cached_property, leq_margin, near_margin
+from .space import cached_property, check_members, leq_margin, near_margin
 
 __all__ = [
     "ChainVariant",
@@ -478,9 +478,7 @@ class VectorSystem:
     def __init__(self, vectors: Sequence[Vector], tol: ToleranceConfig = DEFAULT_TOL) -> None:
         if len(vectors) == 0:
             raise ValueError("a vector system needs at least one vector")
-        head = vectors[0]
-        for v in vectors[1:]:
-            check_member(v, head.field, head.dim)
+        head = check_members(vectors)
         rows = np.stack([v.coords for v in vectors])
         self._bind(SystemStack(rows[np.newaxis], head.field, tol))
         self._vectors = tuple(vectors)

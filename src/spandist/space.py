@@ -220,13 +220,29 @@ def vector(values: Iterable[Scalar], field: Field | None = None) -> Vector:
     return Vector(values, field)
 
 
+def check_vector(v: Vector) -> Vector:
+    """``v`` itself; ValueError naming the type it got unless it is a :class:`Vector`."""
+    if not isinstance(v, Vector):
+        raise ValueError(f"expected a Vector, got {type(v).__name__}")
+    return v
+
+
 def check_member(v: Vector, field: Field, dim: int) -> None:
-    """FieldMismatchError or DimensionMismatchError unless ``v`` is a vector
-    of this field and dimension."""
-    if v.field is not field:
+    """ValueError unless ``v`` is a :class:`Vector`, then FieldMismatchError
+    or DimensionMismatchError unless it is of this field and dimension."""
+    if check_vector(v).field is not field:
         raise FieldMismatchError(f"mixed scalar fields: {field.value} vs {v.field.value}")
     if v.dim != dim:
         raise DimensionMismatchError(f"dimension mismatch: {dim} vs {v.dim}")
+
+
+def check_members(vectors: Sequence[Vector]) -> Vector:
+    """The first of nonempty ``vectors``, after :func:`check_member` of each
+    other against it; ValueError unless the first is a :class:`Vector`."""
+    head = check_vector(vectors[0])
+    for v in vectors[1:]:
+        check_member(v, head.field, head.dim)
+    return head
 
 
 def inner_product(u: Vector, v: Vector) -> Scalar:
@@ -235,7 +251,7 @@ def inner_product(u: Vector, v: Vector) -> Scalar:
     Returns a plain float over the reals and a complex over the complexes,
     so ``inner_product(v, u) == conj(inner_product(u, v))`` holds exactly.
     """
-    check_member(v, u.field, u.dim)
+    check_members((u, v))
     value = np.vdot(v.coords, u.coords)  # vdot conjugates its first argument
     return float(value.real) if u.field is Field.REAL else complex(value)
 
@@ -274,9 +290,7 @@ def linear_combination(coeffs: Sequence[Scalar], vectors: Sequence[Vector]) -> V
     """``sum_i coeffs[i] * vectors[i]`` with field/dimension validation."""
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
-    head = vectors[0]
-    for v in vectors[1:]:
-        check_member(v, head.field, head.dim)
+    head = check_members(vectors)
     alphas = _coeff_array(coeffs, head.field, len(vectors))
     rows = np.stack([v.coords for v in vectors])
     return Vector(alphas @ rows, head.field)

@@ -294,6 +294,26 @@ def test_a_field_that_is_not_a_field_raises_value_error(call):
         call()
 
 
+_S = sd.VectorSystem.from_rows([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+_V = vector([1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, got", [
+    (lambda: sd.exact_distance(_S, np.ones(3)), "ndarray"),
+    (lambda: sd.condition_verdict(_S, np.ones(3), sd.IntervalData((0.0, 0.0), (2.0, 2.0))), "ndarray"),
+    (lambda: inner_product(np.ones(3), _V), "ndarray"),
+    (lambda: sd.VectorSystem([np.ones(3), np.ones(3)]), "ndarray"),
+    (lambda: sd.linear_combination([1.0], [np.ones(3)]), "ndarray"),
+    (lambda: _S.augmented([1.0, 2.0, 3.0]), "list"),
+    (lambda: sd.check_gram_triangle(_V, np.ones(3), _S), "ndarray"),
+], ids=["exact_distance", "condition_verdict", "inner_product", "VectorSystem", "linear_combination",
+        "augmented", "check_gram_triangle"])
+def test_an_array_where_a_vector_is_expected_raises_value_error(call, got):
+    with pytest.raises(ValueError, match=f"^expected a Vector, got {got}$") as info:
+        call()
+    assert info.type is ValueError
+
+
 def test_field_array_keeps_every_bit_of_valid_input():
     from fractions import Fraction
     big = 2**64 + 1  # an object array: beyond int64 and uint64

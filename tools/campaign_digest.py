@@ -6,13 +6,15 @@ Runs ``run_campaign`` serially on each stream below and prints, per
 stream, the sha256 of ``render_campaign(result, "json")`` and of
 ``render_campaign(result, "csv")``, and a structure digest: the sha256 of
 the check ids, the outcome count per id and the (trial, check_id) pair of
-every failure, leaving out margins and recorded values. Then it prints one
-combined digest over the json and csv lines and one over the structure
-lines. A refactor that must not change any result is checked by running
-this on the commit before it and on the change: the printed lines must be
-identical. A change that may move only float rounding (a new kernel for
-the same arithmetic) must leave every structure line identical: the same
-checks ran, as often, and failed on the same trials.
+every failure, leaving out margins and recorded values. At the end it
+prints one combined digest over the json and csv lines, one over the
+structure lines and one over the lines of each kind below, in the order
+they are described here (``combined grid`` last). A refactor that must
+not change any result is checked by running this on the commit before it
+and on the change: the printed lines must be identical. A change that may
+move only float rounding (a new kernel for the same arithmetic) must leave
+every structure line identical: the same checks ran, as often, and failed
+on the same trials.
 
 Each stream is also run with ``jobs=2`` and ``jobs=3``, which split its
 trials off the boundaries of the serial run's chunks: the caller runs the
@@ -31,7 +33,16 @@ still lists any. The script exits with status 1 if any ``MISMATCH``,
 ``START`` or ``LEFTOVER`` (or ``ORDER``, ``SCALE`` or ``THREADS``, below)
 line was printed, 0 otherwise.
 
-The per-instance API is fingerprinted too. For the first
+Each per-instance line (``library``, ``replay``, ``point``,
+``combination``, ``gram`` and ``scale``) is one entry of
+:data:`SECTIONS`: its label, a per-trial function that returns the trial's
+text and whether the trial is flagged, and the gate line a flagged trial
+prints. One loop runs the first :data:`LIBRARY_TRIALS` trials of each
+stream through every entry, then prints and hashes the entry's line and
+its gate lines: the union of the trials that the entries sharing a gate
+flag, after the last of them. A new section or gate is one entry.
+
+The per-instance API is fingerprinted first. For the first
 :data:`LIBRARY_TRIALS` trials of each stream, the ``library`` line hashes
 ``render_distance(exact_distance(...), full_bound_report(...), "json")``
 and ``render_hadamard`` of the four ``hadamard_chain`` variants with
@@ -43,7 +54,7 @@ hashes, for the same trials, every outcome of ``replay_trial(config, t)``
 type of what it raises: the per-instance check path of
 ``generate_instance``, ``InstanceChunk.of`` and ``run_checks``. A
 ``combined library`` and a ``combined replay`` digest over these lines
-close the output.
+follow.
 
 A system keeps the numbers of the last vector it was asked about, so the
 per-instance results must not depend on the order of the calls. For each
@@ -135,6 +146,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported (see above)
 os.environ["OMP_NUM_THREADS"] = "1"
@@ -185,6 +197,8 @@ for key, digest in runpy.run_path(sys.argv[1])["_report_digests"]().items():
     print(key, digest)
 """
 
+FORMATS = ("json", "csv")
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -211,12 +225,26 @@ SPLITS = (2, 3)
 LIBRARY_TRIALS = 16
 
 
-def _or_error(call) -> str:
-    """The document ``call()`` renders, or the type of what it raises."""
+def _repr(value) -> str:
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value) + "\n"
+
+
+def _or_error(call, render: Callable[[object], str] = _repr) -> str:
+    """``render`` of what ``call()`` returns (by default its ``repr``, arrays
+    through ``.tolist()``), or the type of what it raises."""
     try:
-        return call()
+        value = call()
     except (sd.SpandistError, ValueError) as exc:
         return type(exc).__name__ + "\n"
+    return render(value)
+
+
+def _draw(trial: int, size: int, field: Field) -> np.ndarray:
+    """``size`` normal draws from a generator seeded by (:data:`SEED`,
+    ``trial``), with an imaginary part drawn after them on a complex field."""
+    rng = np.random.default_rng([SEED, trial])
+    values = rng.standard_normal(size)
+    return values + 1j * rng.standard_normal(size) if field is Field.COMPLEX else values
 
 
 def _distance(inst: sd.Instance, reverse: bool) -> str:
@@ -233,32 +261,26 @@ def _distance(inst: sd.Instance, reverse: bool) -> str:
             report = sd.full_bound_report(s, x, inst.intervals)
         return sd.render_distance(result, report, "json")
 
-    return _or_error(call)
+    return _or_error(call, str)
 
 
-def _library(config: GeneratorConfig) -> tuple[str, list[int]]:
-    """What the per-instance API reports on the first trials of a stream,
-    and the trials where calling it in reverse order reports otherwise."""
-    out, disordered = [], []
-    for trial in range(min(LIBRARY_TRIALS, config.trials)):
-        inst = sd.generate_instance(config, trial)
-        s = inst.system
-        text = _distance(inst, reverse=False)
-        if _distance(sd.generate_instance(config, trial), reverse=True) != text:
-            disordered.append(trial)
-        out.append(f"trial {trial} distance\n" + text)
-        out.append(f"trial {trial} hadamard\n" + _or_error(lambda: sd.render_hadamard(
-            [sd.hadamard_chain(s, variant) for variant in sd.ChainVariant], sd.check_hadamard_strict(s), "json")))
-    return "".join(out), disordered
+def _library(config: GeneratorConfig, trial: int) -> tuple[str, bool]:
+    """What the per-instance API reports on a trial, and whether calling it
+    in reverse order reports otherwise."""
+    inst = sd.generate_instance(config, trial)
+    s = inst.system
+    text = _distance(inst, reverse=False)
+    hadamard = _or_error(lambda: sd.render_hadamard(
+        [sd.hadamard_chain(s, variant) for variant in sd.ChainVariant], sd.check_hadamard_strict(s), "json"), str)
+    return (f"trial {trial} distance\n{text}trial {trial} hadamard\n{hadamard}",
+            _distance(sd.generate_instance(config, trial), reverse=True) != text)
 
 
-def _replay(config: GeneratorConfig) -> str:
-    """What the per-instance check path reports on the first trials of a stream."""
-    out = []
-    for trial in range(min(LIBRARY_TRIALS, config.trials)):
-        out.append(f"trial {trial} replay\n" + _or_error(lambda: "".join(
-            f"{o.check_id} {o.ok} {o.margin!r} {o.values!r}\n" for o in sd.replay_trial(config, trial))))
-    return "".join(out)
+def _replay(config: GeneratorConfig, trial: int) -> tuple[str, bool]:
+    """What the per-instance check path reports on a trial."""
+    text = _or_error(lambda: "".join(
+        f"{o.check_id} {o.ok} {o.margin!r} {o.values!r}\n" for o in sd.replay_trial(config, trial)), str)
+    return f"trial {trial} replay\n" + text, False
 
 
 POINT_FUNCTIONS = (
@@ -282,15 +304,6 @@ ROW_FUNCTIONS = (sd.residual_after_projection, sd.distance_sq_by_orthonormalizat
 RELAXATIONS = sd.bounds.CONDITIONAL_METHODS[1:]  # every conditional method but the half-width bound
 
 
-def _repr_or_error(call) -> str:
-    """The ``repr`` of what ``call()`` returns, or the type of what it raises."""
-    try:
-        value = call()
-    except (sd.SpandistError, ValueError) as exc:
-        return type(exc).__name__ + "\n"
-    return repr(value.tolist() if isinstance(value, np.ndarray) else value) + "\n"
-
-
 def _point_calls(inst: sd.Instance) -> list:
     """Each per-instance call of an instance's (system, x) pair, in the
     order the ``point`` line hashes them."""
@@ -306,18 +319,12 @@ def _point_calls(inst: sd.Instance) -> list:
     return calls
 
 
-def _point(config: GeneratorConfig) -> tuple[str, list[int]]:
-    """What each per-instance function of a (system, x) pair returns on the
-    first trials of a stream, and the trials where calling them from last
-    to first returns otherwise."""
-    out, disordered = [], []
-    for trial in range(min(LIBRARY_TRIALS, config.trials)):
-        forward = [_repr_or_error(call) for call in _point_calls(sd.generate_instance(config, trial))]
-        backward = [_repr_or_error(call) for call in reversed(_point_calls(sd.generate_instance(config, trial)))]
-        if backward[::-1] != forward:
-            disordered.append(trial)
-        out.append(f"trial {trial} point\n" + "".join(forward))
-    return "".join(out), disordered
+def _point(config: GeneratorConfig, trial: int) -> tuple[str, bool]:
+    """What each per-instance function of a trial's (system, x) pair
+    returns, and whether calling them from last to first returns otherwise."""
+    forward = [_or_error(call) for call in _point_calls(sd.generate_instance(config, trial))]
+    backward = [_or_error(call) for call in reversed(_point_calls(sd.generate_instance(config, trial)))]
+    return f"trial {trial} point\n" + "".join(forward), backward[::-1] != forward
 
 
 # the named bound function of each combination kind, called with a method's choices
@@ -333,66 +340,93 @@ NAMED_BOUNDS = {
 }
 
 
-def _combination(config: GeneratorConfig) -> str:
-    """What each norm-of-combination function returns on the first trials
-    of a stream, for coefficients drawn from a fixed seed."""
-    out = []
-    for trial in range(min(LIBRARY_TRIALS, config.trials)):
-        s = sd.generate_instance(config, trial).system
-        rng = np.random.default_rng([SEED, trial])
-        alphas = rng.standard_normal(s.n)
-        if s.field is Field.COMPLEX:
-            alphas = alphas + 1j * rng.standard_normal(s.n)
-        calls = [lambda m=m: sd.evaluate_combination(alphas, s, m) for _, m in sd.checks.COMBINATION_SWEEP]
-        calls += [lambda m=m: NAMED_BOUNDS[m.kind](alphas, s, m) for _, m in sd.checks.COMBINATION_SWEEP]
-        calls.append(lambda: sd.combination_norm_sq(alphas, s))
-        calls.append(lambda: sd.lagrange_identity_parts(alphas, s))
-        out.append(f"trial {trial} combination\n" + "".join(_repr_or_error(call) for call in calls))
-    return "".join(out)
+def _combination(config: GeneratorConfig, trial: int) -> tuple[str, bool]:
+    """What each norm-of-combination function returns on a trial, for
+    coefficients drawn from a fixed seed."""
+    s = sd.generate_instance(config, trial).system
+    alphas = _draw(trial, s.n, s.field)
+    calls = [lambda m=m: sd.evaluate_combination(alphas, s, m) for _, m in sd.checks.COMBINATION_SWEEP]
+    calls += [lambda m=m: NAMED_BOUNDS[m.kind](alphas, s, m) for _, m in sd.checks.COMBINATION_SWEEP]
+    calls.append(lambda: sd.combination_norm_sq(alphas, s))
+    calls.append(lambda: sd.lagrange_identity_parts(alphas, s))
+    return f"trial {trial} combination\n" + "".join(map(_or_error, calls)), False
 
 
-def _gram(config: GeneratorConfig) -> str:
-    """What each Gram-determinant function returns on the first trials of
-    a stream."""
-    out = []
-    for trial in range(min(LIBRARY_TRIALS, config.trials)):
-        inst = sd.generate_instance(config, trial)
-        s = inst.system
-        rng = np.random.default_rng([SEED, trial])
-        y1 = rng.standard_normal(s.dim)
-        if s.field is Field.COMPLEX:
-            y1 = y1 + 1j * rng.standard_normal(s.dim)
-        y1 = sd.Vector(y1, s.field)
-        calls = [lambda: sd.is_orthonormal(s), lambda: sd.gram_determinant(s), s.gram_condition,
-                 lambda: sd.check_gram_hadamard(s)]
-        calls += [lambda k=k: sd.check_gram_product_split(s, k) for k in range(1, s.n)]
-        calls.append(lambda: sd.check_gram_triangle(inst.x, y1, s))
-        out.append(f"trial {trial} gram\n" + "".join(_repr_or_error(call) for call in calls))
-    return "".join(out)
+def _gram(config: GeneratorConfig, trial: int) -> tuple[str, bool]:
+    """What each Gram-determinant function returns on a trial."""
+    inst = sd.generate_instance(config, trial)
+    s = inst.system
+    y1 = sd.Vector(_draw(trial, s.dim, s.field), s.field)
+    calls = [lambda: sd.is_orthonormal(s), lambda: sd.gram_determinant(s), s.gram_condition,
+             lambda: sd.check_gram_hadamard(s)]
+    calls += [lambda k=k: sd.check_gram_product_split(s, k) for k in range(1, s.n)]
+    calls.append(lambda: sd.check_gram_triangle(inst.x, y1, s))
+    return f"trial {trial} gram\n" + "".join(map(_or_error, calls)), False
 
 
-def _scale(config: GeneratorConfig) -> tuple[str, list[int]]:
+def _scaled(system: sd.VectorSystem, x: sd.Vector) -> str:
     """The rank, condition number kappa_E, determinant-ratio distance and
-    quadratic-form distance of the first trials of a stream with each row
-    rescaled by a power of two, and the trials where any of them differs
-    from the unscaled system's."""
+    quadratic-form distance of a system."""
+    return f"{system.rank} {system.as_stack().factor.condition[0]!r} " + "".join(
+        _or_error(lambda: fn(system, x)) for fn in (sd.distance_sq_gram_ratio, sd.distance_sq_quadratic)
+    )
 
-    def fingerprint(system: sd.VectorSystem, x: sd.Vector) -> str:
-        return f"{system.rank} {system.as_stack().factor.condition[0]!r} " + "".join(
-            _repr_or_error(lambda: fn(system, x)) for fn in (sd.distance_sq_gram_ratio, sd.distance_sq_quadratic)
-        )
 
-    out, moved = [], []
-    for trial in range(min(LIBRARY_TRIALS, config.trials)):
-        inst = sd.generate_instance(config, trial)
-        s, x = inst.system, inst.x
-        k = np.random.default_rng([SEED, trial]).integers(-60, 61, s.n)
-        scaled = sd.VectorSystem.from_rows(s.rows * np.exp2(k)[:, np.newaxis], s.field)
-        text = fingerprint(scaled, x)
-        if text != fingerprint(s, x):
-            moved.append(trial)
-        out.append(f"trial {trial} scale\n" + text)
-    return "".join(out), moved
+def _scale(config: GeneratorConfig, trial: int) -> tuple[str, bool]:
+    """:func:`_scaled` of a trial with each row rescaled by a power of two,
+    and whether it differs from the unscaled system's."""
+    inst = sd.generate_instance(config, trial)
+    s, x = inst.system, inst.x
+    k = np.random.default_rng([SEED, trial]).integers(-60, 61, s.n)
+    text = _scaled(sd.VectorSystem.from_rows(s.rows * np.exp2(k)[:, np.newaxis], s.field), x)
+    return f"trial {trial} scale\n" + text, text != _scaled(s, x)
+
+
+class Section(NamedTuple):
+    """A per-instance line: its label, what it hashes of one trial (and
+    whether the trial is flagged), and the line a flagged trial prints."""
+
+    label: str
+    trial: Callable[[GeneratorConfig, int], tuple[str, bool]]
+    gate: str | None = None
+
+
+ORDER = "ORDER {name} trial {trial}"
+SECTIONS = (
+    Section("library", _library, ORDER),
+    Section("replay", _replay),
+    Section("point", _point, ORDER),
+    Section("combination", _combination),
+    Section("gram", _gram),
+    Section("scale", _scale, "SCALE {name} {trial}"),
+)
+_GATED_BY = {section.gate: section for section in SECTIONS if section.gate}  # gate -> the last section with it
+
+
+def _title(label: str) -> str:
+    """The combined line that a line of this label feeds: json and csv share one."""
+    return "combined" if label in FORMATS else f"combined {label}"
+
+
+def _combined() -> dict:
+    """A fresh digest per combined line, in the order they close the output."""
+    labels = ("json", "struct", *(section.label for section in SECTIONS), "grid")
+    return {_title(label): hashlib.sha256() for label in labels}
+
+
+def _line(combined: dict, name: str, label: str, text: str) -> str:
+    """Print the digest line of ``text``, add it to its combined digest and return the digest."""
+    digest = _sha(text)
+    combined[_title(label)].update(f"{name} {label} {digest}\n".encode("ascii"))
+    print(f"{name:<34} {label:<6} {digest}")
+    return digest
+
+
+def _gate(lines: list[str]) -> list[str]:
+    """Print each gate line and return them."""
+    for line in lines:
+        print(line)
+    return lines
 
 
 def _split_runs(config: GeneratorConfig):
@@ -412,13 +446,43 @@ def _split_runs(config: GeneratorConfig):
         sd_campaign._mp_context = default
 
 
+def _stream(name: str, config: GeneratorConfig, combined: dict) -> list[str]:
+    """Print the lines of one stream, each gate line in its place, and
+    return the gate lines."""
+    result = sd.run_campaign(config)
+    serial = {fmt: _line(combined, name, fmt, sd.render_campaign(result, fmt)) for fmt in FORMATS}
+    _line(combined, name, "struct", _structure(result))
+    gates, flagged = [], {section.gate: set() for section in SECTIONS}
+    for section in SECTIONS:
+        texts = []
+        for trial in range(min(LIBRARY_TRIALS, config.trials)):
+            text, flag = section.trial(config, trial)
+            texts.append(text)
+            if flag:
+                flagged[section.gate].add(trial)
+        _line(combined, name, section.label, "".join(texts))
+        if _GATED_BY.get(section.gate) is section:
+            gates += _gate([section.gate.format(name=name, trial=trial) for trial in sorted(flagged[section.gate])])
+    for method, jobs, split in _split_runs(config):
+        differs = [fmt for fmt in FORMATS if _sha(sd.render_campaign(split, fmt)) != serial[fmt]]
+        if method is None:
+            lines = [f"MISMATCH {name} jobs={jobs} {fmt}" for fmt in differs]
+        else:
+            lines = [f"START {method} {name} jobs={jobs}"] if differs else []
+        leftover = len(multiprocessing.active_children())
+        if leftover:
+            lines.append(f"LEFTOVER {name} jobs={jobs} {leftover}")
+        gates += _gate(lines)
+    return gates
+
+
 def _report_digests() -> dict[str, str]:
     """The json and csv digest of a serial run of each of :data:`THREAD_STREAMS`,
     keyed by "<stream> <fmt>"."""
     out = {}
     for name, (trials, kwargs) in THREAD_STREAMS.items():
         result = sd.run_campaign(GeneratorConfig(seed=SEED, trials=trials, **kwargs))
-        for fmt in ("json", "csv"):
+        for fmt in FORMATS:
             out[f"{name} {fmt}"] = _sha(sd.render_campaign(result, fmt))
     return out
 
@@ -434,83 +498,16 @@ def _threads() -> list[str]:
 
 
 def main() -> int:
-    combined = hashlib.sha256()
-    structure = hashlib.sha256()
-    library = hashlib.sha256()
-    replay = hashlib.sha256()
-    point = hashlib.sha256()
-    combination = hashlib.sha256()
-    gram = hashlib.sha256()
-    scale = hashlib.sha256()
-    problems = 0
+    combined = _combined()
+    gates = []
     for name, (trials, kwargs) in STREAMS.items():
-        config = GeneratorConfig(seed=SEED, trials=trials, **kwargs)
-        result = sd.run_campaign(config)
-        serial = {}
-        for fmt in ("json", "csv"):
-            digest = serial[fmt] = _sha(sd.render_campaign(result, fmt))
-            combined.update(f"{name} {fmt} {digest}\n".encode("ascii"))
-            print(f"{name:<34} {fmt:<6} {digest}")
-        digest = _sha(_structure(result))
-        structure.update(f"{name} struct {digest}\n".encode("ascii"))
-        print(f"{name:<34} {'struct':<6} {digest}")
-        text, disordered = _library(config)
-        digest = _sha(text)
-        library.update(f"{name} library {digest}\n".encode("ascii"))
-        print(f"{name:<34} library {digest}")
-        digest = _sha(_replay(config))
-        replay.update(f"{name} replay {digest}\n".encode("ascii"))
-        print(f"{name:<34} replay {digest}")
-        text, backward = _point(config)
-        digest = _sha(text)
-        point.update(f"{name} point {digest}\n".encode("ascii"))
-        print(f"{name:<34} point  {digest}")
-        for trial in sorted(set(disordered + backward)):
-            problems += 1
-            print(f"ORDER {name} trial {trial}")
-        digest = _sha(_combination(config))
-        combination.update(f"{name} combination {digest}\n".encode("ascii"))
-        print(f"{name:<34} combination {digest}")
-        digest = _sha(_gram(config))
-        gram.update(f"{name} gram {digest}\n".encode("ascii"))
-        print(f"{name:<34} gram   {digest}")
-        text, moved = _scale(config)
-        digest = _sha(text)
-        scale.update(f"{name} scale {digest}\n".encode("ascii"))
-        print(f"{name:<34} scale  {digest}")
-        for trial in moved:
-            problems += 1
-            print(f"SCALE {name} {trial}")
-        for method, jobs, split in _split_runs(config):
-            differs = [fmt for fmt in ("json", "csv") if _sha(sd.render_campaign(split, fmt)) != serial[fmt]]
-            if method is None:
-                lines = [f"MISMATCH {name} jobs={jobs} {fmt}" for fmt in differs]
-            else:
-                lines = [f"START {method} {name} jobs={jobs}"] if differs else []
-            leftover = len(multiprocessing.active_children())
-            if leftover:
-                lines.append(f"LEFTOVER {name} jobs={jobs} {leftover}")
-            problems += len(lines)
-            for line in lines:
-                print(line)
-    for line in _threads():
-        problems += 1
-        print(line)
-    grid = hashlib.sha256()
+        gates += _stream(name, GeneratorConfig(seed=SEED, trials=trials, **kwargs), combined)
+    gates += _gate(_threads())
     for name, config in GRID.items():
-        digest = _sha(_or_error(lambda: _structure(sd.run_campaign(config))))
-        grid.update(f"{name} grid {digest}\n".encode("ascii"))
-        print(f"{name:<34} grid   {digest}")
-    print(f"{'combined':<41} {combined.hexdigest()}")
-    print(f"{'combined struct':<41} {structure.hexdigest()}")
-    print(f"{'combined library':<41} {library.hexdigest()}")
-    print(f"{'combined replay':<41} {replay.hexdigest()}")
-    print(f"{'combined point':<41} {point.hexdigest()}")
-    print(f"{'combined combination':<41} {combination.hexdigest()}")
-    print(f"{'combined gram':<41} {gram.hexdigest()}")
-    print(f"{'combined scale':<41} {scale.hexdigest()}")
-    print(f"{'combined grid':<41} {grid.hexdigest()}")
-    return 1 if problems else 0
+        _line(combined, name, "grid", _or_error(lambda: _structure(sd.run_campaign(config)), str))
+    for title, digest in combined.items():
+        print(f"{title:<41} {digest.hexdigest()}")
+    return 1 if gates else 0
 
 
 if __name__ == "__main__":
